@@ -55,7 +55,6 @@ from .circuits import (
     whisker_right,
 )
 from .effects import (
-    EffectChecker,
     VerifyReport,
     check_ascription,
     infer_effect,
@@ -99,7 +98,7 @@ from .syntax import (
     show_value,
 )
 from .tropical import NEG_INF, TropicalMatrix
-from .typecheck import Checker, check_configuration, check_program, sharp
+from .typecheck import EffectChecker, check_configuration, check_program, sharp
 
 __version__ = "0.1.0"
 

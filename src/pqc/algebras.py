@@ -23,6 +23,9 @@ Shipped algebras:
                      state the set of reachable basis states plus the cost of
                      the gates that cannot be removed given that knowledge.
 
+``TRIVIAL`` (one object, one morphism) is no metric and not in ``ALGEBRAS``:
+it is the algebra plain type checking runs over (see ``typecheck``).
+
 The assert cost is stored as a *stage profile* rather than a single number:
 stage k remembers, for each input basis state b, the cost of original layer
 k on the states reachable from b. Evaluating on a precondition L gives
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -61,12 +64,13 @@ class CircuitAlgebra:
     """Interface + generic layer/abstraction machinery for circuit algebras."""
 
     name = "?"
+    # False when effects ignore wire positions (obj_of is constant and every
+    # permutation's effect is the identity): the checker then skips the
+    # wire bookkeeping behind endpoint checks and reorderings
+    positional = True
 
     # --- primitive structure, per algebra --------------------------------
     def obj_of(self, o: Obj):
-        raise NotImplementedError
-
-    def obj_tensor(self, a, b):
         raise NotImplementedError
 
     def identity_effect(self, o) -> Effect:
@@ -101,13 +105,18 @@ class CircuitAlgebra:
         """Collapse an effect to the scalar it promises to stay under."""
         raise NotImplementedError
 
-    def from_bound(self, dom: Obj, cod: Obj, n: int) -> Effect:
+    def from_bound(self, dom: Obj, cod: Obj, n: Optional[int]) -> Optional[Effect]:
         """The coarsest effect between these endpoints with bound n.
 
         Used to give meaning to scalar ascriptions on function and circuit
         types: anything we later learn about the actual body must sit below
-        this effect.
+        this effect. Without a bound (n is None) nothing is known and the
+        answer is None.
         """
+        return None if n is None else self.coarsest(dom, cod, n)
+
+    def coarsest(self, dom: Obj, cod: Obj, n: int) -> Effect:
+        """``from_bound`` for a given bound."""
         raise NotImplementedError
 
     # --- derived ----------------------------------------------------------
@@ -156,10 +165,9 @@ class CircuitAlgebra:
 class _ScalarAlgebra(CircuitAlgebra):
     """Common carrier: single object "*", morphisms ℕ, compose = +."""
 
-    def obj_of(self, o: Obj):
-        return "*"
+    positional = False
 
-    def obj_tensor(self, a, b):
+    def obj_of(self, o: Obj):
         return "*"
 
     def identity_effect(self, o) -> Effect:
@@ -186,7 +194,7 @@ class _ScalarAlgebra(CircuitAlgebra):
     def bound_of(self, e) -> float:
         return e.value
 
-    def from_bound(self, dom, cod, n: int) -> Effect:
+    def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect("*", "*", n)
 
 
@@ -208,6 +216,24 @@ class NaiveDepthAlgebra(_ScalarAlgebra):
         return Effect("*", "*", 1)
 
 
+class TrivialAlgebra(_ScalarAlgebra):
+    """One object, one morphism: the algebra plain type checking runs over.
+
+    Every effect is ``Effect("*", "*", 0)``, so effect inference over it is
+    exactly linear typing. Unlike the resource algebras it answers
+    ``from_bound`` without a bound, so unannotated arrows, circuits and
+    thunks check. It measures nothing and is not in ``ALGEBRAS``.
+    """
+
+    name = "trivial"
+
+    def gate_effect(self, gdef: GateDef) -> Effect:
+        return Effect("*", "*", 0)
+
+    def from_bound(self, dom, cod, n) -> Effect:
+        return Effect("*", "*", 0)
+
+
 # --------------------------------------------------------------------------
 # width
 # --------------------------------------------------------------------------
@@ -219,9 +245,6 @@ class WidthAlgebra(CircuitAlgebra):
 
     def obj_of(self, o: Obj) -> int:
         return len(o)
-
-    def obj_tensor(self, a: int, b: int) -> int:
-        return a + b
 
     def identity_effect(self, o: int) -> Effect:
         return Effect(o, o, o)
@@ -255,7 +278,7 @@ class WidthAlgebra(CircuitAlgebra):
     def bound_of(self, e) -> float:
         return e.value
 
-    def from_bound(self, dom, cod, n: int) -> Effect:
+    def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect(len(dom), len(cod), n)
 
 
@@ -292,9 +315,6 @@ class DepthAlgebra(CircuitAlgebra):
 
     def obj_of(self, o: Obj) -> int:
         return len(o)
-
-    def obj_tensor(self, a: int, b: int) -> int:
-        return a + b
 
     def identity_effect(self, k: int) -> Effect:
         return Effect(k, k, DepthTriple(
@@ -372,7 +392,7 @@ class DepthAlgebra(CircuitAlgebra):
     def bound_of(self, e) -> float:
         return depth_bound(e)
 
-    def from_bound(self, dom, cod, n: int) -> Effect:
+    def coarsest(self, dom, cod, n: int) -> Effect:
         d, c = len(dom), len(cod)
         return Effect(d, c, DepthTriple(
             TropicalMatrix(np.full((d, c), float(n))),
@@ -499,9 +519,6 @@ class AssertAlgebra(CircuitAlgebra):
                 raise UnsupportedWire(f"assert algebra cannot track {t} wires")
         return len(o)
 
-    def obj_tensor(self, a: int, b: int) -> int:
-        return a + b
-
     def identity_effect(self, k: int) -> Effect:
         rows = {b: frozenset({b}) for b in _bitstrings(k)}
         return Effect(k, k, AssertValue(rows, StageCosts(())))
@@ -624,7 +641,7 @@ class AssertAlgebra(CircuitAlgebra):
         v: AssertValue = e.value
         return eval_cost(v.cost, frozenset(_bitstrings(e.dom)))
 
-    def from_bound(self, dom, cod, n: int) -> Effect:
+    def coarsest(self, dom, cod, n: int) -> Effect:
         full = frozenset(_bitstrings(len(cod)))
         rows = {b: full for b in _bitstrings(len(dom))}
         stage = _mk_stage({b: n for b in _bitstrings(len(dom))})
@@ -641,6 +658,9 @@ ALGEBRAS: dict[str, CircuitAlgebra] = {
     for a in (GateCountAlgebra(), NaiveDepthAlgebra(), WidthAlgebra(),
               DepthAlgebra(), AssertAlgebra())
 }
+
+
+TRIVIAL = TrivialAlgebra()
 
 
 def algebra(name: str) -> CircuitAlgebra:

@@ -1,17 +1,13 @@
 """Effect inference: static resource bounds for programs.
 
-This is the resource-annotated refinement of the plain linear type system.
-Alongside a type, every term gets an *effect* — a morphism of the chosen
-circuit algebra from the wires the term consumes to the wires its result
-holds. Function, thunk and circuit types internally store the effect of
-their suspended bodies; application, force and apply release it.
-
-Wire bookkeeping works with ordered contexts: each context entry contributes
-a block of wires (its type's shape), and every rule that reshuffles the
-context contributes an explicit permutation effect before the sub-effects
-are composed. The invariant checked at every node: the effect's domain is
-the wire listing of the linear entries the term uses (in context order) and
-its codomain is the wire listing of its result type.
+This is the resource-annotated refinement of the plain linear type system,
+run by the same checker (``typecheck.EffectChecker``) over a resource
+algebra instead of the trivial one. Alongside a type, every term gets an
+*effect* — a morphism of the chosen circuit algebra from the wires the term
+consumes to the wires its result holds. Function, thunk and circuit types
+internally store the effect of their suspended bodies; application, force
+and apply release it. An unannotated function, circuit or thunk binder
+carries no stored effect here, so using it asks for a scalar ascription.
 
 ``verify_dynamic`` closes the loop: it runs a program, abstracts the circuit
 it actually built, and checks that the statically inferred effect dominates
@@ -24,354 +20,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebras import CircuitAlgebra, Effect
-from .circuits import Circuit, Label, LabelContext, Obj, flatten_bundle
-from .errors import (
-    BoxCapturesWires, EffectError, LinearityViolation, NotACircuit,
-    NotAFunction, NotAParameter, NotAValue, ShapeMismatch, UnboundName,
-)
+from .circuits import Circuit, LabelContext, flatten_bundle
+from .errors import LinearityViolation
 from .evaluator import evaluate_program, value_to_bundle
 from .gates import Registry, default_registry
-from .syntax import (
-    App, Apply, ArrowT, BangT, Box, BoxedVal, CircT, Dest, Force, GateRef,
-    Ifz, LabelVal, Lam, Let, Lift, NatT, NatVal, Pair, Program, Ret, TensorT,
-    Term, Type, UnitT, UnitVal, Value, Var, show_type,
-)
-from .typecheck import (
-    CtxKey, bundle_type, is_parameter, is_shape_type, same_type, sharp,
-    spine, tensor_of, type_of_shape, wires_of,
-)
-
-
-def synthesize_bounds(alg: CircuitAlgebra, ty: Type) -> Type:
-    """Attach worst-case stored effects implied by scalar ascriptions.
-
-    A binder annotated ``A -o[T; n] B`` or ``Circ[n](T, U)`` promises its
-    body stays under n; that is all we know about it, so its stored effect
-    becomes the algebra's coarsest effect with that bound.
-    """
-    match ty:
-        case ArrowT(dom, cod, captured, bound, eff):
-            dom2 = synthesize_bounds(alg, dom)
-            cod2 = synthesize_bounds(alg, cod)
-            if eff is None and bound is not None:
-                eff = alg.from_bound(wires_of(captured) + wires_of(dom),
-                                     wires_of(cod), bound)
-            return ArrowT(dom2, cod2, captured, bound, eff)
-        case CircT(dom, cod, bound, eff):
-            if eff is None and bound is not None:
-                eff = alg.from_bound(wires_of(dom), wires_of(cod), bound)
-            return CircT(dom, cod, bound, eff)
-        case TensorT(left, right):
-            return TensorT(synthesize_bounds(alg, left),
-                           synthesize_bounds(alg, right))
-        case BangT(inner, eff):
-            return BangT(synthesize_bounds(alg, inner), eff)
-        case _:
-            return ty
-
-
-@dataclass
-class _Entry:
-    key: CtxKey
-    ty: Type
-    wires: Obj
-
-    @property
-    def linear(self) -> bool:
-        return not is_parameter(self.ty)
-
-
-class EffectChecker:
-    def __init__(self, alg: CircuitAlgebra, registry: Optional[Registry] = None):
-        self.alg = alg
-        self.registry = registry or default_registry()
-        self.ctx: list[_Entry] = []
-
-    # ---- context plumbing -------------------------------------------------
-
-    def push(self, key: CtxKey, ty: Type) -> None:
-        ty = synthesize_bounds(self.alg, ty)
-        self.ctx.append(_Entry(key, ty, wires_of(ty)))
-
-    def _lookup(self, key: CtxKey) -> int:
-        for i in range(len(self.ctx) - 1, -1, -1):
-            if self.ctx[i].key == key:
-                return i
-        raise UnboundName(
-            f"unbound {'label' if isinstance(key, Label) else 'variable'} {key}")
-
-    def _linear(self, used: set[int]) -> set[int]:
-        return {i for i in used if self.ctx[i].linear}
-
-    def _merge(self, a: set[int], b: set[int], what: str) -> set[int]:
-        both = self._linear(a) & self._linear(b)
-        if both:
-            names = ", ".join(str(self.ctx[i].key) for i in sorted(both))
-            raise LinearityViolation(f"{names} used more than once in {what}")
-        return a | b
-
-    def _pop(self, n: int, used: set[int], what: str) -> set[int]:
-        base = len(self.ctx) - n
-        for i in range(base, len(self.ctx)):
-            if self.ctx[i].linear and i not in used:
-                raise LinearityViolation(
-                    f"{self.ctx[i].key} is linear but never used in {what}")
-        del self.ctx[base:]
-        return {i for i in used if i < base}
-
-    def _blocks_obj(self, indices: Sequence[int]) -> Obj:
-        wires: tuple = ()
-        for i in indices:
-            wires += self.ctx[i].wires
-        return wires
-
-    def _reorder(self, target: Sequence[int]) -> Effect:
-        """Permutation effect from context order to the given entry order."""
-        src = sorted(target)
-        dom = self._blocks_obj(src)
-        src_off, dst_off, acc = {}, {}, 0
-        for i in src:
-            src_off[i] = acc
-            acc += len(self.ctx[i].wires)
-        acc = 0
-        for i in target:
-            dst_off[i] = acc
-            acc += len(self.ctx[i].wires)
-        perm = [0] * len(dom)
-        for i in target:
-            for k in range(len(self.ctx[i].wires)):
-                perm[src_off[i] + k] = dst_off[i] + k
-        return self.alg.perm_effect(tuple(perm), dom)
-
-    def _assert_endpoints(self, eff: Effect, used: set[int], ty: Type) -> None:
-        lin = sorted(self._linear(used))
-        assert eff.dom == self.alg.obj_of(self._blocks_obj(lin)), \
-            f"effect domain {eff.dom} does not cover the consumed wires"
-        assert eff.cod == self.alg.obj_of(wires_of(ty)), \
-            f"effect codomain {eff.cod} does not match result type {show_type(ty)}"
-
-    # ---- stored effects ---------------------------------------------------
-
-    def _check_promise(self, actual: Type, expected: Type, what: str) -> None:
-        """Enforce scalar ascriptions the expected type makes about functions."""
-        match (actual, expected):
-            case (TensorT(al, ar), TensorT(bl, br)):
-                self._check_promise(al, bl, what)
-                self._check_promise(ar, br, what)
-            case (BangT(ai, _), BangT(bi, _)):
-                self._check_promise(ai, bi, what)
-            case ((ArrowT(), ArrowT()) | (CircT(), CircT())) if expected.bound is not None:
-                if actual.eff is None:
-                    if actual.bound is not None and actual.bound <= expected.bound:
-                        return
-                    raise EffectError(
-                        f"cannot establish the promised bound {expected.bound} "
-                        f"for {what}")
-                reached = self.alg.bound_of(actual.eff)
-                if reached > expected.bound:
-                    raise EffectError(
-                        f"{what} must stay under {expected.bound} "
-                        f"but reaches {reached}")
-
-    def _arrow_effect(self, ty: ArrowT) -> Effect:
-        if ty.eff is None:
-            raise EffectError(
-                f"no effect information for a function of type {show_type(ty)}; "
-                f"ascribe a bound: {show_type(ty.dom)} -o[{show_type(ty.captured)}; n] ...")
-        return ty.eff
-
-    def _circ_effect(self, ty: CircT) -> Effect:
-        if ty.eff is None:
-            raise EffectError(
-                f"no effect information for a circuit of type {show_type(ty)}; "
-                f"ascribe a bound: Circ[n](...)")
-        return ty.eff
-
-    def _boxed_effect(self, bv: BoxedVal) -> tuple[CircT, Effect]:
-        boxed = bv.boxed
-        body_eff = self.alg.abstract(boxed.body, self.registry)
-        flat_in = flatten_bundle(boxed.inputs)
-        p_in = tuple(boxed.in_ctx.position(lbl) for lbl in flat_in)
-        in_obj = tuple(boxed.in_ctx.type_of(lbl) for lbl in flat_in)
-        flat_out = flatten_bundle(boxed.outputs)
-        pos_out = {lbl: i for i, lbl in enumerate(flat_out)}
-        p_out = tuple(pos_out[lbl] for lbl, _ in boxed.out_ctx)
-        eff = self.alg.compose_eff(
-            self.alg.compose_eff(self.alg.perm_effect(p_in, in_obj), body_eff),
-            self.alg.perm_effect(p_out, boxed.body.cod))
-        dom_ty = bundle_type(boxed.inputs, boxed.in_ctx)
-        cod_ty = bundle_type(boxed.outputs, boxed.out_ctx)
-        return CircT(dom_ty, cod_ty, None, eff), eff
-
-    # ---- values -----------------------------------------------------------
-
-    def infer_value(self, v: Value) -> tuple[Type, set[int], list[int]]:
-        """Returns (type, used entries, linear entries in the value's wire order)."""
-        match v:
-            case UnitVal():
-                return UnitT(), set(), []
-            case NatVal():
-                return NatT(), set(), []
-            case Var(name):
-                i = self._lookup(name)
-                return self.ctx[i].ty, {i}, [i] if self.ctx[i].linear else []
-            case LabelVal(label):
-                i = self._lookup(label)
-                return self.ctx[i].ty, {i}, [i]
-            case GateRef(name):
-                gdef = self.registry.lookup(name)
-                eff = self.alg.gate_effect(gdef)
-                ty = CircT(type_of_shape(spine(gdef.gate.dom)),
-                           type_of_shape(spine(gdef.gate.cod)), None, eff)
-                return ty, set(), []
-            case BoxedVal():
-                ty, _ = self._boxed_effect(v)
-                return ty, set(), []
-            case Pair(left, right):
-                lt, lu, lo = self.infer_value(left)
-                rt, ru, ro = self.infer_value(right)
-                return TensorT(lt, rt), self._merge(lu, ru, "a pair"), lo + ro
-            case Lam(var, ty0, body):
-                self.push(var, ty0)
-                bt, used, eff = self.infer_term(body)
-                used = self._pop(1, used, f"the body of \\{var}")
-                captured_ix = sorted(self._linear(used))
-                captured = tensor_of([sharp(self.ctx[i].ty) for i in captured_ix])
-                arrow = ArrowT(synthesize_bounds(self.alg, ty0), bt, captured,
-                               None, eff)
-                return arrow, used, captured_ix
-            case Lift(term):
-                ty, used, eff = self.infer_term(term)
-                lin = self._linear(used)
-                if lin:
-                    names = ", ".join(str(self.ctx[i].key) for i in sorted(lin))
-                    raise NotAParameter(
-                        f"lift body must be duplicable but uses {names}")
-                return BangT(ty, eff), used, []
-        raise NotAValue(f"not a value: {v!r}")
-
-    # ---- terms ------------------------------------------------------------
-
-    def infer_term(self, m: Term) -> tuple[Type, set[int], Effect]:
-        ty, used, eff = self._infer_term(m)
-        self._assert_endpoints(eff, used, ty)
-        return ty, used, eff
-
-    def _infer_term(self, m: Term) -> tuple[Type, set[int], Effect]:
-        alg = self.alg
-        match m:
-            case Ret(v):
-                ty, used, order = self.infer_value(v)
-                return ty, used, self._reorder(order)
-            case App(fn, arg):
-                ft, fu, fo = self.infer_value(fn)
-                if not isinstance(ft, ArrowT):
-                    raise NotAFunction(f"cannot apply a value of type {show_type(ft)}")
-                stored = self._arrow_effect(ft)
-                at, au, ao = self.infer_value(arg)
-                if not same_type(at, ft.dom):
-                    raise ShapeMismatch(
-                        f"function expects {show_type(ft.dom)}, got {show_type(at)}")
-                self._check_promise(at, ft.dom, "the argument")
-                used = self._merge(fu, au, "an application")
-                eff = alg.compose_eff(self._reorder(fo + ao), stored)
-                return ft.cod, used, eff
-            case Let(var, bound, body):
-                bt, bu, be = self.infer_term(bound)
-                self.push(var, bt)
-                tt, tu, te = self.infer_term(body)
-                tu = self._pop(1, tu, f"the body of let {var}")
-                used = self._merge(bu, tu, f"let {var}")
-                g2 = sorted(self._linear(tu))
-                g1 = sorted(self._linear(bu))
-                eff = alg.compose_eff(
-                    self._reorder(g2 + g1),
-                    alg.compose_eff(
-                        alg.whisker_left_eff(alg.obj_of(self._blocks_obj(g2)), be),
-                        te))
-                return tt, used, eff
-            case Dest(left, right, value, body):
-                vt, vu, vo = self.infer_value(value)
-                if not isinstance(vt, TensorT):
-                    raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
-                self.push(left, vt.left)
-                self.push(right, vt.right)
-                bt, bu, be = self.infer_term(body)
-                bu = self._pop(2, bu, f"the body of dest ({left}, {right})")
-                used = self._merge(vu, bu, f"dest ({left}, {right})")
-                g2 = sorted(self._linear(bu))
-                eff = alg.compose_eff(self._reorder(g2 + vo), be)
-                return bt, used, eff
-            case Ifz(cond, then, els):
-                ct, cu, _ = self.infer_value(cond)
-                if not isinstance(ct, NatT):
-                    raise ShapeMismatch(
-                        f"ifz condition must be Nat, got {show_type(ct)}")
-                saved = list(self.ctx)
-                tt, tu, te = self.infer_term(then)
-                self.ctx = saved
-                et, eu, ee = self.infer_term(els)
-                if tt != et:
-                    raise ShapeMismatch(
-                        f"ifz branches disagree: {show_type(tt)} vs {show_type(et)}")
-                if self._linear(tu) != self._linear(eu):
-                    raise LinearityViolation(
-                        "ifz branches must consume the same wires")
-                return tt, cu | tu | eu, alg.join(te, ee)
-            case Force(value):
-                vt, vu, _ = self.infer_value(value)
-                if not isinstance(vt, BangT):
-                    raise ShapeMismatch(f"force needs a !-type, got {show_type(vt)}")
-                if vt.eff is not None:
-                    eff = vt.eff
-                elif not wires_of(vt.inner):
-                    eff = alg.identity_effect(alg.obj_of(()))
-                else:
-                    raise EffectError(
-                        f"no effect information when forcing {show_type(vt)}")
-                return vt.inner, vu, eff
-            case Box(shape_ty, value):
-                if not is_shape_type(shape_ty):
-                    raise ShapeMismatch(
-                        f"box annotation must be a wire shape, got {show_type(shape_ty)}")
-                vt, vu, _ = self.infer_value(value)
-                if not isinstance(vt, BangT) or not isinstance(vt.inner, ArrowT):
-                    raise NotAFunction(
-                        f"box needs a lifted function, got {show_type(vt)}")
-                arrow = vt.inner
-                if wires_of(arrow.captured):
-                    raise BoxCapturesWires(
-                        f"cannot box a function holding wires of shape "
-                        f"{show_type(arrow.captured)}")
-                if not same_type(arrow.dom, shape_ty):
-                    raise ShapeMismatch(
-                        f"box annotation {show_type(shape_ty)} does not match "
-                        f"function input {show_type(arrow.dom)}")
-                if not is_shape_type(arrow.cod):
-                    raise ShapeMismatch(
-                        f"boxed function must return a wire bundle, "
-                        f"got {show_type(arrow.cod)}")
-                fn_eff = self._arrow_effect(arrow)
-                prelude = (vt.eff if vt.eff is not None
-                           else self.alg.identity_effect(self.alg.obj_of(())))
-                circ_eff = alg.compose_eff(
-                    alg.whisker_left_eff(alg.obj_of(wires_of(arrow.dom)), prelude),
-                    fn_eff)
-                ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
-                return ty, vu, alg.identity_effect(alg.obj_of(()))
-            case Apply(circ, arg):
-                ct, cu, _ = self.infer_value(circ)
-                if not isinstance(ct, CircT):
-                    raise NotACircuit(f"apply needs a circuit, got {show_type(ct)}")
-                stored = self._circ_effect(ct)
-                at, au, ao = self.infer_value(arg)
-                if not same_type(at, ct.dom):
-                    raise ShapeMismatch(
-                        f"circuit expects {show_type(ct.dom)}, got {show_type(at)}")
-                used = self._merge(cu, au, "apply")
-                eff = alg.compose_eff(self._reorder(ao), stored)
-                return ct.cod, used, eff
-        raise ShapeMismatch(f"not a term: {m!r}")
+from .syntax import Program, Term, Type, Value
+from .typecheck import CtxKey, EffectChecker
 
 
 # --------------------------------------------------------------------------
@@ -385,16 +39,7 @@ def infer_effect(
     m: Term,
 ) -> tuple[Type, Effect]:
     """Type and effect of a term; all linear context entries must be consumed."""
-    checker = EffectChecker(alg, registry)
-    for key, ty in ctx:
-        checker.push(key, ty)
-    ty, used, eff = checker.infer_term(m)
-    missing = [e.key for i, e in enumerate(checker.ctx)
-               if e.linear and i not in used]
-    if missing:
-        raise LinearityViolation(
-            f"unconsumed linear inputs: {', '.join(map(str, missing))}")
-    return ty, eff
+    return EffectChecker(alg, registry).check_closed(ctx, m)
 
 
 def infer_program_effect(

@@ -1,7 +1,9 @@
 """Shared exception hierarchy for the pqc toolchain.
 
-Every failure surfaced by the library is a ``PqcError``; the CLI maps these
-to exit code 1 (analysis/verification failures) or 2 (input problems).
+Every failure surfaced by the library is a ``PqcError``; the CLI reports it
+in one line and exits with code 2. Exit code 1 is kept for a requested check
+that did not hold (``--bound`` exceeded, verification failed), which is a
+result, not an exception.
 """
 
 from __future__ import annotations
@@ -62,8 +64,9 @@ class UnsupportedWire(EffectError):
     """The algebra cannot interpret this wire type (e.g. Bit wires)."""
 
 
-class NoJoin(EffectError):
-    """The algebra's order has no least upper bound for these effects."""
+class EndpointMismatch(EffectError):
+    """Internal: an inferred effect's endpoints disagree with the typing
+    (a bug in the checker or an algebra, not bad input)."""
 
 
 # --- typechecking ----------------------------------------------------------
@@ -100,11 +103,12 @@ class BoxCapturesWires(TypecheckError):
     """box requires a function that captures no wires (empty bundle)."""
 
 
+class MisplacedTerm(TypecheckError):
+    """The AST holds a term where the checker expects a value."""
+
+
 class NotAValue(ParseError):
     """Application operands must be syntactic values."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        super().__init__(message, line, col)
 
 
 # --- evaluation ------------------------------------------------------------

@@ -14,9 +14,9 @@ be extended from a *gate-spec file*, a small line-based format::
 
 Each ``gate`` block declares a signature (``I`` denotes the empty wire list)
 and optional properties: ``count`` (gate-count weight, default 1), ``depth``
-(depth weight, default 1), and ``assert`` rows mapping one input basis string
-to a postset and a cost. Redeclaring a known name overrides it, so a file can
-also re-weight builtin gates.
+(depth weight, default 1), both natural numbers, and ``assert`` rows mapping
+one input basis string to a postset and a cost. Redeclaring a known name
+overrides it, so a file can also re-weight builtin gates.
 
 Assertion rows for builtin unitaries are derived from their computational
 basis behaviour: the row for basis state ``b`` has postset = support of the
@@ -131,6 +131,7 @@ def default_registry() -> Registry:
 # --------------------------------------------------------------------------
 
 _GATE_RE = re.compile(r"^gate\s+(\w+)\s*:\s*(.*?)\s*->\s*(.*)$")
+_WEIGHT_RE = re.compile(r"^(count|depth)\s+(.*)$")
 _ASSERT_RE = re.compile(
     r'^assert\s+"([01]*)"\s*->\s*\{([^}]*)\}\s*cost\s+(\d+)$')
 
@@ -176,17 +177,13 @@ def parse_gate_spec(text: str) -> dict[str, GateDef]:
             continue
         if current is None:
             raise ParseError(f"property line before any 'gate' block: {line!r}", lineno)
-        if line.startswith("count "):
-            try:
-                defs[current] = replace(defs[current], count=int(line[6:]))
-            except ValueError:
-                raise ParseError(f"bad count in {line!r}", lineno) from None
-            continue
-        if line.startswith("depth "):
-            try:
-                defs[current] = replace(defs[current], depth=int(line[6:]))
-            except ValueError:
-                raise ParseError(f"bad depth in {line!r}", lineno) from None
+        m = _WEIGHT_RE.match(line)
+        if m:
+            prop, value = m.groups()
+            if not value.isascii() or not value.isdigit():
+                raise ParseError(
+                    f"bad {prop} in {line!r}: weights are natural numbers", lineno)
+            defs[current] = replace(defs[current], **{prop: int(value)})
             continue
         m = _ASSERT_RE.match(line)
         if m:

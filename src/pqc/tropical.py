@@ -32,12 +32,6 @@ class TropicalMatrix:
         object.__setattr__(self, "data", a)
 
     @staticmethod
-    def build(rows: list[list[float]] | np.ndarray, *, shape=None) -> "TropicalMatrix":
-        if shape is not None:
-            return TropicalMatrix(np.asarray(rows, dtype=float).reshape(shape))
-        return TropicalMatrix(np.asarray(rows, dtype=float))
-
-    @staticmethod
     def zeros(rows: int, cols: int) -> "TropicalMatrix":
         """The tropical zero matrix: all entries −∞."""
         return TropicalMatrix(np.full((rows, cols), NEG_INF))
@@ -111,14 +105,6 @@ class TropicalMatrix:
         """JSON-friendly nested lists with "-inf" sentinels."""
         return [["-inf" if x == NEG_INF else int(x) for x in row]
                 for row in self.data]
-
-    @staticmethod
-    def fromlists(rows: list[list], rows_n: int, cols_n: int) -> "TropicalMatrix":
-        m = np.full((rows_n, cols_n), NEG_INF)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                m[i, j] = NEG_INF if x == "-inf" else float(x)
-        return TropicalMatrix(m)
 
     def __str__(self) -> str:
         return "[" + "; ".join(

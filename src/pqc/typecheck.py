@@ -1,26 +1,36 @@
-"""Linear type checking for the surface language.
+"""The checker: linear typing and effect inference, one set of rules.
 
 The type system is linear: values of wire-carrying types (qubits, bits,
 tensors containing them, functions) must be consumed exactly once, while
 *parameter* types (1, Nat, !A, Circ(T,U), I, and tensors thereof) are
-duplicable and discardable. Contexts are ordered; the order is what later
+duplicable and discardable. Contexts are ordered; the order is what
 connects variables to circuit wire positions.
+
+``EffectChecker`` implements each typing rule once, refined by an effect: a
+morphism of a circuit algebra from the wires a term consumes to the wires
+its result holds (``effects`` runs it over the resource algebras). Plain
+type checking is the same checker over ``TRIVIAL``, whose every effect is
+``Effect("*", "*", 0)`` and whose ``from_bound`` answers even without a
+bound, so unannotated arrows, circuits and thunks need no ascription.
 
 ``sharp`` maps a type to the shape of the wires a value of that type holds:
 parameters hold none (I), wires hold themselves, a function holds the wires
-it captured, and tensors are pointwise. Everything downstream — boxing,
-effect endpoints, configuration typing — goes through it.
+it captured, and tensors are pointwise; ``wires_of`` flattens it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .circuits import Circuit, Label, LabelContext, Shape, WireType, flatten_shape, spine
+from .algebras import TRIVIAL, CircuitAlgebra, Effect
+from .circuits import (
+    Circuit, Label, LabelContext, Obj, Shape, WireType, flatten_bundle, spine,
+)
 from .errors import (
-    BoxCapturesWires, LinearityViolation, NotACircuit, NotAFunction,
-    NotAParameter, NotAValue, ObjectMismatch, ShapeMismatch, UnboundName,
+    BoxCapturesWires, EffectError, EndpointMismatch, LinearityViolation,
+    MisplacedTerm, NotACircuit, NotAFunction, NotAParameter, ObjectMismatch,
+    ShapeMismatch, UnboundName,
 )
 from .gates import Registry, default_registry
 from .syntax import (
@@ -99,9 +109,29 @@ def type_of_shape(shape: Shape) -> Type:
     return TensorT(type_of_shape(left), type_of_shape(right))
 
 
-def wires_of(ty: Type) -> tuple[WireType, ...]:
-    """The flat wire list behind a type, in positional order."""
-    return tuple(flatten_shape(shape_of(sharp(ty))))
+_NO_WIRES = (UnitT, NatT, BangT, CircT, BundleUnitT)
+
+
+def wires_of(ty: Type) -> Obj:
+    """The flat wire list behind a type, in positional order: ``sharp``
+    flattened, in one pass."""
+    out = []
+    todo = [ty]
+    while todo:
+        t = todo.pop()
+        cls = type(t)
+        if cls is TensorT:
+            todo.append(t.right)
+            todo.append(t.left)
+        elif cls is QubitT:
+            out.append(WireType.QUBIT)
+        elif cls is BitT:
+            out.append(WireType.BIT)
+        elif cls is ArrowT:
+            todo.append(t.captured)
+        elif cls not in _NO_WIRES:
+            raise ShapeMismatch(f"no wire shape for type {show_type(t)}")
+    return tuple(out)
 
 
 def bundle_type(bundle, ctx: LabelContext) -> Type:
@@ -147,49 +177,104 @@ def same_type(a: Type, b: Type) -> bool:
             return a == b
 
 
-def gate_circ_type(registry: Registry, name: str) -> CircT:
-    gdef = registry.lookup(name)
-    return CircT(type_of_shape(spine(gdef.gate.dom)),
-                 type_of_shape(spine(gdef.gate.cod)))
+def synthesize_bounds(alg: CircuitAlgebra, ty: Type) -> Type:
+    """Attach the stored effects a binder's annotation implies.
 
-
-def boxed_circ_type(bv: BoxedVal) -> CircT:
-    return CircT(bundle_type(bv.boxed.inputs, bv.boxed.in_ctx),
-                 bundle_type(bv.boxed.outputs, bv.boxed.out_ctx))
+    A binder annotated ``A -o[T; n] B`` or ``Circ[n](T, U)`` promises its
+    body stays under n; that is all we know about it, so its stored effect
+    becomes the algebra's coarsest effect with that bound. Without a bound
+    ``from_bound`` answers None (nothing is known) except in ``TRIVIAL``,
+    which fills in every arrow, circuit and thunk.
+    """
+    match ty:
+        case ArrowT(dom, cod, captured, bound, eff):
+            if eff is None:
+                eff = alg.from_bound(wires_of(captured) + wires_of(dom),
+                                     wires_of(cod), bound)
+            return ArrowT(synthesize_bounds(alg, dom), synthesize_bounds(alg, cod),
+                          captured, bound, eff)
+        case CircT(dom, cod, bound, eff):
+            if eff is None:
+                eff = alg.from_bound(wires_of(dom), wires_of(cod), bound)
+            return CircT(dom, cod, bound, eff)
+        case TensorT(left, right):
+            return TensorT(synthesize_bounds(alg, left),
+                           synthesize_bounds(alg, right))
+        case BangT(inner, eff):
+            if eff is None:
+                eff = alg.from_bound((), wires_of(inner), None)
+            return BangT(synthesize_bounds(alg, inner), eff)
+        case _:
+            return ty
 
 
 # --------------------------------------------------------------------------
 # the checker
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Entry:
+@dataclass(slots=True)
+class _Binder:
+    """A context entry; its wires and linearity are computed once, at push."""
+
     key: CtxKey
     ty: Type
-
-    @property
-    def linear(self) -> bool:
-        return not is_parameter(self.ty)
+    wires: Obj
+    linear: bool
 
 
-class Checker:
-    def __init__(self, registry: Optional[Registry] = None):
+class EffectChecker:
+    """Types terms and infers their effects in one algebra.
+
+    Each context entry contributes a block of wires (``wires_of`` its type),
+    and every rule that reshuffles the context composes in a permutation
+    effect. The invariant checked at every term node: the effect runs from
+    the wires of the linear entries the term uses (in context order) to the
+    wires of its result type. ``used`` sets hold context indices, so
+    shadowed entries stay distinct.
+    """
+
+    def __init__(self, alg: CircuitAlgebra, registry: Optional[Registry] = None):
+        self.alg = alg
         self.registry = registry or default_registry()
-        self.ctx: list[_Entry] = []
+        self.ctx: list[_Binder] = []
 
-    # ``used`` sets hold context indices, so shadowed entries stay distinct.
+    # ---- context plumbing -------------------------------------------------
+
+    def push(self, key: CtxKey, ty: Type) -> None:
+        """Bind a name at an annotated (source) type."""
+        self._bind(key, synthesize_bounds(self.alg, ty))
+
+    def _bind(self, key: CtxKey, ty: Type) -> None:
+        """Bind a name at an inferred type, whose stored effects are in place."""
+        self.ctx.append(_Binder(key, ty, wires_of(ty), not is_parameter(ty)))
+
+    def check_closed(self, ctx: Sequence[tuple[CtxKey, Type]],
+                     m: Term) -> tuple[Type, Effect]:
+        """Type and effect of a term; all linear context entries must be consumed."""
+        for key, ty in ctx:
+            self.push(key, ty)
+        ty, used, eff = self.infer_term(m)
+        missing = [e.key for i, e in enumerate(self.ctx)
+                   if e.linear and i not in used]
+        if missing:
+            raise LinearityViolation(
+                f"unconsumed linear inputs: {', '.join(map(str, missing))}")
+        return ty, eff
 
     def _lookup(self, key: CtxKey) -> int:
-        for i in range(len(self.ctx) - 1, -1, -1):
-            if self.ctx[i].key == key:
+        ctx = self.ctx
+        for i in range(len(ctx) - 1, -1, -1):
+            if ctx[i].key == key:
                 return i
-        raise UnboundName(f"unbound {'label' if isinstance(key, Label) else 'variable'} {key}")
+        raise UnboundName(
+            f"unbound {'label' if isinstance(key, Label) else 'variable'} {key}")
 
     def _linear(self, used: set[int]) -> set[int]:
-        return {i for i in used if self.ctx[i].linear}
+        ctx = self.ctx
+        return {i for i in used if ctx[i].linear}
 
     def _merge(self, a: set[int], b: set[int], what: str) -> set[int]:
-        both = self._linear(a) & self._linear(b)
+        both = self._linear(a & b)
         if both:
             names = ", ".join(str(self.ctx[i].key) for i in sorted(both))
             raise LinearityViolation(f"{names} used more than once in {what}")
@@ -205,99 +290,212 @@ class Checker:
         del self.ctx[base:]
         return {i for i in used if i < base}
 
-    # ---- values ----------------------------------------------------------
+    def _blocks_obj(self, indices: Sequence[int]) -> Obj:
+        return sum((self.ctx[i].wires for i in indices), ())
 
-    def infer_value(self, v: Value) -> tuple[Type, set[int]]:
+    def _reorder(self, target: Sequence[int]) -> Effect:
+        """Permutation effect from context order to the given entry order."""
+        if not self.alg.positional:
+            return self.alg.perm_effect((), ())
+        ctx = self.ctx
+        src = sorted(target)
+        dom = self._blocks_obj(src)
+        if src == target:
+            return self.alg.perm_effect(tuple(range(len(dom))), dom)
+        offset, acc = {}, 0
+        for i in target:
+            offset[i] = acc
+            acc += len(ctx[i].wires)
+        perm: list[int] = []
+        for i in src:
+            perm.extend(range(offset[i], offset[i] + len(ctx[i].wires)))
+        return self.alg.perm_effect(tuple(perm), dom)
+
+    # ---- stored effects ---------------------------------------------------
+
+    def _check_promise(self, actual: Type, expected: Type, what: str) -> None:
+        """Enforce scalar ascriptions the expected type makes about functions."""
+        match (actual, expected):
+            case (TensorT(al, ar), TensorT(bl, br)):
+                self._check_promise(al, bl, what)
+                self._check_promise(ar, br, what)
+            case (BangT(ai, _), BangT(bi, _)):
+                self._check_promise(ai, bi, what)
+            case ((ArrowT(), ArrowT()) | (CircT(), CircT())) if expected.bound is not None:
+                if actual.eff is None:
+                    if actual.bound is not None and actual.bound <= expected.bound:
+                        return
+                    raise EffectError(
+                        f"cannot establish the promised bound {expected.bound} "
+                        f"for {what}")
+                reached = self.alg.bound_of(actual.eff)
+                if reached > expected.bound:
+                    raise EffectError(
+                        f"{what} must stay under {expected.bound} "
+                        f"but reaches {reached}")
+
+    def _stored_effect(self, ty: ArrowT | CircT) -> Effect:
+        """The effect a function or circuit type stores for its body."""
+        if ty.eff is None:
+            if isinstance(ty, ArrowT):
+                what = "function"
+                hint = f"{show_type(ty.dom)} -o[{show_type(ty.captured)}; n] ..."
+            else:
+                what, hint = "circuit", "Circ[n](...)"
+            raise EffectError(f"no effect information for a {what} of type "
+                              f"{show_type(ty)}; ascribe a bound: {hint}")
+        return ty.eff
+
+    def _boxed_type(self, bv: BoxedVal) -> CircT:
+        boxed = bv.boxed
+        alg = self.alg
+        body_eff = alg.abstract(boxed.body, self.registry)
+        flat_in = flatten_bundle(boxed.inputs)
+        p_in = tuple(boxed.in_ctx.position(lbl) for lbl in flat_in)
+        in_obj = tuple(boxed.in_ctx.type_of(lbl) for lbl in flat_in)
+        flat_out = flatten_bundle(boxed.outputs)
+        pos_out = {lbl: i for i, lbl in enumerate(flat_out)}
+        p_out = tuple(pos_out[lbl] for lbl, _ in boxed.out_ctx)
+        eff = alg.compose_eff(
+            alg.compose_eff(alg.perm_effect(p_in, in_obj), body_eff),
+            alg.perm_effect(p_out, boxed.body.cod))
+        return CircT(bundle_type(boxed.inputs, boxed.in_ctx),
+                     bundle_type(boxed.outputs, boxed.out_ctx), None, eff)
+
+    # ---- values -----------------------------------------------------------
+
+    def infer_value(self, v: Value) -> tuple[Type, set[int], list[int]]:
+        """Returns (type, used entries, linear entries in the value's wire order)."""
         match v:
-            case UnitVal():
-                return UnitT(), set()
-            case NatVal():
-                return NatT(), set()
             case Var(name):
                 i = self._lookup(name)
-                return self.ctx[i].ty, {i}
+                return self.ctx[i].ty, {i}, [i] if self.ctx[i].linear else []
             case LabelVal(label):
                 i = self._lookup(label)
-                return self.ctx[i].ty, {i}
-            case GateRef(name):
-                return gate_circ_type(self.registry, name), set()
-            case BoxedVal():
-                return boxed_circ_type(v), set()
+                return self.ctx[i].ty, {i}, [i]
             case Pair(left, right):
-                lt, lu = self.infer_value(left)
-                rt, ru = self.infer_value(right)
-                return TensorT(lt, rt), self._merge(lu, ru, "a pair")
-            case Lam(var, ty, body):
-                self.ctx.append(_Entry(var, ty))
-                bt, used = self.infer_term(body)
+                lt, lu, lo = self.infer_value(left)
+                rt, ru, ro = self.infer_value(right)
+                return TensorT(lt, rt), self._merge(lu, ru, "a pair"), lo + ro
+            case UnitVal():
+                return UnitT(), set(), []
+            case NatVal():
+                return NatT(), set(), []
+            case GateRef(name):
+                gdef = self.registry.lookup(name)
+                return CircT(type_of_shape(spine(gdef.gate.dom)),
+                             type_of_shape(spine(gdef.gate.cod)), None,
+                             self.alg.gate_effect(gdef)), set(), []
+            case BoxedVal():
+                return self._boxed_type(v), set(), []
+            case Lam(var, ty0, body):
+                self.push(var, ty0)
+                dom = self.ctx[-1].ty
+                bt, used, eff = self.infer_term(body)
                 used = self._pop(1, used, f"the body of \\{var}")
-                captured = tensor_of(
-                    [sharp(self.ctx[i].ty) for i in sorted(self._linear(used))])
-                return ArrowT(ty, bt, captured), used
+                captured_ix = sorted(self._linear(used))
+                captured = tensor_of([sharp(self.ctx[i].ty) for i in captured_ix])
+                return ArrowT(dom, bt, captured, None, eff), used, captured_ix
             case Lift(term):
-                ty, used = self.infer_term(term)
+                ty, used, eff = self.infer_term(term)
                 lin = self._linear(used)
                 if lin:
                     names = ", ".join(str(self.ctx[i].key) for i in sorted(lin))
                     raise NotAParameter(
                         f"lift body must be duplicable but uses {names}")
-                return BangT(ty), used
-        raise NotAValue(f"not a value: {v!r}")
+                return BangT(ty, eff), used, []
+        raise MisplacedTerm(f"not a value: {v!r}")
 
-    # ---- terms -----------------------------------------------------------
+    # ---- terms ------------------------------------------------------------
 
-    def infer_term(self, m: Term) -> tuple[Type, set[int]]:
+    def infer_term(self, m: Term) -> tuple[Type, set[int], Effect]:
+        """Type, used entries and effect of a term (one frame per node)."""
+        alg = self.alg
         match m:
+            case Let(var, bound, body):
+                bt, bu, be = self.infer_term(bound)
+                self._bind(var, bt)
+                ty, tu, te = self.infer_term(body)
+                tu = self._pop(1, tu, f"the body of let {var}")
+                used = self._merge(bu, tu, f"let {var}")
+                g2 = sorted(self._linear(tu))
+                g1 = sorted(self._linear(bu))
+                eff = alg.compose_eff(
+                    self._reorder(g2 + g1),
+                    alg.compose_eff(
+                        alg.whisker_left_eff(alg.obj_of(self._blocks_obj(g2)), be),
+                        te))
+            case Apply(circ, arg):
+                ct, cu, _ = self.infer_value(circ)
+                if not isinstance(ct, CircT):
+                    raise NotACircuit(f"apply needs a circuit, got {show_type(ct)}")
+                stored = self._stored_effect(ct)
+                at, au, ao = self.infer_value(arg)
+                if not same_type(at, ct.dom):
+                    raise ShapeMismatch(
+                        f"circuit expects {show_type(ct.dom)}, got {show_type(at)}")
+                ty = ct.cod
+                used = self._merge(cu, au, "apply")
+                eff = alg.compose_eff(self._reorder(ao), stored)
             case Ret(v):
-                return self.infer_value(v)
+                ty, used, order = self.infer_value(v)
+                eff = self._reorder(order)
+            case Dest(left, right, value, body):
+                vt, vu, vo = self.infer_value(value)
+                if not isinstance(vt, TensorT):
+                    raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
+                self._bind(left, vt.left)
+                self._bind(right, vt.right)
+                ty, bu, be = self.infer_term(body)
+                bu = self._pop(2, bu, f"the body of dest ({left}, {right})")
+                used = self._merge(vu, bu, f"dest ({left}, {right})")
+                g2 = sorted(self._linear(bu))
+                eff = alg.compose_eff(self._reorder(g2 + vo), be)
             case App(fn, arg):
-                ft, fu = self.infer_value(fn)
+                ft, fu, fo = self.infer_value(fn)
                 if not isinstance(ft, ArrowT):
                     raise NotAFunction(f"cannot apply a value of type {show_type(ft)}")
-                at, au = self.infer_value(arg)
+                stored = self._stored_effect(ft)
+                at, au, ao = self.infer_value(arg)
                 if not same_type(at, ft.dom):
                     raise ShapeMismatch(
                         f"function expects {show_type(ft.dom)}, got {show_type(at)}")
-                return ft.cod, self._merge(fu, au, "an application")
-            case Let(var, bound, body):
-                bt, bu = self.infer_term(bound)
-                self.ctx.append(_Entry(var, bt))
-                tt, tu = self.infer_term(body)
-                tu = self._pop(1, tu, f"the body of let {var}")
-                return tt, self._merge(bu, tu, f"let {var}")
-            case Dest(left, right, value, body):
-                vt, vu = self.infer_value(value)
-                if not isinstance(vt, TensorT):
-                    raise ShapeMismatch(
-                        f"dest needs a tensor, got {show_type(vt)}")
-                self.ctx.append(_Entry(left, vt.left))
-                self.ctx.append(_Entry(right, vt.right))
-                bt, bu = self.infer_term(body)
-                bu = self._pop(2, bu, f"the body of dest ({left}, {right})")
-                return bt, self._merge(vu, bu, f"dest ({left}, {right})")
+                self._check_promise(at, ft.dom, "the argument")
+                ty = ft.cod
+                used = self._merge(fu, au, "an application")
+                eff = alg.compose_eff(self._reorder(fo + ao), stored)
+            case Force(value):
+                vt, used, _ = self.infer_value(value)
+                if not isinstance(vt, BangT):
+                    raise ShapeMismatch(f"force needs a !-type, got {show_type(vt)}")
+                ty = vt.inner
+                if vt.eff is not None:
+                    eff = vt.eff
+                elif not wires_of(ty):
+                    eff = alg.identity_effect(alg.obj_of(()))
+                else:
+                    raise EffectError(
+                        f"no effect information when forcing {show_type(vt)}")
             case Ifz(cond, then, els):
-                ct, cu = self.infer_value(cond)
+                ct, cu, _ = self.infer_value(cond)
                 if not isinstance(ct, NatT):
-                    raise ShapeMismatch(f"ifz condition must be Nat, got {show_type(ct)}")
-                tt, tu = self.infer_term(then)
-                et, eu = self.infer_term(els)
-                if tt != et:
                     raise ShapeMismatch(
-                        f"ifz branches disagree: {show_type(tt)} vs {show_type(et)}")
+                        f"ifz condition must be Nat, got {show_type(ct)}")
+                ty, tu, te = self.infer_term(then)
+                et, eu, ee = self.infer_term(els)
+                if ty != et:
+                    raise ShapeMismatch(
+                        f"ifz branches disagree: {show_type(ty)} vs {show_type(et)}")
                 if self._linear(tu) != self._linear(eu):
                     raise LinearityViolation(
                         "ifz branches must consume the same wires")
-                return tt, cu | tu | eu
-            case Force(value):
-                vt, vu = self.infer_value(value)
-                if not isinstance(vt, BangT):
-                    raise ShapeMismatch(f"force needs a !-type, got {show_type(vt)}")
-                return vt.inner, vu
+                used = cu | tu | eu
+                eff = alg.join(te, ee)
             case Box(shape_ty, value):
                 if not is_shape_type(shape_ty):
                     raise ShapeMismatch(
                         f"box annotation must be a wire shape, got {show_type(shape_ty)}")
-                vt, vu = self.infer_value(value)
+                vt, used, _ = self.infer_value(value)
                 if not isinstance(vt, BangT) or not isinstance(vt.inner, ArrowT):
                     raise NotAFunction(
                         f"box needs a lifted function, got {show_type(vt)}")
@@ -314,17 +512,23 @@ class Checker:
                     raise ShapeMismatch(
                         f"boxed function must return a wire bundle, "
                         f"got {show_type(arrow.cod)}")
-                return CircT(arrow.dom, arrow.cod, arrow.bound), vu
-            case Apply(circ, arg):
-                ct, cu = self.infer_value(circ)
-                if not isinstance(ct, CircT):
-                    raise NotACircuit(f"apply needs a circuit, got {show_type(ct)}")
-                at, au = self.infer_value(arg)
-                if not same_type(at, ct.dom):
-                    raise ShapeMismatch(
-                        f"circuit expects {show_type(ct.dom)}, got {show_type(at)}")
-                return ct.cod, self._merge(cu, au, "apply")
-        raise ShapeMismatch(f"not a term: {m!r}")
+                fn_eff = self._stored_effect(arrow)
+                unit = alg.identity_effect(alg.obj_of(()))
+                prelude = vt.eff if vt.eff is not None else unit
+                circ_eff = alg.compose_eff(
+                    alg.whisker_left_eff(alg.obj_of(wires_of(arrow.dom)), prelude),
+                    fn_eff)
+                ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
+                eff = unit
+            case _:
+                raise ShapeMismatch(f"not a term: {m!r}")
+        if alg.positional and (
+                eff.dom != alg.obj_of(self._blocks_obj(sorted(self._linear(used))))
+                or eff.cod != alg.obj_of(wires_of(ty))):
+            raise EndpointMismatch(
+                f"{alg.name} effect {eff.dom}→{eff.cod} of {type(m).__name__} "
+                f"does not run from its consumed wires to its result {show_type(ty)}")
+        return ty, used, eff
 
 
 # --------------------------------------------------------------------------
@@ -333,15 +537,11 @@ class Checker:
 
 def check_program(prog: Program, registry: Optional[Registry] = None) -> Type:
     """Type a whole program; every input wire must be consumed."""
-    checker = Checker(registry)
     for name, ty in prog.inputs:
         if not isinstance(ty, (QubitT, BitT)):
             raise ShapeMismatch(
                 f"program inputs must be single wires; {name} has type {show_type(ty)}")
-        checker.ctx.append(_Entry(name, ty))
-    ty, used = checker.infer_term(prog.term)
-    checker._pop(len(prog.inputs), used, "the program")
-    return ty
+    return EffectChecker(TRIVIAL, registry).check_closed(prog.inputs, prog.term)[0]
 
 
 def check_configuration(
@@ -369,10 +569,10 @@ def check_configuration(
     if out_ctx.obj != circuit.cod:
         raise ObjectMismatch(
             f"output context types {out_ctx.obj} but circuit produces {circuit.cod}")
-    checker = Checker(registry)
+    checker = EffectChecker(TRIVIAL, registry)
     for label, wt in out_ctx:
-        checker.ctx.append(_Entry(label, QubitT() if wt is WireType.QUBIT else BitT()))
-    ty, used = checker.infer_term(m)
+        checker.push(label, QubitT() if wt is WireType.QUBIT else BitT())
+    ty, used, _ = checker.infer_term(m)
     leftover = [out_ctx.entries[i] for i in range(len(out_ctx.entries))
                 if i not in used]
     return ty, LabelContext(tuple(leftover))

@@ -1,4 +1,5 @@
-"""Seeded random generators shared by the property suites.
+"""Seeded random generators shared by the property suites, plus the
+tropical-matrix constructors the tests use.
 
 Every suite derives its own ``random.Random`` from ``PQC_SEED`` (env var,
 default fixed) plus a salt string, so suites are independently reproducible
@@ -10,6 +11,8 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
+
 from pqc.circuits import Circuit, Gate, Layer, Perm, Step, WireType
 from pqc.gates import Registry, default_registry
 from pqc.syntax import (
@@ -17,6 +20,7 @@ from pqc.syntax import (
     GateRef, Ifz, Lam, Let, Lift, NatT, NatVal, Pair, Program, QubitT, Ret,
     TensorT, Term, Type, UnitT, UnitVal, Value, Var,
 )
+from pqc.tropical import NEG_INF, TropicalMatrix
 
 SEED = int(os.environ.get("PQC_SEED", "20260814"))
 
@@ -26,6 +30,18 @@ B = WireType.BIT
 
 def rng(salt: str) -> random.Random:
     return random.Random(f"{SEED}/{salt}")
+
+
+def tropical(rows, shape=None) -> TropicalMatrix:
+    """A max-plus matrix from nested lists, reshaped if ``shape`` is given."""
+    a = np.asarray(rows, dtype=float)
+    return TropicalMatrix(a if shape is None else a.reshape(shape))
+
+
+def tropical_from_lists(rows: list[list], n: int, m: int) -> TropicalMatrix:
+    """Inverse of ``TropicalMatrix.tolists`` ("-inf" sentinels)."""
+    return tropical([[NEG_INF if x == "-inf" else x for x in row] for row in rows],
+                    shape=(n, m))
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import os
 
 from generators import (
     random_ast_program, random_boxable, random_circuit, random_program,
-    random_qubit_circuit, rng,
+    random_qubit_circuit, rng, tropical,
 )
 from oracles import depth_paths_oracle, width_cuts_oracle
 from test_algebras import bitstrings, check_functor_laws, random_table_effect
@@ -28,7 +28,7 @@ from pqc.syntax import (
     Apply, App, Box, Lift, Let, Pair, Program, QubitT, Ret, TensorT, Var,
     parse_program, show_program,
 )
-from pqc.tropical import NEG_INF, TropicalMatrix
+from pqc.tropical import NEG_INF
 from pqc.typecheck import check_configuration, check_program, same_type
 
 registry = default_registry()
@@ -76,10 +76,6 @@ def load_demo(name: str):
     return prog, reg
 
 
-def mat(rows, shape) -> TropicalMatrix:
-    return TropicalMatrix.build(rows, shape=shape)
-
-
 # --------------------------------------------------------------------------
 # 1. pinned figures (zero tolerance)
 # --------------------------------------------------------------------------
@@ -101,9 +97,9 @@ def test_naive_depth_of_interleaved_blocks():
 def test_depth_triple_of_interleaved_block():
     e = DEPTH.abstract(INTERLEAVED, registry)
     t = e.value
-    ok = (t.a == mat([[1, NEG_INF], [NEG_INF, 2]], (2, 2))
-          and t.v == mat([[NEG_INF, NEG_INF]], (1, 2))
-          and t.w == mat([[NEG_INF], [NEG_INF]], (2, 1))
+    ok = (t.a == tropical([[1, NEG_INF], [NEG_INF, 2]], (2, 2))
+          and t.v == tropical([[NEG_INF, NEG_INF]], (1, 2))
+          and t.w == tropical([[NEG_INF], [NEG_INF]], (2, 1))
           and depth_bound(e) == 2)
     verdict("depth triple of the interleaved block", ok,
             f"A={t.a.tolists()} v={t.v.tolists()} w={t.w.tolists()}, "
@@ -113,9 +109,9 @@ def test_depth_triple_of_interleaved_block():
 
 def test_depth_triple_of_growing_block():
     t = DEPTH.abstract(GROWING, registry).value
-    ok = (t.a == mat([[2, 2, NEG_INF], [NEG_INF, NEG_INF, 0]], (2, 3))
-          and t.v == mat([[NEG_INF, NEG_INF]], (1, 2))
-          and t.w == mat([[1], [1], [NEG_INF]], (3, 1)))
+    ok = (t.a == tropical([[2, 2, NEG_INF], [NEG_INF, NEG_INF, 0]], (2, 3))
+          and t.v == tropical([[NEG_INF, NEG_INF]], (1, 2))
+          and t.w == tropical([[1], [1], [NEG_INF]], (3, 1)))
     verdict("depth triple of the growing block", ok,
             f"A={t.a.tolists()} v={t.v.tolists()} w={t.w.tolists()} "
             f"(expected A=[[2,2,-inf],[-inf,-inf,0]], v=-inf, w=[1,1,-inf])")
@@ -168,9 +164,9 @@ def test_depth_bound_equals_longest_path_oracle():
         c = random_circuit(r, max_wires=6, max_steps=12)
         a, v, w, bound = depth_paths_oracle(c, registry)
         e = DEPTH.abstract(c, registry)
-        assert e.value.a == mat(a, (len(c.dom), len(c.cod)))
-        assert e.value.v == mat([v], (1, len(c.dom)))
-        assert e.value.w == mat([[x] for x in w], (len(c.cod), 1))
+        assert e.value.a == tropical(a, (len(c.dom), len(c.cod)))
+        assert e.value.v == tropical([v], (1, len(c.dom)))
+        assert e.value.w == tropical([[x] for x in w], (len(c.cod), 1))
         assert depth_bound(e) == bound
         checked += 1
     verdict("depth algebra vs longest-path oracle", checked == 200,

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from generators import (
-    Q, B, rng, random_circuit, random_qubit_circuit, random_steps,
+    Q, B, rng, random_circuit, random_qubit_circuit, random_steps, tropical,
 )
 from oracles import assert_sim_oracle, depth_paths_oracle, width_cuts_oracle
 from pqc.algebras import (
-    ALGEBRAS, AssertAlgebra, AssertValue, DepthTriple, Effect, MaxCost,
-    StageCosts, algebra, depth_bound, eval_cost,
+    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, DepthTriple, Effect,
+    MaxCost, StageCosts, algebra, depth_bound, eval_cost,
 )
 from pqc.circuits import (
     Circuit, Gate, Layer, Perm, compose, identity, symmetry, whisker_left,
@@ -60,10 +60,10 @@ def check_functor_laws(alg, r: random.Random, circuit_gen, rounds: int) -> int:
     return checked
 
 
-@pytest.mark.parametrize("name", ["gates", "depth-naive", "width", "depth"])
+@pytest.mark.parametrize("name", ["gates", "depth-naive", "width", "depth", "trivial"])
 def test_functor_laws_general_pool(name):
     assert check_functor_laws(
-        ALGEBRAS[name], rng(f"laws-{name}"),
+        {**ALGEBRAS, TRIVIAL.name: TRIVIAL}[name], rng(f"laws-{name}"),
         lambda r: random_circuit(r, max_wires=4, max_steps=6), 40) == 40
 
 
@@ -128,9 +128,9 @@ def triple(a_rows, v_row, w_col) -> DepthTriple:
     k1 = len(a_rows)
     k2 = len(a_rows[0]) if a_rows else len(w_col)
     return DepthTriple(
-        TropicalMatrix.build(a_rows, shape=(k1, k2)),
-        TropicalMatrix.build([v_row], shape=(1, k1)),
-        TropicalMatrix.build([[x] for x in w_col], shape=(k2, 1)))
+        tropical(a_rows, shape=(k1, k2)),
+        tropical([v_row], shape=(1, k1)),
+        tropical([[x] for x in w_col], shape=(k2, 1)))
 
 
 def test_depth_identity_and_perm():
@@ -145,7 +145,7 @@ def test_depth_gate_effect_orientations():
     g = DEPTH.gate_effect(registry.lookup("init"))
     assert g.value == triple([[]] * 0 or [], [], [0])  # 0×1 A, empty v, w=[0]
     d = DEPTH.gate_effect(registry.lookup("discard"))
-    assert d.value.v == TropicalMatrix.build([[0.0]])
+    assert d.value.v == tropical([[0.0]])
     assert d.value.a.shape == (1, 0)
 
 
@@ -161,10 +161,10 @@ def test_depth_dead_end_paths_tracked_by_vectors():
     c1 = Circuit((Q,), (Layer(((H, 0),)),
                         Layer(((registry.gate("discard"), 0),))))
     e1 = DEPTH.abstract(c1, registry)
-    assert e1.value.v == TropicalMatrix.build([[1.0]])
+    assert e1.value.v == tropical([[1.0]])
     c2 = Circuit((), (Layer(((registry.gate("init"), 0),)), Layer(((H, 0),))))
     e2 = DEPTH.abstract(c2, registry)
-    assert e2.value.w == TropicalMatrix.build([[1.0]])
+    assert e2.value.w == tropical([[1.0]])
 
 
 def test_depth_triple_compose_associative():
@@ -187,10 +187,9 @@ def test_depth_matches_paths_oracle_spot():
         c = random_circuit(r)
         a, v, w, bound = depth_paths_oracle(c, registry)
         e = DEPTH.abstract(c, registry)
-        assert e.value.a == TropicalMatrix.build(a, shape=(len(c.dom), len(c.cod)))
-        assert e.value.v == TropicalMatrix.build([v], shape=(1, len(c.dom)))
-        assert e.value.w == TropicalMatrix.build([[x] for x in w],
-                                                 shape=(len(c.cod), 1))
+        assert e.value.a == tropical(a, shape=(len(c.dom), len(c.cod)))
+        assert e.value.v == tropical([v], shape=(1, len(c.dom)))
+        assert e.value.w == tropical([[x] for x in w], shape=(len(c.cod), 1))
         assert depth_bound(e) == bound
 
 

@@ -1,17 +1,19 @@
 import pytest
 
 from generators import rng, random_program
-from pqc.algebras import ALGEBRAS, GateCountAlgebra, algebra
-from pqc.effects import (
-    check_ascription, infer_effect, infer_program_effect, synthesize_bounds,
-    verify_dynamic,
+from pqc.algebras import (
+    ALGEBRAS, Effect, GateCountAlgebra, WidthAlgebra, algebra,
 )
-from pqc.errors import EffectError, LinearityViolation
+from pqc.effects import (
+    check_ascription, infer_effect, infer_program_effect, verify_dynamic,
+)
+from pqc.errors import EffectError, EndpointMismatch, LinearityViolation
 from pqc.gates import default_registry
 from pqc.syntax import (
     ArrowT, BangT, CircT, QubitT, TensorT, UnitT, parse_program, parse_term,
     parse_type,
 )
+from pqc.typecheck import synthesize_bounds
 
 registry = default_registry()
 gates = algebra("gates")
@@ -163,6 +165,19 @@ def test_annotated_opaque_function_uses_its_bound():
     ty, eff = infer_effect(gates, registry, ctx,
                            parse_term("let h = force g in h q"))
     assert gates.value_json(eff) == 5
+
+
+def test_wrong_algebra_trips_the_endpoint_check():
+    # a gate effect whose codomain has one wire too many: the checker's
+    # invariant must catch it, also under python -O
+    class BadWidth(WidthAlgebra):
+        def gate_effect(self, gdef):
+            e = super().gate_effect(gdef)
+            return Effect(e.dom, e.cod + 1, e.value)
+
+    with pytest.raises(EndpointMismatch, match="width effect 1→2 of Apply"):
+        infer_program_effect(program("inputs q: Qubit; apply(@H, q)"),
+                             BadWidth(), registry)
 
 
 def test_unconsumed_inputs_are_rejected():

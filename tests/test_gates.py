@@ -91,6 +91,9 @@ def test_extended_registry_overrides():
     ("gate g : Qubit -> Qubit\n  assert \"0\" -> {0} cost 1", "quoted"),
     ("gate g : Qubit -> Qubit\n  frobnicate 3", "unrecognized"),
     ("gate g : Qubit -> Qubit\n  count x", "bad count"),
+    ("gate g : Qubit -> Qubit\n  count -3", "^2:.*bad count"),
+    ("gate g : Qubit -> Qubit\n  depth -2", "^2:.*bad depth"),
+    ("gate g : Qubit -> Qubit\n  depth +2", "bad depth"),
 ])
 def test_gate_spec_errors(bad, fragment):
     with pytest.raises(ParseError, match=fragment):

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from generators import rng
+from generators import rng, tropical, tropical_from_lists
 from pqc.tropical import NEG_INF, TropicalMatrix
 
 
 def random_matrix(r: random.Random, rows: int, cols: int) -> TropicalMatrix:
     data = [[NEG_INF if r.random() < 0.3 else float(r.randint(0, 9))
              for _ in range(cols)] for _ in range(rows)]
-    return TropicalMatrix.build(data, shape=(rows, cols))
+    return tropical(data, shape=(rows, cols))
 
 
 def brute_matmul(a: TropicalMatrix, b: TropicalMatrix) -> list[list[float]]:
@@ -64,8 +64,8 @@ def test_shape_checks():
 
 
 def test_direct_sum_blocks():
-    a = TropicalMatrix.build([[1.0]])
-    b = TropicalMatrix.build([[2.0, 3.0]])
+    a = tropical([[1.0]])
+    b = tropical([[2.0, 3.0]])
     s = a.direct_sum(b)
     assert s.shape == (2, 3)
     assert s.data[0][0] == 1.0 and s.data[1][1] == 2.0
@@ -73,8 +73,8 @@ def test_direct_sum_blocks():
 
 
 def test_leq_and_max_entry():
-    a = TropicalMatrix.build([[NEG_INF, 2.0]])
-    b = TropicalMatrix.build([[0.0, 2.0]])
+    a = tropical([[NEG_INF, 2.0]])
+    b = tropical([[0.0, 2.0]])
     assert a.leq(b) and not b.leq(a)
     assert a.max_entry() == 2.0
     assert TropicalMatrix.zeros(0, 3).max_entry() == NEG_INF
@@ -85,7 +85,7 @@ def test_tolists_round_trip():
     for _ in range(40):
         n, m = r.randint(0, 3), r.randint(0, 3)
         a = random_matrix(r, n, m)
-        assert TropicalMatrix.fromlists(a.tolists(), n, m) == a
+        assert tropical_from_lists(a.tolists(), n, m) == a
 
 
 def test_immutability():

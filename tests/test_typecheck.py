@@ -1,19 +1,22 @@
 import pytest
 
 from generators import rng, random_program
+from pqc.algebras import TRIVIAL, algebra
 from pqc.circuits import WireType, freshlabels, identity, reset_labels
+from pqc.effects import infer_program_effect
 from pqc.errors import (
-    BoxCapturesWires, LinearityViolation, NotACircuit, NotAFunction,
-    NotAParameter, ObjectMismatch, ShapeMismatch, UnboundName,
+    BoxCapturesWires, LinearityViolation, MisplacedTerm, NotACircuit,
+    NotAFunction, NotAParameter, ObjectMismatch, ParseError, ShapeMismatch,
+    TypecheckError, UnboundName,
 )
 from pqc.gates import default_registry
 from pqc.syntax import (
-    parse_program, parse_term, parse_type, show_type, ArrowT, BangT, BitT,
-    Box, BundleUnitT, CircT, NatT, QubitT, Ret, TensorT, UnitT, LabelVal,
-    Pair, Var,
+    parse_program, parse_term, parse_type, show_type, Apply, ArrowT, BangT,
+    BitT, Box, BundleUnitT, CircT, GateRef, Let, NatT, Program, QubitT, Ret,
+    TensorT, UnitT, UnitVal, LabelVal, Pair, Var,
 )
 from pqc.typecheck import (
-    Checker, _Entry, check_configuration, check_program, is_parameter,
+    EffectChecker, check_configuration, check_program, is_parameter,
     same_type, sharp, wires_of,
 )
 
@@ -161,10 +164,29 @@ def test_box_rejects_wire_capturing_functions():
 def test_box_rejects_arrows_that_captured_wires():
     # The box rule's own guard, reached with a context entry that no source
     # program can produce (a !-function whose capture shape holds a wire).
-    ck = Checker(registry)
-    ck.ctx.append(_Entry("f", BangT(ArrowT(QubitT(), QubitT(), QubitT()))))
+    ck = EffectChecker(TRIVIAL, registry)
+    ck.push("f", BangT(ArrowT(QubitT(), QubitT(), QubitT())))
     with pytest.raises(BoxCapturesWires):
         ck.infer_term(Box(QubitT(), Var("f")))
+
+
+def test_term_in_value_position_is_a_type_error():
+    # only a hand-built AST can put a term where a value belongs
+    prog = Program((), None, Ret(Let("x", Ret(UnitVal()), Ret(UnitVal()))))
+    with pytest.raises(MisplacedTerm):
+        check_program(prog, registry)
+    assert issubclass(MisplacedTerm, TypecheckError)
+    assert not issubclass(MisplacedTerm, ParseError)
+
+
+def test_deep_let_chain_checks_and_infers():
+    term = Ret(Var("x"))
+    for _ in range(700):
+        term = Let("x", Apply(GateRef("H"), Var("x")), term)
+    prog = Program((("x", QubitT()),), None, term)
+    assert show_type(check_program(prog, registry)) == "Qubit"
+    _, eff = infer_program_effect(prog, algebra("gates"), registry)
+    assert eff.value == 700
 
 
 def test_box_needs_matching_shape():
