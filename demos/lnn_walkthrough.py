@@ -12,7 +12,7 @@ first two qubits. Run from the repository root:
 import os
 
 from pqc.algebras import ALGEBRAS, AssertAlgebra
-from pqc.circuits import draw, reset_labels
+from pqc.circuits import draw
 from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import parse_program, show_type
@@ -28,7 +28,6 @@ ty = check_program(prog, registry)
 print(f"program type: {show_type(ty)}")
 print()
 
-reset_labels()
 report = verify_dynamic(prog, ALGEBRAS["gates"], registry)
 print(draw(report.circuit))
 

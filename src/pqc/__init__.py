@@ -25,6 +25,7 @@ from .circuits import (
     BoxedCircuit,
     Bundle,
     Circuit,
+    CircuitBuilder,
     Gate,
     Label,
     LabelContext,
@@ -33,7 +34,6 @@ from .circuits import (
     Perm,
     Shape,
     WireType,
-    append,
     box_circuit,
     canonicalize,
     compose,
@@ -42,12 +42,11 @@ from .circuits import (
     equivalent,
     flatten_bundle,
     flatten_shape,
-    fresh_label,
     freshlabels,
     identity,
+    label_supply,
     obj,
     qubits,
-    reset_labels,
     serialize,
     spine,
     symmetry,

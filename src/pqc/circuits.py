@@ -11,7 +11,10 @@ fusing adjacent permutations and dropping identity permutations.
 
 Labels name the open output wires of a circuit under construction. Wire
 bundles (nested pairs of labels) and label contexts connect the positional
-world of circuits with the name-based world of programs.
+world of circuits with the name-based world of programs. Labels are minted
+from a supply (``label_supply``) that belongs to one run: an evaluation
+numbers its wires from its own supply, and a boxed circuit's interface
+labels are local to the box, so there is no process-global label counter.
 
 Bundles and bundle shapes are plain nested tuples:
 
@@ -75,18 +78,13 @@ class Label:
     __repr__ = __str__
 
 
-_counter = itertools.count()
+def label_supply(start: int = 0) -> Iterator[Label]:
+    """A fresh supply of labels ``#start, #start+1, ...``.
 
-
-def fresh_label() -> Label:
-    """Next label from the process-global monotone counter."""
-    return Label(next(_counter))
-
-
-def reset_labels(start: int = 0) -> None:
-    """Restart the global label counter (one evaluation per counter run)."""
-    global _counter
-    _counter = itertools.count(start)
+    Every evaluation draws from a supply of its own, so no label state is
+    shared between runs.
+    """
+    return map(Label, itertools.count(start))
 
 
 Bundle = Union[tuple, Label]
@@ -136,9 +134,10 @@ class LabelContext:
     entries: tuple[tuple[Label, WireType], ...] = ()
 
     def __post_init__(self):
-        labels = [l for l, _ in self.entries]
-        if len(set(labels)) != len(labels):
+        index = {l: i for i, (l, _) in enumerate(self.entries)}
+        if len(index) != len(self.entries):
             raise WireTypeMismatch(f"duplicate labels in context {self}")
+        object.__setattr__(self, "_index", index)
 
     @property
     def labels(self) -> list[Label]:
@@ -149,10 +148,10 @@ class LabelContext:
         return tuple(t for _, t in self.entries)
 
     def position(self, label: Label) -> int:
-        for i, (l, _) in enumerate(self.entries):
-            if l == label:
-                return i
-        raise LabelNotFound(f"label {label} not in context {self}")
+        try:
+            return self._index[label]  # type: ignore[attr-defined]
+        except KeyError:
+            raise LabelNotFound(f"label {label} not in context {self}") from None
 
     def type_of(self, label: Label) -> WireType:
         return self.entries[self.position(label)][1]
@@ -167,8 +166,8 @@ class LabelContext:
         return ", ".join(f"{l}:{t}" for l, t in self.entries) or "(empty)"
 
 
-def freshlabels(shape: Shape) -> tuple[LabelContext, Bundle]:
-    """Mint fresh labels for every wire position of a bundle shape.
+def freshlabels(shape: Shape, supply: Iterator[Label]) -> tuple[LabelContext, Bundle]:
+    """Mint labels from ``supply`` for every wire position of a bundle shape.
 
     Returns the label context (in left-to-right shape order) and the bundle
     of the same shape holding the new labels.
@@ -177,7 +176,7 @@ def freshlabels(shape: Shape) -> tuple[LabelContext, Bundle]:
 
     def go(s: Shape) -> Bundle:
         if isinstance(s, WireType):
-            l = fresh_label()
+            l = next(supply)
             entries.append((l, s))
             return l
         if s == ():
@@ -400,7 +399,7 @@ def equivalent(c: Circuit, d: Circuit) -> bool:
 
 
 # --------------------------------------------------------------------------
-# boxed circuits and append
+# boxed circuits and the circuit builder
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -437,10 +436,13 @@ def box_circuit(body: Circuit, in_shape: Shape | None = None) -> BoxedCircuit:
     """Package a circuit with fresh straight-through interfaces.
 
     The input bundle shape defaults to a right-nested pair spine over the
-    body's dom; same for outputs over cod.
+    body's dom; same for outputs over cod. The interface labels are local to
+    the box: ``#0, #1, ...`` over the inputs, then the outputs.
     """
-    in_ctx, in_bundle = freshlabels(in_shape if in_shape is not None else spine(body.dom))
-    out_ctx, out_bundle = freshlabels(spine(body.cod))
+    supply = label_supply()
+    in_ctx, in_bundle = freshlabels(
+        in_shape if in_shape is not None else spine(body.dom), supply)
+    out_ctx, out_bundle = freshlabels(spine(body.cod), supply)
     return BoxedCircuit(in_bundle, in_ctx, body, out_ctx, out_bundle)
 
 
@@ -453,92 +455,125 @@ def spine(o: Obj) -> Shape:
     return (o[0], spine(o[1:]))
 
 
-def append(
-    c: Circuit,
-    out_ctx: LabelContext,
-    attach: Bundle,
-    boxed: BoxedCircuit,
-) -> tuple[Circuit, Bundle, LabelContext]:
-    """Attach a boxed circuit to named wires among ``c``'s outputs.
+class CircuitBuilder:
+    """A circuit under construction, extended in place by ``append``.
 
-    The attach bundle pairs up with ``boxed.inputs`` position-for-position
-    (flattened). Attached wires are gathered by a recorded Perm so they feed
-    the body in its port order, the body is whiskered into place at the
-    smallest attached position (at the right end when the bundle is empty),
-    and — when the body preserves wire count — a restore Perm scatters the
-    outputs back over the original attached positions so that passthrough
-    wires keep their exact positions. Identity perms are never emitted.
-
-    Returns the extended circuit, the output bundle with fresh labels, and
-    the updated output context. ``c.dom`` is unchanged.
+    The builder holds the step list, the current cod, and the open outputs
+    as a label context (an entry list plus a label -> position map). Each
+    appended step's cod is derived once, from the current cod, so every
+    placement check runs once per step; ``circuit()`` and ``context()``
+    package the result. Output labels come from ``supply``, which by default
+    continues after the largest label of the starting context.
     """
-    attach_labels = flatten_bundle(attach)
-    port_labels = flatten_bundle(boxed.inputs)
-    if len(attach_labels) != len(port_labels):
-        raise WireTypeMismatch(
-            f"bundle of {len(attach_labels)} wires applied to circuit expecting "
-            f"{len(port_labels)}")
-    if len(set(attach_labels)) != len(attach_labels):
-        raise WireTypeMismatch(f"duplicate label in bundle {show_bundle(attach)}")
 
-    n = len(out_ctx)
-    positions = [out_ctx.position(a) for a in attach_labels]
-    for a, p in zip(attach_labels, port_labels):
-        want = boxed.in_ctx.type_of(p)
-        got = out_ctx.type_of(a)
-        if want != got:
-            raise WireTypeMismatch(f"wire {a} is {got}, circuit expects {want}")
+    def __init__(self, start: Circuit, ctx: LabelContext,
+                 supply: Iterator[Label] | None = None):
+        self.dom = start.dom
+        self.cod = start.cod
+        self.steps: list[Step] = list(start.steps)
+        self.entries = list(ctx.entries)
+        self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
+        self.supply = supply if supply is not None else label_supply(
+            1 + max((l.ix for l in self.pos), default=-1))
+        self._circuit: Circuit | None = start
+        self._ctx: LabelContext | None = ctx
 
-    m = len(attach_labels)
-    m2 = len(boxed.body.cod)
-    q = min(positions) if m else n
+    def circuit(self) -> Circuit:
+        if self._circuit is None:
+            self._circuit = Circuit(self.dom, tuple(self.steps))
+        return self._circuit
 
-    # gather: attached wire j goes to block slot q + (port position of its
-    # partner label); passthrough wires fill the remaining slots in order.
-    dest: list[int | None] = [None] * n
-    for j, p in enumerate(positions):
-        dest[p] = q + boxed.in_ctx.position(port_labels[j])
-    block = set(range(q, q + m))
-    free = iter(s for s in range(n) if s not in block)
-    for i in range(n):
-        if dest[i] is None:
-            dest[i] = next(free)
-    gather = Perm(tuple(dest))  # type: ignore[arg-type]
+    def context(self) -> LabelContext:
+        """The open outputs, in wire order."""
+        if self._ctx is None:
+            self._ctx = LabelContext(tuple(self.entries))
+        return self._ctx
 
-    steps: list[Step] = []
-    if not gather.is_identity():
-        steps.append(gather)
-    steps.extend(_whisker_steps(boxed.body.steps, q, n - q - m))
+    def append(self, attach: Bundle, boxed: BoxedCircuit) -> Bundle:
+        """Attach a boxed circuit to named wires among the open outputs.
 
-    # final wire order (positions in the extended circuit's cod)
-    passthrough = [e for e in out_ctx.entries if e[0] not in set(attach_labels)]
-    fresh = [(fresh_label(), t) for _, t in boxed.out_ctx.entries]
-    if m2 == m and m > 0:
-        slots = sorted(positions)
-        final: list[tuple[Label, WireType] | None] = [None] * n
-        for j, s in enumerate(slots):
-            final[s] = fresh[j]
-        it = iter(passthrough)
-        for i in range(n):
-            if final[i] is None:
-                final[i] = next(it)
-        new_entries = [e for e in final if e is not None]
-        # restore: move block output j (currently at q + j) to slots[j],
-        # passthrough wires back to their original positions.
-        cur_entries = passthrough[:q] + fresh + passthrough[q:]
-        slot_of = {label: i for i, (label, _) in enumerate(new_entries)}
-        restore = Perm(tuple(slot_of[label] for label, _ in cur_entries))
-        if not restore.is_identity():
-            steps.append(restore)
-    else:
-        new_entries = passthrough[:q] + fresh + passthrough[q:]
+        The attach bundle pairs up with ``boxed.inputs`` position-for-position
+        (flattened). Attached wires are gathered by a recorded Perm so they
+        feed the body in its port order, the body is whiskered into place at
+        the smallest attached position (at the right end when the bundle is
+        empty), and — when the body preserves wire count — a restore Perm
+        scatters the outputs back over the original attached positions so
+        that passthrough wires keep their exact positions. Identity perms are
+        never emitted.
 
-    extended = Circuit(c.dom, c.steps + tuple(steps))
-    mapping = {
-        old: new for (old, _), (new, _) in zip(boxed.out_ctx.entries, fresh)
-    }
-    out_bundle = rename_bundle(boxed.outputs, mapping)
-    return extended, out_bundle, LabelContext(tuple(new_entries))
+        Returns the output bundle, over fresh labels. ``dom`` is unchanged.
+        """
+        attach_labels = flatten_bundle(attach)
+        port_labels = flatten_bundle(boxed.inputs)
+        if len(attach_labels) != len(port_labels):
+            raise WireTypeMismatch(
+                f"bundle of {len(attach_labels)} wires applied to circuit "
+                f"expecting {len(port_labels)}")
+        if len(set(attach_labels)) != len(attach_labels):
+            raise WireTypeMismatch(f"duplicate label in bundle {show_bundle(attach)}")
+
+        entries, n = self.entries, len(self.entries)
+        positions = []
+        for a in attach_labels:
+            if a not in self.pos:
+                raise LabelNotFound(f"label {a} not in context {self.context()}")
+            positions.append(self.pos[a])
+        ports = [boxed.in_ctx.position(p) for p in port_labels]
+        for a, i, j in zip(attach_labels, positions, ports):
+            want, got = boxed.in_ctx.entries[j][1], entries[i][1]
+            if want != got:
+                raise WireTypeMismatch(f"wire {a} is {got}, circuit expects {want}")
+
+        m = len(positions)
+        m2 = len(boxed.body.cod)
+        q = min(positions) if m else n
+
+        # gather: attached wire j goes to block slot q + (port position of its
+        # partner label); passthrough wires fill the remaining slots in order.
+        dest: list[int | None] = [None] * n
+        for i, j in zip(positions, ports):
+            dest[i] = q + j
+        free = itertools.chain(range(q), range(q + m, n))
+        gather = Perm(tuple(next(free) if d is None else d for d in dest))
+
+        steps: list[Step] = []
+        if not gather.is_identity():
+            steps.append(gather)
+        steps.extend(_whisker_steps(boxed.body.steps, q, n - q - m))
+        keep_slots = m2 == m and m > 0
+        if keep_slots:
+            # restore: block output j (now at q + j) goes to the j-th smallest
+            # attached position, passthrough wires back to their own.
+            slots = sorted(positions)
+            attached = set(positions)
+            rest = [i for i in range(q, n) if i not in attached]
+            restore = Perm((*range(q), *slots, *rest))
+            if not restore.is_identity():
+                steps.append(restore)
+
+        cod = self.cod
+        for step in steps:
+            cod = step.cod(cod)
+        self.cod = cod
+        self.steps.extend(steps)
+        self._circuit = self._ctx = None
+
+        fresh = [(next(self.supply), t) for _, t in boxed.out_ctx.entries]
+        if keep_slots:
+            for a in attach_labels:
+                del self.pos[a]
+            for i, e in zip(slots, fresh):
+                entries[i] = e
+                self.pos[e[0]] = i
+        else:
+            gone = set(attach_labels)
+            passthrough = [e for e in entries if e[0] not in gone]
+            self.entries = passthrough[:q] + fresh + passthrough[q:]
+            self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
+        mapping = {
+            old: new for (old, _), (new, _) in zip(boxed.out_ctx.entries, fresh)
+        }
+        return rename_bundle(boxed.outputs, mapping)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from .algebras import ALGEBRAS, AssertAlgebra, CircuitAlgebra, DepthAlgebra, depth_bound
-from .circuits import draw, reset_labels, serialize
+from .circuits import draw, serialize
 from .effects import check_ascription, infer_program_effect, verify_dynamic
 from .errors import PqcError
 from .evaluator import evaluate_program
@@ -95,7 +95,6 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     prog, registry = _load(args.file, args.gates)
     check_program(prog, registry)
-    reset_labels()
     circuit, out_ctx, value = evaluate_program(prog, registry, fuel=args.fuel)
     if args.emit_circuit is not None:
         with open(args.emit_circuit, "wb") as f:
@@ -143,7 +142,6 @@ def cmd_verify(args) -> int:
     prog, registry = _load(args.file, args.gates)
     check_program(prog, registry)
     alg = ALGEBRAS[args.metric]
-    reset_labels()
     report = verify_dynamic(prog, alg, registry, fuel=args.fuel)
     print(json.dumps(report.to_json(alg), indent=2))
     return 0 if report.dominated else 1
@@ -197,10 +195,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except PqcError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (PqcError, OSError, UnicodeDecodeError) as e:
+        # OSError and UnicodeDecodeError: an input file that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return 2
 

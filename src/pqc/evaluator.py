@@ -1,21 +1,37 @@
-"""Big-step evaluation of programs into circuits.
+"""Evaluation of programs into circuits, by an environment machine.
 
 A machine state is a configuration: the circuit built so far, the label
-context naming its open outputs, and the term still to run. Evaluation only
+context naming its open outputs, and the term still to run, with an
+environment giving the term's free variables their values. Evaluation only
 ever extends the circuit — ``apply`` appends a boxed circuit at the wires
-named by its argument bundle, ``box`` runs its function in a fresh private
-configuration and captures the result as a value, and everything else is
-ordinary call-by-value reduction by substitution.
+named by its argument bundle, and ``box`` runs its function in a fresh
+private configuration and captures the result as a value. This is the
+configuration semantics of Proto-Quipper-M (Rios & Selinger, QPL 2017), in
+which ``append`` is the only way a circuit grows.
+
+The machine is call-by-value and never substitutes into the program:
+
+* ``\\x. M`` and ``lift M`` evaluate to closures over the scope they are
+  written in; application and ``force`` run the body in that scope.
+* The ``let``/``dest``/application/``force`` spine runs in one loop over an
+  explicit continuation stack, so deep programs use no Python recursion.
+* Each configuration's circuit grows in one ``CircuitBuilder`` (the
+  program's, plus one per ``box``), which validates every new step once and
+  packages the circuit at the end. Its labels come from the run's supply.
+* Every rule firing costs one unit of fuel.
+
+A closure is read back into a syntax value, by substituting its scope into
+it, only when it escapes: as the program's result or in an error message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from .circuits import (
-    BoxedCircuit, Bundle, Circuit, Label, LabelContext, append, freshlabels,
-    fresh_label, identity,
+    BoxedCircuit, Bundle, Circuit, CircuitBuilder, Label, LabelContext,
+    freshlabels, identity, label_supply,
 )
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
@@ -31,49 +47,134 @@ class Configuration:
     circuit: Circuit
     out_ctx: LabelContext
     term: Term
+    env: dict[str, Value] = field(default_factory=dict)
+    """Values of the term's free variables (a program's inputs)."""
 
 
 # --------------------------------------------------------------------------
-# substitution
+# scopes and closures
 # --------------------------------------------------------------------------
 
-def subst_value(v: Value, x: str, w: Value) -> Value:
+class Env:
+    """A scope: the variables bound in it, and the enclosing scope.
+
+    A let-chain binds into one scope in place. A closure that captures a
+    scope seals it and every enclosing scope; a binder in a sealed scope
+    opens a child scope, so a closure never sees a binding made after it.
+    """
+
+    __slots__ = ("vars", "parent", "sealed")
+
+    def __init__(self, vars: Optional[dict] = None, parent: Optional[Env] = None):
+        self.vars = {} if vars is None else vars
+        self.parent = parent
+        self.sealed = False
+
+    def lookup(self, name: str):
+        env: Optional[Env] = self
+        while env is not None:
+            v = env.vars.get(name)
+            if v is not None:
+                return v
+            env = env.parent
+        return None
+
+    def seal(self) -> None:
+        env: Optional[Env] = self
+        while env is not None and not env.sealed:
+            env.sealed = True
+            env = env.parent
+
+    def bind(self, name: str, v) -> Env:
+        env = Env(parent=self) if self.sealed else self
+        env.vars[name] = v
+        return env
+
+
+class Closure:
+    """``\\x. M`` or ``lift M`` with the scope it was written in."""
+
+    __slots__ = ("value", "env")
+
+    def __init__(self, value: Union[Lam, Lift], env: Env):
+        self.value = value
+        self.env = env
+
+    def __str__(self) -> str:
+        return str(readback(self))
+
+
+def _value(v: Value, env: Env):
+    """A value's runtime form: variables looked up, lambdas and lifts closed.
+
+    An unbound variable stays a variable, as substitution would leave it.
+    """
+    t = type(v)
+    if t is Var:
+        w = env.lookup(v.name)
+        return v if w is None else w
+    if t is Pair:
+        return Pair(_value(v.left, env), _value(v.right, env))
+    if t is Lam or t is Lift:
+        env.seal()
+        return Closure(v, env)
+    return v
+
+
+# --------------------------------------------------------------------------
+# read-back: substituting a closure's scope into it
+# --------------------------------------------------------------------------
+
+def readback(v) -> Value:
+    """The syntax value a runtime value stands for."""
+    if type(v) is Closure:
+        return subst_value(v.value, v.env)
+    if type(v) is Pair:
+        return Pair(readback(v.left), readback(v.right))
+    return v
+
+
+def subst_value(v: Value, env: Env, bound: frozenset = frozenset()) -> Value:
+    """``v`` with each free variable bound in ``env`` replaced by its value.
+
+    ``bound`` holds the names bound between ``v`` and ``env``: binders
+    shadow the scope.
+    """
     match v:
         case Var(name):
-            return w if name == x else v
+            w = None if name in bound else env.lookup(name)
+            return v if w is None else readback(w)
         case Pair(left, right):
-            return Pair(subst_value(left, x, w), subst_value(right, x, w))
+            return Pair(subst_value(left, env, bound), subst_value(right, env, bound))
         case Lam(var, ty, body):
-            if var == x:
-                return v
-            return Lam(var, ty, subst_term(body, x, w))
+            return Lam(var, ty, subst_term(body, env, bound | {var}))
         case Lift(term):
-            return Lift(subst_term(term, x, w))
+            return Lift(subst_term(term, env, bound))
         case _:
             return v
 
 
-def subst_term(m: Term, x: str, w: Value) -> Term:
+def subst_term(m: Term, env: Env, bound: frozenset = frozenset()) -> Term:
     match m:
         case Ret(v):
-            return Ret(subst_value(v, x, w))
+            return Ret(subst_value(v, env, bound))
         case App(fn, arg):
-            return App(subst_value(fn, x, w), subst_value(arg, x, w))
-        case Let(var, bound, body):
-            return Let(var, subst_term(bound, x, w),
-                       body if var == x else subst_term(body, x, w))
+            return App(subst_value(fn, env, bound), subst_value(arg, env, bound))
+        case Let(var, rhs, body):
+            return Let(var, subst_term(rhs, env, bound),
+                       subst_term(body, env, bound | {var}))
         case Dest(left, right, value, body):
-            return Dest(left, right, subst_value(value, x, w),
-                        body if x in (left, right) else subst_term(body, x, w))
+            return Dest(left, right, subst_value(value, env, bound),
+                        subst_term(body, env, bound | {left, right}))
         case Ifz(cond, then, els):
-            return Ifz(subst_value(cond, x, w), subst_term(then, x, w),
-                       subst_term(els, x, w))
+            return Ifz(subst_value(cond, env, bound), subst_term(then, env, bound),
+                       subst_term(els, env, bound))
         case Force(v):
-            return Force(subst_value(v, x, w))
+            return Force(subst_value(v, env, bound))
         case Box(shape, v):
-            return Box(shape, subst_value(v, x, w))
+            return Box(shape, subst_value(v, env, bound))
         case Apply(circ, arg):
-            return Apply(subst_value(circ, x, w), subst_value(arg, x, w))
+            return Apply(subst_value(circ, env, bound), subst_value(arg, env, bound))
     raise Stuck(f"cannot substitute in {m!r}")
 
 
@@ -106,101 +207,141 @@ def bundle_to_value(b: Bundle) -> Value:
 # the machine
 # --------------------------------------------------------------------------
 
-class _Fuel:
-    def __init__(self, amount: Optional[int]):
-        self.amount = amount
-
-    def tick(self):
-        if self.amount is not None:
-            if self.amount <= 0:
-                raise FuelExhausted("evaluation fuel exhausted")
-            self.amount -= 1
-
-
 _BOX_FN = "_boxed_fn"
 
+# Terms that bind variables in the scope they run in. As the bound term of a
+# let they run in a child scope, so their binders stay out of the let's body.
+_BINDS_IN_SCOPE = (Let, Dest, Ifz)
 
-def _eval(c: Circuit, ctx: LabelContext, m: Term, registry: Registry,
-          fuel: _Fuel) -> tuple[Circuit, LabelContext, Value]:
-    fuel.tick()
-    match m:
-        case Ret(v):
-            return c, ctx, v
-        case Let(var, bound, body):
-            c1, ctx1, v = _eval(c, ctx, bound, registry, fuel)
-            return _eval(c1, ctx1, subst_term(body, var, v), registry, fuel)
-        case App(fn, arg):
-            match fn:
-                case Lam(var, _, body):
-                    return _eval(c, ctx, subst_term(body, var, arg), registry, fuel)
-                case GateRef() | BoxedVal():
+
+@dataclass
+class _Boxing:
+    """Continuation of a ``box``: package the private circuit, resume ``outer``."""
+
+    outer: CircuitBuilder
+    in_ctx: LabelContext
+    bundle: Bundle
+
+
+def _closure_of(v, kind: type) -> Optional[Closure]:
+    if type(v) is Closure and type(v.value) is kind:
+        return v
+    return None
+
+
+def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
+         fuel: Optional[int]):
+    """Run ``m`` to a runtime value, extending ``builder``'s circuit."""
+    stack: list = []  # (var, body, env) for a let; _Boxing for a box
+    while True:
+        if fuel is not None:
+            if fuel <= 0:
+                raise FuelExhausted("evaluation fuel exhausted")
+            fuel -= 1
+        t = type(m)
+        if t is Let:
+            stack.append((m.var, m.body, env))
+            if type(m.bound) in _BINDS_IN_SCOPE:
+                env = Env(parent=env)
+            m = m.bound
+            continue
+        if t is Ret:
+            v = _value(m.value, env)
+        elif t is Apply:
+            circ = _value(m.circ, env)
+            if type(circ) is GateRef:
+                boxed = registry.boxed(circ.name)
+            elif type(circ) is BoxedVal:
+                boxed = circ.boxed
+            else:
+                raise Stuck(f"apply needs a circuit, got {circ}")
+            attach = value_to_bundle(_value(m.arg, env))
+            v = bundle_to_value(builder.append(attach, boxed))
+        elif t is App:
+            fn = _value(m.fn, env)
+            lam = _closure_of(fn, Lam)
+            if lam is None:
+                if type(fn) is GateRef or type(fn) is BoxedVal:
                     raise Stuck(f"{fn} is a circuit; run it with apply(...)")
-                case _:
-                    raise Stuck(f"cannot apply non-function {fn}")
-        case Dest(left, right, value, body):
-            match value:
-                case Pair(a, b):
-                    return _eval(
-                        c, ctx,
-                        subst_term(subst_term(body, left, a), right, b),
-                        registry, fuel)
-                case _:
-                    raise Stuck(f"dest needs a pair, got {value}")
-        case Ifz(cond, then, els):
-            match cond:
-                case NatVal(n):
-                    return _eval(c, ctx, then if n == 0 else els, registry, fuel)
-                case _:
-                    raise Stuck(f"ifz needs a number, got {cond}")
-        case Force(v):
-            match v:
-                case Lift(inner):
-                    return _eval(c, ctx, inner, registry, fuel)
-                case _:
-                    raise Stuck(f"force needs a lifted term, got {v}")
-        case Box(shape_ty, v):
-            match v:
-                case Lift(thunk):
-                    in_ctx, bundle = freshlabels(shape_of(shape_ty))
-                    inner = Let(_BOX_FN, thunk,
-                                App(Var(_BOX_FN), bundle_to_value(bundle)))
-                    body, out_ctx, out_val = _eval(
-                        identity(in_ctx.obj), in_ctx, inner, registry, fuel)
-                    boxed = BoxedCircuit(bundle, in_ctx, body, out_ctx,
-                                         value_to_bundle(out_val))
-                    return c, ctx, BoxedVal(boxed)
-                case _:
-                    raise Stuck(f"box needs a lifted function, got {v}")
-        case Apply(circ, arg):
-            match circ:
-                case GateRef(name):
-                    boxed = registry.boxed(name)
-                case BoxedVal(b, _):
-                    boxed = b
-                case _:
-                    raise Stuck(f"apply needs a circuit, got {circ}")
-            c2, out_bundle, ctx2 = append(c, ctx, value_to_bundle(arg), boxed)
-            return c2, ctx2, bundle_to_value(out_bundle)
-    raise Stuck(f"no rule for {m}")
+                raise Stuck(f"cannot apply non-function {fn}")
+            env = Env({lam.value.var: _value(m.arg, env)}, lam.env)
+            m = lam.value.body
+            continue
+        elif t is Dest:
+            pair = _value(m.value, env)
+            if type(pair) is not Pair:
+                raise Stuck(f"dest needs a pair, got {pair}")
+            # on a repeated name the left component wins, as in substitution
+            env = env.bind(m.right, pair.right).bind(m.left, pair.left)
+            m = m.body
+            continue
+        elif t is Ifz:
+            cond = _value(m.cond, env)
+            if type(cond) is not NatVal:
+                raise Stuck(f"ifz needs a number, got {cond}")
+            m = m.then if cond.n == 0 else m.els
+            continue
+        elif t is Force:
+            v = _value(m.value, env)
+            thunk = _closure_of(v, Lift)
+            if thunk is None:
+                raise Stuck(f"force needs a lifted term, got {v}")
+            env, m = thunk.env, thunk.value.term
+            continue
+        elif t is Box:
+            v = _value(m.value, env)
+            thunk = _closure_of(v, Lift)
+            if thunk is None:
+                raise Stuck(f"box needs a lifted function, got {v}")
+            in_ctx, bundle = freshlabels(shape_of(m.shape), builder.supply)
+            stack.append(_Boxing(builder, in_ctx, bundle))
+            builder = CircuitBuilder(identity(in_ctx.obj), in_ctx, builder.supply)
+            env = Env(parent=thunk.env)
+            m = Let(_BOX_FN, thunk.value.term,
+                    App(Var(_BOX_FN), bundle_to_value(bundle)))
+            continue
+        else:
+            raise Stuck(f"no rule for {m}")
+
+        # hand v to the innermost let, packaging any boxes finished on the way
+        while True:
+            if not stack:
+                return v
+            k = stack.pop()
+            if type(k) is tuple:
+                break
+            v = BoxedVal(BoxedCircuit(k.bundle, k.in_ctx, builder.circuit(),
+                                      builder.context(), value_to_bundle(v)))
+            builder = k.outer
+        var, m, env = k
+        env = env.bind(var, v)
 
 
 def evaluate(cfg: Configuration, registry: Optional[Registry] = None,
              fuel: Optional[int] = None) -> tuple[Circuit, LabelContext, Value]:
-    """Run a configuration to a value; returns (circuit, outputs, value)."""
-    return _eval(cfg.circuit, cfg.out_ctx, cfg.term,
-                 registry or default_registry(), _Fuel(fuel))
+    """Run a configuration to a value; returns (circuit, outputs, value).
+
+    New labels are numbered after the largest label among the
+    configuration's outputs.
+    """
+    builder = CircuitBuilder(cfg.circuit, cfg.out_ctx)
+    v = _run(builder, Env(dict(cfg.env)), cfg.term,
+             registry or default_registry(), fuel)
+    return builder.circuit(), builder.context(), readback(v)
 
 
 def initial_configuration(prog: Program) -> tuple[Configuration, LabelContext]:
-    """Fresh input labels for a program; returns (configuration, input ctx)."""
+    """Input labels ``#0, #1, ...`` for a program; returns (configuration,
+    input ctx)."""
+    supply = label_supply()
     entries = []
-    term = prog.term
+    env: dict[str, Value] = {}
     for name, ty in prog.inputs:
-        label = fresh_label()
+        label = next(supply)
         entries.append((label, shape_of(ty)))
-        term = subst_term(term, name, LabelVal(label))
+        env.setdefault(name, LabelVal(label))  # the first of two equal names wins
     in_ctx = LabelContext(tuple(entries))
-    return Configuration(identity(in_ctx.obj), in_ctx, term), in_ctx
+    return Configuration(identity(in_ctx.obj), in_ctx, prog.term, env), in_ctx
 
 
 def evaluate_program(prog: Program, registry: Optional[Registry] = None,

@@ -67,10 +67,12 @@ def derive_assert_row(gdef: GateDef, b: str) -> tuple[frozenset[str], int]:
 
 
 class Registry:
-    """Named gates with their weights; immutable once built."""
+    """Named gates with their weights; immutable once built (only the cache
+    of gate literals fills in as gates are applied)."""
 
     def __init__(self, defs: Mapping[str, GateDef]):
         self._defs = dict(defs)
+        self._boxed: dict[str, BoxedCircuit] = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._defs
@@ -88,10 +90,17 @@ class Registry:
         return self.lookup(name).gate
 
     def boxed(self, name: str) -> BoxedCircuit:
-        """A one-layer boxed-circuit literal for ``@name`` references."""
-        g = self.gate(name)
-        body = Circuit(g.dom, (Layer(((g, 0),)),))
-        return box_circuit(body, spine(g.dom))
+        """The one-layer boxed-circuit literal for ``@name``, built on first use.
+
+        Its interface labels are local to the box, so the one literal serves
+        every application of the gate, in every run.
+        """
+        boxed = self._boxed.get(name)
+        if boxed is None:
+            g = self.gate(name)
+            body = Circuit(g.dom, (Layer(((g, 0),)),))
+            boxed = self._boxed[name] = box_circuit(body, spine(g.dom))
+        return boxed
 
     def extended(self, defs: Mapping[str, GateDef]) -> "Registry":
         merged = dict(self._defs)

@@ -19,7 +19,7 @@ from oracles import depth_paths_oracle, width_cuts_oracle
 from test_algebras import bitstrings, check_functor_laws, random_table_effect
 from pqc.algebras import ALGEBRAS, algebra, depth_bound
 from pqc.circuits import (
-    Circuit, Layer, WireType, equivalent, reset_labels,
+    Circuit, Layer, WireType, equivalent,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.evaluator import evaluate, initial_configuration
@@ -197,7 +197,6 @@ def test_type_preservation_on_random_programs():
     checked = 0
     for prog in general + assert_safe:
         ty1 = check_program(prog, registry)
-        reset_labels()
         cfg, in_ctx = initial_configuration(prog)
         circuit, out_ctx, value = evaluate(cfg, registry)
         ty2, leftover = check_configuration(
@@ -240,9 +239,7 @@ def test_boxing_coherent_with_direct_application():
         direct = Program(inputs, None, App(lam, arg))
         check_program(boxed, registry)
         check_program(direct, registry)
-        reset_labels()
         c1, _, _ = evaluate(initial_configuration(boxed)[0], registry)
-        reset_labels()
         c2, _, _ = evaluate(initial_configuration(direct)[0], registry)
         assert equivalent(c1, c2), show_program(boxed)
         checked += 1

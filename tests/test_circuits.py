@@ -2,10 +2,10 @@ import pytest
 
 from generators import Q, B, rng, random_circuit
 from pqc.circuits import (
-    BoxedCircuit, Circuit, Gate, Label, LabelContext, Layer, Perm,
-    WireType, append, box_circuit, canonicalize, compose, deserialize, draw,
-    equivalent, flatten_bundle, freshlabels, identity, pad_perm, perm_inverse,
-    perm_then, reset_labels, serialize, spine, symmetry, whisker_left,
+    BoxedCircuit, Circuit, CircuitBuilder, Gate, Label, LabelContext, Layer,
+    Perm, WireType, box_circuit, canonicalize, compose, deserialize, draw,
+    equivalent, flatten_bundle, freshlabels, identity, label_supply, pad_perm,
+    perm_inverse, perm_then, serialize, spine, symmetry, whisker_left,
     whisker_right,
 )
 from pqc.errors import (
@@ -108,8 +108,7 @@ def test_symmetry_self_inverse_up_to_canonicalization():
 
 
 def test_freshlabels_and_context():
-    reset_labels()
-    ctx, bundle = freshlabels(((Q, B), Q))
+    ctx, bundle = freshlabels(((Q, B), Q), label_supply())
     assert ctx.obj == (Q, B, Q)
     assert flatten_bundle(bundle) == list(ctx.labels)
     assert ctx.position(ctx.labels[2]) == 2
@@ -139,11 +138,16 @@ def test_boxed_circuit_validates_interfaces():
                      Circuit((Q, Q)), good.out_ctx, good.outputs)
 
 
+def builder_on(o):
+    """A builder over ``o`` with fresh input labels; returns (builder, ctx)."""
+    ctx, _ = freshlabels(spine(o), label_supply())
+    return CircuitBuilder(identity(o), ctx), ctx
+
+
 def test_append_attach_single_wire():
-    reset_labels()
-    ctx, _ = freshlabels(spine((Q,)))
-    c, out_bundle, out_ctx = append(
-        identity((Q,)), ctx, ctx.labels[0], registry.boxed("H"))
+    b, ctx = builder_on((Q,))
+    out_bundle = b.append(ctx.labels[0], registry.boxed("H"))
+    c, out_ctx = b.circuit(), b.context()
     assert c.steps == (Layer(((H, 0),)),)
     assert out_ctx.obj == (Q,)
     assert flatten_bundle(out_bundle) == list(out_ctx.labels)
@@ -151,11 +155,10 @@ def test_append_attach_single_wire():
 
 
 def test_append_untouched_wire_passes_through():
-    reset_labels()
-    ctx, _ = freshlabels(spine((Q, Q)))
+    b, ctx = builder_on((Q, Q))
     keep = ctx.labels[0]
-    c, _, out_ctx = append(
-        identity((Q, Q)), ctx, ctx.labels[1], registry.boxed("H"))
+    b.append(ctx.labels[1], registry.boxed("H"))
+    c, out_ctx = b.circuit(), b.context()
     assert c.cod == (Q, Q)
     assert keep in out_ctx.labels
     assert canonicalize(c).steps == (Layer(((H, 1),)),)
@@ -164,24 +167,21 @@ def test_append_untouched_wire_passes_through():
 def test_append_gathers_scattered_wires():
     # attach (wire2, wire0) to CNOT: wires must be routed together, the
     # CNOT placed, and the bystander wire restored.
-    reset_labels()
-    ctx, _ = freshlabels(spine((Q, Q, Q)))
-    attach = (ctx.labels[2], ctx.labels[0])
-    c, _, out_ctx = append(identity((Q, Q, Q)), ctx, attach,
-                           registry.boxed("CNOT"))
+    b, ctx = builder_on((Q, Q, Q))
+    b.append((ctx.labels[2], ctx.labels[0]), registry.boxed("CNOT"))
+    c, out_ctx = b.circuit(), b.context()
     assert c.cod == (Q, Q, Q)
     assert ctx.labels[1] in out_ctx.labels
     assert sum(1 for s in c.steps if isinstance(s, Layer)) == 1
 
 
 def test_append_type_mismatch_and_unknown_label():
-    reset_labels()
-    ctx, _ = freshlabels(spine((B,)))
+    b, ctx = builder_on((B,))
     with pytest.raises(WireTypeMismatch):
-        append(identity((B,)), ctx, ctx.labels[0], registry.boxed("H"))
-    ctx2, _ = freshlabels(spine((Q,)))
+        b.append(ctx.labels[0], registry.boxed("H"))
+    b2, _ = builder_on((Q,))
     with pytest.raises(LabelNotFound):
-        append(identity((Q,)), ctx2, Label(424242), registry.boxed("H"))
+        b2.append(Label(424242), registry.boxed("H"))
 
 
 def test_serialize_round_trip_on_random_circuits():

@@ -1,8 +1,11 @@
 import json
 import os
+import shutil
 
 import pytest
 
+from pqc import cli
+from pqc.algebras import ALGEBRAS
 from pqc.circuits import WireType, deserialize
 from pqc.cli import main
 from pqc.gates import default_registry
@@ -60,19 +63,61 @@ def test_check_bound_without_metric(capsys):
     assert "--metric" in err
 
 
-def test_errors_exit_2(capsys, tmp_path):
-    bad = tmp_path / "bad.pqc"
-    bad.write_text("inputs q Qubit; return q")
-    code, _, err = run_cli(capsys, "check", str(bad))
-    assert code == 2 and "error:" in err
+def skip_checker(monkeypatch):
+    # a well-typed program never gets stuck: let an ill-typed one through
+    monkeypatch.setattr(cli, "check_program", lambda *args: None)
 
-    illtyped = tmp_path / "illtyped.pqc"
-    illtyped.write_text("inputs q: Qubit; return (q, q)")
-    code, _, err = run_cli(capsys, "check", str(illtyped))
-    assert code == 2 and "error:" in err
 
-    code, _, err = run_cli(capsys, "check", str(tmp_path / "missing.pqc"))
-    assert code == 2
+def fail_comparison(monkeypatch):
+    # the static bounds are sound: make the comparison itself say no
+    monkeypatch.setattr(ALGEBRAS["gates"], "leq", lambda a, b: False)
+
+
+BAD_INPUTS = {
+    "parse.pqc": b"inputs q Qubit; return q",
+    "illtyped.pqc": b"inputs q: Qubit; return (q, q)",
+    "bits.pqc": b"inputs q: Qubit; let b = apply(@meas, q) in return b",
+    "gate_as_function.pqc": b"inputs q: Qubit; @H q",
+    "binary.pqc": b"\xff\xfe",
+}
+
+
+@pytest.mark.parametrize("argv, code, patch", [
+    pytest.param(["check", "parse.pqc"], 2, None, id="parse-error"),
+    pytest.param(["check", "illtyped.pqc"], 2, None, id="type-error"),
+    pytest.param(["analyze", "bits.pqc", "--metric", "assert"], 2, None,
+                 id="effect-error"),
+    pytest.param(["run", "gate_as_function.pqc"], 2, skip_checker, id="stuck"),
+    pytest.param(["verify", "bell.pqc", "--metric", "gates", "--fuel", "3"], 2,
+                 None, id="fuel-exhausted"),
+    pytest.param(["check", "missing.pqc"], 2, None, id="missing-file"),
+    pytest.param(["check", "."], 2, None, id="directory"),
+    pytest.param(["check", "binary.pqc"], 2, None, id="not-utf8"),
+    pytest.param(["analyze", "interleave.pqc", "--metric", "assert",
+                  "--precondition", "0x1"], 2, None, id="bad-precondition"),
+    pytest.param(["check", "bell.pqc", "--metric", "gates", "--bound", "3"], 1,
+                 None, id="bound-exceeded"),
+    pytest.param(["verify", "bell.pqc", "--metric", "gates"], 1, fail_comparison,
+                 id="verify-failed"),
+    pytest.param(["verify", "lnn.pqc", "--metric", "assert"], 0, None,
+                 id="success"),
+])
+def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, patch):
+    """Exit 2 with one ``error:`` line on any failure, 1 when a requested
+    check did not hold, 0 otherwise."""
+    for name in os.listdir(DEMOS):
+        shutil.copy(os.path.join(DEMOS, name), tmp_path)
+    for name, data in BAD_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    if patch is not None:
+        patch(monkeypatch)
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
 
 
 # --------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 import pytest
 
 from generators import rng, random_program
-from pqc.circuits import Layer, WireType, flatten_bundle, reset_labels
+from pqc.circuits import Circuit, Label, Layer, WireType, flatten_bundle
 from pqc.errors import FuelExhausted, Stuck
 from pqc.evaluator import (
-    bundle_to_value, evaluate, evaluate_program, initial_configuration,
+    Env, bundle_to_value, evaluate, evaluate_program, initial_configuration,
     subst_term, subst_value, value_to_bundle,
 )
 from pqc.gates import default_registry
 from pqc.syntax import (
     Apply, App, Dest, Force, GateRef, Ifz, LabelVal, Lam, Let, NatVal, Pair,
-    QubitT, Ret, UnitVal, Var, parse_program,
+    Program, QubitT, Ret, UnitVal, Var, parse_program,
 )
 from pqc.typecheck import check_program
 
@@ -23,7 +23,6 @@ B = WireType.BIT
 def run(src: str, fuel=None):
     prog = parse_program(src)
     check_program(prog, registry)
-    reset_labels()
     return evaluate_program(prog, registry, fuel=fuel)
 
 
@@ -34,29 +33,29 @@ def gate_sequence(circuit):
 
 
 # --------------------------------------------------------------------------
-# substitution
+# substitution (reading closures back into syntax)
 # --------------------------------------------------------------------------
 
 def test_subst_let_shadows_body_not_bound():
     m = Let("x", Ret(Var("x")), Ret(Var("x")))
-    out = subst_term(m, "x", NatVal(3))
+    out = subst_term(m, Env({"x": NatVal(3)}))
     assert out == Let("x", Ret(NatVal(3)), Ret(Var("x")))
 
 
 def test_subst_lambda_shadowing():
     lam = Lam("x", QubitT(), Ret(Var("x")))
-    assert subst_value(lam, "x", NatVal(1)) == lam
+    assert subst_value(lam, Env({"x": NatVal(1)})) == lam
     lam2 = Lam("y", QubitT(), Ret(Pair(Var("y"), Var("x"))))
-    assert subst_value(lam2, "x", NatVal(1)) == \
+    assert subst_value(lam2, Env({"x": NatVal(1)})) == \
         Lam("y", QubitT(), Ret(Pair(Var("y"), NatVal(1))))
 
 
 def test_subst_dest_shadowing():
     body = Ret(Pair(Var("a"), Var("b")))
     m = Dest("a", "b", Var("p"), body)
-    out = subst_term(m, "a", NatVal(7))
+    out = subst_term(m, Env({"a": NatVal(7)}))
     assert out.body == body  # binder shadows
-    out2 = subst_term(m, "p", Pair(NatVal(1), NatVal(2)))
+    out2 = subst_term(m, Env({"p": Pair(NatVal(1), NatVal(2))}))
     assert out2.value == Pair(NatVal(1), NatVal(2))
 
 
@@ -65,9 +64,7 @@ def test_subst_dest_shadowing():
 # --------------------------------------------------------------------------
 
 def test_bundle_value_round_trip():
-    reset_labels()
-    from pqc.circuits import fresh_label
-    l0, l1 = fresh_label(), fresh_label()
+    l0, l1 = Label(0), Label(1)
     for b in ((), l0, (l0, l1), ((l0, ()), l1)):
         assert value_to_bundle(bundle_to_value(b)) == b
 
@@ -97,7 +94,6 @@ def test_bell_program_builds_expected_circuit():
 
 def test_inputs_become_wires_in_declaration_order():
     prog = parse_program("inputs a: Qubit, b: Bit; return (b, a)")
-    reset_labels()
     cfg, in_ctx = initial_configuration(prog)
     assert in_ctx.obj == (Q, B)
     assert cfg.circuit.dom == (Q, B)
@@ -135,7 +131,6 @@ def test_boxed_circuit_value_has_the_function_body():
         r"   let x = apply(@H, x) in apply(@X, x) in"
         r" apply(c, q)")
     check_program(prog, registry)
-    reset_labels()
     c, ctx, v = evaluate_program(prog, registry)
     assert gate_sequence(c) == [("H", 0), ("X", 0)]
     assert c.dom == (Q,) and c.cod == (Q,)
@@ -148,6 +143,14 @@ def test_apply_boxed_away_from_wire_zero():
         r" let b = apply(c, b) in"
         r" return (a, b)")
     assert gate_sequence(c) == [("H", 1)]
+
+
+def test_gate_literal_is_built_once_and_takes_no_run_labels():
+    assert registry.boxed("H") is registry.boxed("H")
+    c, ctx, v = run("inputs q: Qubit; let q = apply(@H, q) in apply(@H, q)")
+    h = registry.gate("H")
+    assert c == Circuit((Q,), (Layer(((h, 0),)), Layer(((h, 0),))))
+    assert ctx.labels == [Label(2)]  # #0 the input, #1 and #2 the two outputs
 
 
 def test_boxed_value_reused_twice():
@@ -186,6 +189,18 @@ def test_ifz_picks_branches():
     assert gate_sequence(c) == [("X", 0)]
 
 
+def test_closures_see_the_scope_they_were_written_in():
+    # f is written inside a nested let; rebinding x afterwards must not reach it
+    c, ctx, v = run(
+        "inputs q: Qubit;"
+        " let x = return 0 in"
+        " let f = let y = return 5 in return (lift return x) in"
+        " let x = return 1 in"
+        " let n = force f in"
+        " ifz n then apply(@H, q) else apply(@X, q)")
+    assert gate_sequence(c) == [("H", 0)]
+
+
 def test_force_lift_cancel():
     c, ctx, v = run("inputs; let n = force lift return 4 in return n")
     assert v == NatVal(4)
@@ -207,7 +222,6 @@ def test_gate_application_needs_apply():
 
 
 def test_stuck_shapes():
-    reset_labels()
     bad = [
         App(NatVal(1), NatVal(2)),
         Dest("a", "b", NatVal(1), Ret(UnitVal())),
@@ -232,8 +246,17 @@ def test_random_programs_evaluate_cleanly():
     for _ in range(40):
         prog = random_program(r)
         check_program(prog, registry)
-        reset_labels()
         c, ctx, v = evaluate_program(prog, registry, fuel=10_000)
         assert ctx.obj == c.cod
         assert sorted(flatten_bundle(value_to_bundle(v))) == \
             sorted(ctx.labels)
+
+
+def test_deep_let_chain_evaluates_without_recursion():
+    t = Ret(Var("x"))
+    for _ in range(20_000):
+        t = Let("x", Apply(GateRef("H"), Var("x")), t)
+    c, ctx, v = evaluate_program(Program((("x", QubitT()),), None, t), registry)
+    assert ctx.obj == c.cod == (Q,)
+    assert len(c.steps) == 20_000
+    assert value_to_bundle(v) == ctx.labels[0]

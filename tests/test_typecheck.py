@@ -2,7 +2,7 @@ import pytest
 
 from generators import rng, random_program
 from pqc.algebras import TRIVIAL, algebra
-from pqc.circuits import WireType, freshlabels, identity, reset_labels
+from pqc.circuits import WireType, freshlabels, identity, label_supply
 from pqc.effects import infer_program_effect
 from pqc.errors import (
     BoxCapturesWires, LinearityViolation, MisplacedTerm, NotACircuit,
@@ -220,8 +220,7 @@ def test_ifz_needs_nat():
 # --------------------------------------------------------------------------
 
 def test_check_configuration_types_label_terms():
-    reset_labels()
-    ctx, bundle = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()))
+    ctx, bundle = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()), label_supply())
     l0, l1 = ctx.labels
     ty, out = check_configuration(
         ctx, identity(ctx.obj),
@@ -236,8 +235,7 @@ def test_check_configuration_types_label_terms():
 
 
 def test_check_configuration_rejects_wrong_contexts():
-    reset_labels()
-    ctx, _ = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()))
+    ctx, _ = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()), label_supply())
     with pytest.raises(ObjectMismatch):
         check_configuration(ctx, identity((WireType.QUBIT,)),
                             Ret(LabelVal(ctx.labels[0])), ctx, registry)
