@@ -5,6 +5,12 @@ circuit a morphism between them (an ``Effect``), such that composition,
 identities, whiskering and symmetry are preserved on the nose, and morphisms
 carry a preorder (``leq``) with joins where the order is a lattice.
 
+Whiskering is one two-sided primitive per algebra, ``whisker_eff(l, e, r)``:
+``e`` with ``l`` wires passing above it and ``r`` below. There is no tensor
+of effects: read premonoidally, a layer is its gates in sequence, each
+whiskered by the wires beside it, and ``CircuitAlgebra.abstract`` folds it
+that way.
+
 Shipped algebras:
 
 * ``gates``        — total gate count (single object, ℕ, +).
@@ -45,7 +51,7 @@ from typing import Mapping, Optional, Union
 
 import numpy as np
 
-from .circuits import Circuit, Gate, Layer, Obj, Perm, WireType
+from .circuits import Circuit, Layer, Obj, Perm, WireType
 from .errors import EffectObjectMismatch, UnsupportedWire
 from .gates import GateDef, Registry, derive_assert_row
 from .tropical import NEG_INF, TropicalMatrix
@@ -61,7 +67,13 @@ class Effect:
 
 
 class CircuitAlgebra:
-    """Interface + generic layer/abstraction machinery for circuit algebras."""
+    """Interface of a circuit algebra, plus the generic ``abstract`` fold.
+
+    Per algebra: objects (``obj_of``), identities, ``compose_eff``, the one
+    whiskering primitive ``whisker_eff``, gate and permutation effects, and
+    the order (``leq``, ``join``). A layer needs nothing more: it is its
+    gates in sequence, each whiskered by the wires beside it.
+    """
 
     name = "?"
     # False when effects ignore wire positions (obj_of is constant and every
@@ -79,10 +91,8 @@ class CircuitAlgebra:
     def compose_eff(self, e1: Effect, e2: Effect) -> Effect:
         raise NotImplementedError
 
-    def whisker_left_eff(self, k, e: Effect) -> Effect:
-        raise NotImplementedError
-
-    def whisker_right_eff(self, e: Effect, k) -> Effect:
+    def whisker_eff(self, left, e: Effect, right) -> Effect:
+        """``e`` with ``left`` wires passing above it and ``right`` below."""
         raise NotImplementedError
 
     def leq(self, e1: Effect, e2: Effect) -> bool:
@@ -126,35 +136,30 @@ class CircuitAlgebra:
                 f"{what} needs equal endpoints: "
                 f"{e1.dom}→{e1.cod} vs {e2.dom}→{e2.cod}")
 
-    def tensor_eff(self, e1: Effect, e2: Effect) -> Effect:
-        """Side-by-side combination, realized as whisker-then-whisker."""
-        return self.compose_eff(
-            self.whisker_right_eff(e1, e2.dom),
-            self.whisker_left_eff(e1.cod, e2))
-
-    def layer_effect(self, dom: Obj, layer: Layer, registry: Registry) -> Effect:
-        eff = self.identity_effect(self.obj_of(()))
-        pos = 0
-        for gate, at in layer.placements:
-            if at > pos:
-                eff = self.tensor_eff(eff, self.identity_effect(self.obj_of(dom[pos:at])))
-            eff = self.tensor_eff(eff, self.gate_effect(registry.lookup(gate.name)))
-            pos = at + len(gate.dom)
-        if pos < len(dom):
-            eff = self.tensor_eff(eff, self.identity_effect(self.obj_of(dom[pos:])))
-        return eff
-
     def abstract(self, c: Circuit, registry: Registry) -> Effect:
-        """The algebra's image of a circuit (a step-by-step fold)."""
+        """The algebra's image of a circuit: a fold over its gates.
+
+        ``cur`` is the object the next gate meets, and the gate is whiskered
+        by the wires of ``cur`` beside it. Gates that change the wire count
+        (init, discard) shift the later placements of their layer.
+        """
         eff = self.identity_effect(self.obj_of(c.dom))
         cur = c.dom
         for step in c.steps:
-            if isinstance(step, Layer):
-                s = self.layer_effect(cur, step, registry)
-            else:
-                s = self.perm_effect(step.perm, cur)
-            eff = self.compose_eff(eff, s)
-            cur = step.cod(cur)
+            if isinstance(step, Perm):
+                eff = self.compose_eff(eff, self.perm_effect(step.perm, cur))
+                cur = step.cod(cur)
+                continue
+            shift = 0
+            for gate, at in step.placements:
+                lo = at + shift
+                hi = lo + len(gate.dom)
+                eff = self.compose_eff(eff, self.whisker_eff(
+                    self.obj_of(cur[:lo]),
+                    self.gate_effect(registry.lookup(gate.name)),
+                    self.obj_of(cur[hi:])))
+                cur = cur[:lo] + gate.cod + cur[hi:]
+                shift += len(gate.cod) - len(gate.dom)
         return eff
 
 
@@ -176,10 +181,7 @@ class _ScalarAlgebra(CircuitAlgebra):
     def compose_eff(self, e1, e2) -> Effect:
         return Effect("*", "*", e1.value + e2.value)
 
-    def whisker_left_eff(self, k, e) -> Effect:
-        return e
-
-    def whisker_right_eff(self, e, k) -> Effect:
+    def whisker_eff(self, left, e, right) -> Effect:
         return e
 
     def leq(self, e1, e2) -> bool:
@@ -211,9 +213,9 @@ class NaiveDepthAlgebra(_ScalarAlgebra):
     def gate_effect(self, gdef: GateDef) -> Effect:
         return Effect("*", "*", 1)
 
-    def layer_effect(self, dom, layer, registry) -> Effect:
+    def abstract(self, c, registry) -> Effect:
         # a layer is one time step however many gates it holds
-        return Effect("*", "*", 1)
+        return Effect("*", "*", sum(isinstance(s, Layer) for s in c.steps))
 
 
 class TrivialAlgebra(_ScalarAlgebra):
@@ -254,11 +256,9 @@ class WidthAlgebra(CircuitAlgebra):
             raise EffectObjectMismatch(f"width compose: {e1.cod} vs {e2.dom}")
         return Effect(e1.dom, e2.cod, max(e1.value, e2.value))
 
-    def whisker_left_eff(self, k: int, e) -> Effect:
-        return Effect(k + e.dom, k + e.cod, k + e.value)
-
-    def whisker_right_eff(self, e, k: int) -> Effect:
-        return Effect(e.dom + k, e.cod + k, e.value + k)
+    def whisker_eff(self, left: int, e, right: int) -> Effect:
+        return Effect(left + e.dom + right, left + e.cod + right,
+                      left + e.value + right)
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "width leq")
@@ -338,20 +338,16 @@ class DepthAlgebra(CircuitAlgebra):
             TropicalMatrix(TropicalMatrix(t1.w.data.T).matmul(t2.a).data.T))
         return Effect(e1.dom, e2.cod, DepthTriple(a, v, w))
 
-    def _pad(self, t: DepthTriple, left: int, right: int) -> DepthTriple:
+    def whisker_eff(self, left: int, e, right: int) -> Effect:
+        # passing wires are identity blocks; they neither start nor end paths
+        t: DepthTriple = e.value
         a = TropicalMatrix.eye(left).direct_sum(t.a).direct_sum(TropicalMatrix.eye(right))
-        k1, k2 = t.a.shape
-        v = np.full((1, left + k1 + right), NEG_INF)
-        v[0, left:left + k1] = t.v.data[0]
-        w = np.full((left + k2 + right, 1), NEG_INF)
-        w[left:left + k2, 0] = t.w.data[:, 0]
-        return DepthTriple(a, TropicalMatrix(v), TropicalMatrix(w))
-
-    def whisker_left_eff(self, k: int, e) -> Effect:
-        return Effect(k + e.dom, k + e.cod, self._pad(e.value, k, 0))
-
-    def whisker_right_eff(self, e, k: int) -> Effect:
-        return Effect(e.dom + k, e.cod + k, self._pad(e.value, 0, k))
+        v = np.full((1, left + e.dom + right), NEG_INF)
+        v[0, left:left + e.dom] = t.v.data[0]
+        w = np.full((left + e.cod + right, 1), NEG_INF)
+        w[left:left + e.cod, 0] = t.w.data[:, 0]
+        return Effect(left + e.dom + right, left + e.cod + right,
+                      DepthTriple(a, TropicalMatrix(v), TropicalMatrix(w)))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "depth leq")
@@ -534,33 +530,19 @@ class AssertAlgebra(CircuitAlgebra):
         cost = _mk_sum([v1.cost, _pullback(v2.cost, v1.rows)])
         return Effect(e1.dom, e2.cod, AssertValue(rows, cost))
 
-    def _remap(self, e: Effect, dom: int, cod: int, f_in, f_out) -> Effect:
-        """Rebuild an effect over remapped bit positions.
-
-        ``f_in`` maps a new-dom basis string to the old-dom string plus the
-        passthrough context; ``f_out`` reassembles the new-cod string.
-        """
+    def whisker_eff(self, left: int, e, right: int) -> Effect:
+        # the middle bits of b pick e's row and its costs; the passing bits
+        # are copied around every state in that row
         v: AssertValue = e.value
+        hi = left + e.dom
         rows = {}
         pull: dict[str, frozenset[str]] = {}
-        for b in _bitstrings(dom):
-            old, ctx = f_in(b)
-            rows[b] = frozenset(f_out(y, ctx) for y in v.rows[old])
+        for b in _bitstrings(hi + right):
+            old = b[left:hi]
+            rows[b] = frozenset(b[:left] + y + b[hi:] for y in v.rows[old])
             pull[b] = frozenset({old})
-        return Effect(dom, cod, AssertValue(rows, _pullback(v.cost, pull)))
-
-    def whisker_left_eff(self, k: int, e) -> Effect:
-        return self._remap(
-            e, k + e.dom, k + e.cod,
-            lambda b: (b[k:], b[:k]),
-            lambda y, ctx: ctx + y)
-
-    def whisker_right_eff(self, e, k: int) -> Effect:
-        d = e.dom
-        return self._remap(
-            e, e.dom + k, e.cod + k,
-            lambda b: (b[:d], b[d:]),
-            lambda y, ctx: y + ctx)
+        return Effect(hi + right, left + e.cod + right,
+                      AssertValue(rows, _pullback(v.cost, pull)))
 
     def _cost_table(self, node: CostNode, singles: list[str]) -> np.ndarray:
         """eval_cost over every subset of ``singles`` (index = bitmask)."""

@@ -285,13 +285,6 @@ def perm_then(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
-def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
 def pad_perm(p: tuple[int, ...], left: int, right: int) -> tuple[int, ...]:
     n = len(p)
     return tuple(
@@ -318,16 +311,6 @@ class Circuit:
         for step in self.steps:
             cur = step.cod(cur)
         object.__setattr__(self, "cod", cur)
-
-    def boundaries(self) -> list[Obj]:
-        """Objects at every step boundary, inputs first (len(steps)+1 items)."""
-        out = [self.dom]
-        for step in self.steps:
-            out.append(step.cod(out[-1]))
-        return out
-
-    def gates(self) -> list[Gate]:
-        return [g for s in self.steps if isinstance(s, Layer) for g, _ in s.placements]
 
     def __str__(self) -> str:
         body = "; ".join(str(s) for s in self.steps) or "id"

@@ -199,6 +199,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # OSError and UnicodeDecodeError: an input file that cannot be read
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # the parser and the checker still spend one frame per nested term
+        print("error: program is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

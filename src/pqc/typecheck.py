@@ -423,7 +423,8 @@ class EffectChecker:
                 eff = alg.compose_eff(
                     self._reorder(g2 + g1),
                     alg.compose_eff(
-                        alg.whisker_left_eff(alg.obj_of(self._blocks_obj(g2)), be),
+                        alg.whisker_eff(alg.obj_of(self._blocks_obj(g2)), be,
+                                        alg.obj_of(())),
                         te))
             case Apply(circ, arg):
                 ct, cu, _ = self.infer_value(circ)
@@ -516,7 +517,8 @@ class EffectChecker:
                 unit = alg.identity_effect(alg.obj_of(()))
                 prelude = vt.eff if vt.eff is not None else unit
                 circ_eff = alg.compose_eff(
-                    alg.whisker_left_eff(alg.obj_of(wires_of(arrow.dom)), prelude),
+                    alg.whisker_eff(alg.obj_of(wires_of(arrow.dom)), prelude,
+                                    alg.obj_of(())),
                     fn_eff)
                 ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
                 eff = unit

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from generators import (
-    Q, B, rng, random_circuit, random_qubit_circuit, random_steps, tropical,
+    ASSERT_POOL, Q, B, rng, random_circuit, random_qubit_circuit, random_steps,
+    tropical,
 )
 from oracles import assert_sim_oracle, depth_paths_oracle, width_cuts_oracle
 from pqc.algebras import (
@@ -48,10 +49,13 @@ def check_functor_laws(alg, r: random.Random, circuit_gen, rounds: int) -> int:
         assert alg.abstract(compose(c, d), registry) == \
             alg.compose_eff(alg.abstract(c, registry), alg.abstract(d, registry))
         o = (Q,) * r.randint(0, 2)
+        k, none = alg.obj_of(o), alg.obj_of(())
         assert alg.abstract(whisker_left(o, c), registry) == \
-            alg.whisker_left_eff(alg.obj_of(o), alg.abstract(c, registry))
+            alg.whisker_eff(k, alg.abstract(c, registry), none)
         assert alg.abstract(whisker_right(c, o), registry) == \
-            alg.whisker_right_eff(alg.abstract(c, registry), alg.obj_of(o))
+            alg.whisker_eff(none, alg.abstract(c, registry), k)
+        assert alg.abstract(whisker_right(whisker_left(o, c), o), registry) == \
+            alg.whisker_eff(k, alg.abstract(c, registry), k)
         a, b = (Q,) * r.randint(0, 2), (Q,) * r.randint(0, 2)
         s = symmetry(a, b)
         perm = s.steps[0].perm if s.steps else tuple(range(len(a + b)))
@@ -338,17 +342,59 @@ def test_assert_bound_and_from_bound():
 # shared plumbing
 # --------------------------------------------------------------------------
 
-def test_layer_effect_equals_whisker_decomposition():
+def random_layer(r: random.Random, pool, max_wires: int) -> Circuit:
+    """One layer of at least two gates from ``pool``, inits stacked at will."""
+    gates = [registry.gate(name) for name in pool]
+    while True:
+        dom = (Q,) * r.randint(0, max_wires)
+        placements, pos = [], 0
+        while pos <= len(dom):
+            g = r.choice(gates)
+            take = len(g.dom)
+            if dom[pos:pos + take] == g.dom and r.random() < 0.6:
+                placements.append((g, pos))
+                pos += take or r.randint(0, 1)
+            else:
+                pos += 1
+        if len(placements) >= 2:
+            return Circuit(dom, (Layer(tuple(placements)),))
+
+
+def sequenced(layer: Circuit) -> Circuit:
+    """The layer's gates one after another, each whiskered by its neighbours.
+
+    Wires are tracked by name, not by position arithmetic: a gate at input
+    position ``at`` sits just before input wire ``at`` (or at the end).
+    """
+    wires = [("in", i) for i in range(len(layer.dom))]
+    out = identity(layer.dom)
+    for n, (g, at) in enumerate(layer.steps[0].placements):
+        lo = wires.index(("in", at)) if at < len(layer.dom) else len(wires)
+        hi = lo + len(g.dom)
+        single = Circuit(g.dom, (Layer(((g, 0),)),))
+        out = compose(out, whisker_right(
+            whisker_left(out.cod[:lo], single), out.cod[hi:]))
+        wires[lo:hi] = [("gate", n, j) for j in range(len(g.cod))]
+    return out
+
+
+def test_layer_image_equals_whisker_decomposition():
     # a two-gate layer must equal (g1 ⋉ rest); (done ⋊ g2)
-    for name in ALGEBRAS:
-        alg = ALGEBRAS[name]
-        joint = Circuit((Q, Q, Q), (Layer(((H, 0), (CNOT, 1))),))
-        split = compose(
-            whisker_right(Circuit((Q,), (Layer(((H, 0),)),)), (Q, Q)),
-            whisker_left((Q,), Circuit((Q, Q), (Layer(((CNOT, 0),)),))))
+    joint = Circuit((Q, Q, Q), (Layer(((H, 0), (CNOT, 1))),))
+    split = compose(
+        whisker_right(Circuit((Q,), (Layer(((H, 0),)),)), (Q, Q)),
+        whisker_left((Q,), Circuit((Q, Q), (Layer(((CNOT, 0),)),))))
+    assert sequenced(joint) == split
+    r = rng("layer-split")
+    cases = [joint] + [random_layer(r, ("H", "CNOT", "init", "discard", "meas"), 5)
+                       for _ in range(60)]
+    qubit_cases = [joint] + [random_layer(r, ASSERT_POOL, 3) for _ in range(40)]
+    for name, alg in ALGEBRAS.items():
         if name == "depth-naive":
             continue  # the naive count is the one metric that sees layers
-        assert alg.abstract(joint, registry) == alg.abstract(split, registry)
+        for c in qubit_cases if name == "assert" else cases:
+            assert alg.abstract(c, registry) == \
+                alg.abstract(sequenced(c), registry), (name, str(c))
 
 
 def test_algebra_lookup():

@@ -79,6 +79,8 @@ BAD_INPUTS = {
     "bits.pqc": b"inputs q: Qubit; let b = apply(@meas, q) in return b",
     "gate_as_function.pqc": b"inputs q: Qubit; @H q",
     "binary.pqc": b"\xff\xfe",
+    "deep.pqc": (b"inputs q: Qubit;\n" + b"let q = apply(@H, q) in\n" * 3000
+                 + b"return q\n"),
 }
 
 
@@ -93,6 +95,7 @@ BAD_INPUTS = {
     pytest.param(["check", "missing.pqc"], 2, None, id="missing-file"),
     pytest.param(["check", "."], 2, None, id="directory"),
     pytest.param(["check", "binary.pqc"], 2, None, id="not-utf8"),
+    pytest.param(["check", "deep.pqc"], 2, None, id="too-deep"),
     pytest.param(["analyze", "interleave.pqc", "--metric", "assert",
                   "--precondition", "0x1"], 2, None, id="bad-precondition"),
     pytest.param(["check", "bell.pqc", "--metric", "gates", "--bound", "3"], 1,

@@ -9,7 +9,14 @@ random-program suites it holds
   out with one unit less, so ``--fuel N`` accepts and rejects the same
   programs;
 * the outputs and the value, with labels renamed ``#0, #1, ...`` in order of
-  first appearance, so they must agree up to a consistent renaming.
+  first appearance, so they must agree up to a consistent renaming;
+* under each of the five algebras, the sha256 of the ``value_json`` (with
+  the endpoints) of ``abstract`` on the built circuit (``"abstract"``) and of
+  static inference on the program (``"infer"``), or the class of the error
+  where the algebra rejects it (such as ``UnsupportedWire`` on bits under
+  ``assert``). These were recorded before the algebras' two one-sided
+  whiskers and their per-gate tensor gave way to one two-sided whisker, so
+  the image of every circuit and program must stay the same.
 
 Besides the demos, a few hand-written sources cover what the random
 programs do not: closures returned as values (read back with their captured
@@ -31,11 +38,13 @@ import re
 import pytest
 
 from generators import random_program
+from pqc.algebras import ALGEBRAS
 from pqc.circuits import serialize
 from pqc.cli import main
-from pqc.errors import FuelExhausted
+from pqc.effects import infer_program_effect
+from pqc.errors import FuelExhausted, PqcError
 from pqc.evaluator import evaluate_program
-from pqc.gates import default_registry
+from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import parse_program, show_program, show_value
 from pqc.typecheck import check_program
 
@@ -62,6 +71,38 @@ def canonical(outputs: list[list[str]], value: str) -> dict:
 
     outs = [[re.sub(r"#\d+", rename, l), t] for l, t in outputs]
     return {"outputs": outs, "value": re.sub(r"#\d+", rename, value)}
+
+
+def effects_digest(image) -> str:
+    """sha256 over every algebra's ``value_json`` of ``image(alg)``."""
+    doc = {}
+    for name, alg in sorted(ALGEBRAS.items()):
+        try:
+            e = image(alg)
+        except PqcError as err:
+            doc[name] = type(err).__name__
+        else:
+            doc[name] = [e.dom, e.cod, alg.value_json(e)]
+    return sha256(json.dumps(doc, sort_keys=True))
+
+
+def effect_pins(prog, circuit, reg) -> dict:
+    return {
+        "abstract": effects_digest(lambda alg: alg.abstract(circuit, reg)),
+        "infer": effects_digest(
+            lambda alg: infer_program_effect(prog, alg, reg)[1]),
+    }
+
+
+def load_demo(name: str):
+    """A demo program with the registry its gate-spec line asks for."""
+    path = os.path.join(DEMOS, name)
+    with open(path, encoding="utf-8") as f:
+        prog = parse_program(f.read())
+    reg = registry
+    if prog.gates_path is not None:
+        reg = reg.extended(load_gate_spec(os.path.join(DEMOS, prog.gates_path)))
+    return prog, reg
 
 
 def suite(salt: str, count: int, assert_safe: bool) -> list:
@@ -100,10 +141,17 @@ def test_demo_runs_match_pins(capsys, tmp_path, name):
     code, _, err = run_cli(capsys, "run", path, "--fuel", str(pin["fuel"] - 1))
     assert code == 2 and "fuel" in err
 
+    prog, reg = load_demo(name)
+    circuit, _, _ = evaluate_program(prog, reg)
+    assert effect_pins(prog, circuit, reg) == {
+        k: pin[k] for k in ("abstract", "infer")}
+
 
 def check_run(prog, pin, where):
     circuit, out_ctx, value = evaluate_program(prog, registry, pin["fuel"])
     assert sha256(serialize(circuit)) == pin["sha256"], where
+    assert effect_pins(prog, circuit, registry) == {
+        k: pin[k] for k in ("abstract", "infer")}, where
     got = canonical([[str(l), str(t)] for l, t in out_ctx], show_value(value))
     assert got == {"outputs": pin["outputs"], "value": pin["value"]}, where
     with pytest.raises(FuelExhausted):
