@@ -41,7 +41,6 @@ from .circuits import (
     draw,
     equivalent,
     flatten_bundle,
-    flatten_shape,
     freshlabels,
     identity,
     label_supply,

@@ -33,18 +33,21 @@ Shipped algebras:
 it is the algebra plain type checking runs over (see ``typecheck``).
 
 The assert cost is stored as a *stage profile* rather than a single number:
-stage k remembers, for each input basis state b, the cost of original layer
-k on the states reachable from b. Evaluating on a precondition L gives
-``cost(L) = Σ_k max_{b∈L} g_k(b)``. On a single layer this collapses to the
-familiar (postset, cost) pair with the join law
+a flat tuple of items that add up. A stage remembers, for each input basis
+state b, the cost g(b) of one original gate on the states reachable from b;
+a ``MaxCost`` item is the larger of two branch costs (a join). Evaluating
+on a precondition L gives ``cost(L) = Σ_k max_{b∈L} g_k(b)``, and
+``eval_cost`` does so for many preconditions at once. On a single gate this
+collapses to the familiar (postset, cost) pair with the join law
 ``e(L₁∪L₂) = (L₁'∪L₂', max(c₁,c₂))``; on composites it is what makes
-sequential composition strictly associative (stage concatenation), which a
+sequential composition strictly associative (tuple concatenation), which a
 single running total is not. All-zero stages are dropped, so cost-free steps
 (permutations, removable-everywhere gates) never perturb equality.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -52,7 +55,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .circuits import Circuit, Layer, Obj, Perm, WireType
-from .errors import EffectObjectMismatch, UnsupportedWire
+from .errors import EffectError, EffectObjectMismatch, UnsupportedWire
 from .gates import GateDef, Registry, derive_assert_row
 from .tropical import NEG_INF, TropicalMatrix
 
@@ -404,78 +407,58 @@ Stage = tuple[tuple[str, int], ...]       # sorted (basis, cost>0) pairs
 
 
 @dataclass(frozen=True)
-class StageCosts:
-    stages: tuple[Stage, ...]
-
-
-@dataclass(frozen=True)
 class MaxCost:
-    children: tuple["CostNode", ...]
+    """The larger of the costs of two branches."""
+
+    children: tuple["Cost", ...]
 
 
-@dataclass(frozen=True)
-class SumCost:
-    parts: tuple["CostNode", ...]
+Cost = tuple[Union[Stage, MaxCost], ...]  # items, summed
+
+# Outside weights (gate-spec costs, bounds) are capped so that a sum of the
+# stages of any cost that fits in memory (< 2^32 items) fits in an int64.
+_ASSERT_MAX_COST = 2**31 - 1
 
 
-CostNode = Union[StageCosts, MaxCost, SumCost]
+def _stage(costs: Mapping[str, int]) -> Cost:
+    """The cost of one stage with these per-state costs (empty if all zero)."""
+    stage = tuple(sorted((b, c) for b, c in costs.items() if c > 0))
+    top = max((c for _, c in stage), default=0)
+    if top > _ASSERT_MAX_COST:
+        raise EffectError(f"assert costs are at most {_ASSERT_MAX_COST}, got {top}")
+    return (stage,) if stage else ()
 
 
-def _mk_stage(costs: Mapping[str, int]) -> Stage:
-    return tuple(sorted((b, c) for b, c in costs.items() if c > 0))
+def eval_cost(cost: Cost, pre: np.ndarray) -> np.ndarray:
+    """The cost under each row of ``pre``.
 
-
-def _mk_stages(stages) -> StageCosts:
-    return StageCosts(tuple(s for s in stages if s))
-
-
-def _mk_sum(parts: list[CostNode]) -> CostNode:
-    flat: list[CostNode] = []
-    for p in parts:
-        if isinstance(p, SumCost):
-            flat.extend(p.parts)
+    ``pre`` is a boolean matrix with one row per precondition and one column
+    per input basis state (by its binary value). A stage costs its largest
+    entry on the row's states, a ``MaxCost`` the largest of its children, and
+    the items of a cost add up.
+    """
+    total = np.zeros(len(pre), dtype=np.int64)
+    for item in cost:
+        if isinstance(item, MaxCost):
+            total += np.maximum.reduce([eval_cost(ch, pre) for ch in item.children])
         else:
-            flat.append(p)
-    merged: list[CostNode] = []
-    for p in flat:
-        if (merged and isinstance(p, StageCosts)
-                and isinstance(merged[-1], StageCosts)):
-            merged[-1] = StageCosts(merged[-1].stages + p.stages)
-        elif isinstance(p, StageCosts) and not p.stages:
-            continue
+            g = np.zeros(pre.shape[1], dtype=np.int64)
+            g[[int("0" + b, 2) for b, _ in item]] = [c for _, c in item]
+            total += (pre * g).max(axis=1)
+    return total
+
+
+def _pullback(cost: Cost, evo: Mapping[str, frozenset[str]]) -> Cost:
+    """``cost`` read before ``evo``: a stage costs at b its max over evo[b]."""
+    out: list = []
+    for item in cost:
+        if isinstance(item, MaxCost):
+            out.append(MaxCost(tuple(_pullback(ch, evo) for ch in item.children)))
         else:
-            merged.append(p)
-    if not merged:
-        return StageCosts(())
-    if len(merged) == 1:
-        return merged[0]
-    return SumCost(tuple(merged))
-
-
-def _stage_value(stage: Stage, states: frozenset[str]) -> int:
-    return max((c for b, c in stage if b in states), default=0)
-
-
-def eval_cost(node: CostNode, states: frozenset[str]) -> int:
-    if isinstance(node, StageCosts):
-        return sum(_stage_value(s, states) for s in node.stages)
-    if isinstance(node, MaxCost):
-        return max((eval_cost(ch, states) for ch in node.children), default=0)
-    return sum(eval_cost(p, states) for p in node.parts)
-
-
-def _pullback(node: CostNode, evo: Mapping[str, frozenset[str]]) -> CostNode:
-    if isinstance(node, StageCosts):
-        stages = []
-        for stage in node.stages:
-            lut = dict(stage)
-            stages.append(_mk_stage(
-                {b: max((lut.get(y, 0) for y in post), default=0)
-                 for b, post in evo.items()}))
-        return _mk_stages(stages)
-    if isinstance(node, MaxCost):
-        return MaxCost(tuple(_pullback(ch, evo) for ch in node.children))
-    return _mk_sum([_pullback(p, evo) for p in node.parts])
+            lut = dict(item)
+            out.extend(_stage({b: max((lut.get(y, 0) for y in post), default=0)
+                               for b, post in evo.items()}))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,7 +466,7 @@ class AssertValue:
     """Singleton postset table plus the staged cost profile."""
 
     rows: Mapping[str, frozenset[str]]
-    cost: CostNode
+    cost: Cost
 
     def __eq__(self, other):
         return (isinstance(other, AssertValue)
@@ -493,15 +476,43 @@ class AssertValue:
     def apply(self, states: frozenset[str] | set[str]) -> tuple[frozenset[str], int]:
         """Postset and cost on a precondition set of basis states."""
         states = frozenset(states)
-        post = frozenset().union(*(self.rows[b] for b in states)) if states else frozenset()
-        return post, eval_cost(self.cost, states)
+        post = frozenset().union(*(self.rows[b] for b in states))
+        pre = np.zeros((1, len(self.rows)), dtype=bool)
+        pre[0, [int("0" + b, 2) for b in states]] = True
+        return post, int(eval_cost(self.cost, pre)[0])
+
+
+# Rows and stages list every basis state: 2^n entries, each row up to 2^n
+# states (about 2 GB at n = 12 after an H on every qubit).
+_ASSERT_MAX_QUBITS = 12
 
 
 def _bitstrings(n: int) -> list[str]:
+    if n > _ASSERT_MAX_QUBITS:
+        raise EffectError(
+            f"assert analysis supports at most {_ASSERT_MAX_QUBITS} qubits, "
+            f"got {n}")
     return ["".join(bits) for bits in itertools.product("01", repeat=n)]
 
 
 _ASSERT_LEQ_MAX_BITS = 4
+
+
+@functools.cache
+def _subsets(n: int) -> np.ndarray:
+    """One row per subset of n basis states: bit j of the row's index says
+    whether state j is in it.
+
+    Built once per n (at most 2^16 rows of 16, 1 MB), so ``leq`` allocates
+    no matrix of this size per call: the page faults of such allocations
+    made its time vary from run to run. Column-major, so a stage's max
+    reads contiguous columns.
+    """
+    bits = np.arange(1 << n, dtype=np.uint16) >> np.arange(n, dtype=np.uint16)[:, None]
+    bits &= 1
+    pre = bits.astype(bool).T
+    pre.flags.writeable = False
+    return pre
 
 
 class AssertAlgebra(CircuitAlgebra):
@@ -517,7 +528,7 @@ class AssertAlgebra(CircuitAlgebra):
 
     def identity_effect(self, k: int) -> Effect:
         rows = {b: frozenset({b}) for b in _bitstrings(k)}
-        return Effect(k, k, AssertValue(rows, StageCosts(())))
+        return Effect(k, k, AssertValue(rows, ()))
 
     def compose_eff(self, e1, e2) -> Effect:
         if e1.cod != e2.dom:
@@ -527,7 +538,7 @@ class AssertAlgebra(CircuitAlgebra):
         rows = {}
         for b, post in v1.rows.items():
             rows[b] = frozenset().union(*(v2.rows[y] for y in post)) if post else frozenset()
-        cost = _mk_sum([v1.cost, _pullback(v2.cost, v1.rows)])
+        cost = v1.cost + _pullback(v2.cost, v1.rows)
         return Effect(e1.dom, e2.cod, AssertValue(rows, cost))
 
     def whisker_eff(self, left: int, e, right: int) -> Effect:
@@ -544,26 +555,6 @@ class AssertAlgebra(CircuitAlgebra):
         return Effect(hi + right, left + e.cod + right,
                       AssertValue(rows, _pullback(v.cost, pull)))
 
-    def _cost_table(self, node: CostNode, singles: list[str]) -> np.ndarray:
-        """eval_cost over every subset of ``singles`` (index = bitmask)."""
-        nmask = 1 << len(singles)
-        if isinstance(node, StageCosts):
-            out = np.zeros(nmask)
-            for stage in node.stages:
-                lut = dict(stage)
-                g = [lut.get(b, 0) for b in singles]
-                f = np.zeros(nmask)
-                for mask in range(1, nmask):
-                    low = mask & -mask
-                    f[mask] = max(f[mask ^ low], g[low.bit_length() - 1])
-                out += f
-            return out
-        if isinstance(node, MaxCost):
-            tables = [self._cost_table(ch, singles) for ch in node.children]
-            return np.maximum.reduce(tables) if tables else np.zeros(nmask)
-        return sum((self._cost_table(p, singles) for p in node.parts),
-                   np.zeros(nmask))
-
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "assert leq")
         v1: AssertValue = e1.value
@@ -574,10 +565,8 @@ class AssertAlgebra(CircuitAlgebra):
             raise EffectObjectMismatch(
                 f"assert leq is decided exhaustively and supports at most "
                 f"{_ASSERT_LEQ_MAX_BITS} input qubits, got {e1.dom}")
-        singles = _bitstrings(e1.dom)
-        t1 = self._cost_table(v1.cost, singles)
-        t2 = self._cost_table(v2.cost, singles)
-        return bool(np.all(t1 <= t2))
+        pre = _subsets(1 << e1.dom)
+        return bool(np.all(eval_cost(v1.cost, pre) <= eval_cost(v2.cost, pre)))
 
     def join(self, e1, e2) -> Effect:
         self._require_endpoints(e1, e2, "assert join")
@@ -585,9 +574,9 @@ class AssertAlgebra(CircuitAlgebra):
         v2: AssertValue = e2.value
         rows = {b: v1.rows[b] | v2.rows[b] for b in v1.rows}
         if v1.cost == v2.cost:
-            cost: CostNode = v1.cost
+            cost = v1.cost
         else:
-            cost = MaxCost((v1.cost, v2.cost))
+            cost = (MaxCost((v1.cost, v2.cost)),)
         return Effect(e1.dom, e1.cod, AssertValue(rows, cost))
 
     def gate_effect(self, gdef: GateDef) -> Effect:
@@ -599,7 +588,7 @@ class AssertAlgebra(CircuitAlgebra):
             post, cost = derive_assert_row(gdef, b)
             rows[b] = post
             costs[b] = cost
-        return Effect(d, c, AssertValue(rows, _mk_stages([_mk_stage(costs)])))
+        return Effect(d, c, AssertValue(rows, _stage(costs)))
 
     def perm_effect(self, perm, o: Obj) -> Effect:
         k = self.obj_of(o)
@@ -611,7 +600,7 @@ class AssertAlgebra(CircuitAlgebra):
             return "".join(out)
 
         rows = {b: frozenset({route(b)}) for b in _bitstrings(k)}
-        return Effect(k, k, AssertValue(rows, StageCosts(())))
+        return Effect(k, k, AssertValue(rows, ()))
 
     def value_json(self, e: Effect):
         v: AssertValue = e.value
@@ -621,14 +610,13 @@ class AssertAlgebra(CircuitAlgebra):
 
     def bound_of(self, e) -> float:
         v: AssertValue = e.value
-        return eval_cost(v.cost, frozenset(_bitstrings(e.dom)))
+        return int(eval_cost(v.cost, np.ones((1, len(v.rows)), dtype=bool))[0])
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         full = frozenset(_bitstrings(len(cod)))
         rows = {b: full for b in _bitstrings(len(dom))}
-        stage = _mk_stage({b: n for b in _bitstrings(len(dom))})
         return Effect(len(dom), len(cod),
-                      AssertValue(rows, _mk_stages([stage])))
+                      AssertValue(rows, _stage({b: n for b in rows})))
 
 
 # --------------------------------------------------------------------------

@@ -100,15 +100,6 @@ def flatten_bundle(b: Bundle) -> list[Label]:
     return flatten_bundle(l) + flatten_bundle(r)
 
 
-def flatten_shape(s: Shape) -> list[WireType]:
-    if isinstance(s, WireType):
-        return [s]
-    if s == ():
-        return []
-    l, r = s
-    return flatten_shape(l) + flatten_shape(r)
-
-
 def rename_bundle(b: Bundle, mapping: dict[Label, Label]) -> Bundle:
     if isinstance(b, Label):
         return mapping[b]

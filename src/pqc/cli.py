@@ -15,7 +15,6 @@ verification failed), 2 malformed input or any other error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -126,8 +125,7 @@ def cmd_analyze(args) -> int:
         if args.precondition is not None:
             states = _parse_precondition(args.precondition, alg, eff)
         else:
-            states = frozenset(
-                "".join(bits) for bits in itertools.product("01", repeat=eff.dom))
+            states = frozenset(eff.value.rows)
         post, cost = eff.value.apply(states)
         if args.restrict is not None:
             post = frozenset(s[:args.restrict] for s in post)

@@ -3,11 +3,13 @@
 These deliberately avoid the algebra code paths: they walk the concrete
 circuit step by step (sequentializing the gates of a layer left to right,
 matching the whisker decomposition) and measure paths, live wires, or basis
-states directly.
+states directly. ``assert_cost_oracle`` reads an ``assert`` cost one
+precondition at a time, without the matrix evaluator.
 """
 
 from __future__ import annotations
 
+from pqc.algebras import MaxCost
 from pqc.circuits import Circuit, Layer, Perm
 from pqc.gates import Registry, derive_assert_row
 
@@ -113,3 +115,21 @@ def assert_sim_oracle(c: Circuit, registry: Registry,
             total += stage
             shift += len(gate.cod) - d
     return frozenset(cur), total
+
+
+def assert_cost_oracle(cost, states: frozenset[str]) -> int:
+    """An ``assert`` cost on one set of basis states, item by item.
+
+    A stage (sorted ``(basis, cost)`` pairs) costs its largest entry on
+    ``states``, a ``MaxCost`` the largest of its children, and the items of
+    a cost add up: the per-state reading that ``algebras.eval_cost`` makes
+    on a whole matrix of preconditions at once.
+    """
+    total = 0
+    for item in cost:
+        if isinstance(item, MaxCost):
+            total += max((assert_cost_oracle(ch, states) for ch in item.children),
+                         default=0)
+        else:
+            total += max((c for b, c in item if b in states), default=0)
+    return total

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -7,10 +8,12 @@ from generators import (
     ASSERT_POOL, Q, B, rng, random_circuit, random_qubit_circuit, random_steps,
     tropical,
 )
-from oracles import assert_sim_oracle, depth_paths_oracle, width_cuts_oracle
+from oracles import (
+    assert_cost_oracle, assert_sim_oracle, depth_paths_oracle, width_cuts_oracle,
+)
 from pqc.algebras import (
     ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, DepthTriple, Effect,
-    MaxCost, StageCosts, algebra, depth_bound, eval_cost,
+    MaxCost, algebra, depth_bound,
 )
 from pqc.circuits import (
     Circuit, Gate, Layer, Perm, compose, identity, symmetry, whisker_left,
@@ -218,14 +221,19 @@ def bitstrings(n):
     return ["".join(bits) for bits in itertools.product("01", repeat=n)]
 
 
-def random_table_effect(r: random.Random, k1: int, k2: int) -> Effect:
-    """A single-stage assert effect with arbitrary rows and costs."""
+def random_table_effect(r: random.Random, k1: int, k2: int,
+                        posts=None) -> Effect:
+    """A single-stage assert effect with arbitrary rows (or the rows
+    ``posts``) and arbitrary costs."""
     gate = Gate(f"t{r.randrange(10**6)}", (Q,) * k1, (Q,) * k2)
     codes = bitstrings(k2)
     rows = {}
     for b in bitstrings(k1):
-        size = r.randint(1, len(codes))
-        rows[b] = (frozenset(r.sample(codes, size)), r.randint(0, 4))
+        if posts is None:
+            post = frozenset(r.sample(codes, r.randint(1, len(codes))))
+        else:
+            post = posts[b]
+        rows[b] = (post, r.randint(0, 4))
     return ASSERT.gate_effect(GateDef(gate, rows=rows))
 
 
@@ -240,7 +248,7 @@ def test_assert_rejects_bits():
 def test_assert_identity_and_perm_rows():
     e = ASSERT.identity_effect(2)
     assert e.value.rows["01"] == frozenset({"01"})
-    assert eval_cost(e.value.cost, frozenset(bitstrings(2))) == 0
+    assert assert_cost_oracle(e.value.cost, frozenset(bitstrings(2))) == 0
     p = ASSERT.perm_effect((2, 0, 1), (Q, Q, Q))
     assert p.value.rows["100"] == frozenset({"001"})  # bit 0 lands in slot 2
 
@@ -251,12 +259,12 @@ def test_assert_compose_unions_postsets_and_stages_costs():
     hx = ASSERT.compose_eff(h, x)
     assert hx.value.rows["0"] == frozenset({"0", "1"})
     # H costs 1 on {0}; X then costs 1 on {0,1}: stages sum to 2
-    assert eval_cost(hx.value.cost, frozenset({"0"})) == 2
+    assert assert_cost_oracle(hx.value.cost, frozenset({"0"})) == 2
 
 
 def test_assert_z_is_free_after_known_states():
     z = ASSERT.gate_effect(registry.lookup("Z"))
-    assert eval_cost(z.value.cost, frozenset({"0", "1"})) == 0
+    assert assert_cost_oracle(z.value.cost, frozenset({"0", "1"})) == 0
 
 
 def test_assert_compose_associative_exactly():
@@ -294,22 +302,39 @@ def test_assert_branch_join_upper_bounds_both():
         e2 = random_table_effect(r, k, k)
         j = ASSERT.join(e1, e2)
         assert ASSERT.leq(e1, j) and ASSERT.leq(e2, j)
-        assert isinstance(j.value.cost, (MaxCost, StageCosts))
+        assert j.value.cost in (e1.value.cost,
+                                (MaxCost((e1.value.cost, e2.value.cost)),))
 
 
 def test_assert_leq_is_extensional_on_costs():
     r = rng("assert-leq")
+    pairs = []
     for _ in range(40):
         k = r.randint(1, 3)
-        e1 = random_table_effect(r, k, k)
-        e2 = random_table_effect(r, k, k)
+        pairs.append((random_table_effect(r, k, k), random_table_effect(r, k, k)))
+    # composites with equal rows, so that costs of several stages (and their
+    # joins) decide, not the rows
+    for _ in range(60):
+        k = r.randint(1, 3)
+        tables = [random_table_effect(r, k, k) for _ in range(r.randint(2, 3))]
+
+        def recosted():
+            return functools.reduce(ASSERT.compose_eff, [
+                random_table_effect(r, k, k, t.value.rows) for t in tables])
+
+        e1, e2 = recosted(), recosted()
+        if r.random() < 0.5:
+            e2 = ASSERT.join(e2, recosted())
+        pairs.append((e1, e2))
+    for e1, e2 in pairs:
+        k = e1.dom
         lo = ASSERT.leq(e1, e2)
         # reference: row containment plus cost dominance on every subset
         rows_ok = all(e1.value.rows[b] <= e2.value.rows[b]
                       for b in bitstrings(k))
         costs_ok = all(
-            eval_cost(e1.value.cost, frozenset(L)) <=
-            eval_cost(e2.value.cost, frozenset(L))
+            assert_cost_oracle(e1.value.cost, frozenset(L)) <=
+            assert_cost_oracle(e2.value.cost, frozenset(L))
             for n in range(len(bitstrings(k)) + 1)
             for L in itertools.combinations(bitstrings(k), n))
         assert lo == (rows_ok and costs_ok)

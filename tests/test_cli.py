@@ -81,6 +81,13 @@ BAD_INPUTS = {
     "binary.pqc": b"\xff\xfe",
     "deep.pqc": (b"inputs q: Qubit;\n" + b"let q = apply(@H, q) in\n" * 3000
                  + b"return q\n"),
+    "wide.pqc": ("inputs " + ", ".join(f"a{i}: Qubit" for i in range(24))
+                 + ";\nlet a0 = apply(@H, a0) in\nreturn ("
+                 + ", ".join(f"a{i}" for i in range(24)) + ")\n").encode(),
+    "costly.pqcg": (b'gate big : Qubit -> Qubit\n'
+                    b'  assert "0" -> {"1"} cost 2147483648\n'
+                    b'  assert "1" -> {"0"} cost 0\n'),
+    "costly.pqc": b'inputs q: Qubit;\ngates "costly.pqcg";\napply(@big, q)\n',
 }
 
 
@@ -96,6 +103,10 @@ BAD_INPUTS = {
     pytest.param(["check", "."], 2, None, id="directory"),
     pytest.param(["check", "binary.pqc"], 2, None, id="not-utf8"),
     pytest.param(["check", "deep.pqc"], 2, None, id="too-deep"),
+    pytest.param(["verify", "wide.pqc", "--metric", "assert"], 2, None,
+                 id="too-wide"),
+    pytest.param(["analyze", "costly.pqc", "--metric", "assert"], 2, None,
+                 id="cost-too-large"),
     pytest.param(["analyze", "interleave.pqc", "--metric", "assert",
                   "--precondition", "0x1"], 2, None, id="bad-precondition"),
     pytest.param(["check", "bell.pqc", "--metric", "gates", "--bound", "3"], 1,

@@ -16,7 +16,12 @@ random-program suites it holds
   where the algebra rejects it (such as ``UnsupportedWire`` on bits under
   ``assert``). These were recorded before the algebras' two one-sided
   whiskers and their per-gate tensor gave way to one two-sided whisker, so
-  the image of every circuit and program must stay the same.
+  the image of every circuit and program must stay the same;
+* under ``assert``, for ``abstract`` and ``infer`` alike (``"assert_costs"``),
+  the sha256 of the costs ``apply`` reports on each single basis state, on
+  all states and, up to 4 input qubits, on every subset of states. These
+  were recorded before the cost tree gave way to flat cost tuples, since
+  ``value_json`` shows an ``assert`` effect's rows but not its cost.
 
 Besides the demos, a few hand-written sources cover what the random
 programs do not: closures returned as values (read back with their captured
@@ -30,6 +35,7 @@ generator shows up as such.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -86,12 +92,38 @@ def effects_digest(image) -> str:
     return sha256(json.dumps(doc, sort_keys=True))
 
 
+def assert_costs_digest(image) -> str:
+    """sha256 of the costs ``apply`` reports on ``image(assert)``."""
+    try:
+        e = image(ALGEBRAS["assert"])
+    except PqcError as err:
+        return type(err).__name__
+    states = sorted(e.value.rows)
+    doc = {"singles": [e.value.apply({b})[1] for b in states],
+           "all": e.value.apply(states)[1]}
+    if e.dom <= 4:
+        doc["subsets"] = [e.value.apply(pre)[1]
+                          for n in range(len(states) + 1)
+                          for pre in itertools.combinations(states, n)]
+    return sha256(json.dumps(doc))
+
+
 def effect_pins(prog, circuit, reg) -> dict:
+    def abstract(alg):
+        return alg.abstract(circuit, reg)
+
+    def infer(alg):
+        return infer_program_effect(prog, alg, reg)[1]
+
     return {
-        "abstract": effects_digest(lambda alg: alg.abstract(circuit, reg)),
-        "infer": effects_digest(
-            lambda alg: infer_program_effect(prog, alg, reg)[1]),
+        "abstract": effects_digest(abstract),
+        "infer": effects_digest(infer),
+        "assert_costs": {"abstract": assert_costs_digest(abstract),
+                         "infer": assert_costs_digest(infer)},
     }
+
+
+EFFECT_PINS = ("abstract", "infer", "assert_costs")
 
 
 def load_demo(name: str):
@@ -144,14 +176,14 @@ def test_demo_runs_match_pins(capsys, tmp_path, name):
     prog, reg = load_demo(name)
     circuit, _, _ = evaluate_program(prog, reg)
     assert effect_pins(prog, circuit, reg) == {
-        k: pin[k] for k in ("abstract", "infer")}
+        k: pin[k] for k in EFFECT_PINS}
 
 
 def check_run(prog, pin, where):
     circuit, out_ctx, value = evaluate_program(prog, registry, pin["fuel"])
     assert sha256(serialize(circuit)) == pin["sha256"], where
     assert effect_pins(prog, circuit, registry) == {
-        k: pin[k] for k in ("abstract", "infer")}, where
+        k: pin[k] for k in EFFECT_PINS}, where
     got = canonical([[str(l), str(t)] for l, t in out_ctx], show_value(value))
     assert got == {"outputs": pin["outputs"], "value": pin["value"]}, where
     with pytest.raises(FuelExhausted):
