@@ -5,11 +5,11 @@ circuit a morphism between them (an ``Effect``), such that composition,
 identities, whiskering and symmetry are preserved on the nose, and morphisms
 carry a preorder (``leq``) with joins where the order is a lattice.
 
-Whiskering is one two-sided primitive per algebra, ``whisker_eff(l, e, r)``:
-``e`` with ``l`` wires passing above it and ``r`` below. There is no tensor
-of effects: read premonoidally, a layer is its gates in sequence, each
-whiskered by the wires beside it, and ``CircuitAlgebra.abstract`` folds it
-that way.
+Sequencing is one primitive per algebra, ``then_eff(eff, left, e)``: ``eff``,
+then ``e`` on ``eff.cod`` after ``left`` wires, the rest passing below. It
+touches only the part of ``eff`` that ``e`` consumes. There is no tensor of
+effects: read premonoidally, a layer is its gates in sequence, and
+``CircuitAlgebra.abstract`` folds a circuit one ``then_eff`` per gate.
 
 Shipped algebras:
 
@@ -57,7 +57,7 @@ import numpy as np
 from .circuits import Circuit, Layer, Obj, Perm, WireType
 from .errors import EffectError, EffectObjectMismatch, UnsupportedWire
 from .gates import GateDef, Registry, derive_assert_row
-from .tropical import NEG_INF, TropicalMatrix
+from .tropical import NEG_INF, TropicalMatrix, maxplus
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,10 @@ class Effect:
 class CircuitAlgebra:
     """Interface of a circuit algebra, plus the generic ``abstract`` fold.
 
-    Per algebra: objects (``obj_of``), identities, ``compose_eff``, the one
-    whiskering primitive ``whisker_eff``, gate and permutation effects, and
-    the order (``leq``, ``join``). A layer needs nothing more: it is its
-    gates in sequence, each whiskered by the wires beside it.
+    Per algebra: objects (``obj_of``), identities, the one sequencing
+    primitive ``then_eff``, gate and permutation effects, and the order
+    (``leq``, ``join``). ``compose_eff`` derives from ``then_eff``, and a
+    layer needs nothing more: it is its gates in sequence.
     """
 
     name = "?"
@@ -91,11 +91,9 @@ class CircuitAlgebra:
     def identity_effect(self, o) -> Effect:
         raise NotImplementedError
 
-    def compose_eff(self, e1: Effect, e2: Effect) -> Effect:
-        raise NotImplementedError
-
-    def whisker_eff(self, left, e: Effect, right) -> Effect:
-        """``e`` with ``left`` wires passing above it and ``right`` below."""
+    def then_eff(self, eff: Effect, left, e: Effect) -> Effect:
+        """``eff``, then ``e`` on the wires of ``eff.cod`` after ``left``;
+        the wires below ``e`` pass by."""
         raise NotImplementedError
 
     def leq(self, e1: Effect, e2: Effect) -> bool:
@@ -116,7 +114,7 @@ class CircuitAlgebra:
 
     def bound_of(self, e: Effect) -> float:
         """Collapse an effect to the scalar it promises to stay under."""
-        raise NotImplementedError
+        return e.value
 
     def from_bound(self, dom: Obj, cod: Obj, n: Optional[int]) -> Optional[Effect]:
         """The coarsest effect between these endpoints with bound n.
@@ -133,6 +131,19 @@ class CircuitAlgebra:
         raise NotImplementedError
 
     # --- derived ----------------------------------------------------------
+    def compose_eff(self, e1: Effect, e2: Effect) -> Effect:
+        """``e1`` then ``e2``: ``then_eff`` with no wires beside ``e2``."""
+        if e1.cod != e2.dom:
+            raise EffectObjectMismatch(f"{self.name} compose: {e1.cod} vs {e2.dom}")
+        return self.then_eff(e1, self.obj_of(()), e2)
+
+    def _below(self, eff: Effect, left: int, e: Effect) -> int:
+        """The wires below ``e`` in ``then_eff``, for objects that count wires."""
+        if not 0 <= left <= eff.cod - e.dom:
+            raise EffectObjectMismatch(
+                f"{self.name}: no {e.dom} wires after {left} of {eff.cod}")
+        return eff.cod - left - e.dom
+
     def _require_endpoints(self, e1: Effect, e2: Effect, what: str) -> None:
         if e1.dom != e2.dom or e1.cod != e2.cod:
             raise EffectObjectMismatch(
@@ -142,12 +153,14 @@ class CircuitAlgebra:
     def abstract(self, c: Circuit, registry: Registry) -> Effect:
         """The algebra's image of a circuit: a fold over its gates.
 
-        ``cur`` is the object the next gate meets, and the gate is whiskered
-        by the wires of ``cur`` beside it. Gates that change the wire count
+        ``cur`` is the object the next gate meets, and the gate is placed
+        after the wires of ``cur`` above it. Gates that change the wire count
         (init, discard) shift the later placements of their layer.
         """
         eff = self.identity_effect(self.obj_of(c.dom))
         cur = c.dom
+        gate_effect = functools.cache(  # built once per gate name
+            lambda name: self.gate_effect(registry.lookup(name)))
         for step in c.steps:
             if isinstance(step, Perm):
                 eff = self.compose_eff(eff, self.perm_effect(step.perm, cur))
@@ -156,12 +169,8 @@ class CircuitAlgebra:
             shift = 0
             for gate, at in step.placements:
                 lo = at + shift
-                hi = lo + len(gate.dom)
-                eff = self.compose_eff(eff, self.whisker_eff(
-                    self.obj_of(cur[:lo]),
-                    self.gate_effect(registry.lookup(gate.name)),
-                    self.obj_of(cur[hi:])))
-                cur = cur[:lo] + gate.cod + cur[hi:]
+                eff = self.then_eff(eff, self.obj_of(cur[:lo]), gate_effect(gate.name))
+                cur = cur[:lo] + gate.cod + cur[lo + len(gate.dom):]
                 shift += len(gate.cod) - len(gate.dom)
         return eff
 
@@ -171,7 +180,7 @@ class CircuitAlgebra:
 # --------------------------------------------------------------------------
 
 class _ScalarAlgebra(CircuitAlgebra):
-    """Common carrier: single object "*", morphisms ℕ, compose = +."""
+    """Common carrier: single object "*", morphisms ℕ, sequencing = +."""
 
     positional = False
 
@@ -181,11 +190,8 @@ class _ScalarAlgebra(CircuitAlgebra):
     def identity_effect(self, o) -> Effect:
         return Effect("*", "*", 0)
 
-    def compose_eff(self, e1, e2) -> Effect:
-        return Effect("*", "*", e1.value + e2.value)
-
-    def whisker_eff(self, left, e, right) -> Effect:
-        return e
+    def then_eff(self, eff, left, e) -> Effect:
+        return Effect("*", "*", eff.value + e.value)
 
     def leq(self, e1, e2) -> bool:
         return e1.value <= e2.value
@@ -195,9 +201,6 @@ class _ScalarAlgebra(CircuitAlgebra):
 
     def perm_effect(self, perm, o) -> Effect:
         return Effect("*", "*", 0)
-
-    def bound_of(self, e) -> float:
-        return e.value
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect("*", "*", n)
@@ -254,14 +257,10 @@ class WidthAlgebra(CircuitAlgebra):
     def identity_effect(self, o: int) -> Effect:
         return Effect(o, o, o)
 
-    def compose_eff(self, e1, e2) -> Effect:
-        if e1.cod != e2.dom:
-            raise EffectObjectMismatch(f"width compose: {e1.cod} vs {e2.dom}")
-        return Effect(e1.dom, e2.cod, max(e1.value, e2.value))
-
-    def whisker_eff(self, left: int, e, right: int) -> Effect:
-        return Effect(left + e.dom + right, left + e.cod + right,
-                      left + e.value + right)
+    def then_eff(self, eff, left: int, e) -> Effect:
+        right = self._below(eff, left, e)
+        return Effect(eff.dom, left + e.cod + right,
+                      max(eff.value, left + e.value + right))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "width leq")
@@ -277,9 +276,6 @@ class WidthAlgebra(CircuitAlgebra):
 
     def perm_effect(self, perm, o: Obj) -> Effect:
         return self.identity_effect(len(o))
-
-    def bound_of(self, e) -> float:
-        return e.value
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect(len(dom), len(cod), n)
@@ -325,32 +321,22 @@ class DepthAlgebra(CircuitAlgebra):
             TropicalMatrix.zeros(1, k),
             TropicalMatrix.zeros(k, 1)))
 
-    def compose_eff(self, e1, e2) -> Effect:
-        if e1.cod != e2.dom:
-            raise EffectObjectMismatch(f"depth compose: {e1.cod} vs {e2.dom}")
-        t1: DepthTriple = e1.value
-        t2: DepthTriple = e2.value
-        a = t1.a.matmul(t2.a)
-        # longest path into a sink: already in the first part, or cross into
-        # the second part and die there.
-        v = t1.v.pointwise_max(
-            TropicalMatrix(t1.a.matmul(TropicalMatrix(t2.v.data.T)).data.T))
-        # longest path from a source: born in the second part, or born in the
-        # first and threaded through the second.
-        w = t2.w.pointwise_max(
-            TropicalMatrix(TropicalMatrix(t1.w.data.T).matmul(t2.a).data.T))
-        return Effect(e1.dom, e2.cod, DepthTriple(a, v, w))
-
-    def whisker_eff(self, left: int, e, right: int) -> Effect:
-        # passing wires are identity blocks; they neither start nor end paths
-        t: DepthTriple = e.value
-        a = TropicalMatrix.eye(left).direct_sum(t.a).direct_sum(TropicalMatrix.eye(right))
-        v = np.full((1, left + e.dom + right), NEG_INF)
-        v[0, left:left + e.dom] = t.v.data[0]
-        w = np.full((left + e.cod + right, 1), NEG_INF)
-        w[left:left + e.cod, 0] = t.w.data[:, 0]
-        return Effect(left + e.dom + right, left + e.cod + right,
-                      DepthTriple(a, TropicalMatrix(v), TropicalMatrix(w)))
+    def then_eff(self, eff, left: int, e) -> Effect:
+        # the wires beside e are identities that neither start nor end paths,
+        # so only the columns of A and the rows of w that e consumes change
+        right = self._below(eff, left, e)
+        hi = left + e.dom
+        ta, tv, tw = (m.data for m in (eff.value.a, eff.value.v, eff.value.w))
+        ga, gv, gw = (m.data for m in (e.value.a, e.value.v, e.value.w))
+        into = ta[:, left:hi]
+        a = np.hstack((ta[:, :left], maxplus(into, ga), ta[:, hi:]))
+        # longest path into a sink: already in eff, or cross into e and die
+        v = np.maximum(tv, maxplus(into, gv.T).T)
+        # longest path from a source: born in e, or born in eff and through e
+        w = np.vstack((tw[:left], np.maximum(gw, maxplus(tw[left:hi].T, ga).T),
+                       tw[hi:]))
+        return Effect(eff.dom, left + e.cod + right, DepthTriple(
+            TropicalMatrix(a), TropicalMatrix(v), TropicalMatrix(w)))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "depth leq")
@@ -456,7 +442,8 @@ def _pullback(cost: Cost, evo: Mapping[str, frozenset[str]]) -> Cost:
             out.append(MaxCost(tuple(_pullback(ch, evo) for ch in item.children)))
         else:
             lut = dict(item)
-            out.extend(_stage({b: max((lut.get(y, 0) for y in post), default=0)
+            zero = itertools.repeat(0)
+            out.extend(_stage({b: max(map(lut.get, post, zero), default=0)
                                for b, post in evo.items()}))
     return tuple(out)
 
@@ -487,12 +474,29 @@ class AssertValue:
 _ASSERT_MAX_QUBITS = 12
 
 
-def _bitstrings(n: int) -> list[str]:
+def _require_qubits(n: int) -> None:
     if n > _ASSERT_MAX_QUBITS:
         raise EffectError(
             f"assert analysis supports at most {_ASSERT_MAX_QUBITS} qubits, "
             f"got {n}")
+
+
+def _bitstrings(n: int) -> list[str]:
+    _require_qubits(n)
     return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+
+
+class _Placed(dict):
+    """``rows`` on the bits [lo, hi) of a state, the other bits passing by;
+    built for a state when it is first looked up."""
+
+    def __init__(self, rows: Mapping[str, frozenset[str]], lo: int, hi: int):
+        self.rows, self.lo, self.hi = rows, lo, hi
+
+    def __missing__(self, b: str) -> frozenset[str]:
+        lo, hi = self.lo, self.hi
+        post = self[b] = frozenset(b[:lo] + y + b[hi:] for y in self.rows[b[lo:hi]])
+        return post
 
 
 _ASSERT_LEQ_MAX_BITS = 4
@@ -530,30 +534,26 @@ class AssertAlgebra(CircuitAlgebra):
         rows = {b: frozenset({b}) for b in _bitstrings(k)}
         return Effect(k, k, AssertValue(rows, ()))
 
-    def compose_eff(self, e1, e2) -> Effect:
-        if e1.cod != e2.dom:
-            raise EffectObjectMismatch(f"assert compose: {e1.cod} vs {e2.dom}")
-        v1: AssertValue = e1.value
-        v2: AssertValue = e2.value
-        rows = {}
-        for b, post in v1.rows.items():
-            rows[b] = frozenset().union(*(v2.rows[y] for y in post)) if post else frozenset()
-        cost = v1.cost + _pullback(v2.cost, v1.rows)
-        return Effect(e1.dom, e2.cod, AssertValue(rows, cost))
-
-    def whisker_eff(self, left: int, e, right: int) -> Effect:
-        # the middle bits of b pick e's row and its costs; the passing bits
-        # are copied around every state in that row
+    def then_eff(self, eff, left: int, e) -> Effect:
+        # the middle bits of a state that eff reaches pick e's row and its
+        # costs; the passing bits are copied around every state in that row
+        right = self._below(eff, left, e)
+        _require_qubits(eff.cod)
+        t: AssertValue = eff.value
         v: AssertValue = e.value
         hi = left + e.dom
-        rows = {}
-        pull: dict[str, frozenset[str]] = {}
-        for b in _bitstrings(hi + right):
-            old = b[left:hi]
-            rows[b] = frozenset(b[:left] + y + b[hi:] for y in v.rows[old])
-            pull[b] = frozenset({old})
-        return Effect(hi + right, left + e.cod + right,
-                      AssertValue(rows, _pullback(v.cost, pull)))
+        whole = left == right == 0
+        placed = v.rows if whole else _Placed(v.rows, left, hi)
+        rows = {b: frozenset().union(*map(placed.__getitem__, post))
+                for b, post in t.rows.items()}
+        cost = t.cost
+        if v.cost:
+            # e's costs read on the states eff reaches (placed's keys), then
+            # read before eff
+            reached = v.cost if whole else _pullback(
+                v.cost, {y: frozenset({y[left:hi]}) for y in placed})
+            cost += _pullback(reached, t.rows)
+        return Effect(eff.dom, left + e.cod + right, AssertValue(rows, cost))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "assert leq")

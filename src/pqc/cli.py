@@ -128,6 +128,9 @@ def cmd_analyze(args) -> int:
             states = frozenset(eff.value.rows)
         post, cost = eff.value.apply(states)
         if args.restrict is not None:
+            if not 0 <= args.restrict <= eff.cod:
+                raise PqcError(
+                    f"--restrict needs 0 <= N <= {eff.cod}, got {args.restrict}")
             post = frozenset(s[:args.restrict] for s in post)
         doc["precondition"] = sorted(states)
         doc["post"] = sorted(post)

@@ -17,6 +17,16 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
+def maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The max-plus product of plain arrays (−∞ over an empty inner dimension)."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} ⊙ {b.shape}")
+    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
+        return np.full((a.shape[0], b.shape[1]), NEG_INF)
+    # entries are −∞ or finite, so no sum is −∞ + ∞
+    return (a[:, :, None] + b[None, :, :]).max(axis=1)
+
+
 @dataclass(frozen=True)
 class TropicalMatrix:
     """An immutable max-plus matrix (possibly with zero rows or columns)."""
@@ -57,30 +67,12 @@ class TropicalMatrix:
         return self.data.shape  # type: ignore[return-value]
 
     def matmul(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        a, b = self.data, other.data
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"shape mismatch {a.shape} ⊙ {b.shape}")
-        if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-            return TropicalMatrix.zeros(a.shape[0], b.shape[1])
-        with np.errstate(invalid="ignore"):
-            out = (a[:, :, None] + b[None, :, :]).max(axis=1)
-        # -inf + inf never occurs (entries are -inf or finite), but -inf + -inf
-        # produces -inf with an invalid-op warning suppressed above.
-        return TropicalMatrix(out)
+        return TropicalMatrix(maxplus(self.data, other.data))
 
     def pointwise_max(self, other: "TropicalMatrix") -> "TropicalMatrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         return TropicalMatrix(np.maximum(self.data, other.data))
-
-    def direct_sum(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        """Block-diagonal combination (pads with −∞)."""
-        r1, c1 = self.shape
-        r2, c2 = other.shape
-        out = np.full((r1 + r2, c1 + c2), NEG_INF)
-        out[:r1, :c1] = self.data
-        out[r1:, c1:] = other.data
-        return TropicalMatrix(out)
 
     def leq(self, other: "TropicalMatrix") -> bool:
         """Pointwise order (−∞ below everything)."""

@@ -13,6 +13,10 @@ type checking is the same checker over ``TRIVIAL``, whose every effect is
 ``Effect("*", "*", 0)`` and whose ``from_bound`` answers even without a
 bound, so unannotated arrows, circuits and thunks need no ascription.
 
+Rules sequence effects with the algebra's one primitive ``then_eff``: a
+``let`` reorders the context, body wires first, places the bound term's
+effect after the body's wires, and composes the body's effect onto that.
+
 ``sharp`` maps a type to the shape of the wires a value of that type holds:
 parameters hold none (I), wires hold themselves, a function holds the wires
 it captured, and tensors are pointwise; ``wires_of`` flattens it.
@@ -291,7 +295,7 @@ class EffectChecker:
         return {i for i in used if i < base}
 
     def _blocks_obj(self, indices: Sequence[int]) -> Obj:
-        return sum((self.ctx[i].wires for i in indices), ())
+        return tuple(w for i in indices for w in self.ctx[i].wires)
 
     def _reorder(self, target: Sequence[int]) -> Effect:
         """Permutation effect from context order to the given entry order."""
@@ -421,11 +425,9 @@ class EffectChecker:
                 g2 = sorted(self._linear(tu))
                 g1 = sorted(self._linear(bu))
                 eff = alg.compose_eff(
-                    self._reorder(g2 + g1),
-                    alg.compose_eff(
-                        alg.whisker_eff(alg.obj_of(self._blocks_obj(g2)), be,
-                                        alg.obj_of(())),
-                        te))
+                    alg.then_eff(self._reorder(g2 + g1),
+                                 alg.obj_of(self._blocks_obj(g2)), be),
+                    te)
             case Apply(circ, arg):
                 ct, cu, _ = self.infer_value(circ)
                 if not isinstance(ct, CircT):
@@ -516,10 +518,9 @@ class EffectChecker:
                 fn_eff = self._stored_effect(arrow)
                 unit = alg.identity_effect(alg.obj_of(()))
                 prelude = vt.eff if vt.eff is not None else unit
+                left = alg.obj_of(wires_of(arrow.dom))
                 circ_eff = alg.compose_eff(
-                    alg.whisker_eff(alg.obj_of(wires_of(arrow.dom)), prelude,
-                                    alg.obj_of(())),
-                    fn_eff)
+                    alg.then_eff(alg.identity_effect(left), left, prelude), fn_eff)
                 ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
                 eff = unit
             case _:

@@ -52,17 +52,30 @@ def check_functor_laws(alg, r: random.Random, circuit_gen, rounds: int) -> int:
         assert alg.abstract(compose(c, d), registry) == \
             alg.compose_eff(alg.abstract(c, registry), alg.abstract(d, registry))
         o = (Q,) * r.randint(0, 2)
-        k, none = alg.obj_of(o), alg.obj_of(())
-        assert alg.abstract(whisker_left(o, c), registry) == \
-            alg.whisker_eff(k, alg.abstract(c, registry), none)
-        assert alg.abstract(whisker_right(c, o), registry) == \
-            alg.whisker_eff(none, alg.abstract(c, registry), k)
+        ec = alg.abstract(c, registry)
+
+        def whiskered(above, below):
+            return alg.then_eff(
+                alg.identity_effect(alg.obj_of(above + c.dom + below)),
+                alg.obj_of(above), ec)
+
+        assert alg.abstract(whisker_left(o, c), registry) == whiskered(o, ())
+        assert alg.abstract(whisker_right(c, o), registry) == whiskered((), o)
         assert alg.abstract(whisker_right(whisker_left(o, c), o), registry) == \
-            alg.whisker_eff(k, alg.abstract(c, registry), k)
+            whiskered(o, o)
         a, b = (Q,) * r.randint(0, 2), (Q,) * r.randint(0, 2)
         s = symmetry(a, b)
         perm = s.steps[0].perm if s.steps else tuple(range(len(a + b)))
         assert alg.abstract(s, registry) == alg.perm_effect(perm, a + b)
+        # then_eff after a non-identity prefix, at a random offset
+        lo = r.randint(0, len(c.cod))
+        hi = r.randint(lo, len(c.cod))
+        steps, _ = random_steps(r, c.cod[lo:hi], 4,
+                                pool=("H", "X", "CNOT", "init"), max_width=7)
+        d = Circuit(c.cod[lo:hi], steps)
+        placed = whisker_right(whisker_left(c.cod[:lo], d), c.cod[hi:])
+        assert alg.abstract(compose(c, placed), registry) == alg.then_eff(
+            ec, alg.obj_of(c.cod[:lo]), alg.abstract(d, registry))
         checked += 1
     return checked
 
@@ -435,3 +448,10 @@ def test_endpoint_mismatches_raise():
         DEPTH.leq(DEPTH.identity_effect(1), DEPTH.identity_effect(2))
     with pytest.raises(EffectObjectMismatch):
         ASSERT.compose_eff(ASSERT.identity_effect(1), ASSERT.identity_effect(2))
+    # then_eff must find e on eff.cod: no negative offset, no overhang
+    for alg in (WIDTH, DEPTH, ASSERT):
+        eff, e = alg.identity_effect(2), alg.identity_effect(1)
+        assert alg.then_eff(eff, 1, e) == eff
+        for left in (-1, 2):
+            with pytest.raises(EffectObjectMismatch):
+                alg.then_eff(eff, left, e)

@@ -109,6 +109,10 @@ BAD_INPUTS = {
                  id="cost-too-large"),
     pytest.param(["analyze", "interleave.pqc", "--metric", "assert",
                   "--precondition", "0x1"], 2, None, id="bad-precondition"),
+    pytest.param(["analyze", "lnn.pqc", "--metric", "assert", "--restrict", "-1"],
+                 2, None, id="restrict-negative"),
+    pytest.param(["analyze", "lnn.pqc", "--metric", "assert", "--restrict", "5"],
+                 2, None, id="restrict-too-wide"),
     pytest.param(["check", "bell.pqc", "--metric", "gates", "--bound", "3"], 1,
                  None, id="bound-exceeded"),
     pytest.param(["verify", "bell.pqc", "--metric", "gates"], 1, fail_comparison,

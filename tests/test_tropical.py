@@ -63,15 +63,6 @@ def test_shape_checks():
         TropicalMatrix(np.zeros(3))  # 1-d rejected
 
 
-def test_direct_sum_blocks():
-    a = tropical([[1.0]])
-    b = tropical([[2.0, 3.0]])
-    s = a.direct_sum(b)
-    assert s.shape == (2, 3)
-    assert s.data[0][0] == 1.0 and s.data[1][1] == 2.0
-    assert s.data[0][1] == NEG_INF and s.data[1][0] == NEG_INF
-
-
 def test_leq_and_max_entry():
     a = tropical([[NEG_INF, 2.0]])
     b = tropical([[0.0, 2.0]])
