@@ -5,11 +5,17 @@ circuit a morphism between them (an ``Effect``), such that composition,
 identities, whiskering and symmetry are preserved on the nose, and morphisms
 carry a preorder (``leq``) with joins where the order is a lattice.
 
-Sequencing is one primitive per algebra, ``then_eff(eff, left, e)``: ``eff``,
-then ``e`` on ``eff.cod`` after ``left`` wires, the rest passing below. It
-touches only the part of ``eff`` that ``e`` consumes. There is no tensor of
-effects: read premonoidally, a layer is its gates in sequence, and
-``CircuitAlgebra.abstract`` folds a circuit one ``then_eff`` per gate.
+Sequencing is one primitive per algebra, ``then_eff(eff, at, e)``: ``eff``,
+then ``e`` on ``eff.cod`` at ``at``, the other wires passing by. ``at`` is
+either the number of wires above ``e`` or a tuple of wire positions that are
+routed to the top, in that order, before ``e`` acts on the first of them. It
+touches only the part of ``eff`` that ``e`` consumes, plus a reordering of
+the wires when ``at`` routes them. There is no tensor of effects: read
+premonoidally, a layer is its gates in sequence, and
+``CircuitAlgebra.abstract`` folds a circuit one ``then_eff`` per gate. A
+permutation is a routing with nothing placed (``e`` the identity on no
+wires): a column gather for ``depth``, a relabelling of states for
+``assert``, nothing at all for ``width``.
 
 Shipped algebras:
 
@@ -69,13 +75,22 @@ class Effect:
     value: object
 
 
+def routing(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """``then_eff``'s ``at`` for a permutation step: wire i moves to
+    position ``perm[i]``, so position j is routed from wire ``perm⁻¹[j]``."""
+    at = [0] * len(perm)
+    for i, j in enumerate(perm):
+        at[j] = i
+    return tuple(at)
+
+
 class CircuitAlgebra:
     """Interface of a circuit algebra, plus the generic ``abstract`` fold.
 
     Per algebra: objects (``obj_of``), identities, the one sequencing
-    primitive ``then_eff``, gate and permutation effects, and the order
-    (``leq``, ``join``). ``compose_eff`` derives from ``then_eff``, and a
-    layer needs nothing more: it is its gates in sequence.
+    primitive ``then_eff``, gate effects, and the order (``leq``, ``join``).
+    ``compose_eff`` and ``perm_effect`` derive from ``then_eff``, and a layer
+    needs nothing more: it is its gates in sequence.
     """
 
     name = "?"
@@ -91,9 +106,16 @@ class CircuitAlgebra:
     def identity_effect(self, o) -> Effect:
         raise NotImplementedError
 
-    def then_eff(self, eff: Effect, left, e: Effect) -> Effect:
-        """``eff``, then ``e`` on the wires of ``eff.cod`` after ``left``;
-        the wires below ``e`` pass by."""
+    def then_eff(self, eff: Effect, at, e: Effect) -> Effect:
+        """``eff``, then ``e`` on the wires of ``eff.cod`` at ``at``.
+
+        ``at`` is an object, the wires above ``e``: ``e`` takes the wires
+        after them, its outputs take their place and the wires below pass
+        by. Or ``at`` is a tuple of distinct wire positions of ``eff.cod``,
+        at least ``e.dom`` of them: those wires move to the top in that
+        order, the others follow in theirs, and ``e`` takes the first
+        ``e.dom`` wires.
+        """
         raise NotImplementedError
 
     def leq(self, e1: Effect, e2: Effect) -> bool:
@@ -103,9 +125,6 @@ class CircuitAlgebra:
         raise NotImplementedError
 
     def gate_effect(self, gdef: GateDef) -> Effect:
-        raise NotImplementedError
-
-    def perm_effect(self, perm: tuple[int, ...], o: Obj) -> Effect:
         raise NotImplementedError
 
     def value_json(self, e: Effect):
@@ -137,12 +156,32 @@ class CircuitAlgebra:
             raise EffectObjectMismatch(f"{self.name} compose: {e1.cod} vs {e2.dom}")
         return self.then_eff(e1, self.obj_of(()), e2)
 
-    def _below(self, eff: Effect, left: int, e: Effect) -> int:
-        """The wires below ``e`` in ``then_eff``, for objects that count wires."""
-        if not 0 <= left <= eff.cod - e.dom:
+    def perm_effect(self, perm: tuple[int, ...], o: Obj) -> Effect:
+        """The effect of wire i of ``o`` moving to position ``perm[i]``."""
+        return self.then_eff(self.identity_effect(self.obj_of(o)),
+                             routing(perm), self.identity_effect(self.obj_of(())))
+
+    def _placement(self, eff: Effect, at, e: Effect
+                   ) -> tuple[int, Optional[tuple[int, ...]], int]:
+        """``then_eff``'s ``at``, for objects that count wires, as
+        ``(left, route, right)``: ``route`` lists the wires of ``eff.cod`` in
+        their new order (None: unchanged), then ``e`` takes the wires after
+        the first ``left`` of them and ``right`` wires pass below it."""
+        k = eff.cod
+        route = None
+        if isinstance(at, tuple):
+            taken = set(at)
+            if (len(taken) != len(at) or len(at) < e.dom
+                    or any(not 0 <= p < k for p in at)):
+                raise EffectObjectMismatch(
+                    f"{self.name}: cannot route {at} on {k} wires for {e.dom}")
+            if at != tuple(range(len(at))):
+                route = at + tuple(p for p in range(k) if p not in taken)
+            at = 0
+        if not 0 <= at <= k - e.dom:
             raise EffectObjectMismatch(
-                f"{self.name}: no {e.dom} wires after {left} of {eff.cod}")
-        return eff.cod - left - e.dom
+                f"{self.name}: no {e.dom} wires after {at} of {k}")
+        return at, route, k - at - e.dom
 
     def _require_endpoints(self, e1: Effect, e2: Effect, what: str) -> None:
         if e1.dom != e2.dom or e1.cod != e2.cod:
@@ -161,9 +200,10 @@ class CircuitAlgebra:
         cur = c.dom
         gate_effect = functools.cache(  # built once per gate name
             lambda name: self.gate_effect(registry.lookup(name)))
+        unit = self.identity_effect(self.obj_of(()))
         for step in c.steps:
             if isinstance(step, Perm):
-                eff = self.compose_eff(eff, self.perm_effect(step.perm, cur))
+                eff = self.then_eff(eff, routing(step.perm), unit)
                 cur = step.cod(cur)
                 continue
             shift = 0
@@ -190,7 +230,7 @@ class _ScalarAlgebra(CircuitAlgebra):
     def identity_effect(self, o) -> Effect:
         return Effect("*", "*", 0)
 
-    def then_eff(self, eff, left, e) -> Effect:
+    def then_eff(self, eff, at, e) -> Effect:
         return Effect("*", "*", eff.value + e.value)
 
     def leq(self, e1, e2) -> bool:
@@ -198,9 +238,6 @@ class _ScalarAlgebra(CircuitAlgebra):
 
     def join(self, e1, e2) -> Effect:
         return Effect("*", "*", max(e1.value, e2.value))
-
-    def perm_effect(self, perm, o) -> Effect:
-        return Effect("*", "*", 0)
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect("*", "*", n)
@@ -257,8 +294,8 @@ class WidthAlgebra(CircuitAlgebra):
     def identity_effect(self, o: int) -> Effect:
         return Effect(o, o, o)
 
-    def then_eff(self, eff, left: int, e) -> Effect:
-        right = self._below(eff, left, e)
+    def then_eff(self, eff, at, e) -> Effect:
+        left, _, right = self._placement(eff, at, e)
         return Effect(eff.dom, left + e.cod + right,
                       max(eff.value, left + e.value + right))
 
@@ -273,9 +310,6 @@ class WidthAlgebra(CircuitAlgebra):
     def gate_effect(self, gdef: GateDef) -> Effect:
         d, c = len(gdef.gate.dom), len(gdef.gate.cod)
         return Effect(d, c, max(d, c))
-
-    def perm_effect(self, perm, o: Obj) -> Effect:
-        return self.identity_effect(len(o))
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect(len(dom), len(cod), n)
@@ -321,13 +355,16 @@ class DepthAlgebra(CircuitAlgebra):
             TropicalMatrix.zeros(1, k),
             TropicalMatrix.zeros(k, 1)))
 
-    def then_eff(self, eff, left: int, e) -> Effect:
+    def then_eff(self, eff, at, e) -> Effect:
         # the wires beside e are identities that neither start nor end paths,
-        # so only the columns of A and the rows of w that e consumes change
-        right = self._below(eff, left, e)
+        # so only the columns of A and the rows of w that e consumes change;
+        # a route gathers the columns of A and the rows of w first
+        left, route, right = self._placement(eff, at, e)
         hi = left + e.dom
         ta, tv, tw = (m.data for m in (eff.value.a, eff.value.v, eff.value.w))
         ga, gv, gw = (m.data for m in (e.value.a, e.value.v, e.value.w))
+        if route is not None:
+            ta, tw = ta[:, route], tw[route, :]
         into = ta[:, left:hi]
         a = np.hstack((ta[:, :left], maxplus(into, ga), ta[:, hi:]))
         # longest path into a sink: already in eff, or cross into e and die
@@ -358,13 +395,6 @@ class DepthAlgebra(CircuitAlgebra):
         v = TropicalMatrix(np.full((1, d), weight if c == 0 else NEG_INF))
         w = TropicalMatrix(np.full((c, 1), weight if d == 0 else NEG_INF))
         return Effect(d, c, DepthTriple(a, v, w))
-
-    def perm_effect(self, perm, o: Obj) -> Effect:
-        k = len(o)
-        return Effect(k, k, DepthTriple(
-            TropicalMatrix.permutation(perm),
-            TropicalMatrix.zeros(1, k),
-            TropicalMatrix.zeros(k, 1)))
 
     def value_json(self, e: Effect):
         t: DepthTriple = e.value
@@ -448,12 +478,38 @@ def _pullback(cost: Cost, evo: Mapping[str, frozenset[str]]) -> Cost:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
 class AssertValue:
-    """Singleton postset table plus the staged cost profile."""
+    """Singleton postset table plus the staged cost profile.
 
-    rows: Mapping[str, frozenset[str]]
-    cost: Cost
+    The cost's items sit in a list that later values may share: ``then``
+    appends to it in place when this value is the last one built on it, so
+    a fold that appends a stage per step takes linear time, not quadratic.
+    ``cost`` reads the value's prefix of the list, as a tuple.
+    """
+
+    __slots__ = ("rows", "_items", "_n", "_cost")
+
+    def __init__(self, rows: Mapping[str, frozenset[str]], cost: Cost):
+        self.rows = rows
+        self._items = list(cost)
+        self._n = len(self._items)
+        self._cost = tuple(cost)
+
+    def then(self, rows: Mapping[str, frozenset[str]], more: Cost) -> "AssertValue":
+        """These rows, with this value's cost followed by ``more``."""
+        items = self._items
+        if len(items) != self._n:  # a later value has appended already
+            items = items[:self._n]
+        items.extend(more)
+        out = object.__new__(AssertValue)
+        out.rows, out._items, out._n, out._cost = rows, items, len(items), None
+        return out
+
+    @property
+    def cost(self) -> Cost:
+        if self._cost is None:
+            self._cost = tuple(self._items[:self._n])
+        return self._cost
 
     def __eq__(self, other):
         return (isinstance(other, AssertValue)
@@ -487,15 +543,21 @@ def _bitstrings(n: int) -> list[str]:
 
 
 class _Placed(dict):
-    """``rows`` on the bits [lo, hi) of a state, the other bits passing by;
-    built for a state when it is first looked up."""
+    """``rows`` on the bits [lo, hi) of a state whose bits ``route`` reorders
+    first (None: no reordering), the other bits passing by; built for a
+    state when it is first looked up."""
 
-    def __init__(self, rows: Mapping[str, frozenset[str]], lo: int, hi: int):
-        self.rows, self.lo, self.hi = rows, lo, hi
+    def __init__(self, rows: Mapping[str, frozenset[str]], lo: int, hi: int,
+                 route: Optional[tuple[int, ...]]):
+        self.rows, self.lo, self.hi, self.route = rows, lo, hi, route
+
+    def routed(self, b: str) -> str:
+        return b if self.route is None else "".join([b[i] for i in self.route])
 
     def __missing__(self, b: str) -> frozenset[str]:
         lo, hi = self.lo, self.hi
-        post = self[b] = frozenset(b[:lo] + y + b[hi:] for y in self.rows[b[lo:hi]])
+        r = self.routed(b)
+        post = self[b] = frozenset(r[:lo] + y + r[hi:] for y in self.rows[r[lo:hi]])
         return post
 
 
@@ -534,26 +596,27 @@ class AssertAlgebra(CircuitAlgebra):
         rows = {b: frozenset({b}) for b in _bitstrings(k)}
         return Effect(k, k, AssertValue(rows, ()))
 
-    def then_eff(self, eff, left: int, e) -> Effect:
-        # the middle bits of a state that eff reaches pick e's row and its
-        # costs; the passing bits are copied around every state in that row
-        right = self._below(eff, left, e)
+    def then_eff(self, eff, at, e) -> Effect:
+        # the middle bits of a state that eff reaches (its bits routed first)
+        # pick e's row and its costs; the passing bits are copied around
+        # every state in that row
+        left, route, right = self._placement(eff, at, e)
         _require_qubits(eff.cod)
         t: AssertValue = eff.value
         v: AssertValue = e.value
         hi = left + e.dom
-        whole = left == right == 0
-        placed = v.rows if whole else _Placed(v.rows, left, hi)
+        whole = route is None and left == right == 0
+        placed = v.rows if whole else _Placed(v.rows, left, hi, route)
         rows = {b: frozenset().union(*map(placed.__getitem__, post))
                 for b, post in t.rows.items()}
-        cost = t.cost
+        more: Cost = ()
         if v.cost:
             # e's costs read on the states eff reaches (placed's keys), then
             # read before eff
             reached = v.cost if whole else _pullback(
-                v.cost, {y: frozenset({y[left:hi]}) for y in placed})
-            cost += _pullback(reached, t.rows)
-        return Effect(eff.dom, left + e.cod + right, AssertValue(rows, cost))
+                v.cost, {y: frozenset({placed.routed(y)[left:hi]}) for y in placed})
+            more = _pullback(reached, t.rows)
+        return Effect(eff.dom, left + e.cod + right, t.then(rows, more))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "assert leq")
@@ -589,18 +652,6 @@ class AssertAlgebra(CircuitAlgebra):
             rows[b] = post
             costs[b] = cost
         return Effect(d, c, AssertValue(rows, _stage(costs)))
-
-    def perm_effect(self, perm, o: Obj) -> Effect:
-        k = self.obj_of(o)
-
-        def route(b: str) -> str:
-            out = [""] * k
-            for i, j in enumerate(perm):
-                out[j] = b[i]
-            return "".join(out)
-
-        rows = {b: frozenset({route(b)}) for b in _bitstrings(k)}
-        return Effect(k, k, AssertValue(rows, ()))
 
     def value_json(self, e: Effect):
         v: AssertValue = e.value

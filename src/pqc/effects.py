@@ -96,10 +96,9 @@ def verify_dynamic(
         raise LinearityViolation(
             "program result does not mention every open wire; cannot align "
             "endpoints for verification")
-    pos = {lbl: i for i, lbl in enumerate(flat)}
-    p_out = tuple(pos[lbl] for lbl, _ in out_ctx)
-    dynamic = alg.compose_eff(
-        alg.abstract(circuit, registry),
-        alg.perm_effect(p_out, circuit.cod))
+    pos = {lbl: i for i, (lbl, _) in enumerate(out_ctx)}
+    dynamic = alg.then_eff(alg.abstract(circuit, registry),
+                           tuple(pos[lbl] for lbl in flat),
+                           alg.identity_effect(alg.obj_of(())))
     return VerifyReport(alg.name, static, dynamic, alg.leq(dynamic, static),
                         circuit, out_ctx, value)

@@ -522,16 +522,19 @@ class _Parser:
     # ---- terms -----------------------------------------------------------
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "let":
+        """A term: its ``let`` and ``dest`` binders are read in a loop and
+        the nested term is built from the back, so only bound terms
+        recurse."""
+        binders: list[tuple] = []
+        while True:
+            if self.at_kw("let"):
                 self.next()
                 name = self.expect("ident", "a variable name").text
                 self.expect("=", "'='")
                 bound = self.term()
                 self.expect_kw("in")
-                return Let(name, bound, self.term())
-            if t.text == "dest":
+                binders.append((name, bound))
+            elif self.at_kw("dest"):
                 self.next()
                 self.expect("(", "'(' after dest")
                 names = [self.expect("ident", "a variable name").text]
@@ -544,8 +547,21 @@ class _Parser:
                 self.expect("=", "'='")
                 v = self.value()
                 self.expect_kw("in")
-                body = self.term()
-                return _nest_dest(names, v, body)
+                binders.append((names, v))
+            else:
+                break
+        m = self.simple_term()
+        for binder, bound in reversed(binders):
+            if isinstance(binder, str):
+                m = Let(binder, bound, m)
+            else:
+                m = _nest_dest(binder, bound, m)
+        return m
+
+    def simple_term(self) -> Term:
+        """A term that is not a ``let`` or ``dest``."""
+        t = self.peek()
+        if t.kind == "kw":
             if t.text == "return":
                 self.next()
                 return Ret(self.value())
@@ -604,11 +620,14 @@ class _Parser:
 
 
 def _nest_dest(names: list[str], v: Value, body: Term) -> Dest:
-    """dest (x, y, z) = v  ≡  dest (x, t) = v in dest (y, z) = t in ..."""
-    if len(names) == 2:
-        return Dest(names[0], names[1], v, body)
-    rest = "_" + "".join(names[1:])
-    return Dest(names[0], rest, v, _nest_dest(names[1:], Var(rest), body))
+    """dest (x, y, z) = v  ≡  dest (x, t) = v in dest (y, z) = t in ...,
+    built from the innermost ``dest`` out."""
+    def rest(i: int) -> str:  # the name bound to the tuple of names[i:]
+        return names[i] if i == len(names) - 1 else "_" + "".join(names[i:])
+
+    for i in range(len(names) - 2, -1, -1):
+        body = Dest(names[i], rest(i + 1), Var(rest(i)) if i else v, body)
+    return body
 
 
 def parse_type(src: str) -> Type:

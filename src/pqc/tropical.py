@@ -34,10 +34,14 @@ class TropicalMatrix:
     data: np.ndarray  # shape (rows, cols), dtype float
 
     def __post_init__(self):
+        # A float array that owns its memory, as every freshly built one
+        # does, is adopted without a copy: the caller hands it over, and it
+        # becomes read-only. A view of another array is copied.
         a = np.asarray(self.data, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"tropical matrix must be 2-d, got shape {a.shape}")
-        a = a.copy()
+        if a.base is not None:
+            a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -51,15 +55,6 @@ class TropicalMatrix:
         """The tropical identity: 0 on the diagonal, −∞ elsewhere."""
         m = np.full((n, n), NEG_INF)
         np.fill_diagonal(m, 0.0)
-        return TropicalMatrix(m)
-
-    @staticmethod
-    def permutation(perm: tuple[int, ...]) -> "TropicalMatrix":
-        """Row i has a single 0 in column perm[i]."""
-        n = len(perm)
-        m = np.full((n, n), NEG_INF)
-        for i, j in enumerate(perm):
-            m[i, j] = 0.0
         return TropicalMatrix(m)
 
     @property

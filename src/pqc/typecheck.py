@@ -13,9 +13,17 @@ type checking is the same checker over ``TRIVIAL``, whose every effect is
 ``Effect("*", "*", 0)`` and whose ``from_bound`` answers even without a
 bound, so unannotated arrows, circuits and thunks need no ascription.
 
-Rules sequence effects with the algebra's one primitive ``then_eff``: a
-``let`` reorders the context, body wires first, places the bound term's
-effect after the body's wires, and composes the body's effect onto that.
+A chain of ``let`` and ``dest`` binders is inferred as a left fold, read in
+a loop the way ``abstract`` folds a circuit; in the paper's monadic reading
+a ``let`` is Kleisli composition. A running prefix effect runs from the
+entries the chain has consumed so far to the wires live now. Each binder
+places its bound term's effect on the prefix, at the wires of the entries
+that term consumes, with the algebra's one primitive ``then_eff``; a
+``dest`` (or a ``let`` of a ``return``) only hands wires to new names, and
+the chain's last term puts the outputs in its result's order once. Only
+bound terms recurse, so recursion goes as deep as terms nest, not as long
+as chains run, and each algebra's laws holding on the nose, the effect is
+the one a right fold (each binder composed with the whole rest) would give.
 
 ``sharp`` maps a type to the shape of the wires a value of that type holds:
 parameters hold none (I), wires hold themselves, a function holds the wires
@@ -24,6 +32,7 @@ it captured, and tensors are pointwise; ``wires_of`` flattens it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -229,18 +238,24 @@ class _Binder:
 class EffectChecker:
     """Types terms and infers their effects in one algebra.
 
-    Each context entry contributes a block of wires (``wires_of`` its type),
-    and every rule that reshuffles the context composes in a permutation
-    effect. The invariant checked at every term node: the effect runs from
+    Each context entry contributes a block of wires (``wires_of`` its type).
+    The invariant, checked where each effect is made: the effect runs from
     the wires of the linear entries the term uses (in context order) to the
     wires of its result type. ``used`` sets hold context indices, so
     shadowed entries stay distinct.
+
+    A term is read as a spine: ``let`` and ``dest`` binders, then a term of
+    another kind. ``_infer`` walks the spine in a loop and folds its effect
+    left to right (``_fold``); only bound terms and the terms inside values
+    recurse, so the depth of recursion is the nesting of terms, not the
+    length of a chain.
     """
 
     def __init__(self, alg: CircuitAlgebra, registry: Optional[Registry] = None):
         self.alg = alg
         self.registry = registry or default_registry()
         self.ctx: list[_Binder] = []
+        self._gates: dict[str, CircT] = {}  # gate name -> its circuit type
 
     # ---- context plumbing -------------------------------------------------
 
@@ -248,9 +263,11 @@ class EffectChecker:
         """Bind a name at an annotated (source) type."""
         self._bind(key, synthesize_bounds(self.alg, ty))
 
-    def _bind(self, key: CtxKey, ty: Type) -> None:
-        """Bind a name at an inferred type, whose stored effects are in place."""
-        self.ctx.append(_Binder(key, ty, wires_of(ty), not is_parameter(ty)))
+    def _bind(self, key: CtxKey, ty: Type, wires: Optional[Obj] = None) -> None:
+        """Bind a name at an inferred type, whose stored effects are in place;
+        ``wires`` are the type's, when the caller already has them."""
+        self.ctx.append(_Binder(key, ty, wires_of(ty) if wires is None else wires,
+                                not is_parameter(ty)))
 
     def check_closed(self, ctx: Sequence[tuple[CtxKey, Type]],
                      m: Term) -> tuple[Type, Effect]:
@@ -297,23 +314,16 @@ class EffectChecker:
     def _blocks_obj(self, indices: Sequence[int]) -> Obj:
         return tuple(w for i in indices for w in self.ctx[i].wires)
 
-    def _reorder(self, target: Sequence[int]) -> Effect:
-        """Permutation effect from context order to the given entry order."""
-        if not self.alg.positional:
-            return self.alg.perm_effect((), ())
-        ctx = self.ctx
-        src = sorted(target)
-        dom = self._blocks_obj(src)
-        if src == target:
-            return self.alg.perm_effect(tuple(range(len(dom))), dom)
-        offset, acc = {}, 0
-        for i in target:
-            offset[i] = acc
-            acc += len(ctx[i].wires)
-        perm: list[int] = []
-        for i in src:
-            perm.extend(range(offset[i], offset[i] + len(ctx[i].wires)))
-        return self.alg.perm_effect(tuple(perm), dom)
+    def _check_endpoints(self, m: Term, eff: Effect, dom: Obj, cod: Obj,
+                         ty: Type) -> None:
+        """The invariant: ``eff`` runs from the wires ``dom`` the term
+        consumes to the wires ``cod`` of its result type ``ty``."""
+        alg = self.alg
+        if alg.positional and (eff.dom != alg.obj_of(dom)
+                               or eff.cod != alg.obj_of(cod)):
+            raise EndpointMismatch(
+                f"{alg.name} effect {eff.dom}→{eff.cod} of {type(m).__name__} "
+                f"does not run from its consumed wires to its result {show_type(ty)}")
 
     # ---- stored effects ---------------------------------------------------
 
@@ -355,14 +365,16 @@ class EffectChecker:
         alg = self.alg
         body_eff = alg.abstract(boxed.body, self.registry)
         flat_in = flatten_bundle(boxed.inputs)
-        p_in = tuple(boxed.in_ctx.position(lbl) for lbl in flat_in)
         in_obj = tuple(boxed.in_ctx.type_of(lbl) for lbl in flat_in)
-        flat_out = flatten_bundle(boxed.outputs)
-        pos_out = {lbl: i for i, lbl in enumerate(flat_out)}
-        p_out = tuple(pos_out[lbl] for lbl, _ in boxed.out_ctx)
-        eff = alg.compose_eff(
-            alg.compose_eff(alg.perm_effect(p_in, in_obj), body_eff),
-            alg.perm_effect(p_out, boxed.body.cod))
+        # the bundle's wires routed into the body's input order, and the
+        # body's outputs routed into the bundle's order
+        in_pos = {lbl: i for i, lbl in enumerate(flat_in)}
+        out_pos = {lbl: i for i, (lbl, _) in enumerate(boxed.out_ctx)}
+        eff = alg.then_eff(
+            alg.then_eff(alg.identity_effect(alg.obj_of(in_obj)),
+                         tuple(in_pos[lbl] for lbl, _ in boxed.in_ctx), body_eff),
+            tuple(out_pos[lbl] for lbl in flatten_bundle(boxed.outputs)),
+            alg.identity_effect(alg.obj_of(())))
         return CircT(bundle_type(boxed.inputs, boxed.in_ctx),
                      bundle_type(boxed.outputs, boxed.out_ctx), None, eff)
 
@@ -386,10 +398,14 @@ class EffectChecker:
             case NatVal():
                 return NatT(), set(), []
             case GateRef(name):
-                gdef = self.registry.lookup(name)
-                return CircT(type_of_shape(spine(gdef.gate.dom)),
-                             type_of_shape(spine(gdef.gate.cod)), None,
-                             self.alg.gate_effect(gdef)), set(), []
+                ct = self._gates.get(name)
+                if ct is None:
+                    gdef = self.registry.lookup(name)
+                    ct = self._gates[name] = CircT(
+                        type_of_shape(spine(gdef.gate.dom)),
+                        type_of_shape(spine(gdef.gate.cod)), None,
+                        self.alg.gate_effect(gdef))
+                return ct, set(), []
             case BoxedVal():
                 return self._boxed_type(v), set(), []
             case Lam(var, ty0, body):
@@ -413,68 +429,178 @@ class EffectChecker:
     # ---- terms ------------------------------------------------------------
 
     def infer_term(self, m: Term) -> tuple[Type, set[int], Effect]:
-        """Type, used entries and effect of a term (one frame per node)."""
+        """Type, used entries and effect of a term."""
+        ty, _, used, eff = self._infer(m)
+        return ty, used, eff
+
+    def _infer(self, m: Term) -> tuple[Type, Obj, set[int], Effect]:
+        """Type, its wires, used entries and effect of a term, by its spine.
+
+        Each binder and the final term is one step: the entries it consumes
+        and the effect it places on their wires (none for ``dest`` and
+        ``return``, which only hand wires on). Linearity is checked once
+        the spine is read, binder by binder from the last one, so an error
+        is reported where a rule nested once per binder would find it first.
+        """
+        ctx = self.ctx
+        base = len(ctx)
+        head = m
+        # per step: linear entries consumed (in the order the effect takes
+        # their wires), the effect or None, the first entry it binds and how
+        # many; binders[k] names the binder of step k
+        steps: list[tuple[list[int], Optional[Effect], int, int]] = []
+        binders: list[str] = []
+        used: set[int] = set()
+        last: dict[int, int] = {}         # linear entry -> step that last consumed it
+        again: dict[int, list[int]] = {}  # step -> its entries a later step consumes
+
+        def consume(u: set[int], order: list[int], e: Optional[Effect],
+                    count: int) -> None:
+            k = len(steps)
+            used.update(u)
+            for i in order:
+                if i in last:
+                    again.setdefault(last[i], []).append(i)
+                last[i] = k
+            steps.append((order, e, len(ctx), count))
+
+        while True:
+            if isinstance(m, Let):
+                ty, wires, u, order, e = self._leaf(m.bound)
+                consume(u, order, e, 1)
+                binders.append(f"let {m.var}")
+                self._bind(m.var, ty, wires)
+            elif isinstance(m, Dest):
+                vt, u, order = self.infer_value(m.value)
+                if not isinstance(vt, TensorT):
+                    raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
+                consume(u, order, None, 2)
+                binders.append(f"dest ({m.left}, {m.right})")
+                self._bind(m.left, vt.left)
+                self._bind(m.right, vt.right)
+            else:
+                break
+            m = m.body
+        ty, wires, u, order, e = self._leaf(m)
+        consume(u, order, e, 0)
+
+        for k in range(len(binders) - 1, -1, -1):
+            _, _, first, count = steps[k]
+            for i in range(first, first + count):
+                if ctx[i].linear and i not in last:
+                    raise LinearityViolation(
+                        f"{ctx[i].key} is linear but never used in the body "
+                        f"of {binders[k]}")
+            if k in again:
+                names = ", ".join(str(ctx[i].key) for i in sorted(again[k]))
+                raise LinearityViolation(
+                    f"{names} used more than once in {binders[k]}")
+
+        outer = sorted(i for i in last if i < base)
+        eff = self._fold(steps, outer)
+        del ctx[base:]
+        self._check_endpoints(head, eff, self._blocks_obj(outer), wires, ty)
+        return ty, wires, {i for i in used if i < base}, eff
+
+    def _fold(self, steps, outer: list[int]) -> Effect:
+        """The effect of a spine's steps, folded left to right.
+
+        The running prefix runs from the wires of ``outer``, the entries
+        from outside the spine that it consumes (in context order), to the
+        wires now live. An outer entry is an idle wire from the start of
+        the spine until a step consumes it, so width counts it beside every
+        earlier step. ``cols`` names the wire at each output position of the
+        prefix and ``live`` the wires of each live entry: a step finds its
+        wires by position and places its effect there with one ``then_eff``,
+        in place when they are adjacent and in order, else routed to the
+        top. Nothing is reordered to keep the outputs in context order; the
+        last step leaves only its own outputs, in its result's order.
+        """
+        alg, ctx = self.alg, self.ctx
+        unit = alg.identity_effect(alg.obj_of(()))
+        if not alg.positional:
+            eff = unit
+            for _, e, _, _ in steps:
+                if e is not None:
+                    eff = alg.then_eff(eff, unit.dom, e)
+            return eff
+        serial = itertools.count()
+        live = {i: [next(serial) for _ in ctx[i].wires] for i in outer}
+        cols = [w for i in outer for w in live[i]]
+        eff = alg.identity_effect(alg.obj_of(self._blocks_obj(outer)))
+        for k, (order, e, first, count) in enumerate(steps):
+            pos = {w: p for p, w in enumerate(cols)}
+            taken = [w for i in order for w in live.pop(i)]
+            at = tuple(pos[w] for w in taken)
+            if e is not None:
+                out = [next(serial) for _ in range(e.cod)]
+                lo = at[0] if at else len(cols)
+                if at == tuple(range(lo, lo + len(at))):
+                    # adjacent and in order: in place, moving no other wire
+                    eff = alg.then_eff(eff, lo, e)
+                    cols = cols[:lo] + out + cols[lo + len(at):]
+                else:
+                    eff = alg.then_eff(eff, at, e)
+                    gone = set(at)
+                    cols = out + [w for p, w in enumerate(cols) if p not in gone]
+            else:
+                out = taken
+                if k == len(steps) - 1 and at != tuple(range(len(cols))):
+                    eff = alg.then_eff(eff, at, unit)
+            for i in range(first, first + count):
+                if ctx[i].linear:
+                    n = len(ctx[i].wires)
+                    live[i], out = out[:n], out[n:]
+        return eff
+
+    def _leaf(self, m: Term) -> tuple[Type, Obj, set[int], list[int], Optional[Effect]]:
+        """A bound or final term of a spine: its type and that type's wires,
+        the entries it uses, the linear ones in the order its effect takes
+        their wires, and the effect (None for a ``return``)."""
         alg = self.alg
+        order = None  # in the effect's wire order; by default, context order
         match m:
-            case Let(var, bound, body):
-                bt, bu, be = self.infer_term(bound)
-                self._bind(var, bt)
-                ty, tu, te = self.infer_term(body)
-                tu = self._pop(1, tu, f"the body of let {var}")
-                used = self._merge(bu, tu, f"let {var}")
-                g2 = sorted(self._linear(tu))
-                g1 = sorted(self._linear(bu))
-                eff = alg.compose_eff(
-                    alg.then_eff(self._reorder(g2 + g1),
-                                 alg.obj_of(self._blocks_obj(g2)), be),
-                    te)
+            case Ret(v):
+                ty, used, order = self.infer_value(v)
+                return ty, self._blocks_obj(order), used, order, None
             case Apply(circ, arg):
                 ct, cu, _ = self.infer_value(circ)
                 if not isinstance(ct, CircT):
                     raise NotACircuit(f"apply needs a circuit, got {show_type(ct)}")
-                stored = self._stored_effect(ct)
-                at, au, ao = self.infer_value(arg)
+                eff = self._stored_effect(ct)
+                at, au, order = self.infer_value(arg)
                 if not same_type(at, ct.dom):
                     raise ShapeMismatch(
                         f"circuit expects {show_type(ct.dom)}, got {show_type(at)}")
                 ty = ct.cod
+                wires = wires_of(ty)
                 used = self._merge(cu, au, "apply")
-                eff = alg.compose_eff(self._reorder(ao), stored)
-            case Ret(v):
-                ty, used, order = self.infer_value(v)
-                eff = self._reorder(order)
-            case Dest(left, right, value, body):
-                vt, vu, vo = self.infer_value(value)
-                if not isinstance(vt, TensorT):
-                    raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
-                self._bind(left, vt.left)
-                self._bind(right, vt.right)
-                ty, bu, be = self.infer_term(body)
-                bu = self._pop(2, bu, f"the body of dest ({left}, {right})")
-                used = self._merge(vu, bu, f"dest ({left}, {right})")
-                g2 = sorted(self._linear(bu))
-                eff = alg.compose_eff(self._reorder(g2 + vo), be)
             case App(fn, arg):
                 ft, fu, fo = self.infer_value(fn)
                 if not isinstance(ft, ArrowT):
                     raise NotAFunction(f"cannot apply a value of type {show_type(ft)}")
-                stored = self._stored_effect(ft)
+                eff = self._stored_effect(ft)
                 at, au, ao = self.infer_value(arg)
                 if not same_type(at, ft.dom):
                     raise ShapeMismatch(
                         f"function expects {show_type(ft.dom)}, got {show_type(at)}")
                 self._check_promise(at, ft.dom, "the argument")
                 ty = ft.cod
+                wires = wires_of(ty)
                 used = self._merge(fu, au, "an application")
-                eff = alg.compose_eff(self._reorder(fo + ao), stored)
+                order = fo + ao
+            case Let() | Dest():  # checked where its spine ends
+                ty, wires, used, eff = self._infer(m)
+                return ty, wires, used, sorted(self._linear(used)), eff
             case Force(value):
                 vt, used, _ = self.infer_value(value)
                 if not isinstance(vt, BangT):
                     raise ShapeMismatch(f"force needs a !-type, got {show_type(vt)}")
                 ty = vt.inner
+                wires = wires_of(ty)
                 if vt.eff is not None:
                     eff = vt.eff
-                elif not wires_of(ty):
+                elif not wires:
                     eff = alg.identity_effect(alg.obj_of(()))
                 else:
                     raise EffectError(
@@ -484,8 +610,8 @@ class EffectChecker:
                 if not isinstance(ct, NatT):
                     raise ShapeMismatch(
                         f"ifz condition must be Nat, got {show_type(ct)}")
-                ty, tu, te = self.infer_term(then)
-                et, eu, ee = self.infer_term(els)
+                ty, wires, tu, te = self._infer(then)
+                et, _, eu, ee = self._infer(els)
                 if ty != et:
                     raise ShapeMismatch(
                         f"ifz branches disagree: {show_type(ty)} vs {show_type(et)}")
@@ -522,16 +648,14 @@ class EffectChecker:
                 circ_eff = alg.compose_eff(
                     alg.then_eff(alg.identity_effect(left), left, prelude), fn_eff)
                 ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
+                wires = ()
                 eff = unit
             case _:
                 raise ShapeMismatch(f"not a term: {m!r}")
-        if alg.positional and (
-                eff.dom != alg.obj_of(self._blocks_obj(sorted(self._linear(used))))
-                or eff.cod != alg.obj_of(wires_of(ty))):
-            raise EndpointMismatch(
-                f"{alg.name} effect {eff.dom}→{eff.cod} of {type(m).__name__} "
-                f"does not run from its consumed wires to its result {show_type(ty)}")
-        return ty, used, eff
+        if order is None:
+            order = sorted(self._linear(used))
+        self._check_endpoints(m, eff, self._blocks_obj(order), wires, ty)
+        return ty, wires, used, order, eff
 
 
 # --------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def tropical(rows, shape=None) -> TropicalMatrix:
     return TropicalMatrix(a if shape is None else a.reshape(shape))
 
 
+def tropical_permutation(perm: tuple[int, ...]) -> TropicalMatrix:
+    """The max-plus permutation matrix: row i has a single 0 in column perm[i]."""
+    n = len(perm)
+    m = np.full((n, n), NEG_INF)
+    m[np.arange(n), list(perm)] = 0.0
+    return TropicalMatrix(m)
+
+
 def tropical_from_lists(rows: list[list], n: int, m: int) -> TropicalMatrix:
     """Inverse of ``TropicalMatrix.tolists`` ("-inf" sentinels)."""
     return tropical([[NEG_INF if x == "-inf" else x for x in row] for row in rows],

@@ -4,14 +4,25 @@ These deliberately avoid the algebra code paths: they walk the concrete
 circuit step by step (sequentializing the gates of a layer left to right,
 matching the whisker decomposition) and measure paths, live wires, or basis
 states directly. ``assert_cost_oracle`` reads an ``assert`` cost one
-precondition at a time, without the matrix evaluator.
+precondition at a time, without the matrix evaluator. ``perm_effect_oracle``
+builds a permutation's effect directly, not by routing wires with
+``then_eff``. ``RightFoldChecker`` infers ``let`` and ``dest`` by the rules
+the checker's left fold replaced.
 """
 
 from __future__ import annotations
 
-from pqc.algebras import MaxCost
-from pqc.circuits import Circuit, Layer, Perm
+import itertools
+from typing import Sequence
+
+from generators import tropical_permutation
+from pqc.algebras import AssertValue, DepthTriple, Effect, MaxCost
+from pqc.circuits import Circuit, Layer, Perm, WireType
+from pqc.errors import ShapeMismatch
 from pqc.gates import Registry, derive_assert_row
+from pqc.syntax import Dest, Let, TensorT, Term, show_type
+from pqc.tropical import TropicalMatrix
+from pqc.typecheck import EffectChecker
 
 NEG_INF = float("-inf")
 
@@ -133,3 +144,83 @@ def assert_cost_oracle(cost, states: frozenset[str]) -> int:
         else:
             total += max((c for b, c in item if b in states), default=0)
     return total
+
+
+def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
+    """The effect of wire i moving to position perm[i], on qubits: a 0/−∞
+    permutation matrix under depth, one relabelled basis state per row under
+    assert, and the identity under the algebras that ignore positions."""
+    k = len(perm)
+    if alg.name == "depth":
+        return Effect(k, k, DepthTriple(tropical_permutation(perm),
+                                        TropicalMatrix.zeros(1, k),
+                                        TropicalMatrix.zeros(k, 1)))
+    if alg.name == "assert":
+        rows = {}
+        for bits in itertools.product("01", repeat=k):
+            out = [""] * k
+            for i, j in enumerate(perm):
+                out[j] = bits[i]
+            rows["".join(bits)] = frozenset({"".join(out)})
+        return Effect(k, k, AssertValue(rows, ()))
+    return alg.identity_effect(alg.obj_of((WireType.QUBIT,) * k))
+
+
+class RightFoldChecker(EffectChecker):
+    """The checker with ``let`` and ``dest`` inferred as a right fold.
+
+    Each binder infers its bound term, then the whole rest of the program,
+    and composes the two: the context is reordered (bound term's entries
+    last) by a permutation effect, the bound term's effect is placed after
+    the rest's wires, and the rest's effect is composed on. Linearity is
+    checked as each binder's body returns, innermost first. Every other
+    term goes through ``EffectChecker``, whose sub-terms come back here.
+    """
+
+    def _reorder(self, target: Sequence[int]) -> Effect:
+        """Permutation effect from context order to the given entry order."""
+        alg = self.alg
+        if not alg.positional:
+            return alg.perm_effect((), ())
+        ctx = self.ctx
+        src = sorted(target)
+        dom = self._blocks_obj(src)
+        offset, acc = {}, 0
+        for i in target:
+            offset[i] = acc
+            acc += len(ctx[i].wires)
+        perm: list[int] = []
+        for i in src:
+            perm.extend(range(offset[i], offset[i] + len(ctx[i].wires)))
+        return alg.perm_effect(tuple(perm), dom)
+
+    def _infer(self, m: Term):
+        alg = self.alg
+        if isinstance(m, Let):
+            bt, bw, bu, be = self._infer(m.bound)
+            self._bind(m.var, bt, bw)
+            ty, wires, tu, te = self._infer(m.body)
+            tu = self._pop(1, tu, f"the body of let {m.var}")
+            used = self._merge(bu, tu, f"let {m.var}")
+            g2 = sorted(self._linear(tu))
+            g1 = sorted(self._linear(bu))
+            eff = alg.compose_eff(
+                alg.then_eff(self._reorder(g2 + g1),
+                             alg.obj_of(self._blocks_obj(g2)), be),
+                te)
+        elif isinstance(m, Dest):
+            vt, vu, vo = self.infer_value(m.value)
+            if not isinstance(vt, TensorT):
+                raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
+            self._bind(m.left, vt.left)
+            self._bind(m.right, vt.right)
+            ty, wires, bu, be = self._infer(m.body)
+            bu = self._pop(2, bu, f"the body of dest ({m.left}, {m.right})")
+            used = self._merge(vu, bu, f"dest ({m.left}, {m.right})")
+            g2 = sorted(self._linear(bu))
+            eff = alg.compose_eff(self._reorder(g2 + vo), be)
+        else:
+            return super()._infer(m)
+        self._check_endpoints(m, eff, self._blocks_obj(sorted(self._linear(used))),
+                              wires, ty)
+        return ty, wires, used, eff

@@ -6,10 +6,11 @@ import pytest
 
 from generators import (
     ASSERT_POOL, Q, B, rng, random_circuit, random_qubit_circuit, random_steps,
-    tropical,
+    tropical, tropical_permutation,
 )
 from oracles import (
-    assert_cost_oracle, assert_sim_oracle, depth_paths_oracle, width_cuts_oracle,
+    assert_cost_oracle, assert_sim_oracle, depth_paths_oracle,
+    perm_effect_oracle, width_cuts_oracle,
 )
 from pqc.algebras import (
     ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, DepthTriple, Effect,
@@ -21,7 +22,7 @@ from pqc.circuits import (
 )
 from pqc.errors import EffectObjectMismatch, UnsupportedWire
 from pqc.gates import GateDef, default_registry
-from pqc.tropical import NEG_INF, TropicalMatrix
+from pqc.tropical import NEG_INF
 
 registry = default_registry()
 H = registry.gate("H")
@@ -66,7 +67,8 @@ def check_functor_laws(alg, r: random.Random, circuit_gen, rounds: int) -> int:
         a, b = (Q,) * r.randint(0, 2), (Q,) * r.randint(0, 2)
         s = symmetry(a, b)
         perm = s.steps[0].perm if s.steps else tuple(range(len(a + b)))
-        assert alg.abstract(s, registry) == alg.perm_effect(perm, a + b)
+        assert alg.abstract(s, registry) == alg.perm_effect(perm, a + b) == \
+            perm_effect_oracle(alg, perm)
         # then_eff after a non-identity prefix, at a random offset
         lo = r.randint(0, len(c.cod))
         hi = r.randint(lo, len(c.cod))
@@ -91,6 +93,32 @@ def test_functor_laws_assert():
     assert check_functor_laws(
         ASSERT, rng("laws-assert"),
         lambda r: random_qubit_circuit(r, max_wires=3, max_steps=5), 40) == 40
+
+
+@pytest.mark.parametrize("name", ["width", "depth", "assert"])
+def test_routed_then_eff_is_a_permutation_then_a_placement(name):
+    # then_eff with a tuple of positions against its definition: the
+    # permutation routing the named wires to the top, multiplied in by the
+    # general product, then e placed after no wires
+    alg = ALGEBRAS[name]
+    r = rng(f"routed-{name}")
+    for _ in range(40):
+        c = (random_qubit_circuit(r) if name == "assert"
+             else random_circuit(r, max_wires=4, max_steps=6))
+        k = len(c.cod)
+        at = tuple(r.sample(range(k), r.randint(0, k)))
+        route = at + tuple(p for p in range(k) if p not in at)
+        perm = [0] * k
+        for j, i in enumerate(route):
+            perm[i] = j
+        below = tuple(c.cod[i] for i in at[:r.randint(0, len(at))])
+        steps, _ = random_steps(r, below, 3, pool=("H", "X", "CNOT", "init"),
+                                max_width=6)
+        e = alg.abstract(Circuit(below, steps), registry)
+        ec = alg.abstract(c, registry)
+        assert alg.then_eff(ec, at, e) == alg.then_eff(
+            alg.compose_eff(ec, perm_effect_oracle(alg, tuple(perm))),
+            alg.obj_of(()), e)
 
 
 # --------------------------------------------------------------------------
@@ -158,7 +186,7 @@ def test_depth_identity_and_perm():
     assert e.value == triple([[0, NEG_INF], [NEG_INF, 0]],
                              [NEG_INF] * 2, [NEG_INF] * 2)
     p = DEPTH.perm_effect((1, 0), (Q, Q))
-    assert p.value.a == TropicalMatrix.permutation((1, 0))
+    assert p.value.a == tropical_permutation((1, 0))
 
 
 def test_depth_gate_effect_orientations():
@@ -455,3 +483,7 @@ def test_endpoint_mismatches_raise():
         for left in (-1, 2):
             with pytest.raises(EffectObjectMismatch):
                 alg.then_eff(eff, left, e)
+        # a route names distinct positions of eff.cod, at least e.dom of them
+        for at in ((0, 0), (2,), ()):
+            with pytest.raises(EffectObjectMismatch):
+                alg.then_eff(eff, at, e)

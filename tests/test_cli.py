@@ -81,6 +81,8 @@ BAD_INPUTS = {
     "binary.pqc": b"\xff\xfe",
     "deep.pqc": (b"inputs q: Qubit;\n" + b"let q = apply(@H, q) in\n" * 3000
                  + b"return q\n"),
+    "deep_ifz.pqc": (b"inputs q: Qubit;\n" + b"ifz 0 then " * 3000 + b"return q"
+                     + b" else return q" * 3000 + b"\n"),
     "wide.pqc": ("inputs " + ", ".join(f"a{i}: Qubit" for i in range(24))
                  + ";\nlet a0 = apply(@H, a0) in\nreturn ("
                  + ", ".join(f"a{i}" for i in range(24)) + ")\n").encode(),
@@ -102,7 +104,8 @@ BAD_INPUTS = {
     pytest.param(["check", "missing.pqc"], 2, None, id="missing-file"),
     pytest.param(["check", "."], 2, None, id="directory"),
     pytest.param(["check", "binary.pqc"], 2, None, id="not-utf8"),
-    pytest.param(["check", "deep.pqc"], 2, None, id="too-deep"),
+    pytest.param(["check", "deep.pqc"], 0, None, id="deep-let-chain"),
+    pytest.param(["check", "deep_ifz.pqc"], 2, None, id="too-deep"),
     pytest.param(["verify", "wide.pqc", "--metric", "assert"], 2, None,
                  id="too-wide"),
     pytest.param(["analyze", "costly.pqc", "--metric", "assert"], 2, None,
@@ -136,6 +139,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, patch):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+    if argv[1] == "deep_ifz.pqc":
+        # let and dest spines are read in loops; other nesting still recurses
+        assert "nested too deeply" in err
 
 
 # --------------------------------------------------------------------------

@@ -7,13 +7,15 @@ from pqc.algebras import (
 from pqc.effects import (
     check_ascription, infer_effect, infer_program_effect, verify_dynamic,
 )
+from pqc.circuits import flatten_bundle
 from pqc.errors import EffectError, EndpointMismatch, LinearityViolation
+from pqc.evaluator import evaluate_program
 from pqc.gates import default_registry
 from pqc.syntax import (
     ArrowT, BangT, CircT, QubitT, TensorT, UnitT, parse_program, parse_term,
     parse_type,
 )
-from pqc.typecheck import synthesize_bounds
+from pqc.typecheck import EffectChecker, synthesize_bounds
 
 registry = default_registry()
 gates = algebra("gates")
@@ -200,6 +202,23 @@ def test_boxed_circuit_effect_flows_through_apply():
     for name in sorted(ALGEBRAS):
         report = verify_dynamic(program(src), algebra(name), registry)
         assert report.dominated, name
+
+
+def test_boxed_value_has_the_type_of_its_box():
+    # the evaluator's boxed circuit lists its outputs (#4, #3) against the
+    # bundle (#3, #4): the checker routes them back into the bundle's order
+    src = (r"inputs; let c = box[Qubit * Qubit] lift \x: Qubit * Qubit."
+           r"   dest (a, b) = x in let p = apply(@CNOT, (b, a)) in"
+           r"   dest (c, d) = p in let c = apply(@H, c) in return (d, c) in"
+           r" return c")
+    _, _, boxed = evaluate_program(program(src), registry)
+    assert [lbl for lbl, _ in boxed.boxed.out_ctx] != \
+        list(flatten_bundle(boxed.boxed.outputs))
+    for name in sorted(ALGEBRAS):
+        alg = algebra(name)
+        ct, _, _ = EffectChecker(alg, registry).infer_value(boxed)
+        ty, _ = infer_program_effect(program(src), alg, registry)
+        assert ct.eff == ty.eff, name
 
 
 def test_verify_report_json_shape():

@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from generators import rng, tropical, tropical_from_lists
+from generators import rng, tropical, tropical_from_lists, tropical_permutation
+from pqc.algebras import ALGEBRAS
+from pqc.gates import default_registry
 from pqc.tropical import NEG_INF, TropicalMatrix
 
 
@@ -49,9 +51,9 @@ def test_zeros_annihilate():
 
 
 def test_permutation_matrices_compose():
-    p = TropicalMatrix.permutation((2, 0, 1))
-    q = TropicalMatrix.permutation((1, 2, 0))
-    assert p.matmul(q) == TropicalMatrix.permutation((0, 1, 2))
+    p = tropical_permutation((2, 0, 1))
+    q = tropical_permutation((1, 2, 0))
+    assert p.matmul(q) == tropical_permutation((0, 1, 2))
 
 
 def test_shape_checks():
@@ -83,3 +85,16 @@ def test_immutability():
     a = TropicalMatrix.eye(2)
     with pytest.raises(ValueError):
         a.data[0, 0] = 5.0
+    # then_eff builds its arrays and hands them over uncopied, read-only
+    depth = ALGEBRAS["depth"]
+    h = depth.gate_effect(default_registry().lookup("H"))
+    t = depth.then_eff(depth.identity_effect(2), 1, h).value
+    for m in (t.a, t.v, t.w):
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 5.0
+    # a view is copied, so writing to its base leaves the matrix alone
+    base = np.zeros((2, 2))
+    view = TropicalMatrix(base[:, :1])
+    base[0, 0] = 7.0
+    assert view.data[0, 0] == 0.0

@@ -1,19 +1,23 @@
+import dataclasses
+
 import pytest
 
 from generators import rng, random_program
-from pqc.algebras import TRIVIAL, algebra
+from oracles import RightFoldChecker
+from pqc.algebras import ALGEBRAS, TRIVIAL, algebra, depth_bound
 from pqc.circuits import WireType, freshlabels, identity, label_supply
 from pqc.effects import infer_program_effect
 from pqc.errors import (
     BoxCapturesWires, LinearityViolation, MisplacedTerm, NotACircuit,
-    NotAFunction, NotAParameter, ObjectMismatch, ParseError, ShapeMismatch,
-    TypecheckError, UnboundName,
+    NotAFunction, NotAParameter, ObjectMismatch, ParseError, PqcError,
+    ShapeMismatch, TypecheckError, UnboundName,
 )
 from pqc.gates import default_registry
 from pqc.syntax import (
-    parse_program, parse_term, parse_type, show_type, Apply, ArrowT, BangT,
-    BitT, Box, BundleUnitT, CircT, GateRef, Let, NatT, Program, QubitT, Ret,
-    TensorT, UnitT, UnitVal, LabelVal, Pair, Var,
+    parse_program, parse_term, parse_type, show_type, App, Apply, ArrowT,
+    BangT, BitT, Box, BundleUnitT, CircT, Dest, Force, GateRef, Ifz, Lam, Let,
+    Lift, NatT, NatVal, Program, QubitT, Ret, TensorT, UnitT, UnitVal,
+    LabelVal, Pair, Var,
 )
 from pqc.typecheck import (
     EffectChecker, check_configuration, check_program, is_parameter,
@@ -180,13 +184,16 @@ def test_term_in_value_position_is_a_type_error():
 
 
 def test_deep_let_chain_checks_and_infers():
+    # a let spine is read in a loop: its length costs no Python frames
     term = Ret(Var("x"))
-    for _ in range(700):
+    for _ in range(10_000):
         term = Let("x", Apply(GateRef("H"), Var("x")), term)
     prog = Program((("x", QubitT()),), None, term)
     assert show_type(check_program(prog, registry)) == "Qubit"
     _, eff = infer_program_effect(prog, algebra("gates"), registry)
-    assert eff.value == 700
+    assert eff.value == 10_000
+    _, eff = infer_program_effect(prog, algebra("depth"), registry)
+    assert depth_bound(eff) == 10_000
 
 
 def test_box_needs_matching_shape():
@@ -245,3 +252,100 @@ def test_random_programs_typecheck():
     r = rng("typecheck-random")
     for _ in range(60):
         check_program(random_program(r), registry)
+
+
+# --------------------------------------------------------------------------
+# the left fold against the right fold it replaced
+# --------------------------------------------------------------------------
+
+_AST = (Ret, App, Let, Dest, Ifz, Force, Box, Apply, Var, Pair, UnitVal,
+        NatVal, GateRef, Lam, Lift)
+
+
+def _nodes(term):
+    """Every term and value inside ``term``, with its path of field names."""
+    out, todo = [], [(term, ())]
+    while todo:
+        node, path = todo.pop()
+        out.append((node, path))
+        for f in dataclasses.fields(node):
+            child = getattr(node, f.name)
+            if isinstance(child, _AST):
+                todo.append((child, path + (f.name,)))
+    return out
+
+
+def _replaced(node, path, new):
+    if not path:
+        return new
+    return dataclasses.replace(
+        node, **{path[0]: _replaced(getattr(node, path[0]), path[1:], new)})
+
+
+def _mutant(r, prog: Program) -> Program:
+    """The program with one node changed: a name, a gate, a binder or a
+    value swapped, dropped or duplicated."""
+    nodes = _nodes(prog.term)
+    names = sorted({n.name for n, _ in nodes if isinstance(n, Var)}
+                   | {n.var for n, _ in nodes if isinstance(n, Let)}) + ["nowhere"]
+    while True:
+        node, path = r.choice(nodes)
+        match node:
+            case Var():
+                new = Var(r.choice(names))
+            case GateRef():
+                new = GateRef(r.choice(("H", "CNOT", "init", "meas", "discard")))
+            case Let(var, bound, body):
+                new = r.choice((body, Let(r.choice(names), bound, body),
+                                Let(var, Ret(UnitVal()), body)))
+            case Dest(left, right, value, body):
+                new = r.choice((body, Dest(right, left, value, body),
+                                Dest(left, right, UnitVal(), body)))
+            case Pair(left, right):
+                new = r.choice((left, Pair(right, left), Pair(left, Pair(right, right))))
+            case Ret(v):
+                new = r.choice((Ret(UnitVal()), Ret(Pair(v, v))))
+            case Apply(circ, arg):
+                new = r.choice((Ret(arg), Apply(circ, Pair(arg, arg))))
+            case _:
+                continue
+        return Program(prog.inputs, None, _replaced(prog.term, path, new))
+
+
+def _outcome(checker, alg, prog: Program):
+    """(type, effect) of a closed program, or the class and text of its error."""
+    try:
+        return checker(alg, registry).check_closed(prog.inputs, prog.term)
+    except PqcError as e:
+        return type(e), str(e)
+
+
+def _programs(r, n: int) -> list[Program]:
+    return [random_program(r, assert_safe=i % 2 == 0) for i in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["trivial"])
+def test_left_fold_equals_right_fold(name):
+    alg = TRIVIAL if name == "trivial" else algebra(name)
+    outcomes = [(_outcome(EffectChecker, alg, p), _outcome(RightFoldChecker, alg, p))
+                for p in _programs(rng("left-fold"), 200)]
+    for left, right in outcomes:
+        assert left == right
+    # an error outcome starts with its class; under assert the programs
+    # that measure are rejected, by both checkers alike
+    assert sum(not isinstance(left[0], type) for left, _ in outcomes) >= 100
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS) + ["trivial"])
+def test_left_fold_rejects_what_right_fold_rejects(name):
+    alg = TRIVIAL if name == "trivial" else algebra(name)
+    r = rng("left-fold-mutants")
+    errors = set()
+    for prog in _programs(r, 200):
+        mutant = _mutant(r, prog)
+        left = _outcome(EffectChecker, alg, mutant)
+        right = _outcome(RightFoldChecker, alg, mutant)
+        if isinstance(right[0], type):
+            errors.add(right[0])
+        assert left == right  # the same class and message, or the same result
+    assert LinearityViolation in errors and len(errors) >= 3
