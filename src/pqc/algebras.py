@@ -54,8 +54,8 @@ single running total is not. All-zero stages are dropped, so cost-free steps
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 import numpy as np
@@ -419,67 +419,142 @@ class DepthAlgebra(CircuitAlgebra):
 # assertion-based size
 # --------------------------------------------------------------------------
 
-Stage = tuple[tuple[str, int], ...]       # sorted (basis, cost>0) pairs
+# A basis state of n qubits is an integer below 2^n whose binary digits, the
+# first wire's most significant, are the wires' states: numeric order is the
+# order of the bitstrings. Strings appear only at the edges (gate rows,
+# ``value_json``, ``AssertValue.rows`` and ``apply``).
+
+Stage = np.ndarray  # read-only int64 vector: a cost per input basis state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxCost:
-    """The larger of the costs of two branches."""
+    """The larger of the costs of two branches (compared by ``cost_eq``)."""
 
     children: tuple["Cost", ...]
 
 
 Cost = tuple[Union[Stage, MaxCost], ...]  # items, summed
 
+
+def cost_eq(c1: Cost, c2: Cost) -> bool:
+    """Do two costs have the same items, stage for stage?"""
+    def item_eq(x, y) -> bool:
+        if isinstance(x, MaxCost) or isinstance(y, MaxCost):
+            return (isinstance(x, MaxCost) and isinstance(y, MaxCost)
+                    and len(x.children) == len(y.children)
+                    and all(map(cost_eq, x.children, y.children)))
+        return np.array_equal(x, y)
+    return len(c1) == len(c2) and all(map(item_eq, c1, c2))
+
+
 # Outside weights (gate-spec costs, bounds) are capped so that a sum of the
 # stages of any cost that fits in memory (< 2^32 items) fits in an int64.
 _ASSERT_MAX_COST = 2**31 - 1
 
 
-def _stage(costs: Mapping[str, int]) -> Cost:
+def _weight(c: int) -> int:
+    if c > _ASSERT_MAX_COST:
+        raise EffectError(f"assert costs are at most {_ASSERT_MAX_COST}, got {c}")
+    return c
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _stage(g: np.ndarray) -> Cost:
     """The cost of one stage with these per-state costs (empty if all zero)."""
-    stage = tuple(sorted((b, c) for b, c in costs.items() if c > 0))
-    top = max((c for _, c in stage), default=0)
-    if top > _ASSERT_MAX_COST:
-        raise EffectError(f"assert costs are at most {_ASSERT_MAX_COST}, got {top}")
-    return (stage,) if stage else ()
+    return (_frozen(g),) if g.any() else ()
 
 
 def eval_cost(cost: Cost, pre: np.ndarray) -> np.ndarray:
     """The cost under each row of ``pre``.
 
     ``pre`` is a boolean matrix with one row per precondition and one column
-    per input basis state (by its binary value). A stage costs its largest
-    entry on the row's states, a ``MaxCost`` the largest of its children, and
-    the items of a cost add up.
+    per input basis state. A stage costs its largest entry on the row's
+    states, a ``MaxCost`` the largest of its children, and the items of a
+    cost add up.
     """
     total = np.zeros(len(pre), dtype=np.int64)
     for item in cost:
         if isinstance(item, MaxCost):
             total += np.maximum.reduce([eval_cost(ch, pre) for ch in item.children])
         else:
-            g = np.zeros(pre.shape[1], dtype=np.int64)
-            g[[int("0" + b, 2) for b, _ in item]] = [c for _, c in item]
-            total += (pre * g).max(axis=1)
+            total += (pre * item).max(axis=1)
     return total
 
 
-def _pullback(cost: Cost, evo: Mapping[str, frozenset[str]]) -> Cost:
-    """``cost`` read before ``evo``: a stage costs at b its max over evo[b]."""
-    out: list = []
-    for item in cost:
-        if isinstance(item, MaxCost):
-            out.append(MaxCost(tuple(_pullback(ch, evo) for ch in item.children)))
-        else:
-            lut = dict(item)
-            zero = itertools.repeat(0)
-            out.extend(_stage({b: max(map(lut.get, post, zero), default=0)
-                               for b, post in evo.items()}))
-    return tuple(out)
+# entries of the (states × stages × basis) product _pullback builds at once
+_PULLBACK_BLOCK = 1 << 22
+
+
+def _pullback(cost: Cost, hit: np.ndarray) -> Cost:
+    """``cost`` read before the relation ``hit``: a stage costs at b its
+    largest entry on the states that row b of ``hit`` marks (0 if none).
+
+    Every stage, those under a ``MaxCost`` too, is pulled back in one
+    product, a block of rows of ``hit`` at a time.
+    """
+    stages: list[np.ndarray] = []
+
+    def collect(c: Cost) -> None:
+        for item in c:
+            if isinstance(item, MaxCost):
+                for ch in item.children:
+                    collect(ch)
+            else:
+                stages.append(item)
+
+    collect(cost)
+    if not stages:
+        return cost
+    s = np.stack(stages)
+    step = max(1, _PULLBACK_BLOCK // s.size)
+    blocks = [(hit[i:i + step, None, :] * s).max(axis=2)
+              for i in range(0, len(hit), step)]
+    pulled = iter(np.ascontiguousarray(
+        (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).T))
+
+    def rebuild(c: Cost) -> Cost:
+        out: list = []
+        for item in c:
+            if isinstance(item, MaxCost):
+                out.append(MaxCost(tuple(map(rebuild, item.children))))
+            else:
+                out.extend(_stage(next(pulled)))
+        return tuple(out)
+
+    return rebuild(cost)
+
+
+@functools.cache
+def _bitstrings(n: int) -> tuple[str, ...]:
+    """The n-bit strings, indexed by the basis state they name."""
+    return tuple(format(i, f"0{n}b") for i in range(1 << n)) if n else ("",)
+
+
+def basis_strings(states: np.ndarray, n: int) -> list[str]:
+    """The n-bit strings of these basis states, in their order."""
+    return list(map(_bitstrings(n).__getitem__, states.tolist()))
+
+
+def basis_row(strings, n: int) -> np.ndarray:
+    """The indicator row of a set of n-bit basis strings."""
+    row = np.zeros(1 << n, dtype=bool)
+    row[[int("0" + b, 2) for b in strings]] = True
+    return row
 
 
 class AssertValue:
-    """Singleton postset table plus the staged cost profile.
+    """Reachability relation plus the staged cost profile.
+
+    ``reach[y, b]`` says whether input basis state b can reach output basis
+    state y: one row per output state, so that the slices ``then_eff`` cuts
+    by the bits of output states are runs of whole rows. ``rows`` renders it
+    as basis strings, by input state. The value adopts the arrays it is
+    given and makes them read-only.
 
     The cost's items sit in a list that later values may share: ``then``
     appends to it in place when this value is the last one built on it, so
@@ -487,23 +562,31 @@ class AssertValue:
     ``cost`` reads the value's prefix of the list, as a tuple.
     """
 
-    __slots__ = ("rows", "_items", "_n", "_cost")
+    __slots__ = ("reach", "_items", "_n", "_cost", "_rows", "_sources")
 
-    def __init__(self, rows: Mapping[str, frozenset[str]], cost: Cost):
-        self.rows = rows
+    def __init__(self, reach: np.ndarray, cost: Cost):
+        self.reach = _frozen(reach)
         self._items = list(cost)
         self._n = len(self._items)
         self._cost = tuple(cost)
+        self._rows = self._sources = None
 
-    def then(self, rows: Mapping[str, frozenset[str]], more: Cost) -> "AssertValue":
-        """These rows, with this value's cost followed by ``more``."""
+    def then(self, reach: np.ndarray, more: Cost) -> "AssertValue":
+        """This value's cost followed by ``more``, on the relation ``reach``."""
         items = self._items
         if len(items) != self._n:  # a later value has appended already
             items = items[:self._n]
         items.extend(more)
         out = object.__new__(AssertValue)
-        out.rows, out._items, out._n, out._cost = rows, items, len(items), None
+        out.reach, out._items, out._n = _frozen(reach), items, len(items)
+        out._cost = out._rows = out._sources = None
         return out
+
+    def sources(self) -> list[list[int]]:
+        """For each output state, the input states that reach it."""
+        if self._sources is None:
+            self._sources = [np.flatnonzero(row).tolist() for row in self.reach]
+        return self._sources
 
     @property
     def cost(self) -> Cost:
@@ -511,22 +594,49 @@ class AssertValue:
             self._cost = tuple(self._items[:self._n])
         return self._cost
 
+    @property
+    def dom(self) -> int:
+        return self.reach.shape[1].bit_length() - 1
+
+    @property
+    def cod(self) -> int:
+        return self.reach.shape[0].bit_length() - 1
+
+    def posts(self) -> list[list[str]]:
+        """Each input basis state's reachable output strings, in order."""
+        cod = self.cod
+        pairs = np.flatnonzero(self.reach.T)  # b·2^cod + y, in order
+        flat = basis_strings(pairs & ((1 << cod) - 1), cod)
+        ends = np.searchsorted(pairs, np.arange(1, len(self.reach[0]) + 1) << cod).tolist()
+        return [flat[i:j] for i, j in zip([0] + ends, ends)]
+
+    @property
+    def rows(self) -> Mapping[str, frozenset[str]]:
+        """Each input basis string's set of reachable output strings."""
+        if self._rows is None:
+            self._rows = MappingProxyType(dict(zip(
+                _bitstrings(self.dom), map(frozenset, self.posts()))))
+        return self._rows
+
     def __eq__(self, other):
         return (isinstance(other, AssertValue)
-                and dict(self.rows) == dict(other.rows)
-                and self.cost == other.cost)
+                and np.array_equal(self.reach, other.reach)
+                and cost_eq(self.cost, other.cost))
 
-    def apply(self, states: frozenset[str] | set[str]) -> tuple[frozenset[str], int]:
-        """Postset and cost on a precondition set of basis states."""
-        states = frozenset(states)
-        post = frozenset().union(*(self.rows[b] for b in states))
-        pre = np.zeros((1, len(self.rows)), dtype=bool)
-        pre[0, [int("0" + b, 2) for b in states]] = True
-        return post, int(eval_cost(self.cost, pre)[0])
+    def image(self, pre: np.ndarray) -> tuple[np.ndarray, int]:
+        """Postset (an indicator row) and cost on the indicator row of a
+        precondition."""
+        post = self.reach[:, pre].any(axis=1)
+        return post, int(eval_cost(self.cost, pre[None, :])[0])
+
+    def apply(self, states) -> tuple[frozenset[str], int]:
+        """Postset and cost on a precondition set of basis strings."""
+        post, cost = self.image(basis_row(states, self.dom))
+        return frozenset(basis_strings(np.flatnonzero(post), self.cod)), cost
 
 
-# Rows and stages list every basis state: 2^n entries, each row up to 2^n
-# states (about 2 GB at n = 12 after an H on every qubit).
+# Rows take 4^n bytes at n qubits (16 MB at 12), and a dense step a few
+# times that at its peak.
 _ASSERT_MAX_QUBITS = 12
 
 
@@ -535,30 +645,6 @@ def _require_qubits(n: int) -> None:
         raise EffectError(
             f"assert analysis supports at most {_ASSERT_MAX_QUBITS} qubits, "
             f"got {n}")
-
-
-def _bitstrings(n: int) -> list[str]:
-    _require_qubits(n)
-    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
-
-
-class _Placed(dict):
-    """``rows`` on the bits [lo, hi) of a state whose bits ``route`` reorders
-    first (None: no reordering), the other bits passing by; built for a
-    state when it is first looked up."""
-
-    def __init__(self, rows: Mapping[str, frozenset[str]], lo: int, hi: int,
-                 route: Optional[tuple[int, ...]]):
-        self.rows, self.lo, self.hi, self.route = rows, lo, hi, route
-
-    def routed(self, b: str) -> str:
-        return b if self.route is None else "".join([b[i] for i in self.route])
-
-    def __missing__(self, b: str) -> frozenset[str]:
-        lo, hi = self.lo, self.hi
-        r = self.routed(b)
-        post = self[b] = frozenset(r[:lo] + y + r[hi:] for y in self.rows[r[lo:hi]])
-        return post
 
 
 _ASSERT_LEQ_MAX_BITS = 4
@@ -593,36 +679,45 @@ class AssertAlgebra(CircuitAlgebra):
         return len(o)
 
     def identity_effect(self, k: int) -> Effect:
-        rows = {b: frozenset({b}) for b in _bitstrings(k)}
-        return Effect(k, k, AssertValue(rows, ()))
+        _require_qubits(k)
+        return Effect(k, k, AssertValue(np.eye(1 << k, dtype=bool), ()))
 
     def then_eff(self, eff, at, e) -> Effect:
-        # the middle bits of a state that eff reaches (its bits routed first)
-        # pick e's row and its costs; the passing bits are copied around
-        # every state in that row
+        # eff's relation, one row per output state (its wires routed first),
+        # is viewed as (states of the wires above e, of e's wires, of the
+        # wires below e and input states); each output state of e is the OR
+        # of the slices of the input states that e's rows map to it, and the
+        # outer wires pass by. Every slice is a run of whole rows.
         left, route, right = self._placement(eff, at, e)
         _require_qubits(eff.cod)
         t: AssertValue = eff.value
         v: AssertValue = e.value
-        hi = left + e.dom
-        whole = route is None and left == right == 0
-        placed = v.rows if whole else _Placed(v.rows, left, hi, route)
-        rows = {b: frozenset().union(*map(placed.__getitem__, post))
-                for b, post in t.rows.items()}
+        r = t.reach
+        n = r.shape[1]
+        if route is not None:
+            k = eff.cod
+            r = r.reshape((2,) * k + (n,)).transpose(route + (k,)).reshape(1 << k, n)
+        r4 = r.reshape(1 << left, 1 << e.dom, 1 << right, n)
+        out = np.empty((1 << left, 1 << e.cod, 1 << right, n), dtype=bool)
+        for c, xs in enumerate(v.sources()):
+            dst = out[:, c]
+            if len(xs) < 2:
+                dst[...] = r4[:, xs[0]] if xs else False
+                continue
+            np.logical_or(r4[:, xs[0]], r4[:, xs[1]], out=dst)
+            for x in xs[2:]:
+                dst |= r4[:, x]
         more: Cost = ()
         if v.cost:
-            # e's costs read on the states eff reaches (placed's keys), then
-            # read before eff
-            reached = v.cost if whole else _pullback(
-                v.cost, {y: frozenset({placed.routed(y)[left:hi]}) for y in placed})
-            more = _pullback(reached, t.rows)
-        return Effect(eff.dom, left + e.cod + right, t.then(rows, more))
+            # e's costs at the states of its wires that eff reaches from b
+            more = _pullback(v.cost, r4.any(axis=(0, 2)).T)
+        return Effect(eff.dom, left + e.cod + right, t.then(out.reshape(-1, n), more))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "assert leq")
         v1: AssertValue = e1.value
         v2: AssertValue = e2.value
-        if any(not v1.rows[b] <= v2.rows[b] for b in v1.rows):
+        if np.any(v1.reach > v2.reach):
             return False
         if e1.dom > _ASSERT_LEQ_MAX_BITS:
             raise EffectObjectMismatch(
@@ -635,39 +730,39 @@ class AssertAlgebra(CircuitAlgebra):
         self._require_endpoints(e1, e2, "assert join")
         v1: AssertValue = e1.value
         v2: AssertValue = e2.value
-        rows = {b: v1.rows[b] | v2.rows[b] for b in v1.rows}
-        if v1.cost == v2.cost:
+        if cost_eq(v1.cost, v2.cost):
             cost = v1.cost
         else:
             cost = (MaxCost((v1.cost, v2.cost)),)
-        return Effect(e1.dom, e1.cod, AssertValue(rows, cost))
+        return Effect(e1.dom, e1.cod, AssertValue(v1.reach | v2.reach, cost))
 
     def gate_effect(self, gdef: GateDef) -> Effect:
         d = self.obj_of(gdef.gate.dom)
         c = self.obj_of(gdef.gate.cod)
-        rows = {}
-        costs = {}
-        for b in _bitstrings(d):
-            post, cost = derive_assert_row(gdef, b)
-            rows[b] = post
-            costs[b] = cost
-        return Effect(d, c, AssertValue(rows, _stage(costs)))
+        _require_qubits(d)
+        reach = np.zeros((1 << c, 1 << d), dtype=bool)
+        g = np.zeros(1 << d, dtype=np.int64)
+        rows = [derive_assert_row(gdef, b) for b in _bitstrings(d)]
+        for b, (post, cost) in enumerate(rows):
+            reach[:, b] = basis_row(post, c)
+            g[b] = _weight(cost)
+        return Effect(d, c, AssertValue(reach, _stage(g)))
 
     def value_json(self, e: Effect):
         v: AssertValue = e.value
-        return {
-            "rows": {b: sorted(post) for b, post in sorted(v.rows.items())},
-        }
+        return {"rows": dict(zip(_bitstrings(e.dom), v.posts()))}
 
     def bound_of(self, e) -> float:
         v: AssertValue = e.value
-        return int(eval_cost(v.cost, np.ones((1, len(v.rows)), dtype=bool))[0])
+        return int(eval_cost(v.cost, np.ones((1, 1 << e.dom), dtype=bool))[0])
 
     def coarsest(self, dom, cod, n: int) -> Effect:
-        full = frozenset(_bitstrings(len(cod)))
-        rows = {b: full for b in _bitstrings(len(dom))}
-        return Effect(len(dom), len(cod),
-                      AssertValue(rows, _stage({b: n for b in rows})))
+        d, c = len(dom), len(cod)
+        _require_qubits(c)
+        _require_qubits(d)
+        return Effect(d, c, AssertValue(
+            np.ones((1 << c, 1 << d), dtype=bool),
+            _stage(np.full(1 << d, _weight(n), dtype=np.int64))))
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,12 @@ import os
 import sys
 from typing import Optional
 
-from .algebras import ALGEBRAS, AssertAlgebra, CircuitAlgebra, DepthAlgebra, depth_bound
+import numpy as np
+
+from .algebras import (
+    ALGEBRAS, AssertAlgebra, CircuitAlgebra, DepthAlgebra, basis_row, basis_strings,
+    depth_bound,
+)
 from .circuits import draw, serialize
 from .effects import check_ascription, infer_program_effect, verify_dynamic
 from .errors import PqcError
@@ -123,17 +128,20 @@ def cmd_analyze(args) -> int:
     doc = _effect_json(alg, eff)
     if isinstance(alg, AssertAlgebra):
         if args.precondition is not None:
-            states = _parse_precondition(args.precondition, alg, eff)
+            pre = basis_row(_parse_precondition(args.precondition, alg, eff), eff.dom)
         else:
-            states = frozenset(eff.value.rows)
-        post, cost = eff.value.apply(states)
+            pre = np.ones(1 << eff.dom, dtype=bool)
+        post, cost = eff.value.image(pre)
+        kept = eff.cod
         if args.restrict is not None:
             if not 0 <= args.restrict <= eff.cod:
                 raise PqcError(
                     f"--restrict needs 0 <= N <= {eff.cod}, got {args.restrict}")
-            post = frozenset(s[:args.restrict] for s in post)
-        doc["precondition"] = sorted(states)
-        doc["post"] = sorted(post)
+            kept = args.restrict
+        doc["precondition"] = basis_strings(np.flatnonzero(pre), eff.dom)
+        # --restrict keeps the first wires: the high bits of each post state
+        doc["post"] = basis_strings(
+            np.flatnonzero(post.reshape(1 << kept, -1).any(axis=1)), kept)
         doc["cost"] = cost
     print(json.dumps(doc, indent=2))
     return 0

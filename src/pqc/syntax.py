@@ -711,16 +711,26 @@ def _show_operand(v: Value) -> str:
 
 
 def show_term(m: Term) -> str:
+    """A term's source text. Its ``let`` and ``dest`` binders are printed
+    in a loop, as the parser reads them, so only bound terms recurse."""
+    lines = []
+    while isinstance(m, (Let, Dest)):
+        if isinstance(m, Let):
+            lines.append(f"let {m.var} = {show_term(m.bound)} in\n")
+        else:
+            lines.append(f"dest ({m.left}, {m.right}) = {show_value(m.value)} in\n")
+        m = m.body
+    lines.append(_show_simple_term(m))
+    return "".join(lines)
+
+
+def _show_simple_term(m: Term) -> str:
+    """A term that is not a ``let`` or ``dest``."""
     match m:
         case Ret(v):
             return f"return {show_value(v)}"
         case App(fn, arg):
             return f"{_show_operand(fn)} {show_value(arg)}"
-        case Let(var, bound, body):
-            return f"let {var} = {show_term(bound)} in\n{show_term(body)}"
-        case Dest(left, right, value, body):
-            return (f"dest ({left}, {right}) = {show_value(value)} in\n"
-                    f"{show_term(body)}")
         case Ifz(cond, then, els):
             return (f"ifz {show_value(cond)} then {show_term(then)} "
                     f"else {show_term(els)}")

@@ -7,19 +7,27 @@ states directly. ``assert_cost_oracle`` reads an ``assert`` cost one
 precondition at a time, without the matrix evaluator. ``perm_effect_oracle``
 builds a permutation's effect directly, not by routing wires with
 ``then_eff``. ``RightFoldChecker`` infers ``let`` and ``dest`` by the rules
-the checker's left fold replaced.
+the checker's left fold replaced. ``StringAssertAlgebra`` is the ``assert``
+algebra on basis strings and dicts, one state at a time, that the algebra
+on basis integers replaced.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from generators import tropical_permutation
-from pqc.algebras import AssertValue, DepthTriple, Effect, MaxCost
+from pqc.algebras import (
+    _ASSERT_LEQ_MAX_BITS, _ASSERT_MAX_COST, AssertAlgebra, AssertValue,
+    CircuitAlgebra, DepthTriple, Effect, MaxCost, _require_qubits, _subsets,
+)
 from pqc.circuits import Circuit, Layer, Perm, WireType
-from pqc.errors import ShapeMismatch
-from pqc.gates import Registry, derive_assert_row
+from pqc.errors import EffectError, EffectObjectMismatch, ShapeMismatch
+from pqc.gates import GateDef, Registry, derive_assert_row
 from pqc.syntax import Dest, Let, TensorT, Term, show_type
 from pqc.tropical import TropicalMatrix
 from pqc.typecheck import EffectChecker
@@ -131,10 +139,10 @@ def assert_sim_oracle(c: Circuit, registry: Registry,
 def assert_cost_oracle(cost, states: frozenset[str]) -> int:
     """An ``assert`` cost on one set of basis states, item by item.
 
-    A stage (sorted ``(basis, cost)`` pairs) costs its largest entry on
-    ``states``, a ``MaxCost`` the largest of its children, and the items of
-    a cost add up: the per-state reading that ``algebras.eval_cost`` makes
-    on a whole matrix of preconditions at once.
+    A stage (a vector of costs indexed by basis state) costs its largest
+    entry on ``states``, a ``MaxCost`` the largest of its children, and the
+    items of a cost add up: the per-state reading that
+    ``algebras.eval_cost`` makes on a whole matrix of preconditions at once.
     """
     total = 0
     for item in cost:
@@ -142,7 +150,7 @@ def assert_cost_oracle(cost, states: frozenset[str]) -> int:
             total += max((assert_cost_oracle(ch, states) for ch in item.children),
                          default=0)
         else:
-            total += max((c for b, c in item if b in states), default=0)
+            total += max((int(item[int("0" + b, 2)]) for b in states), default=0)
     return total
 
 
@@ -162,7 +170,10 @@ def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
             for i, j in enumerate(perm):
                 out[j] = bits[i]
             rows["".join(bits)] = frozenset({"".join(out)})
-        return Effect(k, k, AssertValue(rows, ()))
+        reach = np.zeros((1 << k, 1 << k), dtype=bool)
+        for b, (y,) in rows.items():
+            reach[int("0" + y, 2), int("0" + b, 2)] = True
+        return Effect(k, k, AssertValue(reach, ()))
     return alg.identity_effect(alg.obj_of((WireType.QUBIT,) * k))
 
 
@@ -224,3 +235,177 @@ class RightFoldChecker(EffectChecker):
         self._check_endpoints(m, eff, self._blocks_obj(sorted(self._linear(used))),
                               wires, ty)
         return ty, wires, used, eff
+
+
+# --------------------------------------------------------------------------
+# assert on basis strings
+# --------------------------------------------------------------------------
+
+StringStage = tuple[tuple[str, int], ...]       # sorted (basis, cost>0) pairs
+
+
+@dataclass(frozen=True)
+class StringMaxCost:
+    """The larger of the costs of two branches."""
+
+    children: tuple["StringCost", ...]
+
+
+StringCost = tuple[Union[StringStage, StringMaxCost], ...]  # items, summed
+
+
+def _string_stage(costs: Mapping[str, int]) -> StringCost:
+    stage = tuple(sorted((b, c) for b, c in costs.items() if c > 0))
+    top = max((c for _, c in stage), default=0)
+    if top > _ASSERT_MAX_COST:
+        raise EffectError(f"assert costs are at most {_ASSERT_MAX_COST}, got {top}")
+    return (stage,) if stage else ()
+
+
+def string_eval_cost(cost: StringCost, pre: np.ndarray) -> np.ndarray:
+    """The cost under each row of ``pre`` (one column per input state, by
+    its binary value), stage strings parsed as they are read."""
+    total = np.zeros(len(pre), dtype=np.int64)
+    for item in cost:
+        if isinstance(item, StringMaxCost):
+            total += np.maximum.reduce(
+                [string_eval_cost(ch, pre) for ch in item.children])
+        else:
+            g = np.zeros(pre.shape[1], dtype=np.int64)
+            g[[int("0" + b, 2) for b, _ in item]] = [c for _, c in item]
+            total += (pre * g).max(axis=1)
+    return total
+
+
+def _string_pullback(cost: StringCost,
+                     evo: Mapping[str, frozenset[str]]) -> StringCost:
+    """``cost`` read before ``evo``: a stage costs at b its max over evo[b]."""
+    out: list = []
+    for item in cost:
+        if isinstance(item, StringMaxCost):
+            out.append(StringMaxCost(
+                tuple(_string_pullback(ch, evo) for ch in item.children)))
+        else:
+            lut = dict(item)
+            zero = itertools.repeat(0)
+            out.extend(_string_stage({b: max(map(lut.get, post, zero), default=0)
+                                      for b, post in evo.items()}))
+    return tuple(out)
+
+
+class StringAssertValue:
+    """Postset table on basis strings plus the staged cost profile."""
+
+    def __init__(self, rows: Mapping[str, frozenset[str]], cost: StringCost):
+        self.rows = rows
+        self.cost = tuple(cost)
+
+    def apply(self, states) -> tuple[frozenset[str], int]:
+        states = frozenset(states)
+        post = frozenset().union(*(self.rows[b] for b in states))
+        pre = np.zeros((1, len(self.rows)), dtype=bool)
+        pre[0, [int("0" + b, 2) for b in states]] = True
+        return post, int(string_eval_cost(self.cost, pre)[0])
+
+
+def _bitstrings(n: int) -> list[str]:
+    _require_qubits(n)
+    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+
+
+class _Placed(dict):
+    """``rows`` on the bits [lo, hi) of a state whose bits ``route`` reorders
+    first (None: no reordering), the other bits passing by; built for a
+    state when it is first looked up."""
+
+    def __init__(self, rows: Mapping[str, frozenset[str]], lo: int, hi: int,
+                 route: Optional[tuple[int, ...]]):
+        self.rows, self.lo, self.hi, self.route = rows, lo, hi, route
+
+    def routed(self, b: str) -> str:
+        return b if self.route is None else "".join([b[i] for i in self.route])
+
+    def __missing__(self, b: str) -> frozenset[str]:
+        lo, hi = self.lo, self.hi
+        r = self.routed(b)
+        post = self[b] = frozenset(r[:lo] + y + r[hi:] for y in self.rows[r[lo:hi]])
+        return post
+
+
+class StringAssertAlgebra(CircuitAlgebra):
+    """The ``assert`` algebra with rows as dicts from basis strings to sets
+    of basis strings and stages as sorted (string, cost) pairs: each state's
+    postset is built string by string."""
+
+    name = "assert"
+    obj_of = AssertAlgebra.obj_of
+
+    def identity_effect(self, k: int) -> Effect:
+        rows = {b: frozenset({b}) for b in _bitstrings(k)}
+        return Effect(k, k, StringAssertValue(rows, ()))
+
+    def then_eff(self, eff, at, e) -> Effect:
+        left, route, right = self._placement(eff, at, e)
+        _require_qubits(eff.cod)
+        t: StringAssertValue = eff.value
+        v: StringAssertValue = e.value
+        hi = left + e.dom
+        whole = route is None and left == right == 0
+        placed = v.rows if whole else _Placed(v.rows, left, hi, route)
+        rows = {b: frozenset().union(*map(placed.__getitem__, post))
+                for b, post in t.rows.items()}
+        more: StringCost = ()
+        if v.cost:
+            reached = v.cost if whole else _string_pullback(
+                v.cost, {y: frozenset({placed.routed(y)[left:hi]}) for y in placed})
+            more = _string_pullback(reached, t.rows)
+        return Effect(eff.dom, left + e.cod + right,
+                      StringAssertValue(rows, t.cost + more))
+
+    def leq(self, e1, e2) -> bool:
+        self._require_endpoints(e1, e2, "assert leq")
+        v1: StringAssertValue = e1.value
+        v2: StringAssertValue = e2.value
+        if any(not v1.rows[b] <= v2.rows[b] for b in v1.rows):
+            return False
+        if e1.dom > _ASSERT_LEQ_MAX_BITS:
+            raise EffectObjectMismatch(
+                f"assert leq is decided exhaustively and supports at most "
+                f"{_ASSERT_LEQ_MAX_BITS} input qubits, got {e1.dom}")
+        pre = _subsets(1 << e1.dom)
+        return bool(np.all(string_eval_cost(v1.cost, pre)
+                           <= string_eval_cost(v2.cost, pre)))
+
+    def join(self, e1, e2) -> Effect:
+        self._require_endpoints(e1, e2, "assert join")
+        v1: StringAssertValue = e1.value
+        v2: StringAssertValue = e2.value
+        rows = {b: v1.rows[b] | v2.rows[b] for b in v1.rows}
+        if v1.cost == v2.cost:
+            cost = v1.cost
+        else:
+            cost = (StringMaxCost((v1.cost, v2.cost)),)
+        return Effect(e1.dom, e1.cod, StringAssertValue(rows, cost))
+
+    def gate_effect(self, gdef: GateDef) -> Effect:
+        d = self.obj_of(gdef.gate.dom)
+        c = self.obj_of(gdef.gate.cod)
+        rows = {}
+        costs = {}
+        for b in _bitstrings(d):
+            rows[b], costs[b] = derive_assert_row(gdef, b)
+        return Effect(d, c, StringAssertValue(rows, _string_stage(costs)))
+
+    def value_json(self, e: Effect):
+        v: StringAssertValue = e.value
+        return {"rows": {b: sorted(post) for b, post in sorted(v.rows.items())}}
+
+    def bound_of(self, e) -> float:
+        v: StringAssertValue = e.value
+        return int(string_eval_cost(v.cost, np.ones((1, len(v.rows)), dtype=bool))[0])
+
+    def coarsest(self, dom, cod, n: int) -> Effect:
+        full = frozenset(_bitstrings(len(cod)))
+        rows = {b: full for b in _bitstrings(len(dom))}
+        return Effect(len(dom), len(cod),
+                      StringAssertValue(rows, _string_stage({b: n for b in rows})))

@@ -1,0 +1,186 @@
+"""The ``assert`` algebra on basis integers against the one on basis strings.
+
+``oracles.StringAssertAlgebra`` builds every postset string by string;
+``pqc.algebras.AssertAlgebra`` works on boolean matrices and int vectors.
+Both must give the same ``value_json``, and the same postset and cost under
+every single basis state and under all states, on circuits, on inferred
+programs and on random folds of routed placements, joins and coarsest
+effects, at 1-8 qubits.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from generators import ASSERT_POOL, Q, random_program, random_steps, rng
+from oracles import StringAssertAlgebra, string_eval_cost
+from pqc.algebras import ALGEBRAS, _ASSERT_MAX_QUBITS, Effect
+from pqc.circuits import Circuit, Gate
+from pqc.effects import infer_program_effect
+from pqc.errors import PqcError
+from pqc.gates import GateDef, default_registry
+from pqc.syntax import parse_program, show_program
+
+registry = default_registry()
+ASSERT = ALGEBRAS["assert"]
+STRINGS = StringAssertAlgebra()
+
+
+def bitstrings(n: int) -> list[str]:
+    return ["".join(bits) for bits in itertools.product("01", repeat=n)]
+
+
+def assert_same(new: Effect, old: Effect, where) -> None:
+    """Equal endpoints, ``value_json``, and ``apply`` on every single state
+    and on all states. The oracle's single-state costs are read in one
+    evaluation over the identity matrix, which is ``apply`` state by state."""
+    assert (new.dom, new.cod) == (old.dom, old.cod), where
+    assert ASSERT.value_json(new) == STRINGS.value_json(old), where
+    states = bitstrings(new.dom)
+    singles = string_eval_cost(old.value.cost, np.eye(len(states), dtype=bool))
+    for b, cost in zip(states, singles.tolist()):
+        assert new.value.apply({b}) == (old.value.rows[b], cost), (where, b)
+    assert new.value.apply(states) == old.value.apply(states), where
+    assert ASSERT.bound_of(new) == STRINGS.bound_of(old), where
+
+
+def outcome(run, alg):
+    try:
+        return run(alg)
+    except PqcError as err:
+        return type(err).__name__, str(err)
+
+
+def test_circuits_match_the_string_algebra():
+    r = rng("assert-oracle-circuits")
+    for i in range(60):
+        dom = (Q,) * r.randint(1, 8)
+        steps, _ = random_steps(r, dom, 10, pool=ASSERT_POOL, max_width=8)
+        c = Circuit(dom, steps)
+        assert_same(ASSERT.abstract(c, registry), STRINGS.abstract(c, registry),
+                    (i, str(c)))
+
+
+def test_inferred_programs_match_the_string_algebra():
+    # ifz joins branch costs (MaxCost), boxes compose whole effects, and dest
+    # routes wires
+    r = rng("assert-oracle-programs")
+    for i in range(80):
+        prog = random_program(r, assert_safe=True, max_inputs=8,
+                              steps=r.randint(1, 12))
+        new = outcome(lambda alg: infer_program_effect(prog, alg, registry)[1], ASSERT)
+        old = outcome(lambda alg: infer_program_effect(prog, alg, registry)[1], STRINGS)
+        if isinstance(new, Effect):
+            assert_same(new, old, show_program(prog))
+        else:
+            assert new == old, show_program(prog)
+
+
+def random_table(r) -> GateDef:
+    """A one-qubit gate with random postsets and costs."""
+    gate = Gate(f"t{r.randrange(10**6)}", (Q,), (Q,))
+    return GateDef(gate, rows={
+        b: (frozenset(r.sample(["0", "1"], r.randint(1, 2))), r.randint(0, 4))
+        for b in "01"})
+
+
+def random_piece(r, k: int, room: int):
+    """A circuit on all k wires, a gate, a coarsest effect, or a join of two
+    sequences of two random tables and a table after it, taking d <= k
+    wires, with at most ``room`` more wires out than in, on both algebras."""
+    if r.random() < 0.15:
+        steps, _ = random_steps(r, (Q,) * k, 4, pool=("H", "X", "CNOT"))
+        c = Circuit((Q,) * k, steps)
+        return ASSERT.abstract(c, registry), STRINGS.abstract(c, registry)
+    if r.random() < 0.2:
+        tables = [random_table(r) for _ in range(5)]
+        pair = []
+        for alg in (ASSERT, STRINGS):
+            g = [alg.gate_effect(gdef) for gdef in tables]
+            pair.append(alg.compose_eff(
+                alg.join(alg.compose_eff(g[0], g[1]), alg.compose_eff(g[2], g[3])),
+                g[4]))
+        return tuple(pair)
+    if r.random() < 0.25:
+        d = r.randint(0, min(k, 2))
+        c = r.randint(0, min(2, d + room))
+        n = r.randint(0, 3)
+        return (ASSERT.coarsest((Q,) * d, (Q,) * c, n),
+                STRINGS.coarsest((Q,) * d, (Q,) * c, n))
+    names = [g for g in ASSERT_POOL
+             if len(registry.gate(g).dom) <= k
+             and len(registry.gate(g).cod) - len(registry.gate(g).dom) <= room]
+    gdef = registry.lookup(r.choice(names))
+    return ASSERT.gate_effect(gdef), STRINGS.gate_effect(gdef)
+
+
+def random_at(r, k: int, d: int):
+    if r.random() < 0.5:
+        return r.randint(0, k - d)
+    wires = list(range(k))
+    r.shuffle(wires)
+    return tuple(wires[:r.randint(d, k)])
+
+
+def test_folds_with_routes_joins_and_coarsest_match_the_string_algebra():
+    r = rng("assert-oracle-folds")
+    for i in range(60):
+        k = r.randint(1, 8)
+        new, old = ASSERT.identity_effect(k), STRINGS.identity_effect(k)
+        for _ in range(r.randint(1, 10)):
+            e_new, e_old = random_piece(r, new.cod, 8 - new.cod)
+            at = random_at(r, new.cod, e_new.dom)
+            if r.random() < 0.3:
+                # join with the prefix followed by one more qubit gate in place
+                g = registry.lookup(r.choice(("H", "X", "Z")))
+                w = r.randrange(new.cod)
+                new = ASSERT.join(new, ASSERT.then_eff(new, w, ASSERT.gate_effect(g)))
+                old = STRINGS.join(old, STRINGS.then_eff(old, w, STRINGS.gate_effect(g)))
+            new = ASSERT.then_eff(new, at, e_new)
+            old = STRINGS.then_eff(old, at, e_old)
+            if new.cod == 0:
+                break
+        assert_same(new, old, i)
+        if new.dom <= 3 and new.cod:
+            # leq both ways between the fold, one more gate after it, and
+            # their join
+            g = registry.lookup(r.choice(("H", "X", "Z")))
+            w = r.randrange(new.cod)
+            more = ASSERT.then_eff(new, w, ASSERT.gate_effect(g))
+            more_old = STRINGS.then_eff(old, w, STRINGS.gate_effect(g))
+            pairs = [(new, more), (more, new),
+                     (more, ASSERT.join(new, more))]
+            pairs_old = [(old, more_old), (more_old, old),
+                         (more_old, STRINGS.join(old, more_old))]
+            for (a, b), (a_old, b_old) in zip(pairs, pairs_old):
+                assert ASSERT.leq(a, b) == STRINGS.leq(a_old, b_old), i
+
+
+def h_on_each(n: int) -> str:
+    qs = [f"q{j}" for j in range(n)]
+    lines = ["inputs " + ", ".join(f"{q}: Qubit" for q in qs) + ";"]
+    lines += [f"let {q} = apply(@H, {q}) in" for q in qs]
+    return "\n".join(lines + [f"return ({', '.join(qs)})"])
+
+
+def ghz(n: int) -> str:
+    qs = [f"q{j}" for j in range(n)]
+    lines = ["inputs " + ", ".join(f"{q}: Qubit" for q in qs) + ";",
+             "let q0 = apply(@H, q0) in"]
+    for a, b in zip(qs, qs[1:]):
+        lines.append(f"let p = apply(@CNOT, ({a}, {b})) in dest ({a}, {b}) = p in")
+    return "\n".join(lines + [f"return ({', '.join(qs)})"])
+
+
+@pytest.mark.parametrize("family", ["dense", "ghz"])
+def test_assert_inference_at_the_qubit_cap(family):
+    n = _ASSERT_MAX_QUBITS
+    prog = parse_program(h_on_each(n) if family == "dense" else ghz(n))
+    _, e = infer_program_effect(prog, ASSERT, registry)
+    post, cost = e.value.apply({"0" * n})
+    expected = set(bitstrings(n)) if family == "dense" else {"0" * n, "1" * n}
+    assert post == expected and cost == n
+    assert ASSERT.bound_of(e) == n

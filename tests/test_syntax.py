@@ -112,3 +112,13 @@ def test_round_trip_suites():
         assert parse_term(show_term(m)) == m
         p = random_ast_program(r)
         assert parse_program(show_program(p)) == p
+
+
+def test_deep_let_chain_prints_and_round_trips():
+    # printing reads the let/dest spine in a loop, as parsing does
+    lines = ["inputs q: Qubit, r: Qubit;"]
+    lines += ["let p = apply(@CNOT, (q, r)) in dest (q, r) = p in"
+              if i % 100 == 0 else "let q = apply(@H, q) in" for i in range(10**4)]
+    text = show_program(parse_program("\n".join(lines + ["return (q, r)"])))
+    assert text.count("\nlet ") == 10**4 and text.count("\ndest ") == 100
+    assert show_program(parse_program(text)) == text
