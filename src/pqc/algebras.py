@@ -29,7 +29,8 @@ Shipped algebras:
                      A[i,j] bounds input-i→output-j paths, v[i] bounds paths
                      from input i into a dead end (e.g. discard), w[j] bounds
                      paths from an internal source (e.g. init) to output j.
-                     ``depth_bound`` is the max entry over all three.
+                     The three are stored as one matrix; ``depth_bound`` is
+                     its max entry.
 * ``assert``       — assertion-based post-optimization size: objects are
                      qubit counts, morphisms track for every input basis
                      state the set of reachable basis states plus the cost of
@@ -321,26 +322,36 @@ class WidthAlgebra(CircuitAlgebra):
 
 @dataclass(frozen=True)
 class DepthTriple:
-    """(A, v, w): path-weight bounds input→output, input→sink, source→output."""
+    """(A, v, w) as one max-plus matrix ``m`` of shape (dom+1)×(cod+1).
 
-    a: TropicalMatrix
-    v: TropicalMatrix  # 1 × dom
-    w: TropicalMatrix  # cod × 1
+    ``m[:dom, :cod]`` is A (input→output), the last column is v
+    (input→sink), the last row is w (source→output). The corner is always
+    −∞: paths from a created wire into a dead end are not tracked. ``a``,
+    ``v`` (1 × dom) and ``w`` (cod × 1) are rendered from ``m`` on read.
+    """
 
-    def __post_init__(self):
-        k1, k2 = self.a.shape
-        if self.v.shape != (1, k1):
-            raise EffectObjectMismatch(f"v must be 1×{k1}, got {self.v.shape}")
-        if self.w.shape != (k2, 1):
-            raise EffectObjectMismatch(f"w must be {k2}×1, got {self.w.shape}")
+    m: TropicalMatrix
 
-    def max_entry(self) -> float:
-        return max(self.a.max_entry(), self.v.max_entry(), self.w.max_entry())
+    @property
+    def a(self) -> TropicalMatrix:
+        return TropicalMatrix(self.m.data[:-1, :-1])
+
+    @property
+    def v(self) -> TropicalMatrix:
+        return TropicalMatrix(self.m.data[:-1, -1:].T)
+
+    @property
+    def w(self) -> TropicalMatrix:
+        return TropicalMatrix(self.m.data[-1:, :-1].T)
 
 
 def depth_bound(e: Effect) -> float:
-    """Max entry over all three components (−∞ for the empty triple)."""
-    return e.value.max_entry()
+    """Max entry over A, v and w (−∞ when there are no paths)."""
+    return e.value.m.max_entry()
+
+
+def _depth(dom: int, cod: int, m: np.ndarray) -> Effect:
+    return Effect(dom, cod, DepthTriple(TropicalMatrix(m)))
 
 
 class DepthAlgebra(CircuitAlgebra):
@@ -350,69 +361,60 @@ class DepthAlgebra(CircuitAlgebra):
         return len(o)
 
     def identity_effect(self, k: int) -> Effect:
-        return Effect(k, k, DepthTriple(
-            TropicalMatrix.eye(k),
-            TropicalMatrix.zeros(1, k),
-            TropicalMatrix.zeros(k, 1)))
+        m = np.full((k + 1, k + 1), NEG_INF)
+        m[range(k), range(k)] = 0.0
+        return _depth(k, k, m)
 
     def then_eff(self, eff, at, e) -> Effect:
         # the wires beside e are identities that neither start nor end paths,
-        # so only the columns of A and the rows of w that e consumes change;
-        # a route gathers the columns of A and the rows of w first
+        # so only the columns e consumes change, and the sink column; a route
+        # gathers the columns first
         left, route, right = self._placement(eff, at, e)
-        hi = left + e.dom
-        ta, tv, tw = (m.data for m in (eff.value.a, eff.value.v, eff.value.w))
-        ga, gv, gw = (m.data for m in (e.value.a, e.value.v, e.value.w))
+        hi, k = left + e.dom, eff.cod
+        m, g = eff.value.m.data, e.value.m.data
         if route is not None:
-            ta, tw = ta[:, route], tw[route, :]
-        into = ta[:, left:hi]
-        a = np.hstack((ta[:, :left], maxplus(into, ga), ta[:, hi:]))
-        # longest path into a sink: already in eff, or cross into e and die
-        v = np.maximum(tv, maxplus(into, gv.T).T)
-        # longest path from a source: born in e, or born in eff and through e
-        w = np.vstack((tw[:left], np.maximum(gw, maxplus(tw[left:hi].T, ga).T),
-                       tw[hi:]))
-        return Effect(eff.dom, left + e.cod + right, DepthTriple(
-            TropicalMatrix(a), TropicalMatrix(v), TropicalMatrix(w)))
+            m = m[:, route + (k,)]
+        # every row (inputs, then eff's sources) through e: into e's outputs,
+        # and into e's sinks
+        p = maxplus(m[:, left:hi], g[:-1])
+        np.maximum(p[-1], g[-1], out=p[-1])  # sources born in e
+        p[-1, -1] = NEG_INF  # a path from a source into a sink is not tracked
+        np.maximum(p[:, -1], m[:, k], out=p[:, -1])  # sinks already in eff
+        return _depth(eff.dom, left + e.cod + right,
+                      np.hstack((m[:, :left], p[:, :-1], m[:, hi:k], p[:, -1:])))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "depth leq")
-        return (e1.value.a.leq(e2.value.a)
-                and e1.value.v.leq(e2.value.v)
-                and e1.value.w.leq(e2.value.w))
+        return e1.value.m.leq(e2.value.m)
 
     def join(self, e1, e2) -> Effect:
         self._require_endpoints(e1, e2, "depth join")
-        return Effect(e1.dom, e1.cod, DepthTriple(
-            e1.value.a.pointwise_max(e2.value.a),
-            e1.value.v.pointwise_max(e2.value.v),
-            e1.value.w.pointwise_max(e2.value.w)))
+        return Effect(e1.dom, e1.cod, DepthTriple(e1.value.m.pointwise_max(e2.value.m)))
 
     def gate_effect(self, gdef: GateDef) -> Effect:
         d, c = len(gdef.gate.dom), len(gdef.gate.cod)
-        weight = float(gdef.depth)
-        a = TropicalMatrix(np.full((d, c), weight))
-        v = TropicalMatrix(np.full((1, d), weight if c == 0 else NEG_INF))
-        w = TropicalMatrix(np.full((c, 1), weight if d == 0 else NEG_INF))
-        return Effect(d, c, DepthTriple(a, v, w))
+        m = np.full((d + 1, c + 1), float(gdef.depth))
+        if c:
+            m[:, c] = NEG_INF  # paths end in the outputs, not in a sink
+        if d:
+            m[d] = NEG_INF  # paths start at the inputs, not at a source
+        m[d, c] = NEG_INF
+        return _depth(d, c, m)
 
     def value_json(self, e: Effect):
-        t: DepthTriple = e.value
-        return {
-            "A": t.a.tolists(),
-            "v": t.v.tolists()[0] if t.v.data.size else [],
-            "w": [row[0] for row in t.w.tolists()],
-        }
+        rows = e.value.m.tolists()
+        return {"A": [r[:-1] for r in rows[:-1]],
+                "v": [r[-1] for r in rows[:-1]],
+                "w": rows[-1][:-1]}
 
     def bound_of(self, e) -> float:
         return depth_bound(e)
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         d, c = len(dom), len(cod)
-        return Effect(d, c, DepthTriple(
-            TropicalMatrix(np.full((d, c), float(n))),
-            TropicalMatrix(np.full((1, d), float(n))),
-            TropicalMatrix(np.full((c, 1), float(n)))))
+        m = np.full((d + 1, c + 1), float(n))
+        m[d, c] = NEG_INF
+        return _depth(d, c, m)
 
 
 # --------------------------------------------------------------------------

@@ -603,11 +603,7 @@ def deserialize(raw: bytes | str, registry) -> Circuit:
                 steps.append(Perm(tuple(int(x) for x in entry["perm"])))
             else:
                 raise ParseError(f"step {i}: neither 'layer' nor 'perm'")
-        except (KeyError, TypeError, ValueError) as e:
-            raise ParseError(f"step {i}: {e}") from e
-        except UnknownGate as e:
-            raise ParseError(f"step {i}: {e}") from e
-        except ObjectMismatch as e:
+        except (KeyError, TypeError, ValueError, UnknownGate, ObjectMismatch) as e:
             raise ParseError(f"step {i}: {e}") from e
     try:
         circuit = Circuit(dom, tuple(steps))

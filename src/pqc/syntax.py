@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .circuits import BoxedCircuit, Label
 from .errors import NotAValue, ParseError
@@ -315,11 +315,11 @@ _TOKEN_RE = re.compile(r"""
   | (?P<gateref>@[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
   | (?P<punct>[()\[\],;:.=*!\\])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -328,29 +328,26 @@ class Token:
 
 def tokenize(src: str) -> list[Token]:
     tokens = []
-    line, col, i = 1, 1, 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if not m:
-            raise ParseError(f"unexpected character {src[i]!r}", line, col)
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
         if kind == "nl":
             line += 1
-            col = 1
-        elif kind not in ("ws", "comment"):
-            if kind == "ident" and text in _KEYWORDS:
-                kind = "kw"
+            line_start = m.end()
+        elif kind != "ws" and kind != "comment":
+            text = m.group()
+            col = m.start() - line_start + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {text!r}", line, col)
+            if kind == "ident":
+                if text in _KEYWORDS:
+                    kind = "kw"
             elif kind == "punct":
                 kind = text
             elif kind == "arrow":
                 kind = "-o"
             tokens.append(Token(kind, text, line, col))
-            col += len(text)
-        else:
-            col += len(text)
-        i = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, len(src) - line_start + 1))
     return tokens
 
 

@@ -45,24 +45,9 @@ class TropicalMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "TropicalMatrix":
-        """The tropical zero matrix: all entries −∞."""
-        return TropicalMatrix(np.full((rows, cols), NEG_INF))
-
-    @staticmethod
-    def eye(n: int) -> "TropicalMatrix":
-        """The tropical identity: 0 on the diagonal, −∞ elsewhere."""
-        m = np.full((n, n), NEG_INF)
-        np.fill_diagonal(m, 0.0)
-        return TropicalMatrix(m)
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape  # type: ignore[return-value]
-
-    def matmul(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        return TropicalMatrix(maxplus(self.data, other.data))
 
     def pointwise_max(self, other: "TropicalMatrix") -> "TropicalMatrix":
         if self.shape != other.shape:
@@ -93,7 +78,3 @@ class TropicalMatrix:
         return [["-inf" if x == NEG_INF else int(x) for x in row]
                 for row in self.data]
 
-    def __str__(self) -> str:
-        return "[" + "; ".join(
-            " ".join("-inf" if x == NEG_INF else str(int(x)) for x in row)
-            for row in self.data) + "]"

@@ -1,5 +1,5 @@
 """Seeded random generators shared by the property suites, plus the
-tropical-matrix constructors the tests use.
+tropical-matrix and depth-value constructors the tests use.
 
 Every suite derives its own ``random.Random`` from ``PQC_SEED`` (env var,
 default fixed) plus a salt string, so suites are independently reproducible
@@ -13,6 +13,7 @@ import random
 
 import numpy as np
 
+from pqc.algebras import DepthTriple
 from pqc.circuits import Circuit, Gate, Layer, Perm, Step, WireType
 from pqc.gates import Registry, default_registry
 from pqc.syntax import (
@@ -50,6 +51,18 @@ def tropical_from_lists(rows: list[list], n: int, m: int) -> TropicalMatrix:
     """Inverse of ``TropicalMatrix.tolists`` ("-inf" sentinels)."""
     return tropical([[NEG_INF if x == "-inf" else x for x in row] for row in rows],
                     shape=(n, m))
+
+
+def depth_triple(a, v, w) -> DepthTriple:
+    """The depth value with dom × cod matrix ``a`` and vectors ``v`` (one
+    entry per input) and ``w`` (one per output), in one matrix whose corner
+    is −∞."""
+    dom, cod = len(v), len(w)
+    m = np.full((dom + 1, cod + 1), NEG_INF)
+    m[:dom, :cod] = np.asarray(a, dtype=float).reshape(dom, cod)
+    m[:dom, cod] = v
+    m[dom, :cod] = w
+    return DepthTriple(TropicalMatrix(m))
 
 
 # --------------------------------------------------------------------------

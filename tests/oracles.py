@@ -20,16 +20,15 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from generators import tropical_permutation
+from generators import depth_triple, tropical_permutation
 from pqc.algebras import (
     _ASSERT_LEQ_MAX_BITS, _ASSERT_MAX_COST, AssertAlgebra, AssertValue,
-    CircuitAlgebra, DepthTriple, Effect, MaxCost, _require_qubits, _subsets,
+    CircuitAlgebra, Effect, MaxCost, _require_qubits, _subsets,
 )
 from pqc.circuits import Circuit, Layer, Perm, WireType
 from pqc.errors import EffectError, EffectObjectMismatch, ShapeMismatch
 from pqc.gates import GateDef, Registry, derive_assert_row
 from pqc.syntax import Dest, Let, TensorT, Term, show_type
-from pqc.tropical import TropicalMatrix
 from pqc.typecheck import EffectChecker
 
 NEG_INF = float("-inf")
@@ -160,9 +159,8 @@ def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
     assert, and the identity under the algebras that ignore positions."""
     k = len(perm)
     if alg.name == "depth":
-        return Effect(k, k, DepthTriple(tropical_permutation(perm),
-                                        TropicalMatrix.zeros(1, k),
-                                        TropicalMatrix.zeros(k, 1)))
+        return Effect(k, k, depth_triple(tropical_permutation(perm).data,
+                                         [NEG_INF] * k, [NEG_INF] * k))
     if alg.name == "assert":
         rows = {}
         for bits in itertools.product("01", repeat=k):

@@ -5,23 +5,26 @@ import random
 import pytest
 
 from generators import (
-    ASSERT_POOL, Q, B, rng, random_circuit, random_qubit_circuit, random_steps,
-    tropical, tropical_permutation,
+    ASSERT_POOL, Q, B, depth_triple, rng, random_circuit, random_qubit_circuit,
+    random_steps, tropical, tropical_permutation,
 )
 from oracles import (
     assert_cost_oracle, assert_sim_oracle, depth_paths_oracle,
     perm_effect_oracle, width_cuts_oracle,
 )
 from pqc.algebras import (
-    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, DepthTriple, Effect,
+    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, Effect,
     MaxCost, algebra, cost_eq, depth_bound,
 )
 from pqc.circuits import (
     Circuit, Gate, Layer, Perm, compose, identity, symmetry, whisker_left,
     whisker_right,
 )
+from pqc.effects import infer_program_effect
 from pqc.errors import EffectObjectMismatch, UnsupportedWire
+from pqc.evaluator import evaluate_program
 from pqc.gates import GateDef, default_registry
+from pqc.syntax import parse_program
 from pqc.tropical import NEG_INF
 
 registry = default_registry()
@@ -172,26 +175,17 @@ def test_width_matches_cuts_oracle_spot():
 # depth triples
 # --------------------------------------------------------------------------
 
-def triple(a_rows, v_row, w_col) -> DepthTriple:
-    k1 = len(a_rows)
-    k2 = len(a_rows[0]) if a_rows else len(w_col)
-    return DepthTriple(
-        tropical(a_rows, shape=(k1, k2)),
-        tropical([v_row], shape=(1, k1)),
-        tropical([[x] for x in w_col], shape=(k2, 1)))
-
-
 def test_depth_identity_and_perm():
     e = DEPTH.identity_effect(2)
-    assert e.value == triple([[0, NEG_INF], [NEG_INF, 0]],
-                             [NEG_INF] * 2, [NEG_INF] * 2)
+    assert e.value == depth_triple([[0, NEG_INF], [NEG_INF, 0]],
+                                   [NEG_INF] * 2, [NEG_INF] * 2)
     p = DEPTH.perm_effect((1, 0), (Q, Q))
     assert p.value.a == tropical_permutation((1, 0))
 
 
 def test_depth_gate_effect_orientations():
     g = DEPTH.gate_effect(registry.lookup("init"))
-    assert g.value == triple([[]] * 0 or [], [], [0])  # 0×1 A, empty v, w=[0]
+    assert g.value == depth_triple([], [], [0])  # 0×1 A, empty v, w=[0]
     d = DEPTH.gate_effect(registry.lookup("discard"))
     assert d.value.v == tropical([[0.0]])
     assert d.value.a.shape == (1, 0)
@@ -213,6 +207,23 @@ def test_depth_dead_end_paths_tracked_by_vectors():
     c2 = Circuit((), (Layer(((registry.gate("init"), 0),)), Layer(((H, 0),))))
     e2 = DEPTH.abstract(c2, registry)
     assert e2.value.w == tropical([[1.0]])
+
+
+CLOSED_PATH = ("inputs; let q = apply(@init, *) in let q = apply(@H, q) in "
+               "apply(@discard, q)")
+
+
+def test_depth_leaves_source_to_sink_paths_untracked():
+    # init -> H -> discard runs from a created wire into a dead end: no
+    # entry of A, v or w holds it, so the matrix corner stays −∞ and so
+    # does the bound, in abstract, in inference and in the oracle
+    prog = parse_program(CLOSED_PATH)
+    c, _, _ = evaluate_program(prog, registry)
+    e = DEPTH.abstract(c, registry)
+    _, inferred = infer_program_effect(prog, DEPTH, registry)
+    assert depth_paths_oracle(c, registry) == ([], [], [], NEG_INF)
+    assert e.value == inferred.value == depth_triple([], [], [])
+    assert depth_bound(e) == depth_bound(inferred) == NEG_INF
 
 
 def test_depth_triple_compose_associative():

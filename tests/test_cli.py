@@ -187,6 +187,19 @@ def test_analyze_depth_has_bound(capsys):
     assert doc["depth_bound"] == 2
 
 
+def test_depth_bound_of_a_closed_path_is_minus_infinity(capsys, tmp_path):
+    # a path from init into discard is not counted (see the README caveats)
+    path = tmp_path / "closed.pqc"
+    path.write_text("inputs; let q = apply(@init, *) in "
+                    "let q = apply(@H, q) in apply(@discard, q)\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "depth")
+    assert code == 0
+    assert json.loads(out)["depth_bound"] == "-inf"
+    code, out, _ = run_cli(capsys, "verify", str(path), "--metric", "depth")
+    assert code == 0
+    assert json.loads(out)["dominated"] is True
+
+
 def test_analyze_assert_defaults_to_all_states(capsys):
     code, out, _ = run_cli(capsys, "analyze", demo("lnn.pqc"),
                            "--metric", "assert")
