@@ -484,7 +484,10 @@ def eval_cost(cost: Cost, pre: np.ndarray) -> np.ndarray:
         if isinstance(item, MaxCost):
             total += np.maximum.reduce([eval_cost(ch, pre) for ch in item.children])
         else:
-            total += (pre * item).max(axis=1)
+            # the product in the narrowest type that holds the stage's values
+            # (0 to _ASSERT_MAX_COST): in int64 it is eight times the size of
+            # ``pre``, and leq's 2^16-row products then took five times as long
+            total += (pre * item.astype(np.min_scalar_type(item.max()))).max(axis=1)
     return total
 
 
@@ -535,6 +538,14 @@ def _pullback(cost: Cost, hit: np.ndarray) -> Cost:
 def _bitstrings(n: int) -> tuple[str, ...]:
     """The n-bit strings, indexed by the basis state they name."""
     return tuple(format(i, f"0{n}b") for i in range(1 << n)) if n else ("",)
+
+
+@functools.cache
+def _bitstring_array(n: int) -> np.ndarray:
+    """``_bitstrings(n)`` as a read-only object array, for ``take``."""
+    a = np.array(_bitstrings(n), dtype=object)
+    a.setflags(write=False)
+    return a
 
 
 def basis_strings(states: np.ndarray, n: int) -> list[str]:
@@ -608,7 +619,7 @@ class AssertValue:
         """Each input basis state's reachable output strings, in order."""
         cod = self.cod
         pairs = np.flatnonzero(self.reach.T)  # b·2^cod + y, in order
-        flat = basis_strings(pairs & ((1 << cod) - 1), cod)
+        flat = _bitstring_array(cod).take(pairs & ((1 << cod) - 1)).tolist()
         ends = np.searchsorted(pairs, np.arange(1, len(self.reach[0]) + 1) << cod).tolist()
         return [flat[i:j] for i, j in zip([0] + ends, ends)]
 

@@ -72,6 +72,9 @@ class Label:
 
     ix: int
 
+    def __hash__(self) -> int:
+        return self.ix
+
     def __str__(self) -> str:
         return f"#{self.ix}"
 
@@ -236,7 +239,17 @@ class Layer:
         return tuple(out)
 
     def shifted(self, offset: int) -> "Layer":
-        return Layer(tuple((g, at + offset) for g, at in self.placements))
+        """The same gates ``offset >= 0`` wires further down.
+
+        Shifting keeps the placements disjoint and in order, so the copy is
+        not re-validated.
+        """
+        if offset == 0:
+            return self
+        out = object.__new__(Layer)
+        object.__setattr__(
+            out, "placements", tuple((g, at + offset) for g, at in self.placements))
+        return out
 
     def __str__(self) -> str:
         return "[" + " ".join(f"{g.name}@{at}" for g, at in self.placements) + "]"
@@ -384,6 +397,11 @@ class BoxedCircuit:
     order; ``inputs``/``outputs`` are bundles over exactly those labels (the
     bundle may list them in any order — the port order is given by the
     contexts).
+
+    The interfaces are validated once, here, and the input ports are read
+    off once for ``CircuitBuilder.append``: ``ports[k]`` is the body dom
+    position of the k-th label of the flattened input bundle, and
+    ``port_types[k]`` its wire type.
     """
 
     inputs: Bundle
@@ -391,16 +409,22 @@ class BoxedCircuit:
     body: Circuit
     out_ctx: LabelContext
     outputs: Bundle
+    ports: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    port_types: Obj = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.in_ctx.obj != self.body.dom:
             raise ObjectMismatch("boxed input context does not match body dom")
         if self.out_ctx.obj != self.body.cod:
             raise ObjectMismatch("boxed output context does not match body cod")
-        if sorted(flatten_bundle(self.inputs)) != sorted(self.in_ctx.labels):
+        port_labels = flatten_bundle(self.inputs)
+        if sorted(port_labels) != sorted(self.in_ctx.labels):
             raise WireTypeMismatch("input bundle must enumerate the input ports")
         if sorted(flatten_bundle(self.outputs)) != sorted(self.out_ctx.labels):
             raise WireTypeMismatch("output bundle must enumerate the output ports")
+        ports = tuple(map(self.in_ctx.position, port_labels))
+        object.__setattr__(self, "ports", ports)
+        object.__setattr__(self, "port_types", tuple(self.body.dom[j] for j in ports))
 
     def __str__(self) -> str:
         return f"({show_bundle(self.inputs)}, {self.body}, {show_bundle(self.outputs)})"
@@ -432,18 +456,23 @@ def spine(o: Obj) -> Shape:
 class CircuitBuilder:
     """A circuit under construction, extended in place by ``append``.
 
-    The builder holds the step list, the current cod, and the open outputs
-    as a label context (an entry list plus a label -> position map). Each
-    appended step's cod is derived once, from the current cod, so every
-    placement check runs once per step; ``circuit()`` and ``context()``
-    package the result. Output labels come from ``supply``, which by default
-    continues after the largest label of the starting context.
+    The builder holds the step list and the open outputs as a label context
+    (an entry list plus a label -> position map). ``append`` checks the
+    attach bundle against the boxed circuit's ports and adds the body's
+    steps, placed by index arithmetic: a body was validated when it was
+    boxed, so its steps are not re-derived one by one. ``circuit()`` and
+    ``context()`` package the result; ``circuit()`` derives the cod once, in
+    ``Circuit``, and checks it against the open outputs. Output labels come
+    from ``supply``, which by default continues after the largest label of
+    the starting context.
     """
 
     def __init__(self, start: Circuit, ctx: LabelContext,
                  supply: Iterator[Label] | None = None):
+        if start.cod != ctx.obj:
+            raise ObjectMismatch(
+                f"circuit ends in {start.cod}, open outputs are {ctx.obj}")
         self.dom = start.dom
-        self.cod = start.cod
         self.steps: list[Step] = list(start.steps)
         self.entries = list(ctx.entries)
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
@@ -454,7 +483,12 @@ class CircuitBuilder:
 
     def circuit(self) -> Circuit:
         if self._circuit is None:
-            self._circuit = Circuit(self.dom, tuple(self.steps))
+            c = Circuit(self.dom, tuple(self.steps))
+            outs = self.context().obj
+            if c.cod != outs:
+                raise ObjectMismatch(
+                    f"built circuit ends in {c.cod}, open outputs are {outs}")
+            self._circuit = c
         return self._circuit
 
     def context(self) -> LabelContext:
@@ -473,80 +507,78 @@ class CircuitBuilder:
         empty), and — when the body preserves wire count — a restore Perm
         scatters the outputs back over the original attached positions so
         that passthrough wires keep their exact positions. Identity perms are
-        never emitted.
+        never emitted, nor built.
 
         Returns the output bundle, over fresh labels. ``dom`` is unchanged.
         """
         attach_labels = flatten_bundle(attach)
-        port_labels = flatten_bundle(boxed.inputs)
-        if len(attach_labels) != len(port_labels):
+        ports = boxed.ports
+        m = len(ports)
+        if len(attach_labels) != m:
             raise WireTypeMismatch(
                 f"bundle of {len(attach_labels)} wires applied to circuit "
-                f"expecting {len(port_labels)}")
-        if len(set(attach_labels)) != len(attach_labels):
+                f"expecting {m}")
+        if m > 1 and len(set(attach_labels)) != m:
             raise WireTypeMismatch(f"duplicate label in bundle {show_bundle(attach)}")
 
-        entries, n = self.entries, len(self.entries)
+        entries, pos, n = self.entries, self.pos, len(self.entries)
         positions = []
         for a in attach_labels:
-            if a not in self.pos:
+            i = pos.get(a)
+            if i is None:
                 raise LabelNotFound(f"label {a} not in context {self.context()}")
-            positions.append(self.pos[a])
-        ports = [boxed.in_ctx.position(p) for p in port_labels]
-        for a, i, j in zip(attach_labels, positions, ports):
-            want, got = boxed.in_ctx.entries[j][1], entries[i][1]
+            positions.append(i)
+        for a, i, want in zip(attach_labels, positions, boxed.port_types):
+            got = entries[i][1]
             if want != got:
                 raise WireTypeMismatch(f"wire {a} is {got}, circuit expects {want}")
 
-        m = len(positions)
-        m2 = len(boxed.body.cod)
         q = min(positions) if m else n
-
-        # gather: attached wire j goes to block slot q + (port position of its
-        # partner label); passthrough wires fill the remaining slots in order.
-        dest: list[int | None] = [None] * n
-        for i, j in zip(positions, ports):
-            dest[i] = q + j
-        free = itertools.chain(range(q), range(q + m, n))
-        gather = Perm(tuple(next(free) if d is None else d for d in dest))
-
-        steps: list[Step] = []
-        if not gather.is_identity():
-            steps.append(gather)
+        steps = self.steps
+        # gather: attached wire i goes to block slot q + (port position of
+        # its partner label); passthrough wires fill the remaining slots in
+        # order. It is the identity exactly when every i is already there.
+        if any(i != q + j for i, j in zip(positions, ports)):
+            dest: list[int | None] = [None] * n
+            for i, j in zip(positions, ports):
+                dest[i] = q + j
+            free = itertools.chain(range(q), range(q + m, n))
+            steps.append(Perm(tuple(next(free) if d is None else d for d in dest)))
         steps.extend(_whisker_steps(boxed.body.steps, q, n - q - m))
-        keep_slots = m2 == m and m > 0
+        out_entries = boxed.out_ctx.entries
+        keep_slots = len(out_entries) == m and m > 0
         if keep_slots:
             # restore: block output j (now at q + j) goes to the j-th smallest
-            # attached position, passthrough wires back to their own.
-            slots = sorted(positions)
-            attached = set(positions)
-            rest = [i for i in range(q, n) if i not in attached]
-            restore = Perm((*range(q), *slots, *rest))
-            if not restore.is_identity():
-                steps.append(restore)
-
-        cod = self.cod
-        for step in steps:
-            cod = step.cod(cod)
-        self.cod = cod
-        self.steps.extend(steps)
+            # attached position, passthrough wires back to their own. It is
+            # the identity exactly when the attached positions are contiguous.
+            if max(positions) == q + m - 1:
+                slots = range(q, q + m)
+            else:
+                slots = sorted(positions)
+                attached = set(positions)
+                rest = [i for i in range(q, n) if i not in attached]
+                steps.append(Perm((*range(q), *slots, *rest)))
         self._circuit = self._ctx = None
 
-        fresh = [(next(self.supply), t) for _, t in boxed.out_ctx.entries]
+        fresh = [(next(self.supply), t) for _, t in out_entries]
         if keep_slots:
             for a in attach_labels:
-                del self.pos[a]
+                del pos[a]
             for i, e in zip(slots, fresh):
                 entries[i] = e
-                self.pos[e[0]] = i
+                pos[e[0]] = i
         else:
+            # only the wires from q on move: nothing before q is attached
             gone = set(attach_labels)
-            passthrough = [e for e in entries if e[0] not in gone]
-            self.entries = passthrough[:q] + fresh + passthrough[q:]
-            self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
-        mapping = {
-            old: new for (old, _), (new, _) in zip(boxed.out_ctx.entries, fresh)
-        }
+            for a in attach_labels:
+                del pos[a]
+            rest = [e for e in entries[q:] if e[0] not in gone]
+            del entries[q:]
+            entries += fresh
+            entries += rest
+            for i in range(q, len(entries)):
+                pos[entries[i][0]] = i
+        mapping = {old: new for (old, _), (new, _) in zip(out_entries, fresh)}
         return rename_bundle(boxed.outputs, mapping)
 
 
@@ -554,8 +586,8 @@ class CircuitBuilder:
 # serialization
 # --------------------------------------------------------------------------
 
-def serialize(c: Circuit) -> bytes:
-    """Encode a circuit as canonical JSON (outputs included for readability)."""
+def circuit_doc(c: Circuit) -> dict:
+    """A circuit as a JSON document (outputs included for readability)."""
     steps: list[dict] = []
     for step in c.steps:
         if isinstance(step, Layer):
@@ -564,12 +596,16 @@ def serialize(c: Circuit) -> bytes:
             })
         else:
             steps.append({"perm": list(step.perm)})
-    doc = {
+    return {
         "inputs": [str(t) for t in c.dom],
         "steps": steps,
         "outputs": [str(t) for t in c.cod],
     }
-    return json.dumps(doc, indent=2).encode("utf-8")
+
+
+def serialize(c: Circuit) -> bytes:
+    """Encode a circuit as canonical JSON: ``circuit_doc``, indented."""
+    return json.dumps(circuit_doc(c), indent=2).encode("utf-8")
 
 
 def _wire_type(name: str) -> WireType:

@@ -26,7 +26,7 @@ from .algebras import (
     ALGEBRAS, AssertAlgebra, CircuitAlgebra, DepthAlgebra, basis_row, basis_strings,
     depth_bound,
 )
-from .circuits import draw, serialize
+from .circuits import circuit_doc, draw, serialize
 from .effects import check_ascription, infer_program_effect, verify_dynamic
 from .errors import PqcError
 from .evaluator import evaluate_program
@@ -105,7 +105,7 @@ def cmd_run(args) -> int:
             f.write(serialize(circuit))
     if args.json:
         print(json.dumps({
-            "circuit": json.loads(serialize(circuit)),
+            "circuit": circuit_doc(circuit),
             "outputs": [[str(l), str(t)] for l, t in out_ctx],
             "value": show_value(value),
         }, indent=2))

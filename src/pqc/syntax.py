@@ -231,6 +231,12 @@ class Let:
     bound: "Term"
     body: "Term"
 
+    def __eq__(self, other):
+        return _spine_eq(self, other) if type(other) is Let else NotImplemented
+
+    def __hash__(self):
+        return _spine_hash(self)
+
     def __str__(self):
         return show_term(self)
 
@@ -242,8 +248,46 @@ class Dest:
     value: Value
     body: "Term"
 
+    def __eq__(self, other):
+        return _spine_eq(self, other) if type(other) is Dest else NotImplemented
+
+    def __hash__(self):
+        return _spine_hash(self)
+
     def __str__(self):
         return show_term(self)
+
+
+def _spine_eq(a: "Term", b: "Term") -> bool:
+    """Field-by-field ``a == b``, reading a let/dest spine in a loop."""
+    while True:
+        t = type(a)
+        if type(b) is not t:
+            return False
+        if t is Let:
+            if a.var != b.var or a.bound != b.bound:
+                return False
+        elif t is Dest:
+            if a.left != b.left or a.right != b.right or a.value != b.value:
+                return False
+        else:
+            return a == b
+        a, b = a.body, b.body
+
+
+def _spine_hash(m: "Term") -> int:
+    """A hash agreeing with ``_spine_eq``, reading the spine in a loop."""
+    links: list = []
+    while True:
+        t = type(m)
+        if t is Let:
+            links.append((m.var, m.bound))
+        elif t is Dest:
+            links.append((m.left, m.right, m.value))
+        else:
+            links.append(m)
+            return hash(tuple(links))
+        m = m.body
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ builds a permutation's effect directly, not by routing wires with
 ``then_eff``. ``RightFoldChecker`` infers ``let`` and ``dest`` by the rules
 the checker's left fold replaced. ``StringAssertAlgebra`` is the ``assert``
 algebra on basis strings and dicts, one state at a time, that the algebra
-on basis integers replaced.
+on basis integers replaced. ``ValidatingBuilder`` is the circuit builder
+whose ``append`` looks every port up by label, builds both permutations
+before asking whether they are identities, and derives the cod of every
+step it adds.
 """
 
 from __future__ import annotations
@@ -25,8 +28,14 @@ from pqc.algebras import (
     _ASSERT_LEQ_MAX_BITS, _ASSERT_MAX_COST, AssertAlgebra, AssertValue,
     CircuitAlgebra, Effect, MaxCost, _require_qubits, _subsets,
 )
-from pqc.circuits import Circuit, Layer, Perm, WireType
-from pqc.errors import EffectError, EffectObjectMismatch, ShapeMismatch
+from pqc.circuits import (
+    BoxedCircuit, Bundle, Circuit, LabelContext, Layer, Perm, Step,
+    WireType, flatten_bundle, label_supply, pad_perm, rename_bundle, show_bundle,
+)
+from pqc.errors import (
+    EffectError, EffectObjectMismatch, LabelNotFound, ShapeMismatch,
+    WireTypeMismatch,
+)
 from pqc.gates import GateDef, Registry, derive_assert_row
 from pqc.syntax import Dest, Let, TensorT, Term, show_type
 from pqc.typecheck import EffectChecker
@@ -233,6 +242,107 @@ class RightFoldChecker(EffectChecker):
         self._check_endpoints(m, eff, self._blocks_obj(sorted(self._linear(used))),
                               wires, ty)
         return ty, wires, used, eff
+
+
+# --------------------------------------------------------------------------
+# a circuit builder that validates every step it adds
+# --------------------------------------------------------------------------
+
+class ValidatingBuilder:
+    """``CircuitBuilder`` with an ``append`` that re-derives every step.
+
+    Same interface and the same circuits, contexts, bundles and errors as
+    ``pqc.circuits.CircuitBuilder``, computed without the boxed circuit's
+    cached ports: each port is looked up in ``in_ctx`` by label, the gather
+    and restore permutations are built and validated and then dropped when
+    they are identities, and the running cod is derived step by step.
+    """
+
+    def __init__(self, start: Circuit, ctx: LabelContext, supply=None):
+        self.dom = start.dom
+        self.cod = start.cod
+        self.steps: list[Step] = list(start.steps)
+        self.entries = list(ctx.entries)
+        self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
+        self.supply = supply if supply is not None else label_supply(
+            1 + max((l.ix for l in self.pos), default=-1))
+
+    def circuit(self) -> Circuit:
+        return Circuit(self.dom, tuple(self.steps))
+
+    def context(self) -> LabelContext:
+        return LabelContext(tuple(self.entries))
+
+    def append(self, attach: Bundle, boxed: BoxedCircuit) -> Bundle:
+        attach_labels = flatten_bundle(attach)
+        port_labels = flatten_bundle(boxed.inputs)
+        if len(attach_labels) != len(port_labels):
+            raise WireTypeMismatch(
+                f"bundle of {len(attach_labels)} wires applied to circuit "
+                f"expecting {len(port_labels)}")
+        if len(set(attach_labels)) != len(attach_labels):
+            raise WireTypeMismatch(f"duplicate label in bundle {show_bundle(attach)}")
+
+        entries, n = self.entries, len(self.entries)
+        positions = []
+        for a in attach_labels:
+            if a not in self.pos:
+                raise LabelNotFound(f"label {a} not in context {self.context()}")
+            positions.append(self.pos[a])
+        ports = [boxed.in_ctx.position(p) for p in port_labels]
+        for a, i, j in zip(attach_labels, positions, ports):
+            want, got = boxed.in_ctx.entries[j][1], entries[i][1]
+            if want != got:
+                raise WireTypeMismatch(f"wire {a} is {got}, circuit expects {want}")
+
+        m = len(positions)
+        m2 = len(boxed.body.cod)
+        q = min(positions) if m else n
+        dest: list[Optional[int]] = [None] * n
+        for i, j in zip(positions, ports):
+            dest[i] = q + j
+        free = itertools.chain(range(q), range(q + m, n))
+        gather = Perm(tuple(next(free) if d is None else d for d in dest))
+
+        steps: list[Step] = []
+        if not gather.is_identity():
+            steps.append(gather)
+        for step in boxed.body.steps:
+            if isinstance(step, Layer):
+                steps.append(Layer(tuple((g, at + q) for g, at in step.placements)))
+            else:
+                steps.append(Perm(pad_perm(step.perm, q, n - q - m)))
+        keep_slots = m2 == m and m > 0
+        if keep_slots:
+            slots = sorted(positions)
+            attached = set(positions)
+            rest = [i for i in range(q, n) if i not in attached]
+            restore = Perm((*range(q), *slots, *rest))
+            if not restore.is_identity():
+                steps.append(restore)
+
+        cod = self.cod
+        for step in steps:
+            cod = step.cod(cod)
+        self.cod = cod
+        self.steps.extend(steps)
+
+        fresh = [(next(self.supply), t) for _, t in boxed.out_ctx.entries]
+        if keep_slots:
+            for a in attach_labels:
+                del self.pos[a]
+            for i, e in zip(slots, fresh):
+                entries[i] = e
+                self.pos[e[0]] = i
+        else:
+            gone = set(attach_labels)
+            passthrough = [e for e in entries if e[0] not in gone]
+            self.entries = passthrough[:q] + fresh + passthrough[q:]
+            self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
+        mapping = {
+            old: new for (old, _), (new, _) in zip(boxed.out_ctx.entries, fresh)
+        }
+        return rename_bundle(boxed.outputs, mapping)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
-from generators import Q, B, rng, random_circuit
+from generators import GENERAL_POOL, Q, B, rng, random_circuit, random_steps
+from oracles import ValidatingBuilder
 from pqc.circuits import (
     BoxedCircuit, Circuit, CircuitBuilder, Gate, Label, LabelContext, Layer,
     Perm, WireType, box_circuit, canonicalize, compose, deserialize, draw,
@@ -179,6 +180,102 @@ def test_append_type_mismatch_and_unknown_label():
     b2, _ = builder_on((Q,))
     with pytest.raises(LabelNotFound):
         b2.append(Label(424242), registry.boxed("H"))
+
+
+def test_builder_checks_its_circuit_against_the_open_outputs():
+    ctx, _ = freshlabels(spine((Q, Q)), label_supply())
+    with pytest.raises(ObjectMismatch, match="open outputs"):
+        CircuitBuilder(identity((Q, B)), ctx)
+    b = CircuitBuilder(identity((Q, Q)), ctx)
+    b.steps.append(Layer(((MEAS, 1),)))  # a step the open outputs do not know of
+    b.append(ctx.labels[0], registry.boxed("H"))
+    with pytest.raises(ObjectMismatch, match="open outputs"):
+        b.circuit()
+
+
+def random_nesting(r, labels):
+    """A bundle over ``labels`` in this order, nested at random."""
+    if not labels:
+        return ()
+    if len(labels) == 1 and r.random() < 0.8:
+        return labels[0]
+    cut = r.randint(0, len(labels))
+    return (random_nesting(r, labels[:cut]), random_nesting(r, labels[cut:]))
+
+
+def random_boxed(r) -> BoxedCircuit:
+    """A gate literal, or a random multi-step body over qubit and bit wires
+    boxed with its ports listed in a shuffled, randomly nested order."""
+    if r.random() < 0.5:
+        return registry.boxed(r.choice(GENERAL_POOL))
+    dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(0, 4)))
+    steps, _ = random_steps(r, dom, 6, max_width=6)
+    boxed = box_circuit(Circuit(dom, steps))
+    ins, outs = flatten_bundle(boxed.inputs), flatten_bundle(boxed.outputs)
+    r.shuffle(ins)
+    r.shuffle(outs)
+    return BoxedCircuit(random_nesting(r, ins), boxed.in_ctx, boxed.body,
+                        boxed.out_ctx, random_nesting(r, outs))
+
+
+def random_attach(r, entries, want):
+    """Labels for ports of types ``want``: a contiguous or reversed run of
+    positions when one fits (or, now and then, when it is ill-typed), else
+    scattered positions, well typed when the context allows it."""
+    n, m = len(entries), len(want)
+    style = r.choice(("scattered", "contiguous", "reversed"))
+    if style != "scattered" and m <= n:
+        at = r.randint(0, n - m)
+        run = entries[at:at + m]
+        if style == "reversed":
+            run = run[::-1]
+        if tuple(t for _, t in run) == want or r.random() < 0.1:
+            return [l for l, _ in run]
+    by_type = {t: [l for l, u in entries if u == t] for t in (Q, B)}
+    for pool in by_type.values():
+        r.shuffle(pool)
+    picked = [by_type[t].pop() if by_type[t] else None for t in want]
+    if None not in picked:
+        return picked
+    return [l for l, _ in r.sample(entries, min(m, n))]
+
+
+def test_append_matches_validating_builder_on_random_attachments():
+    r = rng("append-oracle")
+    appended, errors = 0, set()
+    for _ in range(150):
+        dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(0, 6)))
+        ctx, _ = freshlabels(spine(dom), label_supply(r.randint(0, 3)))
+        new, old = CircuitBuilder(identity(dom), ctx), ValidatingBuilder(identity(dom), ctx)
+        for _ in range(r.randint(1, 10)):
+            entries = new.context().entries
+            boxed = random_boxed(r)
+            while len(boxed.ports) > len(entries) and r.random() < 0.8:
+                boxed = random_boxed(r)
+            labels = random_attach(r, entries, boxed.port_types)
+            fault = r.random()
+            if fault < 0.04:
+                labels = labels + [Label(10**6)]          # one wire too many
+            elif fault < 0.08 and labels:
+                labels = labels[:-1] + [labels[0]]        # a label twice
+            elif fault < 0.12 and labels:
+                labels[r.randrange(len(labels))] = Label(10**6)  # unknown label
+            attach = random_nesting(r, labels)
+            try:
+                got = new.append(attach, boxed)
+            except CircuitError as e:
+                with pytest.raises(type(e)) as want:
+                    old.append(attach, boxed)
+                assert str(want.value) == str(e)
+                errors.add((type(e).__name__, str(e).split()[0]))
+            else:
+                assert got == old.append(attach, boxed)
+                appended += 1
+            assert new.context() == old.context()
+            assert serialize(new.circuit()) == serialize(old.circuit())
+    assert appended > 300
+    assert errors == {("WireTypeMismatch", "bundle"), ("WireTypeMismatch", "duplicate"),
+                      ("LabelNotFound", "label"), ("WireTypeMismatch", "wire")}
 
 
 def test_serialize_round_trip_on_random_circuits():

@@ -122,3 +122,21 @@ def test_deep_let_chain_prints_and_round_trips():
     text = show_program(parse_program("\n".join(lines + ["return (q, r)"])))
     assert text.count("\nlet ") == 10**4 and text.count("\ndest ") == 100
     assert show_program(parse_program(text)) == text
+
+
+def test_deep_let_chains_compare_and_hash_in_a_loop():
+    def chain(renamed=None):
+        lines = ["inputs q: Qubit, r: Qubit;"]
+        for i in range(10**4):
+            if i % 2:
+                lines.append("let q = apply(@H, q) in")
+            else:
+                a = "s" if i == renamed else "q"
+                lines.append(f"let p = apply(@CNOT, (q, r)) in dest ({a}, r) = p in")
+        return parse_program("\n".join(lines + ["return (q, r)"]))
+
+    p, again = chain(), chain()
+    assert p.term is not again.term
+    assert p == again and hash(p) == hash(again)
+    assert p != chain(renamed=5000)
+    assert p.term.body != again.term  # a dest is never a let
