@@ -209,8 +209,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RecursionError:
-        # let and dest chains are read in loops; the parser and the checker
-        # still spend frames on terms nested in other ways (ifz, lambdas)
+        # a block's let and dest binders are read in loops; every stage still
+        # spends frames on terms nested in other ways (ifz, lambdas)
         print("error: program is nested too deeply", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ The machine is call-by-value and never substitutes into the program:
 
 * ``\\x. M`` and ``lift M`` evaluate to closures over the scope they are
   written in; application and ``force`` run the body in that scope.
-* The ``let``/``dest``/application/``force`` spine runs in one loop over an
+* A block's binders, application and ``force`` run in one loop over an
   explicit continuation stack, so deep programs use no Python recursion.
 * Each configuration's circuit grows in one ``CircuitBuilder`` (the
   program's, plus one per ``box``). Its labels come from the run's supply.
@@ -35,7 +35,7 @@ it, only when it escapes: as the program's result or in an error message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import AbstractSet, Optional, Union
 
 from .circuits import (
     BoxedCircuit, Bundle, Circuit, CircuitBuilder, Label, LabelContext,
@@ -44,8 +44,8 @@ from .circuits import (
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
 from .syntax import (
-    App, Apply, Box, BoxedVal, Dest, Force, GateRef, Ifz, LabelVal, Lam, Let,
-    Lift, NatVal, Pair, Program, Ret, Term, UnitVal, Value, Var,
+    App, Apply, Block, Box, BoxedVal, DestBinder, Force, GateRef, Ifz, LabelVal,
+    Lam, LetBinder, Lift, NatVal, Pair, Program, Ret, Term, UnitVal, Value, Var,
 )
 from .typecheck import shape_of
 
@@ -142,7 +142,7 @@ def readback(v) -> Value:
     return v
 
 
-def subst_value(v: Value, env: Env, bound: frozenset = frozenset()) -> Value:
+def subst_value(v: Value, env: Env, bound: AbstractSet[str] = frozenset()) -> Value:
     """``v`` with each free variable bound in ``env`` replaced by its value.
 
     ``bound`` holds the names bound between ``v`` and ``env``: binders
@@ -162,18 +162,24 @@ def subst_value(v: Value, env: Env, bound: frozenset = frozenset()) -> Value:
             return v
 
 
-def subst_term(m: Term, env: Env, bound: frozenset = frozenset()) -> Term:
+def subst_term(m: Term, env: Env, bound: AbstractSet[str] = frozenset()) -> Term:
     match m:
         case Ret(v):
             return Ret(subst_value(v, env, bound))
         case App(fn, arg):
             return App(subst_value(fn, env, bound), subst_value(arg, env, bound))
-        case Let(var, rhs, body):
-            return Let(var, subst_term(rhs, env, bound),
-                       subst_term(body, env, bound | {var}))
-        case Dest(left, right, value, body):
-            return Dest(left, right, subst_value(value, env, bound),
-                        subst_term(body, env, bound | {left, right}))
+        case Block(binders, tail):
+            out = []
+            bound = set(bound)  # grows binder by binder, in place
+            for b in binders:
+                if type(b) is LetBinder:
+                    out.append(LetBinder(b.var, subst_term(b.bound, env, bound)))
+                    bound.add(b.var)
+                else:
+                    value = subst_value(b.value, env, bound)
+                    out.append(DestBinder(b.left, b.right, value))
+                    bound.update((b.left, b.right))
+            return Block(tuple(out), subst_term(tail, env, bound))
         case Ifz(cond, then, els):
             return Ifz(subst_value(cond, env, bound), subst_term(then, env, bound),
                        subst_term(els, env, bound))
@@ -233,9 +239,10 @@ def bundle_to_value(b: Bundle) -> Value:
 
 _BOX_FN = "_boxed_fn"
 
-# Terms that bind variables in the scope they run in. As the bound term of a
-# let they run in a child scope, so their binders stay out of the let's body.
-_BINDS_IN_SCOPE = (Let, Dest, Ifz)
+# Terms that bind variables in the scope they run in: a block's binders, or
+# those of a block in a branch. As the bound term of a let they run in a
+# child scope, so their binders stay out of the rest of the let's block.
+_BINDS_IN_SCOPE = (Block, Ifz)
 
 
 @dataclass
@@ -256,18 +263,33 @@ def _closure_of(v, kind: type) -> Optional[Closure]:
 def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
          fuel: Optional[int]):
     """Run ``m`` to a runtime value, extending ``builder``'s circuit."""
-    stack: list = []  # (var, body, env) for a let; _Boxing for a box
+    # (var, rest, next binder, env) for a let; _Boxing for a box
+    stack: list = []
+    i = 0  # the binder to run next while m is a block; 0 otherwise
     while True:
         if fuel is not None:
             if fuel <= 0:
                 raise FuelExhausted("evaluation fuel exhausted")
             fuel -= 1
         t = type(m)
-        if t is Let:
-            stack.append((m.var, m.body, env))
-            if type(m.bound) in _BINDS_IN_SCOPE:
-                env = Env(parent=env)
-            m = m.bound
+        if t is Block:  # one binder per step: the block itself costs no fuel
+            b = m.binders[i]
+            i += 1
+            rest = m
+            if i == len(m.binders):
+                rest, i = m.tail, 0
+            if type(b) is LetBinder:
+                stack.append((b.var, rest, i, env))
+                if type(b.bound) in _BINDS_IN_SCOPE:
+                    env = Env(parent=env)
+                m, i = b.bound, 0
+            else:
+                pair = _value(b.value, env)
+                if type(pair) is not Pair:
+                    raise Stuck(f"dest needs a pair, got {pair}")
+                # on a repeated name the left component wins, as in substitution
+                env = env.bind(b.right, pair.right).bind(b.left, pair.left)
+                m = rest
             continue
         if t is Ret:
             v = _value(m.value, env)
@@ -289,14 +311,6 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                 raise Stuck(f"cannot apply non-function {fn}")
             env = Env({lam.value.var: _value(m.arg, env)}, lam.env)
             m = lam.value.body
-            continue
-        elif t is Dest:
-            pair = _value(m.value, env)
-            if type(pair) is not Pair:
-                raise Stuck(f"dest needs a pair, got {pair}")
-            # on a repeated name the left component wins, as in substitution
-            env = env.bind(m.right, pair.right).bind(m.left, pair.left)
-            m = m.body
             continue
         elif t is Ifz:
             cond = _value(m.cond, env)
@@ -320,13 +334,14 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             stack.append(_Boxing(builder, in_ctx, bundle))
             builder = CircuitBuilder(identity(in_ctx.obj), in_ctx, builder.supply)
             env = Env(parent=thunk.env)
-            m = Let(_BOX_FN, thunk.value.term,
-                    App(Var(_BOX_FN), bundle_to_value(bundle)))
+            m = Block((LetBinder(_BOX_FN, thunk.value.term),),
+                      App(Var(_BOX_FN), bundle_to_value(bundle)))
             continue
         else:
             raise Stuck(f"no rule for {m}")
 
-        # hand v to the innermost let, packaging any boxes finished on the way
+        # hand v to the innermost let binder, packaging any boxes finished on
+        # the way
         while True:
             if not stack:
                 return v
@@ -336,7 +351,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             v = BoxedVal(BoxedCircuit(k.bundle, k.in_ctx, builder.circuit(),
                                       builder.context(), value_to_bundle(v)))
             builder = k.outer
-        var, m, env = k
+        var, m, i, env = k
         env = env.bind(var, v)
 
 

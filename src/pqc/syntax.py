@@ -26,6 +26,12 @@ Terms:      return V | V W | let x = M in N | dest (x, ..., z) = V in N
 
 Comments run from ``--`` to end of line. Tuples and tuple patterns of width
 n > 2 are sugar for right-nested pairs, resolved during parsing.
+
+The AST is frozen dataclasses, compared and hashed by their fields. A run
+of ``let`` and binary ``dest`` binders and the term after them is one flat
+``Block(binders, tail)``, as in A-normal form, so ``==``, ``hash``,
+``repr``, ``pickle`` and ``copy`` recurse as deep as terms nest, not as
+long as chains run. An n-ary ``dest`` is n - 1 binary binders.
 """
 
 from __future__ import annotations
@@ -226,68 +232,50 @@ class App:
 
 
 @dataclass(frozen=True)
-class Let:
+class LetBinder:
+    """``let var = bound in``"""
+
     var: str
     bound: "Term"
-    body: "Term"
-
-    def __eq__(self, other):
-        return _spine_eq(self, other) if type(other) is Let else NotImplemented
-
-    def __hash__(self):
-        return _spine_hash(self)
-
-    def __str__(self):
-        return show_term(self)
 
 
 @dataclass(frozen=True)
-class Dest:
+class DestBinder:
+    """``dest (left, right) = value in``"""
+
     left: str
     right: str
     value: Value
-    body: "Term"
 
-    def __eq__(self, other):
-        return _spine_eq(self, other) if type(other) is Dest else NotImplemented
 
-    def __hash__(self):
-        return _spine_hash(self)
+Binder = Union[LetBinder, DestBinder]
+
+
+@dataclass(frozen=True)
+class Block:
+    """Binders run in order, then ``tail``, in the scope they extend.
+
+    A block has at least one binder, and its tail is not a block: the
+    parser and ``Let`` put every chain of binders in one block, so equal
+    programs are equal trees.
+    """
+
+    binders: tuple[Binder, ...]
+    tail: "Term"
+
+    def __post_init__(self):
+        if not self.binders or type(self.tail) is Block:
+            raise ValueError("a block needs a binder and a tail that is not a block")
 
     def __str__(self):
         return show_term(self)
 
 
-def _spine_eq(a: "Term", b: "Term") -> bool:
-    """Field-by-field ``a == b``, reading a let/dest spine in a loop."""
-    while True:
-        t = type(a)
-        if type(b) is not t:
-            return False
-        if t is Let:
-            if a.var != b.var or a.bound != b.bound:
-                return False
-        elif t is Dest:
-            if a.left != b.left or a.right != b.right or a.value != b.value:
-                return False
-        else:
-            return a == b
-        a, b = a.body, b.body
-
-
-def _spine_hash(m: "Term") -> int:
-    """A hash agreeing with ``_spine_eq``, reading the spine in a loop."""
-    links: list = []
-    while True:
-        t = type(m)
-        if t is Let:
-            links.append((m.var, m.bound))
-        elif t is Dest:
-            links.append((m.left, m.right, m.value))
-        else:
-            links.append(m)
-            return hash(tuple(links))
-        m = m.body
+def Let(var: str, bound: "Term", body: "Term") -> Block:
+    """``let var = bound in body``: one let binder in front of ``body``'s."""
+    if type(body) is Block:
+        return Block((LetBinder(var, bound),) + body.binders, body.tail)
+    return Block((LetBinder(var, bound),), body)
 
 
 @dataclass(frozen=True)
@@ -326,7 +314,7 @@ class Apply:
         return show_term(self)
 
 
-Term = Union[Ret, App, Let, Dest, Ifz, Force, Box, Apply]
+Term = Union[Ret, App, Block, Ifz, Force, Box, Apply]
 
 
 @dataclass(frozen=True)
@@ -563,10 +551,9 @@ class _Parser:
     # ---- terms -----------------------------------------------------------
 
     def term(self) -> Term:
-        """A term: its ``let`` and ``dest`` binders are read in a loop and
-        the nested term is built from the back, so only bound terms
-        recurse."""
-        binders: list[tuple] = []
+        """A term: its ``let`` and ``dest`` binders are read in a loop into
+        one block, so only bound terms recurse."""
+        binders: list[Binder] = []
         while True:
             if self.at_kw("let"):
                 self.next()
@@ -574,7 +561,7 @@ class _Parser:
                 self.expect("=", "'='")
                 bound = self.term()
                 self.expect_kw("in")
-                binders.append((name, bound))
+                binders.append(LetBinder(name, bound))
             elif self.at_kw("dest"):
                 self.next()
                 self.expect("(", "'(' after dest")
@@ -588,19 +575,14 @@ class _Parser:
                 self.expect("=", "'='")
                 v = self.value()
                 self.expect_kw("in")
-                binders.append((names, v))
+                binders.extend(_dest_binders(names, v))
             else:
                 break
         m = self.simple_term()
-        for binder, bound in reversed(binders):
-            if isinstance(binder, str):
-                m = Let(binder, bound, m)
-            else:
-                m = _nest_dest(binder, bound, m)
-        return m
+        return Block(tuple(binders), m) if binders else m
 
     def simple_term(self) -> Term:
-        """A term that is not a ``let`` or ``dest``."""
+        """A term that is not a block."""
         t = self.peek()
         if t.kind == "kw":
             if t.text == "return":
@@ -660,15 +642,13 @@ class _Parser:
         return Program(tuple(inputs), gates_path, term)
 
 
-def _nest_dest(names: list[str], v: Value, body: Term) -> Dest:
-    """dest (x, y, z) = v  ≡  dest (x, t) = v in dest (y, z) = t in ...,
-    built from the innermost ``dest`` out."""
+def _dest_binders(names: list[str], v: Value) -> list[DestBinder]:
+    """dest (x, y, z) = v  ≡  dest (x, t) = v in dest (y, z) = t in ..."""
     def rest(i: int) -> str:  # the name bound to the tuple of names[i:]
         return names[i] if i == len(names) - 1 else "_" + "".join(names[i:])
 
-    for i in range(len(names) - 2, -1, -1):
-        body = Dest(names[i], rest(i + 1), Var(rest(i)) if i else v, body)
-    return body
+    return [DestBinder(names[i], rest(i + 1), Var(rest(i)) if i else v)
+            for i in range(len(names) - 1)]
 
 
 def parse_type(src: str) -> Type:
@@ -752,21 +732,22 @@ def _show_operand(v: Value) -> str:
 
 
 def show_term(m: Term) -> str:
-    """A term's source text. Its ``let`` and ``dest`` binders are printed
-    in a loop, as the parser reads them, so only bound terms recurse."""
+    """A term's source text. A block's binders are printed in a loop, as
+    the parser reads them, so only bound terms recurse."""
     lines = []
-    while isinstance(m, (Let, Dest)):
-        if isinstance(m, Let):
-            lines.append(f"let {m.var} = {show_term(m.bound)} in\n")
-        else:
-            lines.append(f"dest ({m.left}, {m.right}) = {show_value(m.value)} in\n")
-        m = m.body
+    if type(m) is Block:
+        for b in m.binders:
+            if type(b) is LetBinder:
+                lines.append(f"let {b.var} = {show_term(b.bound)} in\n")
+            else:
+                lines.append(f"dest ({b.left}, {b.right}) = {show_value(b.value)} in\n")
+        m = m.tail
     lines.append(_show_simple_term(m))
     return "".join(lines)
 
 
 def _show_simple_term(m: Term) -> str:
-    """A term that is not a ``let`` or ``dest``."""
+    """A term that is not a block."""
     match m:
         case Ret(v):
             return f"return {show_value(v)}"

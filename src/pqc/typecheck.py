@@ -13,14 +13,14 @@ type checking is the same checker over ``TRIVIAL``, whose every effect is
 ``Effect("*", "*", 0)`` and whose ``from_bound`` answers even without a
 bound, so unannotated arrows, circuits and thunks need no ascription.
 
-A chain of ``let`` and ``dest`` binders is inferred as a left fold, read in
+A block of ``let`` and ``dest`` binders is inferred as a left fold, read in
 a loop the way ``abstract`` folds a circuit; in the paper's monadic reading
 a ``let`` is Kleisli composition. A running prefix effect runs from the
-entries the chain has consumed so far to the wires live now. Each binder
+entries the block has consumed so far to the wires live now. Each binder
 places its bound term's effect on the prefix, at the wires of the entries
 that term consumes, with the algebra's one primitive ``then_eff``; a
 ``dest`` (or a ``let`` of a ``return``) only hands wires to new names, and
-the chain's last term puts the outputs in its result's order once. Only
+the block's tail puts the outputs in its result's order once. Only
 bound terms recurse, so recursion goes as deep as terms nest, not as long
 as chains run, and each algebra's laws holding on the nose, the effect is
 the one a right fold (each binder composed with the whole rest) would give.
@@ -47,8 +47,8 @@ from .errors import (
 )
 from .gates import Registry, default_registry
 from .syntax import (
-    App, Apply, ArrowT, BangT, BitT, Box, BoxedVal, BundleUnitT, CircT, Dest,
-    Force, GateRef, Ifz, LabelVal, Lam, Let, Lift, NatT, NatVal, Pair,
+    App, Apply, ArrowT, BangT, BitT, Block, Box, BoxedVal, BundleUnitT, CircT,
+    Force, GateRef, Ifz, LabelVal, Lam, LetBinder, Lift, NatT, NatVal, Pair,
     Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal, Value, Var,
     show_type,
 )
@@ -235,6 +235,11 @@ class _Binder:
     linear: bool
 
 
+def _binder_text(b) -> str:
+    """How errors name a binder: ``let x`` or ``dest (a, b)``."""
+    return f"let {b.var}" if type(b) is LetBinder else f"dest ({b.left}, {b.right})"
+
+
 class EffectChecker:
     """Types terms and infers their effects in one algebra.
 
@@ -244,11 +249,11 @@ class EffectChecker:
     wires of its result type. ``used`` sets hold context indices, so
     shadowed entries stay distinct.
 
-    A term is read as a spine: ``let`` and ``dest`` binders, then a term of
-    another kind. ``_infer`` walks the spine in a loop and folds its effect
-    left to right (``_fold``); only bound terms and the terms inside values
-    recurse, so the depth of recursion is the nesting of terms, not the
-    length of a chain.
+    A block's binders and its tail are read in a loop, and their effect is
+    folded left to right (``_fold``); any other term is read as a block of
+    no binders. Only bound terms and the terms inside values recurse, so
+    the depth of recursion is the nesting of terms, not the length of a
+    chain.
     """
 
     def __init__(self, alg: CircuitAlgebra, registry: Optional[Registry] = None):
@@ -434,22 +439,20 @@ class EffectChecker:
         return ty, used, eff
 
     def _infer(self, m: Term) -> tuple[Type, Obj, set[int], Effect]:
-        """Type, its wires, used entries and effect of a term, by its spine.
+        """Type, its wires, used entries and effect of a term, by its block.
 
-        Each binder and the final term is one step: the entries it consumes
-        and the effect it places on their wires (none for ``dest`` and
+        Each binder and the tail is one step: the entries it consumes and
+        the effect it places on their wires (none for ``dest`` and
         ``return``, which only hand wires on). Linearity is checked once
-        the spine is read, binder by binder from the last one, so an error
+        the block is read, binder by binder from the last one, so an error
         is reported where a rule nested once per binder would find it first.
         """
         ctx = self.ctx
         base = len(ctx)
-        head = m
         # per step: linear entries consumed (in the order the effect takes
         # their wires), the effect or None, the first entry it binds and how
-        # many; binders[k] names the binder of step k
+        # many; step k < len(binders) is binders[k]
         steps: list[tuple[list[int], Optional[Effect], int, int]] = []
-        binders: list[str] = []
         used: set[int] = set()
         last: dict[int, int] = {}         # linear entry -> step that last consumed it
         again: dict[int, list[int]] = {}  # step -> its entries a later step consumes
@@ -464,24 +467,20 @@ class EffectChecker:
                 last[i] = k
             steps.append((order, e, len(ctx), count))
 
-        while True:
-            if isinstance(m, Let):
-                ty, wires, u, order, e = self._leaf(m.bound)
+        binders, tail = (m.binders, m.tail) if type(m) is Block else ((), m)
+        for b in binders:
+            if type(b) is LetBinder:
+                ty, wires, u, order, e = self._leaf(b.bound)
                 consume(u, order, e, 1)
-                binders.append(f"let {m.var}")
-                self._bind(m.var, ty, wires)
-            elif isinstance(m, Dest):
-                vt, u, order = self.infer_value(m.value)
+                self._bind(b.var, ty, wires)
+            else:
+                vt, u, order = self.infer_value(b.value)
                 if not isinstance(vt, TensorT):
                     raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
                 consume(u, order, None, 2)
-                binders.append(f"dest ({m.left}, {m.right})")
-                self._bind(m.left, vt.left)
-                self._bind(m.right, vt.right)
-            else:
-                break
-            m = m.body
-        ty, wires, u, order, e = self._leaf(m)
+                self._bind(b.left, vt.left)
+                self._bind(b.right, vt.right)
+        ty, wires, u, order, e = self._leaf(tail)
         consume(u, order, e, 0)
 
         for k in range(len(binders) - 1, -1, -1):
@@ -490,25 +489,25 @@ class EffectChecker:
                 if ctx[i].linear and i not in last:
                     raise LinearityViolation(
                         f"{ctx[i].key} is linear but never used in the body "
-                        f"of {binders[k]}")
+                        f"of {_binder_text(binders[k])}")
             if k in again:
                 names = ", ".join(str(ctx[i].key) for i in sorted(again[k]))
                 raise LinearityViolation(
-                    f"{names} used more than once in {binders[k]}")
+                    f"{names} used more than once in {_binder_text(binders[k])}")
 
         outer = sorted(i for i in last if i < base)
         eff = self._fold(steps, outer)
         del ctx[base:]
-        self._check_endpoints(head, eff, self._blocks_obj(outer), wires, ty)
+        self._check_endpoints(m, eff, self._blocks_obj(outer), wires, ty)
         return ty, wires, {i for i in used if i < base}, eff
 
     def _fold(self, steps, outer: list[int]) -> Effect:
-        """The effect of a spine's steps, folded left to right.
+        """The effect of a block's steps, folded left to right.
 
         The running prefix runs from the wires of ``outer``, the entries
-        from outside the spine that it consumes (in context order), to the
+        from outside the block that it consumes (in context order), to the
         wires now live. An outer entry is an idle wire from the start of
-        the spine until a step consumes it, so width counts it beside every
+        the block until a step consumes it, so width counts it beside every
         earlier step. ``cols`` names the wire at each output position of the
         prefix and ``live`` the wires of each live entry: a step finds its
         wires by position and places its effect there with one ``then_eff``,
@@ -554,7 +553,7 @@ class EffectChecker:
         return eff
 
     def _leaf(self, m: Term) -> tuple[Type, Obj, set[int], list[int], Optional[Effect]]:
-        """A bound or final term of a spine: its type and that type's wires,
+        """A bound term or the tail of a block: its type and that type's wires,
         the entries it uses, the linear ones in the order its effect takes
         their wires, and the effect (None for a ``return``)."""
         alg = self.alg
@@ -589,7 +588,7 @@ class EffectChecker:
                 wires = wires_of(ty)
                 used = self._merge(fu, au, "an application")
                 order = fo + ao
-            case Let() | Dest():  # checked where its spine ends
+            case Block():
                 ty, wires, used, eff = self._infer(m)
                 return ty, wires, used, sorted(self._linear(used)), eff
             case Force(value):

@@ -17,9 +17,9 @@ from pqc.algebras import DepthTriple
 from pqc.circuits import Circuit, Gate, Layer, Perm, Step, WireType
 from pqc.gates import Registry, default_registry
 from pqc.syntax import (
-    App, Apply, ArrowT, BangT, BitT, Box, BundleUnitT, CircT, Dest, Force,
-    GateRef, Ifz, Lam, Let, Lift, NatT, NatVal, Pair, Program, QubitT, Ret,
-    TensorT, Term, Type, UnitT, UnitVal, Value, Var,
+    App, Apply, ArrowT, BangT, BitT, Block, Box, BundleUnitT, CircT,
+    DestBinder, Force, GateRef, Ifz, Lam, LetBinder, Lift, NatT, NatVal,
+    Pair, Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal, Value, Var,
 )
 from pqc.tropical import NEG_INF, TropicalMatrix
 
@@ -128,14 +128,14 @@ def random_qubit_circuit(r: random.Random, max_wires: int = 3,
 # --------------------------------------------------------------------------
 
 class _Builder:
-    """Grows a program as a stack of term wrappers over a linear context."""
+    """Grows a program as one block of binders over a linear context."""
 
     def __init__(self, r: random.Random, assert_safe: bool, max_wires: int):
         self.r = r
         self.assert_safe = assert_safe
         self.max_wires = max_wires
         self.fresh = 0
-        self.wrappers = []          # functions Term -> Term, outermost first
+        self.binders: list = []     # the program's block, in order
         self.qubits: list[str] = []  # live qubit-typed variables
         self.bits: list[str] = []    # live bit-typed variables
 
@@ -165,59 +165,47 @@ class _Builder:
 
         if move == "init":
             v = self.name("q")
-            self.wrappers.append(
-                lambda body, v=v: Let(v, Apply(GateRef("init"), UnitVal()), body))
+            self.binders.append(LetBinder(v, Apply(GateRef("init"), UnitVal())))
             self.qubits.append(v)
         elif move == "unary":
             g = r.choice(("H", "X", "Z"))
             x = self.take_qubit()
             v = self.name("q")
-            self.wrappers.append(
-                lambda body, v=v, g=g, x=x: Let(v, Apply(GateRef(g), Var(x)), body))
+            self.binders.append(LetBinder(v, Apply(GateRef(g), Var(x))))
             self.qubits.append(v)
         elif move == "cnot":
             a, b = self.take_qubit(), self.take_qubit()
             p, a2, b2 = self.name("p"), self.name("q"), self.name("q")
-            self.wrappers.append(
-                lambda body, p=p, a=a, b=b, a2=a2, b2=b2: Let(
-                    p, Apply(GateRef("CNOT"), Pair(Var(a), Var(b))),
-                    Dest(a2, b2, Var(p), body)))
+            self.binders += [LetBinder(p, Apply(GateRef("CNOT"), Pair(Var(a), Var(b)))),
+                             DestBinder(a2, b2, Var(p))]
             self.qubits += [a2, b2]
         elif move == "meas":
             x = self.take_qubit()
             v = self.name("b")
-            self.wrappers.append(
-                lambda body, v=v, x=x: Let(v, Apply(GateRef("meas"), Var(x)), body))
+            self.binders.append(LetBinder(v, Apply(GateRef("meas"), Var(x))))
             self.bits.append(v)
         elif move == "discard":
             x = self.take_qubit()
             v = self.name("u")
-            self.wrappers.append(
-                lambda body, v=v, x=x: Let(v, Apply(GateRef("discard"), Var(x)), body))
+            self.binders.append(LetBinder(v, Apply(GateRef("discard"), Var(x))))
         elif move == "ifz":
             x = self.take_qubit()
             v = self.name("q")
             n = r.randint(0, 2)
             g1, g2 = r.choice(("H", "X")), r.choice(("Z", "X"))
-            self.wrappers.append(
-                lambda body, v=v, x=x, n=n, g1=g1, g2=g2: Let(
-                    v, Ifz(NatVal(n),
-                           Apply(GateRef(g1), Var(x)),
-                           Apply(GateRef(g2), Var(x))),
-                    body))
+            self.binders.append(LetBinder(v, Ifz(NatVal(n),
+                                                 Apply(GateRef(g1), Var(x)),
+                                                 Apply(GateRef(g2), Var(x)))))
             self.qubits.append(v)
         elif move == "boxed":
             x = self.take_qubit()
             v, inner, inner2 = self.name("q"), self.name("x"), self.name("x")
             g1, g2 = r.choice(("H", "X", "Z")), r.choice(("H", "X", "Z"))
             fn = Lam(inner, QubitT(),
-                     Let(inner2, Apply(GateRef(g1), Var(inner)),
-                         Apply(GateRef(g2), Var(inner2))))
-            self.wrappers.append(
-                lambda body, v=v, x=x, fn=fn: Let(
-                    v, Let("c", Box(QubitT(), Lift(Ret(fn))),
-                           Apply(Var("c"), Var(x))),
-                    body))
+                     Block((LetBinder(inner2, Apply(GateRef(g1), Var(inner))),),
+                           Apply(GateRef(g2), Var(inner2))))
+            boxing = LetBinder("c", Box(QubitT(), Lift(Ret(fn))))
+            self.binders.append(LetBinder(v, Block((boxing,), Apply(Var("c"), Var(x)))))
             self.qubits.append(v)
 
     def finish(self) -> Term:
@@ -228,10 +216,9 @@ class _Builder:
             result = Var(names[-1])
             for n in reversed(names[:-1]):
                 result = Pair(Var(n), result)
-        term: Term = Ret(result)
-        for wrap in reversed(self.wrappers):
-            term = wrap(term)
-        return term
+        if not self.binders:
+            return Ret(result)
+        return Block(tuple(self.binders), Ret(result))
 
 
 def random_program(r: random.Random, assert_safe: bool = False,
@@ -253,12 +240,13 @@ def random_boxable(r: random.Random) -> tuple[Type, Lam]:
     x = "x"
     if not two:
         g1, g2 = r.choice(("H", "X", "Z")), r.choice(("H", "X", "Z"))
-        body = Let("y", Apply(GateRef(g1), Var(x)), Apply(GateRef(g2), Var("y")))
+        body = Block((LetBinder("y", Apply(GateRef(g1), Var(x))),),
+                     Apply(GateRef(g2), Var("y")))
         return shape, Lam(x, shape, body)
     g = r.choice(("H", "X", "Z"))
-    body = Dest("a", "b", Var(x),
-                Let("a2", Apply(GateRef(g), Var("a")),
-                    Apply(GateRef("CNOT"), Pair(Var("a2"), Var("b")))))
+    body = Block((DestBinder("a", "b", Var(x)),
+                  LetBinder("a2", Apply(GateRef(g), Var("a")))),
+                 Apply(GateRef("CNOT"), Pair(Var("a2"), Var("b"))))
     return shape, Lam(x, shape, body)
 
 
@@ -300,6 +288,13 @@ def random_value(r: random.Random, depth: int = 3) -> Value:
     return Lift(random_term(r, depth - 1))
 
 
+def bind(binder, body: Term) -> Block:
+    """``binder`` in front of ``body``'s binders, in one block."""
+    if type(body) is Block:
+        return Block((binder,) + body.binders, body.tail)
+    return Block((binder,), body)
+
+
 def random_term(r: random.Random, depth: int = 3) -> Term:
     if depth <= 0:
         return Ret(random_value(r, 0))
@@ -310,11 +305,12 @@ def random_term(r: random.Random, depth: int = 3) -> Term:
     if kind == "app":
         return App(random_value(r, depth - 1), random_value(r, depth - 1))
     if kind == "let":
-        return Let(r.choice(_NAMES), random_term(r, depth - 1),
-                   random_term(r, depth - 1))
+        binder = LetBinder(r.choice(_NAMES), random_term(r, depth - 1))
+        return bind(binder, random_term(r, depth - 1))
     if kind == "dest":
-        return Dest(r.choice(_NAMES), r.choice(_NAMES),
-                    random_value(r, depth - 1), random_term(r, depth - 1))
+        binder = DestBinder(r.choice(_NAMES), r.choice(_NAMES),
+                            random_value(r, depth - 1))
+        return bind(binder, random_term(r, depth - 1))
     if kind == "ifz":
         return Ifz(random_value(r, depth - 1), random_term(r, depth - 1),
                    random_term(r, depth - 1))

@@ -37,7 +37,7 @@ from pqc.errors import (
     WireTypeMismatch,
 )
 from pqc.gates import GateDef, Registry, derive_assert_row
-from pqc.syntax import Dest, Let, TensorT, Term, show_type
+from pqc.syntax import Block, LetBinder, TensorT, Term, show_type
 from pqc.typecheck import EffectChecker
 
 NEG_INF = float("-inf")
@@ -187,11 +187,13 @@ def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
 class RightFoldChecker(EffectChecker):
     """The checker with ``let`` and ``dest`` inferred as a right fold.
 
-    Each binder infers its bound term, then the whole rest of the program,
-    and composes the two: the context is reordered (bound term's entries
-    last) by a permutation effect, the bound term's effect is placed after
-    the rest's wires, and the rest's effect is composed on. Linearity is
-    checked as each binder's body returns, innermost first. Every other
+    A block is read one binder at a time: the first binder's bound term is
+    inferred, then the whole rest of the block (a block again while
+    binders remain), and the two are composed: the context is reordered
+    (bound term's entries last) by a permutation effect, the bound term's
+    effect is placed after the rest's wires, and the rest's effect is
+    composed on. Linearity is checked as each binder's body returns,
+    innermost first. Every other
     term goes through ``EffectChecker``, whose sub-terms come back here.
     """
 
@@ -214,31 +216,33 @@ class RightFoldChecker(EffectChecker):
 
     def _infer(self, m: Term):
         alg = self.alg
-        if isinstance(m, Let):
-            bt, bw, bu, be = self._infer(m.bound)
-            self._bind(m.var, bt, bw)
-            ty, wires, tu, te = self._infer(m.body)
-            tu = self._pop(1, tu, f"the body of let {m.var}")
-            used = self._merge(bu, tu, f"let {m.var}")
+        if not isinstance(m, Block):
+            return super()._infer(m)
+        b = m.binders[0]
+        rest = Block(m.binders[1:], m.tail) if len(m.binders) > 1 else m.tail
+        if isinstance(b, LetBinder):
+            bt, bw, bu, be = self._infer(b.bound)
+            self._bind(b.var, bt, bw)
+            ty, wires, tu, te = self._infer(rest)
+            tu = self._pop(1, tu, f"the body of let {b.var}")
+            used = self._merge(bu, tu, f"let {b.var}")
             g2 = sorted(self._linear(tu))
             g1 = sorted(self._linear(bu))
             eff = alg.compose_eff(
                 alg.then_eff(self._reorder(g2 + g1),
                              alg.obj_of(self._blocks_obj(g2)), be),
                 te)
-        elif isinstance(m, Dest):
-            vt, vu, vo = self.infer_value(m.value)
+        else:
+            vt, vu, vo = self.infer_value(b.value)
             if not isinstance(vt, TensorT):
                 raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
-            self._bind(m.left, vt.left)
-            self._bind(m.right, vt.right)
-            ty, wires, bu, be = self._infer(m.body)
-            bu = self._pop(2, bu, f"the body of dest ({m.left}, {m.right})")
-            used = self._merge(vu, bu, f"dest ({m.left}, {m.right})")
+            self._bind(b.left, vt.left)
+            self._bind(b.right, vt.right)
+            ty, wires, bu, be = self._infer(rest)
+            bu = self._pop(2, bu, f"the body of dest ({b.left}, {b.right})")
+            used = self._merge(vu, bu, f"dest ({b.left}, {b.right})")
             g2 = sorted(self._linear(bu))
             eff = alg.compose_eff(self._reorder(g2 + vo), be)
-        else:
-            return super()._infer(m)
         self._check_endpoints(m, eff, self._blocks_obj(sorted(self._linear(used))),
                               wires, ty)
         return ty, wires, used, eff

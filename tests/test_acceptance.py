@@ -25,7 +25,7 @@ from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.evaluator import evaluate, initial_configuration
 from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import (
-    Apply, App, Box, Lift, Let, Pair, Program, QubitT, Ret, TensorT, Var,
+    Apply, App, Block, Box, Lift, LetBinder, Pair, Program, QubitT, Ret, TensorT, Var,
     parse_program, show_program,
 )
 from pqc.tropical import NEG_INF
@@ -234,8 +234,8 @@ def test_boxing_coherent_with_direct_application():
         else:
             inputs = (("in0", QubitT()),)
             arg = Var("in0")
-        boxed = Program(inputs, None, Let(
-            "c", Box(shape, Lift(Ret(lam))), Apply(Var("c"), arg)))
+        boxed = Program(inputs, None, Block(
+            (LetBinder("c", Box(shape, Lift(Ret(lam)))),), Apply(Var("c"), arg)))
         direct = Program(inputs, None, App(lam, arg))
         check_program(boxed, registry)
         check_program(direct, registry)

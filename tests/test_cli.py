@@ -9,6 +9,7 @@ from pqc.algebras import ALGEBRAS
 from pqc.circuits import WireType, deserialize
 from pqc.cli import main
 from pqc.gates import default_registry
+from pqc.syntax import parse_program, parse_value
 
 registry = default_registry()
 
@@ -73,6 +74,10 @@ def fail_comparison(monkeypatch):
     monkeypatch.setattr(ALGEBRAS["gates"], "leq", lambda a, b: False)
 
 
+# a lifted function of 3000 binders as the result: readback walks its block
+DEEP_CLOSURE = (r"inputs; let f = return (lift return (\x: Nat. "
+                + "let y = return x in " * 3000 + "return y)) in return f\n")
+
 BAD_INPUTS = {
     "parse.pqc": b"inputs q Qubit; return q",
     "illtyped.pqc": b"inputs q: Qubit; return (q, q)",
@@ -81,6 +86,7 @@ BAD_INPUTS = {
     "binary.pqc": b"\xff\xfe",
     "deep.pqc": (b"inputs q: Qubit;\n" + b"let q = apply(@H, q) in\n" * 3000
                  + b"return q\n"),
+    "deep_closure.pqc": DEEP_CLOSURE.encode(),
     "deep_ifz.pqc": (b"inputs q: Qubit;\n" + b"ifz 0 then " * 3000 + b"return q"
                      + b" else return q" * 3000 + b"\n"),
     "wide.pqc": ("inputs " + ", ".join(f"a{i}: Qubit" for i in range(24))
@@ -106,6 +112,7 @@ BAD_INPUTS = {
     pytest.param(["check", "binary.pqc"], 2, None, id="not-utf8"),
     pytest.param(["check", "deep.pqc"], 0, None, id="deep-let-chain"),
     pytest.param(["check", "deep_ifz.pqc"], 2, None, id="too-deep"),
+    pytest.param(["run", "deep_closure.pqc"], 0, None, id="deep-closure-readback"),
     pytest.param(["verify", "wide.pqc", "--metric", "assert"], 2, None,
                  id="too-wide"),
     pytest.param(["analyze", "costly.pqc", "--metric", "assert"], 2, None,
@@ -140,7 +147,7 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, patch):
     else:
         assert err == ""
     if argv[1] == "deep_ifz.pqc":
-        # let and dest spines are read in loops; other nesting still recurses
+        # a block's binders are read in loops; other nesting still recurses
         assert "nested too deeply" in err
 
 
@@ -167,6 +174,15 @@ def test_run_json_and_emitted_circuit_agree(capsys, tmp_path):
     emitted = deserialize(path.read_bytes(), registry)
     assert json.loads(path.read_text()) == doc["circuit"]
     assert emitted.cod == (WireType.QUBIT, WireType.QUBIT)
+
+
+def test_run_prints_a_long_closure_that_parses_back(capsys, tmp_path):
+    path = tmp_path / "deep_closure.pqc"
+    path.write_text(DEEP_CLOSURE)
+    code, out, _ = run_cli(capsys, "run", "--json", str(path))
+    assert code == 0
+    lift = parse_program(DEEP_CLOSURE).term.binders[0].bound.value
+    assert parse_value(json.loads(out)["value"]) == lift
 
 
 def test_run_fuel_exhaustion_exits_2(capsys):

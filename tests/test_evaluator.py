@@ -9,8 +9,8 @@ from pqc.evaluator import (
 )
 from pqc.gates import default_registry
 from pqc.syntax import (
-    Apply, App, Dest, Force, GateRef, Ifz, LabelVal, Lam, Let, NatVal, Pair,
-    Program, QubitT, Ret, UnitVal, Var, parse_program,
+    Apply, App, Block, DestBinder, Force, GateRef, Ifz, LabelVal, Lam,
+    LetBinder, NatVal, Pair, Program, QubitT, Ret, UnitVal, Var, parse_program,
 )
 from pqc.typecheck import check_program
 
@@ -37,9 +37,15 @@ def gate_sequence(circuit):
 # --------------------------------------------------------------------------
 
 def test_subst_let_shadows_body_not_bound():
-    m = Let("x", Ret(Var("x")), Ret(Var("x")))
+    m = Block((LetBinder("x", Ret(Var("x"))),), Ret(Var("x")))
     out = subst_term(m, Env({"x": NatVal(3)}))
-    assert out == Let("x", Ret(NatVal(3)), Ret(Var("x")))
+    assert out == Block((LetBinder("x", Ret(NatVal(3))),), Ret(Var("x")))
+    # each binder shadows the binders after it and the tail
+    m = Block((LetBinder("y", Ret(Var("x"))), LetBinder("x", Ret(Var("x"))),
+               LetBinder("z", Ret(Var("x")))), Ret(Var("y")))
+    out = subst_term(m, Env({"x": NatVal(3), "y": NatVal(4)}))
+    assert out == Block((LetBinder("y", Ret(NatVal(3))), LetBinder("x", Ret(NatVal(3))),
+                         LetBinder("z", Ret(Var("x")))), Ret(Var("y")))
 
 
 def test_subst_lambda_shadowing():
@@ -52,11 +58,11 @@ def test_subst_lambda_shadowing():
 
 def test_subst_dest_shadowing():
     body = Ret(Pair(Var("a"), Var("b")))
-    m = Dest("a", "b", Var("p"), body)
+    m = Block((DestBinder("a", "b", Var("p")),), body)
     out = subst_term(m, Env({"a": NatVal(7)}))
-    assert out.body == body  # binder shadows
+    assert out.tail == body  # binder shadows
     out2 = subst_term(m, Env({"p": Pair(NatVal(1), NatVal(2))}))
-    assert out2.value == Pair(NatVal(1), NatVal(2))
+    assert out2.binders[0].value == Pair(NatVal(1), NatVal(2))
 
 
 # --------------------------------------------------------------------------
@@ -224,7 +230,7 @@ def test_gate_application_needs_apply():
 def test_stuck_shapes():
     bad = [
         App(NatVal(1), NatVal(2)),
-        Dest("a", "b", NatVal(1), Ret(UnitVal())),
+        Block((DestBinder("a", "b", NatVal(1)),), Ret(UnitVal())),
         Ifz(UnitVal(), Ret(UnitVal()), Ret(UnitVal())),
         Force(NatVal(1)),
         Apply(NatVal(1), UnitVal()),
@@ -253,9 +259,8 @@ def test_random_programs_evaluate_cleanly():
 
 
 def test_deep_let_chain_evaluates_without_recursion():
-    t = Ret(Var("x"))
-    for _ in range(20_000):
-        t = Let("x", Apply(GateRef("H"), Var("x")), t)
+    h = LetBinder("x", Apply(GateRef("H"), Var("x")))
+    t = Block((h,) * 20_000, Ret(Var("x")))
     c, ctx, v = evaluate_program(Program((("x", QubitT()),), None, t), registry)
     assert ctx.obj == c.cod == (Q,)
     assert len(c.steps) == 20_000

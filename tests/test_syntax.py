@@ -1,12 +1,16 @@
+import copy
+import pickle
+
 import pytest
 
 from generators import rng, random_ast_program, random_term, random_type, random_value
 from pqc.errors import NotAValue, ParseError
 from pqc.syntax import (
-    App, Apply, ArrowT, BangT, BitT, Box, BundleUnitT, CircT, Dest, Force,
-    GateRef, Ifz, Lam, Let, Lift, NatT, NatVal, Pair, Program, QubitT, Ret,
-    TensorT, UnitT, UnitVal, Var, parse_program, parse_term, parse_type,
-    parse_value, show_program, show_term, show_type, show_value, tokenize,
+    App, Apply, ArrowT, BangT, BitT, Block, Box, BundleUnitT, CircT, DestBinder,
+    Force, GateRef, Ifz, Lam, Let, LetBinder, Lift, NatT, NatVal, Pair,
+    Program, QubitT, Ret, TensorT, UnitT, UnitVal, Var, parse_program,
+    parse_term, parse_type, parse_value, show_program, show_term, show_type,
+    show_value, tokenize,
 )
 
 
@@ -59,14 +63,29 @@ def test_terms_parse():
 
 def test_nary_dest_desugars_right_nested():
     m = parse_term("dest (a, b, c) = v in return a")
-    assert isinstance(m, Dest) and m.left == "a"
-    assert isinstance(m.body, Dest)
-    assert m.body.left == "b" and m.body.right == "c"
+    assert m == Block((DestBinder("a", "_bc", Var("v")),
+                       DestBinder("b", "c", Var("_bc"))), Ret(Var("a")))
 
 
 def test_let_chains():
     m = parse_term("let x = apply(@H, q) in let y = f x in return (x, y)")
-    assert isinstance(m, Let) and isinstance(m.body, Let)
+    assert m == Block((LetBinder("x", Apply(GateRef("H"), Var("q"))),
+                       LetBinder("y", App(Var("f"), Var("x")))),
+                      Ret(Pair(Var("x"), Var("y"))))
+    # Let adds one binder in front of a block, so chains built either way agree
+    assert m == Let("x", Apply(GateRef("H"), Var("q")),
+                    Let("y", App(Var("f"), Var("x")), Ret(Pair(Var("x"), Var("y")))))
+    # a bound block stays nested: it binds in its own scope
+    n = parse_term("let x = let y = f z in return y in return x")
+    assert isinstance(n.binders[0].bound, Block) and len(n.binders) == 1
+
+
+def test_blocks_are_canonical():
+    x = LetBinder("x", Ret(UnitVal()))
+    with pytest.raises(ValueError):
+        Block((), Ret(UnitVal()))
+    with pytest.raises(ValueError):
+        Block((x,), Block((x,), Ret(UnitVal())))
 
 
 def test_bare_value_is_rejected_as_term():
@@ -115,7 +134,7 @@ def test_round_trip_suites():
 
 
 def test_deep_let_chain_prints_and_round_trips():
-    # printing reads the let/dest spine in a loop, as parsing does
+    # printing reads a block's binders in a loop, as parsing does
     lines = ["inputs q: Qubit, r: Qubit;"]
     lines += ["let p = apply(@CNOT, (q, r)) in dest (q, r) = p in"
               if i % 100 == 0 else "let q = apply(@H, q) in" for i in range(10**4)]
@@ -139,4 +158,17 @@ def test_deep_let_chains_compare_and_hash_in_a_loop():
     assert p.term is not again.term
     assert p == again and hash(p) == hash(again)
     assert p != chain(renamed=5000)
-    assert p.term.body != again.term  # a dest is never a let
+    assert p.term.binders[1] != again.term.binders[0]  # a dest is never a let
+    assert p.term != Block(again.term.binders[1:], again.term.tail)
+
+
+def test_deep_let_chain_reprs_pickles_and_copies():
+    # a block holds its binders in a tuple: nothing recurses along the chain
+    lines = ["inputs q: Qubit, r: Qubit;"]
+    lines += ["let p = apply(@CNOT, (q, r)) in dest (q, r) = p in"
+              if i % 100 == 0 else "let q = apply(@H, q) in" for i in range(10**5)]
+    p = parse_program("\n".join(lines + ["return (q, r)"]))
+    assert len(p.term.binders) == 10**5 + 10**3
+    assert repr(p).count("LetBinder(") == 10**5
+    assert pickle.loads(pickle.dumps(p)) == p
+    assert copy.deepcopy(p) == p

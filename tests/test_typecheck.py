@@ -15,9 +15,9 @@ from pqc.errors import (
 from pqc.gates import default_registry
 from pqc.syntax import (
     parse_program, parse_term, parse_type, show_type, App, Apply, ArrowT,
-    BangT, BitT, Box, BundleUnitT, CircT, Dest, Force, GateRef, Ifz, Lam, Let,
-    Lift, NatT, NatVal, Program, QubitT, Ret, TensorT, UnitT, UnitVal,
-    LabelVal, Pair, Var,
+    BangT, BitT, Block, Box, BundleUnitT, CircT, DestBinder, Force, GateRef,
+    Ifz, Lam, LetBinder, Lift, NatT, NatVal, Program, QubitT, Ret,
+    TensorT, UnitT, UnitVal, LabelVal, Pair, Var,
 )
 from pqc.typecheck import (
     EffectChecker, check_configuration, check_program, is_parameter,
@@ -176,7 +176,8 @@ def test_box_rejects_arrows_that_captured_wires():
 
 def test_term_in_value_position_is_a_type_error():
     # only a hand-built AST can put a term where a value belongs
-    prog = Program((), None, Ret(Let("x", Ret(UnitVal()), Ret(UnitVal()))))
+    bound = Block((LetBinder("x", Ret(UnitVal())),), Ret(UnitVal()))
+    prog = Program((), None, Ret(bound))
     with pytest.raises(MisplacedTerm):
         check_program(prog, registry)
     assert issubclass(MisplacedTerm, TypecheckError)
@@ -184,10 +185,9 @@ def test_term_in_value_position_is_a_type_error():
 
 
 def test_deep_let_chain_checks_and_infers():
-    # a let spine is read in a loop: its length costs no Python frames
-    term = Ret(Var("x"))
-    for _ in range(10_000):
-        term = Let("x", Apply(GateRef("H"), Var("x")), term)
+    # a block is read in a loop: its length costs no Python frames
+    h = LetBinder("x", Apply(GateRef("H"), Var("x")))
+    term = Block((h,) * 10_000, Ret(Var("x")))
     prog = Program((("x", QubitT()),), None, term)
     assert show_type(check_program(prog, registry)) == "Qubit"
     _, eff = infer_program_effect(prog, algebra("gates"), registry)
@@ -258,28 +258,55 @@ def test_random_programs_typecheck():
 # the left fold against the right fold it replaced
 # --------------------------------------------------------------------------
 
-_AST = (Ret, App, Let, Dest, Ifz, Force, Box, Apply, Var, Pair, UnitVal,
+_AST = (Ret, App, Block, Ifz, Force, Box, Apply, Var, Pair, UnitVal,
         NatVal, GateRef, Lam, Lift)
 
 
 def _nodes(term):
-    """Every term and value inside ``term``, with its path of field names."""
-    out, todo = [], [(term, ())]
+    """Every binder, term and value inside ``term``, with its path: field
+    names, and a binder's index in its block. A block is listed binder by
+    binder, each followed by its bound term or value and then by the rest
+    of the block, the order one nested node per binder would give."""
+    out, todo = [], []
+
+    def push(node, path):
+        todo.append(((node, 0) if isinstance(node, Block) else node, path))
+
+    push(term, ())
     while todo:
         node, path = todo.pop()
+        if isinstance(node, tuple):  # (block, i): binder i and the rest
+            block, i = node
+            b = block.binders[i]
+            out.append((b, path + (i,)))
+            field = "bound" if isinstance(b, LetBinder) else "value"
+            push(getattr(b, field), path + (i, field))
+            if i + 1 < len(block.binders):
+                todo.append(((block, i + 1), path))
+            else:
+                push(block.tail, path + ("tail",))
+            continue
         out.append((node, path))
         for f in dataclasses.fields(node):
             child = getattr(node, f.name)
             if isinstance(child, _AST):
-                todo.append((child, path + (f.name,)))
+                push(child, path + (f.name,))
     return out
 
 
 def _replaced(node, path, new):
+    """``node`` with the node at ``path`` replaced by ``new``; a binder
+    replaced by None is dropped."""
     if not path:
         return new
+    step = path[0]
+    if isinstance(step, int):
+        b = _replaced(node.binders[step], path[1:], new)
+        kept = (b,) if b is not None else ()
+        binders = node.binders[:step] + kept + node.binders[step + 1:]
+        return Block(binders, node.tail) if binders else node.tail
     return dataclasses.replace(
-        node, **{path[0]: _replaced(getattr(node, path[0]), path[1:], new)})
+        node, **{step: _replaced(getattr(node, step), path[1:], new)})
 
 
 def _mutant(r, prog: Program) -> Program:
@@ -287,7 +314,7 @@ def _mutant(r, prog: Program) -> Program:
     value swapped, dropped or duplicated."""
     nodes = _nodes(prog.term)
     names = sorted({n.name for n, _ in nodes if isinstance(n, Var)}
-                   | {n.var for n, _ in nodes if isinstance(n, Let)}) + ["nowhere"]
+                   | {n.var for n, _ in nodes if isinstance(n, LetBinder)}) + ["nowhere"]
     while True:
         node, path = r.choice(nodes)
         match node:
@@ -295,12 +322,12 @@ def _mutant(r, prog: Program) -> Program:
                 new = Var(r.choice(names))
             case GateRef():
                 new = GateRef(r.choice(("H", "CNOT", "init", "meas", "discard")))
-            case Let(var, bound, body):
-                new = r.choice((body, Let(r.choice(names), bound, body),
-                                Let(var, Ret(UnitVal()), body)))
-            case Dest(left, right, value, body):
-                new = r.choice((body, Dest(right, left, value, body),
-                                Dest(left, right, UnitVal(), body)))
+            case LetBinder(var, bound):
+                new = r.choice((None, LetBinder(r.choice(names), bound),
+                                LetBinder(var, Ret(UnitVal()))))
+            case DestBinder(left, right, value):
+                new = r.choice((None, DestBinder(right, left, value),
+                                DestBinder(left, right, UnitVal())))
             case Pair(left, right):
                 new = r.choice((left, Pair(right, left), Pair(left, Pair(right, right))))
             case Ret(v):
