@@ -336,19 +336,38 @@ _KEYWORDS = {
     "else", "dest", "inputs", "gates", "Nat", "Qubit", "Bit", "Circ", "I",
 }
 
+# Each match is whitespace, a comment or one token, the token in group 1. A
+# character that begins no token is a token of its own, of kind "bad".
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>--[^\n]*)
-  | (?P<nl>\n)
-  | (?P<arrow>-o)
-  | (?P<nat>[0-9]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<label>\#[0-9]+)
-  | (?P<gateref>@[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<punct>[()\[\],;:.=*!\\])
-  | (?P<bad>.)
+    [ \t\r\n]+
+  | --[^\n]*
+  | ( -o
+    | [0-9]+
+    | [A-Za-z_][A-Za-z0-9_']*
+    | \#[0-9]+
+    | @[A-Za-z_][A-Za-z0-9_]*
+    | "[^"\n]*"
+    | [()\[\],;:.=*!\\]
+    | . )
 """, re.VERBOSE)
+
+# A token's kind, from its text: keywords, punctuation and -o by the whole
+# text, the rest by the first character. '#', '@' and '"' alone begin a
+# label, a gate reference or a string that does not follow, so they are bad.
+_KIND_OF_TEXT = {**dict.fromkeys(_KEYWORDS, "kw"),
+                 **{c: c for c in "()[],;:.=*!\\"},
+                 "-o": "-o", "#": "bad", "@": "bad", '"': "bad"}
+_KIND_OF_FIRST = {**dict.fromkeys("0123456789", "nat"),
+                  **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                  "abcdefghijklmnopqrstuvwxyz_", "ident"),
+                  "#": "label", "@": "gateref", '"': "string"}
+
+
+def _lex(src: str) -> tuple[list[str], list[str]]:
+    """The kinds and texts of the tokens of ``src``, read by one ``findall``."""
+    texts = list(filter(None, _TOKEN_RE.findall(src)))
+    return [_KIND_OF_TEXT.get(t) or _KIND_OF_FIRST.get(t[0], "bad")
+            for t in texts], texts
 
 
 class Token(NamedTuple):
@@ -359,27 +378,26 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of ``src`` with their lines and columns, then ``eof``.
+
+    The parser reads ``_lex``'s lists and calls this only to place an
+    error, so positions cost nothing on a program that parses.
+    """
+    kinds, texts = _lex(src)
     tokens = []
-    line, line_start = 1, 0  # line_start: index of the line's first character
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        if kind == "nl":
-            line += 1
-            line_start = m.end()
-        elif kind != "ws" and kind != "comment":
-            text = m.group()
-            col = m.start() - line_start + 1
-            if kind == "bad":
-                raise ParseError(f"unexpected character {text!r}", line, col)
-            if kind == "ident":
-                if text in _KEYWORDS:
-                    kind = "kw"
-            elif kind == "punct":
-                kind = text
-            elif kind == "arrow":
-                kind = "-o"
-            tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(src) - line_start + 1))
+    line, line_start, end = 1, 0, 0  # line_start: index of the line's first character
+    starts = (m.start() for m in _TOKEN_RE.finditer(src) if m.lastindex)
+    for kind, text, start in zip(kinds, texts, starts):
+        newlines = src.count("\n", end, start)
+        if newlines:
+            line += newlines
+            line_start = src.rindex("\n", end, start) + 1
+        end = start + len(text)
+        col = start - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", src.count("\n") + 1, len(src) - src.rfind("\n")))
     return tokens
 
 
@@ -392,52 +410,64 @@ _VALUE_STARTS = {"nat", "ident", "label", "gateref", "*", "(", "\\"}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    """Recursive descent over the parallel lists of token kinds and texts.
+
+    Keywords are reserved, so a text that is a keyword is a ``kw`` token:
+    ``texts[pos] == "let"`` tests for the keyword. The parser moves only
+    past a token whose kind it has checked, and it expects ``eof`` last.
+    """
+
+    def __init__(self, src: str):
+        kinds, texts = _lex(src)
+        if "bad" in kinds:
+            tokenize(src)  # raises, at the first stray character
+        kinds.append("eof")
+        texts.append("")
+        self.src = src
+        self.kinds = kinds
+        self.texts = texts
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> str:
+        """The kind of the current token."""
+        return self.kinds[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def next(self) -> str:
+        """The text of the current token, moving past it."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
-    def fail(self, msg: str, tok: Optional[Token] = None):
-        tok = tok or self.peek()
-        raise ParseError(msg, tok.line, tok.col)
+    def found(self) -> str:
+        """How an error names the current token."""
+        text = self.texts[self.pos]
+        return repr(text) if text else "end of input"
 
-    def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            self.fail(f"expected {what}, found {t.text!r}" if t.text else
-                      f"expected {what}, found end of input")
+    def fail(self, msg: str, error: type[ParseError] = ParseError):
+        tok = tokenize(self.src)[self.pos]
+        raise error(msg, tok.line, tok.col)
+
+    def expect(self, kind: str, what: str) -> str:
+        if self.kinds[self.pos] != kind:
+            self.fail(f"expected {what}, found {self.found()}")
         return self.next()
 
-    def expect_kw(self, word: str) -> Token:
-        t = self.peek()
-        if t.kind != "kw" or t.text != word:
-            self.fail(f"expected {word!r}, found {t.text!r}")
-        return self.next()
-
-    def at_kw(self, word: str) -> bool:
-        t = self.peek()
-        return t.kind == "kw" and t.text == word
+    def expect_kw(self, word: str) -> None:
+        if self.texts[self.pos] != word:
+            self.fail(f"expected {word!r}, found {self.found()}")
+        self.pos += 1
 
     # ---- types -----------------------------------------------------------
 
     def type_(self) -> Type:
         left = self.type_tensor()
-        if self.peek().kind == "-o":
+        if self.peek() == "-o":
             self.next()
             self.expect("[", "'[' after -o")
             captured = self.type_()
             bound = None
-            if self.peek().kind == ";":
+            if self.peek() == ";":
                 self.next()
-                bound = int(self.expect("nat", "a scalar bound").text)
+                bound = int(self.expect("nat", "a scalar bound"))
             self.expect("]", "']'")
             cod = self.type_()
             return ArrowT(left, cod, captured, bound)
@@ -445,43 +475,43 @@ class _Parser:
 
     def type_tensor(self) -> Type:
         left = self.type_bang()
-        if self.peek().kind == "*":
+        if self.peek() == "*":
             self.next()
             return TensorT(left, self.type_tensor())
         return left
 
     def type_bang(self) -> Type:
-        if self.peek().kind == "!":
+        if self.peek() == "!":
             self.next()
             return BangT(self.type_bang())
         return self.type_atom()
 
     def type_atom(self) -> Type:
-        t = self.peek()
-        if t.kind == "nat":
-            if t.text == "1":
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "nat":
+            if text == "1":
                 self.next()
                 return UnitT()
-            self.fail(f"{t.text} is not a type (only 1 denotes the unit type)")
-        if t.kind == "kw":
-            if t.text == "Nat":
+            self.fail(f"{text} is not a type (only 1 denotes the unit type)")
+        if kind == "kw":
+            if text == "Nat":
                 self.next()
                 return NatT()
-            if t.text == "Qubit":
+            if text == "Qubit":
                 self.next()
                 return QubitT()
-            if t.text == "Bit":
+            if text == "Bit":
                 self.next()
                 return BitT()
-            if t.text == "I":
+            if text == "I":
                 self.next()
                 return BundleUnitT()
-            if t.text == "Circ":
+            if text == "Circ":
                 self.next()
                 bound = None
-                if self.peek().kind == "[":
+                if self.peek() == "[":
                     self.next()
-                    bound = int(self.expect("nat", "a scalar bound").text)
+                    bound = int(self.expect("nat", "a scalar bound"))
                     self.expect("]", "']'")
                 self.expect("(", "'(' after Circ")
                 dom = self.type_()
@@ -489,52 +519,23 @@ class _Parser:
                 cod = self.type_()
                 self.expect(")", "')'")
                 return CircT(dom, cod, bound)
-        if t.kind == "(":
+        if kind == "(":
             self.next()
             inner = self.type_()
             self.expect(")", "')'")
             return inner
-        self.fail(f"expected a type, found {t.text!r}")
+        self.fail(f"expected a type, found {self.found()}")
 
     # ---- values ----------------------------------------------------------
 
     def value(self) -> Value:
-        t = self.peek()
-        if t.kind == "\\":
-            self.next()
-            name = self.expect("ident", "a variable name").text
-            self.expect(":", "':' after lambda variable")
-            ty = self.type_()
-            self.expect(".", "'.' after lambda type")
-            return Lam(name, ty, self.term())
-        if t.kind == "kw" and t.text == "lift":
-            self.next()
-            # common shorthand: lift V means lift return V
-            if self.peek().kind in _VALUE_STARTS:
-                v = self.value()
-                if self.peek().kind in _VALUE_STARTS or self.at_kw("lift"):
-                    return Lift(App(v, self.value()))
-                return Lift(Ret(v))
-            return Lift(self.term())
-        if t.kind == "*":
-            self.next()
-            return UnitVal()
-        if t.kind == "nat":
-            self.next()
-            return NatVal(int(t.text))
-        if t.kind == "ident":
-            self.next()
-            return Var(t.text)
-        if t.kind == "label":
-            self.next()
-            return LabelVal(Label(int(t.text[1:])))
-        if t.kind == "gateref":
-            self.next()
-            return GateRef(t.text[1:])
-        if t.kind == "(":
+        kind = self.kinds[self.pos]
+        if kind == "ident":
+            return Var(self.next())
+        if kind == "(":
             self.next()
             parts = [self.value()]
-            while self.peek().kind == ",":
+            while self.peek() == ",":
                 self.next()
                 parts.append(self.value())
             self.expect(")", "')'")
@@ -542,33 +543,60 @@ class _Parser:
             for p in reversed(parts[:-1]):
                 v = Pair(p, v)
             return v
-        if t.kind == "kw" and t.text in _TERM_KEYWORDS:
-            raise NotAValue(
-                f"{t.text!r} begins a computation, not a value; "
-                f"bind it with let first", t.line, t.col)
-        self.fail(f"expected a value, found {t.text!r}")
+        if kind == "gateref":
+            return GateRef(self.next()[1:])
+        if kind == "\\":
+            self.next()
+            name = self.expect("ident", "a variable name")
+            self.expect(":", "':' after lambda variable")
+            ty = self.type_()
+            self.expect(".", "'.' after lambda type")
+            return Lam(name, ty, self.term())
+        if kind == "*":
+            self.next()
+            return UnitVal()
+        if kind == "nat":
+            return NatVal(int(self.next()))
+        if kind == "label":
+            return LabelVal(Label(int(self.next()[1:])))
+        text = self.texts[self.pos]
+        if text == "lift":
+            self.next()
+            # common shorthand: lift V means lift return V
+            if self.peek() in _VALUE_STARTS:
+                v = self.value()
+                if self.peek() in _VALUE_STARTS or self.texts[self.pos] == "lift":
+                    return Lift(App(v, self.value()))
+                return Lift(Ret(v))
+            return Lift(self.term())
+        if text in _TERM_KEYWORDS:
+            self.fail(f"{text!r} begins a computation, not a value; "
+                      f"bind it with let first", NotAValue)
+        self.fail(f"expected a value, found {self.found()}")
 
     # ---- terms -----------------------------------------------------------
 
     def term(self) -> Term:
         """A term: its ``let`` and ``dest`` binders are read in a loop into
         one block, so only bound terms recurse."""
+        texts = self.texts
         binders: list[Binder] = []
         while True:
-            if self.at_kw("let"):
+            word = texts[self.pos]
+            if word == "let":
                 self.next()
-                name = self.expect("ident", "a variable name").text
+                name = self.expect("ident", "a variable name")
                 self.expect("=", "'='")
                 bound = self.term()
                 self.expect_kw("in")
                 binders.append(LetBinder(name, bound))
-            elif self.at_kw("dest"):
+            elif word == "dest":
                 self.next()
                 self.expect("(", "'(' after dest")
-                names = [self.expect("ident", "a variable name").text]
-                while self.peek().kind == ",":
+                names = [self.expect("ident", "a variable name")]
+                while self.peek() == ",":
                     self.next()
-                    names.append(self.expect("ident", "a variable name").text)
+                    names.append(self.expect("ident", "a variable name"))
                 self.expect(")", "')'")
                 if len(names) < 2:
                     self.fail("dest pattern needs at least two names")
@@ -583,37 +611,36 @@ class _Parser:
 
     def simple_term(self) -> Term:
         """A term that is not a block."""
-        t = self.peek()
-        if t.kind == "kw":
-            if t.text == "return":
-                self.next()
-                return Ret(self.value())
-            if t.text == "ifz":
-                self.next()
-                cond = self.value()
-                self.expect_kw("then")
-                then = self.term()
-                self.expect_kw("else")
-                return Ifz(cond, then, self.term())
-            if t.text == "force":
-                self.next()
-                return Force(self.value())
-            if t.text == "box":
-                self.next()
-                self.expect("[", "'[' after box")
-                shape = self.type_()
-                self.expect("]", "']'")
-                return Box(shape, self.value())
-            if t.text == "apply":
-                self.next()
-                self.expect("(", "'(' after apply")
-                circ = self.value()
-                self.expect(",", "','")
-                arg = self.value()
-                self.expect(")", "')'")
-                return Apply(circ, arg)
+        word = self.texts[self.pos]
+        if word == "apply":
+            self.next()
+            self.expect("(", "'(' after apply")
+            circ = self.value()
+            self.expect(",", "','")
+            arg = self.value()
+            self.expect(")", "')'")
+            return Apply(circ, arg)
+        if word == "return":
+            self.next()
+            return Ret(self.value())
+        if word == "force":
+            self.next()
+            return Force(self.value())
+        if word == "ifz":
+            self.next()
+            cond = self.value()
+            self.expect_kw("then")
+            then = self.term()
+            self.expect_kw("else")
+            return Ifz(cond, then, self.term())
+        if word == "box":
+            self.next()
+            self.expect("[", "'[' after box")
+            shape = self.type_()
+            self.expect("]", "']'")
+            return Box(shape, self.value())
         fn = self.value()
-        if self.peek().kind in _VALUE_STARTS or self.at_kw("lift"):
+        if self.peek() in _VALUE_STARTS or self.texts[self.pos] == "lift":
             return App(fn, self.value())
         self.fail("a bare value is not a computation; "
                   "apply it or wrap it in return")
@@ -623,19 +650,19 @@ class _Parser:
     def program(self) -> Program:
         self.expect_kw("inputs")
         inputs = []
-        if self.peek().kind == "ident":
+        if self.peek() == "ident":
             while True:
-                name = self.expect("ident", "an input name").text
+                name = self.expect("ident", "an input name")
                 self.expect(":", "':' after input name")
                 inputs.append((name, self.type_()))
-                if self.peek().kind != ",":
+                if self.peek() != ",":
                     break
                 self.next()
         self.expect(";", "';' after inputs")
         gates_path = None
-        if self.at_kw("gates"):
+        if self.texts[self.pos] == "gates":
             self.next()
-            gates_path = self.expect("string", "a quoted file name").text[1:-1]
+            gates_path = self.expect("string", "a quoted file name")[1:-1]
             self.expect(";", "';' after gates")
         term = self.term()
         self.expect("eof", "end of program")
@@ -652,28 +679,28 @@ def _dest_binders(names: list[str], v: Value) -> list[DestBinder]:
 
 
 def parse_type(src: str) -> Type:
-    p = _Parser(tokenize(src))
+    p = _Parser(src)
     ty = p.type_()
     p.expect("eof", "end of type")
     return ty
 
 
 def parse_value(src: str) -> Value:
-    p = _Parser(tokenize(src))
+    p = _Parser(src)
     v = p.value()
     p.expect("eof", "end of value")
     return v
 
 
 def parse_term(src: str) -> Term:
-    p = _Parser(tokenize(src))
+    p = _Parser(src)
     m = p.term()
     p.expect("eof", "end of term")
     return m
 
 
 def parse_program(src: str) -> Program:
-    return _Parser(tokenize(src)).program()
+    return _Parser(src).program()
 
 
 # --------------------------------------------------------------------------

@@ -227,12 +227,14 @@ def synthesize_bounds(alg: CircuitAlgebra, ty: Type) -> Type:
 
 @dataclass(slots=True)
 class _Binder:
-    """A context entry; its wires and linearity are computed once, at push."""
+    """A context entry; its wires and linearity are computed once, at push.
+    ``shadows`` is the entry its key named before it, if any."""
 
     key: CtxKey
     ty: Type
     wires: Obj
     linear: bool
+    shadows: Optional[int]
 
 
 def _binder_text(b) -> str:
@@ -247,7 +249,10 @@ class EffectChecker:
     The invariant, checked where each effect is made: the effect runs from
     the wires of the linear entries the term uses (in context order) to the
     wires of its result type. ``used`` sets hold context indices, so
-    shadowed entries stay distinct.
+    shadowed entries stay distinct. ``scope`` maps each key to its latest
+    entry, so a lookup costs the same however far the binding is; each
+    entry remembers the one it shadows, and dropping entries gives the
+    shadowed ones back their keys.
 
     A block's binders and its tail are read in a loop, and their effect is
     folded left to right (``_fold``); any other term is read as a block of
@@ -260,6 +265,7 @@ class EffectChecker:
         self.alg = alg
         self.registry = registry or default_registry()
         self.ctx: list[_Binder] = []
+        self.scope: dict[CtxKey, int] = {}  # key -> index of its latest entry
         self._gates: dict[str, CircT] = {}  # gate name -> its circuit type
 
     # ---- context plumbing -------------------------------------------------
@@ -271,8 +277,22 @@ class EffectChecker:
     def _bind(self, key: CtxKey, ty: Type, wires: Optional[Obj] = None) -> None:
         """Bind a name at an inferred type, whose stored effects are in place;
         ``wires`` are the type's, when the caller already has them."""
-        self.ctx.append(_Binder(key, ty, wires_of(ty) if wires is None else wires,
-                                not is_parameter(ty)))
+        ctx, scope = self.ctx, self.scope
+        ctx.append(_Binder(key, ty, wires_of(ty) if wires is None else wires,
+                           not is_parameter(ty), scope.get(key)))
+        scope[key] = len(ctx) - 1
+
+    def _truncate(self, base: int) -> None:
+        """Drop the entries from ``base`` on, latest first, handing each key
+        back to the entry it shadowed."""
+        ctx, scope = self.ctx, self.scope
+        for i in range(len(ctx) - 1, base - 1, -1):
+            e = ctx[i]
+            if e.shadows is None:
+                del scope[e.key]
+            else:
+                scope[e.key] = e.shadows
+        del ctx[base:]
 
     def check_closed(self, ctx: Sequence[tuple[CtxKey, Type]],
                      m: Term) -> tuple[Type, Effect]:
@@ -288,10 +308,9 @@ class EffectChecker:
         return ty, eff
 
     def _lookup(self, key: CtxKey) -> int:
-        ctx = self.ctx
-        for i in range(len(ctx) - 1, -1, -1):
-            if ctx[i].key == key:
-                return i
+        i = self.scope.get(key)
+        if i is not None:
+            return i
         raise UnboundName(
             f"unbound {'label' if isinstance(key, Label) else 'variable'} {key}")
 
@@ -313,7 +332,7 @@ class EffectChecker:
             if self.ctx[i].linear and i not in used:
                 raise LinearityViolation(
                     f"{self.ctx[i].key} is linear but never used in {what}")
-        del self.ctx[base:]
+        self._truncate(base)
         return {i for i in used if i < base}
 
     def _blocks_obj(self, indices: Sequence[int]) -> Obj:
@@ -497,7 +516,7 @@ class EffectChecker:
 
         outer = sorted(i for i in last if i < base)
         eff = self._fold(steps, outer)
-        del ctx[base:]
+        self._truncate(base)
         self._check_endpoints(m, eff, self._blocks_obj(outer), wires, ty)
         return ty, wires, {i for i in used if i < base}, eff
 

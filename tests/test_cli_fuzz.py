@@ -91,21 +91,26 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def test_mutated_demos_exit_cleanly(capsys, workdir):
+def mutated_demos(n: int = 200):
+    """The fuzzed programs, each with the command to run it under."""
     r = rng("cli-fuzz-programs")
     sources = {}
     for name in PROGRAMS:
         with open(os.path.join(DEMOS, name), encoding="utf-8") as f:
             sources[name] = [t.text for t in tokenize(f.read()) if t.kind != "eof"]
-    codes = []
-    for case in range(200):
+    for _ in range(n):
         name = r.choice(PROGRAMS)
         texts = sources[name]
         for _ in range(r.randint(1, 2)):
             texts = mutate(r, texts)
+        yield " ".join(texts), r.choice(commands(r))
+
+
+def test_mutated_demos_exit_cleanly(capsys, workdir):
+    codes = []
+    for case, (src, cmd) in enumerate(mutated_demos()):
         path = workdir / f"case{case}.pqc"
-        path.write_text(" ".join(texts))
-        cmd = r.choice(commands(r))
+        path.write_text(src)
         codes.append(run_cli(capsys, [cmd[0], str(path), *cmd[1:]]))
     assert 0 in codes and 2 in codes  # the mutations both keep and break programs
 

@@ -1,5 +1,8 @@
 import copy
+import os
 import pickle
+import random
+import sys
 
 import pytest
 
@@ -10,8 +13,9 @@ from pqc.syntax import (
     Force, GateRef, Ifz, Lam, Let, LetBinder, Lift, NatT, NatVal, Pair,
     Program, QubitT, Ret, TensorT, UnitT, UnitVal, Var, parse_program,
     parse_term, parse_type, parse_value, show_program, show_term, show_type,
-    show_value, tokenize,
+    show_value, tokenize, _Parser,
 )
+from test_cli_fuzz import DEMOS, PROGRAMS, mutated_demos
 
 
 def test_tokenizer_positions_and_comments():
@@ -23,6 +27,94 @@ def test_tokenizer_positions_and_comments():
 def test_tokenizer_rejects_stray_chars():
     with pytest.raises(ParseError, match="1:5"):
         tokenize("let ? = return 3")
+
+
+def test_token_kinds():
+    toks = tokenize('inputs x1: Qubit; gates "g.pqcg"; #3 @CNOT -o 42 '
+                    '( ) [ ] , ; : . = * ! \\ x\'')
+    assert [(t.kind, t.text) for t in toks] == [
+        ("kw", "inputs"), ("ident", "x1"), (":", ":"), ("kw", "Qubit"),
+        (";", ";"), ("kw", "gates"), ("string", '"g.pqcg"'), (";", ";"),
+        ("label", "#3"), ("gateref", "@CNOT"), ("-o", "-o"), ("nat", "42"),
+        *((c, c) for c in "()[],;:.=*!\\"), ("ident", "x'"), ("eof", "")]
+    # a label, gate reference or string that does not follow its first
+    # character leaves that character stray
+    for src, bad in (("#x", "#"), ("@1", "@"), ('"g\n"', '"'), ("- 1", "-"),
+                     ("'x", "'"), ("\fx", "\f")):
+        with pytest.raises(ParseError) as e:
+            tokenize(src)
+        assert str(e.value) == f"1:1: unexpected character {bad!r}"
+
+
+def _workload_programs() -> list[str]:
+    """Generated benchmark programs, corpus and brickwork, seeds 1-2."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return [c.text for seed in (1, 2)
+            for family in (workloads.corpus, workloads.brickwork)
+            for c in family(random.Random(seed))]
+
+
+def test_parser_reads_the_tokens_tokenize_reads():
+    sources = []
+    for name in PROGRAMS:
+        with open(os.path.join(DEMOS, name), encoding="utf-8") as f:
+            sources.append(f.read())
+    sources += [src for src, _ in mutated_demos()]
+    sources += _workload_programs()
+    for src in sources:
+        toks = tokenize(src)
+        p = _Parser(src)
+        assert p.kinds == [t.kind for t in toks]
+        assert p.texts == [t.text for t in toks]
+    assert len(sources) > 200
+
+
+@pytest.mark.parametrize("parse, src, where", [
+    # CRLF line ends: the \r is blank, the line ends at \n
+    (parse_program, "inputs q: Qubit;\r\nlet x = = in\r\nreturn x",
+     "2:9: expected a value, found '='"),
+    # a tab is one column
+    (parse_program, "inputs q: Qubit;\n\tlet x =\t) in return x",
+     "2:10: expected a value, found ')'"),
+    # comments, holding characters that begin no token, are skipped
+    (parse_program, "inputs q: Qubit; -- ? and = and \"\n"
+                    "let x = apply(@H, q) in -- #\nreturn (x, )",
+     "3:12: expected a value, found ')'"),
+    # end of input, after a newline and after a comment
+    (parse_program, "inputs q: Qubit;\nlet x = apply(@H, q) in\n",
+     "3:1: expected a value, found end of input"),
+    (parse_term, "return -- nothing\n  ", "2:3: expected a value, found end of input"),
+    (parse_program, "inputs q: Qubit;\r\n\tlet p = apply(@H, return q) in return p",
+     "2:20: 'return' begins a computation, not a value; bind it with let first"),
+])
+def test_errors_carry_line_and_column(parse, src, where):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == where
+    assert isinstance(e.value, NotAValue) == ("begins a computation" in where)
+
+
+def test_end_of_input_is_named_as_such():
+    # every expectation names the end of input the same way
+    for parse, src, where in (
+            (parse_program, "inputs q:", "1:10: expected a type, found end of input"),
+            (parse_term, "let x = return x", "1:17: expected 'in', found end of input"),
+            (parse_term, "return", "1:7: expected a value, found end of input"),
+            (parse_term, "let x", "1:6: expected '=', found end of input")):
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        assert str(e.value) == where
+
+
+def test_stray_character_is_reported_before_syntax_errors():
+    # the whole input is tokenized before it is parsed
+    with pytest.raises(ParseError) as e:
+        parse_program("inputs q: Qubit; let = ? in return q")
+    assert str(e.value) == "1:24: unexpected character '?'"
 
 
 def test_types_parse_with_precedence():

@@ -151,6 +151,67 @@ def test_unbound_names():
     fails("inputs; return ghost", UnboundName)
 
 
+# --------------------------------------------------------------------------
+# scoped lookup: a name finds its latest entry still in scope
+# --------------------------------------------------------------------------
+
+SHADOWED = {
+    # (program, its type, its gate count); each binds a name again inside a
+    # scope that closes before the outer binding is used
+    "lambda": (r"inputs q: Qubit;"
+               r" let f = return (\q: Qubit. let q = apply(@H, q) in return q) in f q",
+               "Qubit", 1),
+    "ifz": ("inputs q: Qubit; let n = return 0 in ifz n"
+            " then let q = apply(@H, q) in return q"
+            " else let q = apply(@X, q) in let q = apply(@X, q) in return q",
+            "Qubit", 2),
+    "nested block": ("inputs q: Qubit, p: Qubit;"
+                     " let r = let q = apply(@H, p) in return q in"
+                     " let q = apply(@X, q) in return (q, r)",
+                     "Qubit * Qubit", 2),
+    "dest": ("inputs a: Qubit, b: Qubit, c: Qubit;"
+             " let r = dest (a, x) = (b, c) in let a = apply(@H, a) in return (a, x) in"
+             " return (a, r)",
+             "Qubit * Qubit * Qubit", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOWED))
+def test_shadowing_ends_with_its_scope(name):
+    src, ty, gates = SHADOWED[name]
+    assert typed(src) == ty
+    prog = parse_program(src)
+    for checker in (EffectChecker, RightFoldChecker):
+        got_ty, eff = _outcome(checker, algebra("gates"), prog)
+        assert show_type(got_ty) == ty and eff.value == gates
+
+
+def test_an_inner_shadow_does_not_leak_past_its_scope():
+    # inside the bound block x is a qubit; after it, x is the Nat again
+    assert typed("inputs q: Qubit; let x = return 0 in"
+                 " let r = let x = apply(@H, q) in return x in"
+                 " ifz x then return r else return r") == "Qubit"
+    assert typed(r"inputs q: Qubit; let x = return 0 in"
+                 r" let f = return (\x: Qubit. return x) in"
+                 r" ifz x then f q else f q") == "Qubit"
+
+
+@pytest.mark.parametrize("src", [
+    "inputs q: Qubit; let r = let t = apply(@H, q) in return t in return (r, t)",
+    r"inputs; let f = return (\z: Nat. return z) in return (f, z)",
+    "inputs; let n = return 0 in"
+    " let m = ifz n then let k = return 1 in return k else return 2 in return k",
+    "inputs a: Qubit, b: Qubit;"
+    " let r = dest (x, y) = (a, b) in return (x, y) in return (r, x)",
+])
+def test_names_of_a_closed_scope_are_unbound(src):
+    fails(src, UnboundName)
+    prog = parse_program(src)
+    for alg in (TRIVIAL, algebra("depth")):
+        for checker in (EffectChecker, RightFoldChecker):
+            assert _outcome(checker, alg, prog)[0] is UnboundName
+
+
 def test_lift_cannot_close_over_wires():
     fails("inputs q: Qubit; force (lift apply(@H, q))", NotAParameter)
 
