@@ -15,7 +15,9 @@ premonoidally, a layer is its gates in sequence, and
 ``CircuitAlgebra.abstract`` folds a circuit one ``then_eff`` per gate. A
 permutation is a routing with nothing placed (``e`` the identity on no
 wires): a column gather for ``depth``, a relabelling of states for
-``assert``, nothing at all for ``width``.
+``assert``, nothing at all for ``width``. ``depth`` folds in place instead:
+its ``abstract`` owns one writable matrix and rewrites only the columns a
+gate consumes, so a gate costs no copy of the whole matrix.
 
 Shipped algebras:
 
@@ -345,16 +347,54 @@ class DepthTriple:
         return TropicalMatrix(self.m.data[-1:, :-1].T)
 
 
+# Finite entries are integers held in floats, which count exactly only below
+# 2^53. Gate weights are capped like assert costs, and an effect holding an
+# entry of 2^53 or more is refused, not reported rounded down.
+_DEPTH_MAX_WEIGHT = 2**31 - 1
+_DEPTH_EXACT = 2.0**53
+
+
+def _depth_weight(gdef: GateDef) -> float:
+    if gdef.depth > _DEPTH_MAX_WEIGHT:
+        raise EffectError(
+            f"depth weights are at most {_DEPTH_MAX_WEIGHT}, "
+            f"got {gdef.depth} for gate {gdef.name}")
+    return float(gdef.depth)
+
+
 def depth_bound(e: Effect) -> float:
-    """Max entry over A, v and w (−∞ when there are no paths)."""
-    return e.value.m.max_entry()
+    """Max entry over A, v and w (−∞ when there are no paths).
+
+    Raises ``EffectError`` when an entry is 2^53 or more: floats cannot
+    count such a path exactly, so the bound could be too small.
+    """
+    b = e.value.m.max_entry()
+    if b >= _DEPTH_EXACT:
+        raise EffectError(
+            f"depth entries must stay below 2^53 to be counted exactly, got {b:.0f}")
+    return b
 
 
 def _depth(dom: int, cod: int, m: np.ndarray) -> Effect:
     return Effect(dom, cod, DepthTriple(TropicalMatrix(m)))
 
 
+# The corner rule, shared by ``then_eff`` and ``abstract`` (change both
+# together): a path from a created wire into a sink is not tracked, so the
+# corner stays −∞.
+
+
 class DepthAlgebra(CircuitAlgebra):
+    """Weighted-path depth as one max-plus matrix per effect.
+
+    Every gate effect is uniform: each of the gate's inputs reaches each of
+    its outputs with the same weight, ``GateDef.depth``. A gate without
+    inputs starts paths of that weight at its outputs (the source row), and
+    a gate without outputs ends them in the sink column. ``abstract`` relies
+    on this: a gate's outputs all get the max of the columns it consumes
+    plus its weight.
+    """
+
     name = "depth"
 
     def obj_of(self, o: Obj) -> int:
@@ -378,10 +418,55 @@ class DepthAlgebra(CircuitAlgebra):
         # and into e's sinks
         p = maxplus(m[:, left:hi], g[:-1])
         np.maximum(p[-1], g[-1], out=p[-1])  # sources born in e
-        p[-1, -1] = NEG_INF  # a path from a source into a sink is not tracked
+        p[-1, -1] = NEG_INF  # the corner rule (see above)
         np.maximum(p[:, -1], m[:, k], out=p[:, -1])  # sinks already in eff
         return _depth(eff.dom, left + e.cod + right,
                       np.hstack((m[:, :left], p[:, :-1], m[:, hi:k], p[:, -1:])))
+
+    def abstract(self, c: Circuit, registry: Registry) -> Effect:
+        """``CircuitAlgebra.abstract``, folded in place.
+
+        ``cols[j]`` is the matrix's column for wire j, held as a row:
+        the longest paths into the wire from each input and, last, from a
+        source. ``sink`` is the sink column. A gate rewrites only the rows
+        it consumes, a permutation gathers the rows, and only a gate that
+        changes the wire count builds a new ``cols``.
+        """
+        n = len(c.dom)
+        cols = np.full((n, n + 1), NEG_INF)
+        cols[range(n), range(n)] = 0.0
+        sink = np.full(n + 1, NEG_INF)
+        weight = functools.cache(  # read once per gate name
+            lambda name: _depth_weight(registry.lookup(name)))
+        for step in c.steps:
+            if isinstance(step, Perm):
+                cols = cols.take(routing(step.perm), axis=0)
+                continue
+            shift = 0
+            for gate, at in step.placements:
+                lo, d, k = at + shift, len(gate.dom), len(gate.cod)
+                if d == k == 1:
+                    cols[lo] += weight(gate.name)
+                    continue
+                if d:
+                    col = cols[lo:lo + d].max(axis=0)
+                    col += weight(gate.name)
+                else:
+                    col = np.full(n + 1, NEG_INF)
+                    col[n] = weight(gate.name)  # paths start at the gate
+                if not k:
+                    # inputs only: the corner rule (see above)
+                    np.maximum(sink[:n], col[:n], out=sink[:n])
+                if d == k:
+                    cols[lo:lo + d] = col
+                else:
+                    cols = np.concatenate(
+                        (cols[:lo], np.broadcast_to(col, (k, n + 1)), cols[lo + d:]))
+                    shift += k - d
+        m = np.empty((n + 1, len(cols) + 1))
+        m[:, :-1] = cols.T
+        m[:, -1] = sink
+        return _depth(n, len(cols), m)
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "depth leq")
@@ -393,7 +478,7 @@ class DepthAlgebra(CircuitAlgebra):
 
     def gate_effect(self, gdef: GateDef) -> Effect:
         d, c = len(gdef.gate.dom), len(gdef.gate.cod)
-        m = np.full((d + 1, c + 1), float(gdef.depth))
+        m = np.full((d + 1, c + 1), _depth_weight(gdef))
         if c:
             m[:, c] = NEG_INF  # paths end in the outputs, not in a sink
         if d:
@@ -402,6 +487,7 @@ class DepthAlgebra(CircuitAlgebra):
         return _depth(d, c, m)
 
     def value_json(self, e: Effect):
+        depth_bound(e)  # refuses entries that floats do not count exactly
         rows = e.value.m.tolists()
         return {"A": [r[:-1] for r in rows[:-1]],
                 "v": [r[-1] for r in rows[:-1]],
@@ -411,6 +497,9 @@ class DepthAlgebra(CircuitAlgebra):
         return depth_bound(e)
 
     def coarsest(self, dom, cod, n: int) -> Effect:
+        if n >= _DEPTH_EXACT:  # float(n) would round it, or overflow
+            raise EffectError(
+                "depth bounds must stay below 2^53 to be counted exactly")
         d, c = len(dom), len(cod)
         m = np.full((d + 1, c + 1), float(n))
         m[d, c] = NEG_INF

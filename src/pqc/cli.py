@@ -15,6 +15,7 @@ verification failed), 2 malformed input or any other error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -156,6 +157,7 @@ def cmd_verify(args) -> int:
     return 0 if report.dominated else 1
 
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqc",

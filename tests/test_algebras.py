@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
     perm_effect_oracle, width_cuts_oracle,
 )
 from pqc.algebras import (
-    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, Effect,
+    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, CircuitAlgebra, Effect,
     MaxCost, algebra, cost_eq, depth_bound,
 )
 from pqc.circuits import (
@@ -21,9 +22,9 @@ from pqc.circuits import (
     whisker_right,
 )
 from pqc.effects import infer_program_effect
-from pqc.errors import EffectObjectMismatch, UnsupportedWire
+from pqc.errors import EffectError, EffectObjectMismatch, UnsupportedWire
 from pqc.evaluator import evaluate_program
-from pqc.gates import GateDef, default_registry
+from pqc.gates import GateDef, default_registry, parse_gate_spec
 from pqc.syntax import parse_program
 from pqc.tropical import NEG_INF
 
@@ -240,16 +241,63 @@ def test_depth_triple_compose_associative():
         assert left == right
 
 
+def check_paths_oracle(e, c, reg) -> None:
+    a, v, w, bound = depth_paths_oracle(c, reg)
+    assert e.value.a == tropical(a, shape=(len(c.dom), len(c.cod)))
+    assert e.value.v == tropical([v], shape=(1, len(c.dom)))
+    assert e.value.w == tropical([[x] for x in w], shape=(len(c.cod), 1))
+    assert depth_bound(e) == bound
+
+
 def test_depth_matches_paths_oracle_spot():
     r = rng("depth-spot")
     for _ in range(50):
         c = random_circuit(r)
-        a, v, w, bound = depth_paths_oracle(c, registry)
-        e = DEPTH.abstract(c, registry)
-        assert e.value.a == tropical(a, shape=(len(c.dom), len(c.cod)))
-        assert e.value.v == tropical([v], shape=(1, len(c.dom)))
-        assert e.value.w == tropical([[x] for x in w], shape=(len(c.cod), 1))
-        assert depth_bound(e) == bound
+        check_paths_oracle(DEPTH.abstract(c, registry), c, registry)
+
+
+# spec gates beside the builtins: weights 0 and 3, a fan-out and a 2→0 sink
+DEPTH_FOLD_SPEC = """
+gate W0 : Qubit -> Qubit
+  depth 0
+gate C3 : Qubit Qubit -> Qubit Qubit
+  depth 3
+gate fan : Qubit -> Qubit Qubit
+  depth 2
+gate drop2 : Qubit Qubit -> I
+  depth 3
+"""
+DEPTH_FOLD_POOL = ("H", "CNOT", "meas", "init", "discard", "W0", "C3", "fan", "drop2")
+
+
+def test_depth_fold_matches_generic_fold_and_paths_oracle():
+    # DepthAlgebra.abstract folds in place; the generic one-then_eff-per-gate
+    # fold and the path oracle are its references
+    reg = registry.extended(parse_gate_spec(DEPTH_FOLD_SPEC))
+    init, discard = reg.gate("init"), reg.gate("discard")
+    closed = Circuit((Q,), (Layer(((init, 0),)), Layer(((H, 0),)), Layer(((H, 0),)),
+                            Layer(((discard, 0),))))
+    r = rng("depth-fold")
+    circuits = [closed] + [random_circuit(r, max_wires=5, max_steps=12,
+                                          pool=DEPTH_FOLD_POOL, registry=reg)
+                           for _ in range(300)]
+    for c in circuits:
+        e = DEPTH.abstract(c, reg)
+        generic = CircuitAlgebra.abstract(DEPTH, c, reg)
+        assert e == generic, str(c)
+        assert json.dumps(DEPTH.value_json(e)) == json.dumps(DEPTH.value_json(generic))
+        check_paths_oracle(e, c, reg)
+
+
+def test_depth_weights_are_capped():
+    heavy = GateDef(Gate("heavy", (Q,), (Q,)), depth=2**31)
+    reg = registry.extended({"heavy": heavy})
+    with pytest.raises(EffectError):
+        DEPTH.gate_effect(heavy)
+    with pytest.raises(EffectError):
+        DEPTH.abstract(Circuit((Q,), (Layer(((heavy.gate, 0),)),)), reg)
+    ok = GateDef(Gate("ok", (Q,), (Q,)), depth=2**31 - 1)
+    assert depth_bound(DEPTH.gate_effect(ok)) == 2**31 - 1
 
 
 def test_depth_join_is_pointwise_upper_bound():

@@ -96,6 +96,15 @@ BAD_INPUTS = {
                     b'  assert "0" -> {"1"} cost 2147483648\n'
                     b'  assert "1" -> {"0"} cost 0\n'),
     "costly.pqc": b'inputs q: Qubit;\ngates "costly.pqcg";\napply(@big, q)\n',
+    # 2^53 + 1: as a float it reads 2^53
+    "deep_gate.pqcg": b'gate slow : Qubit -> Qubit\n  depth 9007199254740993\n',
+    "deep_gate.pqc": b'inputs q: Qubit;\ngates "deep_gate.pqcg";\napply(@slow, q)\n',
+    # a depth ascription too large for a float
+    "huge_bound.pqc": ("inputs q: Qubit;\n"
+                       r"let f = return (lift return (\x: Qubit. apply(@H, x))) in"
+                       "\nlet h = return (\\g: !(Qubit -o[I; 1" + "0" * 400
+                       + "] Qubit). let k = force g in return k) in\n"
+                       "let k = h f in k q\n").encode(),
 }
 
 
@@ -117,6 +126,13 @@ BAD_INPUTS = {
                  id="too-wide"),
     pytest.param(["analyze", "costly.pqc", "--metric", "assert"], 2, None,
                  id="cost-too-large"),
+    pytest.param(["analyze", "deep_gate.pqc", "--metric", "depth"], 2, None,
+                 id="depth-weight-too-large"),
+    pytest.param(["check", "deep_gate.pqc", "--metric", "depth",
+                  "--bound", "9007199254740992"], 2, None,
+                 id="depth-weight-too-large-bound"),
+    pytest.param(["analyze", "huge_bound.pqc", "--metric", "depth"], 2, None,
+                 id="depth-bound-too-large"),
     pytest.param(["analyze", "interleave.pqc", "--metric", "assert",
                   "--precondition", "0x1"], 2, None, id="bad-precondition"),
     pytest.param(["analyze", "lnn.pqc", "--metric", "assert", "--restrict", "-1"],
@@ -149,6 +165,22 @@ def test_exit_codes(capsys, monkeypatch, tmp_path, argv, code, patch):
     if argv[1] == "deep_ifz.pqc":
         # a block's binders are read in loops; other nesting still recurses
         assert "nested too deeply" in err
+
+
+def test_main_calls_share_no_options(capsys):
+    # the parser is built once per process; each call parses afresh
+    code, out, _ = run_cli(capsys, "analyze", demo("interleave.pqc"),
+                           "--metric", "assert", "--precondition", "00")
+    assert code == 0 and json.loads(out)["precondition"] == ["00"]
+    code, out, _ = run_cli(capsys, "analyze", demo("interleave.pqc"),
+                           "--metric", "gates")
+    assert code == 0 and "precondition" not in json.loads(out)
+    code, _, _ = run_cli(capsys, "check", demo("bell.pqc"), "--metric", "gates",
+                         "--bound", "3")
+    assert code == 1
+    code, out, _ = run_cli(capsys, "check", demo("bell.pqc"))
+    assert code == 0 and out.startswith("ok: ")
+    assert cli._build_parser() is cli._build_parser()
 
 
 # --------------------------------------------------------------------------
@@ -214,6 +246,31 @@ def test_depth_bound_of_a_closed_path_is_minus_infinity(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "verify", str(path), "--metric", "depth")
     assert code == 0
     assert json.loads(out)["dominated"] is True
+
+
+def doubling(levels: int, tail: str) -> str:
+    """H applied 2^levels times by doubling a lifted function, then ``tail``."""
+    lines = ["inputs q: Qubit;",
+             r"let f0 = return (lift return (\x: Qubit. let x = apply(@H, x) in return x)) in"]
+    for i in range(1, levels + 1):
+        lines.append(rf"let f{i} = return (lift return (\x: Qubit. let g = force f{i - 1} "
+                     rf"in let y = g x in let h = force f{i - 1} in h y)) in")
+    lines.append(f"let g = force f{levels} in let q = g q in {tail}")
+    return "\n".join(lines) + "\n"
+
+
+def test_depth_refuses_paths_of_2_to_the_53(capsys, tmp_path):
+    # 2^53 + 1 gates on one wire: floats would report 2^53
+    path = tmp_path / "deep.pqc"
+    path.write_text(doubling(53, "apply(@X, q)"))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "gates")
+    assert code == 0 and json.loads(out)["value"] == 2**53 + 1
+    code, _, err = run_cli(capsys, "analyze", str(path), "--metric", "depth")
+    assert code == 2 and "2^53" in err
+    # one level less is still counted exactly
+    path.write_text(doubling(52, "apply(@X, q)"))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "depth")
+    assert code == 0 and json.loads(out)["depth_bound"] == 2**52 + 1
 
 
 def test_analyze_assert_defaults_to_all_states(capsys):
