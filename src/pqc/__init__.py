@@ -54,8 +54,6 @@ from .circuits import (
 )
 from .effects import (
     VerifyReport,
-    check_ascription,
-    infer_effect,
     infer_program_effect,
     verify_dynamic,
 )

@@ -69,6 +69,11 @@ from .gates import GateDef, Registry, derive_assert_row
 from .tropical import NEG_INF, TropicalMatrix, maxplus
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Effect:
     """A morphism of some circuit algebra; the payload type is per-algebra."""
@@ -92,8 +97,8 @@ class CircuitAlgebra:
 
     Per algebra: objects (``obj_of``), identities, the one sequencing
     primitive ``then_eff``, gate effects, and the order (``leq``, ``join``).
-    ``compose_eff`` and ``perm_effect`` derive from ``then_eff``, and a layer
-    needs nothing more: it is its gates in sequence.
+    ``compose_eff`` derives from ``then_eff``, and so do a permutation (a
+    routing with nothing placed) and a layer (its gates in sequence).
     """
 
     name = "?"
@@ -112,12 +117,12 @@ class CircuitAlgebra:
     def then_eff(self, eff: Effect, at, e: Effect) -> Effect:
         """``eff``, then ``e`` on the wires of ``eff.cod`` at ``at``.
 
-        ``at`` is an object, the wires above ``e``: ``e`` takes the wires
-        after them, its outputs take their place and the wires below pass
-        by. Or ``at`` is a tuple of distinct wire positions of ``eff.cod``,
-        at least ``e.dom`` of them: those wires move to the top in that
-        order, the others follow in theirs, and ``e`` takes the first
-        ``e.dom`` wires.
+        ``at`` is a count, the number of wires above ``e``: ``e`` takes the
+        wires after them, its outputs take their place and the wires below
+        pass by. Or ``at`` is a route, a tuple of distinct wire positions of
+        ``eff.cod``, at least ``e.dom`` of them: those wires move to the top
+        in that order, the others follow in theirs, and ``e`` takes the
+        first ``e.dom`` wires. Algebras that ignore positions ignore ``at``.
         """
         raise NotImplementedError
 
@@ -157,12 +162,7 @@ class CircuitAlgebra:
         """``e1`` then ``e2``: ``then_eff`` with no wires beside ``e2``."""
         if e1.cod != e2.dom:
             raise EffectObjectMismatch(f"{self.name} compose: {e1.cod} vs {e2.dom}")
-        return self.then_eff(e1, self.obj_of(()), e2)
-
-    def perm_effect(self, perm: tuple[int, ...], o: Obj) -> Effect:
-        """The effect of wire i of ``o`` moving to position ``perm[i]``."""
-        return self.then_eff(self.identity_effect(self.obj_of(o)),
-                             routing(perm), self.identity_effect(self.obj_of(())))
+        return self.then_eff(e1, 0, e2)
 
     def _placement(self, eff: Effect, at, e: Effect
                    ) -> tuple[int, Optional[tuple[int, ...]], int]:
@@ -195,25 +195,20 @@ class CircuitAlgebra:
     def abstract(self, c: Circuit, registry: Registry) -> Effect:
         """The algebra's image of a circuit: a fold over its gates.
 
-        ``cur`` is the object the next gate meets, and the gate is placed
-        after the wires of ``cur`` above it. Gates that change the wire count
-        (init, discard) shift the later placements of their layer.
+        A gate is placed after the wires above it. Gates that change the wire
+        count (init, discard) shift the later placements of their layer.
         """
         eff = self.identity_effect(self.obj_of(c.dom))
-        cur = c.dom
         gate_effect = functools.cache(  # built once per gate name
             lambda name: self.gate_effect(registry.lookup(name)))
         unit = self.identity_effect(self.obj_of(()))
         for step in c.steps:
             if isinstance(step, Perm):
                 eff = self.then_eff(eff, routing(step.perm), unit)
-                cur = step.cod(cur)
                 continue
             shift = 0
             for gate, at in step.placements:
-                lo = at + shift
-                eff = self.then_eff(eff, self.obj_of(cur[:lo]), gate_effect(gate.name))
-                cur = cur[:lo] + gate.cod + cur[lo + len(gate.dom):]
+                eff = self.then_eff(eff, at + shift, gate_effect(gate.name))
                 shift += len(gate.cod) - len(gate.dom)
         return eff
 
@@ -322,9 +317,10 @@ class WidthAlgebra(CircuitAlgebra):
 # weighted depth (max-plus triples)
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DepthTriple:
-    """(A, v, w) as one max-plus matrix ``m`` of shape (dom+1)×(cod+1).
+    """(A, v, w) as one read-only max-plus matrix ``m`` of shape
+    (dom+1)×(cod+1), floats with −∞ for "no path".
 
     ``m[:dom, :cod]`` is A (input→output), the last column is v
     (input→sink), the last row is w (source→output). The corner is always
@@ -332,19 +328,22 @@ class DepthTriple:
     ``v`` (1 × dom) and ``w`` (cod × 1) are rendered from ``m`` on read.
     """
 
-    m: TropicalMatrix
+    m: np.ndarray
+
+    def __eq__(self, other):
+        return isinstance(other, DepthTriple) and np.array_equal(self.m, other.m)
 
     @property
     def a(self) -> TropicalMatrix:
-        return TropicalMatrix(self.m.data[:-1, :-1])
+        return TropicalMatrix(self.m[:-1, :-1])
 
     @property
     def v(self) -> TropicalMatrix:
-        return TropicalMatrix(self.m.data[:-1, -1:].T)
+        return TropicalMatrix(self.m[:-1, -1:].T)
 
     @property
     def w(self) -> TropicalMatrix:
-        return TropicalMatrix(self.m.data[-1:, :-1].T)
+        return TropicalMatrix(self.m[-1:, :-1].T)
 
 
 # Finite entries are integers held in floats, which count exactly only below
@@ -368,7 +367,7 @@ def depth_bound(e: Effect) -> float:
     Raises ``EffectError`` when an entry is 2^53 or more: floats cannot
     count such a path exactly, so the bound could be too small.
     """
-    b = e.value.m.max_entry()
+    b = float(e.value.m.max())  # m has its corner, so it is never empty
     if b >= _DEPTH_EXACT:
         raise EffectError(
             f"depth entries must stay below 2^53 to be counted exactly, got {b:.0f}")
@@ -376,7 +375,7 @@ def depth_bound(e: Effect) -> float:
 
 
 def _depth(dom: int, cod: int, m: np.ndarray) -> Effect:
-    return Effect(dom, cod, DepthTriple(TropicalMatrix(m)))
+    return Effect(dom, cod, DepthTriple(_frozen(m)))
 
 
 # The corner rule, shared by ``then_eff`` and ``abstract`` (change both
@@ -411,7 +410,7 @@ class DepthAlgebra(CircuitAlgebra):
         # gathers the columns first
         left, route, right = self._placement(eff, at, e)
         hi, k = left + e.dom, eff.cod
-        m, g = eff.value.m.data, e.value.m.data
+        m, g = eff.value.m, e.value.m
         if route is not None:
             m = m[:, route + (k,)]
         # every row (inputs, then eff's sources) through e: into e's outputs,
@@ -470,11 +469,11 @@ class DepthAlgebra(CircuitAlgebra):
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "depth leq")
-        return e1.value.m.leq(e2.value.m)
+        return bool(np.all(e1.value.m <= e2.value.m))
 
     def join(self, e1, e2) -> Effect:
         self._require_endpoints(e1, e2, "depth join")
-        return Effect(e1.dom, e1.cod, DepthTriple(e1.value.m.pointwise_max(e2.value.m)))
+        return _depth(e1.dom, e1.cod, np.maximum(e1.value.m, e2.value.m))
 
     def gate_effect(self, gdef: GateDef) -> Effect:
         d, c = len(gdef.gate.dom), len(gdef.gate.cod)
@@ -488,7 +487,8 @@ class DepthAlgebra(CircuitAlgebra):
 
     def value_json(self, e: Effect):
         depth_bound(e)  # refuses entries that floats do not count exactly
-        rows = e.value.m.tolists()
+        rows = [["-inf" if x == NEG_INF else int(x) for x in row]
+                for row in e.value.m.tolist()]
         return {"A": [r[:-1] for r in rows[:-1]],
                 "v": [r[-1] for r in rows[:-1]],
                 "w": rows[-1][:-1]}
@@ -548,11 +548,6 @@ def _weight(c: int) -> int:
     if c > _ASSERT_MAX_COST:
         raise EffectError(f"assert costs are at most {_ASSERT_MAX_COST}, got {c}")
     return c
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _stage(g: np.ndarray) -> Cost:
@@ -624,22 +619,16 @@ def _pullback(cost: Cost, hit: np.ndarray) -> Cost:
 
 
 @functools.cache
-def _bitstrings(n: int) -> tuple[str, ...]:
-    """The n-bit strings, indexed by the basis state they name."""
-    return tuple(format(i, f"0{n}b") for i in range(1 << n)) if n else ("",)
-
-
-@functools.cache
-def _bitstring_array(n: int) -> np.ndarray:
-    """``_bitstrings(n)`` as a read-only object array, for ``take``."""
-    a = np.array(_bitstrings(n), dtype=object)
-    a.setflags(write=False)
-    return a
+def _bitstrings(n: int) -> np.ndarray:
+    """The n-bit strings, indexed by the basis state they name: a
+    read-only object array, so that ``take`` renders many at once."""
+    return _frozen(np.array([format(i, f"0{n}b") for i in range(1 << n)]
+                            if n else [""], dtype=object))
 
 
 def basis_strings(states: np.ndarray, n: int) -> list[str]:
     """The n-bit strings of these basis states, in their order."""
-    return list(map(_bitstrings(n).__getitem__, states.tolist()))
+    return _bitstrings(n).take(states).tolist()
 
 
 def basis_row(strings, n: int) -> np.ndarray:
@@ -708,7 +697,7 @@ class AssertValue:
         """Each input basis state's reachable output strings, in order."""
         cod = self.cod
         pairs = np.flatnonzero(self.reach.T)  # b·2^cod + y, in order
-        flat = _bitstring_array(cod).take(pairs & ((1 << cod) - 1)).tolist()
+        flat = _bitstrings(cod).take(pairs & ((1 << cod) - 1)).tolist()
         ends = np.searchsorted(pairs, np.arange(1, len(self.reach[0]) + 1) << cod).tolist()
         return [flat[i:j] for i, j in zip([0] + ends, ends)]
 

@@ -615,6 +615,13 @@ def _wire_type(name: str) -> WireType:
     raise ParseError(f"unknown wire type {name!r}")
 
 
+def _typed(x, t: type, what: str):
+    """``x`` if its type is exactly ``t`` (a bool is no int), else ParseError."""
+    if type(x) is not t:
+        raise ParseError(f"{what} must be of type {t.__name__}, got {x!r}")
+    return x
+
+
 def deserialize(raw: bytes | str, registry) -> Circuit:
     """Decode ``serialize`` output, resolving gate names via a registry.
 
@@ -626,27 +633,29 @@ def deserialize(raw: bytes | str, registry) -> Circuit:
         raise ParseError(f"invalid circuit JSON: {e}") from e
     if not isinstance(doc, dict) or "inputs" not in doc or "steps" not in doc:
         raise ParseError("circuit JSON must have 'inputs' and 'steps'")
-    dom = tuple(_wire_type(t) for t in doc["inputs"])
+    dom = tuple(_wire_type(t) for t in _typed(doc["inputs"], list, "'inputs'"))
     steps: list[Step] = []
-    for i, entry in enumerate(doc["steps"]):
+    for i, entry in enumerate(_typed(doc["steps"], list, "'steps'")):
         try:
             if "layer" in entry:
                 placements = tuple(
-                    (registry.gate(p["gate"]), int(p["at"])) for p in entry["layer"]
-                )
+                    (registry.gate(p["gate"]), _typed(p["at"], int, "'at'"))
+                    for p in _typed(entry["layer"], list, "'layer'"))
                 steps.append(Layer(placements))
             elif "perm" in entry:
-                steps.append(Perm(tuple(int(x) for x in entry["perm"])))
+                perm = _typed(entry["perm"], list, "'perm'")
+                steps.append(Perm(tuple(_typed(x, int, "a perm entry") for x in perm)))
             else:
-                raise ParseError(f"step {i}: neither 'layer' nor 'perm'")
-        except (KeyError, TypeError, ValueError, UnknownGate, ObjectMismatch) as e:
+                raise ParseError("neither 'layer' nor 'perm'")
+        except (KeyError, TypeError, ValueError, UnknownGate, ObjectMismatch,
+                ParseError) as e:
             raise ParseError(f"step {i}: {e}") from e
     try:
         circuit = Circuit(dom, tuple(steps))
     except ObjectMismatch as e:
         raise ParseError(f"ill-typed circuit: {e}") from e
     if "outputs" in doc:
-        outs = tuple(_wire_type(t) for t in doc["outputs"])
+        outs = tuple(_wire_type(t) for t in _typed(doc["outputs"], list, "'outputs'"))
         if outs != circuit.cod:
             raise ParseError(
                 f"declared outputs {doc['outputs']} disagree with derived "

@@ -28,7 +28,7 @@ from .algebras import (
     depth_bound,
 )
 from .circuits import circuit_doc, draw, serialize
-from .effects import check_ascription, infer_program_effect, verify_dynamic
+from .effects import infer_program_effect, verify_dynamic
 from .errors import PqcError
 from .evaluator import evaluate_program
 from .gates import Registry, default_registry, load_gate_spec
@@ -61,11 +61,7 @@ def _effect_json(alg: CircuitAlgebra, eff) -> dict:
     return doc
 
 
-def _parse_precondition(text: Optional[str], alg: CircuitAlgebra, eff) -> frozenset:
-    if not isinstance(alg, AssertAlgebra):
-        raise PqcError("--precondition only makes sense with --metric assert")
-    if text is None:
-        raise PqcError("missing precondition")
+def _parse_precondition(text: str, eff) -> frozenset:
     states = frozenset(s.strip() for s in text.split(",") if s.strip())
     for s in states:
         if len(s) != eff.dom or any(ch not in "01" for ch in s):
@@ -88,7 +84,7 @@ def cmd_check(args) -> int:
     doc = _effect_json(alg, eff)
     doc["type"] = show_type(ty)
     if args.bound is not None:
-        ok = check_ascription(alg, eff, args.bound)
+        ok = alg.bound_of(eff) <= args.bound
         doc["bound"] = args.bound
         doc["within_bound"] = ok
         print(json.dumps(doc, indent=2))
@@ -129,7 +125,7 @@ def cmd_analyze(args) -> int:
     doc = _effect_json(alg, eff)
     if isinstance(alg, AssertAlgebra):
         if args.precondition is not None:
-            pre = basis_row(_parse_precondition(args.precondition, alg, eff), eff.dom)
+            pre = basis_row(_parse_precondition(args.precondition, eff), eff.dom)
         else:
             pre = np.ones(1 << eff.dom, dtype=bool)
         post, cost = eff.value.image(pre)

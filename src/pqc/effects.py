@@ -17,40 +17,26 @@ it in the algebra's order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .algebras import CircuitAlgebra, Effect
 from .circuits import Circuit, LabelContext, flatten_bundle
 from .errors import LinearityViolation
 from .evaluator import evaluate_program, value_to_bundle
 from .gates import Registry, default_registry
-from .syntax import Program, Term, Type, Value
-from .typecheck import CtxKey, EffectChecker
+from .syntax import Program, Type, Value
+from .typecheck import EffectChecker
 
 
 # --------------------------------------------------------------------------
 # entry points
 # --------------------------------------------------------------------------
 
-def infer_effect(
-    alg: CircuitAlgebra,
-    registry: Optional[Registry],
-    ctx: Sequence[tuple[CtxKey, Type]],
-    m: Term,
-) -> tuple[Type, Effect]:
-    """Type and effect of a term; all linear context entries must be consumed."""
-    return EffectChecker(alg, registry).check_closed(ctx, m)
-
-
 def infer_program_effect(
     prog: Program, alg: CircuitAlgebra, registry: Optional[Registry] = None,
 ) -> tuple[Type, Effect]:
-    return infer_effect(alg, registry, list(prog.inputs), prog.term)
-
-
-def check_ascription(alg: CircuitAlgebra, eff: Effect, bound: float) -> bool:
-    """Does the inferred effect keep the promise of a scalar ascription?"""
-    return alg.bound_of(eff) <= bound
+    """Type and effect of a program; it must consume all its linear inputs."""
+    return EffectChecker(alg, registry).check_closed(list(prog.inputs), prog.term)
 
 
 # --------------------------------------------------------------------------

@@ -77,9 +77,6 @@ class Registry:
     def __contains__(self, name: str) -> bool:
         return name in self._defs
 
-    def names(self) -> list[str]:
-        return sorted(self._defs)
-
     def lookup(self, name: str) -> GateDef:
         try:
             return self._defs[name]

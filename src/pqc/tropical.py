@@ -27,21 +27,17 @@ def maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] + b[None, :, :]).max(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TropicalMatrix:
-    """An immutable max-plus matrix (possibly with zero rows or columns)."""
+    """A read-only copy of a max-plus matrix: how ``DepthTriple`` renders
+    its A, v and w."""
 
     data: np.ndarray  # shape (rows, cols), dtype float
 
     def __post_init__(self):
-        # A float array that owns its memory, as every freshly built one
-        # does, is adopted without a copy: the caller hands it over, and it
-        # becomes read-only. A view of another array is copied.
-        a = np.asarray(self.data, dtype=float)
+        a = np.array(self.data, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"tropical matrix must be 2-d, got shape {a.shape}")
-        if a.base is not None:
-            a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -49,32 +45,5 @@ class TropicalMatrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape  # type: ignore[return-value]
 
-    def pointwise_max(self, other: "TropicalMatrix") -> "TropicalMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return TropicalMatrix(np.maximum(self.data, other.data))
-
-    def leq(self, other: "TropicalMatrix") -> bool:
-        """Pointwise order (−∞ below everything)."""
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return bool(np.all(self.data <= other.data))
-
-    def max_entry(self) -> float:
-        if self.data.size == 0:
-            return NEG_INF
-        return float(self.data.max())
-
     def __eq__(self, other) -> bool:
-        return (isinstance(other, TropicalMatrix)
-                and self.shape == other.shape
-                and bool(np.array_equal(self.data, other.data)))
-
-    def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
-
-    def tolists(self) -> list[list[float | str]]:
-        """JSON-friendly nested lists with "-inf" sentinels."""
-        return [["-inf" if x == NEG_INF else int(x) for x in row]
-                for row in self.data]
-
+        return isinstance(other, TropicalMatrix) and np.array_equal(self.data, other.data)

@@ -540,7 +540,7 @@ class EffectChecker:
             eff = unit
             for _, e, _, _ in steps:
                 if e is not None:
-                    eff = alg.then_eff(eff, unit.dom, e)
+                    eff = alg.then_eff(eff, 0, e)
             return eff
         serial = itertools.count()
         live = {i: [next(serial) for _ in ctx[i].wires] for i in outer}

@@ -47,12 +47,6 @@ def tropical_permutation(perm: tuple[int, ...]) -> TropicalMatrix:
     return TropicalMatrix(m)
 
 
-def tropical_from_lists(rows: list[list], n: int, m: int) -> TropicalMatrix:
-    """Inverse of ``TropicalMatrix.tolists`` ("-inf" sentinels)."""
-    return tropical([[NEG_INF if x == "-inf" else x for x in row] for row in rows],
-                    shape=(n, m))
-
-
 def depth_triple(a, v, w) -> DepthTriple:
     """The depth value with dom × cod matrix ``a`` and vectors ``v`` (one
     entry per input) and ``w`` (one per output), in one matrix whose corner
@@ -62,7 +56,8 @@ def depth_triple(a, v, w) -> DepthTriple:
     m[:dom, :cod] = np.asarray(a, dtype=float).reshape(dom, cod)
     m[:dom, cod] = v
     m[dom, :cod] = w
-    return DepthTriple(TropicalMatrix(m))
+    m.flags.writeable = False
+    return DepthTriple(m)
 
 
 # --------------------------------------------------------------------------

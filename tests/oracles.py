@@ -26,7 +26,7 @@ import numpy as np
 from generators import depth_triple, tropical_permutation
 from pqc.algebras import (
     _ASSERT_LEQ_MAX_BITS, _ASSERT_MAX_COST, AssertAlgebra, AssertValue,
-    CircuitAlgebra, Effect, MaxCost, _require_qubits, _subsets,
+    CircuitAlgebra, Effect, MaxCost, _require_qubits, _subsets, routing,
 )
 from pqc.circuits import (
     BoxedCircuit, Bundle, Circuit, LabelContext, Layer, Perm, Step,
@@ -69,7 +69,8 @@ def depth_paths_oracle(c: Circuit, registry: Registry):
                 out[j] = wires[i]
             wires = out
             continue
-        assert isinstance(step, Layer)
+        if not isinstance(step, Layer):
+            raise TypeError(f"not a circuit step: {step!r}")
         new_wires = []
         pos = 0
         for gate, at in step.placements:
@@ -200,8 +201,9 @@ class RightFoldChecker(EffectChecker):
     def _reorder(self, target: Sequence[int]) -> Effect:
         """Permutation effect from context order to the given entry order."""
         alg = self.alg
+        unit = alg.identity_effect(alg.obj_of(()))
         if not alg.positional:
-            return alg.perm_effect((), ())
+            return unit
         ctx = self.ctx
         src = sorted(target)
         dom = self._blocks_obj(src)
@@ -212,7 +214,8 @@ class RightFoldChecker(EffectChecker):
         perm: list[int] = []
         for i in src:
             perm.extend(range(offset[i], offset[i] + len(ctx[i].wires)))
-        return alg.perm_effect(tuple(perm), dom)
+        return alg.then_eff(alg.identity_effect(alg.obj_of(dom)),
+                            routing(tuple(perm)), unit)
 
     def _infer(self, m: Term):
         alg = self.alg
@@ -230,7 +233,7 @@ class RightFoldChecker(EffectChecker):
             g1 = sorted(self._linear(bu))
             eff = alg.compose_eff(
                 alg.then_eff(self._reorder(g2 + g1),
-                             alg.obj_of(self._blocks_obj(g2)), be),
+                             len(self._blocks_obj(g2)), be),
                 te)
         else:
             vt, vu, vo = self.infer_value(b.value)

@@ -102,7 +102,7 @@ def test_depth_triple_of_interleaved_block():
           and t.w == tropical([[NEG_INF], [NEG_INF]], (2, 1))
           and depth_bound(e) == 2)
     verdict("depth triple of the interleaved block", ok,
-            f"A={t.a.tolists()} v={t.v.tolists()} w={t.w.tolists()}, "
+            f"A={t.a.data.tolist()} v={t.v.data.tolist()} w={t.w.data.tolist()}, "
             f"bound {depth_bound(e):g} "
             f"(expected A=[[1,-inf],[-inf,2]], v,w all -inf, bound 2)")
 
@@ -113,7 +113,7 @@ def test_depth_triple_of_growing_block():
           and t.v == tropical([[NEG_INF, NEG_INF]], (1, 2))
           and t.w == tropical([[1], [1], [NEG_INF]], (3, 1)))
     verdict("depth triple of the growing block", ok,
-            f"A={t.a.tolists()} v={t.v.tolists()} w={t.w.tolists()} "
+            f"A={t.a.data.tolist()} v={t.v.data.tolist()} w={t.w.data.tolist()} "
             f"(expected A=[[2,2,-inf],[-inf,-inf,0]], v=-inf, w=[1,1,-inf])")
 
 

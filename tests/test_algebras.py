@@ -15,7 +15,7 @@ from oracles import (
 )
 from pqc.algebras import (
     ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, CircuitAlgebra, Effect,
-    MaxCost, algebra, cost_eq, depth_bound,
+    MaxCost, algebra, cost_eq, depth_bound, routing,
 )
 from pqc.circuits import (
     Circuit, Gate, Layer, Perm, compose, identity, symmetry, whisker_left,
@@ -62,7 +62,7 @@ def check_functor_laws(alg, r: random.Random, circuit_gen, rounds: int) -> int:
         def whiskered(above, below):
             return alg.then_eff(
                 alg.identity_effect(alg.obj_of(above + c.dom + below)),
-                alg.obj_of(above), ec)
+                len(above), ec)
 
         assert alg.abstract(whisker_left(o, c), registry) == whiskered(o, ())
         assert alg.abstract(whisker_right(c, o), registry) == whiskered((), o)
@@ -71,8 +71,9 @@ def check_functor_laws(alg, r: random.Random, circuit_gen, rounds: int) -> int:
         a, b = (Q,) * r.randint(0, 2), (Q,) * r.randint(0, 2)
         s = symmetry(a, b)
         perm = s.steps[0].perm if s.steps else tuple(range(len(a + b)))
-        assert alg.abstract(s, registry) == alg.perm_effect(perm, a + b) == \
-            perm_effect_oracle(alg, perm)
+        routed = alg.then_eff(alg.identity_effect(alg.obj_of(a + b)),
+                              routing(perm), alg.identity_effect(alg.obj_of(())))
+        assert alg.abstract(s, registry) == routed == perm_effect_oracle(alg, perm)
         # then_eff after a non-identity prefix, at a random offset
         lo = r.randint(0, len(c.cod))
         hi = r.randint(lo, len(c.cod))
@@ -81,7 +82,7 @@ def check_functor_laws(alg, r: random.Random, circuit_gen, rounds: int) -> int:
         d = Circuit(c.cod[lo:hi], steps)
         placed = whisker_right(whisker_left(c.cod[:lo], d), c.cod[hi:])
         assert alg.abstract(compose(c, placed), registry) == alg.then_eff(
-            ec, alg.obj_of(c.cod[:lo]), alg.abstract(d, registry))
+            ec, lo, alg.abstract(d, registry))
         checked += 1
     return checked
 
@@ -122,7 +123,7 @@ def test_routed_then_eff_is_a_permutation_then_a_placement(name):
         ec = alg.abstract(c, registry)
         assert alg.then_eff(ec, at, e) == alg.then_eff(
             alg.compose_eff(ec, perm_effect_oracle(alg, tuple(perm))),
-            alg.obj_of(()), e)
+            0, e)
 
 
 # --------------------------------------------------------------------------
@@ -180,8 +181,21 @@ def test_depth_identity_and_perm():
     e = DEPTH.identity_effect(2)
     assert e.value == depth_triple([[0, NEG_INF], [NEG_INF, 0]],
                                    [NEG_INF] * 2, [NEG_INF] * 2)
-    p = DEPTH.perm_effect((1, 0), (Q, Q))
+    p = DEPTH.then_eff(e, routing((1, 0)), DEPTH.identity_effect(0))
     assert p.value.a == tropical_permutation((1, 0))
+    assert DEPTH.abstract(Circuit((Q, Q), (Perm((1, 0)),)), registry) == p
+
+
+def test_depth_values_differing_in_an_entry_or_a_shape_are_unequal():
+    # every depth comparison in the tests rests on DepthTriple.__eq__
+    t = depth_triple([[0, 1], [2, NEG_INF]], [3, NEG_INF], [NEG_INF, 4])
+    assert t == depth_triple([[0, 1], [2, NEG_INF]], [3, NEG_INF], [NEG_INF, 4])
+    for other in (depth_triple([[0, 1], [2, 0]], [3, NEG_INF], [NEG_INF, 4]),
+                  depth_triple([[0, 1], [2, NEG_INF]], [3, NEG_INF], [NEG_INF, 5]),
+                  depth_triple([[0], [2]], [3, NEG_INF], [NEG_INF]),
+                  depth_triple([[0, 1]], [3], [NEG_INF, 4])):
+        assert t != other and not t == other
+    assert t != t.m and DEPTH.identity_effect(1) != DEPTH.identity_effect(2)
 
 
 def test_depth_gate_effect_orientations():
@@ -349,7 +363,8 @@ def test_assert_identity_and_perm_rows():
     e = ASSERT.identity_effect(2)
     assert e.value.rows["01"] == frozenset({"01"})
     assert assert_cost_oracle(e.value.cost, frozenset(bitstrings(2))) == 0
-    p = ASSERT.perm_effect((2, 0, 1), (Q, Q, Q))
+    p = ASSERT.then_eff(ASSERT.identity_effect(3), routing((2, 0, 1)),
+                        ASSERT.identity_effect(0))
     assert p.value.rows["100"] == frozenset({"001"})  # bit 0 lands in slot 2
 
 

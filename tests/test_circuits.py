@@ -9,7 +9,7 @@ from pqc.circuits import (
     perm_then, serialize, spine, symmetry, whisker_left, whisker_right,
 )
 from pqc.errors import (
-    CircuitError, LabelNotFound, ObjectMismatch, WireTypeMismatch,
+    CircuitError, LabelNotFound, ObjectMismatch, ParseError, WireTypeMismatch,
 )
 from pqc.gates import default_registry
 
@@ -285,6 +285,24 @@ def test_serialize_round_trip_on_random_circuits():
         raw = serialize(c)
         again = deserialize(raw, registry)
         assert again.dom == c.dom and again.steps == c.steps
+
+
+@pytest.mark.parametrize("doc", [
+    '{"inputs": ["Qubit"], "steps": 5}',
+    '{"inputs": 5, "steps": []}',
+    '{"inputs": ["Qubit"], "steps": [], "outputs": 5}',
+    '{"inputs": ["Qubit"], "steps": [], "outputs": null}',
+    '{"inputs": ["Qubit"], "steps": [{"layer": [{"gate": "H", "at": 0.5}]}]}',
+    '{"inputs": ["Qubit", "Qubit"], "steps": [{"layer": [{"gate": "H", "at": true}]}]}',
+    '{"inputs": ["Qubit", "Qubit"], "steps": [{"perm": [1.7, 0]}]}',
+    '{"inputs": ["Qubit", "Qubit"], "steps": [{"perm": [true, false]}]}',
+], ids=["steps-int", "inputs-int", "outputs-int", "outputs-null", "at-float",
+        "at-bool", "perm-float", "perm-bool"])
+def test_deserialize_rejects_wrong_json_types(doc):
+    # lists where lists are meant, and exact integers (no bool, no float)
+    # for positions: nothing is truncated into a valid circuit
+    with pytest.raises(ParseError):
+        deserialize(doc, registry)
 
 
 def test_serialize_identity_shape():

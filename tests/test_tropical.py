@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from generators import rng, tropical, tropical_from_lists, tropical_permutation
-from pqc.algebras import ALGEBRAS
+from generators import depth_triple, rng, tropical_permutation
+from pqc.algebras import ALGEBRAS, Effect, depth_bound
 from pqc.gates import default_registry
 from pqc.tropical import NEG_INF, TropicalMatrix, maxplus
 
@@ -64,41 +64,54 @@ def test_shape_checks():
     with pytest.raises(ValueError):
         maxplus(np.zeros((2, 2)), np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        tropical(np.zeros((2, 2))).pointwise_max(tropical(np.zeros((2, 3))))
-    with pytest.raises(ValueError):
         TropicalMatrix(np.zeros(3))  # 1-d rejected
 
 
-def test_leq_and_max_entry():
-    a = tropical([[NEG_INF, 2.0]])
-    b = tropical([[0.0, 2.0]])
-    assert a.leq(b) and not b.leq(a)
-    assert a.max_entry() == 2.0
-    assert tropical([], shape=(0, 3)).max_entry() == NEG_INF
+def test_depth_leq_and_bound():
+    # −∞ lies below every entry, in both directions of the order
+    depth = ALGEBRAS["depth"]
+    a = Effect(1, 1, depth_triple([[NEG_INF]], [2.0], [0.0]))
+    b = Effect(1, 1, depth_triple([[0.0]], [2.0], [0.0]))
+    c = Effect(1, 1, depth_triple([[0.0]], [NEG_INF], [0.0]))
+    assert depth.leq(a, b) and not depth.leq(b, a)
+    assert depth.leq(c, b) and not depth.leq(b, c)
+    assert not depth.leq(a, c) and not depth.leq(c, a)
+    assert depth_bound(a) == 2.0
+    assert depth_bound(depth.identity_effect(0)) == NEG_INF  # no wires, no paths
 
 
-def test_tolists_round_trip():
+def test_depth_value_json_round_trip():
+    depth = ALGEBRAS["depth"]
     r = rng("tropical-json")
+
+    def read(x):
+        return NEG_INF if x == "-inf" else x
+
     for _ in range(40):
         n, m = r.randint(0, 3), r.randint(0, 3)
-        a = tropical(random_array(r, n, m))
-        assert tropical_from_lists(a.tolists(), n, m) == a
+        t = depth_triple(random_array(r, n, m), random_array(r, 1, n)[0],
+                         random_array(r, 1, m)[0])
+        doc = depth.value_json(Effect(n, m, t))
+        assert all(type(x) is int or x == "-inf"
+                   for x in doc["v"] + doc["w"] + sum(doc["A"], []))
+        assert depth_triple([list(map(read, row)) for row in doc["A"]],
+                            list(map(read, doc["v"])), list(map(read, doc["w"]))) == t
 
 
 def test_immutability():
     a = tropical_permutation((0, 1))
     with pytest.raises(ValueError):
         a.data[0, 0] = 5.0
-    # then_eff builds its matrix and hands it over uncopied, read-only, and
+    # then_eff builds its array and hands it over uncopied, read-only, and
     # the A, v and w rendered from it are read-only too
     depth = ALGEBRAS["depth"]
     h = depth.gate_effect(default_registry().lookup("H"))
     t = depth.then_eff(depth.identity_effect(2), 1, h).value
-    for m in (t.m, t.a, t.v, t.w):
-        assert not m.data.flags.writeable
+    for m in (t.m, t.a.data, t.v.data, t.w.data):
+        assert not m.flags.writeable
         with pytest.raises(ValueError):
-            m.data[0, 0] = 5.0
-    # a view is copied, so writing to its base leaves the matrix alone
+            m[0, 0] = 5.0
+    # a rendering is a copy, so writing to its source leaves it alone
     base = np.zeros((2, 2))
     view = TropicalMatrix(base[:, :1])
     base[0, 0] = 7.0
