@@ -323,8 +323,8 @@ class DepthTriple:
     (dom+1)×(cod+1), floats with −∞ for "no path".
 
     ``m[:dom, :cod]`` is A (input→output), the last column is v
-    (input→sink), the last row is w (source→output). The corner is always
-    −∞: paths from a created wire into a dead end are not tracked. ``a``,
+    (input→sink), the last row is w (source→output), and the corner holds
+    the paths from a created wire into a dead end (source→sink). ``a``,
     ``v`` (1 × dom) and ``w`` (cod × 1) are rendered from ``m`` on read.
     """
 
@@ -362,7 +362,9 @@ def _depth_weight(gdef: GateDef) -> float:
 
 
 def depth_bound(e: Effect) -> float:
-    """Max entry over A, v and w (−∞ when there are no paths).
+    """Max entry over A, v, w and the corner: the longest path, from an
+    input or a created wire to an output or a dead end (−∞ when there are
+    no paths).
 
     Raises ``EffectError`` when an entry is 2^53 or more: floats cannot
     count such a path exactly, so the bound could be too small.
@@ -378,18 +380,14 @@ def _depth(dom: int, cod: int, m: np.ndarray) -> Effect:
     return Effect(dom, cod, DepthTriple(_frozen(m)))
 
 
-# The corner rule, shared by ``then_eff`` and ``abstract`` (change both
-# together): a path from a created wire into a sink is not tracked, so the
-# corner stays −∞.
-
-
 class DepthAlgebra(CircuitAlgebra):
     """Weighted-path depth as one max-plus matrix per effect.
 
     Every gate effect is uniform: each of the gate's inputs reaches each of
     its outputs with the same weight, ``GateDef.depth``. A gate without
-    inputs starts paths of that weight at its outputs (the source row), and
-    a gate without outputs ends them in the sink column. ``abstract`` relies
+    inputs starts paths of that weight at its outputs (the source row), a
+    gate without outputs ends them in the sink column, and a gate with
+    neither is a path of its own, in the corner. ``abstract`` relies
     on this: a gate's outputs all get the max of the columns it consumes
     plus its weight.
     """
@@ -417,7 +415,6 @@ class DepthAlgebra(CircuitAlgebra):
         # and into e's sinks
         p = maxplus(m[:, left:hi], g[:-1])
         np.maximum(p[-1], g[-1], out=p[-1])  # sources born in e
-        p[-1, -1] = NEG_INF  # the corner rule (see above)
         np.maximum(p[:, -1], m[:, k], out=p[:, -1])  # sinks already in eff
         return _depth(eff.dom, left + e.cod + right,
                       np.hstack((m[:, :left], p[:, :-1], m[:, hi:k], p[:, -1:])))
@@ -454,8 +451,7 @@ class DepthAlgebra(CircuitAlgebra):
                     col = np.full(n + 1, NEG_INF)
                     col[n] = weight(gate.name)  # paths start at the gate
                 if not k:
-                    # inputs only: the corner rule (see above)
-                    np.maximum(sink[:n], col[:n], out=sink[:n])
+                    np.maximum(sink, col, out=sink)
                 if d == k:
                     cols[lo:lo + d] = col
                 else:
@@ -482,7 +478,6 @@ class DepthAlgebra(CircuitAlgebra):
             m[:, c] = NEG_INF  # paths end in the outputs, not in a sink
         if d:
             m[d] = NEG_INF  # paths start at the inputs, not at a source
-        m[d, c] = NEG_INF
         return _depth(d, c, m)
 
     def value_json(self, e: Effect):
@@ -500,10 +495,8 @@ class DepthAlgebra(CircuitAlgebra):
         if n >= _DEPTH_EXACT:  # float(n) would round it, or overflow
             raise EffectError(
                 "depth bounds must stay below 2^53 to be counted exactly")
-        d, c = len(dom), len(cod)
-        m = np.full((d + 1, c + 1), float(n))
-        m[d, c] = NEG_INF
-        return _depth(d, c, m)
+        return _depth(len(dom), len(cod),
+                      np.full((len(dom) + 1, len(cod) + 1), float(n)))
 
 
 # --------------------------------------------------------------------------

@@ -62,13 +62,13 @@ def _effect_json(alg: CircuitAlgebra, eff) -> dict:
 
 
 def _parse_precondition(text: str, eff) -> frozenset:
-    states = frozenset(s.strip() for s in text.split(",") if s.strip())
-    for s in states:
+    states = [s.strip() for s in text.split(",") if s.strip()]
+    for s in states:  # in the order given, so the first bad one is named
         if len(s) != eff.dom or any(ch not in "01" for ch in s):
             raise PqcError(
                 f"precondition state {s!r} is not a basis state on "
                 f"{eff.dom} qubits")
-    return states
+    return frozenset(states)
 
 
 def cmd_check(args) -> int:

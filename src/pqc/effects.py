@@ -25,7 +25,7 @@ from .errors import LinearityViolation
 from .evaluator import evaluate_program, value_to_bundle
 from .gates import Registry, default_registry
 from .syntax import Program, Type, Value
-from .typecheck import EffectChecker
+from .typecheck import EffectChecker, input_wires
 
 
 # --------------------------------------------------------------------------
@@ -36,6 +36,7 @@ def infer_program_effect(
     prog: Program, alg: CircuitAlgebra, registry: Optional[Registry] = None,
 ) -> tuple[Type, Effect]:
     """Type and effect of a program; it must consume all its linear inputs."""
+    input_wires(prog)
     return EffectChecker(alg, registry).check_closed(list(prog.inputs), prog.term)
 
 

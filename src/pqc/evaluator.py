@@ -47,7 +47,7 @@ from .syntax import (
     App, Apply, Block, Box, BoxedVal, DestBinder, Force, GateRef, Ifz, LabelVal,
     Lam, LetBinder, Lift, NatVal, Pair, Program, Ret, Term, UnitVal, Value, Var,
 )
-from .typecheck import shape_of
+from .typecheck import input_wires, shape_of
 
 
 @dataclass
@@ -374,9 +374,9 @@ def initial_configuration(prog: Program) -> tuple[Configuration, LabelContext]:
     supply = label_supply()
     entries = []
     env: dict[str, Value] = {}
-    for name, ty in prog.inputs:
+    for (name, _), wire in zip(prog.inputs, input_wires(prog)):
         label = next(supply)
-        entries.append((label, shape_of(ty)))
+        entries.append((label, wire))
         env.setdefault(name, LabelVal(label))  # the first of two equal names wins
     in_ctx = LabelContext(tuple(entries))
     return Configuration(identity(in_ctx.obj), in_ctx, prog.term, env), in_ctx

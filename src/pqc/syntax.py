@@ -48,49 +48,57 @@ from .errors import NotAValue, ParseError
 # types
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UnitT:
-    def __str__(self):
-        return "1"
+# Each node kind has one base, whose ``__str__`` is the printer's: no node
+# knows how it is written.
 
-
-@dataclass(frozen=True)
-class NatT:
-    def __str__(self):
-        return "Nat"
-
-
-@dataclass(frozen=True)
-class QubitT:
-    def __str__(self):
-        return "Qubit"
-
-
-@dataclass(frozen=True)
-class BitT:
-    def __str__(self):
-        return "Bit"
-
-
-@dataclass(frozen=True)
-class BundleUnitT:
-    """The empty wire bundle; what parameter types look like to a circuit."""
-
-    def __str__(self):
-        return "I"
-
-
-@dataclass(frozen=True)
-class TensorT:
-    left: "Type"
-    right: "Type"
-
+class Type:
     def __str__(self):
         return show_type(self)
 
 
+class Value:
+    def __str__(self):
+        return show_value(self)
+
+
+class Term:
+    def __str__(self):
+        return show_term(self)
+
+
 @dataclass(frozen=True)
-class ArrowT:
+class UnitT(Type):
+    pass
+
+
+@dataclass(frozen=True)
+class NatT(Type):
+    pass
+
+
+@dataclass(frozen=True)
+class QubitT(Type):
+    pass
+
+
+@dataclass(frozen=True)
+class BitT(Type):
+    pass
+
+
+@dataclass(frozen=True)
+class BundleUnitT(Type):
+    """The empty wire bundle; what parameter types look like to a circuit."""
+
+
+@dataclass(frozen=True)
+class TensorT(Type):
+    left: Type
+    right: Type
+
+
+@dataclass(frozen=True)
+class ArrowT(Type):
     """``A -o[T] B``: a linear function that captured wires of shape T.
 
     ``bound`` is an optional scalar resource ascription on the function body
@@ -98,37 +106,32 @@ class ArrowT:
     written in source; it does not participate in equality.
     """
 
-    dom: "Type"
-    cod: "Type"
-    captured: "Type"
+    dom: Type
+    cod: Type
+    captured: Type
     bound: Optional[int] = None
     eff: object = field(default=None, compare=False)
 
-    def __str__(self):
-        return show_type(self)
-
 
 @dataclass(frozen=True)
-class BangT:
-    inner: "Type"
+class BangT(Type):
+    inner: Type
     eff: object = field(default=None, compare=False)
 
-    def __str__(self):
-        return show_type(self)
-
 
 @dataclass(frozen=True)
-class CircT:
-    dom: "Type"
-    cod: "Type"
+class CircT(Type):
+    dom: Type
+    cod: Type
     bound: Optional[int] = None
     eff: object = field(default=None, compare=False)
 
-    def __str__(self):
-        return show_type(self)
 
-
-Type = Union[UnitT, NatT, QubitT, BitT, BundleUnitT, TensorT, ArrowT, BangT, CircT]
+# The written form of each type atom: the parser reads this table, the
+# printer reads it backwards.
+_TYPE_ATOMS = {"1": UnitT(), "Nat": NatT(), "Qubit": QubitT(), "Bit": BitT(),
+               "I": BundleUnitT()}
+_ATOM_TEXT = {type(atom): text for text, atom in _TYPE_ATOMS.items()}
 
 
 # --------------------------------------------------------------------------
@@ -136,99 +139,64 @@ Type = Union[UnitT, NatT, QubitT, BitT, BundleUnitT, TensorT, ArrowT, BangT, Cir
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnitVal:
-    def __str__(self):
-        return "*"
+class UnitVal(Value):
+    pass
 
 
 @dataclass(frozen=True)
-class NatVal:
+class NatVal(Value):
     n: int
 
-    def __str__(self):
-        return str(self.n)
-
 
 @dataclass(frozen=True)
-class Var:
+class Var(Value):
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
-class LabelVal:
+class LabelVal(Value):
     label: Label
 
-    def __str__(self):
-        return str(self.label)
-
 
 @dataclass(frozen=True)
-class GateRef:
+class GateRef(Value):
     name: str
 
-    def __str__(self):
-        return "@" + self.name
+
+@dataclass(frozen=True)
+class Pair(Value):
+    left: Value
+    right: Value
 
 
 @dataclass(frozen=True)
-class Pair:
-    left: "Value"
-    right: "Value"
-
-    def __str__(self):
-        return show_value(self)
-
-
-@dataclass(frozen=True)
-class Lam:
+class Lam(Value):
     var: str
     ty: Type
-    body: "Term"
-
-    def __str__(self):
-        return show_value(self)
+    body: Term
 
 
 @dataclass(frozen=True)
-class Lift:
-    term: "Term"
-
-    def __str__(self):
-        return show_value(self)
+class Lift(Value):
+    term: Term
 
 
 @dataclass(frozen=True)
-class BoxedVal:
+class BoxedVal(Value):
     """A completed circuit as a value; not writable in source syntax."""
 
     boxed: BoxedCircuit
-    name: Optional[str] = None
-
-    def __str__(self):
-        return f"@{self.name}" if self.name else "<boxed circuit>"
-
-
-Value = Union[UnitVal, NatVal, Var, LabelVal, GateRef, Pair, Lam, Lift, BoxedVal]
 
 
 @dataclass(frozen=True)
-class Ret:
+class Ret(Term):
     value: Value
 
-    def __str__(self):
-        return show_term(self)
-
 
 @dataclass(frozen=True)
-class App:
+class App(Term):
     fn: Value
     arg: Value
-
-    def __str__(self):
-        return show_term(self)
 
 
 @dataclass(frozen=True)
@@ -236,7 +204,7 @@ class LetBinder:
     """``let var = bound in``"""
 
     var: str
-    bound: "Term"
+    bound: Term
 
 
 @dataclass(frozen=True)
@@ -252,7 +220,7 @@ Binder = Union[LetBinder, DestBinder]
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(Term):
     """Binders run in order, then ``tail``, in the scope they extend.
 
     A block has at least one binder, and its tail is not a block: the
@@ -261,17 +229,14 @@ class Block:
     """
 
     binders: tuple[Binder, ...]
-    tail: "Term"
+    tail: Term
 
     def __post_init__(self):
         if not self.binders or type(self.tail) is Block:
             raise ValueError("a block needs a binder and a tail that is not a block")
 
-    def __str__(self):
-        return show_term(self)
 
-
-def Let(var: str, bound: "Term", body: "Term") -> Block:
+def Let(var: str, bound: Term, body: Term) -> Block:
     """``let var = bound in body``: one let binder in front of ``body``'s."""
     if type(body) is Block:
         return Block((LetBinder(var, bound),) + body.binders, body.tail)
@@ -279,42 +244,27 @@ def Let(var: str, bound: "Term", body: "Term") -> Block:
 
 
 @dataclass(frozen=True)
-class Ifz:
+class Ifz(Term):
     cond: Value
-    then: "Term"
-    els: "Term"
-
-    def __str__(self):
-        return show_term(self)
+    then: Term
+    els: Term
 
 
 @dataclass(frozen=True)
-class Force:
+class Force(Term):
     value: Value
 
-    def __str__(self):
-        return show_term(self)
-
 
 @dataclass(frozen=True)
-class Box:
+class Box(Term):
     shape: Type
     value: Value
 
-    def __str__(self):
-        return show_term(self)
-
 
 @dataclass(frozen=True)
-class Apply:
+class Apply(Term):
     circ: Value
     arg: Value
-
-    def __str__(self):
-        return show_term(self)
-
-
-Term = Union[Ret, App, Block, Ifz, Force, Box, Apply]
 
 
 @dataclass(frozen=True)
@@ -487,38 +437,27 @@ class _Parser:
         return self.type_atom()
 
     def type_atom(self) -> Type:
-        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        text = self.texts[self.pos]
+        atom = _TYPE_ATOMS.get(text)  # only tokens of kind nat or kw have these texts
+        if atom is not None:
+            self.pos += 1
+            return atom
+        kind = self.kinds[self.pos]
         if kind == "nat":
-            if text == "1":
-                self.next()
-                return UnitT()
             self.fail(f"{text} is not a type (only 1 denotes the unit type)")
-        if kind == "kw":
-            if text == "Nat":
+        if text == "Circ":
+            self.next()
+            bound = None
+            if self.peek() == "[":
                 self.next()
-                return NatT()
-            if text == "Qubit":
-                self.next()
-                return QubitT()
-            if text == "Bit":
-                self.next()
-                return BitT()
-            if text == "I":
-                self.next()
-                return BundleUnitT()
-            if text == "Circ":
-                self.next()
-                bound = None
-                if self.peek() == "[":
-                    self.next()
-                    bound = int(self.expect("nat", "a scalar bound"))
-                    self.expect("]", "']'")
-                self.expect("(", "'(' after Circ")
-                dom = self.type_()
-                self.expect(",", "','")
-                cod = self.type_()
-                self.expect(")", "')'")
-                return CircT(dom, cod, bound)
+                bound = int(self.expect("nat", "a scalar bound"))
+                self.expect("]", "']'")
+            self.expect("(", "'(' after Circ")
+            dom = self.type_()
+            self.expect(",", "','")
+            cod = self.type_()
+            self.expect(")", "')'")
+            return CircT(dom, cod, bound)
         if kind == "(":
             self.next()
             inner = self.type_()
@@ -678,25 +617,23 @@ def _dest_binders(names: list[str], v: Value) -> list[DestBinder]:
             for i in range(len(names) - 1)]
 
 
-def parse_type(src: str) -> Type:
+def _parse(src: str, read, what: str):
     p = _Parser(src)
-    ty = p.type_()
-    p.expect("eof", "end of type")
-    return ty
+    node = read(p)
+    p.expect("eof", f"end of {what}")
+    return node
+
+
+def parse_type(src: str) -> Type:
+    return _parse(src, _Parser.type_, "type")
 
 
 def parse_value(src: str) -> Value:
-    p = _Parser(src)
-    v = p.value()
-    p.expect("eof", "end of value")
-    return v
+    return _parse(src, _Parser.value, "value")
 
 
 def parse_term(src: str) -> Term:
-    p = _Parser(src)
-    m = p.term()
-    p.expect("eof", "end of term")
-    return m
+    return _parse(src, _Parser.term, "term")
 
 
 def parse_program(src: str) -> Program:
@@ -723,7 +660,7 @@ def _show_type(ty: Type, prec: int) -> str:
             ann = f"[{bound}]" if bound is not None else ""
             return f"Circ{ann}({_show_type(dom, 0)}, {_show_type(cod, 0)})"
         case _:
-            return str(ty)
+            return _ATOM_TEXT[type(ty)]
 
 
 def show_type(ty: Type) -> str:
@@ -747,8 +684,19 @@ def show_value(v: Value) -> str:
             return f"\\{var}:{show_type(ty)}. {show_term(body)}"
         case Lift(term):
             return f"lift {show_term(term)}"
-        case _:
-            return str(v)
+        case UnitVal():
+            return "*"
+        case NatVal(n):
+            return str(n)
+        case Var(name):
+            return name
+        case LabelVal(label):
+            return str(label)
+        case GateRef(name):
+            return "@" + name
+        case BoxedVal():
+            return "<boxed circuit>"
+    raise TypeError(f"not a value: {v!r}")
 
 
 def _show_operand(v: Value) -> str:

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 from .algebras import TRIVIAL, CircuitAlgebra, Effect
 from .circuits import (
-    Circuit, Label, LabelContext, Obj, Shape, WireType, flatten_bundle, spine,
+    Circuit, Label, LabelContext, Obj, Shape, WireType, flatten_bundle,
 )
 from .errors import (
     BoxCapturesWires, EffectError, EndpointMismatch, LinearityViolation,
@@ -98,28 +98,22 @@ def sharp(ty: Type) -> Type:
             raise ShapeMismatch(f"no wire shape for type {show_type(ty)}")
 
 
+# Each wire type's written type, and back.
+_TYPE_OF_WIRE = {WireType.QUBIT: QubitT(), WireType.BIT: BitT()}
+_WIRE_OF_TYPE = {type(ty): wire for wire, ty in _TYPE_OF_WIRE.items()}
+
+
 def shape_of(ty: Type) -> Shape:
     """Convert a shape type to a wire shape."""
     match ty:
         case BundleUnitT():
             return ()
-        case QubitT():
-            return WireType.QUBIT
-        case BitT():
-            return WireType.BIT
         case TensorT(left, right):
             return (shape_of(left), shape_of(right))
-        case _:
-            raise ShapeMismatch(f"{show_type(ty)} is not a wire shape")
-
-
-def type_of_shape(shape: Shape) -> Type:
-    if shape == ():
-        return BundleUnitT()
-    if isinstance(shape, WireType):
-        return QubitT() if shape is WireType.QUBIT else BitT()
-    left, right = shape
-    return TensorT(type_of_shape(left), type_of_shape(right))
+    wire = _WIRE_OF_TYPE.get(type(ty))
+    if wire is None:
+        raise ShapeMismatch(f"{show_type(ty)} is not a wire shape")
+    return wire
 
 
 _NO_WIRES = (UnitT, NatT, BangT, CircT, BundleUnitT)
@@ -136,10 +130,8 @@ def wires_of(ty: Type) -> Obj:
         if cls is TensorT:
             todo.append(t.right)
             todo.append(t.left)
-        elif cls is QubitT:
-            out.append(WireType.QUBIT)
-        elif cls is BitT:
-            out.append(WireType.BIT)
+        elif cls in _WIRE_OF_TYPE:
+            out.append(_WIRE_OF_TYPE[cls])
         elif cls is ArrowT:
             todo.append(t.captured)
         elif cls not in _NO_WIRES:
@@ -152,7 +144,7 @@ def bundle_type(bundle, ctx: LabelContext) -> Type:
     if bundle == ():
         return BundleUnitT()
     if isinstance(bundle, Label):
-        return type_of_shape(ctx.type_of(bundle))
+        return _TYPE_OF_WIRE[ctx.type_of(bundle)]
     left, right = bundle
     return TensorT(bundle_type(left, ctx), bundle_type(right, ctx))
 
@@ -426,8 +418,8 @@ class EffectChecker:
                 if ct is None:
                     gdef = self.registry.lookup(name)
                     ct = self._gates[name] = CircT(
-                        type_of_shape(spine(gdef.gate.dom)),
-                        type_of_shape(spine(gdef.gate.cod)), None,
+                        tensor_of([_TYPE_OF_WIRE[w] for w in gdef.gate.dom]),
+                        tensor_of([_TYPE_OF_WIRE[w] for w in gdef.gate.cod]), None,
                         self.alg.gate_effect(gdef))
                 return ct, set(), []
             case BoxedVal():
@@ -680,12 +672,20 @@ class EffectChecker:
 # entry points
 # --------------------------------------------------------------------------
 
+def input_wires(prog: Program) -> Obj:
+    """The wire of each program input; every entry point refuses an input
+    that is not a single wire."""
+    wires = tuple(_WIRE_OF_TYPE.get(type(ty)) for _, ty in prog.inputs)
+    if None in wires:
+        name, ty = prog.inputs[wires.index(None)]
+        raise ShapeMismatch(
+            f"program inputs must be single wires; {name} has type {show_type(ty)}")
+    return wires
+
+
 def check_program(prog: Program, registry: Optional[Registry] = None) -> Type:
     """Type a whole program; every input wire must be consumed."""
-    for name, ty in prog.inputs:
-        if not isinstance(ty, (QubitT, BitT)):
-            raise ShapeMismatch(
-                f"program inputs must be single wires; {name} has type {show_type(ty)}")
+    input_wires(prog)
     return EffectChecker(TRIVIAL, registry).check_closed(prog.inputs, prog.term)[0]
 
 
@@ -716,7 +716,7 @@ def check_configuration(
             f"output context types {out_ctx.obj} but circuit produces {circuit.cod}")
     checker = EffectChecker(TRIVIAL, registry)
     for label, wt in out_ctx:
-        checker.push(label, QubitT() if wt is WireType.QUBIT else BitT())
+        checker.push(label, _TYPE_OF_WIRE[wt])
     ty, used, _ = checker.infer_term(m)
     leftover = [out_ctx.entries[i] for i in range(len(out_ctx.entries))
                 if i not in used]

@@ -47,15 +47,16 @@ def tropical_permutation(perm: tuple[int, ...]) -> TropicalMatrix:
     return TropicalMatrix(m)
 
 
-def depth_triple(a, v, w) -> DepthTriple:
-    """The depth value with dom × cod matrix ``a`` and vectors ``v`` (one
-    entry per input) and ``w`` (one per output), in one matrix whose corner
-    is −∞."""
+def depth_triple(a, v, w, corner=NEG_INF) -> DepthTriple:
+    """The depth value with dom × cod matrix ``a``, vectors ``v`` (one
+    entry per input) and ``w`` (one per output), and ``corner`` (the
+    created-wire→dead-end paths), in one matrix."""
     dom, cod = len(v), len(w)
     m = np.full((dom + 1, cod + 1), NEG_INF)
     m[:dom, :cod] = np.asarray(a, dtype=float).reshape(dom, cod)
     m[:dom, cod] = v
     m[dom, :cod] = w
+    m[dom, cod] = corner
     m.flags.writeable = False
     return DepthTriple(m)
 

@@ -50,10 +50,10 @@ def _tadd(x: float, d: float) -> float:
 def depth_paths_oracle(c: Circuit, registry: Registry):
     """Longest anchored gate-weight paths, by forward dynamic programming.
 
-    Returns (A, v, w, bound): A[i][j] over input→output paths, v[i] over
-    input→dead-end paths, w[j] over created-wire→output paths, and the max
-    entry (−∞ when there are no such paths). Paths running from a created
-    wire into a dead end are not tracked, matching the triple itself.
+    Returns (A, v, w, s, bound): A[i][j] over input→output paths, v[i] over
+    input→dead-end paths, w[j] over created-wire→output paths, s over
+    created-wire→dead-end paths, and the max entry (−∞ when there are no
+    such paths).
     """
     n0 = len(c.dom)
     # per live wire: longest path from each circuit input, and from any
@@ -61,6 +61,7 @@ def depth_paths_oracle(c: Circuit, registry: Registry):
     wires = [{"inp": [0.0 if i == j else NEG_INF for i in range(n0)],
               "src": NEG_INF} for j in range(n0)]
     v_acc = [NEG_INF] * n0
+    s_acc = NEG_INF
 
     for step in c.steps:
         if isinstance(step, Perm):
@@ -80,12 +81,13 @@ def depth_paths_oracle(c: Circuit, registry: Registry):
             r_in = [max((w["inp"][i] for w in taken), default=NEG_INF)
                     for i in range(n0)]
             s_in = max((w["src"] for w in taken), default=NEG_INF)
-            if not gate.cod:
-                v_acc = [max(a, _tadd(b, d)) for a, b in zip(v_acc, r_in)]
             out_state = {
                 "inp": [_tadd(x, d) for x in r_in],
                 "src": d if not gate.dom else _tadd(s_in, d),
             }
+            if not gate.cod:
+                v_acc = [max(a, b) for a, b in zip(v_acc, out_state["inp"])]
+                s_acc = max(s_acc, out_state["src"])
             new_wires.extend(dict(out_state) for _ in gate.cod)
             pos = at + len(gate.dom)
         new_wires.extend(wires[pos:])
@@ -93,9 +95,40 @@ def depth_paths_oracle(c: Circuit, registry: Registry):
 
     a = [[wires[j]["inp"][i] for j in range(len(wires))] for i in range(n0)]
     w = [wire["src"] for wire in wires]
-    entries = [x for row in a for x in row] + v_acc + w
-    bound = max(entries, default=NEG_INF)
-    return a, v_acc, w, bound
+    entries = [x for row in a for x in row] + v_acc + w + [s_acc]
+    return a, v_acc, w, s_acc, max(entries)
+
+
+def dag_depth_oracle(c: Circuit, registry: Registry) -> float:
+    """The heaviest path through the circuit's gate DAG.
+
+    One node per gate application, weighted by its depth, and one edge per
+    wire from the gate that made it to the gate that takes it. A path may
+    begin at an input or at any gate and end at an output or at any gate;
+    a circuit input is a node of weight 0. −∞ when there are no nodes.
+    """
+    weight = [0.0] * len(c.dom)  # the inputs come first
+    preds: list[list[int]] = [[] for _ in c.dom]
+    maker = list(range(len(c.dom)))  # per live wire: the node that made it
+    for step in c.steps:
+        if isinstance(step, Perm):
+            moved = [0] * len(maker)
+            for i, j in enumerate(step.perm):
+                moved[j] = maker[i]
+            maker = moved
+            continue
+        shift = 0  # a layer's positions are those before it, as it reads them
+        for gate, at in step.placements:
+            lo = at + shift
+            node = len(weight)
+            weight.append(float(registry.lookup(gate.name).depth))
+            preds.append(maker[lo:lo + len(gate.dom)])
+            maker[lo:lo + len(gate.dom)] = [node] * len(gate.cod)
+            shift += len(gate.cod) - len(gate.dom)
+    heaviest: list[float] = []  # per node, the heaviest path ending at it
+    for node, w in enumerate(weight):  # nodes are made in topological order
+        heaviest.append(w + max((heaviest[p] for p in preds[node]), default=0.0))
+    return max(heaviest, default=NEG_INF)
 
 
 def width_cuts_oracle(c: Circuit, registry: Registry) -> int:

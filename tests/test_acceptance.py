@@ -162,11 +162,12 @@ def test_depth_bound_equals_longest_path_oracle():
     checked = 0
     for _ in range(200):
         c = random_circuit(r, max_wires=6, max_steps=12)
-        a, v, w, bound = depth_paths_oracle(c, registry)
+        a, v, w, s, bound = depth_paths_oracle(c, registry)
         e = DEPTH.abstract(c, registry)
         assert e.value.a == tropical(a, (len(c.dom), len(c.cod)))
         assert e.value.v == tropical([v], (1, len(c.dom)))
         assert e.value.w == tropical([[x] for x in w], (len(c.cod), 1))
+        assert e.value.m[-1, -1] == s
         assert depth_bound(e) == bound
         checked += 1
     verdict("depth algebra vs longest-path oracle", checked == 200,

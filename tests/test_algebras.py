@@ -10,7 +10,7 @@ from generators import (
     random_steps, tropical, tropical_permutation,
 )
 from oracles import (
-    assert_cost_oracle, assert_sim_oracle, depth_paths_oracle,
+    assert_cost_oracle, assert_sim_oracle, dag_depth_oracle, depth_paths_oracle,
     perm_effect_oracle, width_cuts_oracle,
 )
 from pqc.algebras import (
@@ -21,7 +21,7 @@ from pqc.circuits import (
     Circuit, Gate, Layer, Perm, compose, identity, symmetry, whisker_left,
     whisker_right,
 )
-from pqc.effects import infer_program_effect
+from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.errors import EffectError, EffectObjectMismatch, UnsupportedWire
 from pqc.evaluator import evaluate_program
 from pqc.gates import GateDef, default_registry, parse_gate_spec
@@ -228,17 +228,33 @@ CLOSED_PATH = ("inputs; let q = apply(@init, *) in let q = apply(@H, q) in "
                "apply(@discard, q)")
 
 
-def test_depth_leaves_source_to_sink_paths_untracked():
+def test_depth_tracks_source_to_sink_paths():
     # init -> H -> discard runs from a created wire into a dead end: no
-    # entry of A, v or w holds it, so the matrix corner stays −∞ and so
-    # does the bound, in abstract, in inference and in the oracle
+    # entry of A, v or w holds it, the matrix corner does, and so does the
+    # bound, in abstract, in inference and in both oracles
     prog = parse_program(CLOSED_PATH)
     c, _, _ = evaluate_program(prog, registry)
     e = DEPTH.abstract(c, registry)
     _, inferred = infer_program_effect(prog, DEPTH, registry)
-    assert depth_paths_oracle(c, registry) == ([], [], [], NEG_INF)
-    assert e.value == inferred.value == depth_triple([], [], [])
-    assert depth_bound(e) == depth_bound(inferred) == NEG_INF
+    assert depth_paths_oracle(c, registry) == ([], [], [], 1.0, 1.0)
+    assert dag_depth_oracle(c, registry) == 1.0
+    assert e.value == inferred.value == depth_triple([], [], [], corner=1.0)
+    assert depth_bound(e) == depth_bound(inferred) == 1.0
+
+
+def test_depth_ascription_bounds_a_closed_path():
+    # -o[I; 1] promises every path of the body, the one from init into
+    # discard included, so the coarsest effect's corner is the bound too
+    prog = parse_program(
+        "inputs q: Qubit;\n"
+        "let k = return (\\x: Qubit. let p = apply(@init, *) in\n"
+        "  let p = apply(@H, p) in let u = apply(@discard, p) in return x) in\n"
+        "let run = return (\\a: (Qubit -o[I; 1] Qubit) * Qubit.\n"
+        "  dest (f, y) = a in f y) in\n"
+        "run (k, q)")
+    report = verify_dynamic(prog, DEPTH, registry)
+    assert depth_bound(report.dynamic_effect) == depth_bound(report.static_effect) == 1
+    assert report.dominated
 
 
 def test_depth_triple_compose_associative():
@@ -256,11 +272,12 @@ def test_depth_triple_compose_associative():
 
 
 def check_paths_oracle(e, c, reg) -> None:
-    a, v, w, bound = depth_paths_oracle(c, reg)
+    a, v, w, s, bound = depth_paths_oracle(c, reg)
     assert e.value.a == tropical(a, shape=(len(c.dom), len(c.cod)))
     assert e.value.v == tropical([v], shape=(1, len(c.dom)))
     assert e.value.w == tropical([[x] for x in w], shape=(len(c.cod), 1))
-    assert depth_bound(e) == bound
+    assert e.value.m[-1, -1] == s
+    assert depth_bound(e) == bound == dag_depth_oracle(c, reg)
 
 
 def test_depth_matches_paths_oracle_spot():
@@ -270,7 +287,8 @@ def test_depth_matches_paths_oracle_spot():
         check_paths_oracle(DEPTH.abstract(c, registry), c, registry)
 
 
-# spec gates beside the builtins: weights 0 and 3, a fan-out and a 2→0 sink
+# spec gates beside the builtins: weights 0 and 3, a fan-out, a 2→0 sink
+# and a 0→0 gate, a path of its own
 DEPTH_FOLD_SPEC = """
 gate W0 : Qubit -> Qubit
   depth 0
@@ -280,6 +298,8 @@ gate fan : Qubit -> Qubit Qubit
   depth 2
 gate drop2 : Qubit Qubit -> I
   depth 3
+gate tick : I -> I
+  depth 2
 """
 DEPTH_FOLD_POOL = ("H", "CNOT", "meas", "init", "discard", "W0", "C3", "fan", "drop2")
 
@@ -291,8 +311,9 @@ def test_depth_fold_matches_generic_fold_and_paths_oracle():
     init, discard = reg.gate("init"), reg.gate("discard")
     closed = Circuit((Q,), (Layer(((init, 0),)), Layer(((H, 0),)), Layer(((H, 0),)),
                             Layer(((discard, 0),))))
+    ticked = Circuit((Q,), (Layer(((reg.gate("tick"), 0), (H, 0))),))
     r = rng("depth-fold")
-    circuits = [closed] + [random_circuit(r, max_wires=5, max_steps=12,
+    circuits = [closed, ticked] + [random_circuit(r, max_wires=5, max_steps=12,
                                           pool=DEPTH_FOLD_POOL, registry=reg)
                            for _ in range(300)]
     for c in circuits:

@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -235,14 +237,17 @@ def test_analyze_depth_has_bound(capsys):
     assert doc["depth_bound"] == 2
 
 
-def test_depth_bound_of_a_closed_path_is_minus_infinity(capsys, tmp_path):
-    # a path from init into discard is not counted (see the README caveats)
+def test_depth_bound_of_a_closed_path_counts_its_gates(capsys, tmp_path):
+    # H on the input beside init -> H -> H -> H -> discard: the longest
+    # path runs from a created wire into a dead end, through 3 gates
     path = tmp_path / "closed.pqc"
-    path.write_text("inputs; let q = apply(@init, *) in "
-                    "let q = apply(@H, q) in apply(@discard, q)\n")
+    path.write_text("inputs q: Qubit; let q = apply(@H, q) in "
+                    "let p = apply(@init, *) in let p = apply(@H, p) in "
+                    "let p = apply(@H, p) in let p = apply(@H, p) in "
+                    "let u = apply(@discard, p) in return q\n")
     code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "depth")
     assert code == 0
-    assert json.loads(out)["depth_bound"] == "-inf"
+    assert json.loads(out)["depth_bound"] == 3
     code, out, _ = run_cli(capsys, "verify", str(path), "--metric", "depth")
     assert code == 0
     assert json.loads(out)["dominated"] is True
@@ -304,6 +309,21 @@ def test_analyze_bad_precondition(capsys):
     code, _, err = run_cli(capsys, "analyze", demo("interleave.pqc"),
                            "--metric", "assert", "--precondition", "0x1")
     assert code == 2 and "basis state" in err
+
+
+def test_bad_precondition_named_in_the_order_given():
+    # the first bad state, whatever the string hash seed: under a set's
+    # order, seed 1 named 'x' and seed 2 named '0'
+    src = os.path.join(HERE, os.pardir, "src")
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "pqc.cli", "analyze", demo("interleave.pqc"),
+             "--metric", "assert", "--precondition", "0,1,x"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: precondition state '0' "), done.stderr
 
 
 def test_analyze_precondition_needs_assert(capsys):

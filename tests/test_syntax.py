@@ -7,11 +7,14 @@ import sys
 import pytest
 
 from generators import rng, random_ast_program, random_term, random_type, random_value
+from pqc.circuits import Label
 from pqc.errors import NotAValue, ParseError
+from pqc.gates import default_registry
 from pqc.syntax import (
     App, Apply, ArrowT, BangT, BitT, Block, Box, BundleUnitT, CircT, DestBinder,
-    Force, GateRef, Ifz, Lam, Let, LetBinder, Lift, NatT, NatVal, Pair,
-    Program, QubitT, Ret, TensorT, UnitT, UnitVal, Var, parse_program,
+    BoxedVal, Force, GateRef, Ifz, Lam, LabelVal, Let, LetBinder, Lift, NatT,
+    NatVal, Pair, Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal,
+    Value, Var, parse_program,
     parse_term, parse_type, parse_value, show_program, show_term, show_type,
     show_value, tokenize, _Parser,
 )
@@ -210,6 +213,39 @@ def test_keywords_are_not_identifiers():
 def test_printer_spells_operators_back():
     src = "let x = apply(@H, q) in\nifz n then return x else f x"
     assert show_term(parse_term(src)) == src
+
+
+def test_str_of_every_syntax_class():
+    # the printer writes every node, atoms included; no class knows its text
+    lam = Lam("x", QubitT(), Ret(Var("x")))
+    cases = [
+        (UnitT(), "1"), (NatT(), "Nat"), (QubitT(), "Qubit"), (BitT(), "Bit"),
+        (BundleUnitT(), "I"),
+        (TensorT(QubitT(), TensorT(BitT(), UnitT())), "Qubit * Bit * 1"),
+        (ArrowT(TensorT(QubitT(), QubitT()), BitT(), BundleUnitT(), 2),
+         "Qubit * Qubit -o[I; 2] Bit"),
+        (BangT(ArrowT(QubitT(), QubitT(), QubitT())), "!(Qubit -o[Qubit] Qubit)"),
+        (CircT(QubitT(), BundleUnitT(), 3), "Circ[3](Qubit, I)"),
+        (UnitVal(), "*"), (NatVal(3), "3"), (Var("x"), "x"),
+        (LabelVal(Label(3)), "#3"), (GateRef("H"), "@H"),
+        (Pair(Var("a"), Pair(Var("b"), Var("c"))), "(a, b, c)"),
+        (lam, "\\x:Qubit. return x"), (Lift(Ret(UnitVal())), "lift return *"),
+        (BoxedVal(default_registry().boxed("H")), "<boxed circuit>"),
+        (Ret(NatVal(3)), "return 3"), (App(lam, Var("q")), "(\\x:Qubit. return x) q"),
+        (Block((LetBinder("y", Apply(GateRef("H"), Var("x"))),
+                DestBinder("a", "b", Var("p"))), Ret(Var("y"))),
+         "let y = apply(@H, x) in\ndest (a, b) = p in\nreturn y"),
+        (Ifz(NatVal(0), Ret(UnitVal()), Force(Var("f"))),
+         "ifz 0 then return * else force f"),
+        (Force(Var("f")), "force f"), (Box(QubitT(), Var("f")), "box[Qubit] f"),
+        (Apply(GateRef("CNOT"), Pair(Var("a"), Var("b"))), "apply(@CNOT, (a, b))"),
+        (Program((("q", QubitT()),), "g.pqcg", Ret(Var("q"))),
+         'inputs q:Qubit;\ngates "g.pqcg";\n\nreturn q\n'),
+    ]
+    classes = {c for base in (Type, Value, Term) for c in base.__subclasses__()}
+    assert {type(node) for node, _ in cases} == classes | {Program}
+    for node, text in cases:
+        assert str(node) == text
 
 
 def test_round_trip_suites():

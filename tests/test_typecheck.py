@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -6,12 +7,13 @@ from generators import rng, random_program
 from oracles import RightFoldChecker
 from pqc.algebras import ALGEBRAS, TRIVIAL, algebra, depth_bound
 from pqc.circuits import WireType, freshlabels, identity, label_supply
-from pqc.effects import infer_program_effect
+from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.errors import (
     BoxCapturesWires, LinearityViolation, MisplacedTerm, NotACircuit,
     NotAFunction, NotAParameter, ObjectMismatch, ParseError, PqcError,
     ShapeMismatch, TypecheckError, UnboundName,
 )
+from pqc.evaluator import evaluate_program
 from pqc.gates import default_registry
 from pqc.syntax import (
     parse_program, parse_term, parse_type, show_type, App, Apply, ArrowT,
@@ -286,6 +288,24 @@ def test_ifz_needs_nat():
 # --------------------------------------------------------------------------
 # configurations
 # --------------------------------------------------------------------------
+
+GATES = ALGEBRAS["gates"]
+ENTRY_POINTS = {
+    "check_program": lambda prog: check_program(prog, registry),
+    "infer_program_effect": lambda prog: infer_program_effect(prog, GATES, registry),
+    "evaluate_program": lambda prog: evaluate_program(prog, registry),
+    "verify_dynamic": lambda prog: verify_dynamic(prog, GATES, registry),
+}
+
+
+@pytest.mark.parametrize("ty", ["Nat", "Qubit * Qubit", "Qubit -o[I] Qubit"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_inputs_that_are_not_single_wires(entry, ty):
+    prog = parse_program(f"inputs p: {ty}; return p")
+    message = f"program inputs must be single wires; p has type {ty}"
+    with pytest.raises(ShapeMismatch, match=f"^{re.escape(message)}$"):
+        ENTRY_POINTS[entry](prog)
+
 
 def test_check_configuration_types_label_terms():
     ctx, bundle = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()), label_supply())
