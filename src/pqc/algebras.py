@@ -11,13 +11,19 @@ either the number of wires above ``e`` or a tuple of wire positions that are
 routed to the top, in that order, before ``e`` acts on the first of them. It
 touches only the part of ``eff`` that ``e`` consumes, plus a reordering of
 the wires when ``at`` routes them. There is no tensor of effects: read
-premonoidally, a layer is its gates in sequence, and
-``CircuitAlgebra.abstract`` folds a circuit one ``then_eff`` per gate. A
-permutation is a routing with nothing placed (``e`` the identity on no
-wires): a column gather for ``depth``, a relabelling of states for
-``assert``, nothing at all for ``width``. ``depth`` folds in place instead:
-its ``abstract`` owns one writable matrix and rewrites only the columns a
-gate consumes, so a gate costs no copy of the whole matrix.
+premonoidally, a layer is its gates in sequence.
+
+A circuit's image and a program's effect are the same fold: effects placed
+one step at a time on the wires each step consumes. Each algebra folds with
+one mutable accumulator (``fold``): started on the outer wires, it places an
+effect on the wires named by their handles and returns handles for the
+outputs, and it freezes into an ``Effect`` with the outputs in a given
+order. ``CircuitAlgebra.abstract`` drives it over a circuit's gates, where a
+permutation only reorders the handles, and the checker over a block's
+binders. The generic ``Fold`` places each step with ``then_eff``; ``width``
+keeps a live-wire count and a running peak; ``depth`` keeps one writable
+row per live wire and rewrites only the rows a step consumes. ``then_eff``
+stays the primitive the accumulators must agree with.
 
 Shipped algebras:
 
@@ -93,12 +99,14 @@ def routing(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class CircuitAlgebra:
-    """Interface of a circuit algebra, plus the generic ``abstract`` fold.
+    """Interface of a circuit algebra, plus ``abstract``, a fold over gates.
 
     Per algebra: objects (``obj_of``), identities, the one sequencing
-    primitive ``then_eff``, gate effects, and the order (``leq``, ``join``).
-    ``compose_eff`` derives from ``then_eff``, and so do a permutation (a
-    routing with nothing placed) and a layer (its gates in sequence).
+    primitive ``then_eff``, gate effects, the order (``leq``, ``join``) and
+    the fold accumulator (``fold``; the generic one places with
+    ``then_eff``). ``compose_eff`` derives from ``then_eff``, and so do a
+    permutation (a routing with nothing placed) and a layer (its gates in
+    sequence).
     """
 
     name = "?"
@@ -192,25 +200,83 @@ class CircuitAlgebra:
                 f"{what} needs equal endpoints: "
                 f"{e1.dom}→{e1.cod} vs {e2.dom}→{e2.cod}")
 
-    def abstract(self, c: Circuit, registry: Registry) -> Effect:
-        """The algebra's image of a circuit: a fold over its gates.
+    def fold(self, dom: Obj) -> "Fold":
+        """A fold accumulator started on the wires ``dom``."""
+        return Fold(self, dom)
 
-        A gate is placed after the wires above it. Gates that change the wire
-        count (init, discard) shift the later placements of their layer.
+    def abstract(self, c: Circuit, registry: Registry) -> Effect:
+        """The algebra's image of a circuit: its gates placed one by one on
+        the algebra's fold accumulator.
+
+        ``wires`` holds the handle of the wire at each position: a gate
+        takes the handles after the wires above it, and a permutation only
+        reorders them. Gates that change the wire count (init, discard)
+        shift the later placements of their layer.
         """
-        eff = self.identity_effect(self.obj_of(c.dom))
+        fold = self.fold(c.dom)
+        wires = fold.wires
         gate_effect = functools.cache(  # built once per gate name
             lambda name: self.gate_effect(registry.lookup(name)))
-        unit = self.identity_effect(self.obj_of(()))
         for step in c.steps:
             if isinstance(step, Perm):
-                eff = self.then_eff(eff, routing(step.perm), unit)
+                wires = [wires[i] for i in routing(step.perm)]
                 continue
             shift = 0
             for gate, at in step.placements:
-                eff = self.then_eff(eff, at + shift, gate_effect(gate.name))
-                shift += len(gate.cod) - len(gate.dom)
-        return eff
+                lo, d = at + shift, len(gate.dom)
+                wires[lo:lo + d] = fold.place(wires[lo:lo + d], gate_effect(gate.name))
+                shift += len(gate.cod) - d
+        return fold.freeze(wires)
+
+
+class Fold:
+    """The generic fold accumulator: a running effect, one ``then_eff`` per
+    step.
+
+    ``wires`` holds the handles of the outer wires ``dom``, in order.
+    ``place`` puts an effect on the wires of the given handles and returns
+    handles for its outputs (a consumed wire's may come back); ``freeze``
+    ends the fold with the outputs in the given order. A step is placed
+    where it stands when its wires are adjacent and in order, else routed
+    to the top. Algebras that ignore positions get no handles (``wires`` is
+    None).
+    """
+
+    def __init__(self, alg: CircuitAlgebra, dom: Obj):
+        self.alg = alg
+        self.eff = alg.identity_effect(alg.obj_of(dom))
+        self._cols = list(range(len(dom))) if alg.positional else None
+        self._next = len(dom)
+        self.wires = list(range(len(dom))) if alg.positional else None
+
+    def place(self, taken: list, e: Effect) -> list:
+        alg, cols = self.alg, self._cols
+        if cols is None:
+            self.eff = alg.then_eff(self.eff, 0, e)
+            return None
+        if e.cod == len(taken):
+            out = taken
+        else:
+            out = list(range(self._next, self._next + e.cod))
+            self._next += e.cod
+        lo = cols.index(taken[0]) if taken else len(cols)
+        if cols[lo:lo + len(taken)] == taken:  # in place, moving no other wire
+            self.eff = alg.then_eff(self.eff, lo, e)
+            if out is not taken:
+                cols[lo:lo + len(taken)] = out
+        else:
+            self.eff = alg.then_eff(self.eff, tuple(map(cols.index, taken)), e)
+            gone = set(taken)
+            self._cols = out + [w for w in cols if w not in gone]
+        return out
+
+    def freeze(self, order: list) -> Effect:
+        cols = self._cols
+        if cols is not None and order != cols:
+            alg = self.alg
+            self.eff = alg.then_eff(self.eff, tuple(map(cols.index, order)),
+                                    alg.identity_effect(alg.obj_of(())))
+        return self.eff
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +305,14 @@ class _ScalarAlgebra(CircuitAlgebra):
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect("*", "*", n)
+
+    def abstract(self, c, registry) -> Effect:
+        # positions do not matter, and sequencing adds: the gates' values
+        value = functools.cache(  # read once per gate name
+            lambda name: self.gate_effect(registry.lookup(name)).value)
+        return Effect("*", "*", sum(value(gate.name) for step in c.steps
+                                    if isinstance(step, Layer)
+                                    for gate, _ in step.placements))
 
 
 class GateCountAlgebra(_ScalarAlgebra):
@@ -312,6 +386,32 @@ class WidthAlgebra(CircuitAlgebra):
     def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect(len(dom), len(cod), n)
 
+    def fold(self, dom: Obj) -> "WidthFold":
+        return WidthFold(dom)
+
+
+class WidthFold:
+    """Width's fold accumulator: the live-wire count and the running peak.
+
+    Which wires a step takes does not matter, only how many it takes and
+    leaves, so the handles are placeholders. Freezing routes the outputs
+    into their order, and like every route it counts them: a width under
+    its wire count (a small ascribed bound) is raised to it.
+    """
+
+    def __init__(self, dom: Obj):
+        self.dom = self.live = self.peak = len(dom)
+        self.wires = [None] * len(dom)
+
+    def place(self, taken: list, e: Effect) -> list:
+        rest = self.live - e.dom
+        self.peak = max(self.peak, rest + e.value)
+        self.live = rest + e.cod
+        return [None] * e.cod
+
+    def freeze(self, order: list) -> Effect:
+        return Effect(self.dom, self.live, max(self.peak, self.live))
+
 
 # --------------------------------------------------------------------------
 # weighted depth (max-plus triples)
@@ -326,9 +426,12 @@ class DepthTriple:
     (input→sink), the last row is w (source→output), and the corner holds
     the paths from a created wire into a dead end (source→sink). ``a``,
     ``v`` (1 × dom) and ``w`` (cod × 1) are rendered from ``m`` on read.
+    ``weight`` is set on a gate's effect only: each of its inputs reaches
+    each of its outputs with that weight (see ``DepthAlgebra``).
     """
 
     m: np.ndarray
+    weight: Optional[float] = None
 
     def __eq__(self, other):
         return isinstance(other, DepthTriple) and np.array_equal(self.m, other.m)
@@ -376,8 +479,9 @@ def depth_bound(e: Effect) -> float:
     return b
 
 
-def _depth(dom: int, cod: int, m: np.ndarray) -> Effect:
-    return Effect(dom, cod, DepthTriple(_frozen(m)))
+def _depth(dom: int, cod: int, m: np.ndarray,
+           weight: Optional[float] = None) -> Effect:
+    return Effect(dom, cod, DepthTriple(_frozen(m), weight))
 
 
 class DepthAlgebra(CircuitAlgebra):
@@ -387,9 +491,9 @@ class DepthAlgebra(CircuitAlgebra):
     its outputs with the same weight, ``GateDef.depth``. A gate without
     inputs starts paths of that weight at its outputs (the source row), a
     gate without outputs ends them in the sink column, and a gate with
-    neither is a path of its own, in the corner. ``abstract`` relies
-    on this: a gate's outputs all get the max of the columns it consumes
-    plus its weight.
+    neither is a path of its own, in the corner. The fold (``DepthFold``)
+    relies on this: a gate's outputs all get the max of the rows it
+    consumes plus its weight.
     """
 
     name = "depth"
@@ -419,49 +523,8 @@ class DepthAlgebra(CircuitAlgebra):
         return _depth(eff.dom, left + e.cod + right,
                       np.hstack((m[:, :left], p[:, :-1], m[:, hi:k], p[:, -1:])))
 
-    def abstract(self, c: Circuit, registry: Registry) -> Effect:
-        """``CircuitAlgebra.abstract``, folded in place.
-
-        ``cols[j]`` is the matrix's column for wire j, held as a row:
-        the longest paths into the wire from each input and, last, from a
-        source. ``sink`` is the sink column. A gate rewrites only the rows
-        it consumes, a permutation gathers the rows, and only a gate that
-        changes the wire count builds a new ``cols``.
-        """
-        n = len(c.dom)
-        cols = np.full((n, n + 1), NEG_INF)
-        cols[range(n), range(n)] = 0.0
-        sink = np.full(n + 1, NEG_INF)
-        weight = functools.cache(  # read once per gate name
-            lambda name: _depth_weight(registry.lookup(name)))
-        for step in c.steps:
-            if isinstance(step, Perm):
-                cols = cols.take(routing(step.perm), axis=0)
-                continue
-            shift = 0
-            for gate, at in step.placements:
-                lo, d, k = at + shift, len(gate.dom), len(gate.cod)
-                if d == k == 1:
-                    cols[lo] += weight(gate.name)
-                    continue
-                if d:
-                    col = cols[lo:lo + d].max(axis=0)
-                    col += weight(gate.name)
-                else:
-                    col = np.full(n + 1, NEG_INF)
-                    col[n] = weight(gate.name)  # paths start at the gate
-                if not k:
-                    np.maximum(sink, col, out=sink)
-                if d == k:
-                    cols[lo:lo + d] = col
-                else:
-                    cols = np.concatenate(
-                        (cols[:lo], np.broadcast_to(col, (k, n + 1)), cols[lo + d:]))
-                    shift += k - d
-        m = np.empty((n + 1, len(cols) + 1))
-        m[:, :-1] = cols.T
-        m[:, -1] = sink
-        return _depth(n, len(cols), m)
+    def fold(self, dom: Obj) -> "DepthFold":
+        return DepthFold(dom)
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "depth leq")
@@ -473,12 +536,13 @@ class DepthAlgebra(CircuitAlgebra):
 
     def gate_effect(self, gdef: GateDef) -> Effect:
         d, c = len(gdef.gate.dom), len(gdef.gate.cod)
-        m = np.full((d + 1, c + 1), _depth_weight(gdef))
+        w = _depth_weight(gdef)
+        m = np.full((d + 1, c + 1), w)
         if c:
             m[:, c] = NEG_INF  # paths end in the outputs, not in a sink
         if d:
             m[d] = NEG_INF  # paths start at the inputs, not at a source
-        return _depth(d, c, m)
+        return _depth(d, c, m, w)
 
     def value_json(self, e: Effect):
         depth_bound(e)  # refuses entries that floats do not count exactly
@@ -486,7 +550,8 @@ class DepthAlgebra(CircuitAlgebra):
                 for row in e.value.m.tolist()]
         return {"A": [r[:-1] for r in rows[:-1]],
                 "v": [r[-1] for r in rows[:-1]],
-                "w": rows[-1][:-1]}
+                "w": rows[-1][:-1],
+                "s": rows[-1][-1]}
 
     def bound_of(self, e) -> float:
         return depth_bound(e)
@@ -497,6 +562,121 @@ class DepthAlgebra(CircuitAlgebra):
                 "depth bounds must stay below 2^53 to be counted exactly")
         return _depth(len(dom), len(cod),
                       np.full((len(dom) + 1, len(cod) + 1), float(n)))
+
+
+# From this many entries in a step's product, it loops over the outputs,
+# skipping the pairs no path joins, instead of over the consumed rows.
+_DEPTH_DENSE_ROWS = 4096
+
+
+class DepthFold:
+    """Depth's fold accumulator, in place.
+
+    ``rows`` holds one row per live wire, and a wire's handle is its row:
+    the longest paths into the wire from each outer wire and, last, from a
+    source. Row n (n outer wires) is the sink's: the paths into a dead end.
+    A step reads and rewrites only the rows it consumes, and the sink: a
+    gate's outputs all get the max of its rows plus its weight, any other
+    effect's outputs and sink the max-plus product of its rows with the
+    effect's matrix. A one-wire gate only adds its weight to the row's
+    ``lag``, which the row takes when it is next read. Rows of consumed
+    wires are reused, so there are as many as wires were ever live at once.
+    """
+
+    def __init__(self, dom: Obj):
+        n = self.n = len(dom)
+        self.rows = np.full((n + 1, n + 1), NEG_INF)
+        self.rows.flat[:n * (n + 2):n + 2] = 0.0  # each outer wire's own path
+        self.lag = [0.0] * (n + 1)
+        self.free: list[int] = []
+        # rows that still hold an outer wire's own path: an effect on these
+        # alone puts its matrix in place, with no product
+        self.unit = set(range(n))
+        self.wires = list(range(n))
+
+    def place(self, taken: list[int], e: Effect) -> list[int]:
+        t: DepthTriple = e.value
+        if t.weight is not None and e.dom == e.cod == 1:
+            self.lag[taken[0]] += t.weight
+            self.unit.discard(taken[0])
+            return taken
+        d, c, n = e.dom, e.cod, self.n
+        rows, lag, unit = self.rows, self.lag, self.unit
+        if not d and not c:  # paths from a source into a sink, if any
+            rows[n, n] = max(rows[n, n], t.m[0, 0])
+            return []
+        for r in taken:
+            if lag[r]:
+                rows[r] += lag[r]
+                lag[r] = 0.0
+        if t.weight is not None:
+            if d:
+                p = rows[taken[0]].copy()
+                for r in taken[1:]:
+                    np.maximum(p, rows[r], out=p)
+                p += t.weight
+            else:
+                p = np.full(n + 1, NEG_INF)
+                p[n] = t.weight  # paths start at the gate
+            if not c:
+                np.maximum(rows[n], p, out=rows[n])
+            new = [p] * c
+        else:
+            # rows of the outputs, then of the sink
+            g = t.m
+            if unit.issuperset(taken):
+                p = np.full((c + 1, n + 1), NEG_INF)
+                p[:, taken] = g[:d].T
+            elif (c + 1) * (n + 1) < _DEPTH_DENSE_ROWS:
+                p = g[0, :, None] + rows[taken[0]]
+                for i in range(1, d):
+                    np.maximum(p, g[i, :, None] + rows[taken[i]], out=p)
+            else:
+                p = self._sparse_product(g, taken)
+            np.maximum(p[:, n], g[d], out=p[:, n])  # sources born in e
+            np.maximum(rows[n], p[c], out=rows[n])
+            new = p[:c]
+        unit.difference_update(taken)
+        out = self._alloc(taken, c)
+        for r, row in zip(out, new):
+            self.rows[r] = row
+        return out
+
+    def _sparse_product(self, g: np.ndarray, taken: list[int]) -> np.ndarray:
+        """The max-plus product of ``g``'s input rows with the consumed
+        rows, one output at a time: each output takes only the consumed
+        rows that reach it, which are few in a wide, shallow effect."""
+        r = self.rows[taken]
+        outs, ins = np.nonzero(g[:len(taken)].T > NEG_INF)  # sorted by output
+        weights = g[ins, outs, None]
+        p = np.full((g.shape[1], self.n + 1), NEG_INF)
+        lo = 0
+        for j, hi in enumerate(np.searchsorted(outs, range(1, g.shape[1] + 1)).tolist()):
+            if lo < hi:
+                p[j] = (weights[lo:hi] + r[ins[lo:hi]]).max(axis=0)
+            lo = hi
+        return p
+
+    def _alloc(self, taken: list[int], c: int) -> list[int]:
+        """Rows for c outputs: consumed rows first, then free ones, then new."""
+        free = self.free
+        free += taken[c:]
+        out = taken[:c]
+        while len(out) < c:
+            if not free:  # twice the rows
+                k = len(self.rows)
+                self.rows = np.concatenate((self.rows, np.empty((k, self.n + 1))))
+                self.lag += [0.0] * k
+                free += range(k, 2 * k)
+            out.append(free.pop())
+        return out
+
+    def freeze(self, order: list[int]) -> Effect:
+        m = self.rows.take(order + [self.n], axis=0)
+        lag = [self.lag[r] for r in order]
+        if any(lag):
+            m[:-1] += np.array(lag)[:, None]
+        return _depth(self.n, len(order), m.T)
 
 
 # --------------------------------------------------------------------------

@@ -14,13 +14,13 @@ type checking is the same checker over ``TRIVIAL``, whose every effect is
 bound, so unannotated arrows, circuits and thunks need no ascription.
 
 A block of ``let`` and ``dest`` binders is inferred as a left fold, read in
-a loop the way ``abstract`` folds a circuit; in the paper's monadic reading
-a ``let`` is Kleisli composition. A running prefix effect runs from the
+a loop; in the paper's monadic reading a ``let`` is Kleisli composition.
+It is the fold ``abstract`` runs over a circuit's gates, on the same
+accumulator (``CircuitAlgebra.fold``): a running prefix effect from the
 entries the block has consumed so far to the wires live now. Each binder
-places its bound term's effect on the prefix, at the wires of the entries
-that term consumes, with the algebra's one primitive ``then_eff``; a
-``dest`` (or a ``let`` of a ``return``) only hands wires to new names, and
-the block's tail puts the outputs in its result's order once. Only
+places its bound term's effect on the wires of the entries that term
+consumes; a ``dest`` (or a ``let`` of a ``return``) only hands wires to new
+names, and the block's tail puts the outputs in its result's order once. Only
 bound terms recurse, so recursion goes as deep as terms nest, not as long
 as chains run, and each algebra's laws holding on the nose, the effect is
 the one a right fold (each binder composed with the whole rest) would give.
@@ -32,7 +32,6 @@ it captured, and tensors are pointwise; ``wires_of`` flattens it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -328,6 +327,8 @@ class EffectChecker:
         return {i for i in used if i < base}
 
     def _blocks_obj(self, indices: Sequence[int]) -> Obj:
+        if len(indices) == 1:
+            return self.ctx[indices[0]].wires
         return tuple(w for i in indices for w in self.ctx[i].wires)
 
     def _check_endpoints(self, m: Term, eff: Effect, dom: Obj, cod: Obj,
@@ -489,8 +490,11 @@ class EffectChecker:
                 if not isinstance(vt, TensorT):
                     raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
                 consume(u, order, None, 2)
-                self._bind(b.left, vt.left)
-                self._bind(b.right, vt.right)
+                # the right half's wires are the value's after the left's,
+                # so unpacking a long tuple does not walk its type each time
+                left = wires_of(vt.left)
+                self._bind(b.left, vt.left, left)
+                self._bind(b.right, vt.right, self._blocks_obj(order)[len(left):])
         ty, wires, u, order, e = self._leaf(tail)
         consume(u, order, e, 0)
 
@@ -515,53 +519,43 @@ class EffectChecker:
     def _fold(self, steps, outer: list[int]) -> Effect:
         """The effect of a block's steps, folded left to right.
 
-        The running prefix runs from the wires of ``outer``, the entries
-        from outside the block that it consumes (in context order), to the
-        wires now live. An outer entry is an idle wire from the start of
-        the block until a step consumes it, so width counts it beside every
-        earlier step. ``cols`` names the wire at each output position of the
-        prefix and ``live`` the wires of each live entry: a step finds its
-        wires by position and places its effect there with one ``then_eff``,
-        in place when they are adjacent and in order, else routed to the
-        top. Nothing is reordered to keep the outputs in context order; the
-        last step leaves only its own outputs, in its result's order.
+        The algebra's fold accumulator starts on the wires of ``outer``, the
+        entries from outside the block that it consumes (in context order):
+        an outer entry is an idle wire from the start of the block until a
+        step consumes it, so width counts it beside every earlier step.
+        ``live`` holds the handles of each live entry's wires. A step hands
+        its entries' handles and its effect to the accumulator, which places
+        the effect on those wires and returns handles for its outputs; a
+        step without an effect passes its handles on. Nothing is reordered
+        to keep the outputs in context order: the fold freezes once, with
+        the last step's outputs in its result's order. An algebra that
+        ignores positions hands out no handles, and then only the effects
+        are placed.
         """
-        alg, ctx = self.alg, self.ctx
-        unit = alg.identity_effect(alg.obj_of(()))
-        if not alg.positional:
-            eff = unit
+        ctx = self.ctx
+        fold = self.alg.fold(self._blocks_obj(outer))
+        wires = fold.wires
+        if wires is None:
             for _, e, _, _ in steps:
                 if e is not None:
-                    eff = alg.then_eff(eff, 0, e)
-            return eff
-        serial = itertools.count()
-        live = {i: [next(serial) for _ in ctx[i].wires] for i in outer}
-        cols = [w for i in outer for w in live[i]]
-        eff = alg.identity_effect(alg.obj_of(self._blocks_obj(outer)))
-        for k, (order, e, first, count) in enumerate(steps):
-            pos = {w: p for p, w in enumerate(cols)}
-            taken = [w for i in order for w in live.pop(i)]
-            at = tuple(pos[w] for w in taken)
-            if e is not None:
-                out = [next(serial) for _ in range(e.cod)]
-                lo = at[0] if at else len(cols)
-                if at == tuple(range(lo, lo + len(at))):
-                    # adjacent and in order: in place, moving no other wire
-                    eff = alg.then_eff(eff, lo, e)
-                    cols = cols[:lo] + out + cols[lo + len(at):]
-                else:
-                    eff = alg.then_eff(eff, at, e)
-                    gone = set(at)
-                    cols = out + [w for p, w in enumerate(cols) if p not in gone]
-            else:
-                out = taken
-                if k == len(steps) - 1 and at != tuple(range(len(cols))):
-                    eff = alg.then_eff(eff, at, unit)
-            for i in range(first, first + count):
+                    fold.place(None, e)
+            return fold.freeze(None)
+        live: dict[int, list] = {}
+
+        def deal(entries, handles: list) -> None:
+            at = 0
+            for i in entries:
                 if ctx[i].linear:
-                    n = len(ctx[i].wires)
-                    live[i], out = out[:n], out[n:]
-        return eff
+                    live[i] = handles[at:at + len(ctx[i].wires)]
+                    at += len(ctx[i].wires)
+
+        deal(outer, wires)
+        out: list = []
+        for order, e, first, count in steps:
+            taken = [w for i in order for w in live.pop(i)]
+            out = taken if e is None else fold.place(taken, e)
+            deal(range(first, first + count), out)
+        return fold.freeze(out)
 
     def _leaf(self, m: Term) -> tuple[Type, Obj, set[int], list[int], Optional[Effect]]:
         """A bound term or the tail of a block: its type and that type's wires,

@@ -126,9 +126,11 @@ def random_qubit_circuit(r: random.Random, max_wires: int = 3,
 class _Builder:
     """Grows a program as one block of binders over a linear context."""
 
-    def __init__(self, r: random.Random, assert_safe: bool, max_wires: int):
+    def __init__(self, r: random.Random, assert_safe: bool, max_wires: int,
+                 ascribed: bool = False):
         self.r = r
         self.assert_safe = assert_safe
+        self.ascribed = ascribed
         self.max_wires = max_wires
         self.fresh = 0
         self.binders: list = []     # the program's block, in order
@@ -150,9 +152,11 @@ class _Builder:
             moves.append("init")
         if not self.assert_safe:
             moves += ["meas", "discard"]
+        if self.ascribed:
+            moves += ["arrow", "circuit"]
         move = r.choice(moves)
-        if move in ("unary", "cnot", "ifz", "boxed", "meas", "discard") \
-                and not self.qubits:
+        if move in ("unary", "cnot", "ifz", "boxed", "meas", "discard",
+                    "arrow") and not self.qubits:
             move = "init" if len(self.qubits) < self.max_wires else "unary"
             if move == "unary":
                 return
@@ -204,6 +208,30 @@ class _Builder:
             self.binders.append(LetBinder(v, Block((boxing,), Apply(Var("c"), Var(x)))))
             self.qubits.append(v)
 
+        elif move == "arrow":
+            # a function ascribed a small bound, called on a gate's lambda:
+            # its body places the bound's coarsest effect
+            x = self.take_qubit()
+            v, a, f, y, z = (self.name(b) for b in ("q", "a", "f", "y", "z"))
+            arrow = ArrowT(QubitT(), QubitT(), BundleUnitT(), r.randint(1, 3))
+            call = Lam(a, TensorT(arrow, QubitT()),
+                       Block((DestBinder(f, y, Var(a)),), App(Var(f), Var(y))))
+            gate = Lam(z, QubitT(), Apply(GateRef(r.choice(("H", "X", "Z"))), Var(z)))
+            self.binders.append(LetBinder(v, App(call, Pair(gate, Var(x)))))
+            self.qubits.append(v)
+        elif move == "circuit":
+            # a lifted, unused function whose circuit argument is ascribed a
+            # bound below its two output wires; it returns them in or out of
+            # order
+            f, a, c, y, p, u, w = (self.name(b) for b in "facypuw")
+            outs = Pair(Var(w), Var(u)) if r.random() < 0.5 else Pair(Var(u), Var(w))
+            circ = CircT(QubitT(), TensorT(QubitT(), QubitT()), r.randint(0, 1))
+            body = Block((DestBinder(c, y, Var(a)),
+                          LetBinder(p, Apply(Var(c), Var(y))),
+                          DestBinder(u, w, Var(p))), Ret(outs))
+            fn = Lam(a, TensorT(circ, QubitT()), body)
+            self.binders.append(LetBinder(f, Ret(Lift(Ret(fn)))))
+
     def finish(self) -> Term:
         names = self.qubits + self.bits
         if not names:
@@ -218,9 +246,12 @@ class _Builder:
 
 
 def random_program(r: random.Random, assert_safe: bool = False,
-                   max_inputs: int = 3, steps: int | None = None) -> Program:
+                   max_inputs: int = 3, steps: int | None = None,
+                   ascribed: bool = False) -> Program:
+    """A random well-typed program; with ``ascribed``, it also calls
+    functions and holds circuits whose types are ascribed small bounds."""
     max_wires = 4 if assert_safe else 5
-    b = _Builder(r, assert_safe, max_wires)
+    b = _Builder(r, assert_safe, max_wires, ascribed)
     n_in = r.randint(0, max_inputs)
     inputs = tuple((f"in{i}", QubitT()) for i in range(n_in))
     b.qubits = [name for name, _ in inputs]

@@ -6,8 +6,10 @@ matching the whisker decomposition) and measure paths, live wires, or basis
 states directly. ``assert_cost_oracle`` reads an ``assert`` cost one
 precondition at a time, without the matrix evaluator. ``perm_effect_oracle``
 builds a permutation's effect directly, not by routing wires with
-``then_eff``. ``RightFoldChecker`` infers ``let`` and ``dest`` by the rules
-the checker's left fold replaced. ``StringAssertAlgebra`` is the ``assert``
+``then_eff``. ``then_eff_abstract`` and ``ThenEffFold`` are the folds the
+algebras' accumulators replaced: one ``then_eff`` per gate, per permutation
+and per binder, wires found by position. ``RightFoldChecker`` infers ``let``
+and ``dest`` by the rules the checker's left fold replaced. ``StringAssertAlgebra`` is the ``assert``
 algebra on basis strings and dicts, one state at a time, that the algebra
 on basis integers replaced. ``ValidatingBuilder`` is the circuit builder
 whose ``append`` looks every port up by label, builds both permutations
@@ -216,6 +218,88 @@ def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
             reach[int("0" + y, 2), int("0" + b, 2)] = True
         return Effect(k, k, AssertValue(reach, ()))
     return alg.identity_effect(alg.obj_of((WireType.QUBIT,) * k))
+
+
+def then_eff_abstract(alg: CircuitAlgebra, c: Circuit, registry: Registry) -> Effect:
+    """A circuit's image, one ``then_eff`` per gate and a routing with
+    nothing placed per permutation."""
+    eff = alg.identity_effect(alg.obj_of(c.dom))
+    unit = alg.identity_effect(alg.obj_of(()))
+    for step in c.steps:
+        if isinstance(step, Perm):
+            eff = alg.then_eff(eff, routing(step.perm), unit)
+            continue
+        shift = 0
+        for gate, at in step.placements:
+            eff = alg.then_eff(eff, at + shift, alg.gate_effect(registry.lookup(gate.name)))
+            shift += len(gate.cod) - len(gate.dom)
+    return eff
+
+
+class ThenEffFold:
+    """The fold accumulator's interface over ``then_eff``: each step's
+    wires found by position, the step placed where it stands when they are
+    adjacent and in order, else routed to the top; ``freeze`` always routes
+    the outputs into their order, the identity route included. Algebras
+    that ignore positions get no handles, as from ``CircuitAlgebra.fold``."""
+
+    def __init__(self, alg: CircuitAlgebra, dom, folding=None):
+        self.alg = alg
+        self.folding = folding  # a ThenEffFolding to count routed steps on
+        self.eff = alg.identity_effect(alg.obj_of(dom))
+        self.cols = list(range(len(dom)))
+        self.serial = len(dom)
+        self.wires = list(self.cols) if alg.positional else None
+
+    def _at(self, taken) -> tuple[int, ...]:
+        return tuple(self.cols.index(w) for w in taken)
+
+    def place(self, taken, e: Effect):
+        alg = self.alg
+        if self.wires is None:
+            self.eff = alg.then_eff(self.eff, 0, e)
+            return None
+        at = self._at(taken)
+        out = list(range(self.serial, self.serial + e.cod))
+        self.serial += e.cod
+        lo = at[0] if at else len(self.cols)
+        if at == tuple(range(lo, lo + len(at))):
+            self.eff = alg.then_eff(self.eff, lo, e)
+            self.cols[lo:lo + len(at)] = out
+        else:
+            self.eff = alg.then_eff(self.eff, at, e)
+            self.cols = out + [w for w in self.cols if w not in taken]
+            if self.folding is not None:
+                self.folding.routes += 1
+        return out
+
+    def freeze(self, order) -> Effect:
+        alg = self.alg
+        if self.wires is None:
+            return self.eff
+        return alg.then_eff(self.eff, self._at(order), alg.identity_effect(alg.obj_of(())))
+
+
+class ThenEffFolding:
+    """An algebra whose fold is ``ThenEffFold`` and whose ``abstract`` is
+    ``then_eff_abstract`` (``depth-naive`` keeps its own: its image counts
+    layers, not gates); everything else is ``alg``'s. ``routes`` counts
+    the steps its folds routed to the top."""
+
+    def __init__(self, alg: CircuitAlgebra):
+        self.alg = alg
+        self.routes = 0
+
+    def __getattr__(self, name):
+        return getattr(self.alg, name)
+
+    def fold(self, dom) -> ThenEffFold:
+        return ThenEffFold(self.alg, dom, self)
+
+    def abstract(self, c: Circuit, registry: Registry) -> Effect:
+        if self.alg.name == "depth-naive":
+            return self.alg.abstract(c, registry)
+        return then_eff_abstract(self.alg, c, registry)
 
 
 class RightFoldChecker(EffectChecker):

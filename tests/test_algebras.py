@@ -11,10 +11,10 @@ from generators import (
 )
 from oracles import (
     assert_cost_oracle, assert_sim_oracle, dag_depth_oracle, depth_paths_oracle,
-    perm_effect_oracle, width_cuts_oracle,
+    perm_effect_oracle, then_eff_abstract, width_cuts_oracle,
 )
 from pqc.algebras import (
-    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, CircuitAlgebra, Effect,
+    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, Effect,
     MaxCost, algebra, cost_eq, depth_bound, routing,
 )
 from pqc.circuits import (
@@ -305,8 +305,8 @@ DEPTH_FOLD_POOL = ("H", "CNOT", "meas", "init", "discard", "W0", "C3", "fan", "d
 
 
 def test_depth_fold_matches_generic_fold_and_paths_oracle():
-    # DepthAlgebra.abstract folds in place; the generic one-then_eff-per-gate
-    # fold and the path oracle are its references
+    # DepthAlgebra.abstract folds in place; the one-then_eff-per-gate fold
+    # and the path oracle are its references
     reg = registry.extended(parse_gate_spec(DEPTH_FOLD_SPEC))
     init, discard = reg.gate("init"), reg.gate("discard")
     closed = Circuit((Q,), (Layer(((init, 0),)), Layer(((H, 0),)), Layer(((H, 0),)),
@@ -318,7 +318,7 @@ def test_depth_fold_matches_generic_fold_and_paths_oracle():
                            for _ in range(300)]
     for c in circuits:
         e = DEPTH.abstract(c, reg)
-        generic = CircuitAlgebra.abstract(DEPTH, c, reg)
+        generic = then_eff_abstract(DEPTH, c, reg)
         assert e == generic, str(c)
         assert json.dumps(DEPTH.value_json(e)) == json.dumps(DEPTH.value_json(generic))
         check_paths_oracle(e, c, reg)

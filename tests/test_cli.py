@@ -253,6 +253,23 @@ def test_depth_bound_of_a_closed_path_counts_its_gates(capsys, tmp_path):
     assert json.loads(out)["dominated"] is True
 
 
+def test_depth_prints_the_closed_path_as_its_corner(capsys, tmp_path):
+    # the init -> H -> H -> H -> discard path touches neither the input nor
+    # the output: only the corner "s" shows it, on both sides of verify
+    path = tmp_path / "closed.pqc"
+    path.write_text("inputs q: Qubit; let q = apply(@H, q) in "
+                    "let p = apply(@init, *) in let p = apply(@H, p) in "
+                    "let p = apply(@H, p) in let p = apply(@H, p) in "
+                    "let u = apply(@discard, p) in return q\n")
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "depth")
+    assert code == 0
+    assert json.loads(out)["value"] == {"A": [[1]], "v": ["-inf"], "w": ["-inf"], "s": 3}
+    code, out, _ = run_cli(capsys, "verify", str(path), "--metric", "depth")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["static"]["s"] == doc["dynamic"]["s"] == 3
+
+
 def doubling(levels: int, tail: str) -> str:
     """H applied 2^levels times by doubling a lifted function, then ``tail``."""
     lines = ["inputs q: Qubit;",

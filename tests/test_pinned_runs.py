@@ -16,7 +16,9 @@ random-program suites it holds
   where the algebra rejects it (such as ``UnsupportedWire`` on bits under
   ``assert``). These were recorded before the algebras' two one-sided
   whiskers and their per-gate tensor gave way to one two-sided whisker, so
-  the image of every circuit and program must stay the same;
+  the image of every circuit and program must stay the same. They were
+  re-recorded once, when ``depth``'s ``value_json`` began to print the
+  matrix corner ``"s"``; without ``"s"`` they hash to the earlier pins;
 * under ``assert``, for ``abstract`` and ``infer`` alike (``"assert_costs"``),
   the sha256 of the costs ``apply`` reports on each single basis state, on
   all states and, up to 4 input qubits, on every subset of states. These
