@@ -13,17 +13,12 @@ touches only the part of ``eff`` that ``e`` consumes, plus a reordering of
 the wires when ``at`` routes them. There is no tensor of effects: read
 premonoidally, a layer is its gates in sequence.
 
-A circuit's image and a program's effect are the same fold: effects placed
-one step at a time on the wires each step consumes. Each algebra folds with
-one mutable accumulator (``fold``): started on the outer wires, it places an
-effect on the wires named by their handles and returns handles for the
-outputs, and it freezes into an ``Effect`` with the outputs in a given
-order. ``CircuitAlgebra.abstract`` drives it over a circuit's gates, where a
-permutation only reorders the handles, and the checker over a block's
-binders. The generic ``Fold`` places each step with ``then_eff``; ``width``
-keeps a live-wire count and a running peak; ``depth`` keeps one writable
-row per live wire and rewrites only the rows a step consumes. ``then_eff``
-stays the primitive the accumulators must agree with.
+A circuit's image and a program's effect are one fold, each step's effect
+placed on the wires it consumes, run on the algebra's mutable accumulator
+(``fold``): ``CircuitAlgebra.abstract`` drives it over a circuit's gates,
+the checker over a block's binders. The generic ``Fold`` places with
+``then_eff``; ``width`` keeps a count, and ``depth`` rewrites in place only
+the rows of the wires a step consumes.
 
 Shipped algebras:
 
@@ -103,10 +98,8 @@ class CircuitAlgebra:
 
     Per algebra: objects (``obj_of``), identities, the one sequencing
     primitive ``then_eff``, gate effects, the order (``leq``, ``join``) and
-    the fold accumulator (``fold``; the generic one places with
-    ``then_eff``). ``compose_eff`` derives from ``then_eff``, and so do a
-    permutation (a routing with nothing placed) and a layer (its gates in
-    sequence).
+    the fold accumulator (``fold``). ``compose_eff`` derives from
+    ``then_eff``, and so does the generic accumulator.
     """
 
     name = "?"
@@ -206,12 +199,9 @@ class CircuitAlgebra:
 
     def abstract(self, c: Circuit, registry: Registry) -> Effect:
         """The algebra's image of a circuit: its gates placed one by one on
-        the algebra's fold accumulator.
-
-        ``wires`` holds the handle of the wire at each position: a gate
-        takes the handles after the wires above it, and a permutation only
-        reorders them. Gates that change the wire count (init, discard)
-        shift the later placements of their layer.
+        the fold accumulator. ``wires`` holds the handle of the wire at each
+        position, which a permutation only reorders. Gates that change the
+        wire count (init, discard) shift the later placements of their layer.
         """
         fold = self.fold(c.dom)
         wires = fold.wires
@@ -231,39 +221,32 @@ class CircuitAlgebra:
 
 class Fold:
     """The generic fold accumulator: a running effect, one ``then_eff`` per
-    step.
+    step, in place when the step's wires are adjacent and in order, else
+    routed to the top.
 
-    ``wires`` holds the handles of the outer wires ``dom``, in order.
-    ``place`` puts an effect on the wires of the given handles and returns
-    handles for its outputs (a consumed wire's may come back); ``freeze``
-    ends the fold with the outputs in the given order. A step is placed
-    where it stands when its wires are adjacent and in order, else routed
-    to the top. Algebras that ignore positions get no handles (``wires`` is
-    None).
+    ``wires`` holds handles of the outer wires (None in algebras that ignore
+    positions). ``place(taken, e)`` puts ``e`` on the wires of those handles
+    and returns handles for its outputs; ``freeze(order)`` ends the fold
+    with the outputs in that order.
     """
 
     def __init__(self, alg: CircuitAlgebra, dom: Obj):
-        self.alg = alg
+        self.alg, self._next = alg, len(dom)
         self.eff = alg.identity_effect(alg.obj_of(dom))
         self._cols = list(range(len(dom))) if alg.positional else None
-        self._next = len(dom)
-        self.wires = list(range(len(dom))) if alg.positional else None
+        self.wires = None if self._cols is None else self._cols[:]
 
     def place(self, taken: list, e: Effect) -> list:
         alg, cols = self.alg, self._cols
         if cols is None:
             self.eff = alg.then_eff(self.eff, 0, e)
             return None
-        if e.cod == len(taken):
-            out = taken
-        else:
-            out = list(range(self._next, self._next + e.cod))
-            self._next += e.cod
+        out = taken if e.cod == len(taken) else list(range(self._next, self._next + e.cod))
+        self._next += e.cod
         lo = cols.index(taken[0]) if taken else len(cols)
         if cols[lo:lo + len(taken)] == taken:  # in place, moving no other wire
             self.eff = alg.then_eff(self.eff, lo, e)
-            if out is not taken:
-                cols[lo:lo + len(taken)] = out
+            cols[lo:lo + len(taken)] = out
         else:
             self.eff = alg.then_eff(self.eff, tuple(map(cols.index, taken)), e)
             gone = set(taken)
@@ -392,11 +375,9 @@ class WidthAlgebra(CircuitAlgebra):
 
 class WidthFold:
     """Width's fold accumulator: the live-wire count and the running peak.
-
-    Which wires a step takes does not matter, only how many it takes and
-    leaves, so the handles are placeholders. Freezing routes the outputs
-    into their order, and like every route it counts them: a width under
-    its wire count (a small ascribed bound) is raised to it.
+    Which wires a step takes does not matter, so handles are placeholders.
+    Freezing routes the outputs, and a route counts them: a width under its
+    wire count (a small ascribed bound) is raised to it.
     """
 
     def __init__(self, dom: Obj):
@@ -405,8 +386,7 @@ class WidthFold:
 
     def place(self, taken: list, e: Effect) -> list:
         rest = self.live - e.dom
-        self.peak = max(self.peak, rest + e.value)
-        self.live = rest + e.cod
+        self.peak, self.live = max(self.peak, rest + e.value), rest + e.cod
         return [None] * e.cod
 
     def freeze(self, order: list) -> Effect:
@@ -564,23 +544,19 @@ class DepthAlgebra(CircuitAlgebra):
                       np.full((len(dom) + 1, len(cod) + 1), float(n)))
 
 
-# From this many entries in a step's product, it loops over the outputs,
-# skipping the pairs no path joins, instead of over the consumed rows.
-_DEPTH_DENSE_ROWS = 4096
-
-
 class DepthFold:
     """Depth's fold accumulator, in place.
 
     ``rows`` holds one row per live wire, and a wire's handle is its row:
     the longest paths into the wire from each outer wire and, last, from a
     source. Row n (n outer wires) is the sink's: the paths into a dead end.
-    A step reads and rewrites only the rows it consumes, and the sink: a
-    gate's outputs all get the max of its rows plus its weight, any other
-    effect's outputs and sink the max-plus product of its rows with the
-    effect's matrix. A one-wire gate only adds its weight to the row's
-    ``lag``, which the row takes when it is next read. Rows of consumed
-    wires are reused, so there are as many as wires were ever live at once.
+    A step rewrites only the rows it consumes, and the sink: a gate's
+    outputs all get the max of its rows plus its weight, and a one-wire
+    gate only adds its weight to the row's ``lag``, which the row takes
+    when it is next read. Any other effect's outputs and sink get the
+    max-plus product of its rows with its matrix, which is the matrix
+    itself while the rows are still outer wires' own (``unit``). Rows of
+    consumed wires are reused.
     """
 
     def __init__(self, dom: Obj):
@@ -588,87 +564,49 @@ class DepthFold:
         self.rows = np.full((n + 1, n + 1), NEG_INF)
         self.rows.flat[:n * (n + 2):n + 2] = 0.0  # each outer wire's own path
         self.lag = [0.0] * (n + 1)
-        self.free: list[int] = []
-        # rows that still hold an outer wire's own path: an effect on these
-        # alone puts its matrix in place, with no product
-        self.unit = set(range(n))
-        self.wires = list(range(n))
+        self.free, self.unit, self.wires = [], set(range(n)), list(range(n))
 
     def place(self, taken: list[int], e: Effect) -> list[int]:
         t: DepthTriple = e.value
-        if t.weight is not None and e.dom == e.cod == 1:
-            self.lag[taken[0]] += t.weight
+        d, c, n, rows, lag = e.dom, e.cod, self.n, self.rows, self.lag
+        if t.weight is not None and d == c == 1:
+            lag[taken[0]] += t.weight
             self.unit.discard(taken[0])
             return taken
-        d, c, n = e.dom, e.cod, self.n
-        rows, lag, unit = self.rows, self.lag, self.unit
-        if not d and not c:  # paths from a source into a sink, if any
-            rows[n, n] = max(rows[n, n], t.m[0, 0])
-            return []
         for r in taken:
             if lag[r]:
                 rows[r] += lag[r]
                 lag[r] = 0.0
-        if t.weight is not None:
-            if d:
-                p = rows[taken[0]].copy()
-                for r in taken[1:]:
-                    np.maximum(p, rows[r], out=p)
-                p += t.weight
-            else:
-                p = np.full(n + 1, NEG_INF)
-                p[n] = t.weight  # paths start at the gate
-            if not c:
-                np.maximum(rows[n], p, out=rows[n])
-            new = [p] * c
-        else:
-            # rows of the outputs, then of the sink
-            g = t.m
-            if unit.issuperset(taken):
+        if t.weight is not None and d:
+            q = rows[taken[0]].copy()
+            for r in taken[1:]:
+                np.maximum(q, rows[r], out=q)
+            q += t.weight
+            new, sink = [q] * c, None if c else q
+        else:  # rows of the outputs, then of the sink
+            if self.unit.issuperset(taken):  # so too when e takes no wires
                 p = np.full((c + 1, n + 1), NEG_INF)
-                p[:, taken] = g[:d].T
-            elif (c + 1) * (n + 1) < _DEPTH_DENSE_ROWS:
-                p = g[0, :, None] + rows[taken[0]]
-                for i in range(1, d):
-                    np.maximum(p, g[i, :, None] + rows[taken[i]], out=p)
+                p[:, taken] = t.m[:d].T
             else:
-                p = self._sparse_product(g, taken)
-            np.maximum(p[:, n], g[d], out=p[:, n])  # sources born in e
-            np.maximum(rows[n], p[c], out=rows[n])
-            new = p[:c]
-        unit.difference_update(taken)
-        out = self._alloc(taken, c)
-        for r, row in zip(out, new):
-            self.rows[r] = row
-        return out
-
-    def _sparse_product(self, g: np.ndarray, taken: list[int]) -> np.ndarray:
-        """The max-plus product of ``g``'s input rows with the consumed
-        rows, one output at a time: each output takes only the consumed
-        rows that reach it, which are few in a wide, shallow effect."""
-        r = self.rows[taken]
-        outs, ins = np.nonzero(g[:len(taken)].T > NEG_INF)  # sorted by output
-        weights = g[ins, outs, None]
-        p = np.full((g.shape[1], self.n + 1), NEG_INF)
-        lo = 0
-        for j, hi in enumerate(np.searchsorted(outs, range(1, g.shape[1] + 1)).tolist()):
-            if lo < hi:
-                p[j] = (weights[lo:hi] + r[ins[lo:hi]]).max(axis=0)
-            lo = hi
-        return p
-
-    def _alloc(self, taken: list[int], c: int) -> list[int]:
-        """Rows for c outputs: consumed rows first, then free ones, then new."""
-        free = self.free
-        free += taken[c:]
+                p = t.m[0, :, None] + rows[taken[0]]
+                for i in range(1, d):
+                    np.maximum(p, t.m[i, :, None] + rows[taken[i]], out=p)
+            np.maximum(p[:, n], t.m[d], out=p[:, n])  # sources born in e
+            new, sink = p[:c], p[c]
+        if sink is not None:
+            np.maximum(rows[n], sink, out=rows[n])
+        self.unit.difference_update(taken)
+        self.free += taken[c:]
         out = taken[:c]
         while len(out) < c:
-            if not free:  # twice the rows
+            if not self.free:  # twice the rows
                 k = len(self.rows)
-                self.rows = np.concatenate((self.rows, np.empty((k, self.n + 1))))
+                self.rows = np.concatenate((self.rows, np.empty((k, n + 1))))
                 self.lag += [0.0] * k
-                free += range(k, 2 * k)
-            out.append(free.pop())
+                self.free += range(k, 2 * k)
+            out.append(self.free.pop())
+        for r, row in zip(out, new):
+            self.rows[r] = row
         return out
 
     def freeze(self, order: list[int]) -> Effect:

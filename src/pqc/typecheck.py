@@ -327,8 +327,6 @@ class EffectChecker:
         return {i for i in used if i < base}
 
     def _blocks_obj(self, indices: Sequence[int]) -> Obj:
-        if len(indices) == 1:
-            return self.ctx[indices[0]].wires
         return tuple(w for i in indices for w in self.ctx[i].wires)
 
     def _check_endpoints(self, m: Term, eff: Effect, dom: Obj, cod: Obj,
@@ -490,11 +488,8 @@ class EffectChecker:
                 if not isinstance(vt, TensorT):
                     raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
                 consume(u, order, None, 2)
-                # the right half's wires are the value's after the left's,
-                # so unpacking a long tuple does not walk its type each time
-                left = wires_of(vt.left)
-                self._bind(b.left, vt.left, left)
-                self._bind(b.right, vt.right, self._blocks_obj(order)[len(left):])
+                self._bind(b.left, vt.left)
+                self._bind(b.right, vt.right)
         ty, wires, u, order, e = self._leaf(tail)
         consume(u, order, e, 0)
 
@@ -523,14 +518,10 @@ class EffectChecker:
         entries from outside the block that it consumes (in context order):
         an outer entry is an idle wire from the start of the block until a
         step consumes it, so width counts it beside every earlier step.
-        ``live`` holds the handles of each live entry's wires. A step hands
-        its entries' handles and its effect to the accumulator, which places
-        the effect on those wires and returns handles for its outputs; a
-        step without an effect passes its handles on. Nothing is reordered
-        to keep the outputs in context order: the fold freezes once, with
-        the last step's outputs in its result's order. An algebra that
-        ignores positions hands out no handles, and then only the effects
-        are placed.
+        ``live`` holds the handles of each live entry's wires; a step places
+        its effect on its entries' handles and deals the handles it gets
+        back to the entries it binds (a step without an effect passes its
+        handles on). The fold freezes once, in the last step's output order.
         """
         ctx = self.ctx
         fold = self.alg.fold(self._blocks_obj(outer))

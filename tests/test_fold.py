@@ -209,7 +209,8 @@ def test_accumulator_matches_the_then_eff_fold_on_any_effects(name):
 
 
 def test_wide_depth_effects_match_the_then_eff_fold():
-    # wide enough that a product skips the pairs no path joins
+    # wide effects, sparse and dense, the first on the outer wires' own rows,
+    # with more outputs than the accumulator has rows, so that it grows
     depth = algebra("depth")
     r = rng("fold-wide")
     for density in (0.02, 0.2, 1.0):
