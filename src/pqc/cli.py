@@ -10,6 +10,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 a requested check did not hold (bound exceeded,
 verification failed), 2 malformed input or any other error.
+
+``analyze`` runs the checker once, over the chosen algebra; only when that
+pass fails does it run the plain checker, so a program reports the error it
+would report if the plain checker ran first. ``verify`` still runs both:
+``check_program`` and the inference inside ``verify_dynamic``.
 """
 
 from __future__ import annotations
@@ -63,12 +68,70 @@ def _effect_json(alg: CircuitAlgebra, eff) -> dict:
 
 def _parse_precondition(text: str, eff) -> frozenset:
     states = [s.strip() for s in text.split(",") if s.strip()]
+    if not states:
+        raise PqcError("--precondition names no basis state")
     for s in states:  # in the order given, so the first bad one is named
         if len(s) != eff.dom or any(ch not in "01" for ch in s):
             raise PqcError(
                 f"precondition state {s!r} is not a basis state on "
                 f"{eff.dom} qubits")
     return frozenset(states)
+
+
+def _chunks(x, outer: str = ""):
+    """The pieces of ``json.dumps(x, indent=2)``, its lines after the first
+    indented by ``outer``.
+
+    Dicts with string keys are walked here and lists of strings that need no
+    escaping are written with one join; everything else goes to ``json.dumps``.
+    """
+    ind = outer + "  "
+    if isinstance(x, dict) and x and all(isinstance(k, str) for k in x):
+        sep = "{\n"
+        for k, v in x.items():
+            yield sep + ind + json.dumps(k) + ": "
+            yield from _chunks(v, ind)
+            sep = ",\n"
+        yield "\n" + outer + "}"
+        return
+    if isinstance(x, list):
+        try:
+            row = "".join(x)
+        except TypeError:  # not all strings
+            row = ""
+        # isascii reads a flag and bytes.isalnum scans at C speed; an empty
+        # row is not alnum, so [] and [""] go to json.dumps
+        if row.isascii() and row.encode().isalnum():
+            yield "[\n" + ind + '"'
+            yield ('",\n' + ind + '"').join(x)
+            yield '"\n' + outer + "]"
+            return
+    if isinstance(x, (dict, list, tuple)):
+        # JSON text holds no raw newline inside a string
+        yield json.dumps(x, indent=2).replace("\n", "\n" + outer)
+    else:  # indent shapes only containers; this takes the C encoder
+        yield json.dumps(x)
+
+
+def _print(doc) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to stdout, piece by
+    piece: a dense assert document holds hundreds of thousands of strings."""
+    sys.stdout.writelines(_chunks(doc))
+    sys.stdout.write("\n")
+
+
+def _infer(prog: Program, alg: CircuitAlgebra, registry: Registry):
+    """The program's type and effect over ``alg``, in one checker pass.
+
+    The checker over an algebra accepts nothing it rejects over ``TRIVIAL``,
+    but may reject a program for another reason first; the plain checker's
+    error then wins, as if it had run first.
+    """
+    try:
+        return infer_program_effect(prog, alg, registry)
+    except (PqcError, RecursionError):
+        check_program(prog, registry)
+        raise
 
 
 def cmd_check(args) -> int:
@@ -87,9 +150,9 @@ def cmd_check(args) -> int:
         ok = alg.bound_of(eff) <= args.bound
         doc["bound"] = args.bound
         doc["within_bound"] = ok
-        print(json.dumps(doc, indent=2))
+        _print(doc)
         return 0 if ok else 1
-    print(json.dumps(doc, indent=2))
+    _print(doc)
     return 0
 
 
@@ -101,11 +164,11 @@ def cmd_run(args) -> int:
         with open(args.emit_circuit, "wb") as f:
             f.write(serialize(circuit))
     if args.json:
-        print(json.dumps({
+        _print({
             "circuit": circuit_doc(circuit),
             "outputs": [[str(l), str(t)] for l, t in out_ctx],
             "value": show_value(value),
-        }, indent=2))
+        })
     else:
         print(draw(circuit))
         outs = ", ".join(f"{l}:{t}" for l, t in out_ctx)
@@ -116,12 +179,12 @@ def cmd_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     prog, registry = _load(args.file, args.gates)
-    check_program(prog, registry)
     alg = ALGEBRAS[args.metric]
     if not isinstance(alg, AssertAlgebra) and (
             args.precondition is not None or args.restrict is not None):
+        check_program(prog, registry)
         raise PqcError("--precondition/--restrict need --metric assert")
-    _, eff = infer_program_effect(prog, alg, registry)
+    _, eff = _infer(prog, alg, registry)
     doc = _effect_json(alg, eff)
     if isinstance(alg, AssertAlgebra):
         if args.precondition is not None:
@@ -140,7 +203,7 @@ def cmd_analyze(args) -> int:
         doc["post"] = basis_strings(
             np.flatnonzero(post.reshape(1 << kept, -1).any(axis=1)), kept)
         doc["cost"] = cost
-    print(json.dumps(doc, indent=2))
+    _print(doc)
     return 0
 
 
@@ -149,7 +212,7 @@ def cmd_verify(args) -> int:
     check_program(prog, registry)
     alg = ALGEBRAS[args.metric]
     report = verify_dynamic(prog, alg, registry, fuel=args.fuel)
-    print(json.dumps(report.to_json(alg), indent=2))
+    _print(report.to_json(alg))
     return 0 if report.dominated else 1
 
 

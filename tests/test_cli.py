@@ -1,17 +1,22 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+from generators import random_ast_program, rng
 from pqc import cli
 from pqc.algebras import ALGEBRAS
 from pqc.circuits import WireType, deserialize
 from pqc.cli import main
+from pqc.effects import infer_program_effect
+from pqc.errors import PqcError, ShapeMismatch, UnsupportedWire
 from pqc.gates import default_registry
-from pqc.syntax import parse_program, parse_value
+from pqc.syntax import parse_program, parse_value, show_program
+from pqc.typecheck import check_program
 
 registry = default_registry()
 
@@ -137,6 +142,8 @@ BAD_INPUTS = {
                  id="depth-bound-too-large"),
     pytest.param(["analyze", "interleave.pqc", "--metric", "assert",
                   "--precondition", "0x1"], 2, None, id="bad-precondition"),
+    pytest.param(["analyze", "interleave.pqc", "--metric", "assert",
+                  "--precondition", ","], 2, None, id="empty-precondition"),
     pytest.param(["analyze", "lnn.pqc", "--metric", "assert", "--restrict", "-1"],
                  2, None, id="restrict-negative"),
     pytest.param(["analyze", "lnn.pqc", "--metric", "assert", "--restrict", "5"],
@@ -323,9 +330,12 @@ def test_analyze_assert_precondition(capsys):
 
 
 def test_analyze_bad_precondition(capsys):
-    code, _, err = run_cli(capsys, "analyze", demo("interleave.pqc"),
-                           "--metric", "assert", "--precondition", "0x1")
-    assert code == 2 and "basis state" in err
+    # an empty precondition would print no post states and cost 0, as if
+    # every gate could be removed
+    for pre in ("0x1", ",", "", " , "):
+        code, out, err = run_cli(capsys, "analyze", demo("interleave.pqc"),
+                                 "--metric", "assert", "--precondition", pre)
+        assert code == 2 and out == "" and "basis state" in err, pre
 
 
 def test_bad_precondition_named_in_the_order_given():
@@ -381,3 +391,149 @@ def test_extra_gates_flag(capsys, tmp_path):
                            "--gates", str(spec), "--metric", "gates")
     assert code == 0
     assert json.loads(out)["value"] == 3
+
+
+# --------------------------------------------------------------------------
+# analyze runs the checker once
+# --------------------------------------------------------------------------
+
+# Inference over assert rejects the Bit wire before the application; the
+# plain checker rejects the application, and analyze reports that error.
+SHAPE_MISMATCH = "inputs; (\\f:Bit. return f) lift box[1] @CNOT\n"
+
+
+def test_one_pass_reports_the_plain_checkers_error(capsys, tmp_path):
+    path = tmp_path / "shape.pqc"
+    path.write_text(SHAPE_MISMATCH)
+    prog, reg = cli._load(str(path), None)
+    with pytest.raises(UnsupportedWire):
+        infer_program_effect(prog, ALGEBRAS["assert"], reg)
+    with pytest.raises(ShapeMismatch) as want:
+        check_program(prog, reg)
+    code, out, err = run_cli(capsys, "analyze", str(path), "--metric", "assert")
+    assert code == 2 and out == ""
+    assert err == f"error: {want.value}\n"
+
+
+def test_one_pass_raises_what_the_checker_raises(capsys, tmp_path):
+    """Whenever the plain checker rejects a program, analyze under every
+    metric fails with the same error class and message."""
+    (tmp_path / "extra_gates.pqcg").write_text("gate g : Qubit -> Qubit\ncount 1\n")
+    r = rng("cli-one-pass")
+    rejected = 0
+    for case in range(300):
+        path = tmp_path / f"case{case}.pqc"
+        path.write_text(show_program(random_ast_program(r)))
+        prog, reg = cli._load(str(path), None)
+        try:
+            check_program(prog, reg)
+            continue
+        except PqcError as e:
+            want = e
+        rejected += 1
+        for m in sorted(ALGEBRAS):
+            with pytest.raises(PqcError) as got:
+                cli._infer(prog, ALGEBRAS[m], reg)
+            assert (type(got.value), str(got.value)) == (type(want), str(want))
+            code, _, err = run_cli(capsys, "analyze", str(path), "--metric", m)
+            assert code == 2 and err == f"error: {want}\n"
+    assert rejected > 100
+
+
+# --------------------------------------------------------------------------
+# the JSON printer
+# --------------------------------------------------------------------------
+
+ODD_STRINGS = ['"', "\\", "a\nb", "\t", "\x7f", "\u00e9", "\u2028", "\ud800", "",
+               "01", "-inf", "a b"]
+
+
+def printed(capsys, doc) -> str:
+    cli._print(doc)
+    return capsys.readouterr().out
+
+
+def random_doc(r: random.Random, depth: int = 3):
+    kind = r.randrange(9 if depth else 5)
+    if kind == 0:
+        return r.choice(ODD_STRINGS + ["0110", "q"])
+    if kind == 1:
+        return r.choice([0, -3, 2**70, 1.5, -0.0, 1e300, float("inf")])
+    if kind == 2:
+        return r.choice([True, False, None])
+    if kind == 3:  # basis strings, sometimes spoiled by one odd entry
+        n = r.randint(0, 3)
+        row = [format(r.randrange(1 << n), f"0{n}b") for _ in range(r.randint(0, 5))]
+        if row and r.random() < 0.4:
+            row[r.randrange(len(row))] = r.choice(ODD_STRINGS + [7, None, ["0"]])
+        return row
+    if kind == 4:
+        return r.choice([[], {}, [""], ["", ""], ["0", 1, 2]])
+    if kind in (5, 6):
+        return [random_doc(r, depth - 1) for _ in range(r.randint(0, 4))]
+    keys = [r.choice(ODD_STRINGS + ["rows", "00", "post"]) for _ in range(r.randint(0, 4))]
+    if kind == 8:  # keys json.dumps turns into strings itself
+        keys.append(r.choice([0, 5, True, False, None, 2.5]))
+    return {k: random_doc(r, depth - 1) for k in keys}
+
+
+@pytest.mark.parametrize("doc", [
+    [""], [], {}, ["0", 1, 2], ["01", "", "10"], ["0", "\""], ["\u00e9"],
+    [["0", "1"], ["1"]], 7, 1.5, True, None, "x\ny",
+    {1: ["0"]}, {True: 1, "a": 2}, {None: {}}, {"a": {2: ["01"]}},
+    {"rows": {"00": ["00", "11"], "01": [], "10": [""]}, "cost": 3},
+    {"\"": ["\t"], "\u00e9": {"x": [1, ["0"]]}}, ("0", "1"), {"t": (1, ["0"])},
+])
+def test_printer_is_json_dumps_on_edge_cases(capsys, doc):
+    assert printed(capsys, doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_printer_is_json_dumps_on_random_documents(capsys):
+    r = rng("cli-printer")
+    for _ in range(2000):
+        doc = random_doc(r)
+        assert printed(capsys, doc) == json.dumps(doc, indent=2) + "\n", doc
+
+
+def _assert_programs() -> list:
+    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.assert_family(random.Random(1))
+
+
+def test_printer_is_json_dumps_on_what_the_cli_prints(capsys, monkeypatch, tmp_path):
+    docs = []
+    print_ = cli._print
+
+    def spy(doc):
+        docs.append(doc)
+        print_(doc)
+    monkeypatch.setattr(cli, "_print", spy)
+
+    runs = []
+    for name in ("bell.pqc", "interleave.pqc", "boxing.pqc", "lnn.pqc"):
+        runs.append(["run", demo(name), "--json"])
+        for m in sorted(ALGEBRAS):
+            runs += [["check", demo(name), "--metric", m, "--bound", "3"],
+                     ["analyze", demo(name), "--metric", m],
+                     ["verify", demo(name), "--metric", m]]
+    runs += [["analyze", demo("interleave.pqc"), "--metric", "assert",
+              "--precondition", "00,11"],
+             ["analyze", demo("lnn.pqc"), "--metric", "assert", "--restrict", "2"]]
+    for c in _assert_programs():
+        path = tmp_path / f"{c.name}.pqc"
+        path.write_text(c.text)
+        runs += [[cmd, str(path), "--metric", "assert"] for cmd, _ in c.ops]
+        runs.append(["analyze", str(path), "--metric", "assert",
+                     "--precondition", "0" * c.wires])
+    longest = 0
+    for argv in runs:
+        n = len(docs)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1) and len(docs) == n + 1, argv
+        assert out == json.dumps(docs[-1], indent=2) + "\n", argv
+        longest = max(longest, len(out))
+    assert longest > 5 * 10**6  # the dense 9-qubit rows
