@@ -75,7 +75,6 @@ from .gates import (
     GateDef,
     Registry,
     default_registry,
-    derive_assert_row,
     load_gate_spec,
     parse_gate_spec,
 )

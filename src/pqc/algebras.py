@@ -65,8 +65,8 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .circuits import Circuit, Layer, Obj, Perm, WireType
-from .errors import EffectError, EffectObjectMismatch, UnsupportedWire
-from .gates import GateDef, Registry, derive_assert_row
+from .errors import EffectError, EffectObjectMismatch, UnknownUnitary, UnsupportedWire
+from .gates import GateDef, Registry
 from .tropical import NEG_INF, TropicalMatrix, maxplus
 
 
@@ -944,8 +944,12 @@ class AssertAlgebra(CircuitAlgebra):
         _require_qubits(d)
         reach = np.zeros((1 << c, 1 << d), dtype=bool)
         g = np.zeros(1 << d, dtype=np.int64)
-        rows = [derive_assert_row(gdef, b) for b in _bitstrings(d)]
-        for b, (post, cost) in enumerate(rows):
+        rows = gdef.rows or {}
+        for b, s in enumerate(_bitstrings(d)):
+            if s not in rows:
+                raise UnknownUnitary(
+                    f"gate {gdef.name} has no assertion row for input {s!r}")
+            post, cost = rows[s]
             reach[:, b] = basis_row(post, c)
             g[b] = _weight(cost)
         return Effect(d, c, AssertValue(reach, _stage(g)))

@@ -11,10 +11,11 @@ Subcommands::
 Exit codes: 0 success, 1 a requested check did not hold (bound exceeded,
 verification failed), 2 malformed input or any other error.
 
-``analyze`` runs the checker once, over the chosen algebra; only when that
-pass fails does it run the plain checker, so a program reports the error it
-would report if the plain checker ran first. ``verify`` still runs both:
-``check_program`` and the inference inside ``verify_dynamic``.
+``check --metric`` and ``analyze`` run the checker once, over the chosen
+algebra; only when that pass fails do they run the plain checker, so a
+program reports the error it would report if the plain checker ran first.
+``verify`` still runs both: ``check_program`` and the inference inside
+``verify_dynamic``.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def _infer(prog: Program, alg: CircuitAlgebra, registry: Registry):
 
 def cmd_check(args) -> int:
     prog, registry = _load(args.file, args.gates)
-    ty = check_program(prog, registry)
     if args.metric is None:
+        ty = check_program(prog, registry)
         if args.bound is not None:
             raise PqcError("--bound needs --metric")
         print(f"ok: {show_type(ty)}")
         return 0
     alg = ALGEBRAS[args.metric]
-    _, eff = infer_program_effect(prog, alg, registry)
+    ty, eff = _infer(prog, alg, registry)
     doc = _effect_json(alg, eff)
     doc["type"] = show_type(ty)
     if args.bound is not None:

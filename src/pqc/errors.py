@@ -47,7 +47,7 @@ class UnknownGate(CircuitError):
 
 
 class UnknownUnitary(CircuitError):
-    """Assertion rows requested for a gate with no known basis behaviour."""
+    """An assertion row requested at an input where the gate declares none."""
 
 
 # --- algebra ---------------------------------------------------------------

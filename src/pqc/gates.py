@@ -18,10 +18,11 @@ and optional properties: ``count`` (gate-count weight, default 1), ``depth``
 one input basis string to a postset and a cost. Redeclaring a known name
 overrides it, so a file can also re-weight builtin gates.
 
-Assertion rows for builtin unitaries are derived from their computational
-basis behaviour: the row for basis state ``b`` has postset = support of the
-image of ``b`` and cost 0 exactly when the gate fixes ``b`` up to global
-phase (so Z is removable on classical states), else the gate's count weight.
+The builtin unitaries declare their assertion rows as spec gates do. A row
+at ``b`` has postset = support of U|b⟩ and cost 0 exactly when U maps |b⟩ to
+|b⟩ itself, not merely up to a phase: Z costs 1 at ``1``, since Z|1⟩ = −|1⟩.
+So a gate application of cost 0 is the identity on the span of the states
+that reach it, and an optimizer may drop it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .circuits import BoxedCircuit, Circuit, Gate, Layer, WireType, box_circuit, spine
-from .errors import ParseError, UnknownGate, UnknownUnitary
+from .errors import ParseError, UnknownGate
 
 Rows = Mapping[str, tuple[frozenset[str], int]]
 
@@ -43,27 +44,11 @@ class GateDef:
     gate: Gate
     count: int = 1
     depth: int = 1
-    basis: Mapping[str, frozenset[str]] | None = None
     rows: Rows | None = None
 
     @property
     def name(self) -> str:
         return self.gate.name
-
-
-def derive_assert_row(gdef: GateDef, b: str) -> tuple[frozenset[str], int]:
-    """Assertion row of a gate at one input basis string.
-
-    Declared rows win; otherwise the row is derived from the gate's known
-    basis behaviour. Raises UnknownUnitary when neither is available.
-    """
-    if gdef.rows is not None and b in gdef.rows:
-        return gdef.rows[b]
-    if gdef.basis is not None and b in gdef.basis:
-        post = gdef.basis[b]
-        return post, 0 if post == frozenset({b}) else gdef.count
-    raise UnknownUnitary(
-        f"gate {gdef.name} has no assertion row for input {b!r}")
 
 
 class Registry:
@@ -109,21 +94,20 @@ _QUBIT = WireType.QUBIT
 _BIT = WireType.BIT
 
 
-def _perm_basis(mapping: dict[str, str]) -> dict[str, frozenset[str]]:
-    return {b: frozenset({img}) for b, img in mapping.items()}
-
-
 def default_registry() -> Registry:
-    h_basis = {"0": frozenset({"0", "1"}), "1": frozenset({"0", "1"})}
+    spread = (frozenset({"0", "1"}), 1)
     defs = {
-        "H": GateDef(Gate("H", (_QUBIT,), (_QUBIT,)), basis=h_basis),
+        "H": GateDef(Gate("H", (_QUBIT,), (_QUBIT,)),
+                     rows={"0": spread, "1": spread}),
         "X": GateDef(Gate("X", (_QUBIT,), (_QUBIT,)),
-                     basis=_perm_basis({"0": "1", "1": "0"})),
+                     rows={"0": (frozenset({"1"}), 1), "1": (frozenset({"0"}), 1)}),
         "Z": GateDef(Gate("Z", (_QUBIT,), (_QUBIT,)),
-                     basis=_perm_basis({"0": "0", "1": "1"})),
+                     rows={"0": (frozenset({"0"}), 0), "1": (frozenset({"1"}), 1)}),
         "CNOT": GateDef(Gate("CNOT", (_QUBIT, _QUBIT), (_QUBIT, _QUBIT)),
-                        basis=_perm_basis(
-                            {"00": "00", "01": "01", "10": "11", "11": "10"})),
+                        rows={"00": (frozenset({"00"}), 0),
+                              "01": (frozenset({"01"}), 0),
+                              "10": (frozenset({"11"}), 1),
+                              "11": (frozenset({"10"}), 1)}),
         "meas": GateDef(Gate("meas", (_QUBIT,), (_BIT,))),
         "init": GateDef(Gate("init", (), (_QUBIT,)), depth=0,
                         rows={"": (frozenset({"0"}), 0)}),

@@ -67,7 +67,7 @@ def depth_triple(a, v, w, corner=NEG_INF) -> DepthTriple:
 
 # name -> needs-adjacent-qubits; pulled from the default registry on demand
 GENERAL_POOL = ("H", "X", "Z", "CNOT", "meas", "init", "discard")
-ASSERT_POOL = ("H", "X", "Z", "CNOT", "init")   # every row derivable, no bits
+ASSERT_POOL = ("H", "X", "Z", "CNOT", "init")   # every gate declares rows, no bits
 
 
 def random_steps(r: random.Random, start: tuple[WireType, ...], max_steps: int,

@@ -3,7 +3,10 @@
 These deliberately avoid the algebra code paths: they walk the concrete
 circuit step by step (sequentializing the gates of a layer left to right,
 matching the whisker decomposition) and measure paths, live wires, or basis
-states directly. ``assert_cost_oracle`` reads an ``assert`` cost one
+states directly. ``statevector_oracle`` runs a qubit circuit on amplitudes,
+outside the basis-state picture every ``assert`` row lives in, so it can
+tell whether an application the rows charge 0 is really the identity
+there. ``assert_cost_oracle`` reads an ``assert`` cost one
 precondition at a time, without the matrix evaluator. ``perm_effect_oracle``
 builds a permutation's effect directly, not by routing wires with
 ``then_eff``. ``then_eff_abstract`` and ``ThenEffFold`` are the folds the
@@ -38,7 +41,7 @@ from pqc.errors import (
     EffectError, EffectObjectMismatch, LabelNotFound, ShapeMismatch,
     WireTypeMismatch,
 )
-from pqc.gates import GateDef, Registry, derive_assert_row
+from pqc.gates import GateDef, Registry
 from pqc.syntax import Block, LetBinder, TensorT, Term, show_type
 from pqc.typecheck import EffectChecker
 
@@ -148,11 +151,16 @@ def width_cuts_oracle(c: Circuit, registry: Registry) -> int:
     return peak
 
 
-def assert_sim_oracle(c: Circuit, registry: Registry,
-                      states: frozenset[str]) -> tuple[frozenset[str], int]:
-    """Forward basis-state simulation with per-gate surviving-cost maxima."""
+def assert_application_costs(c: Circuit, registry: Registry, states: frozenset[str]
+                             ) -> tuple[frozenset[str], list[int]]:
+    """Forward basis-state simulation over the declared rows.
+
+    Returns the reachable output strings and, for each gate application in
+    circuit order (a layer's placements left to right), its cost: the
+    largest row cost over the states that reach it.
+    """
     cur = set(states)
-    total = 0
+    costs = []
     for step in c.steps:
         if isinstance(step, Perm):
             nxt = set()
@@ -165,19 +173,77 @@ def assert_sim_oracle(c: Circuit, registry: Registry,
             continue
         shift = 0  # earlier placements already resized the strings
         for gate, at in step.placements:
-            gdef = registry.lookup(gate.name)
+            rows = registry.lookup(gate.name).rows
             d = len(gate.dom)
             at_adj = at + shift
             nxt = set()
             stage = 0
             for b in cur:
-                post, cost = derive_assert_row(gdef, b[at_adj:at_adj + d])
+                post, cost = rows[b[at_adj:at_adj + d]]
                 stage = max(stage, cost)
                 nxt |= {b[:at_adj] + y + b[at_adj + d:] for y in post}
             cur = nxt
-            total += stage
+            costs.append(stage)
             shift += len(gate.cod) - d
-    return frozenset(cur), total
+    return frozenset(cur), costs
+
+
+def assert_sim_oracle(c: Circuit, registry: Registry,
+                      states: frozenset[str]) -> tuple[frozenset[str], int]:
+    """Forward basis-state simulation with per-gate surviving-cost maxima."""
+    post, costs = assert_application_costs(c, registry, states)
+    return post, sum(costs)
+
+
+# The builtin unitaries on basis states in the registry's order: the first
+# wire is the most significant bit.
+UNITARIES = {
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Z": np.array([[1, 0], [0, -1]]),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+}
+STATEVECTOR_MAX_QUBITS = 5
+
+
+def statevector_oracle(c: Circuit, drop: frozenset[int] = frozenset()) -> np.ndarray:
+    """The state a qubit circuit of H, X, Z, CNOT, ``init`` and ``Perm``
+    steps prepares from |0…0⟩, as amplitudes over its output basis states.
+
+    The state is a numpy array with one axis per wire; a gate is a
+    ``tensordot`` on its wires and ``init`` stacks a |0⟩ axis in. The gate
+    applications numbered in ``drop`` (in ``assert_application_costs``
+    order; unitaries only, as dropping ``init`` would remove a wire) are
+    left out.
+    """
+    widths = itertools.accumulate(
+        (len(g.cod) - len(g.dom) for step in c.steps if isinstance(step, Layer)
+         for g, _ in step.placements), initial=len(c.dom))
+    if max(widths) > STATEVECTOR_MAX_QUBITS:
+        raise ValueError(f"statevector oracle: over {STATEVECTOR_MAX_QUBITS} qubits")
+    psi = np.zeros((2,) * len(c.dom), dtype=complex)
+    psi[(0,) * len(c.dom)] = 1
+    k = 0
+    for step in c.steps:
+        if isinstance(step, Perm):
+            axes = [0] * len(step.perm)  # output wire j is input wire i
+            for i, j in enumerate(step.perm):
+                axes[j] = i
+            psi = psi.transpose(axes)
+            continue
+        shift = 0
+        for gate, at in step.placements:
+            lo = at + shift
+            if gate.name == "init":
+                psi = np.stack([psi, np.zeros_like(psi)], axis=lo)
+            elif k not in drop:
+                d = len(gate.dom)
+                u = UNITARIES[gate.name].reshape((2,) * (2 * d))
+                psi = np.tensordot(u, psi, axes=(range(d, 2 * d), range(lo, lo + d)))
+                psi = np.moveaxis(psi, range(d), range(lo, lo + d))
+            k += 1
+            shift += len(gate.cod) - len(gate.dom)
+    return psi.reshape(-1)
 
 
 def assert_cost_oracle(cost, states: frozenset[str]) -> int:
@@ -625,7 +691,7 @@ class StringAssertAlgebra(CircuitAlgebra):
         rows = {}
         costs = {}
         for b in _bitstrings(d):
-            rows[b], costs[b] = derive_assert_row(gdef, b)
+            rows[b], costs[b] = gdef.rows[b]
         return Effect(d, c, StringAssertValue(rows, _string_stage(costs)))
 
     def value_json(self, e: Effect):

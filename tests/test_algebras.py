@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from generators import (
@@ -10,8 +11,9 @@ from generators import (
     random_steps, tropical, tropical_permutation,
 )
 from oracles import (
-    assert_cost_oracle, assert_sim_oracle, dag_depth_oracle, depth_paths_oracle,
-    perm_effect_oracle, then_eff_abstract, width_cuts_oracle,
+    assert_application_costs, assert_cost_oracle, assert_sim_oracle,
+    dag_depth_oracle, depth_paths_oracle, perm_effect_oracle, statevector_oracle,
+    then_eff_abstract, width_cuts_oracle,
 )
 from pqc.algebras import (
     ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, Effect,
@@ -398,9 +400,11 @@ def test_assert_compose_unions_postsets_and_stages_costs():
     assert assert_cost_oracle(hx.value.cost, frozenset({"0"})) == 2
 
 
-def test_assert_z_is_free_after_known_states():
+def test_assert_z_is_free_only_on_zero():
+    # Z|1⟩ = −|1⟩ is not |1⟩, so Z is the identity only on the span of |0⟩
     z = ASSERT.gate_effect(registry.lookup("Z"))
-    assert assert_cost_oracle(z.value.cost, frozenset({"0", "1"})) == 0
+    assert assert_cost_oracle(z.value.cost, frozenset({"0", "1"})) == 1
+    assert assert_cost_oracle(z.value.cost, frozenset({"0"})) == 0
 
 
 def test_assert_compose_associative_exactly():
@@ -489,6 +493,27 @@ def test_assert_matches_simulation_oracle_spot():
         e = ASSERT.abstract(c, registry)
         full = frozenset(bitstrings(len(c.dom)))
         assert e.value.apply(full) == assert_sim_oracle(c, registry, full)
+
+
+def test_assert_free_applications_are_removable():
+    # cost 0 means an optimizer may drop the application: dropping every
+    # unitary of cost 0 from |0…0⟩ must leave the output state exactly equal,
+    # not equal up to a global phase
+    r = rng("assert-removable")
+    dropped = 0
+    for _ in range(300):
+        # inits stop at 3 wires, so a layer of them ends at 5 at most
+        dom = (Q,) * r.randint(1, 5)
+        c = Circuit(dom, random_steps(r, dom, 12, pool=ASSERT_POOL, max_width=3)[0])
+        _, costs = assert_application_costs(c, registry, frozenset({"0" * len(c.dom)}))
+        gates = [g for step in c.steps if isinstance(step, Layer)
+                 for g, _ in step.placements]
+        free = frozenset(k for k, (g, cost) in enumerate(zip(gates, costs))
+                         if cost == 0 and g.dom)
+        dropped += len(free)
+        assert np.allclose(statevector_oracle(c, free), statevector_oracle(c),
+                           rtol=0, atol=1e-9), str(c)
+    assert dropped > 300  # the test drops something to compare
 
 
 def test_assert_bound_and_from_bound():

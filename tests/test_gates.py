@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 
 from generators import Q, B
-from pqc.circuits import Layer
+from oracles import UNITARIES
+from pqc.algebras import ALGEBRAS
+from pqc.circuits import Gate, Layer
 from pqc.errors import ParseError, UnknownGate, UnknownUnitary
-from pqc.gates import (
-    GateDef, Registry, default_registry, derive_assert_row, parse_gate_spec,
-)
+from pqc.gates import GateDef, default_registry, parse_gate_spec
 
 registry = default_registry()
 
@@ -29,28 +30,25 @@ def test_boxed_literal_is_single_layer():
     assert boxed.body.steps == (Layer(((registry.gate("CNOT"), 0),)),)
 
 
-def test_derived_rows_charge_only_when_state_changes():
-    # Z fixes every basis state, so it is always removable
-    assert derive_assert_row(registry.lookup("Z"), "0") == (frozenset({"0"}), 0)
-    assert derive_assert_row(registry.lookup("Z"), "1") == (frozenset({"1"}), 0)
-    # X moves them, so it always costs its weight
-    assert derive_assert_row(registry.lookup("X"), "0") == (frozenset({"1"}), 1)
-    # CNOT is free exactly on fixed points
-    assert derive_assert_row(registry.lookup("CNOT"), "01") == (frozenset({"01"}), 0)
-    assert derive_assert_row(registry.lookup("CNOT"), "10") == (frozenset({"11"}), 1)
-    # H spreads
-    assert derive_assert_row(registry.lookup("H"), "0") == (frozenset({"0", "1"}), 1)
-
-
-def test_declared_rows_beat_derived_ones():
-    gdef = GateDef(registry.gate("X"), basis={"0": frozenset({"1"})},
-                   rows={"0": (frozenset({"0", "1"}), 7)})
-    assert derive_assert_row(gdef, "0") == (frozenset({"0", "1"}), 7)
+@pytest.mark.parametrize("name", sorted(UNITARIES))
+def test_builtin_rows_are_exact_fixed_points(name):
+    # the row at b has the support of U|b⟩ as its postset, and costs 0 iff
+    # U|b⟩ = |b⟩ exactly: a phase, as in Z|1⟩ = −|1⟩, is a change
+    gdef = registry.lookup(name)
+    u = UNITARIES[name]
+    n = len(gdef.gate.dom)
+    assert set(gdef.rows) == {format(b, f"0{n}b") for b in range(1 << n)}
+    for b in range(1 << n):
+        image = u[:, b]
+        post = frozenset(format(y, f"0{n}b") for y in np.flatnonzero(image))
+        fixed = np.array_equal(image, np.eye(1 << n)[b])
+        assert gdef.rows[format(b, f"0{n}b")] == (post, 0 if fixed else gdef.count)
 
 
 def test_rowless_gate_raises():
-    with pytest.raises(UnknownUnitary):
-        derive_assert_row(registry.lookup("meas"), "0")
+    gdef = GateDef(Gate("U", (Q,), (Q,)))
+    with pytest.raises(UnknownUnitary, match="gate U has no assertion row for input '0'"):
+        ALGEBRAS["assert"].gate_effect(gdef)
 
 
 SPEC = """
