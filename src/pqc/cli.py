@@ -16,6 +16,12 @@ algebra; only when that pass fails do they run the plain checker, so a
 program reports the error it would report if the plain checker ran first.
 ``verify`` still runs both: ``check_program`` and the inference inside
 ``verify_dynamic``.
+
+Every JSON document is printed by ``_print`` as ``json.dumps(doc,
+indent=2)`` would print it, streamed piece by piece. An ``assert`` effect's
+``"rows"`` (the data ``AssertAlgebra.value_json`` gives) are rendered by
+``_rows`` straight from the boolean ``reach`` matrix, with numpy, in
+bounded blocks of input states.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .algebras import (
-    ALGEBRAS, AssertAlgebra, CircuitAlgebra, DepthAlgebra, basis_row, basis_strings,
-    depth_bound,
+    ALGEBRAS, AssertAlgebra, AssertValue, CircuitAlgebra, DepthAlgebra, basis_row,
+    basis_strings, depth_bound,
 )
 from .circuits import circuit_doc, draw, serialize
 from .effects import infer_program_effect, verify_dynamic
@@ -54,12 +60,20 @@ def _load(path: str, extra_gates: Optional[str]) -> tuple[Program, Registry]:
     return prog, registry
 
 
+def _value(alg: CircuitAlgebra, eff):
+    """``alg.value_json(eff)`` for ``_print``: an assert effect's rows stay
+    its ``AssertValue``, which ``_rows`` renders from ``reach``."""
+    if isinstance(alg, AssertAlgebra):
+        return {"rows": eff.value}
+    return alg.value_json(eff)
+
+
 def _effect_json(alg: CircuitAlgebra, eff) -> dict:
     doc = {
         "metric": alg.name,
         "dom": eff.dom,
         "cod": eff.cod,
-        "value": alg.value_json(eff),
+        "value": _value(alg, eff),
     }
     if isinstance(alg, DepthAlgebra):
         b = depth_bound(eff)
@@ -79,44 +93,101 @@ def _parse_precondition(text: str, eff) -> frozenset:
     return frozenset(states)
 
 
+def _records(n: int, head: str, tail: str) -> np.ndarray:
+    """One fixed-width ASCII record per n-bit basis state, in index order:
+    ``head``, the state's bits, ``tail``."""
+    text = "".join(head + s + tail for s in basis_strings(np.arange(1 << n), n))
+    return np.frombuffer(text.encode(), dtype=np.uint8).reshape(1 << n, -1)
+
+
+# A block of input states spans at most this many cells of ``reach``, so
+# at most this many post entries: the numpy intermediates stay near 1 MB.
+_BLOCK = 1 << 15
+
+
+def _rows(v: AssertValue, outer: str):
+    """The pieces of ``json.dumps(rows, indent=2)``, its lines after the
+    first indented by ``outer``, where ``rows`` is the ``"rows"`` entry of
+    ``AssertAlgebra.value_json``: one piece per input state.
+
+    Rendered from ``reach``, a block of input states at a time: the bytes of
+    the block's post entries are taken from a table of fixed-width records
+    (``,\\n<indent>"<bits>"``), so no Python object is made per (input,
+    output) pair.
+    """
+    ind = outer + "  "
+    dom, cod = v.dom, v.cod
+    heads = str(_records(dom, ",\n" + ind + '"', '": ['), "ascii")
+    hw = len(heads) >> dom
+    recs = _records(cod, ",\n" + ind + '  "', '"')
+    rw = recs.shape[1]
+    close = "\n" + ind + "]"
+    reach = v.reach.T  # one row per input state
+    step = min(max(1, _BLOCK >> cod), 1 << dom)
+    buf = np.empty((step << cod, rw), dtype=np.uint8)  # reused by every block
+    yield "{"
+    cut = 1  # the first state's header drops its comma
+    for lo in range(0, 1 << dom, step):
+        block = reach[lo:lo + step]
+        pairs = np.flatnonzero(block)  # (b - lo)·2^cod + y, in order
+        # mode="clip" writes straight into buf ("raise" buffers the take);
+        # every index is in range
+        took = recs.take(pairs & ((1 << cod) - 1), axis=0, out=buf[:len(pairs)],
+                         mode="clip")
+        text = str(took, "ascii")
+        ends = np.searchsorted(pairs, np.arange(1, len(block) + 1) << cod)
+        a = 0
+        for b, e in enumerate((ends * rw).tolist(), lo):
+            head = heads[b * hw + cut:(b + 1) * hw]
+            # cut the first entry's comma: "[" then "\n<indent>..."
+            yield head + "]" if a == e else head + text[a + 1:e] + close
+            a, cut = e, 0
+    yield "\n" + outer + "}"
+
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _chunks(x, outer: str = ""):
     """The pieces of ``json.dumps(x, indent=2)``, its lines after the first
     indented by ``outer``.
 
-    Dicts with string keys are walked here and lists of strings that need no
-    escaping are written with one join; everything else goes to ``json.dumps``.
+    An ``AssertValue`` stands for its ``"rows"`` and goes to ``_rows``.
+    Dicts with string keys and lists of lists (depth's matrix) are walked
+    here, and a list of scalars is one call of the C encoder, whose item
+    separator carries the line break; everything else goes to ``json.dumps``.
     """
-    ind = outer + "  "
-    if isinstance(x, dict) and x and all(isinstance(k, str) for k in x):
-        sep = "{\n"
-        for k, v in x.items():
-            yield sep + ind + json.dumps(k) + ": "
-            yield from _chunks(v, ind)
-            sep = ",\n"
-        yield "\n" + outer + "}"
+    if isinstance(x, AssertValue):
+        yield from _rows(x, outer)
         return
-    if isinstance(x, list):
-        try:
-            row = "".join(x)
-        except TypeError:  # not all strings
-            row = ""
-        # isascii reads a flag and bytes.isalnum scans at C speed; an empty
-        # row is not alnum, so [] and [""] go to json.dumps
-        if row.isascii() and row.encode().isalnum():
-            yield "[\n" + ind + '"'
-            yield ('",\n' + ind + '"').join(x)
-            yield '"\n' + outer + "]"
-            return
-    if isinstance(x, (dict, list, tuple)):
+    ind = outer + "  "
+    types = set(map(type, x)) if isinstance(x, list) and x else None
+    if types and types <= _SCALARS:
+        items = json.dumps(x, separators=(",\n" + ind, ": "))
+        yield "[\n" + ind + items[1:-1] + "\n" + outer + "]"
+        return
+    if types == {list}:
+        walk, brackets = (("", v) for v in x), "[]"
+    elif isinstance(x, dict) and x and all(isinstance(k, str) for k in x):
+        walk, brackets = ((json.dumps(k) + ": ", v) for k, v in x.items()), "{}"
+    else:
+        # indent shapes only containers (a scalar takes the C encoder), and
         # JSON text holds no raw newline inside a string
-        yield json.dumps(x, indent=2).replace("\n", "\n" + outer)
-    else:  # indent shapes only containers; this takes the C encoder
-        yield json.dumps(x)
+        yield (json.dumps(x, indent=2).replace("\n", "\n" + outer)
+               if isinstance(x, (dict, list, tuple)) else json.dumps(x))
+        return
+    sep = brackets[0] + "\n"
+    for key, v in walk:
+        yield sep + ind + key
+        yield from _chunks(v, ind)
+        sep = ",\n"
+    yield "\n" + outer + brackets[1]
 
 
 def _print(doc) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to stdout, piece by
-    piece: a dense assert document holds hundreds of thousands of strings."""
+    piece, with an ``AssertValue`` printed as its ``"rows"``: a dense assert
+    document is megabytes of text, and is never held whole."""
     sys.stdout.writelines(_chunks(doc))
     sys.stdout.write("\n")
 
@@ -213,7 +284,7 @@ def cmd_verify(args) -> int:
     check_program(prog, registry)
     alg = ALGEBRAS[args.metric]
     report = verify_dynamic(prog, alg, registry, fuel=args.fuel)
-    _print(report.to_json(alg))
+    _print(report.to_json(alg, functools.partial(_value, alg)))
     return 0 if report.dominated else 1
 
 

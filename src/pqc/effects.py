@@ -17,7 +17,7 @@ it in the algebra's order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .algebras import CircuitAlgebra, Effect
 from .circuits import Circuit, LabelContext, flatten_bundle
@@ -54,12 +54,16 @@ class VerifyReport:
     out_ctx: LabelContext
     value: Value
 
-    def to_json(self, alg: CircuitAlgebra) -> dict:
+    def to_json(self, alg: CircuitAlgebra,
+                value: Optional[Callable[[Effect], Any]] = None) -> dict:
+        """The report as data; ``value`` renders each effect (by default
+        ``alg.value_json``)."""
+        value = value or alg.value_json
         return {
             "metric": self.metric,
             "dominated": self.dominated,
-            "static": alg.value_json(self.static_effect),
-            "dynamic": alg.value_json(self.dynamic_effect),
+            "static": value(self.static_effect),
+            "dynamic": value(self.dynamic_effect),
         }
 
 

@@ -123,7 +123,7 @@ def default_registry() -> Registry:
 _GATE_RE = re.compile(r"^gate\s+(\w+)\s*:\s*(.*?)\s*->\s*(.*)$")
 _WEIGHT_RE = re.compile(r"^(count|depth)\s+(.*)$")
 _ASSERT_RE = re.compile(
-    r'^assert\s+"([01]*)"\s*->\s*\{([^}]*)\}\s*cost\s+(\d+)$')
+    r'^assert\s+"([01]*)"\s*->\s*\{([^}]*)\}\s*cost\s+(\d+)$', re.ASCII)
 
 
 def _parse_sig(text: str, lineno: int) -> tuple[WireType, ...]:
@@ -183,9 +183,16 @@ def parse_gate_spec(text: str) -> dict[str, GateDef]:
                 raise ParseError(
                     f"assert row input {b!r} has {len(b)} bits, gate has {n_in} inputs",
                     lineno)
+            if not postset_s.strip():
+                raise ParseError(
+                    f"assert row {b!r} has an empty postset: every input state "
+                    f"reaches some output state", lineno)
             post = set()
             for item in postset_s.split(","):
                 item = item.strip()
+                if not item:
+                    raise ParseError(
+                        f"empty entry in postset {{{postset_s}}}", lineno)
                 if not (item.startswith('"') and item.endswith('"')):
                     raise ParseError(f"postset entries must be quoted: {item!r}", lineno)
                 bits = item[1:-1]

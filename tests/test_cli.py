@@ -5,11 +5,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from generators import random_ast_program, rng
 from pqc import cli
-from pqc.algebras import ALGEBRAS
+from pqc.algebras import ALGEBRAS, AssertValue, Effect
 from pqc.circuits import WireType, deserialize
 from pqc.cli import main
 from pqc.effects import infer_program_effect
@@ -479,7 +480,8 @@ def random_doc(r: random.Random, depth: int = 3):
 
 @pytest.mark.parametrize("doc", [
     [""], [], {}, ["0", 1, 2], ["01", "", "10"], ["0", "\""], ["\u00e9"],
-    [["0", "1"], ["1"]], 7, 1.5, True, None, "x\ny",
+    [["0", "1"], ["1"]], [[1, "-inf"], [2, 3]], [[True, 1], [], [1.5, None]],
+    [[["0"]], [2]], 7, 1.5, True, None, "x\ny",
     {1: ["0"]}, {True: 1, "a": 2}, {None: {}}, {"a": {2: ["01"]}},
     {"rows": {"00": ["00", "11"], "01": [], "10": [""]}, "cost": 3},
     {"\"": ["\t"], "\u00e9": {"x": [1, ["0"]]}}, ("0", "1"), {"t": (1, ["0"])},
@@ -504,7 +506,22 @@ def _assert_programs() -> list:
     return workloads.assert_family(random.Random(1))
 
 
-def test_printer_is_json_dumps_on_what_the_cli_prints(capsys, monkeypatch, tmp_path):
+def rows_data(v: AssertValue) -> dict:
+    return ALGEBRAS["assert"].value_json(Effect(v.dom, v.cod, v))["rows"]
+
+
+def expanded(doc):
+    """The document ``_print`` is given, with each ``AssertValue`` (which it
+    prints as rows) replaced by those rows as ``value_json`` gives them."""
+    if isinstance(doc, AssertValue):
+        return rows_data(doc)
+    if isinstance(doc, dict):
+        return {k: expanded(v) for k, v in doc.items()}
+    return doc
+
+
+def spy_on_print(monkeypatch) -> list:
+    """Record every document the CLI hands to ``_print``."""
     docs = []
     print_ = cli._print
 
@@ -512,6 +529,11 @@ def test_printer_is_json_dumps_on_what_the_cli_prints(capsys, monkeypatch, tmp_p
         docs.append(doc)
         print_(doc)
     monkeypatch.setattr(cli, "_print", spy)
+    return docs
+
+
+def test_printer_is_json_dumps_on_what_the_cli_prints(capsys, monkeypatch, tmp_path):
+    docs = spy_on_print(monkeypatch)
 
     runs = []
     for name in ("bell.pqc", "interleave.pqc", "boxing.pqc", "lnn.pqc"):
@@ -534,6 +556,84 @@ def test_printer_is_json_dumps_on_what_the_cli_prints(capsys, monkeypatch, tmp_p
         n = len(docs)
         code, out, _ = run_cli(capsys, *argv)
         assert code in (0, 1) and len(docs) == n + 1, argv
-        assert out == json.dumps(docs[-1], indent=2) + "\n", argv
+        assert out == json.dumps(expanded(docs[-1]), indent=2) + "\n", argv
         longest = max(longest, len(out))
     assert longest > 5 * 10**6  # the dense 9-qubit rows
+
+
+REACH_KINDS = ("dense", "sparse", "one", "half", "empty")
+
+
+def random_reach(g: np.random.Generator, dom: int, cod: int, kind: str) -> np.ndarray:
+    """A relation ``reach[y, b]`` of the given kind; every kind but
+    ``empty`` reaches at least one output state from each input state."""
+    shape = (1 << cod, 1 << dom)
+    if kind == "empty":
+        return np.zeros(shape, dtype=bool)
+    if kind == "dense":
+        return np.ones(shape, dtype=bool)
+    reach = g.random(shape) < {"sparse": 0.1, "half": 0.5, "one": 0.0}[kind]
+    reach[g.integers(0, 1 << cod, 1 << dom), np.arange(1 << dom)] = True
+    return reach
+
+
+@pytest.mark.parametrize("block", [None, 8, 1])
+def test_rows_are_json_dumps_of_value_json(monkeypatch, block):
+    # 1: a block per input state; 8: blocks of 8 >> cod states, or of one
+    # state when it has more output states than a block holds cells
+    if block is not None:
+        monkeypatch.setattr(cli, "_BLOCK", block)
+    g = np.random.default_rng(20)
+    for dom in range(7):
+        for cod in range(7):
+            for kind in REACH_KINDS:
+                v = AssertValue(random_reach(g, dom, cod, kind), ())
+                text = json.dumps(rows_data(v), indent=2)
+                for outer in ("", "  ", "    "):  # "    ": where the CLI prints rows
+                    pieces = list(cli._rows(v, outer))
+                    assert len(pieces) == (1 << dom) + 2, (dom, cod, kind)
+                    assert "".join(pieces) == text.replace("\n", "\n" + outer), (
+                        dom, cod, kind, outer)
+
+
+def gate_spec(reach: np.ndarray, costs) -> str:
+    dom = reach.shape[1].bit_length() - 1
+    cod = reach.shape[0].bit_length() - 1
+    lines = [f"gate U : {' '.join(['Qubit'] * dom) or 'I'} -> "
+             f"{' '.join(['Qubit'] * cod) or 'I'}"]
+    for b in range(1 << dom):
+        post = ", ".join(f'"{y:0{cod}b}"' if cod else '""'
+                         for y in np.flatnonzero(reach[:, b]))
+        bits = f"{b:0{dom}b}" if dom else ""
+        lines.append(f'  assert "{bits}" -> {{{post}}} cost {costs[b]}')
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_prints_rows_of_random_relations(capsys, monkeypatch, tmp_path):
+    # one gate whose assert rows are a random relation, applied once: the
+    # rows analyze, check and verify print are that relation, and the text
+    # is json.dumps(indent=2) of value_json's data
+    docs = spy_on_print(monkeypatch)
+    g = np.random.default_rng(21)
+    (tmp_path / "u.pqc").write_text("")
+    for dom in range(5):  # verify compares exhaustively up to 4 input qubits
+        for cod in range(5):
+            for kind in REACH_KINDS[:-1]:  # a gate spec has no empty postset
+                reach = random_reach(g, dom, cod, kind)
+                (tmp_path / "u.pqcg").write_text(
+                    gate_spec(reach, g.integers(0, 4, 1 << dom).tolist()))
+                names = [f"a{i}" for i in range(dom)]
+                arg = {0: "*", 1: "".join(names)}.get(dom, f"({', '.join(names)})")
+                (tmp_path / "u.pqc").write_text(
+                    f"inputs {', '.join(n + ': Qubit' for n in names)};\n"
+                    f'gates "u.pqcg";\napply(@U, {arg})\n')
+                want = rows_data(AssertValue(reach, ()))
+                for cmd, key in (("analyze", "value"), ("check", "value"),
+                                 ("verify", "static"), ("verify", "dynamic")):
+                    code, out, err = run_cli(capsys, cmd, str(tmp_path / "u.pqc"),
+                                             "--metric", "assert")
+                    assert code == 0, (dom, cod, kind, cmd, err)
+                    doc = expanded(docs[-1])
+                    assert isinstance(docs[-1][key]["rows"], AssertValue)
+                    assert doc[key]["rows"] == want, (dom, cod, kind, cmd)
+                    assert out == json.dumps(doc, indent=2) + "\n", (dom, cod, kind, cmd)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,24 @@ def test_extended_registry_overrides():
 def test_gate_spec_errors(bad, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_gate_spec(bad)
+
+
+def test_assert_cost_takes_ascii_digits_only():
+    # int() would read the Arabic-Indic digit three as 3; a count weight
+    # already refuses it, and so does an assert row's cost
+    for line in ('assert "0" -> {"0"} cost ٣', "count ٣"):
+        with pytest.raises(ParseError, match="^2:"):
+            parse_gate_spec("gate g : Qubit -> Qubit\n  " + line)
+    assert parse_gate_spec(
+        'gate g : Qubit -> Qubit\n  assert "0" -> {"0"} cost 3')["g"].rows["0"][1] == 3
+
+
+@pytest.mark.parametrize("postset, fragment", [
+    ("{}", "row '0' has an empty postset"),
+    ("{ }", "row '0' has an empty postset"),
+    ('{"0",}', 'empty entry in postset {"0",}'),
+    ('{, "1"}', 'empty entry in postset {, "1"}'),
+])
+def test_empty_postset_is_named(postset, fragment):
+    with pytest.raises(ParseError, match="^2:.*" + re.escape(fragment)):
+        parse_gate_spec(f'gate g : Qubit -> Qubit\n  assert "0" -> {postset} cost 0')
