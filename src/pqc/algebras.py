@@ -16,9 +16,10 @@ premonoidally, a layer is its gates in sequence.
 A circuit's image and a program's effect are one fold, each step's effect
 placed on the wires it consumes, run on the algebra's mutable accumulator
 (``fold``): ``CircuitAlgebra.abstract`` drives it over a circuit's gates,
-the checker over a block's binders. The generic ``Fold`` places with
-``then_eff``; ``width`` keeps a count, and ``depth`` rewrites in place only
-the rows of the wires a step consumes.
+the checker over a block's binders. The scalar algebras keep a running sum
+(``ScalarFold``) and ``width`` a count; ``depth`` rewrites in place only the
+rows of the wires a step consumes, and ``assert`` only the slices of its
+relation that the states of those wires pick (``AssertFold``).
 
 Shipped algebras:
 
@@ -99,7 +100,7 @@ class CircuitAlgebra:
     Per algebra: objects (``obj_of``), identities, the one sequencing
     primitive ``then_eff``, gate effects, the order (``leq``, ``join``) and
     the fold accumulator (``fold``). ``compose_eff`` derives from
-    ``then_eff``, and so does the generic accumulator.
+    ``then_eff``.
     """
 
     name = "?"
@@ -193,9 +194,15 @@ class CircuitAlgebra:
                 f"{what} needs equal endpoints: "
                 f"{e1.dom}→{e1.cod} vs {e2.dom}→{e2.cod}")
 
-    def fold(self, dom: Obj) -> "Fold":
-        """A fold accumulator started on the wires ``dom``."""
-        return Fold(self, dom)
+    def fold(self, dom: Obj):
+        """A fold accumulator started on the wires ``dom``.
+
+        ``wires`` holds handles of its wires (None in algebras that ignore
+        positions). ``place(taken, e)`` puts ``e`` on the wires of those
+        handles and returns handles for its outputs; ``freeze(order)`` ends
+        the fold with the outputs in that order.
+        """
+        raise NotImplementedError
 
     def abstract(self, c: Circuit, registry: Registry) -> Effect:
         """The algebra's image of a circuit: its gates placed one by one on
@@ -217,49 +224,6 @@ class CircuitAlgebra:
                 wires[lo:lo + d] = fold.place(wires[lo:lo + d], gate_effect(gate.name))
                 shift += len(gate.cod) - d
         return fold.freeze(wires)
-
-
-class Fold:
-    """The generic fold accumulator: a running effect, one ``then_eff`` per
-    step, in place when the step's wires are adjacent and in order, else
-    routed to the top.
-
-    ``wires`` holds handles of the outer wires (None in algebras that ignore
-    positions). ``place(taken, e)`` puts ``e`` on the wires of those handles
-    and returns handles for its outputs; ``freeze(order)`` ends the fold
-    with the outputs in that order.
-    """
-
-    def __init__(self, alg: CircuitAlgebra, dom: Obj):
-        self.alg, self._next = alg, len(dom)
-        self.eff = alg.identity_effect(alg.obj_of(dom))
-        self._cols = list(range(len(dom))) if alg.positional else None
-        self.wires = None if self._cols is None else self._cols[:]
-
-    def place(self, taken: list, e: Effect) -> list:
-        alg, cols = self.alg, self._cols
-        if cols is None:
-            self.eff = alg.then_eff(self.eff, 0, e)
-            return None
-        out = taken if e.cod == len(taken) else list(range(self._next, self._next + e.cod))
-        self._next += e.cod
-        lo = cols.index(taken[0]) if taken else len(cols)
-        if cols[lo:lo + len(taken)] == taken:  # in place, moving no other wire
-            self.eff = alg.then_eff(self.eff, lo, e)
-            cols[lo:lo + len(taken)] = out
-        else:
-            self.eff = alg.then_eff(self.eff, tuple(map(cols.index, taken)), e)
-            gone = set(taken)
-            self._cols = out + [w for w in cols if w not in gone]
-        return out
-
-    def freeze(self, order: list) -> Effect:
-        cols = self._cols
-        if cols is not None and order != cols:
-            alg = self.alg
-            self.eff = alg.then_eff(self.eff, tuple(map(cols.index, order)),
-                                    alg.identity_effect(alg.obj_of(())))
-        return self.eff
 
 
 # --------------------------------------------------------------------------
@@ -289,6 +253,9 @@ class _ScalarAlgebra(CircuitAlgebra):
     def coarsest(self, dom, cod, n: int) -> Effect:
         return Effect("*", "*", n)
 
+    def fold(self, dom) -> "ScalarFold":
+        return ScalarFold()
+
     def abstract(self, c, registry) -> Effect:
         # positions do not matter, and sequencing adds: the gates' values
         value = functools.cache(  # read once per gate name
@@ -296,6 +263,22 @@ class _ScalarAlgebra(CircuitAlgebra):
         return Effect("*", "*", sum(value(gate.name) for step in c.steps
                                     if isinstance(step, Layer)
                                     for gate, _ in step.placements))
+
+
+class ScalarFold:
+    """The scalar algebras' fold accumulator: a running sum. Positions do
+    not matter, so it hands out no handles."""
+
+    wires = None
+
+    def __init__(self):
+        self.total = 0
+
+    def place(self, taken, e: Effect) -> None:
+        self.total += e.value
+
+    def freeze(self, order) -> Effect:
+        return Effect("*", "*", self.total)
 
 
 class GateCountAlgebra(_ScalarAlgebra):
@@ -753,48 +736,55 @@ class AssertValue:
     """Reachability relation plus the staged cost profile.
 
     ``reach[y, b]`` says whether input basis state b can reach output basis
-    state y: one row per output state, so that the slices ``then_eff`` cuts
-    by the bits of output states are runs of whole rows. ``rows`` renders it
-    as basis strings, by input state. The value adopts the arrays it is
-    given and makes them read-only.
+    state y: one row per output state, so that the slices a fold cuts by
+    the bits of output states are runs of whole rows. ``rows`` renders it
+    as basis strings, by input state. The value adopts the array it is
+    given and makes it read-only.
 
-    The cost's items sit in a list that later values may share: ``then``
-    appends to it in place when this value is the last one built on it, so
-    a fold that appends a stage per step takes linear time, not quadratic.
-    ``cost`` reads the value's prefix of the list, as a tuple.
+    Every relation is total: each input state reaches some output state.
+    Folds rely on it (a constant stage reads the same through any total
+    relation), so a relation with an empty column is refused here.
     """
 
-    __slots__ = ("reach", "_items", "_n", "_cost", "_rows", "_sources")
+    __slots__ = ("reach", "cost", "_rows", "_plan")
 
     def __init__(self, reach: np.ndarray, cost: Cost):
+        if not reach.any(axis=0).all():
+            raise EffectError(
+                "assert relations must be total: some input basis state "
+                "reaches no output state")
         self.reach = _frozen(reach)
-        self._items = list(cost)
-        self._n = len(self._items)
-        self._cost = tuple(cost)
-        self._rows = self._sources = None
+        self.cost = tuple(cost)
+        self._rows = self._plan = None
 
-    def then(self, reach: np.ndarray, more: Cost) -> "AssertValue":
-        """This value's cost followed by ``more``, on the relation ``reach``."""
-        items = self._items
-        if len(items) != self._n:  # a later value has appended already
-            items = items[:self._n]
-        items.extend(more)
-        out = object.__new__(AssertValue)
-        out.reach, out._items, out._n = _frozen(reach), items, len(items)
-        out._cost = out._rows = out._sources = None
-        return out
+    def plan(self) -> tuple[list[list[int]], Optional[list[tuple[int, int]]],
+                            Optional[tuple[int, ...]]]:
+        """What a fold needs to place this value, found once.
 
-    def sources(self) -> list[list[int]]:
-        """For each output state, the input states that reach it."""
-        if self._sources is None:
-            self._sources = [np.flatnonzero(row).tolist() for row in self.reach]
-        return self._sources
-
-    @property
-    def cost(self) -> Cost:
-        if self._cost is None:
-            self._cost = tuple(self._items[:self._n])
-        return self._cost
+        For each output state, the input states that reach it. If the
+        relation permutes the basis states, that permutation as swaps of
+        two states, done in order (None if it does not). The values of the
+        cost's stages if every item is a constant stage (None if not).
+        """
+        if self._plan is None:
+            sources = [np.flatnonzero(row).tolist() for row in self.reach]
+            take = [xs[0] for xs in sources if len(xs) == 1]
+            swaps = None
+            if len(take) == len(sources) == len(set(take)):
+                # a cycle o ← take[o] ← take[take[o]] ← …: swapping each
+                # state with the next leaves each one its source's slice
+                swaps, seen = [], set()
+                for x in range(len(take)):
+                    while take[x] not in seen and take[x] != x:
+                        seen.add(x)
+                        swaps.append((x, take[x]))
+                        x = take[x]
+                    seen.add(x)
+            flat = None
+            if not any(isinstance(s, MaxCost) or (s != s[0]).any() for s in self.cost):
+                flat = tuple(int(s[0]) for s in self.cost)
+            self._plan = sources, swaps, flat
+        return self._plan
 
     @property
     def dom(self) -> int:
@@ -837,8 +827,8 @@ class AssertValue:
         return frozenset(basis_strings(np.flatnonzero(post), self.cod)), cost
 
 
-# Rows take 4^n bytes at n qubits (16 MB at 12), and a dense step a few
-# times that at its peak.
+# Rows take 4^n bytes at n qubits (16 MB at 12), and a fold whose steps
+# cannot all work in place twice that.
 _ASSERT_MAX_QUBITS = 12
 
 
@@ -847,6 +837,210 @@ def _require_qubits(n: int) -> None:
         raise EffectError(
             f"assert analysis supports at most {_ASSERT_MAX_QUBITS} qubits, "
             f"got {n}")
+
+
+def _slices(axes: tuple[int, ...], k: int) -> list[tuple]:
+    """Indices into a relation read as k bit axes, then the input states:
+    for each state x of the wires on ``axes`` (the first the most
+    significant), the slice in which they hold x."""
+    d = len(axes)
+    out = []
+    for x in range(1 << d):
+        idx: list = [slice(None)] * k
+        for i, a in enumerate(axes):
+            idx[a] = (x >> (d - 1 - i)) & 1
+        out.append(tuple(idx))
+    return out
+
+
+def _gather(out: np.ndarray, dst: list[tuple], cube: np.ndarray,
+            src: list[tuple], sources: list[list[int]]) -> None:
+    """Each output state's slice of ``out`` (at ``dst``) is the OR of its
+    sources' slices of ``cube`` (at ``src``), or empty if it has none."""
+    for o, xs in enumerate(sources):
+        slot = out[dst[o]]
+        slot[...] = cube[src[xs[0]]] if xs else False
+        for x in xs[1:]:
+            slot |= cube[src[x]]
+
+
+class AssertFold:
+    """Assert's fold accumulator, in place.
+
+    ``reach`` is the running relation, one row per output state, read as
+    one bit axis per live wire (the first the most significant), then the
+    input states. A wire's handle names its axis (``axis``), so a route
+    moves no data, and the slices a step reads and writes, one per state of
+    its wires, are views. A step that keeps the wire count works in place
+    when it can: a permutation (X, CNOT) swaps slices, by three XORs each,
+    and a step whose every output state is reached from every input state
+    (H) ORs all slices into the first and that back into the others. A
+    copy between two views of one buffer would pass through a temporary as
+    large as the slice; these ufuncs need none. Any other step ORs each
+    output state's sources into ``spare``, and the two buffers trade
+    places. A step that changes the wire count builds a new ``reach``, its
+    outputs the last axes.
+
+    A step's costs are read before it, through the relation so far
+    (``_pullback``); a constant stage reads the same through any total
+    relation, so it is appended as it is.
+    """
+
+    def __init__(self, dom: int, reach: np.ndarray, cost: Cost):
+        k = reach.shape[0].bit_length() - 1
+        self.dom, self.reach, self.spare = dom, reach, None
+        self.cost = list(cost)
+        self.axis = {h: h for h in range(k)}  # handle -> axis
+        self.wires = list(range(k))
+        self._next = k
+
+    def place(self, taken: list, e: Effect) -> list:
+        v: AssertValue = e.value
+        d, c, n, k = e.dom, e.cod, self.reach.shape[1], len(self.axis)
+        axes = tuple(self.axis[h] for h in taken)
+        cube = self.reach.reshape((2,) * k + (n,))
+        sources, swaps, flat = v.plan()
+        if flat is not None:
+            self.cost += [_frozen(np.full(n, s, dtype=np.int64)) for s in flat]
+        elif v.cost:
+            # which states of e's wires eff reaches from each input state
+            hit = cube.any(axis=tuple(a for a in range(k) if a not in axes))
+            ranked = sorted(axes)
+            hit = hit.transpose([ranked.index(a) for a in axes] + [d])
+            self.cost += _pullback(v.cost, hit.reshape(1 << d, n).T)
+        src = _slices(axes, k)
+        if d != c:
+            return self._resize(cube, axes, src, sources, c)
+        if swaps is not None:
+            for o, x in swaps:
+                a, b = cube[src[o]], cube[src[x]]
+                a ^= b
+                b ^= a
+                a ^= b
+        elif all(len(xs) == 1 << d for xs in sources):
+            head = cube[src[0]]
+            for s in src[1:]:
+                head |= cube[s]
+            for s in src[1:]:
+                cube[s] |= head
+        else:
+            if self.spare is None:
+                self.spare = np.empty_like(self.reach)
+            _gather(self.spare.reshape(cube.shape), src, cube, src, sources)
+            self.reach, self.spare = self.spare, self.reach
+        return taken
+
+    def _resize(self, cube: np.ndarray, axes: tuple[int, ...], src: list[tuple],
+                sources: list[list[int]], c: int) -> list:
+        """``place`` for a step from ``len(axes)`` wires to c: the other
+        wires keep their order, and the step's outputs come after them."""
+        k, n = cube.ndim - 1, cube.shape[-1]
+        m = k - len(axes) + c
+        _require_qubits(m)
+        out = np.empty((2,) * m + (n,), dtype=bool)
+        _gather(out, _slices(tuple(range(m - c, m)), m), cube, src, sources)
+        self.reach, self.spare = out.reshape(-1, n), None
+        rest = {a: i for i, a in enumerate(sorted(set(range(k)) - set(axes)))}
+        self.axis = {h: rest[a] for h, a in self.axis.items() if a in rest}
+        new = list(range(self._next, self._next + c))
+        self._next += c
+        self.axis.update(zip(new, range(m - c, m)))
+        return new
+
+    def freeze(self, order: list) -> Effect:
+        r, k = self.reach, len(order)
+        axes = [self.axis[h] for h in order]
+        if axes != list(range(k)):
+            n = r.shape[1]
+            r = r.reshape((2,) * k + (n,)).transpose(axes + [k]).reshape(1 << k, n)
+        return Effect(self.dom, k, AssertValue(r, self.cost))
+
+
+# --------------------------------------------------------------------------
+# the order on assert costs
+# --------------------------------------------------------------------------
+
+# Deciding c1 ≤ c2 means cost1(L) ≤ cost2(L) for every precondition L. The
+# empty one costs 0 on both sides, and every stage is non-negative, so:
+#
+# * equal costs (``cost_eq``) are ordered;
+# * so are costs whose items pair off, in order, each item of c1 under a
+#   distinct item of c2 (``_paired``); the items of c2 left over only add;
+# * and so are costs where the largest c1 can reach on any precondition is
+#   at most the least c2 reaches on a non-empty one (``_hull``).
+#
+# What these rules do not prove, single states and the full set may refute
+# (``_decide``); only then are all 2^(2^n) preconditions enumerated
+# (``_subsets``), at most 4 input qubits.
+
+def _hull(cost: Cost) -> tuple[int, int]:
+    """The least and the largest the cost reaches on a non-empty
+    precondition: the sums of its items' least and largest values. The
+    largest is its cost on the full set."""
+    lo = hi = 0
+    for item in cost:
+        if isinstance(item, MaxCost):
+            los, his = zip(*map(_hull, item.children))
+            lo, hi = lo + max(los), hi + max(his)
+        else:
+            lo, hi = lo + int(item.min()), hi + int(item.max())
+    return lo, hi
+
+
+def _singles(cost: Cost, n: int) -> np.ndarray:
+    """The cost on each one-state precondition {b}: the sum of the stages
+    at b."""
+    total = np.zeros(n, dtype=np.int64)
+    for item in cost:
+        if isinstance(item, MaxCost):
+            total += np.maximum.reduce([_singles(ch, n) for ch in item.children])
+        else:
+            total += item
+    return total
+
+
+def _item_below(x, y) -> bool:
+    """Is item x at most item y on every precondition, by the rules? Stages
+    compare state by state; a ``MaxCost`` on the right is at least each of
+    its children, and one on the left is at most y if all of its are."""
+    if isinstance(x, MaxCost):
+        return all(_below(ch, (y,)) for ch in x.children)
+    if isinstance(y, MaxCost):
+        return any(_below((x,), ch) for ch in y.children)
+    return bool((x <= y).all())
+
+
+def _paired(c1: Cost, c2: Cost) -> bool:
+    """Does each item of c1 sit under a distinct item of c2, in order? The
+    first item of c2 that fits takes each item of c1, which finds such a
+    pairing whenever there is one."""
+    j = 0
+    for x in c1:
+        while j < len(c2) and not _item_below(x, c2[j]):
+            j += 1
+        if j == len(c2):
+            return False
+        j += 1
+    return True
+
+
+def _below(c1: Cost, c2: Cost) -> bool:
+    """Is c1 ≤ c2 on every precondition, by a rule that enumerates none?
+    False means only that no rule proves it."""
+    return (cost_eq(c1, c2)
+            or (len(c1) <= len(c2) and _paired(c1, c2))
+            or _hull(c1)[1] <= _hull(c2)[0])
+
+
+def _decide(c1: Cost, c2: Cost, n: int) -> Optional[bool]:
+    """c1 ≤ c2 on every precondition over n input states: True if a rule
+    proves it, False if a single state or the full set refutes it, None
+    if neither."""
+    if _below(c1, c2):
+        return True
+    if _hull(c1)[1] > _hull(c2)[1] or np.any(_singles(c1, n) > _singles(c2, n)):
+        return False
+    return None
 
 
 _ASSERT_LEQ_MAX_BITS = 4
@@ -884,49 +1078,39 @@ class AssertAlgebra(CircuitAlgebra):
         _require_qubits(k)
         return Effect(k, k, AssertValue(np.eye(1 << k, dtype=bool), ()))
 
+    def fold(self, dom: Obj) -> AssertFold:
+        k = self.obj_of(dom)
+        _require_qubits(k)
+        return AssertFold(k, np.eye(1 << k, dtype=bool), ())
+
     def then_eff(self, eff, at, e) -> Effect:
-        # eff's relation, one row per output state (its wires routed first),
-        # is viewed as (states of the wires above e, of e's wires, of the
-        # wires below e and input states); each output state of e is the OR
-        # of the slices of the input states that e's rows map to it, and the
-        # outer wires pass by. Every slice is a run of whole rows.
-        left, route, right = self._placement(eff, at, e)
-        _require_qubits(eff.cod)
+        # one step of a fold started on eff (its relation copied, since the
+        # fold writes in place), the handles being eff.cod's positions
+        left, route, _ = self._placement(eff, at, e)
         t: AssertValue = eff.value
-        v: AssertValue = e.value
-        r = t.reach
-        n = r.shape[1]
-        if route is not None:
-            k = eff.cod
-            r = r.reshape((2,) * k + (n,)).transpose(route + (k,)).reshape(1 << k, n)
-        r4 = r.reshape(1 << left, 1 << e.dom, 1 << right, n)
-        out = np.empty((1 << left, 1 << e.cod, 1 << right, n), dtype=bool)
-        for c, xs in enumerate(v.sources()):
-            dst = out[:, c]
-            if len(xs) < 2:
-                dst[...] = r4[:, xs[0]] if xs else False
-                continue
-            np.logical_or(r4[:, xs[0]], r4[:, xs[1]], out=dst)
-            for x in xs[2:]:
-                dst |= r4[:, x]
-        more: Cost = ()
-        if v.cost:
-            # e's costs at the states of its wires that eff reaches from b
-            more = _pullback(v.cost, r4.any(axis=(0, 2)).T)
-        return Effect(eff.dom, left + e.cod + right, t.then(out.reshape(-1, n), more))
+        fold = AssertFold(eff.dom, t.reach.copy(), t.cost)
+        wires, hi = list(route or range(eff.cod)), left + e.dom
+        return fold.freeze(wires[:left] + fold.place(wires[left:hi], e) + wires[hi:])
 
     def leq(self, e1, e2) -> bool:
+        """Decided by the rules above, then by witnesses, then, at most 4
+        input qubits, by every precondition; else ``EffectObjectMismatch``.
+        """
         self._require_endpoints(e1, e2, "assert leq")
-        v1: AssertValue = e1.value
-        v2: AssertValue = e2.value
-        if np.any(v1.reach > v2.reach):
+        if np.any(e1.value.reach > e2.value.reach):
             return False
+        c1, c2, n = e1.value.cost, e2.value.cost, 1 << e1.dom
+        known = _decide(c1, c2, n)
+        if known is not None:
+            return known
         if e1.dom > _ASSERT_LEQ_MAX_BITS:
             raise EffectObjectMismatch(
-                f"assert leq is decided exhaustively and supports at most "
+                f"assert leq cannot decide: no rule proves the costs ordered, "
+                f"no single input state or the full set refutes it, and "
+                f"every precondition is tried only up to "
                 f"{_ASSERT_LEQ_MAX_BITS} input qubits, got {e1.dom}")
-        pre = _subsets(1 << e1.dom)
-        return bool(np.all(eval_cost(v1.cost, pre) <= eval_cost(v2.cost, pre)))
+        pre = _subsets(n)
+        return bool(np.all(eval_cost(c1, pre) <= eval_cost(c2, pre)))
 
     def join(self, e1, e2) -> Effect:
         self._require_endpoints(e1, e2, "assert join")
@@ -959,8 +1143,7 @@ class AssertAlgebra(CircuitAlgebra):
         return {"rows": dict(zip(_bitstrings(e.dom), v.posts()))}
 
     def bound_of(self, e) -> float:
-        v: AssertValue = e.value
-        return int(eval_cost(v.cost, np.ones((1, 1 << e.dom), dtype=bool))[0])
+        return _hull(e.value.cost)[1]  # the cost on all input states
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         d, c = len(dom), len(cod)

@@ -101,8 +101,10 @@ def _records(n: int, head: str, tail: str) -> np.ndarray:
 
 
 # A block of input states spans at most this many cells of ``reach``, so
-# at most this many post entries: the numpy intermediates stay near 1 MB.
-_BLOCK = 1 << 15
+# at most this many post entries. Each takes two 8-byte indices, a record
+# and the record's text (about 56 bytes at 8 qubits), so a block's numpy
+# intermediates stay near 1 MB.
+_BLOCK = 1 << 14
 
 
 def _rows(v: AssertValue, outer: str):
@@ -187,9 +189,20 @@ def _chunks(x, outer: str = ""):
 def _print(doc) -> None:
     """Write ``json.dumps(doc, indent=2)`` and a newline to stdout, piece by
     piece, with an ``AssertValue`` printed as its ``"rows"``: a dense assert
-    document is megabytes of text, and is never held whole."""
-    sys.stdout.writelines(_chunks(doc))
-    sys.stdout.write("\n")
+    document is megabytes of text, and is never held whole.
+
+    A reader that stops early (``| head``) ends the output, not the
+    command: stdout then points at ``os.devnull``, so that the flush at exit
+    cannot fail either, and the command returns its own exit code.
+    """
+    try:
+        sys.stdout.writelines(_chunks(doc))
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _infer(prog: Program, alg: CircuitAlgebra, registry: Registry):

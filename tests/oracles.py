@@ -264,6 +264,30 @@ def assert_cost_oracle(cost, states: frozenset[str]) -> int:
     return total
 
 
+def every_subset_costs(cost, n: int) -> np.ndarray:
+    """An ``assert`` cost on every subset of n basis states, subset i
+    holding state j when bit j of i is set. A stage's max grows one state
+    at a time: the subsets that hold state j are those without it, each
+    maxed with the stage at j."""
+    total = np.zeros(1 << n, dtype=np.int64)
+    for item in cost:
+        if isinstance(item, MaxCost):
+            total += np.maximum.reduce([every_subset_costs(ch, n) for ch in item.children])
+            continue
+        m = np.zeros(1, dtype=np.int64)
+        for j in range(n):
+            m = np.concatenate((m, np.maximum(m, item[j])))
+        total += m
+    return total
+
+
+def every_subset_leq_oracle(c1, c2, dom: int) -> bool:
+    """Is ``assert`` cost c1 at most c2 on every precondition over ``dom``
+    qubits (2^(2^dom) of them, the empty one included)?"""
+    n = 1 << dom
+    return bool(np.all(every_subset_costs(c1, n) <= every_subset_costs(c2, n)))
+
+
 def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
     """The effect of wire i moving to position perm[i], on qubits: a 0/−∞
     permutation matrix under depth, one relabelled basis state per row under
@@ -693,6 +717,9 @@ class StringAssertAlgebra(CircuitAlgebra):
         for b in _bitstrings(d):
             rows[b], costs[b] = gdef.rows[b]
         return Effect(d, c, StringAssertValue(rows, _string_stage(costs)))
+
+    def fold(self, dom) -> ThenEffFold:
+        return ThenEffFold(self, dom)
 
     def value_json(self, e: Effect):
         v: StringAssertValue = e.value

@@ -7,24 +7,24 @@ import numpy as np
 import pytest
 
 from generators import (
-    ASSERT_POOL, Q, B, depth_triple, rng, random_circuit, random_qubit_circuit,
-    random_steps, tropical, tropical_permutation,
+    ASSERT_POOL, Q, B, depth_triple, rng, random_circuit, random_program,
+    random_qubit_circuit, random_steps, tropical, tropical_permutation,
 )
 from oracles import (
     assert_application_costs, assert_cost_oracle, assert_sim_oracle,
-    dag_depth_oracle, depth_paths_oracle, perm_effect_oracle, statevector_oracle,
-    then_eff_abstract, width_cuts_oracle,
+    dag_depth_oracle, depth_paths_oracle, every_subset_leq_oracle,
+    perm_effect_oracle, statevector_oracle, then_eff_abstract, width_cuts_oracle,
 )
 from pqc.algebras import (
     ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, Effect,
-    MaxCost, algebra, cost_eq, depth_bound, routing,
+    MaxCost, _decide, algebra, cost_eq, depth_bound, routing,
 )
 from pqc.circuits import (
     Circuit, Gate, Layer, Perm, compose, identity, symmetry, whisker_left,
     whisker_right,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
-from pqc.errors import EffectError, EffectObjectMismatch, UnsupportedWire
+from pqc.errors import EffectError, EffectObjectMismatch, PqcError, UnsupportedWire
 from pqc.evaluator import evaluate_program
 from pqc.gates import GateDef, default_registry, parse_gate_spec
 from pqc.syntax import parse_program
@@ -446,14 +446,13 @@ def test_assert_branch_join_upper_bounds_both():
             e1.value.cost, (MaxCost((e1.value.cost, e2.value.cost)),)))
 
 
-def test_assert_leq_is_extensional_on_costs():
-    r = rng("assert-leq")
+def leq_pairs(r: random.Random) -> list[tuple[Effect, Effect]]:
+    """Single tables, and composites with equal rows, so that costs of
+    several stages (and their joins) decide, not the rows."""
     pairs = []
     for _ in range(40):
         k = r.randint(1, 3)
         pairs.append((random_table_effect(r, k, k), random_table_effect(r, k, k)))
-    # composites with equal rows, so that costs of several stages (and their
-    # joins) decide, not the rows
     for _ in range(60):
         k = r.randint(1, 3)
         tables = [random_table_effect(r, k, k) for _ in range(r.randint(2, 3))]
@@ -466,7 +465,11 @@ def test_assert_leq_is_extensional_on_costs():
         if r.random() < 0.5:
             e2 = ASSERT.join(e2, recosted())
         pairs.append((e1, e2))
-    for e1, e2 in pairs:
+    return pairs
+
+
+def test_assert_leq_is_extensional_on_costs():
+    for e1, e2 in leq_pairs(rng("assert-leq")):
         k = e1.dom
         lo = ASSERT.leq(e1, e2)
         # reference: row containment plus cost dominance on every subset
@@ -480,10 +483,112 @@ def test_assert_leq_is_extensional_on_costs():
         assert lo == (rows_ok and costs_ok)
 
 
-def test_assert_leq_width_cap():
+def program_leq_pairs(r: random.Random) -> list[tuple[Effect, Effect]]:
+    """Pairs as verify and ascriptions make them, at most 4 qubits: a run's
+    effect and the static one (``ifz`` joins, ascribed calls), both ways;
+    an effect and its join with one more gate after it, both ways; and an
+    effect and ``coarsest`` bounds around its own."""
+    pairs = []
+    while len(pairs) < 400:
+        prog = random_program(r, assert_safe=True, max_inputs=4,
+                              steps=r.randint(1, 10), ascribed=r.random() < 0.5)
+        try:
+            rep = verify_dynamic(prog, ASSERT, registry)
+        except PqcError:
+            continue
+        dyn, static = rep.dynamic_effect, rep.static_effect
+        pairs += [(dyn, static), (static, dyn)]
+        if static.cod:
+            g = ASSERT.gate_effect(registry.lookup(r.choice(("H", "X", "Z", "CNOT"))))
+            at = r.randint(0, static.cod - g.dom) if g.dom <= static.cod else None
+            if at is not None:
+                joined = ASSERT.join(static, ASSERT.then_eff(static, at, g))
+                pairs += [(static, joined), (joined, static)]
+        dom, cod = (Q,) * static.dom, (Q,) * static.cod
+        b = ASSERT.bound_of(static)
+        for n in (max(b - 1, 0), b, b + 1):
+            top = ASSERT.coarsest(dom, cod, n)
+            pairs += [(static, top), (top, static)]
+    return pairs
+
+
+def test_assert_leq_rules_agree_with_every_subset():
+    # what the rules prove and the witnesses refute, the costs on every
+    # precondition confirm; and leq says what rows and costs say together
+    pairs = leq_pairs(rng("assert-leq")) + program_leq_pairs(rng("assert-leq-programs"))
+    decided = {True: 0, False: 0, None: 0}
+    for e1, e2 in pairs:
+        c1, c2 = e1.value.cost, e2.value.cost
+        want = every_subset_leq_oracle(c1, c2, e1.dom)
+        known = _decide(c1, c2, 1 << e1.dom)
+        decided[known] += 1
+        assert known in (None, want)
+        rows_ok = not np.any(e1.value.reach > e2.value.reach)
+        assert ASSERT.leq(e1, e2) == (rows_ok and want)
+    # every way of deciding is exercised
+    assert min(decided.values()) >= 20, decided
+
+
+def stage(n: int, costs: dict[int, int]) -> np.ndarray:
+    """A stage on n qubits: these costs at these states, 0 elsewhere."""
+    g = np.zeros(1 << n, dtype=np.int64)
+    g[list(costs)] = list(costs.values())
+    g.flags.writeable = False
+    return g
+
+
+def costed(n: int, *items) -> Effect:
+    """The identity on n qubits with this cost."""
+    return Effect(n, n, AssertValue(np.eye(1 << n, dtype=bool), items))
+
+
+def test_assert_leq_decides_by_rules_above_the_enumeration_cap():
     e = ASSERT.identity_effect(5)
-    with pytest.raises(EffectObjectMismatch):
-        ASSERT.leq(e, e)
+    assert ASSERT.leq(e, e)  # equal costs
+    # each item under its own item of the right side, in order: a stage
+    # under a larger one, a join under the branch it sits in
+    s, big = stage(5, {0: 1, 7: 2}), stage(5, {0: 1, 7: 3})
+    t = stage(5, {1: 1})
+    assert ASSERT.leq(costed(5, s, t), costed(5, big, stage(5, {3: 1}), t))
+    assert ASSERT.leq(costed(5, t), costed(5, MaxCost(((s,), (t,)))))
+    assert ASSERT.leq(costed(5, MaxCost(((s,), (stage(5, {7: 3}),)))), costed(5, big))
+    # no stage of the right side covers two of the left: s + s is 4 at 7
+    assert not ASSERT.leq(costed(5, s, s), costed(5, big))
+    # at most 3 anywhere, at least 3 on every non-empty precondition
+    assert ASSERT.leq(costed(5, s, t), costed(5, stage(5, dict.fromkeys(range(32), 3))))
+
+
+def test_assert_leq_refutes_by_a_witness_above_the_enumeration_cap():
+    s, big = stage(5, {0: 1, 7: 2}), stage(5, {0: 1, 7: 3})
+    assert not ASSERT.leq(costed(5, big), costed(5, s))  # the state 7
+    # no single state tells these apart: the full set costs 2 against 1
+    assert not ASSERT.leq(costed(5, stage(5, {0: 1}), stage(5, {1: 1})),
+                          costed(5, stage(5, {0: 1, 1: 1})))
+
+
+def test_assert_leq_enumerates_only_up_to_4_qubits():
+    # {0, 1} costs 2 on the left and 1 on the right, but every single state
+    # and the full set agree, and no rule applies: only a proper subset of
+    # two states refutes
+    for n in (2, 3, 4, 5):
+        e1 = costed(n, stage(n, {0: 1}), stage(n, {1: 1}))
+        e2 = costed(n, stage(n, {0: 1, 1: 1}), stage(n, {2: 1}))
+        if n <= 4:
+            assert not ASSERT.leq(e1, e2)
+        else:
+            with pytest.raises(EffectObjectMismatch, match="cannot decide"):
+                ASSERT.leq(e1, e2)
+
+
+def test_assert_relations_must_be_total():
+    # a fold appends a constant stage as it is, which is sound only when
+    # every input state reaches some output state
+    with pytest.raises(EffectError, match="total"):
+        AssertValue(np.array([[True, False], [False, False]]), ())
+    gate = Gate("void", (Q,), (Q,))
+    with pytest.raises(EffectError, match="total"):
+        ASSERT.gate_effect(GateDef(gate, rows={"0": (frozenset({"0"}), 1),
+                                               "1": (frozenset(), 1)}))
 
 
 def test_assert_matches_simulation_oracle_spot():

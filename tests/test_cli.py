@@ -14,7 +14,7 @@ from pqc.algebras import ALGEBRAS, AssertValue, Effect
 from pqc.circuits import WireType, deserialize
 from pqc.cli import main
 from pqc.effects import infer_program_effect
-from pqc.errors import PqcError, ShapeMismatch, UnsupportedWire
+from pqc.errors import EffectError, PqcError, ShapeMismatch, UnsupportedWire
 from pqc.gates import default_registry
 from pqc.syntax import parse_program, parse_value, show_program
 from pqc.typecheck import check_program
@@ -354,6 +354,27 @@ def test_bad_precondition_named_in_the_order_given():
         assert done.stderr.startswith("error: precondition state '0' "), done.stderr
 
 
+def test_a_reader_that_stops_early_ends_the_output_quietly(tmp_path):
+    # a megabyte of rows into a pipe that is closed after 100 bytes: no
+    # traceback, no error line, and the command's own exit code
+    qs = [f"q{j}" for j in range(8)]
+    prog = tmp_path / "dense.pqc"
+    prog.write_text("inputs " + ", ".join(f"{q}: Qubit" for q in qs) + ";\n"
+                    + "".join(f"let {q} = apply(@H, {q}) in\n" for q in qs)
+                    + f"return ({', '.join(qs)})\n")
+    src = os.path.join(HERE, os.pardir, "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for cmd in ("analyze", "verify"):
+        with subprocess.Popen([sys.executable, "-m", "pqc.cli", cmd, str(prog),
+                               "--metric", "assert"], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as p:
+            assert len(p.stdout.read(100)) == 100
+            p.stdout.close()
+            err = p.stderr.read()
+            assert p.wait(timeout=60) == 0 and err == b"", (cmd, err)
+
+
 def test_analyze_precondition_needs_assert(capsys):
     code, _, err = run_cli(capsys, "analyze", demo("interleave.pqc"),
                            "--metric", "gates", "--precondition", "00")
@@ -587,6 +608,10 @@ def test_rows_are_json_dumps_of_value_json(monkeypatch, block):
     for dom in range(7):
         for cod in range(7):
             for kind in REACH_KINDS:
+                if kind == "empty":  # no relation leaves an input state unmapped
+                    with pytest.raises(EffectError, match="total"):
+                        AssertValue(random_reach(g, dom, cod, kind), ())
+                    continue
                 v = AssertValue(random_reach(g, dom, cod, kind), ())
                 text = json.dumps(rows_data(v), indent=2)
                 for outer in ("", "  ", "    "):  # "    ": where the CLI prints rows

@@ -5,22 +5,30 @@ fold, run on each algebra's accumulator (``CircuitAlgebra.fold``). These
 tests run the same inputs through ``oracles.ThenEffFold`` and
 ``oracles.then_eff_abstract``, which place every step with ``then_eff``, and
 ask for the same effect: the same endpoints and value, and under ``depth``
-the same matrix, its source→sink corner included.
+the same matrix, its source→sink corner included. ``assert``'s ``then_eff``
+is itself one step of its accumulator, so its fold is also checked against
+``oracles.StringAssertAlgebra``, which shares no code with it.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from generators import (
-    depth_triple, random_circuit, random_program, random_qubit_circuit, rng,
+    ASSERT_POOL, depth_triple, random_circuit, random_program, random_qubit_circuit, rng,
 )
-from oracles import ThenEffFold, ThenEffFolding, then_eff_abstract
+from oracles import (
+    StringAssertAlgebra, ThenEffFold, ThenEffFolding, string_eval_cost, then_eff_abstract,
+)
 from pqc.algebras import ALGEBRAS, TRIVIAL, DepthTriple, Effect, algebra
 from pqc.circuits import Gate, WireType
 from pqc.errors import PqcError
-from pqc.gates import GateDef, default_registry, parse_gate_spec
+from pqc.gates import GateDef, Registry, default_registry, parse_gate_spec
 from pqc.syntax import parse_program, show_program
 from pqc.tropical import NEG_INF
 from pqc.typecheck import EffectChecker
@@ -232,3 +240,115 @@ def test_wide_depth_effects_match_the_then_eff_fold():
         dom = (Q,) * 70
         assert_same(run_script(depth.fold(dom), script, final),
                     run_script(ThenEffFold(depth, dom), script, final))
+
+
+# --------------------------------------------------------------------------
+# assert: the in-place accumulator against then_eff and the string algebra
+# --------------------------------------------------------------------------
+
+ASSERT = algebra("assert")
+STRINGS = StringAssertAlgebra()
+
+
+def bitstrings(n: int) -> list[str]:
+    return [format(i, f"0{n}b") if n else "" for i in range(1 << n)]
+
+
+def random_assert_gate(r, name: str, d: int, c: int, permuting=False) -> GateDef:
+    """A gate-spec gate from d qubits to c with random rows: postsets of
+    any size (one state each, all distinct, when ``permuting``) and costs
+    that are all 0, all one constant, or mixed."""
+    ins, outs = bitstrings(d), bitstrings(c)
+    images = r.sample(outs, len(outs))
+    weight = r.randint(1, 4)
+    costs = r.choice((lambda: 0, lambda: weight, lambda: r.randint(0, 4)))
+    rows = {b: (frozenset({images[i]}) if permuting
+                else frozenset(r.sample(outs, r.randint(1, len(outs)))), costs())
+            for i, b in enumerate(ins)}
+    return GateDef(Gate(name, (Q,) * d, (Q,) * c), rows=rows)
+
+
+def assert_matches_strings(new: Effect, old: Effect, where) -> None:
+    """Same endpoints and rows, and the same cost on every single state and
+    on all states, as the string algebra's effect."""
+    assert (new.dom, new.cod) == (old.dom, old.cod), where
+    assert ASSERT.value_json(new) == STRINGS.value_json(old), where
+    states = bitstrings(new.dom)
+    singles = string_eval_cost(old.value.cost, np.eye(len(states), dtype=bool))
+    for b, cost in zip(states, singles.tolist()):
+        assert new.value.apply({b})[1] == cost, (where, b)
+    assert new.value.apply(states) == old.value.apply(states), where
+
+
+def test_assert_accumulator_matches_the_then_eff_fold_and_the_strings():
+    # routed placements of 0-3-qubit gates with arbitrary rows, wire counts
+    # that grow and shrink, and permutations moved in place
+    r = rng("fold-assert")
+    kinds = {"perm": 0, "uniform": 0, "other": 0, "resized": 0}
+    for i in range(250):
+        n = r.randint(0, 4)
+        live, script = n, []
+        for j in range(r.randint(0, 8)):
+            d = r.randint(0, min(live, 3))
+            c = r.randint(0, 3) if live - d < 5 else r.randint(0, d)
+            permuting = d == c and r.random() < 0.4
+            gdef = random_assert_gate(r, f"u{i}_{j}", d, c, permuting)
+            script.append((r.sample(range(live), d), gdef, r.randint(0, live - d)))
+            live += c - d
+            sources = ASSERT.gate_effect(gdef).value.plan()[0]
+            kinds["resized" if d != c else "perm" if permuting
+                  else "uniform" if all(xs == sources[0] for xs in sources)
+                  else "other"] += 1
+        final = list(range(live))
+        r.shuffle(final)
+        dom = (Q,) * n
+
+        def effects(alg):
+            return [(picks, alg.gate_effect(gdef), at) for picks, gdef, at in script]
+
+        got = run_script(ASSERT.fold(dom), effects(ASSERT), final)
+        assert_same(got, run_script(ThenEffFold(ASSERT, dom), effects(ASSERT), final), i)
+        assert_matches_strings(
+            got, run_script(ThenEffFold(STRINGS, dom), effects(STRINGS), final), i)
+    assert min(kinds.values()) >= 50, kinds
+
+
+def assert_registry(r) -> tuple[Registry, tuple[str, ...]]:
+    """The default gates and random gate-spec gates on 1-3 qubits, some
+    that permute their states and some that drop a wire."""
+    shapes = {"u1": (1, 1, False), "u2": (2, 2, False), "u3": (3, 3, False),
+              "p2": (2, 2, True), "p3": (3, 3, True), "m21": (2, 1, False),
+              "d1": (1, 0, False)}
+    defs = {name: random_assert_gate(r, name, d, c, p)
+            for name, (d, c, p) in shapes.items()}
+    return registry.extended(defs), ASSERT_POOL + tuple(shapes)
+
+
+def test_assert_abstract_matches_the_then_eff_fold_and_the_strings():
+    r = rng("fold-assert-abstract")
+    perms = 0
+    for i in range(120):
+        reg, pool = assert_registry(r)
+        c = random_circuit(r, max_wires=5, max_steps=10, pool=pool, registry=reg,
+                           max_width=6)
+        got = ASSERT.abstract(c, reg)
+        assert_same(got, then_eff_abstract(ASSERT, c, reg), str(c))
+        assert_matches_strings(got, then_eff_abstract(STRINGS, c, reg), str(c))
+        perms += sum(type(s).__name__ == "Perm" for s in c.steps)
+    assert perms >= 50
+
+
+def test_a_relation_that_is_not_total_is_refused_under_python_O():
+    # the fold's constant stages rely on totality, so the check must not be
+    # an assert statement, which -O strips
+    code = ("import numpy as np\n"
+            "from pqc.algebras import AssertValue\n"
+            "from pqc.errors import EffectError\n"
+            "try:\n"
+            "    AssertValue(np.zeros((2, 2), dtype=bool), ())\n"
+            "except EffectError:\n"
+            "    print('refused')\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert out.stdout == "refused\n", out.stderr
