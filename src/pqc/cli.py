@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -141,8 +142,9 @@ def _rows(v: AssertValue, outer: str):
         a = 0
         for b, e in enumerate((ends * rw).tolist(), lo):
             head = heads[b * hw + cut:(b + 1) * hw]
-            # cut the first entry's comma: "[" then "\n<indent>..."
-            yield head + "]" if a == e else head + text[a + 1:e] + close
+            # cut the first entry's comma: "[" then "\n<indent>..."; every
+            # input state reaches some output state, so there is one
+            yield head + text[a + 1:e] + close
             a, cut = e, 0
     yield "\n" + outer + "}"
 
@@ -186,23 +188,27 @@ def _chunks(x, outer: str = ""):
     yield "\n" + outer + brackets[1]
 
 
-def _print(doc) -> None:
-    """Write ``json.dumps(doc, indent=2)`` and a newline to stdout, piece by
-    piece, with an ``AssertValue`` printed as its ``"rows"``: a dense assert
-    document is megabytes of text, and is never held whole.
+def _write(pieces) -> None:
+    """Write the pieces to stdout, which every command writes through here.
 
     A reader that stops early (``| head``) ends the output, not the
     command: stdout then points at ``os.devnull``, so that the flush at exit
     cannot fail either, and the command returns its own exit code.
     """
     try:
-        sys.stdout.writelines(_chunks(doc))
-        sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _print(doc) -> None:
+    """Write ``json.dumps(doc, indent=2)`` and a newline to stdout, piece by
+    piece, with an ``AssertValue`` printed as its ``"rows"``: a dense assert
+    document is megabytes of text, and is never held whole."""
+    _write(itertools.chain(_chunks(doc), "\n"))
 
 
 def _infer(prog: Program, alg: CircuitAlgebra, registry: Registry):
@@ -225,7 +231,7 @@ def cmd_check(args) -> int:
         ty = check_program(prog, registry)
         if args.bound is not None:
             raise PqcError("--bound needs --metric")
-        print(f"ok: {show_type(ty)}")
+        _write([f"ok: {show_type(ty)}\n"])
         return 0
     alg = ALGEBRAS[args.metric]
     ty, eff = _infer(prog, alg, registry)
@@ -255,10 +261,8 @@ def cmd_run(args) -> int:
             "value": show_value(value),
         })
     else:
-        print(draw(circuit))
         outs = ", ".join(f"{l}:{t}" for l, t in out_ctx)
-        print(f"outputs: {outs}")
-        print(f"value:   {show_value(value)}")
+        _write([draw(circuit), f"\noutputs: {outs}\nvalue:   {show_value(value)}\n"])
     return 0
 
 

@@ -23,7 +23,8 @@ from generators import (
     ASSERT_POOL, depth_triple, random_circuit, random_program, random_qubit_circuit, rng,
 )
 from oracles import (
-    StringAssertAlgebra, ThenEffFold, ThenEffFolding, string_eval_cost, then_eff_abstract,
+    StringAssertAlgebra, ThenEffFold, ThenEffFolding, every_subset_costs, string_eval_cost,
+    then_eff_abstract,
 )
 from pqc.algebras import ALGEBRAS, TRIVIAL, DepthTriple, Effect, algebra
 from pqc.circuits import Gate, WireType
@@ -270,7 +271,9 @@ def random_assert_gate(r, name: str, d: int, c: int, permuting=False) -> GateDef
 
 def assert_matches_strings(new: Effect, old: Effect, where) -> None:
     """Same endpoints and rows, and the same cost on every single state and
-    on all states, as the string algebra's effect."""
+    on all states, as the string algebra's effect; up to 3 input qubits,
+    on every precondition too (at most 2^8 of them), so that costs whose
+    stages differ but agree on those points are told apart."""
     assert (new.dom, new.cod) == (old.dom, old.cod), where
     assert ASSERT.value_json(new) == STRINGS.value_json(old), where
     states = bitstrings(new.dom)
@@ -278,6 +281,12 @@ def assert_matches_strings(new: Effect, old: Effect, where) -> None:
     for b, cost in zip(states, singles.tolist()):
         assert new.value.apply({b})[1] == cost, (where, b)
     assert new.value.apply(states) == old.value.apply(states), where
+    if new.dom <= 3:
+        n = len(states)
+        # row i: the subset holding state j when bit j of i is set
+        pre = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+        assert np.array_equal(every_subset_costs(new.value.cost, n),
+                              string_eval_cost(old.value.cost, pre)), where
 
 
 def test_assert_accumulator_matches_the_then_eff_fold_and_the_strings():
