@@ -5,21 +5,21 @@ circuit a morphism between them (an ``Effect``), such that composition,
 identities, whiskering and symmetry are preserved on the nose, and morphisms
 carry a preorder (``leq``) with joins where the order is a lattice.
 
-Sequencing is one primitive per algebra, ``then_eff(eff, at, e)``: ``eff``,
-then ``e`` on ``eff.cod`` at ``at``, the other wires passing by. ``at`` is
-either the number of wires above ``e`` or a tuple of wire positions that are
-routed to the top, in that order, before ``e`` acts on the first of them. It
-touches only the part of ``eff`` that ``e`` consumes, plus a reordering of
-the wires when ``at`` routes them. There is no tensor of effects: read
+Sequencing is one primitive per algebra, its fold accumulator (``fold``):
+started on some wires, it hands out a handle per wire; ``place(taken, e)``
+puts ``e`` on the wires of the handles ``taken``, the other wires passing
+by, and returns handles for its outputs; ``freeze(order)`` ends the fold
+with the outputs in that order. There is no tensor of effects: read
 premonoidally, a layer is its gates in sequence.
 
-A circuit's image and a program's effect are one fold, each step's effect
-placed on the wires it consumes, run on the algebra's mutable accumulator
-(``fold``): ``CircuitAlgebra.abstract`` drives it over a circuit's gates,
-the checker over a block's binders. The scalar algebras keep a running sum
+A circuit's image and a program's effect are each one fold:
+``CircuitAlgebra.abstract`` drives it over a circuit's gates, the checker
+over a block's binders. The scalar algebras keep a running sum
 (``ScalarFold``) and ``width`` a count; ``depth`` rewrites in place only the
 rows of the wires a step consumes, and ``assert`` only the slices of its
-relation that the states of those wires pick (``AssertFold``).
+relation that the states of those wires pick (``AssertFold``). The tests
+check every fold against a functional sequencing of two effects, kept in
+``tests/oracles.py`` as the reference.
 
 Shipped algebras:
 
@@ -68,7 +68,7 @@ import numpy as np
 from .circuits import Circuit, Layer, Obj, Perm, WireType
 from .errors import EffectError, EffectObjectMismatch, UnknownUnitary, UnsupportedWire
 from .gates import GateDef, Registry
-from .tropical import NEG_INF, TropicalMatrix, maxplus
+from .tropical import NEG_INF, TropicalMatrix
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -86,8 +86,8 @@ class Effect:
 
 
 def routing(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """``then_eff``'s ``at`` for a permutation step: wire i moves to
-    position ``perm[i]``, so position j is routed from wire ``perm⁻¹[j]``."""
+    """The wire each position takes after a permutation step: wire i moves
+    to position ``perm[i]``, so position j is routed from wire ``perm⁻¹[j]``."""
     at = [0] * len(perm)
     for i, j in enumerate(perm):
         at[j] = i
@@ -97,10 +97,9 @@ def routing(perm: tuple[int, ...]) -> tuple[int, ...]:
 class CircuitAlgebra:
     """Interface of a circuit algebra, plus ``abstract``, a fold over gates.
 
-    Per algebra: objects (``obj_of``), identities, the one sequencing
-    primitive ``then_eff``, gate effects, the order (``leq``, ``join``) and
-    the fold accumulator (``fold``). ``compose_eff`` derives from
-    ``then_eff``.
+    Per algebra: objects (``obj_of``), identities, gate effects, the order
+    (``leq``, ``join``) and the one sequencing primitive, the fold
+    accumulator (``fold``).
     """
 
     name = "?"
@@ -114,18 +113,6 @@ class CircuitAlgebra:
         raise NotImplementedError
 
     def identity_effect(self, o) -> Effect:
-        raise NotImplementedError
-
-    def then_eff(self, eff: Effect, at, e: Effect) -> Effect:
-        """``eff``, then ``e`` on the wires of ``eff.cod`` at ``at``.
-
-        ``at`` is a count, the number of wires above ``e``: ``e`` takes the
-        wires after them, its outputs take their place and the wires below
-        pass by. Or ``at`` is a route, a tuple of distinct wire positions of
-        ``eff.cod``, at least ``e.dom`` of them: those wires move to the top
-        in that order, the others follow in theirs, and ``e`` takes the
-        first ``e.dom`` wires. Algebras that ignore positions ignore ``at``.
-        """
         raise NotImplementedError
 
     def leq(self, e1: Effect, e2: Effect) -> bool:
@@ -159,35 +146,6 @@ class CircuitAlgebra:
         """``from_bound`` for a given bound."""
         raise NotImplementedError
 
-    # --- derived ----------------------------------------------------------
-    def compose_eff(self, e1: Effect, e2: Effect) -> Effect:
-        """``e1`` then ``e2``: ``then_eff`` with no wires beside ``e2``."""
-        if e1.cod != e2.dom:
-            raise EffectObjectMismatch(f"{self.name} compose: {e1.cod} vs {e2.dom}")
-        return self.then_eff(e1, 0, e2)
-
-    def _placement(self, eff: Effect, at, e: Effect
-                   ) -> tuple[int, Optional[tuple[int, ...]], int]:
-        """``then_eff``'s ``at``, for objects that count wires, as
-        ``(left, route, right)``: ``route`` lists the wires of ``eff.cod`` in
-        their new order (None: unchanged), then ``e`` takes the wires after
-        the first ``left`` of them and ``right`` wires pass below it."""
-        k = eff.cod
-        route = None
-        if isinstance(at, tuple):
-            taken = set(at)
-            if (len(taken) != len(at) or len(at) < e.dom
-                    or any(not 0 <= p < k for p in at)):
-                raise EffectObjectMismatch(
-                    f"{self.name}: cannot route {at} on {k} wires for {e.dom}")
-            if at != tuple(range(len(at))):
-                route = at + tuple(p for p in range(k) if p not in taken)
-            at = 0
-        if not 0 <= at <= k - e.dom:
-            raise EffectObjectMismatch(
-                f"{self.name}: no {e.dom} wires after {at} of {k}")
-        return at, route, k - at - e.dom
-
     def _require_endpoints(self, e1: Effect, e2: Effect, what: str) -> None:
         if e1.dom != e2.dom or e1.cod != e2.cod:
             raise EffectObjectMismatch(
@@ -204,11 +162,14 @@ class CircuitAlgebra:
         """
         raise NotImplementedError
 
-    def abstract(self, c: Circuit, registry: Registry) -> Effect:
+    def abstract(self, c: Circuit, registry: Registry,
+                 order: Optional[list[int]] = None) -> Effect:
         """The algebra's image of a circuit: its gates placed one by one on
         the fold accumulator. ``wires`` holds the handle of the wire at each
         position, which a permutation only reorders. Gates that change the
         wire count (init, discard) shift the later placements of their layer.
+        ``order`` lists the output positions in the order the image returns
+        them (None: as the circuit leaves them).
         """
         fold = self.fold(c.dom)
         wires = fold.wires
@@ -223,7 +184,7 @@ class CircuitAlgebra:
                 lo, d = at + shift, len(gate.dom)
                 wires[lo:lo + d] = fold.place(wires[lo:lo + d], gate_effect(gate.name))
                 shift += len(gate.cod) - d
-        return fold.freeze(wires)
+        return fold.freeze(wires if order is None else [wires[i] for i in order])
 
 
 # --------------------------------------------------------------------------
@@ -241,9 +202,6 @@ class _ScalarAlgebra(CircuitAlgebra):
     def identity_effect(self, o) -> Effect:
         return Effect("*", "*", 0)
 
-    def then_eff(self, eff, at, e) -> Effect:
-        return Effect("*", "*", eff.value + e.value)
-
     def leq(self, e1, e2) -> bool:
         return e1.value <= e2.value
 
@@ -256,7 +214,7 @@ class _ScalarAlgebra(CircuitAlgebra):
     def fold(self, dom) -> "ScalarFold":
         return ScalarFold()
 
-    def abstract(self, c, registry) -> Effect:
+    def abstract(self, c, registry, order=None) -> Effect:
         # positions do not matter, and sequencing adds: the gates' values
         value = functools.cache(  # read once per gate name
             lambda name: self.gate_effect(registry.lookup(name)).value)
@@ -294,7 +252,7 @@ class NaiveDepthAlgebra(_ScalarAlgebra):
     def gate_effect(self, gdef: GateDef) -> Effect:
         return Effect("*", "*", 1)
 
-    def abstract(self, c, registry) -> Effect:
+    def abstract(self, c, registry, order=None) -> Effect:
         # a layer is one time step however many gates it holds
         return Effect("*", "*", sum(isinstance(s, Layer) for s in c.steps))
 
@@ -331,11 +289,6 @@ class WidthAlgebra(CircuitAlgebra):
 
     def identity_effect(self, o: int) -> Effect:
         return Effect(o, o, o)
-
-    def then_eff(self, eff, at, e) -> Effect:
-        left, _, right = self._placement(eff, at, e)
-        return Effect(eff.dom, left + e.cod + right,
-                      max(eff.value, left + e.value + right))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "width leq")
@@ -468,23 +421,6 @@ class DepthAlgebra(CircuitAlgebra):
         m = np.full((k + 1, k + 1), NEG_INF)
         m[range(k), range(k)] = 0.0
         return _depth(k, k, m)
-
-    def then_eff(self, eff, at, e) -> Effect:
-        # the wires beside e are identities that neither start nor end paths,
-        # so only the columns e consumes change, and the sink column; a route
-        # gathers the columns first
-        left, route, right = self._placement(eff, at, e)
-        hi, k = left + e.dom, eff.cod
-        m, g = eff.value.m, e.value.m
-        if route is not None:
-            m = m[:, route + (k,)]
-        # every row (inputs, then eff's sources) through e: into e's outputs,
-        # and into e's sinks
-        p = maxplus(m[:, left:hi], g[:-1])
-        np.maximum(p[-1], g[-1], out=p[-1])  # sources born in e
-        np.maximum(p[:, -1], m[:, k], out=p[:, -1])  # sinks already in eff
-        return _depth(eff.dom, left + e.cod + right,
-                      np.hstack((m[:, :left], p[:, :-1], m[:, hi:k], p[:, -1:])))
 
     def fold(self, dom: Obj) -> "DepthFold":
         return DepthFold(dom)
@@ -1088,15 +1024,6 @@ class AssertAlgebra(CircuitAlgebra):
         k = self.obj_of(dom)
         _require_qubits(k)
         return AssertFold(k, np.eye(1 << k, dtype=bool), ())
-
-    def then_eff(self, eff, at, e) -> Effect:
-        # one step of a fold started on eff (its relation copied, since the
-        # fold writes in place), the handles being eff.cod's positions
-        left, route, _ = self._placement(eff, at, e)
-        t: AssertValue = eff.value
-        fold = AssertFold(eff.dom, t.reach.copy(), t.cost)
-        wires, hi = list(route or range(eff.cod)), left + e.dom
-        return fold.freeze(wires[:left] + fold.place(wires[left:hi], e) + wires[hi:])
 
     def leq(self, e1, e2) -> bool:
         """Decided by the rules above, then by witnesses, then, at most 4

@@ -88,8 +88,6 @@ def verify_dynamic(
             "program result does not mention every open wire; cannot align "
             "endpoints for verification")
     pos = {lbl: i for i, (lbl, _) in enumerate(out_ctx)}
-    dynamic = alg.then_eff(alg.abstract(circuit, registry),
-                           tuple(pos[lbl] for lbl in flat),
-                           alg.identity_effect(alg.obj_of(())))
+    dynamic = alg.abstract(circuit, registry, [pos[lbl] for lbl in flat])
     return VerifyReport(alg.name, static, dynamic, alg.leq(dynamic, static),
                         circuit, out_ctx, value)

@@ -1,8 +1,9 @@
 """Max-plus (tropical) matrices over ℕ ∪ {−∞}.
 
 Addition is ``max``, multiplication is ``+``, the additive unit is −∞ and
-the multiplicative unit 0. Matrix product therefore computes maximum path
-weights: ``(A ⊙ B)[i,k] = max_j (A[i,j] + B[j,k])``.
+the multiplicative unit 0, so an entry is a maximum path weight. ``depth``
+effects are such matrices (``algebras.DepthTriple``), and ``TropicalMatrix``
+is how their parts are rendered.
 
 Backed by float numpy arrays (−∞ as ``-inf``); all finite entries are
 integers and compare exactly.
@@ -15,16 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NEG_INF = float("-inf")
-
-
-def maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The max-plus product of plain arrays (−∞ over an empty inner dimension)."""
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} ⊙ {b.shape}")
-    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
-        return np.full((a.shape[0], b.shape[1]), NEG_INF)
-    # entries are −∞ or finite, so no sum is −∞ + ∞
-    return (a[:, :, None] + b[None, :, :]).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

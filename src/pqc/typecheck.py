@@ -380,16 +380,18 @@ class EffectChecker:
         alg = self.alg
         body_eff = alg.abstract(boxed.body, self.registry)
         flat_in = flatten_bundle(boxed.inputs)
-        in_obj = tuple(boxed.in_ctx.type_of(lbl) for lbl in flat_in)
-        # the bundle's wires routed into the body's input order, and the
-        # body's outputs routed into the bundle's order
-        in_pos = {lbl: i for i, lbl in enumerate(flat_in)}
-        out_pos = {lbl: i for i, (lbl, _) in enumerate(boxed.out_ctx)}
-        eff = alg.then_eff(
-            alg.then_eff(alg.identity_effect(alg.obj_of(in_obj)),
-                         tuple(in_pos[lbl] for lbl, _ in boxed.in_ctx), body_eff),
-            tuple(out_pos[lbl] for lbl in flatten_bundle(boxed.outputs)),
-            alg.identity_effect(alg.obj_of(())))
+        fold = alg.fold(tuple(boxed.in_ctx.type_of(lbl) for lbl in flat_in))
+        wires = fold.wires
+        if wires is None:
+            fold.place(None, body_eff)
+            eff = fold.freeze(None)
+        else:
+            # the bundle's wires routed into the body's input order, and the
+            # body's outputs routed into the bundle's order
+            in_pos = {lbl: i for i, lbl in enumerate(flat_in)}
+            out_pos = {lbl: i for i, (lbl, _) in enumerate(boxed.out_ctx)}
+            out = fold.place([wires[in_pos[lbl]] for lbl, _ in boxed.in_ctx], body_eff)
+            eff = fold.freeze([out[out_pos[lbl]] for lbl in flatten_bundle(boxed.outputs)])
         return CircT(bundle_type(boxed.inputs, boxed.in_ctx),
                      bundle_type(boxed.outputs, boxed.out_ctx), None, eff)
 
@@ -638,10 +640,11 @@ class EffectChecker:
                         f"got {show_type(arrow.cod)}")
                 fn_eff = self._stored_effect(arrow)
                 unit = alg.identity_effect(alg.obj_of(()))
-                prelude = vt.eff if vt.eff is not None else unit
-                left = alg.obj_of(wires_of(arrow.dom))
-                circ_eff = alg.compose_eff(
-                    alg.then_eff(alg.identity_effect(left), left, prelude), fn_eff)
+                fold = alg.fold(wires_of(arrow.dom))
+                handles = fold.wires
+                if vt.eff is not None:  # the lift's effect: no wires in or out
+                    fold.place(None if handles is None else [], vt.eff)
+                circ_eff = fold.freeze(fold.place(handles, fn_eff))
                 ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
                 wires = ()
                 eff = unit

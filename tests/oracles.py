@@ -9,10 +9,22 @@ tell whether an application the rows charge 0 is really the identity
 there. ``assert_cost_oracle`` reads an ``assert`` cost one
 precondition at a time, without the matrix evaluator. ``perm_effect_oracle``
 builds a permutation's effect directly, not by routing wires with
-``then_eff``. ``then_eff_abstract`` and ``ThenEffFold`` are the folds the
-algebras' accumulators replaced: one ``then_eff`` per gate, per permutation
-and per binder, wires found by position. ``RightFoldChecker`` infers ``let``
-and ``dest`` by the rules the checker's left fold replaced. ``StringAssertAlgebra`` is the ``assert``
+``then_eff``.
+
+``then_eff(alg, eff, at, e)`` is sequencing in functional form: ``eff``,
+then ``e`` on some wires of ``eff.cod``, the others passing by.
+``compose_eff`` is the case with no wires beside ``e``; ``_placement``
+reads and checks ``at``, and ``maxplus`` is the product ``depth``'s case
+multiplies by. The library sequences effects only by the algebras' fold
+accumulators, so ``then_eff`` is the reference they are checked against:
+a sum for the scalar algebras, a max of counts for ``width``, a max-plus
+product over the consumed columns for ``depth``, and for ``assert`` one
+``AssertFold`` step on a copy of the relation, which is why ``assert`` is
+also checked against ``StringAssertAlgebra``. ``then_eff_abstract`` and
+``ThenEffFold`` are the folds the algebras' accumulators replaced: one
+``then_eff`` per gate, per permutation and per binder, wires found by
+position. ``RightFoldChecker`` infers ``let`` and ``dest`` by the rules the
+checker's left fold replaced. ``StringAssertAlgebra`` is the ``assert``
 algebra on basis strings and dicts, one state at a time, that the algebra
 on basis integers replaced. ``ValidatingBuilder`` is the circuit builder
 whose ``append`` looks every port up by label, builds both permutations
@@ -30,8 +42,9 @@ import numpy as np
 
 from generators import depth_triple, tropical_permutation
 from pqc.algebras import (
-    _ASSERT_LEQ_MAX_BITS, _ASSERT_MAX_COST, AssertAlgebra, AssertValue,
-    CircuitAlgebra, Effect, MaxCost, _require_qubits, _subsets, routing,
+    _ASSERT_LEQ_MAX_BITS, _ASSERT_MAX_COST, AssertAlgebra, AssertFold, AssertValue,
+    CircuitAlgebra, DepthAlgebra, Effect, MaxCost, WidthAlgebra, _depth,
+    _require_qubits, _subsets, routing,
 )
 from pqc.circuits import (
     BoxedCircuit, Bundle, Circuit, LabelContext, Layer, Perm, Step,
@@ -310,20 +323,108 @@ def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
     return alg.identity_effect(alg.obj_of((WireType.QUBIT,) * k))
 
 
-def then_eff_abstract(alg: CircuitAlgebra, c: Circuit, registry: Registry) -> Effect:
+# --------------------------------------------------------------------------
+# then_eff: two effects in sequence, the reference for every fold
+# --------------------------------------------------------------------------
+
+def maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The max-plus product of plain arrays (−∞ over an empty inner dimension)."""
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"shape mismatch {a.shape} ⊙ {b.shape}")
+    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
+        return np.full((a.shape[0], b.shape[1]), NEG_INF)
+    # entries are −∞ or finite, so no sum is −∞ + ∞
+    return (a[:, :, None] + b[None, :, :]).max(axis=1)
+
+
+def _placement(alg, eff: Effect, at, e: Effect
+               ) -> tuple[int, Optional[tuple[int, ...]], int]:
+    """``then_eff``'s ``at``, for objects that count wires, as
+    ``(left, route, right)``: ``route`` lists the wires of ``eff.cod`` in
+    their new order (None: unchanged), then ``e`` takes the wires after
+    the first ``left`` of them and ``right`` wires pass below it."""
+    k = eff.cod
+    route = None
+    if isinstance(at, tuple):
+        taken = set(at)
+        if (len(taken) != len(at) or len(at) < e.dom
+                or any(not 0 <= p < k for p in at)):
+            raise EffectObjectMismatch(
+                f"{alg.name}: cannot route {at} on {k} wires for {e.dom}")
+        if at != tuple(range(len(at))):
+            route = at + tuple(p for p in range(k) if p not in taken)
+        at = 0
+    if not 0 <= at <= k - e.dom:
+        raise EffectObjectMismatch(
+            f"{alg.name}: no {e.dom} wires after {at} of {k}")
+    return at, route, k - at - e.dom
+
+
+def then_eff(alg, eff: Effect, at, e: Effect) -> Effect:
+    """``eff``, then ``e`` on the wires of ``eff.cod`` at ``at``.
+
+    ``at`` is a count, the number of wires above ``e``: ``e`` takes the
+    wires after them, its outputs take their place and the wires below
+    pass by. Or ``at`` is a route, a tuple of distinct wire positions of
+    ``eff.cod``, at least ``e.dom`` of them: those wires move to the top
+    in that order, the others follow in theirs, and ``e`` takes the
+    first ``e.dom`` wires. Algebras that ignore positions ignore ``at``.
+    """
+    if not alg.positional:  # the scalar algebras: sequencing adds
+        return Effect("*", "*", eff.value + e.value)
+    left, route, right = _placement(alg, eff, at, e)
+    if isinstance(alg, WidthAlgebra):
+        return Effect(eff.dom, left + e.cod + right,
+                      max(eff.value, left + e.value + right))
+    if isinstance(alg, DepthAlgebra):
+        # the wires beside e are identities that neither start nor end paths,
+        # so only the columns e consumes change, and the sink column; a route
+        # gathers the columns first
+        hi, k = left + e.dom, eff.cod
+        m, g = eff.value.m, e.value.m
+        if route is not None:
+            m = m[:, route + (k,)]
+        # every row (inputs, then eff's sources) through e: into e's outputs,
+        # and into e's sinks
+        p = maxplus(m[:, left:hi], g[:-1])
+        np.maximum(p[-1], g[-1], out=p[-1])  # sources born in e
+        np.maximum(p[:, -1], m[:, k], out=p[:, -1])  # sinks already in eff
+        return _depth(eff.dom, left + e.cod + right,
+                      np.hstack((m[:, :left], p[:, :-1], m[:, hi:k], p[:, -1:])))
+    if isinstance(alg, AssertAlgebra):
+        # one step of a fold started on eff (its relation copied, since the
+        # fold writes in place), the handles being eff.cod's positions
+        t: AssertValue = eff.value
+        fold = AssertFold(eff.dom, t.reach.copy(), t.cost)
+        wires, hi = list(route or range(eff.cod)), left + e.dom
+        return fold.freeze(wires[:left] + fold.place(wires[left:hi], e) + wires[hi:])
+    if isinstance(alg, StringAssertAlgebra):
+        return _string_then_eff(eff, left, route, right, e)
+    raise TypeError(f"no then_eff for the {alg.name} algebra")
+
+
+def compose_eff(alg, e1: Effect, e2: Effect) -> Effect:
+    """``e1`` then ``e2``: ``then_eff`` with no wires beside ``e2``."""
+    if e1.cod != e2.dom:
+        raise EffectObjectMismatch(f"{alg.name} compose: {e1.cod} vs {e2.dom}")
+    return then_eff(alg, e1, 0, e2)
+
+
+def then_eff_abstract(alg: CircuitAlgebra, c: Circuit, registry: Registry,
+                      order: Optional[list[int]] = None) -> Effect:
     """A circuit's image, one ``then_eff`` per gate and a routing with
-    nothing placed per permutation."""
+    nothing placed per permutation, and into ``order`` at the end."""
     eff = alg.identity_effect(alg.obj_of(c.dom))
     unit = alg.identity_effect(alg.obj_of(()))
     for step in c.steps:
         if isinstance(step, Perm):
-            eff = alg.then_eff(eff, routing(step.perm), unit)
+            eff = then_eff(alg, eff, routing(step.perm), unit)
             continue
         shift = 0
         for gate, at in step.placements:
-            eff = alg.then_eff(eff, at + shift, alg.gate_effect(registry.lookup(gate.name)))
+            eff = then_eff(alg, eff, at + shift, alg.gate_effect(registry.lookup(gate.name)))
             shift += len(gate.cod) - len(gate.dom)
-    return eff
+    return eff if order is None else then_eff(alg, eff, tuple(order), unit)
 
 
 class ThenEffFold:
@@ -347,17 +448,17 @@ class ThenEffFold:
     def place(self, taken, e: Effect):
         alg = self.alg
         if self.wires is None:
-            self.eff = alg.then_eff(self.eff, 0, e)
+            self.eff = then_eff(alg, self.eff, 0, e)
             return None
         at = self._at(taken)
         out = list(range(self.serial, self.serial + e.cod))
         self.serial += e.cod
         lo = at[0] if at else len(self.cols)
         if at == tuple(range(lo, lo + len(at))):
-            self.eff = alg.then_eff(self.eff, lo, e)
+            self.eff = then_eff(alg, self.eff, lo, e)
             self.cols[lo:lo + len(at)] = out
         else:
-            self.eff = alg.then_eff(self.eff, at, e)
+            self.eff = then_eff(alg, self.eff, at, e)
             self.cols = out + [w for w in self.cols if w not in taken]
             if self.folding is not None:
                 self.folding.routes += 1
@@ -367,7 +468,7 @@ class ThenEffFold:
         alg = self.alg
         if self.wires is None:
             return self.eff
-        return alg.then_eff(self.eff, self._at(order), alg.identity_effect(alg.obj_of(())))
+        return then_eff(alg, self.eff, self._at(order), alg.identity_effect(alg.obj_of(())))
 
 
 class ThenEffFolding:
@@ -386,10 +487,11 @@ class ThenEffFolding:
     def fold(self, dom) -> ThenEffFold:
         return ThenEffFold(self.alg, dom, self)
 
-    def abstract(self, c: Circuit, registry: Registry) -> Effect:
+    def abstract(self, c: Circuit, registry: Registry,
+                 order: Optional[list[int]] = None) -> Effect:
         if self.alg.name == "depth-naive":
-            return self.alg.abstract(c, registry)
-        return then_eff_abstract(self.alg, c, registry)
+            return self.alg.abstract(c, registry, order)
+        return then_eff_abstract(self.alg, c, registry, order)
 
 
 class RightFoldChecker(EffectChecker):
@@ -421,8 +523,8 @@ class RightFoldChecker(EffectChecker):
         perm: list[int] = []
         for i in src:
             perm.extend(range(offset[i], offset[i] + len(ctx[i].wires)))
-        return alg.then_eff(alg.identity_effect(alg.obj_of(dom)),
-                            routing(tuple(perm)), unit)
+        return then_eff(alg, alg.identity_effect(alg.obj_of(dom)),
+                        routing(tuple(perm)), unit)
 
     def _infer(self, m: Term):
         alg = self.alg
@@ -438,9 +540,8 @@ class RightFoldChecker(EffectChecker):
             used = self._merge(bu, tu, f"let {b.var}")
             g2 = sorted(self._linear(tu))
             g1 = sorted(self._linear(bu))
-            eff = alg.compose_eff(
-                alg.then_eff(self._reorder(g2 + g1),
-                             len(self._blocks_obj(g2)), be),
+            eff = compose_eff(
+                alg, then_eff(alg, self._reorder(g2 + g1), len(self._blocks_obj(g2)), be),
                 te)
         else:
             vt, vu, vo = self.infer_value(b.value)
@@ -452,7 +553,7 @@ class RightFoldChecker(EffectChecker):
             bu = self._pop(2, bu, f"the body of dest ({b.left}, {b.right})")
             used = self._merge(vu, bu, f"dest ({b.left}, {b.right})")
             g2 = sorted(self._linear(bu))
-            eff = alg.compose_eff(self._reorder(g2 + vo), be)
+            eff = compose_eff(alg, self._reorder(g2 + vo), be)
         self._check_endpoints(m, eff, self._blocks_obj(sorted(self._linear(used))),
                               wires, ty)
         return ty, wires, used, eff
@@ -654,6 +755,26 @@ class _Placed(dict):
         return post
 
 
+def _string_then_eff(eff: Effect, left: int, route: Optional[tuple[int, ...]],
+                     right: int, e: Effect) -> Effect:
+    """``then_eff`` on basis strings, ``at`` placed by ``_placement``."""
+    _require_qubits(eff.cod)
+    t: StringAssertValue = eff.value
+    v: StringAssertValue = e.value
+    hi = left + e.dom
+    whole = route is None and left == right == 0
+    placed = v.rows if whole else _Placed(v.rows, left, hi, route)
+    rows = {b: frozenset().union(*map(placed.__getitem__, post))
+            for b, post in t.rows.items()}
+    more: StringCost = ()
+    if v.cost:
+        reached = v.cost if whole else _string_pullback(
+            v.cost, {y: frozenset({placed.routed(y)[left:hi]}) for y in placed})
+        more = _string_pullback(reached, t.rows)
+    return Effect(eff.dom, left + e.cod + right,
+                  StringAssertValue(rows, t.cost + more))
+
+
 class StringAssertAlgebra(CircuitAlgebra):
     """The ``assert`` algebra with rows as dicts from basis strings to sets
     of basis strings and stages as sorted (string, cost) pairs: each state's
@@ -665,24 +786,6 @@ class StringAssertAlgebra(CircuitAlgebra):
     def identity_effect(self, k: int) -> Effect:
         rows = {b: frozenset({b}) for b in _bitstrings(k)}
         return Effect(k, k, StringAssertValue(rows, ()))
-
-    def then_eff(self, eff, at, e) -> Effect:
-        left, route, right = self._placement(eff, at, e)
-        _require_qubits(eff.cod)
-        t: StringAssertValue = eff.value
-        v: StringAssertValue = e.value
-        hi = left + e.dom
-        whole = route is None and left == right == 0
-        placed = v.rows if whole else _Placed(v.rows, left, hi, route)
-        rows = {b: frozenset().union(*map(placed.__getitem__, post))
-                for b, post in t.rows.items()}
-        more: StringCost = ()
-        if v.cost:
-            reached = v.cost if whole else _string_pullback(
-                v.cost, {y: frozenset({placed.routed(y)[left:hi]}) for y in placed})
-            more = _string_pullback(reached, t.rows)
-        return Effect(eff.dom, left + e.cod + right,
-                      StringAssertValue(rows, t.cost + more))
 
     def leq(self, e1, e2) -> bool:
         self._require_endpoints(e1, e2, "assert leq")

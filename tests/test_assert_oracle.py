@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from generators import ASSERT_POOL, Q, random_program, random_steps, rng
-from oracles import StringAssertAlgebra, string_eval_cost
+from oracles import StringAssertAlgebra, compose_eff, string_eval_cost, then_eff
 from pqc.algebras import ALGEBRAS, _ASSERT_MAX_QUBITS, Effect
 from pqc.circuits import Circuit, Gate
 from pqc.effects import infer_program_effect
@@ -100,8 +100,8 @@ def random_piece(r, k: int, room: int):
         pair = []
         for alg in (ASSERT, STRINGS):
             g = [alg.gate_effect(gdef) for gdef in tables]
-            pair.append(alg.compose_eff(
-                alg.join(alg.compose_eff(g[0], g[1]), alg.compose_eff(g[2], g[3])),
+            pair.append(compose_eff(
+                alg, alg.join(compose_eff(alg, g[0], g[1]), compose_eff(alg, g[2], g[3])),
                 g[4]))
         return tuple(pair)
     if r.random() < 0.25:
@@ -137,10 +137,10 @@ def test_folds_with_routes_joins_and_coarsest_match_the_string_algebra():
                 # join with the prefix followed by one more qubit gate in place
                 g = registry.lookup(r.choice(("H", "X", "Z")))
                 w = r.randrange(new.cod)
-                new = ASSERT.join(new, ASSERT.then_eff(new, w, ASSERT.gate_effect(g)))
-                old = STRINGS.join(old, STRINGS.then_eff(old, w, STRINGS.gate_effect(g)))
-            new = ASSERT.then_eff(new, at, e_new)
-            old = STRINGS.then_eff(old, at, e_old)
+                new = ASSERT.join(new, then_eff(ASSERT, new, w, ASSERT.gate_effect(g)))
+                old = STRINGS.join(old, then_eff(STRINGS, old, w, STRINGS.gate_effect(g)))
+            new = then_eff(ASSERT, new, at, e_new)
+            old = then_eff(STRINGS, old, at, e_old)
             if new.cod == 0:
                 break
         assert_same(new, old, i)
@@ -149,8 +149,8 @@ def test_folds_with_routes_joins_and_coarsest_match_the_string_algebra():
             # their join
             g = registry.lookup(r.choice(("H", "X", "Z")))
             w = r.randrange(new.cod)
-            more = ASSERT.then_eff(new, w, ASSERT.gate_effect(g))
-            more_old = STRINGS.then_eff(old, w, STRINGS.gate_effect(g))
+            more = then_eff(ASSERT, new, w, ASSERT.gate_effect(g))
+            more_old = then_eff(STRINGS, old, w, STRINGS.gate_effect(g))
             pairs = [(new, more), (more, new),
                      (more, ASSERT.join(new, more))]
             pairs_old = [(old, more_old), (more_old, old),

@@ -3,11 +3,12 @@
 A circuit's image (``abstract``) and a block's effect (inference) are one
 fold, run on each algebra's accumulator (``CircuitAlgebra.fold``). These
 tests run the same inputs through ``oracles.ThenEffFold`` and
-``oracles.then_eff_abstract``, which place every step with ``then_eff``, and
-ask for the same effect: the same endpoints and value, and under ``depth``
-the same matrix, its source→sink corner included. ``assert``'s ``then_eff``
-is itself one step of its accumulator, so its fold is also checked against
-``oracles.StringAssertAlgebra``, which shares no code with it.
+``oracles.then_eff_abstract``, which place every step with
+``oracles.then_eff``, and ask for the same effect: the same endpoints and
+value, and under ``depth`` the same matrix, its source→sink corner
+included. ``assert``'s ``then_eff`` is itself one step of its accumulator,
+so its fold is also checked against ``oracles.StringAssertAlgebra``, which
+shares no code with it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from generators import (
 )
 from oracles import (
     StringAssertAlgebra, ThenEffFold, ThenEffFolding, every_subset_costs, string_eval_cost,
-    then_eff_abstract,
+    then_eff, then_eff_abstract,
 )
-from pqc.algebras import ALGEBRAS, TRIVIAL, DepthTriple, Effect, algebra
+from pqc.algebras import ALGEBRAS, TRIVIAL, DepthTriple, Effect, algebra, routing
 from pqc.circuits import Gate, WireType
 from pqc.errors import PqcError
 from pqc.gates import GateDef, Registry, default_registry, parse_gate_spec
@@ -91,6 +92,29 @@ def test_abstract_matches_the_then_eff_fold(name):
         assert_same(alg.abstract(c, reg), then_eff_abstract(alg, c, reg), str(c))
         perms += sum(type(s).__name__ == "Perm" for s in c.steps)
     assert perms >= 50
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_abstract_in_an_order_is_the_image_then_a_routing(name):
+    # verify asks for the circuit's outputs in its bundle's order: the image
+    # in the circuit's order, then the outputs routed into that one
+    alg = alg_of(name)
+    r = rng(f"fold-order/{name}")
+    unit = alg.identity_effect(alg.obj_of(()))
+    moved = 0
+    for _ in range(150):
+        if name == "assert":
+            c, reg = random_qubit_circuit(r, max_wires=4, max_steps=10), registry
+        else:
+            c = random_circuit(r, max_wires=5, max_steps=12, pool=POOL, registry=WIDE)
+            reg = WIDE
+        perm = list(range(len(c.cod)))
+        r.shuffle(perm)
+        at = routing(tuple(perm))
+        assert_same(alg.abstract(c, reg, list(at)),
+                    then_eff(alg, alg.abstract(c, reg), at, unit), str(c))
+        moved += at != tuple(sorted(at))
+    assert moved >= 75, moved
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from generators import depth_triple, rng, tropical_permutation
+from generators import Q, depth_triple, rng, tropical_permutation
+from oracles import maxplus
 from pqc.algebras import ALGEBRAS, Effect, depth_bound
+from pqc.circuits import Circuit, Layer, Perm
 from pqc.gates import default_registry
-from pqc.tropical import NEG_INF, TropicalMatrix, maxplus
+from pqc.tropical import NEG_INF, TropicalMatrix
 
 
 def random_array(r: random.Random, rows: int, cols: int) -> np.ndarray:
@@ -102,15 +104,19 @@ def test_immutability():
     a = tropical_permutation((0, 1))
     with pytest.raises(ValueError):
         a.data[0, 0] = 5.0
-    # then_eff builds its array and hands it over uncopied, read-only, and
-    # the A, v and w rendered from it are read-only too
-    depth = ALGEBRAS["depth"]
-    h = depth.gate_effect(default_registry().lookup("H"))
-    t = depth.then_eff(depth.identity_effect(2), 1, h).value
-    for m in (t.m, t.a.data, t.v.data, t.w.data):
-        assert not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0, 0] = 5.0
+    # the fold's frozen matrix and an abstracted circuit's are read-only,
+    # and so are the A, v and w rendered from them
+    depth, reg = ALGEBRAS["depth"], default_registry()
+    fold = depth.fold((Q, Q))
+    fold.place(fold.wires[1:], depth.gate_effect(reg.lookup("H")))
+    c = Circuit((Q, Q), (Layer(((reg.gate("H"), 0),)), Perm((1, 0)),
+                         Layer(((reg.gate("CNOT"), 0),))))
+    for e in (fold.freeze(fold.wires), depth.abstract(c, reg)):
+        t = e.value
+        for m in (t.m, t.a.data, t.v.data, t.w.data):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 5.0
     # a rendering is a copy, so writing to its source leaves it alone
     base = np.zeros((2, 2))
     view = TropicalMatrix(base[:, :1])
