@@ -66,17 +66,22 @@ def qubits(n: int) -> Obj:
 # labels
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Label:
-    """An opaque, totally ordered wire name."""
+class Label(int):
+    """A totally ordered wire name, printed ``#ix``.
 
-    ix: int
+    An ``int`` underneath, so hashing, equality and order are the C ones
+    (``Label(3) == 3``). In a program's syntax a wire is a ``LabelVal``,
+    which never equals a ``NatVal``.
+    """
 
-    def __hash__(self) -> int:
-        return self.ix
+    __slots__ = ()
+
+    @property
+    def ix(self) -> int:
+        return int(self)
 
     def __str__(self) -> str:
-        return f"#{self.ix}"
+        return f"#{int(self)}"
 
     __repr__ = __str__
 
@@ -411,6 +416,7 @@ class BoxedCircuit:
     outputs: Bundle
     ports: tuple[int, ...] = field(init=False, compare=False, repr=False)
     port_types: Obj = field(init=False, compare=False, repr=False)
+    _placed: dict | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.in_ctx.obj != self.body.dom:
@@ -425,6 +431,24 @@ class BoxedCircuit:
         ports = tuple(map(self.in_ctx.position, port_labels))
         object.__setattr__(self, "ports", ports)
         object.__setattr__(self, "port_types", tuple(self.body.dom[j] for j in ports))
+        layers_only = all(type(s) is Layer for s in self.body.steps)
+        object.__setattr__(self, "_placed", {} if layers_only else None)
+
+    def placed(self, left: int, right: int) -> tuple[Step, ...]:
+        """The body's steps with ``left`` wires above and ``right`` below.
+
+        A body of Layers alone (a gate literal, say) does not depend on
+        ``right``: its steps are placed once per offset, and every
+        application at that offset shares them. So every cached step is a
+        step of some built circuit.
+        """
+        placed = self._placed
+        if placed is None:
+            return _whisker_steps(self.body.steps, left, right)
+        out = placed.get(left)
+        if out is None:
+            out = placed[left] = _whisker_steps(self.body.steps, left, right)
+        return out
 
     def __str__(self) -> str:
         return f"({show_bundle(self.inputs)}, {self.body}, {show_bundle(self.outputs)})"
@@ -511,7 +535,7 @@ class CircuitBuilder:
 
         Returns the output bundle, over fresh labels. ``dom`` is unchanged.
         """
-        attach_labels = flatten_bundle(attach)
+        attach_labels = [attach] if type(attach) is Label else flatten_bundle(attach)
         ports = boxed.ports
         m = len(ports)
         if len(attach_labels) != m:
@@ -537,14 +561,15 @@ class CircuitBuilder:
         steps = self.steps
         # gather: attached wire i goes to block slot q + (port position of
         # its partner label); passthrough wires fill the remaining slots in
-        # order. It is the identity exactly when every i is already there.
-        if any(i != q + j for i, j in zip(positions, ports)):
+        # order. It is the identity exactly when every i is already there,
+        # as one wire always is.
+        if m > 1 and any(i != q + j for i, j in zip(positions, ports)):
             dest: list[int | None] = [None] * n
             for i, j in zip(positions, ports):
                 dest[i] = q + j
             free = itertools.chain(range(q), range(q + m, n))
             steps.append(Perm(tuple(next(free) if d is None else d for d in dest)))
-        steps.extend(_whisker_steps(boxed.body.steps, q, n - q - m))
+        steps.extend(boxed.placed(q, n - q - m))
         out_entries = boxed.out_ctx.entries
         keep_slots = len(out_entries) == m and m > 0
         if keep_slots:
@@ -578,8 +603,11 @@ class CircuitBuilder:
             entries += rest
             for i in range(q, len(entries)):
                 pos[entries[i][0]] = i
+        outputs = boxed.outputs
+        if type(outputs) is Label:  # then out_ctx has that one entry
+            return fresh[0][0]
         mapping = {old: new for (old, _), (new, _) in zip(out_entries, fresh)}
-        return rename_bundle(boxed.outputs, mapping)
+        return rename_bundle(outputs, mapping)
 
 
 # --------------------------------------------------------------------------

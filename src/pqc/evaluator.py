@@ -13,6 +13,8 @@ The machine is call-by-value and never substitutes into the program:
 
 * ``\\x. M`` and ``lift M`` evaluate to closures over the scope they are
   written in; application and ``force`` run the body in that scope.
+* A wire is a bare ``Label`` at run time, and a bundle of wires is a
+  ``Pair`` of them, so passing wires around builds no syntax nodes.
 * A block's binders, application and ``force`` run in one loop over an
   explicit continuation stack, so deep programs use no Python recursion.
 * Each configuration's circuit grows in one ``CircuitBuilder`` (the
@@ -22,14 +24,17 @@ The machine is call-by-value and never substitutes into the program:
   builder derives and checks the whole circuit's cod when it packages the
   circuit (at the end of the run, or of a ``box``). In between, ``apply``
   only checks its argument against the cached ports and places the body's
-  steps by index arithmetic. On a shared 2-core Xeon under CPython 3.11,
-  the whole machine costs 19–21 µs per gate it emits on a doubling program
-  of 4096 gates, and 25–27 µs on a 40-wire CNOT brickwork (36 and 58–60 µs
-  when every appended step was re-derived).
+  steps by index arithmetic; a gate literal's layer is placed once per
+  offset and shared. On a shared 2-core Intel Xeon under CPython 3.11.7,
+  the whole machine costs about 8 µs per gate it emits on a 4096-gate
+  doubling program over one wire, 6 µs over four wires, and 12 µs per
+  CNOT on an 8-round, 40-wire brickwork. Before wires were bare labels and
+  placed layers were shared, the same session measured 12.5, 11 and 18 µs.
 * Every rule firing costs one unit of fuel.
 
-A closure is read back into a syntax value, by substituting its scope into
-it, only when it escapes: as the program's result or in an error message.
+A closure, or a wire, is read back into a syntax value only when it
+escapes: as the program's result or in an error message. A closure is read
+back by substituting its scope into it, a wire becomes a ``LabelVal``.
 """
 
 from __future__ import annotations
@@ -113,7 +118,8 @@ class Closure:
 
 
 def _value(v: Value, env: Env):
-    """A value's runtime form: variables looked up, lambdas and lifts closed.
+    """A value's runtime form: variables looked up, lambdas and lifts closed,
+    wires as bare ``Label``s.
 
     An unbound variable stays a variable, as substitution would leave it.
     """
@@ -126,6 +132,8 @@ def _value(v: Value, env: Env):
     if t is Lam or t is Lift:
         env.seal()
         return Closure(v, env)
+    if t is LabelVal:
+        return v.label
     return v
 
 
@@ -135,9 +143,12 @@ def _value(v: Value, env: Env):
 
 def readback(v) -> Value:
     """The syntax value a runtime value stands for."""
-    if type(v) is Closure:
+    t = type(v)
+    if t is Label:
+        return LabelVal(v)
+    if t is Closure:
         return subst_value(v.value, v.env)
-    if type(v) is Pair:
+    if t is Pair:
         return Pair(readback(v.left), readback(v.right))
     return v
 
@@ -196,16 +207,18 @@ def subst_term(m: Term, env: Env, bound: AbstractSet[str] = frozenset()) -> Term
 # bundles as values
 # --------------------------------------------------------------------------
 
-def value_to_bundle(v: Value) -> Bundle:
-    match v:
-        case UnitVal():
-            return ()
-        case LabelVal(label):
-            return label
-        case Pair(left, right):
-            return (value_to_bundle(left), value_to_bundle(right))
-        case _:
-            raise Stuck(f"expected a wire bundle, got {v}")
+def value_to_bundle(v) -> Bundle:
+    """The bundle a runtime or syntax value stands for."""
+    t = type(v)
+    if t is Label:
+        return v
+    if t is Pair:
+        return (value_to_bundle(v.left), value_to_bundle(v.right))
+    if t is UnitVal:
+        return ()
+    if t is LabelVal:
+        return v.label
+    raise Stuck(f"expected a wire bundle, got {readback(v)}")
 
 
 def _bundle_of(v: Value, env: Env) -> Bundle:
@@ -213,22 +226,25 @@ def _bundle_of(v: Value, env: Env) -> Bundle:
     t = type(v)
     if t is Var:
         w = env.lookup(v.name)
+        if type(w) is Label:
+            return w
         if w is not None:
             return value_to_bundle(w)
-    elif t is LabelVal:
-        return v.label
     elif t is Pair:
         return (_bundle_of(v.left, env), _bundle_of(v.right, env))
+    elif t is LabelVal:
+        return v.label
     elif t is UnitVal:
         return ()
-    raise Stuck(f"expected a wire bundle, got {_value(v, env)}")
+    raise Stuck(f"expected a wire bundle, got {readback(_value(v, env))}")
 
 
-def bundle_to_value(b: Bundle) -> Value:
+def bundle_to_value(b: Bundle):
+    """A bundle's runtime form: the labels themselves, in pairs."""
+    if type(b) is Label:
+        return b
     if b == ():
         return UnitVal()
-    if isinstance(b, Label):
-        return LabelVal(b)
     left, right = b
     return Pair(bundle_to_value(left), bundle_to_value(right))
 
@@ -252,12 +268,6 @@ class _Boxing:
     outer: CircuitBuilder
     in_ctx: LabelContext
     bundle: Bundle
-
-
-def _closure_of(v, kind: type) -> Optional[Closure]:
-    if type(v) is Closure and type(v.value) is kind:
-        return v
-    return None
 
 
 def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
@@ -286,56 +296,71 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             else:
                 pair = _value(b.value, env)
                 if type(pair) is not Pair:
-                    raise Stuck(f"dest needs a pair, got {pair}")
+                    raise Stuck(f"dest needs a pair, got {readback(pair)}")
                 # on a repeated name the left component wins, as in substitution
                 env = env.bind(b.right, pair.right).bind(b.left, pair.left)
                 m = rest
             continue
+        # a variable operand is one lookup; _value handles the rest (and an
+        # unbound variable, which stays a variable)
         if t is Ret:
-            v = _value(m.value, env)
+            x = m.value
+            v = env.lookup(x.name) if type(x) is Var else None
+            if v is None:
+                v = _value(x, env)
         elif t is Apply:
-            circ = _value(m.circ, env)
+            circ = m.circ
+            if type(circ) is not GateRef:
+                circ = _value(circ, env)
             if type(circ) is GateRef:
                 boxed = registry.boxed(circ.name)
             elif type(circ) is BoxedVal:
                 boxed = circ.boxed
             else:
-                raise Stuck(f"apply needs a circuit, got {circ}")
+                raise Stuck(f"apply needs a circuit, got {readback(circ)}")
             v = bundle_to_value(builder.append(_bundle_of(m.arg, env), boxed))
         elif t is App:
-            fn = _value(m.fn, env)
-            lam = _closure_of(fn, Lam)
-            if lam is None:
+            x = m.fn
+            fn = env.lookup(x.name) if type(x) is Var else None
+            if fn is None:
+                fn = _value(x, env)
+            if type(fn) is not Closure or type(fn.value) is not Lam:
                 if type(fn) is GateRef or type(fn) is BoxedVal:
                     raise Stuck(f"{fn} is a circuit; run it with apply(...)")
-                raise Stuck(f"cannot apply non-function {fn}")
-            env = Env({lam.value.var: _value(m.arg, env)}, lam.env)
-            m = lam.value.body
+                raise Stuck(f"cannot apply non-function {readback(fn)}")
+            x = m.arg
+            arg = env.lookup(x.name) if type(x) is Var else None
+            if arg is None:
+                arg = _value(x, env)
+            lam = fn.value
+            env = Env({lam.var: arg}, fn.env)
+            m = lam.body
             continue
         elif t is Ifz:
             cond = _value(m.cond, env)
             if type(cond) is not NatVal:
-                raise Stuck(f"ifz needs a number, got {cond}")
+                raise Stuck(f"ifz needs a number, got {readback(cond)}")
             m = m.then if cond.n == 0 else m.els
             continue
         elif t is Force:
-            v = _value(m.value, env)
-            thunk = _closure_of(v, Lift)
-            if thunk is None:
-                raise Stuck(f"force needs a lifted term, got {v}")
-            env, m = thunk.env, thunk.value.term
+            x = m.value
+            v = env.lookup(x.name) if type(x) is Var else None
+            if v is None:
+                v = _value(x, env)
+            if type(v) is not Closure or type(v.value) is not Lift:
+                raise Stuck(f"force needs a lifted term, got {readback(v)}")
+            env, m = v.env, v.value.term
             continue
         elif t is Box:
             v = _value(m.value, env)
-            thunk = _closure_of(v, Lift)
-            if thunk is None:
-                raise Stuck(f"box needs a lifted function, got {v}")
+            if type(v) is not Closure or type(v.value) is not Lift:
+                raise Stuck(f"box needs a lifted function, got {readback(v)}")
             in_ctx, bundle = freshlabels(shape_of(m.shape), builder.supply)
             stack.append(_Boxing(builder, in_ctx, bundle))
             builder = CircuitBuilder(identity(in_ctx.obj), in_ctx, builder.supply)
-            env = Env(parent=thunk.env)
-            m = Block((LetBinder(_BOX_FN, thunk.value.term),),
-                      App(Var(_BOX_FN), bundle_to_value(bundle)))
+            env = Env(parent=v.env)
+            m = Block((LetBinder(_BOX_FN, v.value.term),),
+                      App(Var(_BOX_FN), readback(bundle_to_value(bundle))))
             continue
         else:
             raise Stuck(f"no rule for {m}")
@@ -352,7 +377,9 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                                       builder.context(), value_to_bundle(v)))
             builder = k.outer
         var, m, i, env = k
-        env = env.bind(var, v)
+        if env.sealed:  # env.bind, inlined
+            env = Env(parent=env)
+        env.vars[var] = v
 
 
 def evaluate(cfg: Configuration, registry: Optional[Registry] = None,
@@ -363,8 +390,9 @@ def evaluate(cfg: Configuration, registry: Optional[Registry] = None,
     configuration's outputs.
     """
     builder = CircuitBuilder(cfg.circuit, cfg.out_ctx)
-    v = _run(builder, Env(dict(cfg.env)), cfg.term,
-             registry or default_registry(), fuel)
+    closed = Env()  # the configuration's values are closed
+    env = Env({x: _value(v, closed) for x, v in cfg.env.items()})
+    v = _run(builder, env, cfg.term, registry or default_registry(), fuel)
     return builder.circuit(), builder.context(), readback(v)
 
 

@@ -12,6 +12,7 @@ from pqc.errors import (
     CircuitError, LabelNotFound, ObjectMismatch, ParseError, WireTypeMismatch,
 )
 from pqc.gates import default_registry
+from pqc.syntax import LabelVal, NatVal
 
 H = Gate("H", (Q,), (Q,))
 X = Gate("X", (Q,), (Q,))
@@ -112,6 +113,19 @@ def test_freshlabels_and_context():
     assert ctx.position(ctx.labels[2]) == 2
     with pytest.raises(LabelNotFound):
         ctx.position(Label(999))
+
+
+def test_label_order_hash_and_text():
+    a, b = Label(3), Label(12)
+    assert a < b and sorted([b, a]) == [a, b] and max(a, b) is b
+    assert a == Label(3) and hash(a) == hash(Label(3)) and {a: 1}[Label(3)] == 1
+    assert a.ix == 3 and type(a.ix) is int
+    assert str(a) == repr(a) == f"{a}" == "#3"
+    assert str([a, b]) == "[#3, #12]" and str((a, ())) == "(#3, ())"
+    assert next(label_supply(5)) == Label(5)
+    # a wire is never a number in a program's syntax
+    assert LabelVal(Label(3)) != NatVal(3)
+    assert str(LabelVal(Label(3))) == "#3"
 
 
 def test_label_context_rejects_duplicates():
@@ -243,16 +257,27 @@ def random_attach(r, entries, want):
 def test_append_matches_validating_builder_on_random_attachments():
     r = rng("append-oracle")
     appended, errors = 0, set()
+    literals = [registry.boxed(name) for name in GENERAL_POOL]
+    placed: dict = {}  # a gate literal's placements -> the one Layer placing them
+    repeats = 0
     for _ in range(150):
         dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(0, 6)))
         ctx, _ = freshlabels(spine(dom), label_supply(r.randint(0, 3)))
         new, old = CircuitBuilder(identity(dom), ctx), ValidatingBuilder(identity(dom), ctx)
+        literal = False  # the last append placed a gate literal
         for _ in range(r.randint(1, 10)):
             entries = new.context().entries
-            boxed = random_boxed(r)
-            while len(boxed.ports) > len(entries) and r.random() < 0.8:
+            if literal and len(boxed.out_ctx) == len(boxed.ports) and r.random() < 0.5:
+                # the same gate literal again on the same wires (renamed by
+                # the last application), so at the same offsets
+                labels = flatten_bundle(got)
+                repeats += 1
+            else:
                 boxed = random_boxed(r)
-            labels = random_attach(r, entries, boxed.port_types)
+                while len(boxed.ports) > len(entries) and r.random() < 0.8:
+                    boxed = random_boxed(r)
+                labels = random_attach(r, entries, boxed.port_types)
+            literal = any(boxed is b for b in literals)
             fault = r.random()
             if fault < 0.04:
                 labels = labels + [Label(10**6)]          # one wire too many
@@ -261,6 +286,7 @@ def test_append_matches_validating_builder_on_random_attachments():
             elif fault < 0.12 and labels:
                 labels[r.randrange(len(labels))] = Label(10**6)  # unknown label
             attach = random_nesting(r, labels)
+            before = len(new.steps)
             try:
                 got = new.append(attach, boxed)
             except CircuitError as e:
@@ -268,12 +294,19 @@ def test_append_matches_validating_builder_on_random_attachments():
                     old.append(attach, boxed)
                 assert str(want.value) == str(e)
                 errors.add((type(e).__name__, str(e).split()[0]))
+                literal = False
             else:
                 assert got == old.append(attach, boxed)
                 appended += 1
+                if literal:
+                    for step in new.steps[before:]:
+                        if isinstance(step, Layer):
+                            assert placed.setdefault(step.placements, step) is step
             assert new.context() == old.context()
+            assert new.circuit().steps == old.circuit().steps
             assert serialize(new.circuit()) == serialize(old.circuit())
-    assert appended > 300
+    assert appended > 300 and repeats > 50
+    assert any(at > 0 for (_, at), in placed)  # shifted layers are shared too
     assert errors == {("WireTypeMismatch", "bundle"), ("WireTypeMismatch", "duplicate"),
                       ("LabelNotFound", "label"), ("WireTypeMismatch", "wire")}
 

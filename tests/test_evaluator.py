@@ -2,7 +2,7 @@ import pytest
 
 from generators import rng, random_program
 from pqc.circuits import Circuit, Label, Layer, WireType, flatten_bundle
-from pqc.errors import FuelExhausted, Stuck
+from pqc.errors import FuelExhausted, Stuck, WireTypeMismatch
 from pqc.evaluator import (
     Env, bundle_to_value, evaluate, evaluate_program, initial_configuration,
     subst_term, subst_value, value_to_bundle,
@@ -10,7 +10,7 @@ from pqc.evaluator import (
 from pqc.gates import default_registry
 from pqc.syntax import (
     Apply, App, Block, DestBinder, Force, GateRef, Ifz, LabelVal, Lam,
-    LetBinder, NatVal, Pair, Program, QubitT, Ret, UnitVal, Var, parse_program,
+    LetBinder, Lift, NatVal, Pair, Program, QubitT, Ret, UnitVal, Var, parse_program,
 )
 from pqc.typecheck import check_program
 
@@ -241,6 +241,43 @@ def test_stuck_shapes():
         cfg.term = term
         with pytest.raises(Stuck):
             evaluate(cfg, registry)
+
+
+_WIRE, _PAIR = Var("a"), Pair(Var("a"), Var("b"))
+_CLOSURE = Lam("x", QubitT(), Ret(Pair(Var("x"), Var("b"))))
+_CLOSURE_TEXT = r"\x:Qubit. return (x, #1)"
+
+
+@pytest.mark.parametrize("term, message", [
+    (Force(_WIRE), "force needs a lifted term, got #0"),
+    (Force(_PAIR), "force needs a lifted term, got (#0, #1)"),
+    (Force(_CLOSURE), f"force needs a lifted term, got {_CLOSURE_TEXT}"),
+    (Ifz(_WIRE, Ret(UnitVal()), Ret(UnitVal())), "ifz needs a number, got #0"),
+    (Ifz(_PAIR, Ret(UnitVal()), Ret(UnitVal())), "ifz needs a number, got (#0, #1)"),
+    (Ifz(_CLOSURE, Ret(UnitVal()), Ret(UnitVal())),
+     f"ifz needs a number, got {_CLOSURE_TEXT}"),
+    (Block((DestBinder("x", "y", _WIRE),), Ret(UnitVal())), "dest needs a pair, got #0"),
+    (Block((DestBinder("x", "y", _CLOSURE),), Ret(UnitVal())),
+     f"dest needs a pair, got {_CLOSURE_TEXT}"),
+    (Apply(_WIRE, UnitVal()), "apply needs a circuit, got #0"),
+    (Apply(_PAIR, UnitVal()), "apply needs a circuit, got (#0, #1)"),
+    (Apply(_CLOSURE, UnitVal()), f"apply needs a circuit, got {_CLOSURE_TEXT}"),
+    (Apply(GateRef("H"), _PAIR), "bundle of 2 wires applied to circuit expecting 1"),
+    (Apply(GateRef("H"), _CLOSURE), f"expected a wire bundle, got {_CLOSURE_TEXT}"),
+    (App(_PAIR, UnitVal()), "cannot apply non-function (#0, #1)"),
+    (Ifz(Pair(_WIRE, Lift(Ret(_WIRE))), Ret(UnitVal()), Ret(UnitVal())),
+     "ifz needs a number, got (#0, lift return #0)"),
+], ids=["force-wire", "force-pair", "force-closure", "ifz-wire", "ifz-pair",
+        "ifz-closure", "dest-wire", "dest-closure", "apply-wire", "apply-pair",
+        "apply-closure", "apply-to-pair", "apply-to-closure", "app-pair",
+        "ifz-pair-with-closure"])
+def test_stuck_text_on_wire_values(term, message):
+    # the configurations are built directly: the checker rejects every one
+    cfg, _ = initial_configuration(parse_program("inputs a: Qubit, b: Qubit; return *"))
+    cfg.term = term
+    with pytest.raises((Stuck, WireTypeMismatch)) as err:
+        evaluate(cfg, registry)
+    assert str(err.value) == message
 
 
 # --------------------------------------------------------------------------
