@@ -13,8 +13,10 @@ The machine is call-by-value and never substitutes into the program:
 
 * ``\\x. M`` and ``lift M`` evaluate to closures over the scope they are
   written in; application and ``force`` run the body in that scope.
-* A wire is a bare ``Label`` at run time, and a bundle of wires is a
-  ``Pair`` of them, so passing wires around builds no syntax nodes.
+* At run time a wire is a bare ``Label``, a pair is a 2-tuple and unit is
+  ``()``. So a bundle of wires is a tuple, the builder's own form: passing
+  wires around builds no syntax nodes, and ``apply`` hands its argument to
+  the builder and returns the builder's result as it is.
 * A block's binders, application and ``force`` run in one loop over an
   explicit continuation stack, so deep programs use no Python recursion.
 * Each configuration's circuit grows in one ``CircuitBuilder`` (the
@@ -25,16 +27,13 @@ The machine is call-by-value and never substitutes into the program:
   circuit (at the end of the run, or of a ``box``). In between, ``apply``
   only checks its argument against the cached ports and places the body's
   steps by index arithmetic; a gate literal's layer is placed once per
-  offset and shared. On a shared 2-core Intel Xeon under CPython 3.11.7,
-  the whole machine costs about 8 µs per gate it emits on a 4096-gate
-  doubling program over one wire, 6 µs over four wires, and 12 µs per
-  CNOT on an 8-round, 40-wire brickwork. Before wires were bare labels and
-  placed layers were shared, the same session measured 12.5, 11 and 18 µs.
+  offset and shared.
 * Every rule firing costs one unit of fuel.
 
-A closure, or a wire, is read back into a syntax value only when it
-escapes: as the program's result or in an error message. A closure is read
-back by substituting its scope into it, a wire becomes a ``LabelVal``.
+A runtime value is read back into a syntax value only when it escapes: as
+the program's result or in an error message. A closure is read back by
+substituting its scope into it, a wire becomes a ``LabelVal``, and a tuple
+a ``Pair`` or ``UnitVal``.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ class Closure:
 
 def _value(v: Value, env: Env):
     """A value's runtime form: variables looked up, lambdas and lifts closed,
-    wires as bare ``Label``s.
+    wires as bare ``Label``s, pairs as 2-tuples and unit as ``()``.
 
     An unbound variable stays a variable, as substitution would leave it.
     """
@@ -128,7 +127,9 @@ def _value(v: Value, env: Env):
         w = env.lookup(v.name)
         return v if w is None else w
     if t is Pair:
-        return Pair(_value(v.left, env), _value(v.right, env))
+        return (_value(v.left, env), _value(v.right, env))
+    if t is UnitVal:
+        return ()
     if t is Lam or t is Lift:
         env.seal()
         return Closure(v, env)
@@ -148,8 +149,8 @@ def readback(v) -> Value:
         return LabelVal(v)
     if t is Closure:
         return subst_value(v.value, v.env)
-    if t is Pair:
-        return Pair(readback(v.left), readback(v.right))
+    if t is tuple:
+        return Pair(readback(v[0]), readback(v[1])) if v else UnitVal()
     return v
 
 
@@ -208,9 +209,15 @@ def subst_term(m: Term, env: Env, bound: AbstractSet[str] = frozenset()) -> Term
 # --------------------------------------------------------------------------
 
 def value_to_bundle(v) -> Bundle:
-    """The bundle a runtime or syntax value stands for."""
+    """The bundle a runtime or syntax value stands for; a runtime bundle is
+    its own, once checked to hold only labels."""
     t = type(v)
     if t is Label:
+        return v
+    if t is tuple:
+        if v:
+            value_to_bundle(v[0])
+            value_to_bundle(v[1])
         return v
     if t is Pair:
         return (value_to_bundle(v.left), value_to_bundle(v.right))
@@ -219,34 +226,6 @@ def value_to_bundle(v) -> Bundle:
     if t is LabelVal:
         return v.label
     raise Stuck(f"expected a wire bundle, got {readback(v)}")
-
-
-def _bundle_of(v: Value, env: Env) -> Bundle:
-    """``value_to_bundle(_value(v, env))``, without building the value."""
-    t = type(v)
-    if t is Var:
-        w = env.lookup(v.name)
-        if type(w) is Label:
-            return w
-        if w is not None:
-            return value_to_bundle(w)
-    elif t is Pair:
-        return (_bundle_of(v.left, env), _bundle_of(v.right, env))
-    elif t is LabelVal:
-        return v.label
-    elif t is UnitVal:
-        return ()
-    raise Stuck(f"expected a wire bundle, got {readback(_value(v, env))}")
-
-
-def bundle_to_value(b: Bundle):
-    """A bundle's runtime form: the labels themselves, in pairs."""
-    if type(b) is Label:
-        return b
-    if b == ():
-        return UnitVal()
-    left, right = b
-    return Pair(bundle_to_value(left), bundle_to_value(right))
 
 
 # --------------------------------------------------------------------------
@@ -295,10 +274,10 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                 m, i = b.bound, 0
             else:
                 pair = _value(b.value, env)
-                if type(pair) is not Pair:
+                if type(pair) is not tuple or not pair:  # () is unit
                     raise Stuck(f"dest needs a pair, got {readback(pair)}")
                 # on a repeated name the left component wins, as in substitution
-                env = env.bind(b.right, pair.right).bind(b.left, pair.left)
+                env = env.bind(b.right, pair[1]).bind(b.left, pair[0])
                 m = rest
             continue
         # a variable operand is one lookup; _value handles the rest (and an
@@ -318,7 +297,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                 boxed = circ.boxed
             else:
                 raise Stuck(f"apply needs a circuit, got {readback(circ)}")
-            v = bundle_to_value(builder.append(_bundle_of(m.arg, env), boxed))
+            v = builder.append(value_to_bundle(_value(m.arg, env)), boxed)
         elif t is App:
             x = m.fn
             fn = env.lookup(x.name) if type(x) is Var else None
@@ -360,7 +339,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             builder = CircuitBuilder(identity(in_ctx.obj), in_ctx, builder.supply)
             env = Env(parent=v.env)
             m = Block((LetBinder(_BOX_FN, v.value.term),),
-                      App(Var(_BOX_FN), readback(bundle_to_value(bundle))))
+                      App(Var(_BOX_FN), readback(bundle)))
             continue
         else:
             raise Stuck(f"no rule for {m}")

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .algebras import TRIVIAL, CircuitAlgebra, Effect
+from .algebras import TRIVIAL, CircuitAlgebra, Effect, routing
 from .circuits import (
     Circuit, Label, LabelContext, Obj, Shape, WireType, flatten_bundle,
 )
@@ -379,19 +379,18 @@ class EffectChecker:
         boxed = bv.boxed
         alg = self.alg
         body_eff = alg.abstract(boxed.body, self.registry)
-        flat_in = flatten_bundle(boxed.inputs)
-        fold = alg.fold(tuple(boxed.in_ctx.type_of(lbl) for lbl in flat_in))
+        fold = alg.fold(boxed.port_types)
         wires = fold.wires
         if wires is None:
             fold.place(None, body_eff)
             eff = fold.freeze(None)
         else:
-            # the bundle's wires routed into the body's input order, and the
-            # body's outputs routed into the bundle's order
-            in_pos = {lbl: i for i, lbl in enumerate(flat_in)}
-            out_pos = {lbl: i for i, (lbl, _) in enumerate(boxed.out_ctx)}
-            out = fold.place([wires[in_pos[lbl]] for lbl, _ in boxed.in_ctx], body_eff)
-            eff = fold.freeze([out[out_pos[lbl]] for lbl in flatten_bundle(boxed.outputs)])
+            # the bundle's wires routed into the body's input order (port k
+            # feeds body position ports[k]), and the body's outputs routed
+            # into the bundle's order
+            out = fold.place([wires[k] for k in routing(boxed.ports)], body_eff)
+            eff = fold.freeze([out[boxed.out_ctx.position(lbl)]
+                               for lbl in flatten_bundle(boxed.outputs)])
         return CircT(bundle_type(boxed.inputs, boxed.in_ctx),
                      bundle_type(boxed.outputs, boxed.out_ctx), None, eff)
 

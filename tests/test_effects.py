@@ -5,13 +5,16 @@ from pqc.algebras import (
     ALGEBRAS, Effect, GateCountAlgebra, WidthAlgebra, algebra,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
-from pqc.circuits import flatten_bundle
+from pqc.circuits import (
+    BoxedCircuit, Circuit, Label, LabelContext, Layer, Perm, WireType,
+    flatten_bundle,
+)
 from pqc.errors import EffectError, EndpointMismatch, LinearityViolation
 from pqc.evaluator import evaluate_program
 from pqc.gates import default_registry
 from pqc.syntax import (
-    ArrowT, BangT, CircT, QubitT, TensorT, UnitT, parse_program, parse_term,
-    parse_type,
+    ArrowT, BangT, BoxedVal, CircT, QubitT, TensorT, UnitT, parse_program,
+    parse_term, parse_type,
 )
 from pqc.typecheck import EffectChecker, synthesize_bounds
 
@@ -219,6 +222,22 @@ def test_boxed_value_has_the_type_of_its_box():
         ct, _, _ = EffectChecker(alg, registry).infer_value(boxed)
         ty, _ = infer_program_effect(program(src), alg, registry)
         assert ct.eff == ty.eff, name
+
+
+def test_boxed_value_routes_a_permuted_input_bundle():
+    # the bundle lists the inputs (#1, #0): its first wire feeds body input 1
+    q = WireType.QUBIT
+    h, cnot = registry.gate("H"), registry.gate("CNOT")
+    body = (Layer(((h, 0),)), Layer(((cnot, 0),)))
+    boxed = BoxedCircuit(
+        (Label(1), Label(0)), LabelContext(((Label(0), q), (Label(1), q))),
+        Circuit((q, q), body),
+        LabelContext(((Label(2), q), (Label(3), q))), (Label(2), Label(3)))
+    swapped = Circuit((q, q), (Perm((1, 0)),) + body)
+    for name in sorted(ALGEBRAS):
+        alg = algebra(name)
+        ct, _, _ = EffectChecker(alg, registry).infer_value(BoxedVal(boxed))
+        assert ct.eff == alg.abstract(swapped, registry), name
 
 
 def test_verify_report_json_shape():

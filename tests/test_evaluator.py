@@ -4,7 +4,7 @@ from generators import rng, random_program
 from pqc.circuits import Circuit, Label, Layer, WireType, flatten_bundle
 from pqc.errors import FuelExhausted, Stuck, WireTypeMismatch
 from pqc.evaluator import (
-    Env, bundle_to_value, evaluate, evaluate_program, initial_configuration,
+    Env, evaluate, evaluate_program, initial_configuration, readback,
     subst_term, subst_value, value_to_bundle,
 )
 from pqc.gates import default_registry
@@ -70,9 +70,12 @@ def test_subst_dest_shadowing():
 # --------------------------------------------------------------------------
 
 def test_bundle_value_round_trip():
+    # a runtime bundle is its own bundle; read back, it stands for the same
     l0, l1 = Label(0), Label(1)
     for b in ((), l0, (l0, l1), ((l0, ()), l1)):
-        assert value_to_bundle(bundle_to_value(b)) == b
+        assert value_to_bundle(b) is b
+        assert value_to_bundle(readback(b)) == b
+    assert readback(((l0, ()), l1)) == Pair(Pair(LabelVal(l0), UnitVal()), LabelVal(l1))
 
 
 def test_value_to_bundle_rejects_parameters():
@@ -267,10 +270,19 @@ _CLOSURE_TEXT = r"\x:Qubit. return (x, #1)"
     (App(_PAIR, UnitVal()), "cannot apply non-function (#0, #1)"),
     (Ifz(Pair(_WIRE, Lift(Ret(_WIRE))), Ret(UnitVal()), Ret(UnitVal())),
      "ifz needs a number, got (#0, lift return #0)"),
+    # unit is () at run time: a tuple, but not a pair and not a wire
+    (Block((DestBinder("x", "y", UnitVal()),), Ret(UnitVal())),
+     "dest needs a pair, got *"),
+    (Apply(GateRef("CNOT"), Pair(_WIRE, NatVal(3))), "expected a wire bundle, got 3"),
+    (Apply(GateRef("CNOT"), Pair(_WIRE, UnitVal())),
+     "bundle of 1 wires applied to circuit expecting 2"),
+    (Force(UnitVal()), "force needs a lifted term, got *"),
+    (App(UnitVal(), UnitVal()), "cannot apply non-function *"),
 ], ids=["force-wire", "force-pair", "force-closure", "ifz-wire", "ifz-pair",
         "ifz-closure", "dest-wire", "dest-closure", "apply-wire", "apply-pair",
         "apply-closure", "apply-to-pair", "apply-to-closure", "app-pair",
-        "ifz-pair-with-closure"])
+        "ifz-pair-with-closure", "dest-unit", "apply-to-nat-component",
+        "apply-to-unit-component", "force-unit", "app-unit"])
 def test_stuck_text_on_wire_values(term, message):
     # the configurations are built directly: the checker rejects every one
     cfg, _ = initial_configuration(parse_program("inputs a: Qubit, b: Qubit; return *"))
