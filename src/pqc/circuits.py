@@ -67,18 +67,14 @@ def qubits(n: int) -> Obj:
 # --------------------------------------------------------------------------
 
 class Label(int):
-    """A totally ordered wire name, printed ``#ix``.
+    """A totally ordered wire name, printed ``#n``: a label is its index.
 
     An ``int`` underneath, so hashing, equality and order are the C ones
-    (``Label(3) == 3``). In a program's syntax a wire is a ``LabelVal``,
-    which never equals a ``NatVal``.
+    (``Label(3) == 3``). It is the one form of a wire, in a program's syntax
+    (``#3``) and at run time; it never equals a ``NatVal``.
     """
 
     __slots__ = ()
-
-    @property
-    def ix(self) -> int:
-        return int(self)
 
     def __str__(self) -> str:
         return f"#{int(self)}"
@@ -454,16 +450,15 @@ class BoxedCircuit:
         return f"({show_bundle(self.inputs)}, {self.body}, {show_bundle(self.outputs)})"
 
 
-def box_circuit(body: Circuit, in_shape: Shape | None = None) -> BoxedCircuit:
+def box_circuit(body: Circuit) -> BoxedCircuit:
     """Package a circuit with fresh straight-through interfaces.
 
-    The input bundle shape defaults to a right-nested pair spine over the
-    body's dom; same for outputs over cod. The interface labels are local to
-    the box: ``#0, #1, ...`` over the inputs, then the outputs.
+    Each bundle is a right-nested pair spine: the inputs over the body's
+    dom, the outputs over its cod. The interface labels are local to the
+    box: ``#0, #1, ...`` over the inputs, then the outputs.
     """
     supply = label_supply()
-    in_ctx, in_bundle = freshlabels(
-        in_shape if in_shape is not None else spine(body.dom), supply)
+    in_ctx, in_bundle = freshlabels(spine(body.dom), supply)
     out_ctx, out_bundle = freshlabels(spine(body.cod), supply)
     return BoxedCircuit(in_bundle, in_ctx, body, out_ctx, out_bundle)
 
@@ -501,7 +496,7 @@ class CircuitBuilder:
         self.entries = list(ctx.entries)
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
         self.supply = supply if supply is not None else label_supply(
-            1 + max((l.ix for l in self.pos), default=-1))
+            max(self.pos, default=-1) + 1)
         self._circuit: Circuit | None = start
         self._ctx: LabelContext | None = ctx
 

@@ -43,7 +43,7 @@ from .algebras import (
 from .circuits import circuit_doc, draw, serialize
 from .effects import infer_program_effect, verify_dynamic
 from .errors import PqcError
-from .evaluator import evaluate_program
+from .evaluator import evaluate_program, readback
 from .gates import Registry, default_registry, load_gate_spec
 from .syntax import Program, parse_program, show_type, show_value
 from .typecheck import check_program
@@ -254,15 +254,16 @@ def cmd_run(args) -> int:
     if args.emit_circuit is not None:
         with open(args.emit_circuit, "wb") as f:
             f.write(serialize(circuit))
+    value = show_value(readback(value))
     if args.json:
         _print({
             "circuit": circuit_doc(circuit),
             "outputs": [[str(l), str(t)] for l, t in out_ctx],
-            "value": show_value(value),
+            "value": value,
         })
     else:
         outs = ", ".join(f"{l}:{t}" for l, t in out_ctx)
-        _write([draw(circuit), f"\noutputs: {outs}\nvalue:   {show_value(value)}\n"])
+        _write([draw(circuit), f"\noutputs: {outs}\nvalue:   {value}\n"])
     return 0
 
 

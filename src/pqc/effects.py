@@ -24,7 +24,7 @@ from .circuits import Circuit, LabelContext, flatten_bundle
 from .errors import LinearityViolation
 from .evaluator import evaluate_program, value_to_bundle
 from .gates import Registry, default_registry
-from .syntax import Program, Type, Value
+from .syntax import Program, Type
 from .typecheck import EffectChecker, input_wires
 
 
@@ -52,7 +52,7 @@ class VerifyReport:
     dominated: bool
     circuit: Circuit
     out_ctx: LabelContext
-    value: Value
+    value: object  # the result's runtime form; evaluator.readback gives syntax
 
     def to_json(self, alg: CircuitAlgebra,
                 value: Optional[Callable[[Effect], Any]] = None) -> dict:

@@ -13,10 +13,11 @@ The machine is call-by-value and never substitutes into the program:
 
 * ``\\x. M`` and ``lift M`` evaluate to closures over the scope they are
   written in; application and ``force`` run the body in that scope.
-* At run time a wire is a bare ``Label``, a pair is a 2-tuple and unit is
-  ``()``. So a bundle of wires is a tuple, the builder's own form: passing
-  wires around builds no syntax nodes, and ``apply`` hands its argument to
-  the builder and returns the builder's result as it is.
+* A wire is a ``Label``, in the program's syntax and at run time alike. At
+  run time a pair is a 2-tuple and unit is ``()``, so a bundle of wires is
+  a tuple, the builder's own form: passing wires around builds no syntax
+  nodes, ``apply`` hands its argument to the builder and returns the
+  builder's result as it is, and ``box`` binds its fresh bundle as it is.
 * A block's binders, application and ``force`` run in one loop over an
   explicit continuation stack, so deep programs use no Python recursion.
 * Each configuration's circuit grows in one ``CircuitBuilder`` (the
@@ -30,10 +31,10 @@ The machine is call-by-value and never substitutes into the program:
   offset and shared.
 * Every rule firing costs one unit of fuel.
 
-A runtime value is read back into a syntax value only when it escapes: as
-the program's result or in an error message. A closure is read back by
-substituting its scope into it, a wire becomes a ``LabelVal``, and a tuple
-a ``Pair`` or ``UnitVal``.
+``evaluate`` returns the result in its runtime form. ``readback`` turns a
+runtime value into syntax only where it is printed: by ``pqc run`` or in an
+error message. A closure is read back by substituting its scope into it,
+and a tuple becomes a ``Pair`` or ``UnitVal``; a wire stays its ``Label``.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .circuits import (
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
 from .syntax import (
-    App, Apply, Block, Box, BoxedVal, DestBinder, Force, GateRef, Ifz, LabelVal,
-    Lam, LetBinder, Lift, NatVal, Pair, Program, Ret, Term, UnitVal, Value, Var,
+    App, Apply, Block, Box, BoxedVal, DestBinder, Force, GateRef, Ifz, Lam,
+    LetBinder, Lift, NatVal, Pair, Program, Ret, Term, UnitVal, Value, Var,
 )
 from .typecheck import input_wires, shape_of
 
@@ -133,8 +134,6 @@ def _value(v: Value, env: Env):
     if t is Lam or t is Lift:
         env.seal()
         return Closure(v, env)
-    if t is LabelVal:
-        return v.label
     return v
 
 
@@ -145,8 +144,6 @@ def _value(v: Value, env: Env):
 def readback(v) -> Value:
     """The syntax value a runtime value stands for."""
     t = type(v)
-    if t is Label:
-        return LabelVal(v)
     if t is Closure:
         return subst_value(v.value, v.env)
     if t is tuple:
@@ -209,8 +206,8 @@ def subst_term(m: Term, env: Env, bound: AbstractSet[str] = frozenset()) -> Term
 # --------------------------------------------------------------------------
 
 def value_to_bundle(v) -> Bundle:
-    """The bundle a runtime or syntax value stands for; a runtime bundle is
-    its own, once checked to hold only labels."""
+    """A runtime value as a wire bundle: it is its own, once checked to hold
+    only labels."""
     t = type(v)
     if t is Label:
         return v
@@ -219,12 +216,6 @@ def value_to_bundle(v) -> Bundle:
             value_to_bundle(v[0])
             value_to_bundle(v[1])
         return v
-    if t is Pair:
-        return (value_to_bundle(v.left), value_to_bundle(v.right))
-    if t is UnitVal:
-        return ()
-    if t is LabelVal:
-        return v.label
     raise Stuck(f"expected a wire bundle, got {readback(v)}")
 
 
@@ -232,7 +223,8 @@ def value_to_bundle(v) -> Bundle:
 # the machine
 # --------------------------------------------------------------------------
 
-_BOX_FN = "_boxed_fn"
+_BOX_FN, _BOX_ARG = "%fn", "%arg"  # not identifiers: no program can shadow them
+_BOX_CALL = App(Var(_BOX_FN), Var(_BOX_ARG))
 
 # Terms that bind variables in the scope they run in: a block's binders, or
 # those of a block in a branch. As the bound term of a let they run in a
@@ -276,8 +268,8 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                 pair = _value(b.value, env)
                 if type(pair) is not tuple or not pair:  # () is unit
                     raise Stuck(f"dest needs a pair, got {readback(pair)}")
-                # on a repeated name the left component wins, as in substitution
-                env = env.bind(b.right, pair[1]).bind(b.left, pair[0])
+                # on a repeated name the right component wins, as in the checker
+                env = env.bind(b.left, pair[0]).bind(b.right, pair[1])
                 m = rest
             continue
         # a variable operand is one lookup; _value handles the rest (and an
@@ -337,9 +329,8 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             in_ctx, bundle = freshlabels(shape_of(m.shape), builder.supply)
             stack.append(_Boxing(builder, in_ctx, bundle))
             builder = CircuitBuilder(identity(in_ctx.obj), in_ctx, builder.supply)
-            env = Env(parent=v.env)
-            m = Block((LetBinder(_BOX_FN, v.value.term),),
-                      App(Var(_BOX_FN), readback(bundle)))
+            env = Env({_BOX_ARG: bundle}, v.env)
+            m = Block((LetBinder(_BOX_FN, v.value.term),), _BOX_CALL)
             continue
         else:
             raise Stuck(f"no rule for {m}")
@@ -362,17 +353,15 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
 
 
 def evaluate(cfg: Configuration, registry: Optional[Registry] = None,
-             fuel: Optional[int] = None) -> tuple[Circuit, LabelContext, Value]:
-    """Run a configuration to a value; returns (circuit, outputs, value).
-
-    New labels are numbered after the largest label among the
-    configuration's outputs.
-    """
+             fuel: Optional[int] = None) -> tuple[Circuit, LabelContext, object]:
+    """Run a configuration to a runtime value (``readback`` gives its syntax);
+    returns (circuit, outputs, value). New labels are numbered after the
+    largest label among the configuration's outputs."""
     builder = CircuitBuilder(cfg.circuit, cfg.out_ctx)
     closed = Env()  # the configuration's values are closed
     env = Env({x: _value(v, closed) for x, v in cfg.env.items()})
     v = _run(builder, env, cfg.term, registry or default_registry(), fuel)
-    return builder.circuit(), builder.context(), readback(v)
+    return builder.circuit(), builder.context(), v
 
 
 def initial_configuration(prog: Program) -> tuple[Configuration, LabelContext]:
@@ -380,17 +369,17 @@ def initial_configuration(prog: Program) -> tuple[Configuration, LabelContext]:
     input ctx)."""
     supply = label_supply()
     entries = []
-    env: dict[str, Value] = {}
+    env: dict[str, Label] = {}
     for (name, _), wire in zip(prog.inputs, input_wires(prog)):
         label = next(supply)
         entries.append((label, wire))
-        env.setdefault(name, LabelVal(label))  # the first of two equal names wins
+        env.setdefault(name, label)  # the first of two equal names wins
     in_ctx = LabelContext(tuple(entries))
     return Configuration(identity(in_ctx.obj), in_ctx, prog.term, env), in_ctx
 
 
 def evaluate_program(prog: Program, registry: Optional[Registry] = None,
                      fuel: Optional[int] = None,
-                     ) -> tuple[Circuit, LabelContext, Value]:
+                     ) -> tuple[Circuit, LabelContext, object]:
     cfg, _ = initial_configuration(prog)
     return evaluate(cfg, registry, fuel)

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .circuits import BoxedCircuit, Circuit, Gate, Layer, WireType, box_circuit, spine
+from .circuits import BoxedCircuit, Circuit, Gate, Layer, WireType, box_circuit
 from .errors import ParseError, UnknownGate
 
 Rows = Mapping[str, tuple[frozenset[str], int]]
@@ -81,7 +81,7 @@ class Registry:
         if boxed is None:
             g = self.gate(name)
             body = Circuit(g.dom, (Layer(((g, 0),)),))
-            boxed = self._boxed[name] = box_circuit(body, spine(g.dom))
+            boxed = self._boxed[name] = box_circuit(body)
         return boxed
 
     def extended(self, defs: Mapping[str, GateDef]) -> "Registry":

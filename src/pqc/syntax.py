@@ -154,11 +154,6 @@ class Var(Value):
 
 
 @dataclass(frozen=True)
-class LabelVal(Value):
-    label: Label
-
-
-@dataclass(frozen=True)
 class GateRef(Value):
     name: str
 
@@ -497,7 +492,7 @@ class _Parser:
         if kind == "nat":
             return NatVal(int(self.next()))
         if kind == "label":
-            return LabelVal(Label(int(self.next()[1:])))
+            return Label(int(self.next()[1:]))
         text = self.texts[self.pos]
         if text == "lift":
             self.next()
@@ -609,12 +604,10 @@ class _Parser:
 
 
 def _dest_binders(names: list[str], v: Value) -> list[DestBinder]:
-    """dest (x, y, z) = v  ≡  dest (x, t) = v in dest (y, z) = t in ..."""
-    def rest(i: int) -> str:  # the name bound to the tuple of names[i:]
-        return names[i] if i == len(names) - 1 else "_" + "".join(names[i:])
-
-    return [DestBinder(names[i], rest(i + 1), Var(rest(i)) if i else v)
-            for i in range(len(names) - 1)]
+    """dest (x, y, z) = v  ≡  dest (x, z) = v in dest (y, z) = z in ...: the
+    last name carries each tail, so the desugaring invents no name."""
+    z = names[-1]
+    return [DestBinder(x, z, Var(z) if i else v) for i, x in enumerate(names[:-1])]
 
 
 def _parse(src: str, read, what: str):
@@ -690,8 +683,8 @@ def show_value(v: Value) -> str:
             return str(n)
         case Var(name):
             return name
-        case LabelVal(label):
-            return str(label)
+        case Label():
+            return str(v)
         case GateRef(name):
             return "@" + name
         case BoxedVal():

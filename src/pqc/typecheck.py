@@ -47,7 +47,7 @@ from .errors import (
 from .gates import Registry, default_registry
 from .syntax import (
     App, Apply, ArrowT, BangT, BitT, Block, Box, BoxedVal, BundleUnitT, CircT,
-    Force, GateRef, Ifz, LabelVal, Lam, LetBinder, Lift, NatT, NatVal, Pair,
+    Force, GateRef, Ifz, Lam, LetBinder, Lift, NatT, NatVal, Pair,
     Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal, Value, Var,
     show_type,
 )
@@ -402,8 +402,8 @@ class EffectChecker:
             case Var(name):
                 i = self._lookup(name)
                 return self.ctx[i].ty, {i}, [i] if self.ctx[i].linear else []
-            case LabelVal(label):
-                i = self._lookup(label)
+            case Label():
+                i = self._lookup(v)
                 return self.ctx[i].ty, {i}, [i]
             case Pair(left, right):
                 lt, lu, lo = self.infer_value(left)

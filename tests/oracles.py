@@ -580,7 +580,7 @@ class ValidatingBuilder:
         self.entries = list(ctx.entries)
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
         self.supply = supply if supply is not None else label_supply(
-            1 + max((l.ix for l in self.pos), default=-1))
+            max(self.pos, default=-1) + 1)
 
     def circuit(self) -> Circuit:
         return Circuit(self.dom, tuple(self.steps))

@@ -22,7 +22,7 @@ from pqc.circuits import (
     Circuit, Layer, WireType, equivalent,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
-from pqc.evaluator import evaluate, initial_configuration
+from pqc.evaluator import evaluate, initial_configuration, readback
 from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import (
     Apply, App, Block, Box, Lift, LetBinder, Pair, Program, QubitT, Ret, TensorT, Var,
@@ -201,7 +201,7 @@ def test_type_preservation_on_random_programs():
         cfg, in_ctx = initial_configuration(prog)
         circuit, out_ctx, value = evaluate(cfg, registry)
         ty2, leftover = check_configuration(
-            in_ctx, circuit, Ret(value), out_ctx, registry)
+            in_ctx, circuit, Ret(readback(value)), out_ctx, registry)
         assert same_type(ty1, ty2), show_program(prog)
         assert leftover.entries == ()
         checked += 1

@@ -12,7 +12,7 @@ from pqc.errors import (
     CircuitError, LabelNotFound, ObjectMismatch, ParseError, WireTypeMismatch,
 )
 from pqc.gates import default_registry
-from pqc.syntax import LabelVal, NatVal
+from pqc.syntax import NatVal, parse_value, show_value
 
 H = Gate("H", (Q,), (Q,))
 X = Gate("X", (Q,), (Q,))
@@ -119,13 +119,14 @@ def test_label_order_hash_and_text():
     a, b = Label(3), Label(12)
     assert a < b and sorted([b, a]) == [a, b] and max(a, b) is b
     assert a == Label(3) and hash(a) == hash(Label(3)) and {a: 1}[Label(3)] == 1
-    assert a.ix == 3 and type(a.ix) is int
+    assert int(a) == 3 and a + 1 == 4 and type(a + 1) is int  # a label is its index
     assert str(a) == repr(a) == f"{a}" == "#3"
     assert str([a, b]) == "[#3, #12]" and str((a, ())) == "(#3, ())"
     assert next(label_supply(5)) == Label(5)
     # a wire is never a number in a program's syntax
-    assert LabelVal(Label(3)) != NatVal(3)
-    assert str(LabelVal(Label(3))) == "#3"
+    assert Label(3) != NatVal(3)
+    assert parse_value("#3") == Label(3) and type(parse_value("#3")) is Label
+    assert show_value(Label(3)) == "#3"
 
 
 def test_label_context_rejects_duplicates():

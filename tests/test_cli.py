@@ -13,8 +13,8 @@ from pqc import cli
 from pqc.algebras import ALGEBRAS, AssertValue, Effect
 from pqc.circuits import WireType, deserialize
 from pqc.cli import main
-from pqc.effects import infer_program_effect
-from pqc.errors import PqcError, ShapeMismatch, UnsupportedWire
+from pqc.effects import infer_program_effect, verify_dynamic
+from pqc.errors import PqcError, ShapeMismatch, Stuck, UnsupportedWire
 from pqc.gates import default_registry
 from pqc.syntax import parse_program, parse_value, show_program
 from pqc.typecheck import check_program
@@ -398,6 +398,37 @@ def test_verify_demo_programs(capsys, metric):
         assert code == 0, (name, metric)
         doc = json.loads(out)
         assert doc["dominated"] is True
+
+
+@pytest.mark.parametrize("src, got", [
+    ("inputs;\nreturn \\x: Qubit. return x\n", "\\x:Qubit. return x"),
+    ("inputs q: Qubit;\nreturn (3, q)\n", "3"),
+    ("inputs q: Qubit;\nlet c = box[Qubit] lift \\x: Qubit. apply(@H, x) in\n"
+     "return (c, q)\n", "<boxed circuit>"),
+], ids=["closure", "number", "boxed-circuit"])
+def test_verify_needs_a_result_of_wires(capsys, tmp_path, src, got):
+    # the result is checked as a bundle in its runtime form; the error
+    # prints the offending part as syntax
+    text = f"expected a wire bundle, got {got}"
+    with pytest.raises(Stuck) as e:
+        verify_dynamic(parse_program(src), ALGEBRAS["gates"], registry)
+    assert str(e.value) == text
+    path = tmp_path / "p.pqc"
+    path.write_text(src)
+    assert run_cli(capsys, "verify", str(path), "--metric", "gates") == \
+        (2, "", f"error: {text}\n")
+
+
+def test_repeated_dest_name_checks_runs_and_verifies_alike(capsys, tmp_path):
+    # the right component wins in the checker and the evaluator alike
+    path = tmp_path / "p.pqc"
+    path.write_text("inputs q: Qubit;\ndest (x, x) = (3, q) in return x\n")
+    assert run_cli(capsys, "check", str(path)) == (0, "ok: Qubit\n", "")
+    code, out, _ = run_cli(capsys, "run", str(path), "--json")
+    assert code == 0 and json.loads(out)["value"] == "#0"
+    for metric in ALGEBRAS:
+        code, out, _ = run_cli(capsys, "verify", str(path), "--metric", metric)
+        assert code == 0 and json.loads(out)["dominated"] is True, metric
 
 
 def test_gate_spec_loading_comes_from_program_header(capsys):

@@ -9,8 +9,9 @@ from pqc.evaluator import (
 )
 from pqc.gates import default_registry
 from pqc.syntax import (
-    Apply, App, Block, DestBinder, Force, GateRef, Ifz, LabelVal, Lam,
-    LetBinder, Lift, NatVal, Pair, Program, QubitT, Ret, UnitVal, Var, parse_program,
+    Apply, App, Block, DestBinder, Force, GateRef, Ifz, Lam,
+    LetBinder, Lift, NatVal, Pair, Program, QubitT, Ret, UnitVal, Value, Var,
+    parse_program, parse_value, show_value,
 )
 from pqc.typecheck import check_program
 
@@ -70,17 +71,23 @@ def test_subst_dest_shadowing():
 # --------------------------------------------------------------------------
 
 def test_bundle_value_round_trip():
-    # a runtime bundle is its own bundle; read back, it stands for the same
+    # a runtime bundle is its own bundle; read back, it is the syntax that
+    # prints and parses as the same bundle, its wires still Labels
     l0, l1 = Label(0), Label(1)
     for b in ((), l0, (l0, l1), ((l0, ()), l1)):
         assert value_to_bundle(b) is b
-        assert value_to_bundle(readback(b)) == b
-    assert readback(((l0, ()), l1)) == Pair(Pair(LabelVal(l0), UnitVal()), LabelVal(l1))
+        v = readback(b)
+        assert isinstance(v, (Value, Label))  # a Label is not a Value subclass
+        assert parse_value(show_value(v)) == v
+    assert readback(l0) is l0
+    assert readback(((l0, ()), l1)) == Pair(Pair(l0, UnitVal()), l1)
 
 
 def test_value_to_bundle_rejects_parameters():
-    with pytest.raises(Stuck):
-        value_to_bundle(NatVal(3))
+    # only runtime values are bundles: syntax meets them when printed
+    for v in (NatVal(3), Pair(Label(0), Label(1)), UnitVal()):
+        with pytest.raises(Stuck):
+            value_to_bundle(v)
 
 
 # --------------------------------------------------------------------------
@@ -183,6 +190,43 @@ def test_box_of_pair_shape():
     # the argument bundle (b, a) routes input wires through a swap first
     assert gate_sequence(c) == [("CNOT", 0)]
     assert c.cod == (Q, Q)
+
+
+@pytest.mark.parametrize("name", ["_boxed_arg", "_boxed_fn"])
+def test_box_binds_no_name_a_program_can_write(name):
+    # the lifted function's scope is the program's: a box's own bindings
+    # must not shadow a variable it reads
+    c, ctx, v = run(
+        f"inputs q: Qubit;"
+        f" let {name} = return 7 in"
+        f" let c = box[Qubit] lift \\x: Qubit."
+        f"   ifz {name} then return x else apply(@H, x) in"
+        f" apply(c, q)")
+    assert gate_sequence(c) == [("H", 0)]
+    assert show_value(readback(v)) == str(ctx.labels[0])
+
+
+# --------------------------------------------------------------------------
+# dest
+# --------------------------------------------------------------------------
+
+def test_nary_dest_captures_no_program_variable():
+    c, ctx, v = run(
+        "inputs a: Qubit, b: Qubit, c: Qubit, _yz: Qubit;"
+        " dest (x, y, z) = (a, b, c) in"
+        " return (x, y, z, _yz)")
+    l0, l1, l2, l3 = ctx.labels
+    assert v == (l0, (l1, (l2, l3)))
+
+
+def test_repeated_dest_name_binds_the_right_component():
+    # as in the checker, which types x as the right component (Qubit)
+    prog = parse_program("inputs q: Qubit; dest (x, x) = (3, q) in return x")
+    assert check_program(prog, registry) == QubitT()
+    c, ctx, v = evaluate_program(prog, registry)
+    assert v == ctx.labels[0] and type(v) is Label
+    c, ctx, v = run("inputs; dest (x, x) = (3, *) in return x")
+    assert v == () and show_value(readback(v)) == "*"
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from pqc.circuits import serialize
 from pqc.cli import main
 from pqc.effects import infer_program_effect
 from pqc.errors import FuelExhausted, PqcError
-from pqc.evaluator import evaluate_program
+from pqc.evaluator import evaluate_program, readback
 from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import parse_program, show_program, show_value
 from pqc.typecheck import check_program
@@ -189,7 +189,7 @@ def check_run(prog, pin, where):
     assert sha256(serialize(circuit)) == pin["sha256"], where
     assert effect_pins(prog, circuit, registry) == {
         k: pin[k] for k in EFFECT_PINS}, where
-    got = canonical([[str(l), str(t)] for l, t in out_ctx], show_value(value))
+    got = canonical([[str(l), str(t)] for l, t in out_ctx], show_value(readback(value)))
     assert got == {"outputs": pin["outputs"], "value": pin["value"]}, where
     with pytest.raises(FuelExhausted):
         evaluate_program(prog, registry, pin["fuel"] - 1)

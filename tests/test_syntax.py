@@ -12,7 +12,7 @@ from pqc.errors import NotAValue, ParseError
 from pqc.gates import default_registry
 from pqc.syntax import (
     App, Apply, ArrowT, BangT, BitT, Block, Box, BundleUnitT, CircT, DestBinder,
-    BoxedVal, Force, GateRef, Ifz, Lam, LabelVal, Let, LetBinder, Lift, NatT,
+    BoxedVal, Force, GateRef, Ifz, Lam, Let, LetBinder, Lift, NatT,
     NatVal, Pair, Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal,
     Value, Var, parse_program,
     parse_term, parse_type, parse_value, show_program, show_term, show_type,
@@ -158,8 +158,9 @@ def test_terms_parse():
 
 def test_nary_dest_desugars_right_nested():
     m = parse_term("dest (a, b, c) = v in return a")
-    assert m == Block((DestBinder("a", "_bc", Var("v")),
-                       DestBinder("b", "c", Var("_bc"))), Ret(Var("a")))
+    # the last name carries the tail: the desugaring invents no name
+    assert m == Block((DestBinder("a", "c", Var("v")),
+                       DestBinder("b", "c", Var("c"))), Ret(Var("a")))
 
 
 def test_let_chains():
@@ -227,7 +228,7 @@ def test_str_of_every_syntax_class():
         (BangT(ArrowT(QubitT(), QubitT(), QubitT())), "!(Qubit -o[Qubit] Qubit)"),
         (CircT(QubitT(), BundleUnitT(), 3), "Circ[3](Qubit, I)"),
         (UnitVal(), "*"), (NatVal(3), "3"), (Var("x"), "x"),
-        (LabelVal(Label(3)), "#3"), (GateRef("H"), "@H"),
+        (Label(3), "#3"), (GateRef("H"), "@H"),
         (Pair(Var("a"), Pair(Var("b"), Var("c"))), "(a, b, c)"),
         (lam, "\\x:Qubit. return x"), (Lift(Ret(UnitVal())), "lift return *"),
         (BoxedVal(default_registry().boxed("H")), "<boxed circuit>"),
@@ -243,9 +244,11 @@ def test_str_of_every_syntax_class():
          'inputs q:Qubit;\ngates "g.pqcg";\n\nreturn q\n'),
     ]
     classes = {c for base in (Type, Value, Term) for c in base.__subclasses__()}
-    assert {type(node) for node, _ in cases} == classes | {Program}
+    # a wire is a circuits.Label in syntax too, not a Value subclass
+    assert {type(node) for node, _ in cases} == classes | {Program, Label}
     for node, text in cases:
         assert str(node) == text
+    assert show_value(Pair(Label(3), Var("a"))) == "(#3, a)"
 
 
 def test_round_trip_suites():

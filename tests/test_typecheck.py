@@ -19,7 +19,7 @@ from pqc.syntax import (
     parse_program, parse_term, parse_type, show_type, App, Apply, ArrowT,
     BangT, BitT, Block, Box, BundleUnitT, CircT, DestBinder, Force, GateRef,
     Ifz, Lam, LetBinder, Lift, NatT, NatVal, Program, QubitT, Ret,
-    TensorT, UnitT, UnitVal, LabelVal, Pair, Var,
+    TensorT, UnitT, UnitVal, Pair, Var,
 )
 from pqc.typecheck import (
     EffectChecker, check_configuration, check_program, is_parameter,
@@ -312,12 +312,12 @@ def test_check_configuration_types_label_terms():
     l0, l1 = ctx.labels
     ty, out = check_configuration(
         ctx, identity(ctx.obj),
-        Ret(Pair(LabelVal(l1), LabelVal(l0))), ctx, registry)
+        Ret(Pair(l1, l0)), ctx, registry)
     assert show_type(ty) == "Qubit * Qubit"
     assert out.entries == ()  # term consumed every output
 
     ty, out = check_configuration(
-        ctx, identity(ctx.obj), Ret(LabelVal(l0)), ctx, registry)
+        ctx, identity(ctx.obj), Ret(l0), ctx, registry)
     assert show_type(ty) == "Qubit"
     assert [lab for lab, _ in out] == [l1]  # untouched output is left over
 
@@ -326,7 +326,7 @@ def test_check_configuration_rejects_wrong_contexts():
     ctx, _ = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()), label_supply())
     with pytest.raises(ObjectMismatch):
         check_configuration(ctx, identity((WireType.QUBIT,)),
-                            Ret(LabelVal(ctx.labels[0])), ctx, registry)
+                            Ret(ctx.labels[0]), ctx, registry)
 
 
 def test_random_programs_typecheck():
