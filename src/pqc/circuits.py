@@ -82,13 +82,25 @@ class Label(int):
     __repr__ = __str__
 
 
-def label_supply(start: int = 0) -> Iterator[Label]:
-    """A fresh supply of labels ``#start, #start+1, ...``.
+class LabelSupply:
+    """A fresh supply of labels ``#start, #start+1, ...``: ``next`` mints one,
+    and ``n`` is the number of the next.
 
     Every evaluation draws from a supply of its own, so no label state is
     shared between runs.
     """
-    return map(Label, itertools.count(start))
+
+    __slots__ = ("n",)
+
+    def __init__(self, start: int = 0):
+        self.n = start
+
+    def __next__(self) -> Label:
+        self.n += 1
+        return Label(self.n - 1)
+
+
+label_supply = LabelSupply
 
 
 Bundle = Union[tuple, Label]
@@ -161,7 +173,7 @@ class LabelContext:
         return ", ".join(f"{l}:{t}" for l, t in self.entries) or "(empty)"
 
 
-def freshlabels(shape: Shape, supply: Iterator[Label]) -> tuple[LabelContext, Bundle]:
+def freshlabels(shape: Shape, supply: LabelSupply) -> tuple[LabelContext, Bundle]:
     """Mint labels from ``supply`` for every wire position of a bundle shape.
 
     Returns the label context (in left-to-right shape order) and the bundle
@@ -483,11 +495,13 @@ class CircuitBuilder:
     ``context()`` package the result; ``circuit()`` derives the cod once, in
     ``Circuit``, and checks it against the open outputs. Output labels come
     from ``supply``, which by default continues after the largest label of
-    the starting context.
+    the starting context. ``resized`` counts the appends that may move wires
+    (those that can change the wire count); ``replay`` redoes a stretch of
+    appends that kept every wire in place.
     """
 
     def __init__(self, start: Circuit, ctx: LabelContext,
-                 supply: Iterator[Label] | None = None):
+                 supply: LabelSupply | None = None):
         if start.cod != ctx.obj:
             raise ObjectMismatch(
                 f"circuit ends in {start.cod}, open outputs are {ctx.obj}")
@@ -497,6 +511,7 @@ class CircuitBuilder:
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
         self.supply = supply if supply is not None else label_supply(
             max(self.pos, default=-1) + 1)
+        self.resized = 0
         self._circuit: Circuit | None = start
         self._ctx: LabelContext | None = ctx
 
@@ -588,6 +603,7 @@ class CircuitBuilder:
                 entries[i] = e
                 pos[e[0]] = i
         else:
+            self.resized += 1
             # only the wires from q on move: nothing before q is attached
             gone = set(attach_labels)
             for a in attach_labels:
@@ -603,6 +619,21 @@ class CircuitBuilder:
             return fresh[0][0]
         mapping = {old: new for (old, _), (new, _) in zip(out_entries, fresh)}
         return rename_bundle(outputs, mapping)
+
+    def replay(self, steps: list[Step], count: int, writes) -> None:
+        """Redo appends that kept the wire count: add ``steps``, draw
+        ``count`` labels from ``base`` on, and open ``#(base + k)`` of type
+        ``t`` at each ``(position, k, t)`` of ``writes``."""
+        self.steps += steps
+        base = self.supply.n
+        self.supply.n = base + count
+        entries, pos = self.entries, self.pos
+        for i, k, t in writes:
+            del pos[entries[i][0]]
+            label = Label(base + k)
+            entries[i] = (label, t)
+            pos[label] = i
+        self._circuit = self._ctx = None
 
 
 # --------------------------------------------------------------------------

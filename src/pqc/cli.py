@@ -364,6 +364,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         # spends frames on terms nested in other ways (ifz, lambdas)
         print("error: program is nested too deeply", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a backstop: nothing yet refuses a circuit too big to build
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,6 +30,14 @@ The machine is call-by-value and never substitutes into the program:
   steps by index arithmetic; a gate literal's layer is placed once per
   offset and shared.
 * Every rule firing costs one unit of fuel.
+* A closed function runs once per placement. A closure that reaches no
+  wire but its argument's, applied to wires at the same positions with the
+  same types in a circuit of the same width, adds the same steps, labels
+  and fuel each time. So a call that keeps the wire count and returns its
+  argument's wires and new ones is recorded (a step range, a label count,
+  its fuel, and the label and type left at each argument position), and a
+  later call with the same key replays the record if the closure is
+  closed. The memo lives for one evaluation.
 
 ``evaluate`` returns the result in its runtime form. ``readback`` turns a
 runtime value into syntax only where it is printed: by ``pqc run`` or in an
@@ -40,11 +48,12 @@ and a tuple becomes a ``Pair`` or ``UnitVal``; a wire stays its ``Label``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import AbstractSet, Optional, Union
 
 from .circuits import (
     BoxedCircuit, Bundle, Circuit, CircuitBuilder, Label, LabelContext,
-    freshlabels, identity, label_supply,
+    WireType, freshlabels, identity, label_supply,
 )
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
@@ -220,6 +229,163 @@ def value_to_bundle(v) -> Bundle:
 
 
 # --------------------------------------------------------------------------
+# replaying closed calls
+# --------------------------------------------------------------------------
+
+# the parts of each node, other than lambdas and blocks, that are terms or
+# values (a tuple if many)
+_PARTS = {Ret: attrgetter("value"), App: attrgetter("fn", "arg"),
+          Ifz: attrgetter("cond", "then", "els"), Force: attrgetter("value"),
+          Box: attrgetter("value"), Apply: attrgetter("circ", "arg"),
+          Pair: attrgetter("left", "right"), Lift: attrgetter("term")}
+
+
+def _free(v: Union[Lam, Lift]) -> Optional[set]:
+    """The free variables of a lambda or lift; None if it holds a label.
+
+    One walk with no recursion: a name (a ``str`` on the stack) is bound
+    from where it is popped, and a list of names ends their scope.
+    """
+    free, bound, todo = set(), {}, [v]  # bound: how many binders hide a name
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is Var:
+            if not bound.get(x.name):
+                free.add(x.name)
+        elif t is Label:
+            return None
+        elif t is str:
+            bound[x] = bound.get(x, 0) + 1
+        elif t is list:
+            for name in x:
+                bound[name] -= 1
+        elif t is Lam:
+            todo += ([x.var], x.body, x.var)
+        elif t is Block:
+            todo += ([n for b in x.binders for n in _binds(b)], x.tail)
+            for b in reversed(x.binders):
+                todo += (*_binds(b), b.bound if type(b) is LetBinder else b.value)
+        elif t is tuple:
+            todo += x
+        elif t in _PARTS:
+            todo.append(_PARTS[t](x))
+    return free
+
+
+def _binds(b: Union[LetBinder, DestBinder]) -> tuple[str, ...]:
+    return (b.var,) if type(b) is LetBinder else (b.left, b.right)
+
+
+def _encode(v, leaf) -> Optional[list]:
+    """A wire bundle in pre-order, a pair as -1, unit as -2 and each wire as
+    ``leaf(label)``; None for any other value, or if a leaf is None."""
+    codes, todo = [], [v]
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            codes.append(-1 if x else -2)
+            todo += x[::-1]
+        else:
+            c = leaf(x) if type(x) is Label else None
+            if c is None:
+                return None
+            codes.append(c)
+    return codes
+
+
+def _decode(codes: list[int], leaf) -> Bundle:
+    """The bundle that ``_encode`` wrote, each wire as ``leaf(code)``."""
+    stack: list = []
+    for c in reversed(codes):
+        stack.append((stack.pop(), stack.pop()) if c == -1 else () if c == -2
+                     else leaf(c))
+    return stack[0]
+
+
+class _Memo:
+    """The recorded calls of one evaluation, keyed by the closure (its
+    ``Lam``'s id and its sealed ``Env``), the builder's width and the encoded
+    argument: a wire is 2 * its position, plus 1 for a bit. A record is
+    replayed only if its closure is ``closed``."""
+
+    def __init__(self):
+        self.records: dict = {}
+        self.known: dict = {}  # whether each closure is closed
+        self.free: dict = {}  # _free of each lambda and lift, by id
+
+    def closed(self, fn: Closure) -> bool:
+        """Whether no label is in ``fn``'s term or held by a free variable,
+        through tuples and the closures there."""
+        seen, todo = set(), [fn]
+        while todo:
+            v = todo.pop()
+            if type(v) is Label:
+                return False
+            if type(v) is tuple:
+                todo += v
+            elif type(v) is Closure and (id(v.value), v.env) not in seen:
+                seen.add((id(v.value), v.env))
+                x = v.value  # lift return (\y. M) has the free variables of \y. M
+                if type(x) is Lift and type(x.term) is Ret and type(x.term.value) is Lam:
+                    x = x.term.value
+                if id(x) not in self.free:
+                    self.free[id(x)] = _free(x)
+                if self.free[id(x)] is None:
+                    return False
+                todo += [w for w in map(v.env.lookup, self.free[id(x)]) if w is not None]
+        return True
+
+    def enter(self, fn: Closure, arg, builder: CircuitBuilder,
+              fuel: Optional[int], stack: list):
+        """Replay ``fn`` applied to ``arg`` if recorded, returning the value
+        and the fuel spent. Else None: the caller runs the body, under a frame
+        pushed here if the call may be recorded."""
+        pos, entries = builder.pos, builder.entries
+
+        def place(a: Label) -> Optional[int]:
+            i = pos.get(a)
+            return None if i is None else 2 * i + (entries[i][1] is WireType.BIT)
+        codes = _encode(arg, place)
+        if codes is None:
+            return None
+        closure = (id(fn.value), fn.env)
+        key = (*closure, len(entries), *codes)
+        rec = self.records.get(key)
+        if rec is None:
+            stack.append([key, len(builder.steps), builder.supply.n, fuel,
+                          builder.resized])
+            return None
+        steps, lo, hi, count, cost, writes, codes = rec
+        if closure not in self.known:
+            self.known[closure] = self.closed(fn)
+        if not self.known[closure] or fuel is not None and fuel < cost:
+            return None  # short of fuel, the body runs out at the same rule
+        base = builder.supply.n
+        v = _decode(codes, lambda c: entries[c >> 1][0] if c & 1
+                    else Label(base + (c >> 1)))
+        builder.replay(steps[lo:hi], count, writes)
+        return v, cost
+
+    def leave(self, call: list, v, builder: CircuitBuilder, fuel: Optional[int]):
+        """Record the call that pushed ``call`` and returned ``v``, if it kept
+        the wire count and ``v`` is a bundle of its argument's wires and new
+        ones: a new label is 2 * its offset, an argument wire 2 * its position
+        + 1."""
+        key, lo, start, fuel0, resized = call
+        pos, entries = builder.pos, builder.entries
+        codes = None if builder.resized != resized else _encode(
+            v, lambda b: 2 * (b - start) if b >= start
+            else 2 * pos[b] + 1 if b in pos else None)
+        if codes is not None:
+            opened = [(i, *entries[i]) for i in {c >> 1 for c in key[3:] if c >= 0}]
+            self.records[key] = (
+                builder.steps, lo, len(builder.steps), builder.supply.n - start,
+                0 if fuel is None else fuel0 - fuel,
+                [(i, b - start, t) for i, b, t in opened if b >= start], codes)
+
+
+# --------------------------------------------------------------------------
 # the machine
 # --------------------------------------------------------------------------
 
@@ -244,8 +410,10 @@ class _Boxing:
 def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
          fuel: Optional[int]):
     """Run ``m`` to a runtime value, extending ``builder``'s circuit."""
-    # (var, rest, next binder, env) for a let; _Boxing for a box
+    # (var, rest, next binder, env) for a let; _Boxing for a box; a list for
+    # a call being recorded (_Memo.enter)
     stack: list = []
+    memo = _Memo()
     i = 0  # the binder to run next while m is a block; 0 otherwise
     while True:
         if fuel is not None:
@@ -303,10 +471,15 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             arg = env.lookup(x.name) if type(x) is Var else None
             if arg is None:
                 arg = _value(x, env)
-            lam = fn.value
-            env = Env({lam.var: arg}, fn.env)
-            m = lam.body
-            continue
+            hit = memo.enter(fn, arg, builder, fuel, stack)
+            if hit is None:
+                lam = fn.value
+                env = Env({lam.var: arg}, fn.env)
+                m = lam.body
+                continue
+            v, spent = hit
+            if fuel is not None:
+                fuel -= spent
         elif t is Ifz:
             cond = _value(m.cond, env)
             if type(cond) is not NatVal:
@@ -343,6 +516,9 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             k = stack.pop()
             if type(k) is tuple:
                 break
+            if type(k) is list:
+                memo.leave(k, v, builder, fuel)
+                continue
             v = BoxedVal(BoxedCircuit(k.bundle, k.in_ctx, builder.circuit(),
                                       builder.context(), value_to_bundle(v)))
             builder = k.outer

@@ -233,6 +233,17 @@ def test_run_fuel_exhaustion_exits_2(capsys):
     assert "fuel" in err
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_out_of_memory_exits_2_without_a_traceback(capsys, monkeypatch, command):
+    # a circuit too big to build ends in one error line, not a traceback
+    def exhausted(*args):
+        raise MemoryError()
+    monkeypatch.setattr("pqc.evaluator._run", exhausted)
+    argv = [command, demo("bell.pqc")] + (["--metric", "gates"] if command == "verify" else [])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
 # --------------------------------------------------------------------------
 # analyze
 # --------------------------------------------------------------------------
