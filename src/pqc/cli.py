@@ -43,9 +43,9 @@ from .algebras import (
 from .circuits import circuit_doc, draw, serialize
 from .effects import infer_program_effect, verify_dynamic
 from .errors import PqcError
-from .evaluator import evaluate_program, readback
+from .evaluator import evaluate_program, show_runtime
 from .gates import Registry, default_registry, load_gate_spec
-from .syntax import Program, parse_program, show_type, show_value
+from .syntax import Program, parse_program, show_type
 from .typecheck import check_program
 
 
@@ -254,7 +254,7 @@ def cmd_run(args) -> int:
     if args.emit_circuit is not None:
         with open(args.emit_circuit, "wb") as f:
             f.write(serialize(circuit))
-    value = show_value(readback(value))
+    value = show_runtime(value)
     if args.json:
         _print({
             "circuit": circuit_doc(circuit),

@@ -52,7 +52,7 @@ class VerifyReport:
     dominated: bool
     circuit: Circuit
     out_ctx: LabelContext
-    value: object  # the result's runtime form; evaluator.readback gives syntax
+    value: object  # the result bundle, whose runtime form is its syntax
 
     def to_json(self, alg: CircuitAlgebra,
                 value: Optional[Callable[[Effect], Any]] = None) -> dict:

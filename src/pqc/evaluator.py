@@ -13,11 +13,12 @@ The machine is call-by-value and never substitutes into the program:
 
 * ``\\x. M`` and ``lift M`` evaluate to closures over the scope they are
   written in; application and ``force`` run the body in that scope.
-* A wire is a ``Label``, in the program's syntax and at run time alike. At
-  run time a pair is a 2-tuple and unit is ``()``, so a bundle of wires is
-  a tuple, the builder's own form: passing wires around builds no syntax
-  nodes, ``apply`` hands its argument to the builder and returns the
-  builder's result as it is, and ``box`` binds its fresh bundle as it is.
+* A wire is a ``Label``, a pair a 2-tuple, unit ``()`` and a boxed
+  circuit its ``BoxedCircuit``, in the program's syntax and at run time
+  alike. So a bundle of wires is the builder's own form: ``apply`` hands
+  its argument to the builder and returns the builder's result as it is,
+  ``box`` binds its fresh bundle as it is and evaluates to the circuit it
+  packages.
 * A block's binders, application and ``force`` run in one loop over an
   explicit continuation stack, so deep programs use no Python recursion.
 * Each configuration's circuit grows in one ``CircuitBuilder`` (the
@@ -39,10 +40,10 @@ The machine is call-by-value and never substitutes into the program:
   later call with the same key replays the record if the closure is
   closed. The memo lives for one evaluation.
 
-``evaluate`` returns the result in its runtime form. ``readback`` turns a
-runtime value into syntax only where it is printed: by ``pqc run`` or in an
-error message. A closure is read back by substituting its scope into it,
-and a tuple becomes a ``Pair`` or ``UnitVal``; a wire stays its ``Label``.
+``evaluate`` returns the result in its runtime form, which is its syntax
+unless it holds a closure. ``readback`` substitutes each closure's scope
+into it, only where a value is printed (``show_runtime``): by ``pqc run``
+or in an error message.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ from .circuits import (
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
 from .syntax import (
-    App, Apply, Block, Box, BoxedVal, DestBinder, Force, GateRef, Ifz, Lam,
-    LetBinder, Lift, NatVal, Pair, Program, Ret, Term, UnitVal, Value, Var,
+    App, Apply, Block, Box, DestBinder, Force, GateRef, Ifz, Lam, LetBinder,
+    Lift, NatVal, Program, Ret, Term, Value, Var, show_value,
 )
 from .typecheck import input_wires, shape_of
 
@@ -123,23 +124,20 @@ class Closure:
         self.env = env
 
     def __str__(self) -> str:
-        return str(readback(self))
+        return show_runtime(self)
 
 
 def _value(v: Value, env: Env):
-    """A value's runtime form: variables looked up, lambdas and lifts closed,
-    wires as bare ``Label``s, pairs as 2-tuples and unit as ``()``.
-
-    An unbound variable stays a variable, as substitution would leave it.
+    """A value's runtime form: its variables looked up, through pairs, and
+    lambdas and lifts closed. An unbound variable stays a variable, as
+    substitution would leave it.
     """
     t = type(v)
     if t is Var:
         w = env.lookup(v.name)
         return v if w is None else w
-    if t is Pair:
-        return (_value(v.left, env), _value(v.right, env))
-    if t is UnitVal:
-        return ()
+    if t is tuple and v:
+        return (_value(v[0], env), _value(v[1], env))
     if t is Lam or t is Lift:
         env.seal()
         return Closure(v, env)
@@ -151,13 +149,18 @@ def _value(v: Value, env: Env):
 # --------------------------------------------------------------------------
 
 def readback(v) -> Value:
-    """The syntax value a runtime value stands for."""
+    """The syntax value a runtime value stands for: its closures read back."""
     t = type(v)
     if t is Closure:
         return subst_value(v.value, v.env)
-    if t is tuple:
-        return Pair(readback(v[0]), readback(v[1])) if v else UnitVal()
+    if t is tuple and v:
+        return (readback(v[0]), readback(v[1]))
     return v
+
+
+def show_runtime(v) -> str:
+    """A runtime value's source text."""
+    return show_value(readback(v))
 
 
 def subst_value(v: Value, env: Env, bound: AbstractSet[str] = frozenset()) -> Value:
@@ -170,8 +173,8 @@ def subst_value(v: Value, env: Env, bound: AbstractSet[str] = frozenset()) -> Va
         case Var(name):
             w = None if name in bound else env.lookup(name)
             return v if w is None else readback(w)
-        case Pair(left, right):
-            return Pair(subst_value(left, env, bound), subst_value(right, env, bound))
+        case (left, right):
+            return (subst_value(left, env, bound), subst_value(right, env, bound))
         case Lam(var, ty, body):
             return Lam(var, ty, subst_term(body, env, bound | {var}))
         case Lift(term):
@@ -225,7 +228,7 @@ def value_to_bundle(v) -> Bundle:
             value_to_bundle(v[0])
             value_to_bundle(v[1])
         return v
-    raise Stuck(f"expected a wire bundle, got {readback(v)}")
+    raise Stuck(f"expected a wire bundle, got {show_runtime(v)}")
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +240,7 @@ def value_to_bundle(v) -> Bundle:
 _PARTS = {Ret: attrgetter("value"), App: attrgetter("fn", "arg"),
           Ifz: attrgetter("cond", "then", "els"), Force: attrgetter("value"),
           Box: attrgetter("value"), Apply: attrgetter("circ", "arg"),
-          Pair: attrgetter("left", "right"), Lift: attrgetter("term")}
+          Lift: attrgetter("term")}
 
 
 def _free(v: Union[Lam, Lift]) -> Optional[set]:
@@ -435,7 +438,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             else:
                 pair = _value(b.value, env)
                 if type(pair) is not tuple or not pair:  # () is unit
-                    raise Stuck(f"dest needs a pair, got {readback(pair)}")
+                    raise Stuck(f"dest needs a pair, got {show_runtime(pair)}")
                 # on a repeated name the right component wins, as in the checker
                 env = env.bind(b.left, pair[0]).bind(b.right, pair[1])
                 m = rest
@@ -453,10 +456,10 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                 circ = _value(circ, env)
             if type(circ) is GateRef:
                 boxed = registry.boxed(circ.name)
-            elif type(circ) is BoxedVal:
-                boxed = circ.boxed
+            elif type(circ) is BoxedCircuit:
+                boxed = circ
             else:
-                raise Stuck(f"apply needs a circuit, got {readback(circ)}")
+                raise Stuck(f"apply needs a circuit, got {show_runtime(circ)}")
             v = builder.append(value_to_bundle(_value(m.arg, env)), boxed)
         elif t is App:
             x = m.fn
@@ -464,9 +467,9 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             if fn is None:
                 fn = _value(x, env)
             if type(fn) is not Closure or type(fn.value) is not Lam:
-                if type(fn) is GateRef or type(fn) is BoxedVal:
-                    raise Stuck(f"{fn} is a circuit; run it with apply(...)")
-                raise Stuck(f"cannot apply non-function {readback(fn)}")
+                if type(fn) is GateRef or type(fn) is BoxedCircuit:
+                    raise Stuck(f"{show_runtime(fn)} is a circuit; run it with apply(...)")
+                raise Stuck(f"cannot apply non-function {show_runtime(fn)}")
             x = m.arg
             arg = env.lookup(x.name) if type(x) is Var else None
             if arg is None:
@@ -483,7 +486,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
         elif t is Ifz:
             cond = _value(m.cond, env)
             if type(cond) is not NatVal:
-                raise Stuck(f"ifz needs a number, got {readback(cond)}")
+                raise Stuck(f"ifz needs a number, got {show_runtime(cond)}")
             m = m.then if cond.n == 0 else m.els
             continue
         elif t is Force:
@@ -492,13 +495,13 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             if v is None:
                 v = _value(x, env)
             if type(v) is not Closure or type(v.value) is not Lift:
-                raise Stuck(f"force needs a lifted term, got {readback(v)}")
+                raise Stuck(f"force needs a lifted term, got {show_runtime(v)}")
             env, m = v.env, v.value.term
             continue
         elif t is Box:
             v = _value(m.value, env)
             if type(v) is not Closure or type(v.value) is not Lift:
-                raise Stuck(f"box needs a lifted function, got {readback(v)}")
+                raise Stuck(f"box needs a lifted function, got {show_runtime(v)}")
             in_ctx, bundle = freshlabels(shape_of(m.shape), builder.supply)
             stack.append(_Boxing(builder, in_ctx, bundle))
             builder = CircuitBuilder(identity(in_ctx.obj), in_ctx, builder.supply)
@@ -519,8 +522,8 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             if type(k) is list:
                 memo.leave(k, v, builder, fuel)
                 continue
-            v = BoxedVal(BoxedCircuit(k.bundle, k.in_ctx, builder.circuit(),
-                                      builder.context(), value_to_bundle(v)))
+            v = BoxedCircuit(k.bundle, k.in_ctx, builder.circuit(),
+                             builder.context(), value_to_bundle(v))
             builder = k.outer
         var, m, i, env = k
         if env.sealed:  # env.bind, inlined
@@ -530,9 +533,9 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
 
 def evaluate(cfg: Configuration, registry: Optional[Registry] = None,
              fuel: Optional[int] = None) -> tuple[Circuit, LabelContext, object]:
-    """Run a configuration to a runtime value (``readback`` gives its syntax);
-    returns (circuit, outputs, value). New labels are numbered after the
-    largest label among the configuration's outputs."""
+    """Run a configuration to a runtime value; returns (circuit, outputs,
+    value). New labels are numbered after the largest label among the
+    configuration's outputs."""
     builder = CircuitBuilder(cfg.circuit, cfg.out_ctx)
     closed = Env()  # the configuration's values are closed
     env = Env({x: _value(v, closed) for x, v in cfg.env.items()})

@@ -19,15 +19,17 @@ Types:      1, Nat, Qubit, Bit, I, !A, A * B (right assoc.),
             n = optional scalar resource ascription),
             Circ(T, U), Circ[n](T, U).
 Values:     * (unit), naturals, variables, wire labels #k, gate references
-            @name, tuples (v1, ..., vn) (right-nested pairs),
-            \\x:T. M, lift M.
+            @name, tuples (v1, ..., vn), \\x:T. M, lift M.
 Terms:      return V | V W | let x = M in N | dest (x, ..., z) = V in N
             | ifz V then M else N | force V | box[T] V | apply(V, W).
 
 Comments run from ``--`` to end of line. Tuples and tuple patterns of width
 n > 2 are sugar for right-nested pairs, resolved during parsing.
 
-The AST is frozen dataclasses, compared and hashed by their fields. A run
+A value is what it is at run time where it can be: a wire ``#k`` is a
+``circuits.Label``, a pair a Python 2-tuple, ``*`` is ``()``, and a boxed
+circuit (written by no source text) its ``circuits.BoxedCircuit``. The rest
+of the AST is frozen dataclasses, compared and hashed by their fields. A run
 of ``let`` and binary ``dest`` binders and the term after them is one flat
 ``Block(binders, tail)``, as in A-normal form, so ``==``, ``hash``,
 ``repr``, ``pickle`` and ``copy`` recurse as deep as terms nest, not as
@@ -139,11 +141,6 @@ _ATOM_TEXT = {type(atom): text for text, atom in _TYPE_ATOMS.items()}
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UnitVal(Value):
-    pass
-
-
-@dataclass(frozen=True)
 class NatVal(Value):
     n: int
 
@@ -159,12 +156,6 @@ class GateRef(Value):
 
 
 @dataclass(frozen=True)
-class Pair(Value):
-    left: Value
-    right: Value
-
-
-@dataclass(frozen=True)
 class Lam(Value):
     var: str
     ty: Type
@@ -174,13 +165,6 @@ class Lam(Value):
 @dataclass(frozen=True)
 class Lift(Value):
     term: Term
-
-
-@dataclass(frozen=True)
-class BoxedVal(Value):
-    """A completed circuit as a value; not writable in source syntax."""
-
-    boxed: BoxedCircuit
 
 
 @dataclass(frozen=True)
@@ -475,7 +459,7 @@ class _Parser:
             self.expect(")", "')'")
             v = parts[-1]
             for p in reversed(parts[:-1]):
-                v = Pair(p, v)
+                v = (p, v)
             return v
         if kind == "gateref":
             return GateRef(self.next()[1:])
@@ -488,7 +472,7 @@ class _Parser:
             return Lam(name, ty, self.term())
         if kind == "*":
             self.next()
-            return UnitVal()
+            return ()
         if kind == "nat":
             return NatVal(int(self.next()))
         if kind == "label":
@@ -660,24 +644,24 @@ def show_type(ty: Type) -> str:
     return _show_type(ty, 0)
 
 
-def _tuple_parts(v: Value) -> list[Value]:
+def _tuple_parts(v: tuple) -> list[Value]:
     parts = []
-    while isinstance(v, Pair):
-        parts.append(v.left)
-        v = v.right
+    while type(v) is tuple and v:
+        parts.append(v[0])
+        v = v[1]
     parts.append(v)
     return parts
 
 
 def show_value(v: Value) -> str:
     match v:
-        case Pair():
+        case (_, _):
             return "(" + ", ".join(show_value(p) for p in _tuple_parts(v)) + ")"
         case Lam(var, ty, body):
             return f"\\{var}:{show_type(ty)}. {show_term(body)}"
         case Lift(term):
             return f"lift {show_term(term)}"
-        case UnitVal():
+        case ():
             return "*"
         case NatVal(n):
             return str(n)
@@ -687,7 +671,7 @@ def show_value(v: Value) -> str:
             return str(v)
         case GateRef(name):
             return "@" + name
-        case BoxedVal():
+        case BoxedCircuit():
             return "<boxed circuit>"
     raise TypeError(f"not a value: {v!r}")
 

@@ -37,7 +37,8 @@ from typing import Optional, Sequence, Union
 
 from .algebras import TRIVIAL, CircuitAlgebra, Effect, routing
 from .circuits import (
-    Circuit, Label, LabelContext, Obj, Shape, WireType, flatten_bundle,
+    BoxedCircuit, Circuit, Label, LabelContext, Obj, Shape, WireType,
+    flatten_bundle,
 )
 from .errors import (
     BoxCapturesWires, EffectError, EndpointMismatch, LinearityViolation,
@@ -46,10 +47,9 @@ from .errors import (
 )
 from .gates import Registry, default_registry
 from .syntax import (
-    App, Apply, ArrowT, BangT, BitT, Block, Box, BoxedVal, BundleUnitT, CircT,
-    Force, GateRef, Ifz, Lam, LetBinder, Lift, NatT, NatVal, Pair,
-    Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal, Value, Var,
-    show_type,
+    App, Apply, ArrowT, BangT, BitT, Block, Box, BundleUnitT, CircT, Force,
+    GateRef, Ifz, Lam, LetBinder, Lift, NatT, NatVal, Program, QubitT, Ret,
+    TensorT, Term, Type, UnitT, Value, Var, show_type,
 )
 
 CtxKey = Union[str, Label]
@@ -375,8 +375,7 @@ class EffectChecker:
                               f"{show_type(ty)}; ascribe a bound: {hint}")
         return ty.eff
 
-    def _boxed_type(self, bv: BoxedVal) -> CircT:
-        boxed = bv.boxed
+    def _boxed_type(self, boxed: BoxedCircuit) -> CircT:
         alg = self.alg
         body_eff = alg.abstract(boxed.body, self.registry)
         fold = alg.fold(boxed.port_types)
@@ -405,11 +404,11 @@ class EffectChecker:
             case Label():
                 i = self._lookup(v)
                 return self.ctx[i].ty, {i}, [i]
-            case Pair(left, right):
+            case (left, right):
                 lt, lu, lo = self.infer_value(left)
                 rt, ru, ro = self.infer_value(right)
                 return TensorT(lt, rt), self._merge(lu, ru, "a pair"), lo + ro
-            case UnitVal():
+            case ():
                 return UnitT(), set(), []
             case NatVal():
                 return NatT(), set(), []
@@ -422,7 +421,7 @@ class EffectChecker:
                         tensor_of([_TYPE_OF_WIRE[w] for w in gdef.gate.cod]), None,
                         self.alg.gate_effect(gdef))
                 return ct, set(), []
-            case BoxedVal():
+            case BoxedCircuit():
                 return self._boxed_type(v), set(), []
             case Lam(var, ty0, body):
                 self.push(var, ty0)

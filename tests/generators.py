@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from pqc.gates import Registry, default_registry
 from pqc.syntax import (
     App, Apply, ArrowT, BangT, BitT, Block, Box, BundleUnitT, CircT,
     DestBinder, Force, GateRef, Ifz, Lam, LetBinder, Lift, NatT, NatVal,
-    Pair, Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal, Value, Var,
+    Program, QubitT, Ret, TensorT, Term, Type, UnitT, Value, Var,
 )
 from pqc.tropical import NEG_INF, TropicalMatrix
 
@@ -31,6 +32,16 @@ B = WireType.BIT
 
 def rng(salt: str) -> random.Random:
     return random.Random(f"{SEED}/{salt}")
+
+
+def perfbench_workloads():
+    """The benchmark's program generators, ``perfbench/workloads.py``."""
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
 
 
 def tropical(rows, shape=None) -> TropicalMatrix:
@@ -165,7 +176,7 @@ class _Builder:
 
         if move == "init":
             v = self.name("q")
-            self.binders.append(LetBinder(v, Apply(GateRef("init"), UnitVal())))
+            self.binders.append(LetBinder(v, Apply(GateRef("init"), ())))
             self.qubits.append(v)
         elif move == "unary":
             g = r.choice(("H", "X", "Z"))
@@ -176,7 +187,7 @@ class _Builder:
         elif move == "cnot":
             a, b = self.take_qubit(), self.take_qubit()
             p, a2, b2 = self.name("p"), self.name("q"), self.name("q")
-            self.binders += [LetBinder(p, Apply(GateRef("CNOT"), Pair(Var(a), Var(b)))),
+            self.binders += [LetBinder(p, Apply(GateRef("CNOT"), (Var(a), Var(b)))),
                              DestBinder(a2, b2, Var(p))]
             self.qubits += [a2, b2]
         elif move == "meas":
@@ -217,14 +228,14 @@ class _Builder:
             call = Lam(a, TensorT(arrow, QubitT()),
                        Block((DestBinder(f, y, Var(a)),), App(Var(f), Var(y))))
             gate = Lam(z, QubitT(), Apply(GateRef(r.choice(("H", "X", "Z"))), Var(z)))
-            self.binders.append(LetBinder(v, App(call, Pair(gate, Var(x)))))
+            self.binders.append(LetBinder(v, App(call, (gate, Var(x)))))
             self.qubits.append(v)
         elif move == "circuit":
             # a lifted, unused function whose circuit argument is ascribed a
             # bound below its two output wires; it returns them in or out of
             # order
             f, a, c, y, p, u, w = (self.name(b) for b in "facypuw")
-            outs = Pair(Var(w), Var(u)) if r.random() < 0.5 else Pair(Var(u), Var(w))
+            outs = (Var(w), Var(u)) if r.random() < 0.5 else (Var(u), Var(w))
             circ = CircT(QubitT(), TensorT(QubitT(), QubitT()), r.randint(0, 1))
             body = Block((DestBinder(c, y, Var(a)),
                           LetBinder(p, Apply(Var(c), Var(y))),
@@ -235,11 +246,11 @@ class _Builder:
     def finish(self) -> Term:
         names = self.qubits + self.bits
         if not names:
-            result: Value = UnitVal()
+            result: Value = ()
         else:
             result = Var(names[-1])
             for n in reversed(names[:-1]):
-                result = Pair(Var(n), result)
+                result = (Var(n), result)
         if not self.binders:
             return Ret(result)
         return Block(tuple(self.binders), Ret(result))
@@ -273,7 +284,7 @@ def random_boxable(r: random.Random) -> tuple[Type, Lam]:
     g = r.choice(("H", "X", "Z"))
     body = Block((DestBinder("a", "b", Var(x)),
                   LetBinder("a2", Apply(GateRef(g), Var("a")))),
-                 Apply(GateRef("CNOT"), Pair(Var("a2"), Var("b"))))
+                 Apply(GateRef("CNOT"), (Var("a2"), Var("b"))))
     return shape, Lam(x, shape, body)
 
 
@@ -302,13 +313,13 @@ def random_type(r: random.Random, depth: int = 3) -> Type:
 
 
 def random_value(r: random.Random, depth: int = 3) -> Value:
-    simple = [UnitVal(), NatVal(r.randint(0, 99)), Var(r.choice(_NAMES)),
+    simple = [(), NatVal(r.randint(0, 99)), Var(r.choice(_NAMES)),
               GateRef(r.choice(("H", "CNOT", "init", "myGate")))]
     if depth <= 0 or r.random() < 0.4:
         return r.choice(simple)
     kind = r.choice(("pair", "lam", "lift"))
     if kind == "pair":
-        return Pair(random_value(r, depth - 1), random_value(r, depth - 1))
+        return (random_value(r, depth - 1), random_value(r, depth - 1))
     if kind == "lam":
         return Lam(r.choice(_NAMES), random_type(r, depth - 1),
                    random_term(r, depth - 1))

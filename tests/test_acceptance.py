@@ -25,7 +25,7 @@ from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.evaluator import evaluate, initial_configuration, readback
 from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import (
-    Apply, App, Block, Box, Lift, LetBinder, Pair, Program, QubitT, Ret, TensorT, Var,
+    Apply, App, Block, Box, Lift, LetBinder, Program, QubitT, Ret, TensorT, Var,
     parse_program, show_program,
 )
 from pqc.tropical import NEG_INF
@@ -231,7 +231,7 @@ def test_boxing_coherent_with_direct_application():
         shape, lam = random_boxable(r)
         if isinstance(shape, TensorT):
             inputs = (("in0", QubitT()), ("in1", QubitT()))
-            arg = Pair(Var("in0"), Var("in1"))
+            arg = (Var("in0"), Var("in1"))
         else:
             inputs = (("in0", QubitT()),)
             arg = Var("in0")

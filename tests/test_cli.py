@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from generators import random_ast_program, rng
+from generators import perfbench_workloads, random_ast_program, rng
 from pqc import cli
 from pqc.algebras import ALGEBRAS, AssertValue, Effect
 from pqc.circuits import WireType, deserialize
@@ -225,6 +226,33 @@ def test_run_prints_a_long_closure_that_parses_back(capsys, tmp_path):
     assert code == 0
     lift = parse_program(DEEP_CLOSURE).term.binders[0].bound.value
     assert parse_value(json.loads(out)["value"]) == lift
+
+
+@pytest.mark.parametrize("src, drawn, value", [
+    ("inputs;\nlet c = box[Qubit] lift \\x: Qubit. apply(@H, x) in\nreturn (c, *)\n",
+     "\noutputs: \n", "(<boxed circuit>, *)"),
+    ("inputs;\nreturn (3, @H)\n", "\noutputs: \n", "(3, @H)"),
+    ("inputs q: Qubit;\nreturn \\x: Qubit. return (x, q)\n",
+     "Qubit -\noutputs: #0:Qubit\n", "\\x:Qubit. return (x, #0)"),
+], ids=["boxed-and-unit", "number-and-gate", "closure-over-a-wire"])
+def test_run_prints_values_that_are_not_wires(capsys, tmp_path, src, drawn, value):
+    path = tmp_path / "p.pqc"
+    path.write_text(src)
+    assert run_cli(capsys, "run", str(path)) == (0, f"{drawn}value:   {value}\n", "")
+    code, out, _ = run_cli(capsys, "run", "--json", str(path))
+    assert code == 0 and json.loads(out)["value"] == value
+
+
+def test_readme_library_block_runs_from_the_repo_root():
+    root = os.path.join(HERE, os.pardir)
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as f:
+        block = re.search(r"^## Library\n\n```python\n(.*?)^```", f.read(),
+                          re.S | re.M).group(1)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(root, "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", block], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "(#3, #4)\n", "")
 
 
 def test_run_fuel_exhaustion_exits_2(capsys):
@@ -565,12 +593,7 @@ def test_printer_is_json_dumps_on_random_documents(capsys):
 
 
 def _assert_programs() -> list:
-    sys.path.insert(0, os.path.join(HERE, os.pardir, "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
-    return workloads.assert_family(random.Random(1))
+    return perfbench_workloads().assert_family(random.Random(1))
 
 
 def rows_data(v: AssertValue) -> dict:

@@ -13,7 +13,7 @@ from pqc.errors import EffectError, EndpointMismatch, LinearityViolation
 from pqc.evaluator import evaluate_program
 from pqc.gates import default_registry
 from pqc.syntax import (
-    ArrowT, BangT, BoxedVal, CircT, QubitT, TensorT, UnitT, parse_program,
+    ArrowT, BangT, CircT, QubitT, TensorT, UnitT, parse_program,
     parse_term, parse_type,
 )
 from pqc.typecheck import EffectChecker, synthesize_bounds
@@ -215,8 +215,8 @@ def test_boxed_value_has_the_type_of_its_box():
            r"   dest (c, d) = p in let c = apply(@H, c) in return (d, c) in"
            r" return c")
     _, _, boxed = evaluate_program(program(src), registry)
-    assert [lbl for lbl, _ in boxed.boxed.out_ctx] != \
-        list(flatten_bundle(boxed.boxed.outputs))
+    assert type(boxed) is BoxedCircuit  # a box evaluates to its circuit
+    assert [lbl for lbl, _ in boxed.out_ctx] != list(flatten_bundle(boxed.outputs))
     for name in sorted(ALGEBRAS):
         alg = algebra(name)
         ct, _, _ = EffectChecker(alg, registry).infer_value(boxed)
@@ -236,7 +236,7 @@ def test_boxed_value_routes_a_permuted_input_bundle():
     swapped = Circuit((q, q), (Perm((1, 0)),) + body)
     for name in sorted(ALGEBRAS):
         alg = algebra(name)
-        ct, _, _ = EffectChecker(alg, registry).infer_value(BoxedVal(boxed))
+        ct, _, _ = EffectChecker(alg, registry).infer_value(boxed)
         assert ct.eff == alg.abstract(swapped, registry), name
 
 

@@ -1,17 +1,21 @@
+import os
+import random
+
 import pytest
 
-from generators import rng, random_program
+from generators import perfbench_workloads, rng, random_program
+from pqc.cli import _load
 from pqc.circuits import Circuit, Label, Layer, WireType, flatten_bundle
 from pqc.errors import FuelExhausted, Stuck, WireTypeMismatch
 from pqc.evaluator import (
-    Env, evaluate, evaluate_program, initial_configuration, readback,
+    Closure, Env, evaluate, evaluate_program, initial_configuration, readback,
     subst_term, subst_value, value_to_bundle,
 )
 from pqc.gates import default_registry
 from pqc.syntax import (
     Apply, App, Block, DestBinder, Force, GateRef, Ifz, Lam,
-    LetBinder, Lift, NatVal, Pair, Program, QubitT, Ret, UnitVal, Value, Var,
-    parse_program, parse_value, show_value,
+    LetBinder, Lift, NatVal, Program, QubitT, Ret, Var,
+    parse_program, parse_term, parse_value, show_value,
 )
 from pqc.typecheck import check_program
 
@@ -52,18 +56,18 @@ def test_subst_let_shadows_body_not_bound():
 def test_subst_lambda_shadowing():
     lam = Lam("x", QubitT(), Ret(Var("x")))
     assert subst_value(lam, Env({"x": NatVal(1)})) == lam
-    lam2 = Lam("y", QubitT(), Ret(Pair(Var("y"), Var("x"))))
+    lam2 = Lam("y", QubitT(), Ret((Var("y"), Var("x"))))
     assert subst_value(lam2, Env({"x": NatVal(1)})) == \
-        Lam("y", QubitT(), Ret(Pair(Var("y"), NatVal(1))))
+        Lam("y", QubitT(), Ret((Var("y"), NatVal(1))))
 
 
 def test_subst_dest_shadowing():
-    body = Ret(Pair(Var("a"), Var("b")))
+    body = Ret((Var("a"), Var("b")))
     m = Block((DestBinder("a", "b", Var("p")),), body)
     out = subst_term(m, Env({"a": NatVal(7)}))
     assert out.tail == body  # binder shadows
-    out2 = subst_term(m, Env({"p": Pair(NatVal(1), NatVal(2))}))
-    assert out2.binders[0].value == Pair(NatVal(1), NatVal(2))
+    out2 = subst_term(m, Env({"p": (NatVal(1), NatVal(2))}))
+    assert out2.binders[0].value == (NatVal(1), NatVal(2))
 
 
 # --------------------------------------------------------------------------
@@ -71,21 +75,19 @@ def test_subst_dest_shadowing():
 # --------------------------------------------------------------------------
 
 def test_bundle_value_round_trip():
-    # a runtime bundle is its own bundle; read back, it is the syntax that
-    # prints and parses as the same bundle, its wires still Labels
+    # a runtime bundle is its own bundle and its own syntax: it reads back
+    # as itself and prints and parses as the same bundle
     l0, l1 = Label(0), Label(1)
     for b in ((), l0, (l0, l1), ((l0, ()), l1)):
         assert value_to_bundle(b) is b
-        v = readback(b)
-        assert isinstance(v, (Value, Label))  # a Label is not a Value subclass
-        assert parse_value(show_value(v)) == v
+        assert readback(b) == b
+        assert parse_value(show_value(b)) == b
     assert readback(l0) is l0
-    assert readback(((l0, ()), l1)) == Pair(Pair(l0, UnitVal()), l1)
 
 
 def test_value_to_bundle_rejects_parameters():
-    # only runtime values are bundles: syntax meets them when printed
-    for v in (NatVal(3), Pair(Label(0), Label(1)), UnitVal()):
+    lam = Lam("x", QubitT(), Ret(Var("x")))
+    for v in (NatVal(3), GateRef("H"), Closure(lam, Env()), (Label(0), NatVal(3))):
         with pytest.raises(Stuck):
             value_to_bundle(v)
 
@@ -277,10 +279,10 @@ def test_gate_application_needs_apply():
 def test_stuck_shapes():
     bad = [
         App(NatVal(1), NatVal(2)),
-        Block((DestBinder("a", "b", NatVal(1)),), Ret(UnitVal())),
-        Ifz(UnitVal(), Ret(UnitVal()), Ret(UnitVal())),
+        Block((DestBinder("a", "b", NatVal(1)),), Ret(())),
+        Ifz((), Ret(()), Ret(())),
         Force(NatVal(1)),
-        Apply(NatVal(1), UnitVal()),
+        Apply(NatVal(1), ()),
     ]
     for term in bad:
         cfg, _ = initial_configuration(
@@ -290,43 +292,52 @@ def test_stuck_shapes():
             evaluate(cfg, registry)
 
 
-_WIRE, _PAIR = Var("a"), Pair(Var("a"), Var("b"))
-_CLOSURE = Lam("x", QubitT(), Ret(Pair(Var("x"), Var("b"))))
+_WIRE, _PAIR = Var("a"), (Var("a"), Var("b"))
+_CLOSURE = Lam("x", QubitT(), Ret((Var("x"), Var("b"))))
 _CLOSURE_TEXT = r"\x:Qubit. return (x, #1)"
+_BOXED = "let c = box[Qubit] lift \\x: Qubit. apply(@H, x) in "
 
 
 @pytest.mark.parametrize("term, message", [
     (Force(_WIRE), "force needs a lifted term, got #0"),
     (Force(_PAIR), "force needs a lifted term, got (#0, #1)"),
     (Force(_CLOSURE), f"force needs a lifted term, got {_CLOSURE_TEXT}"),
-    (Ifz(_WIRE, Ret(UnitVal()), Ret(UnitVal())), "ifz needs a number, got #0"),
-    (Ifz(_PAIR, Ret(UnitVal()), Ret(UnitVal())), "ifz needs a number, got (#0, #1)"),
-    (Ifz(_CLOSURE, Ret(UnitVal()), Ret(UnitVal())),
+    (Ifz(_WIRE, Ret(()), Ret(())), "ifz needs a number, got #0"),
+    (Ifz(_PAIR, Ret(()), Ret(())), "ifz needs a number, got (#0, #1)"),
+    (Ifz(_CLOSURE, Ret(()), Ret(())),
      f"ifz needs a number, got {_CLOSURE_TEXT}"),
-    (Block((DestBinder("x", "y", _WIRE),), Ret(UnitVal())), "dest needs a pair, got #0"),
-    (Block((DestBinder("x", "y", _CLOSURE),), Ret(UnitVal())),
+    (Block((DestBinder("x", "y", _WIRE),), Ret(())), "dest needs a pair, got #0"),
+    (Block((DestBinder("x", "y", _CLOSURE),), Ret(())),
      f"dest needs a pair, got {_CLOSURE_TEXT}"),
-    (Apply(_WIRE, UnitVal()), "apply needs a circuit, got #0"),
-    (Apply(_PAIR, UnitVal()), "apply needs a circuit, got (#0, #1)"),
-    (Apply(_CLOSURE, UnitVal()), f"apply needs a circuit, got {_CLOSURE_TEXT}"),
+    (Apply(_WIRE, ()), "apply needs a circuit, got #0"),
+    (Apply(_PAIR, ()), "apply needs a circuit, got (#0, #1)"),
+    (Apply(_CLOSURE, ()), f"apply needs a circuit, got {_CLOSURE_TEXT}"),
     (Apply(GateRef("H"), _PAIR), "bundle of 2 wires applied to circuit expecting 1"),
     (Apply(GateRef("H"), _CLOSURE), f"expected a wire bundle, got {_CLOSURE_TEXT}"),
-    (App(_PAIR, UnitVal()), "cannot apply non-function (#0, #1)"),
-    (Ifz(Pair(_WIRE, Lift(Ret(_WIRE))), Ret(UnitVal()), Ret(UnitVal())),
+    (App(_PAIR, ()), "cannot apply non-function (#0, #1)"),
+    (Ifz((_WIRE, Lift(Ret(_WIRE))), Ret(()), Ret(())),
      "ifz needs a number, got (#0, lift return #0)"),
     # unit is () at run time: a tuple, but not a pair and not a wire
-    (Block((DestBinder("x", "y", UnitVal()),), Ret(UnitVal())),
+    (Block((DestBinder("x", "y", ()),), Ret(())),
      "dest needs a pair, got *"),
-    (Apply(GateRef("CNOT"), Pair(_WIRE, NatVal(3))), "expected a wire bundle, got 3"),
-    (Apply(GateRef("CNOT"), Pair(_WIRE, UnitVal())),
+    (Apply(GateRef("CNOT"), (_WIRE, NatVal(3))), "expected a wire bundle, got 3"),
+    (Apply(GateRef("CNOT"), (_WIRE, ())),
      "bundle of 1 wires applied to circuit expecting 2"),
-    (Force(UnitVal()), "force needs a lifted term, got *"),
-    (App(UnitVal(), UnitVal()), "cannot apply non-function *"),
+    (Force(()), "force needs a lifted term, got *"),
+    (App((), ()), "cannot apply non-function *"),
+    (parse_term(_BOXED + "force c"), "force needs a lifted term, got <boxed circuit>"),
+    (parse_term(_BOXED + "ifz c then return * else return *"),
+     "ifz needs a number, got <boxed circuit>"),
+    (parse_term(_BOXED + "dest (x, y) = c in return *"),
+     "dest needs a pair, got <boxed circuit>"),
+    (parse_term(_BOXED + "c a"), "<boxed circuit> is a circuit; run it with apply(...)"),
+    (parse_term(_BOXED + "apply(@H, c)"), "expected a wire bundle, got <boxed circuit>"),
 ], ids=["force-wire", "force-pair", "force-closure", "ifz-wire", "ifz-pair",
         "ifz-closure", "dest-wire", "dest-closure", "apply-wire", "apply-pair",
         "apply-closure", "apply-to-pair", "apply-to-closure", "app-pair",
         "ifz-pair-with-closure", "dest-unit", "apply-to-nat-component",
-        "apply-to-unit-component", "force-unit", "app-unit"])
+        "apply-to-unit-component", "force-unit", "app-unit", "force-boxed",
+        "ifz-boxed", "dest-boxed", "app-boxed", "apply-to-boxed"])
 def test_stuck_text_on_wire_values(term, message):
     # the configurations are built directly: the checker rejects every one
     cfg, _ = initial_configuration(parse_program("inputs a: Qubit, b: Qubit; return *"))
@@ -349,6 +360,37 @@ def test_random_programs_evaluate_cleanly():
         assert ctx.obj == c.cod
         assert sorted(flatten_bundle(value_to_bundle(v))) == \
             sorted(ctx.labels)
+
+
+def _programs_to_print():
+    """(program, registry) for the demos, every benchmark program of seeds
+    1-3, two results that are not wires, and 200 random programs."""
+    demos = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+    out = [_load(os.path.join(demos, name), None)
+           for name in sorted(os.listdir(demos)) if name.endswith(".pqc")]
+    workloads = perfbench_workloads()
+    out += [(parse_program(c.text), registry)
+            for name, family in sorted(workloads.WORKLOADS.items())
+            for seed in (1, 2, 3) for c in family(random.Random(f"{name}:{seed}"))]
+    out += [(parse_program(src), registry) for src in (
+        "inputs; return (3, @H)", r"inputs q: Qubit; return \x: Qubit. return (x, q)")]
+    r = rng("printed-results")
+    return out + [(random_program(r), registry) for _ in range(200)]
+
+
+def test_printed_results_parse_back():
+    not_wires = 0
+    for prog, reg in _programs_to_print():
+        _, _, v = evaluate_program(prog, reg)
+        syntax = readback(v)
+        assert parse_value(show_value(syntax)) == syntax
+        try:
+            value_to_bundle(v)
+        except Stuck:
+            not_wires += 1
+            continue
+        assert syntax == v  # a bundle of wires is its own syntax
+    assert not_wires == 2
 
 
 def test_deep_let_chain_evaluates_without_recursion():

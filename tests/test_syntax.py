@@ -2,19 +2,20 @@ import copy
 import os
 import pickle
 import random
-import sys
 
 import pytest
 
-from generators import rng, random_ast_program, random_term, random_type, random_value
-from pqc.circuits import Label
+from generators import (
+    perfbench_workloads, rng, random_ast_program, random_term, random_type,
+    random_value,
+)
+from pqc.circuits import BoxedCircuit, Label
 from pqc.errors import NotAValue, ParseError
 from pqc.gates import default_registry
 from pqc.syntax import (
     App, Apply, ArrowT, BangT, BitT, Block, Box, BundleUnitT, CircT, DestBinder,
-    BoxedVal, Force, GateRef, Ifz, Lam, Let, LetBinder, Lift, NatT,
-    NatVal, Pair, Program, QubitT, Ret, TensorT, Term, Type, UnitT, UnitVal,
-    Value, Var, parse_program,
+    Force, GateRef, Ifz, Lam, Let, LetBinder, Lift, NatT, NatVal, Program,
+    QubitT, Ret, TensorT, Term, Type, UnitT, Value, Var, parse_program,
     parse_term, parse_type, parse_value, show_program, show_term, show_type,
     show_value, tokenize, _Parser,
 )
@@ -51,11 +52,7 @@ def test_token_kinds():
 
 def _workload_programs() -> list[str]:
     """Generated benchmark programs, corpus and brickwork, seeds 1-2."""
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = perfbench_workloads()
     return [c.text for seed in (1, 2)
             for family in (workloads.corpus, workloads.brickwork)
             for c in family(random.Random(seed))]
@@ -137,17 +134,17 @@ def test_bounded_types():
 
 
 def test_values_parse():
-    assert parse_value("(x, y, z)") == Pair(Var("x"), Pair(Var("y"), Var("z")))
-    assert parse_value("*") == UnitVal()
+    assert parse_value("(x, y, z)") == (Var("x"), (Var("y"), Var("z")))
+    assert parse_value("*") == ()
     assert parse_value("@CNOT") == GateRef("CNOT")
     assert parse_value(r"\x: Qubit. return x") == \
         Lam("x", QubitT(), Ret(Var("x")))
     assert parse_value("lift f x") == Lift(App(Var("f"), Var("x")))
-    assert parse_value("lift return *") == Lift(Ret(UnitVal()))
+    assert parse_value("lift return *") == Lift(Ret(()))
 
 
 def test_terms_parse():
-    assert parse_term("return (x, y)") == Ret(Pair(Var("x"), Var("y")))
+    assert parse_term("return (x, y)") == Ret((Var("x"), Var("y")))
     assert parse_term("f x") == App(Var("f"), Var("x"))
     assert parse_term("apply(@H, q)") == Apply(GateRef("H"), Var("q"))
     assert parse_term("force u") == Force(Var("u"))
@@ -167,21 +164,21 @@ def test_let_chains():
     m = parse_term("let x = apply(@H, q) in let y = f x in return (x, y)")
     assert m == Block((LetBinder("x", Apply(GateRef("H"), Var("q"))),
                        LetBinder("y", App(Var("f"), Var("x")))),
-                      Ret(Pair(Var("x"), Var("y"))))
+                      Ret((Var("x"), Var("y"))))
     # Let adds one binder in front of a block, so chains built either way agree
     assert m == Let("x", Apply(GateRef("H"), Var("q")),
-                    Let("y", App(Var("f"), Var("x")), Ret(Pair(Var("x"), Var("y")))))
+                    Let("y", App(Var("f"), Var("x")), Ret((Var("x"), Var("y")))))
     # a bound block stays nested: it binds in its own scope
     n = parse_term("let x = let y = f z in return y in return x")
     assert isinstance(n.binders[0].bound, Block) and len(n.binders) == 1
 
 
 def test_blocks_are_canonical():
-    x = LetBinder("x", Ret(UnitVal()))
+    x = LetBinder("x", Ret(()))
     with pytest.raises(ValueError):
-        Block((), Ret(UnitVal()))
+        Block((), Ret(()))
     with pytest.raises(ValueError):
-        Block((x,), Block((x,), Ret(UnitVal())))
+        Block((x,), Block((x,), Ret(())))
 
 
 def test_bare_value_is_rejected_as_term():
@@ -217,7 +214,10 @@ def test_printer_spells_operators_back():
 
 
 def test_str_of_every_syntax_class():
-    # the printer writes every node, atoms included; no class knows its text
+    # the printer writes every node, atoms included; no class knows its text.
+    # A wire, a pair, unit and a boxed circuit are their run-time objects,
+    # not Value subclasses: show_value writes them, and their str() is their
+    # own (a Label's is the printer's)
     lam = Lam("x", QubitT(), Ret(Var("x")))
     cases = [
         (UnitT(), "1"), (NatT(), "Nat"), (QubitT(), "Qubit"), (BitT(), "Bit"),
@@ -227,28 +227,29 @@ def test_str_of_every_syntax_class():
          "Qubit * Qubit -o[I; 2] Bit"),
         (BangT(ArrowT(QubitT(), QubitT(), QubitT())), "!(Qubit -o[Qubit] Qubit)"),
         (CircT(QubitT(), BundleUnitT(), 3), "Circ[3](Qubit, I)"),
-        (UnitVal(), "*"), (NatVal(3), "3"), (Var("x"), "x"),
+        ((), "*"), (NatVal(3), "3"), (Var("x"), "x"),
         (Label(3), "#3"), (GateRef("H"), "@H"),
-        (Pair(Var("a"), Pair(Var("b"), Var("c"))), "(a, b, c)"),
-        (lam, "\\x:Qubit. return x"), (Lift(Ret(UnitVal())), "lift return *"),
-        (BoxedVal(default_registry().boxed("H")), "<boxed circuit>"),
+        ((Var("a"), (Var("b"), Var("c"))), "(a, b, c)"),
+        (lam, "\\x:Qubit. return x"), (Lift(Ret(())), "lift return *"),
+        (default_registry().boxed("H"), "<boxed circuit>"),
         (Ret(NatVal(3)), "return 3"), (App(lam, Var("q")), "(\\x:Qubit. return x) q"),
         (Block((LetBinder("y", Apply(GateRef("H"), Var("x"))),
                 DestBinder("a", "b", Var("p"))), Ret(Var("y"))),
          "let y = apply(@H, x) in\ndest (a, b) = p in\nreturn y"),
-        (Ifz(NatVal(0), Ret(UnitVal()), Force(Var("f"))),
+        (Ifz(NatVal(0), Ret(()), Force(Var("f"))),
          "ifz 0 then return * else force f"),
         (Force(Var("f")), "force f"), (Box(QubitT(), Var("f")), "box[Qubit] f"),
-        (Apply(GateRef("CNOT"), Pair(Var("a"), Var("b"))), "apply(@CNOT, (a, b))"),
+        (Apply(GateRef("CNOT"), (Var("a"), Var("b"))), "apply(@CNOT, (a, b))"),
         (Program((("q", QubitT()),), "g.pqcg", Ret(Var("q"))),
          'inputs q:Qubit;\ngates "g.pqcg";\n\nreturn q\n'),
     ]
     classes = {c for base in (Type, Value, Term) for c in base.__subclasses__()}
-    # a wire is a circuits.Label in syntax too, not a Value subclass
-    assert {type(node) for node, _ in cases} == classes | {Program, Label}
+    assert {type(node) for node, _ in cases} == \
+        classes | {Program, Label, tuple, BoxedCircuit}
     for node, text in cases:
-        assert str(node) == text
-    assert show_value(Pair(Label(3), Var("a"))) == "(#3, a)"
+        show = show_value if type(node) in (tuple, BoxedCircuit) else str
+        assert show(node) == text
+    assert show_value((Label(3), Var("a"))) == "(#3, a)"
 
 
 def test_round_trip_suites():

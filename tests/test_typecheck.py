@@ -19,7 +19,7 @@ from pqc.syntax import (
     parse_program, parse_term, parse_type, show_type, App, Apply, ArrowT,
     BangT, BitT, Block, Box, BundleUnitT, CircT, DestBinder, Force, GateRef,
     Ifz, Lam, LetBinder, Lift, NatT, NatVal, Program, QubitT, Ret,
-    TensorT, UnitT, UnitVal, Pair, Var,
+    TensorT, UnitT, Var,
 )
 from pqc.typecheck import (
     EffectChecker, check_configuration, check_program, is_parameter,
@@ -239,7 +239,7 @@ def test_box_rejects_arrows_that_captured_wires():
 
 def test_term_in_value_position_is_a_type_error():
     # only a hand-built AST can put a term where a value belongs
-    bound = Block((LetBinder("x", Ret(UnitVal())),), Ret(UnitVal()))
+    bound = Block((LetBinder("x", Ret(())),), Ret(()))
     prog = Program((), None, Ret(bound))
     with pytest.raises(MisplacedTerm):
         check_program(prog, registry)
@@ -312,7 +312,7 @@ def test_check_configuration_types_label_terms():
     l0, l1 = ctx.labels
     ty, out = check_configuration(
         ctx, identity(ctx.obj),
-        Ret(Pair(l1, l0)), ctx, registry)
+        Ret((l1, l0)), ctx, registry)
     assert show_type(ty) == "Qubit * Qubit"
     assert out.entries == ()  # term consumed every output
 
@@ -339,35 +339,40 @@ def test_random_programs_typecheck():
 # the left fold against the right fold it replaced
 # --------------------------------------------------------------------------
 
-_AST = (Ret, App, Block, Ifz, Force, Box, Apply, Var, Pair, UnitVal,
-        NatVal, GateRef, Lam, Lift)
+_AST = (Ret, App, Block, Ifz, Force, Box, Apply, Var, tuple, NatVal, GateRef,
+        Lam, Lift)
 
 
 def _nodes(term):
     """Every binder, term and value inside ``term``, with its path: field
-    names, and a binder's index in its block. A block is listed binder by
-    binder, each followed by its bound term or value and then by the rest
-    of the block, the order one nested node per binder would give."""
+    names, a binder's index in its block, and a pair's component as
+    ``(0,)`` or ``(1,)``. A block is listed binder by binder, each followed
+    by its bound term or value and then by the rest of the block, the order
+    one nested node per binder would give."""
     out, todo = [], []
 
     def push(node, path):
-        todo.append(((node, 0) if isinstance(node, Block) else node, path))
+        todo.append(([node, 0] if isinstance(node, Block) else node, path))
 
     push(term, ())
     while todo:
         node, path = todo.pop()
-        if isinstance(node, tuple):  # (block, i): binder i and the rest
+        if type(node) is list:  # [block, i]: binder i and the rest
             block, i = node
             b = block.binders[i]
             out.append((b, path + (i,)))
             field = "bound" if isinstance(b, LetBinder) else "value"
             push(getattr(b, field), path + (i, field))
             if i + 1 < len(block.binders):
-                todo.append(((block, i + 1), path))
+                todo.append(([block, i + 1], path))
             else:
                 push(block.tail, path + ("tail",))
             continue
         out.append((node, path))
+        if type(node) is tuple:
+            for i, child in enumerate(node):
+                push(child, path + ((i,),))
+            continue
         for f in dataclasses.fields(node):
             child = getattr(node, f.name)
             if isinstance(child, _AST):
@@ -381,6 +386,10 @@ def _replaced(node, path, new):
     if not path:
         return new
     step = path[0]
+    if type(step) is tuple:
+        (i,) = step
+        return tuple(_replaced(x, path[1:], new) if j == i else x
+                     for j, x in enumerate(node))
     if isinstance(step, int):
         b = _replaced(node.binders[step], path[1:], new)
         kept = (b,) if b is not None else ()
@@ -405,16 +414,16 @@ def _mutant(r, prog: Program) -> Program:
                 new = GateRef(r.choice(("H", "CNOT", "init", "meas", "discard")))
             case LetBinder(var, bound):
                 new = r.choice((None, LetBinder(r.choice(names), bound),
-                                LetBinder(var, Ret(UnitVal()))))
+                                LetBinder(var, Ret(()))))
             case DestBinder(left, right, value):
                 new = r.choice((None, DestBinder(right, left, value),
-                                DestBinder(left, right, UnitVal())))
-            case Pair(left, right):
-                new = r.choice((left, Pair(right, left), Pair(left, Pair(right, right))))
+                                DestBinder(left, right, ())))
+            case (left, right):
+                new = r.choice((left, (right, left), (left, (right, right))))
             case Ret(v):
-                new = r.choice((Ret(UnitVal()), Ret(Pair(v, v))))
+                new = r.choice((Ret(()), Ret((v, v))))
             case Apply(circ, arg):
-                new = r.choice((Ret(arg), Apply(circ, Pair(arg, arg))))
+                new = r.choice((Ret(arg), Apply(circ, (arg, arg))))
             case _:
                 continue
         return Program(prog.inputs, None, _replaced(prog.term, path, new))
