@@ -108,30 +108,55 @@ Shape = Union[tuple, WireType]
 
 
 def flatten_bundle(b: Bundle) -> list[Label]:
-    if isinstance(b, Label):
-        return [b]
-    if b == ():
-        return []
-    l, r = b
-    return flatten_bundle(l) + flatten_bundle(r)
+    """A bundle's wires (any leaf but ``()``), left to right."""
+    out, todo = [], [b]
+    while todo:
+        b = todo.pop()
+        while type(b) is tuple and b:  # down the left parts, parking the right
+            b, r = b
+            todo.append(r)
+        if type(b) is not tuple:
+            out.append(b)
+    return out
 
 
-def rename_bundle(b: Bundle, mapping: dict[Label, Label]) -> Bundle:
-    if isinstance(b, Label):
-        return mapping[b]
-    if b == ():
-        return ()
-    l, r = b
-    return (rename_bundle(l, mapping), rename_bundle(r, mapping))
+def map_bundle(b, leaf):
+    """``b`` with each leaf ``x`` (anything but a tuple) replaced by
+    ``leaf(x)``, in left-to-right order; None if some ``leaf(x)`` is None."""
+    # down each right spine, mapping its left parts into lefts; a left part
+    # that is a pair parks the spine until it is mapped
+    parked, lefts = [], []
+    while True:
+        if type(b) is tuple and b:
+            l, b = b
+            if type(l) is tuple and l:
+                parked.append((lefts, b))
+                lefts, b = [], l
+                continue
+            lefts.append(l if type(l) is tuple else leaf(l))
+            if lefts[-1] is None:
+                return None
+            continue
+        v = b if type(b) is tuple else leaf(b)
+        if v is None:
+            return None
+        for l in reversed(lefts):
+            v = (l, v)
+        if not parked:
+            return v
+        lefts, b = parked.pop()
+        lefts.append(v)
 
 
 def show_bundle(b: Bundle) -> str:
-    if isinstance(b, Label):
-        return str(b)
-    if b == ():
-        return "*"
-    l, r = b
-    return f"({show_bundle(l)}, {show_bundle(r)})"
+    out, todo = [], [b]  # a str on the stack is printed as it is
+    while todo:
+        x = todo.pop()
+        if type(x) is tuple:
+            todo += (")", x[1], ", ", x[0], "(") if x else ("*",)
+        else:
+            out.append(str(x))
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -181,17 +206,10 @@ def freshlabels(shape: Shape, supply: LabelSupply) -> tuple[LabelContext, Bundle
     """
     entries: list[tuple[Label, WireType]] = []
 
-    def go(s: Shape) -> Bundle:
-        if isinstance(s, WireType):
-            l = next(supply)
-            entries.append((l, s))
-            return l
-        if s == ():
-            return ()
-        a, b = s
-        return (go(a), go(b))
-
-    bundle = go(shape)
+    def mint(t: WireType) -> Label:
+        entries.append((next(supply), t))
+        return entries[-1][0]
+    bundle = map_bundle(shape, mint)
     return LabelContext(tuple(entries)), bundle
 
 
@@ -477,11 +495,10 @@ def box_circuit(body: Circuit) -> BoxedCircuit:
 
 def spine(o: Obj) -> Shape:
     """Right-nested bundle shape over an object: w0 ⊗ (w1 ⊗ (...))."""
-    if not o:
-        return ()
-    if len(o) == 1:
-        return o[0]
-    return (o[0], spine(o[1:]))
+    s = o[-1] if o else ()
+    for t in reversed(o[:-1]):
+        s = (t, s)
+    return s
 
 
 class CircuitBuilder:
@@ -495,9 +512,11 @@ class CircuitBuilder:
     ``context()`` package the result; ``circuit()`` derives the cod once, in
     ``Circuit``, and checks it against the open outputs. Output labels come
     from ``supply``, which by default continues after the largest label of
-    the starting context. ``resized`` counts the appends that may move wires
-    (those that can change the wire count); ``replay`` redoes a stretch of
-    appends that kept every wire in place.
+    the starting context. ``private`` starts a box's builder on the same
+    supply, and ``boxed`` packages what that builder built. Where each wire
+    sits is known only here: a repeated call ``locate``s its argument by
+    positions, ``mark``s its start, ``record``s its appends, and is
+    ``replay``ed at the same positions.
     """
 
     def __init__(self, start: Circuit, ctx: LabelContext,
@@ -511,7 +530,7 @@ class CircuitBuilder:
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
         self.supply = supply if supply is not None else label_supply(
             max(self.pos, default=-1) + 1)
-        self.resized = 0
+        self.resized = 0  # appends that may have moved wires, for record
         self._circuit: Circuit | None = start
         self._ctx: LabelContext | None = ctx
 
@@ -618,22 +637,68 @@ class CircuitBuilder:
         if type(outputs) is Label:  # then out_ctx has that one entry
             return fresh[0][0]
         mapping = {old: new for (old, _), (new, _) in zip(out_entries, fresh)}
-        return rename_bundle(outputs, mapping)
+        return map_bundle(outputs, mapping.__getitem__)
 
-    def replay(self, steps: list[Step], count: int, writes) -> None:
-        """Redo appends that kept the wire count: add ``steps``, draw
-        ``count`` labels from ``base`` on, and open ``#(base + k)`` of type
-        ``t`` at each ``(position, k, t)`` of ``writes``."""
-        self.steps += steps
-        base = self.supply.n
-        self.supply.n = base + count
+    def private(self, shape: Shape) -> tuple[CircuitBuilder, Bundle]:
+        """A builder for a ``box`` run inside this one, on new wires of
+        ``shape`` from this builder's supply, and the bundle naming them."""
+        in_ctx, bundle = freshlabels(shape, self.supply)
+        inner = CircuitBuilder(identity(in_ctx.obj), in_ctx, self.supply)
+        inner.inputs = bundle, in_ctx
+        return inner, bundle
+
+    def boxed(self, outputs: Bundle) -> BoxedCircuit:
+        """What a ``private`` builder built, boxed with ``outputs``."""
+        return BoxedCircuit(*self.inputs, self.circuit(), self.context(), outputs)
+
+    def locate(self, arg) -> tuple | None:
+        """The width, and ``arg`` with each wire as 2 * its position, plus 1
+        for a bit; None unless ``arg`` is a bundle of open wires."""
+        pos, entries = self.pos, self.entries
+        codes = map_bundle(arg, lambda a: None if type(a) is not Label or a not in pos
+                           else 2 * pos[a] + (entries[pos[a]][1] is WireType.BIT))
+        return None if codes is None else (len(entries), codes)
+
+    def mark(self, where: tuple) -> tuple:
+        """The start of a call on the argument ``locate``d at ``where``."""
+        return where, len(self.steps), self.supply.n, self.resized
+
+    def record(self, mark: tuple, result) -> tuple | None:
+        """The appends since ``mark`` as a record for ``replay``; None if one
+        changed the wire count or ``result`` holds a wire neither new nor open.
+        It keeps the steps, the label count, the label and type left at each
+        argument position, and ``result`` with a new label as 2 * its offset
+        and an old one as 2 * its position + 1. It redoes the call only if the
+        appends attached no wire but the located argument's and wires they
+        created, as a closed closure's do."""
+        (_, arg), lo, start, resized = mark
+        pos, entries = self.pos, self.entries
+        codes = None if self.resized != resized else map_bundle(
+            result, lambda b: None if type(b) is not Label else 2 * (b - start)
+            if b >= start else 2 * pos[b] + 1 if b in pos else None)
+        return None if codes is None else (
+            self.steps, lo, len(self.steps), self.supply.n - start,
+            [(i, entries[i][0] - start, entries[i][1])
+             for i in {c >> 1 for c in flatten_bundle(arg)} if entries[i][0] >= start],
+            codes)
+
+    def replay(self, record: tuple) -> Bundle:
+        """Redo a ``record``ed call on an argument at the same positions and
+        return its result: add the steps, draw the labels from ``base`` on,
+        and open ``#(base + k)`` of type ``t`` at each ``(position, k, t)``."""
+        steps, lo, hi, count, writes, codes = record
         entries, pos = self.entries, self.pos
+        base = self.supply.n
+        v = map_bundle(codes, lambda c: entries[c >> 1][0] if c & 1
+                       else Label(base + (c >> 1)))
+        self.steps += steps[lo:hi]
+        self.supply.n = base + count
         for i, k, t in writes:
             del pos[entries[i][0]]
-            label = Label(base + k)
-            entries[i] = (label, t)
-            pos[label] = i
+            entries[i] = (Label(base + k), t)
+            pos[entries[i][0]] = i
         self._circuit = self._ctx = None
+        return v
 
 
 # --------------------------------------------------------------------------

@@ -87,7 +87,6 @@ def verify_dynamic(
         raise LinearityViolation(
             "program result does not mention every open wire; cannot align "
             "endpoints for verification")
-    pos = {lbl: i for i, (lbl, _) in enumerate(out_ctx)}
-    dynamic = alg.abstract(circuit, registry, [pos[lbl] for lbl in flat])
+    dynamic = alg.abstract(circuit, registry, list(map(out_ctx.position, flat)))
     return VerifyReport(alg.name, static, dynamic, alg.leq(dynamic, static),
                         circuit, out_ctx, value)

@@ -122,4 +122,4 @@ class Stuck(EvalError):
 
 
 class FuelExhausted(EvalError):
-    """Defensive step bound hit (only used by test harnesses)."""
+    """The evaluation step bound (``pqc run``/``verify --fuel``) was hit."""

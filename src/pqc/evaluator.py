@@ -32,13 +32,10 @@ The machine is call-by-value and never substitutes into the program:
   offset and shared.
 * Every rule firing costs one unit of fuel.
 * A closed function runs once per placement. A closure that reaches no
-  wire but its argument's, applied to wires at the same positions with the
-  same types in a circuit of the same width, adds the same steps, labels
-  and fuel each time. So a call that keeps the wire count and returns its
-  argument's wires and new ones is recorded (a step range, a label count,
-  its fuel, and the label and type left at each argument position), and a
-  later call with the same key replays the record if the closure is
-  closed. The memo lives for one evaluation.
+  wire but its argument's adds the same steps, labels and fuel whenever it
+  is applied at the same typed positions of a circuit of the same width.
+  So the builder records such a call, and replays it for a later call of
+  the same closure at the same positions if the closure is closed.
 
 ``evaluate`` returns the result in its runtime form, which is its syntax
 unless it holds a closure. ``readback`` substitutes each closure's scope
@@ -54,7 +51,7 @@ from typing import AbstractSet, Optional, Union
 
 from .circuits import (
     BoxedCircuit, Bundle, Circuit, CircuitBuilder, Label, LabelContext,
-    WireType, freshlabels, identity, label_supply,
+    flatten_bundle, identity, label_supply,
 )
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
@@ -220,15 +217,11 @@ def subst_term(m: Term, env: Env, bound: AbstractSet[str] = frozenset()) -> Term
 def value_to_bundle(v) -> Bundle:
     """A runtime value as a wire bundle: it is its own, once checked to hold
     only labels."""
-    t = type(v)
-    if t is Label:
-        return v
-    if t is tuple:
-        if v:
-            value_to_bundle(v[0])
-            value_to_bundle(v[1])
-        return v
-    raise Stuck(f"expected a wire bundle, got {show_runtime(v)}")
+    if type(v) is not Label:
+        for x in flatten_bundle(v):
+            if type(x) is not Label:
+                raise Stuck(f"expected a wire bundle, got {show_runtime(x)}")
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -280,37 +273,11 @@ def _binds(b: Union[LetBinder, DestBinder]) -> tuple[str, ...]:
     return (b.var,) if type(b) is LetBinder else (b.left, b.right)
 
 
-def _encode(v, leaf) -> Optional[list]:
-    """A wire bundle in pre-order, a pair as -1, unit as -2 and each wire as
-    ``leaf(label)``; None for any other value, or if a leaf is None."""
-    codes, todo = [], [v]
-    while todo:
-        x = todo.pop()
-        if type(x) is tuple:
-            codes.append(-1 if x else -2)
-            todo += x[::-1]
-        else:
-            c = leaf(x) if type(x) is Label else None
-            if c is None:
-                return None
-            codes.append(c)
-    return codes
-
-
-def _decode(codes: list[int], leaf) -> Bundle:
-    """The bundle that ``_encode`` wrote, each wire as ``leaf(code)``."""
-    stack: list = []
-    for c in reversed(codes):
-        stack.append((stack.pop(), stack.pop()) if c == -1 else () if c == -2
-                     else leaf(c))
-    return stack[0]
-
-
 class _Memo:
     """The recorded calls of one evaluation, keyed by the closure (its
-    ``Lam``'s id and its sealed ``Env``), the builder's width and the encoded
-    argument: a wire is 2 * its position, plus 1 for a bit. A record is
-    replayed only if its closure is ``closed``."""
+    ``Lam``'s id and its sealed ``Env``) and where the builder ``locate``s
+    the argument. A record is the builder's, with the fuel the call spent;
+    it is replayed only if its closure is ``closed``."""
 
     def __init__(self):
         self.records: dict = {}
@@ -344,48 +311,28 @@ class _Memo:
         """Replay ``fn`` applied to ``arg`` if recorded, returning the value
         and the fuel spent. Else None: the caller runs the body, under a frame
         pushed here if the call may be recorded."""
-        pos, entries = builder.pos, builder.entries
-
-        def place(a: Label) -> Optional[int]:
-            i = pos.get(a)
-            return None if i is None else 2 * i + (entries[i][1] is WireType.BIT)
-        codes = _encode(arg, place)
-        if codes is None:
+        where = builder.locate(arg)
+        if where is None:
             return None
         closure = (id(fn.value), fn.env)
-        key = (*closure, len(entries), *codes)
+        key = (*closure, *where)
         rec = self.records.get(key)
         if rec is None:
-            stack.append([key, len(builder.steps), builder.supply.n, fuel,
-                          builder.resized])
+            stack.append([key, builder.mark(where), fuel])
             return None
-        steps, lo, hi, count, cost, writes, codes = rec
+        record, cost = rec
         if closure not in self.known:
             self.known[closure] = self.closed(fn)
         if not self.known[closure] or fuel is not None and fuel < cost:
             return None  # short of fuel, the body runs out at the same rule
-        base = builder.supply.n
-        v = _decode(codes, lambda c: entries[c >> 1][0] if c & 1
-                    else Label(base + (c >> 1)))
-        builder.replay(steps[lo:hi], count, writes)
-        return v, cost
+        return builder.replay(record), cost
 
     def leave(self, call: list, v, builder: CircuitBuilder, fuel: Optional[int]):
-        """Record the call that pushed ``call`` and returned ``v``, if it kept
-        the wire count and ``v`` is a bundle of its argument's wires and new
-        ones: a new label is 2 * its offset, an argument wire 2 * its position
-        + 1."""
-        key, lo, start, fuel0, resized = call
-        pos, entries = builder.pos, builder.entries
-        codes = None if builder.resized != resized else _encode(
-            v, lambda b: 2 * (b - start) if b >= start
-            else 2 * pos[b] + 1 if b in pos else None)
-        if codes is not None:
-            opened = [(i, *entries[i]) for i in {c >> 1 for c in key[3:] if c >= 0}]
-            self.records[key] = (
-                builder.steps, lo, len(builder.steps), builder.supply.n - start,
-                0 if fuel is None else fuel0 - fuel,
-                [(i, b - start, t) for i, b, t in opened if b >= start], codes)
+        """Record the call that pushed ``call`` and returned ``v``, if it can."""
+        key, mark, fuel0 = call
+        record = builder.record(mark, v)
+        if record is not None:
+            self.records[key] = (record, 0 if fuel is None else fuel0 - fuel)
 
 
 # --------------------------------------------------------------------------
@@ -401,20 +348,11 @@ _BOX_CALL = App(Var(_BOX_FN), Var(_BOX_ARG))
 _BINDS_IN_SCOPE = (Block, Ifz)
 
 
-@dataclass
-class _Boxing:
-    """Continuation of a ``box``: package the private circuit, resume ``outer``."""
-
-    outer: CircuitBuilder
-    in_ctx: LabelContext
-    bundle: Bundle
-
-
 def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
          fuel: Optional[int]):
     """Run ``m`` to a runtime value, extending ``builder``'s circuit."""
-    # (var, rest, next binder, env) for a let; _Boxing for a box; a list for
-    # a call being recorded (_Memo.enter)
+    # (var, rest, next binder, env) for a let; the builder to resume after a
+    # box; a list for a call being recorded (_Memo.enter)
     stack: list = []
     memo = _Memo()
     i = 0  # the binder to run next while m is a block; 0 otherwise
@@ -502,9 +440,8 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             v = _value(m.value, env)
             if type(v) is not Closure or type(v.value) is not Lift:
                 raise Stuck(f"box needs a lifted function, got {show_runtime(v)}")
-            in_ctx, bundle = freshlabels(shape_of(m.shape), builder.supply)
-            stack.append(_Boxing(builder, in_ctx, bundle))
-            builder = CircuitBuilder(identity(in_ctx.obj), in_ctx, builder.supply)
+            stack.append(builder)
+            builder, bundle = builder.private(shape_of(m.shape))
             env = Env({_BOX_ARG: bundle}, v.env)
             m = Block((LetBinder(_BOX_FN, v.value.term),), _BOX_CALL)
             continue
@@ -522,9 +459,8 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             if type(k) is list:
                 memo.leave(k, v, builder, fuel)
                 continue
-            v = BoxedCircuit(k.bundle, k.in_ctx, builder.circuit(),
-                             builder.context(), value_to_bundle(v))
-            builder = k.outer
+            v = builder.boxed(value_to_bundle(v))
+            builder = k
         var, m, i, env = k
         if env.sealed:  # env.bind, inlined
             env = Env(parent=env)

@@ -48,7 +48,7 @@ from pqc.algebras import (
 )
 from pqc.circuits import (
     BoxedCircuit, Bundle, Circuit, LabelContext, Layer, Perm, Step,
-    WireType, flatten_bundle, label_supply, pad_perm, rename_bundle, show_bundle,
+    WireType, flatten_bundle, label_supply, map_bundle, pad_perm, show_bundle,
 )
 from pqc.errors import (
     EffectError, EffectObjectMismatch, LabelNotFound, ShapeMismatch,
@@ -657,7 +657,7 @@ class ValidatingBuilder:
         mapping = {
             old: new for (old, _), (new, _) in zip(boxed.out_ctx.entries, fresh)
         }
-        return rename_bundle(boxed.outputs, mapping)
+        return map_bundle(boxed.outputs, mapping.__getitem__)
 
 
 # --------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from pqc.circuits import (
     BoxedCircuit, Circuit, CircuitBuilder, Gate, Label, LabelContext, Layer,
     Perm, WireType, box_circuit, canonicalize, compose, deserialize, draw,
     equivalent, flatten_bundle, freshlabels, identity, label_supply, pad_perm,
-    perm_then, serialize, spine, symmetry, whisker_left, whisker_right,
+    perm_then, qubits, serialize, show_bundle, spine, symmetry, whisker_left,
+    whisker_right,
 )
 from pqc.errors import (
     CircuitError, LabelNotFound, ObjectMismatch, ParseError, WireTypeMismatch,
 )
+from pqc.evaluator import value_to_bundle
 from pqc.gates import default_registry
 from pqc.syntax import NatVal, parse_value, show_value
 
@@ -310,6 +312,93 @@ def test_append_matches_validating_builder_on_random_attachments():
     assert any(at > 0 for (_, at), in placed)  # shifted layers are shared too
     assert errors == {("WireTypeMismatch", "bundle"), ("WireTypeMismatch", "duplicate"),
                       ("LabelNotFound", "label"), ("WireTypeMismatch", "wire")}
+
+
+def test_bundle_walks_at_5000_wires():
+    """Every bundle and shape walk runs in one loop, so none of them meets
+    the recursion limit on a 5000-wire right-nested bundle."""
+    n = 5000
+    shape = spine(qubits(n))
+    assert flatten_bundle(shape) == list(qubits(n))
+    ctx, bundle = freshlabels(shape, label_supply())
+    assert ctx.labels == flatten_bundle(bundle) == list(range(n))
+    assert show_bundle(bundle) == "".join(
+        f"(#{i}, " for i in range(n - 1)) + f"#{n - 1}" + ")" * (n - 1)
+    assert value_to_bundle(bundle) is bundle
+    boxed = box_circuit(Circuit(qubits(n), (Layer(tuple((H, i) for i in range(n))),)))
+    b = CircuitBuilder(identity(qubits(n)), ctx)
+    out = b.append(bundle, boxed)
+    assert flatten_bundle(out) == b.context().labels == list(range(n, 2 * n))
+
+
+KEEPS_WIDTH = ("H", "X", "Z", "CNOT", "meas")
+
+
+def random_keeping_box(r) -> BoxedCircuit:
+    """A gate literal, or a small box over qubits and bits, that keeps the
+    wire count (``meas`` still turns a qubit into a bit)."""
+    if r.random() < 0.5:
+        return registry.boxed(r.choice(KEEPS_WIDTH))
+    dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(1, 3)))
+    steps, _ = random_steps(r, dom, 4, pool=KEEPS_WIDTH)
+    boxed = box_circuit(Circuit(dom, steps))
+    return BoxedCircuit(random_nesting(r, flatten_bundle(boxed.inputs)[::-1]),
+                        boxed.in_ctx, boxed.body, boxed.out_ctx, boxed.outputs)
+
+
+def test_record_replays_on_a_builder_alike():
+    """Appends between a mark and a record that attach only the argument's
+    wires and wires they made, replayed on a builder started alike, add the
+    same steps, open the same wires, draw the same labels and return the
+    same bundle."""
+    r = rng("record-replay")
+    replayed = set()
+    for _ in range(150):
+        dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(1, 6)))
+        ctx, _ = freshlabels(spine(dom), label_supply(r.randint(0, 3)))
+        first, second = CircuitBuilder(identity(dom), ctx), CircuitBuilder(identity(dom), ctx)
+        live = r.sample(ctx.labels, r.randint(1, len(dom)))
+        arg = random_nesting(r, live)
+        assert first.locate(arg) == second.locate(arg) is not None
+        mark = first.mark(first.locate(arg))
+        for _ in range(r.randint(0, 8)):
+            boxed = random_keeping_box(r)
+            types = dict(first.context().entries)
+            pools = {t: [l for l in live if types[l] == t] for t in (Q, B)}
+            for pool in pools.values():
+                r.shuffle(pool)
+            if any(boxed.port_types.count(t) > len(pools[t]) for t in (Q, B)):
+                continue
+            attach = [pools[t].pop() for t in boxed.port_types]
+            out = first.append(random_nesting(r, attach), boxed)
+            live = [l for l in live if l not in attach] + flatten_bundle(out)
+            replayed.add(next((g for g in KEEPS_WIDTH if registry.boxed(g) is boxed),
+                              "box"))
+        result = random_nesting(r, r.sample(live, r.randint(0, len(live))))
+        record = first.record(mark, result)
+        assert record is not None
+        assert second.replay(record) == result
+        assert second.steps == first.steps
+        assert second.context() == first.context()
+        assert next(second.supply) == next(first.supply)
+    assert replayed >= {*KEEPS_WIDTH, "box"}
+
+
+def test_record_refuses_a_changed_width_or_a_closed_wire():
+    ctx, _ = freshlabels(spine((Q, Q)), label_supply())
+    a, b = ctx.labels
+    for boxed, attach in ((registry.boxed("init"), ()),
+                          (registry.boxed("discard"), a)):
+        builder = CircuitBuilder(identity((Q, Q)), ctx)
+        mark = builder.mark(builder.locate(a))
+        out = builder.append(attach, boxed)
+        assert builder.record(mark, out if out != () else b) is None
+    builder = CircuitBuilder(identity((Q, Q)), ctx)
+    mark = builder.mark(builder.locate(a))
+    c = builder.append(a, registry.boxed("H"))
+    assert builder.record(mark, (c, b)) is not None
+    assert builder.record(mark, (c, a)) is None  # a is neither new nor open
+    assert builder.record(mark, (c, NatVal(0))) is None
 
 
 def test_serialize_round_trip_on_random_circuits():
