@@ -43,25 +43,27 @@ Shipped algebras:
 ``TRIVIAL`` (one object, one morphism) is no metric and not in ``ALGEBRAS``:
 it is the algebra plain type checking runs over (see ``typecheck``).
 
-The assert cost is stored as a *stage profile* rather than a single number:
-a flat tuple of items that add up. A stage remembers, for each input basis
-state b, the cost g(b) of one original gate on the states reachable from b;
-a ``MaxCost`` item is the larger of two branch costs (a join). Evaluating
-on a precondition L gives ``cost(L) = Σ_k max_{b∈L} g_k(b)``, and
-``eval_cost`` does so for many preconditions at once. On a single gate this
-collapses to the familiar (postset, cost) pair with the join law
-``e(L₁∪L₂) = (L₁'∪L₂', max(c₁,c₂))``; on composites it is what makes
-sequential composition strictly associative (tuple concatenation), which a
-single running total is not. All-zero stages are dropped, so cost-free steps
-(permutations, removable-everywhere gates) never perturb equality.
+An assert cost is one normal form (``Cost``): a scalar plus a multiset of
+distinct items. A stage is one original gate's charge g(b) for each input
+basis state b, read through the states reachable from b; a ``MaxCost`` is
+the larger of two branch costs (a join). On a non-empty precondition L the
+cost is ``scalar + Σ m·value(item)``, a stage's value being
+``max_{b∈L} g(b)``, and on the empty one it is 0; ``eval_cost`` evaluates
+many preconditions at once. A stage equal on every state adds to the
+scalar, since every relation is total; equal items add to one item's
+multiplicity. So an effect grows with the program's distinct charges, not
+with its circuit: a boxed doubling of k levels carries a scalar of 2^k,
+not 2^k stages. Sums are order-free, so sequential composition is strictly
+associative, and cost-free steps (permutations, removable-everywhere
+gates) never perturb equality.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -545,32 +547,12 @@ class DepthFold:
 # order of the bitstrings. Strings appear only at the edges (gate rows,
 # ``value_json``, ``AssertValue.rows`` and ``apply``).
 
-Stage = np.ndarray  # read-only int64 vector: a cost per input basis state
-
-
-@dataclass(frozen=True, eq=False)
-class MaxCost:
-    """The larger of the costs of two branches (compared by ``cost_eq``)."""
-
-    children: tuple["Cost", ...]
-
-
-Cost = tuple[Union[Stage, MaxCost], ...]  # items, summed
-
-
-def cost_eq(c1: Cost, c2: Cost) -> bool:
-    """Do two costs have the same items, stage for stage?"""
-    def item_eq(x, y) -> bool:
-        if isinstance(x, MaxCost) or isinstance(y, MaxCost):
-            return (isinstance(x, MaxCost) and isinstance(y, MaxCost)
-                    and len(x.children) == len(y.children)
-                    and all(map(cost_eq, x.children, y.children)))
-        return np.array_equal(x, y)
-    return len(c1) == len(c2) and all(map(item_eq, c1, c2))
-
-
-# Outside weights (gate-spec costs, bounds) are capped so that a sum of the
-# stages of any cost that fits in memory (< 2^32 items) fits in an int64.
+# Outside weights (gate-spec costs, bounds) are capped, so that a stage's
+# entries fit in an int32 and its product with a matrix of preconditions can
+# be taken in a narrow type (``eval_cost``). A cost's total is not bounded by
+# its size: multiplicities double with each level of a boxed doubling. So
+# every ``Cost`` refuses a total of 2^63 or more, and every evaluation, a sum
+# of non-negative terms at most that total, fits in an int64.
 _ASSERT_MAX_COST = 2**31 - 1
 
 
@@ -580,72 +562,116 @@ def _weight(c: int) -> int:
     return c
 
 
+@dataclass(frozen=True)
+class Stage:
+    """A cost per input basis state, not all equal: on a precondition it
+    costs its largest entry on the precondition's states. Equal by value:
+    ``key`` is the bytes of ``g``, a read-only int64 vector."""
+
+    key: bytes
+    g: np.ndarray = field(compare=False)
+    lo: int = field(compare=False)
+    hi: int = field(compare=False)
+
+
+@dataclass(frozen=True)
+class MaxCost:
+    """The largest of two or more costs, not all scalars (a join), in the
+    order the join was given them."""
+
+    children: tuple["Cost", ...]
+    lo: int = field(compare=False)
+    hi: int = field(compare=False)
+
+
+class Cost:
+    """An assert cost in normal form: on a non-empty precondition, the
+    ``scalar`` plus each distinct item's value times its multiplicity
+    (``items`` maps item to multiplicity, all positive); 0 on the empty one.
+
+    ``lo`` and ``hi`` are the least and the largest it reaches on a
+    non-empty precondition, summed over its parts; ``hi`` is its cost on
+    all input states. Immutable, and equal by its parts.
+    """
+
+    __slots__ = ("scalar", "items", "lo", "hi")
+
+    def __init__(self, scalar: int = 0, items: Optional[dict[Stage | MaxCost, int]] = None):
+        self.scalar, self.items = scalar, MappingProxyType(items or {})
+        self.lo = scalar + sum(m * x.lo for x, m in self.items.items())
+        self.hi = scalar + sum(m * x.hi for x, m in self.items.items())
+        if self.hi >= 2**63:
+            raise EffectError("assert costs must stay below 2^63 to be counted "
+                              f"exactly, got {self.hi}")
+
+    def __eq__(self, o):
+        return isinstance(o, Cost) and (self.scalar, self.items) == (o.scalar, o.items)
+
+    def __hash__(self):
+        return hash((self.scalar, frozenset(self.items.items())))
+
+
+def _merge(items: dict[Stage | MaxCost, int], c: Cost, m: int) -> int:
+    """Add m copies of c's items to ``items``; return m copies of its scalar."""
+    for x, k in c.items.items():
+        items[x] = items.get(x, 0) + m * k
+    return m * c.scalar
+
+
+def _sum(terms, scalar: int = 0) -> Cost:
+    """``scalar`` plus Σ m·c over the pairs (c, m) of ``terms``."""
+    items: dict = {}
+    return Cost(scalar + sum(_merge(items, c, m) for c, m in terms), items)
+
+
 def _stage(g: np.ndarray) -> Cost:
-    """The cost of one stage with these per-state costs (empty if all zero)."""
-    return (_frozen(g),) if g.any() else ()
+    """The cost of one stage with these per-state costs: a scalar if they
+    are all equal (every relation is total, so such a stage costs that
+    value on every non-empty precondition)."""
+    s = Stage(g.tobytes(), _frozen(g), int(g.min()), int(g.max()))
+    return Cost(s.lo) if s.lo == s.hi else Cost(0, {s: 1})
+
+
+def _max(costs) -> Cost:
+    """The largest of these costs on each precondition."""
+    cs = tuple(dict.fromkeys(costs))
+    if len(cs) == 1:
+        return cs[0]
+    if not any(c.items for c in cs):
+        return Cost(max(c.scalar for c in cs))
+    return Cost(0, {MaxCost(cs, max(c.lo for c in cs), max(c.hi for c in cs)): 1})
 
 
 def eval_cost(cost: Cost, pre: np.ndarray) -> np.ndarray:
     """The cost under each row of ``pre``.
 
     ``pre`` is a boolean matrix with one row per precondition and one column
-    per input basis state. A stage costs its largest entry on the row's
-    states, a ``MaxCost`` the largest of its children, and the items of a
-    cost add up.
+    per input basis state. The scalar counts on every non-empty row; a
+    stage costs its largest entry on the row's states, a ``MaxCost`` the
+    largest of its children, each times its multiplicity.
     """
-    total = np.zeros(len(pre), dtype=np.int64)
-    for item in cost:
-        if isinstance(item, MaxCost):
-            total += np.maximum.reduce([eval_cost(ch, pre) for ch in item.children])
+    total = pre.any(axis=1).astype(np.int64) * cost.scalar
+    for x, m in cost.items.items():
+        if isinstance(x, MaxCost):
+            v = np.maximum.reduce([eval_cost(ch, pre) for ch in x.children])
         else:
             # the product in the narrowest type that holds the stage's values
             # (0 to _ASSERT_MAX_COST): in int64 it is eight times the size of
             # ``pre``, and leq's 2^16-row products then took five times as long
-            total += (pre * item.astype(np.min_scalar_type(item.max()))).max(axis=1)
+            v = (pre * x.g.astype(np.min_scalar_type(x.hi))).max(axis=1)
+        total += m * v.astype(np.int64)
     return total
 
 
-# entries of the (states × stages × basis) product _pullback builds at once
-_PULLBACK_BLOCK = 1 << 22
-
-
-def _pullback(cost: Cost, hit: np.ndarray) -> Cost:
-    """``cost`` read before the relation ``hit``: a stage costs at b its
-    largest entry on the states that row b of ``hit`` marks (0 if none).
-
-    Every stage, those under a ``MaxCost`` too, is pulled back in one
-    product, a block of rows of ``hit`` at a time.
-    """
-    stages: list[np.ndarray] = []
-
-    def collect(c: Cost) -> None:
-        for item in c:
-            if isinstance(item, MaxCost):
-                for ch in item.children:
-                    collect(ch)
-            else:
-                stages.append(item)
-
-    collect(cost)
-    if not stages:
-        return cost
-    s = np.stack(stages)
-    step = max(1, _PULLBACK_BLOCK // s.size)
-    blocks = [(hit[i:i + step, None, :] * s).max(axis=2)
-              for i in range(0, len(hit), step)]
-    pulled = iter(np.ascontiguousarray(
-        (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).T))
-
-    def rebuild(c: Cost) -> Cost:
-        out: list = []
-        for item in c:
-            if isinstance(item, MaxCost):
-                out.append(MaxCost(tuple(map(rebuild, item.children))))
-            else:
-                out.extend(_stage(next(pulled)))
-        return tuple(out)
-
-    return rebuild(cost)
+def _pull(x: Stage | MaxCost, hit: np.ndarray) -> Cost:
+    """Item x read before the total relation ``hit``: a stage costs at b its
+    largest entry on the states that row b of ``hit`` marks. In a cost,
+    the scalar reads the same, and each distinct item is read once."""
+    if isinstance(x, MaxCost):
+        def pull(c: Cost) -> Cost:
+            return _sum(((_pull(y, hit), m) for y, m in c.items.items()), c.scalar)
+        return _max(map(pull, x.children))
+    return _stage((hit * x.g).max(axis=1))
 
 
 @functools.cache
@@ -669,7 +695,7 @@ def basis_row(strings, n: int) -> np.ndarray:
 
 
 class AssertValue:
-    """Reachability relation plus the staged cost profile.
+    """Reachability relation plus the cost.
 
     ``reach[y, b]`` says whether input basis state b can reach output basis
     state y: one row per output state, so that the slices a fold cuts by
@@ -678,7 +704,7 @@ class AssertValue:
     given and makes it read-only.
 
     Every relation is total: each input state reaches some output state.
-    Folds rely on it (a constant stage reads the same through any total
+    Costs rely on it (a cost's scalar reads the same through any total
     relation), so a relation with an empty column is refused here.
     """
 
@@ -690,17 +716,15 @@ class AssertValue:
                 "assert relations must be total: some input basis state "
                 "reaches no output state")
         self.reach = _frozen(reach)
-        self.cost = tuple(cost)
+        self.cost = cost
         self._rows = self._plan = None
 
-    def plan(self) -> tuple[list[list[int]], Optional[list[tuple[int, int]]],
-                            Optional[tuple[int, ...]]]:
+    def plan(self) -> tuple[list[list[int]], Optional[list[tuple[int, int]]]]:
         """What a fold needs to place this value, found once.
 
         For each output state, the input states that reach it. If the
         relation permutes the basis states, that permutation as swaps of
-        two states, done in order (None if it does not). The values of the
-        cost's stages if every item is a constant stage (None if not).
+        two states, done in order (None if it does not).
         """
         if self._plan is None:
             sources = [np.flatnonzero(row).tolist() for row in self.reach]
@@ -716,10 +740,7 @@ class AssertValue:
                         swaps.append((x, take[x]))
                         x = take[x]
                     seen.add(x)
-            flat = None
-            if not any(isinstance(s, MaxCost) or (s != s[0]).any() for s in self.cost):
-                flat = tuple(int(s[0]) for s in self.cost)
-            self._plan = sources, swaps, flat
+            self._plan = sources, swaps
         return self._plan
 
     @property
@@ -749,7 +770,7 @@ class AssertValue:
     def __eq__(self, other):
         return (isinstance(other, AssertValue)
                 and np.array_equal(self.reach, other.reach)
-                and cost_eq(self.cost, other.cost))
+                and self.cost == other.cost)
 
     def image(self, pre: np.ndarray) -> tuple[np.ndarray, int]:
         """Postset (an indicator row) and cost on the indicator row of a
@@ -775,10 +796,11 @@ def _require_qubits(n: int) -> None:
             f"got {n}")
 
 
+@functools.cache
 def _slices(axes: tuple[int, ...], k: int) -> list[tuple]:
     """Indices into a relation read as k bit axes, then the input states:
     for each state x of the wires on ``axes`` (the first the most
-    significant), the slice in which they hold x."""
+    significant), the slice in which they hold x. Found once per shape."""
     d = len(axes)
     out = []
     for x in range(1 << d):
@@ -823,15 +845,17 @@ class AssertFold:
     same, and paired perfbench runs found that no faster than gathering
     every step into ``spare``.
 
-    A step's costs are read before it, through the relation so far
-    (``_pullback``); a constant stage reads the same through any total
-    relation, so it is appended as it is.
+    The cost is summed as it goes: a step's scalar as it is (it reads the
+    same through any total relation), and each of its distinct items read
+    before the step, through the relation so far (``_pull``). ``pulled``
+    keeps those readings until a step moves the relation, so a run of
+    diagonal steps (Z) on the same wires reads each item once.
     """
 
     def __init__(self, dom: int, reach: np.ndarray, cost: Cost):
         k = reach.shape[0].bit_length() - 1
         self.dom, self.reach, self.spare = dom, reach, None
-        self.cost = list(cost)
+        self.scalar, self.items, self.pulled = cost.scalar, dict(cost.items), {}
         self.axis = {h: h for h in range(k)}  # handle -> axis
         self.wires = list(range(k))
         self._next = k
@@ -841,15 +865,21 @@ class AssertFold:
         d, c, n, k = e.dom, e.cod, self.reach.shape[1], len(self.axis)
         axes = tuple(self.axis[h] for h in taken)
         cube = self.reach.reshape((2,) * k + (n,))
-        sources, swaps, flat = v.plan()
-        if flat is not None:
-            self.cost += [_frozen(np.full(n, s, dtype=np.int64)) for s in flat]
-        elif v.cost:
-            # which states of e's wires eff reaches from each input state
+        sources, swaps = v.plan()
+        self.scalar += v.cost.scalar
+        fresh = [x for x in v.cost.items if (x, axes) not in self.pulled]
+        if fresh:
+            # which states of e's wires the fold reaches from each input state
             hit = cube.any(axis=tuple(a for a in range(k) if a not in axes))
             ranked = sorted(axes)
             hit = hit.transpose([ranked.index(a) for a in axes] + [d])
-            self.cost += _pullback(v.cost, hit.reshape(1 << d, n).T)
+            hit = hit.reshape(1 << d, n).T
+            for x in fresh:
+                self.pulled[x, axes] = _pull(x, hit)
+        for x, m in v.cost.items.items():
+            self.scalar += _merge(self.items, self.pulled[x, axes], m)
+        if swaps != []:  # every step but an identity permutation moves the relation
+            self.pulled = {}
         src = _slices(axes, k)
         if d != c:
             return self._resize(cube, axes, src, sources, c)
@@ -895,7 +925,7 @@ class AssertFold:
         if axes != list(range(k)):
             n = r.shape[1]
             r = r.reshape((2,) * k + (n,)).transpose(axes + [k]).reshape(1 << k, n)
-        return Effect(self.dom, k, AssertValue(r, self.cost))
+        return Effect(self.dom, k, AssertValue(r, Cost(self.scalar, dict(self.items))))
 
 
 # --------------------------------------------------------------------------
@@ -903,75 +933,47 @@ class AssertFold:
 # --------------------------------------------------------------------------
 
 # Deciding c1 ≤ c2 means cost1(L) ≤ cost2(L) for every precondition L. The
-# empty one costs 0 on both sides, and every stage is non-negative, so:
-#
-# * equal costs (``cost_eq``) are ordered;
-# * so are costs whose items pair off, in order, each item of c1 under a
-#   distinct item of c2 (``_paired``); the items of c2 left over only add;
-# * and so are costs where the largest c1 can reach on any precondition is
-#   at most the least c2 reaches on a non-empty one (``_hull``).
-#
-# What these rules do not prove, single states and the full set may refute
+# empty one costs 0 on both sides, and every item is non-negative. What
+# both costs hold cancels; the rest is decided by pairing items (``_below``).
+# What that does not prove, single states and the full set may refute
 # (``_decide``); only then are all 2^(2^n) preconditions enumerated
 # (``_subsets``), at most 4 input qubits.
 
-def _hull(cost: Cost) -> tuple[int, int]:
-    """The least and the largest the cost reaches on a non-empty
-    precondition: the sums of its items' least and largest values. The
-    largest is its cost on the full set."""
-    lo = hi = 0
-    for item in cost:
-        if isinstance(item, MaxCost):
-            los, his = zip(*map(_hull, item.children))
-            lo, hi = lo + max(los), hi + max(his)
-        else:
-            lo, hi = lo + int(item.min()), hi + int(item.max())
-    return lo, hi
-
-
-def _singles(cost: Cost, n: int) -> np.ndarray:
-    """The cost on each one-state precondition {b}: the sum of the stages
-    at b."""
-    total = np.zeros(n, dtype=np.int64)
-    for item in cost:
-        if isinstance(item, MaxCost):
-            total += np.maximum.reduce([_singles(ch, n) for ch in item.children])
-        else:
-            total += item
-    return total
-
-
-def _item_below(x, y) -> bool:
+def _item_below(x: Stage | MaxCost, y: Stage | MaxCost) -> bool:
     """Is item x at most item y on every precondition, by the rules? Stages
     compare state by state; a ``MaxCost`` on the right is at least each of
     its children, and one on the left is at most y if all of its are."""
     if isinstance(x, MaxCost):
-        return all(_below(ch, (y,)) for ch in x.children)
+        return all(_below(ch, Cost(0, {y: 1})) for ch in x.children)
     if isinstance(y, MaxCost):
-        return any(_below((x,), ch) for ch in y.children)
-    return bool((x <= y).all())
-
-
-def _paired(c1: Cost, c2: Cost) -> bool:
-    """Does each item of c1 sit under a distinct item of c2, in order? The
-    first item of c2 that fits takes each item of c1, which finds such a
-    pairing whenever there is one."""
-    j = 0
-    for x in c1:
-        while j < len(c2) and not _item_below(x, c2[j]):
-            j += 1
-        if j == len(c2):
-            return False
-        j += 1
-    return True
+        return any(_below(Cost(0, {x: 1}), ch) for ch in y.children)
+    return bool((x.g <= y.g).all())
 
 
 def _below(c1: Cost, c2: Cost) -> bool:
     """Is c1 ≤ c2 on every precondition, by a rule that enumerates none?
-    False means only that no rule proves it."""
-    return (cost_eq(c1, c2)
-            or (len(c1) <= len(c2) and _paired(c1, c2))
-            or _hull(c1)[1] <= _hull(c2)[0])
+    False means only that no rule proves it.
+
+    After cancelling, each copy of an item of c1, largest first, pairs off
+    with a copy of an item of c2 it sits under (``_item_below``), least
+    first, unless that copy is worth at least as much unpaired. Then the
+    rest of c1 at its largest must be at most the rest of c2 at its least:
+    equal costs leave nothing, and pairing nothing compares the extremes.
+    """
+    left = {x: m - c2.items.get(x, 0) for x, m in c1.items.items()
+            if m > c2.items.get(x, 0)}
+    right = {y: m - c1.items.get(y, 0) for y, m in c2.items.items()
+             if m > c1.items.get(y, 0)}
+    slack = c2.scalar - c1.scalar
+    ys = sorted(right, key=lambda y: y.lo)
+    for x in sorted(left, key=lambda x: -x.hi):
+        m = left[x]
+        for y in ys:
+            if m and right[y] and y.lo < x.hi and _item_below(x, y):
+                k = min(m, right[y])
+                m, right[y] = m - k, right[y] - k
+        slack -= m * x.hi
+    return slack + sum(m * y.lo for y, m in right.items()) >= 0
 
 
 def _decide(c1: Cost, c2: Cost, n: int) -> Optional[bool]:
@@ -980,7 +982,8 @@ def _decide(c1: Cost, c2: Cost, n: int) -> Optional[bool]:
     if neither."""
     if _below(c1, c2):
         return True
-    if _hull(c1)[1] > _hull(c2)[1] or np.any(_singles(c1, n) > _singles(c2, n)):
+    singles = np.eye(n, dtype=bool)  # the one-state preconditions
+    if c1.hi > c2.hi or np.any(eval_cost(c1, singles) > eval_cost(c2, singles)):
         return False
     return None
 
@@ -1018,12 +1021,12 @@ class AssertAlgebra(CircuitAlgebra):
 
     def identity_effect(self, k: int) -> Effect:
         _require_qubits(k)
-        return Effect(k, k, AssertValue(np.eye(1 << k, dtype=bool), ()))
+        return Effect(k, k, AssertValue(np.eye(1 << k, dtype=bool), Cost()))
 
     def fold(self, dom: Obj) -> AssertFold:
         k = self.obj_of(dom)
         _require_qubits(k)
-        return AssertFold(k, np.eye(1 << k, dtype=bool), ())
+        return AssertFold(k, np.eye(1 << k, dtype=bool), Cost())
 
     def leq(self, e1, e2) -> bool:
         """Decided by the rules above, then by witnesses, then, at most 4
@@ -1049,11 +1052,8 @@ class AssertAlgebra(CircuitAlgebra):
         self._require_endpoints(e1, e2, "assert join")
         v1: AssertValue = e1.value
         v2: AssertValue = e2.value
-        if cost_eq(v1.cost, v2.cost):
-            cost = v1.cost
-        else:
-            cost = (MaxCost((v1.cost, v2.cost)),)
-        return Effect(e1.dom, e1.cod, AssertValue(v1.reach | v2.reach, cost))
+        return Effect(e1.dom, e1.cod,
+                      AssertValue(v1.reach | v2.reach, _max((v1.cost, v2.cost))))
 
     def gate_effect(self, gdef: GateDef) -> Effect:
         d = self.obj_of(gdef.gate.dom)
@@ -1076,15 +1076,14 @@ class AssertAlgebra(CircuitAlgebra):
         return {"rows": dict(zip(_bitstrings(e.dom), v.posts()))}
 
     def bound_of(self, e) -> float:
-        return _hull(e.value.cost)[1]  # the cost on all input states
+        return e.value.cost.hi  # the cost on all input states
 
     def coarsest(self, dom, cod, n: int) -> Effect:
         d, c = len(dom), len(cod)
         _require_qubits(c)
         _require_qubits(d)
-        return Effect(d, c, AssertValue(
-            np.ones((1 << c, 1 << d), dtype=bool),
-            _stage(np.full(1 << d, _weight(n), dtype=np.int64))))
+        return Effect(d, c, AssertValue(np.ones((1 << c, 1 << d), dtype=bool),
+                                        Cost(_weight(n))))
 
 
 # --------------------------------------------------------------------------

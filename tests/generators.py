@@ -138,10 +138,11 @@ class _Builder:
     """Grows a program as one block of binders over a linear context."""
 
     def __init__(self, r: random.Random, assert_safe: bool, max_wires: int,
-                 ascribed: bool = False):
+                 ascribed: bool = False, calls: bool = False):
         self.r = r
         self.assert_safe = assert_safe
         self.ascribed = ascribed
+        self.calls = calls
         self.max_wires = max_wires
         self.fresh = 0
         self.binders: list = []     # the program's block, in order
@@ -165,9 +166,11 @@ class _Builder:
             moves += ["meas", "discard"]
         if self.ascribed:
             moves += ["arrow", "circuit"]
+        if self.calls:
+            moves += ["nested", "repeat"]
         move = r.choice(moves)
         if move in ("unary", "cnot", "ifz", "boxed", "meas", "discard",
-                    "arrow") and not self.qubits:
+                    "arrow", "nested", "repeat") and not self.qubits:
             move = "init" if len(self.qubits) < self.max_wires else "unary"
             if move == "unary":
                 return
@@ -218,6 +221,26 @@ class _Builder:
             boxing = LetBinder("c", Box(QubitT(), Lift(Ret(fn))))
             self.binders.append(LetBinder(v, Block((boxing,), Apply(Var("c"), Var(x)))))
             self.qubits.append(v)
+        elif move == "nested":
+            # a box whose body applies another box twice
+            x = self.take_qubit()
+            v, a, b, y = self.name("q"), self.name("x"), self.name("x"), self.name("y")
+            twice = Block((LetBinder(y, Apply(Var("c"), Var(b))),), Apply(Var("c"), Var(y)))
+            boxes = (LetBinder("c", Box(QubitT(), Lift(Ret(Lam(a, QubitT(), self.body(a)))))),
+                     LetBinder("d", Box(QubitT(), Lift(Ret(Lam(b, QubitT(), twice))))))
+            self.binders.append(LetBinder(v, Block(boxes, Apply(Var("d"), Var(x)))))
+            self.qubits.append(v)
+        elif move == "repeat":
+            # a lifted function forced and called two or three times in a row
+            x, f, a = self.take_qubit(), self.name("f"), self.name("x")
+            fn = Lam(a, QubitT(), self.body(a))
+            self.binders.append(LetBinder(f, Ret(Lift(Ret(fn)))))
+            for _ in range(r.randint(2, 3)):
+                g, y = self.name("g"), self.name("q")
+                self.binders += [LetBinder(g, Force(Var(f))),
+                                 LetBinder(y, App(Var(g), Var(x)))]
+                x = y
+            self.qubits.append(x)
 
         elif move == "arrow":
             # a function ascribed a small bound, called on a gate's lambda:
@@ -243,6 +266,14 @@ class _Builder:
             fn = Lam(a, TensorT(circ, QubitT()), body)
             self.binders.append(LetBinder(f, Ret(Lift(Ret(fn)))))
 
+    def body(self, x: str) -> Term:
+        """A function body on the qubit x: one gate, or an ``ifz`` of two."""
+        r = self.r
+        if r.random() < 0.5:
+            return Apply(GateRef(r.choice(("H", "X", "Z"))), Var(x))
+        return Ifz(NatVal(r.randint(0, 2)), Apply(GateRef(r.choice(("H", "X"))), Var(x)),
+                   Apply(GateRef(r.choice(("Z", "X"))), Var(x)))
+
     def finish(self) -> Term:
         names = self.qubits + self.bits
         if not names:
@@ -258,11 +289,13 @@ class _Builder:
 
 def random_program(r: random.Random, assert_safe: bool = False,
                    max_inputs: int = 3, steps: int | None = None,
-                   ascribed: bool = False) -> Program:
+                   ascribed: bool = False, calls: bool = False) -> Program:
     """A random well-typed program; with ``ascribed``, it also calls
-    functions and holds circuits whose types are ascribed small bounds."""
+    functions and holds circuits whose types are ascribed small bounds;
+    with ``calls``, it also applies boxes inside boxes and calls lifted
+    functions several times in a row."""
     max_wires = 4 if assert_safe else 5
-    b = _Builder(r, assert_safe, max_wires, ascribed)
+    b = _Builder(r, assert_safe, max_wires, ascribed, calls)
     n_in = r.randint(0, max_inputs)
     inputs = tuple((f"in{i}", QubitT()) for i in range(n_in))
     b.qubits = [name for name, _ in inputs]
@@ -364,3 +397,14 @@ def random_ast_program(r: random.Random) -> Program:
                    for i in range(r.randint(0, 3)))
     gates_path = "extra_gates.pqcg" if r.random() < 0.3 else None
     return Program(inputs, gates_path, random_term(r, 3))
+
+
+def boxed_doubling(levels: int, gate: str = "H") -> str:
+    """One qubit through ``gate`` 2^levels times: box c0 applies the gate,
+    and each box c_i applies c_(i-1) twice."""
+    lines = ["inputs q: Qubit;",
+             rf"let c0 = box[Qubit] lift \x: Qubit. apply(@{gate}, x) in"]
+    for i in range(1, levels + 1):
+        lines.append(rf"let c{i} = box[Qubit] lift \x: Qubit. "
+                     rf"let y = apply(c{i - 1}, x) in apply(c{i - 1}, y) in")
+    return "\n".join(lines + [f"apply(c{levels}, q)"]) + "\n"

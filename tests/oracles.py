@@ -43,7 +43,7 @@ import numpy as np
 from generators import depth_triple, tropical_permutation
 from pqc.algebras import (
     _ASSERT_LEQ_MAX_BITS, _ASSERT_MAX_COST, AssertAlgebra, AssertFold, AssertValue,
-    CircuitAlgebra, DepthAlgebra, Effect, MaxCost, WidthAlgebra, _depth,
+    CircuitAlgebra, Cost, DepthAlgebra, Effect, MaxCost, WidthAlgebra, _depth,
     _require_qubits, _subsets, routing,
 )
 from pqc.circuits import (
@@ -262,18 +262,18 @@ def statevector_oracle(c: Circuit, drop: frozenset[int] = frozenset()) -> np.nda
 def assert_cost_oracle(cost, states: frozenset[str]) -> int:
     """An ``assert`` cost on one set of basis states, item by item.
 
-    A stage (a vector of costs indexed by basis state) costs its largest
-    entry on ``states``, a ``MaxCost`` the largest of its children, and the
-    items of a cost add up: the per-state reading that
+    The scalar counts when ``states`` is not empty. A stage (a vector of
+    costs indexed by basis state) costs its largest entry on ``states``, a
+    ``MaxCost`` the largest of its children, and each item counts as many
+    times as its multiplicity: the per-state reading that
     ``algebras.eval_cost`` makes on a whole matrix of preconditions at once.
     """
-    total = 0
-    for item in cost:
+    total = cost.scalar if states else 0
+    for item, m in cost.items.items():
         if isinstance(item, MaxCost):
-            total += max((assert_cost_oracle(ch, states) for ch in item.children),
-                         default=0)
+            total += m * max(assert_cost_oracle(ch, states) for ch in item.children)
         else:
-            total += max((int(item[int("0" + b, 2)]) for b in states), default=0)
+            total += m * max((int(item.g[int("0" + b, 2)]) for b in states), default=0)
     return total
 
 
@@ -281,16 +281,18 @@ def every_subset_costs(cost, n: int) -> np.ndarray:
     """An ``assert`` cost on every subset of n basis states, subset i
     holding state j when bit j of i is set. A stage's max grows one state
     at a time: the subsets that hold state j are those without it, each
-    maxed with the stage at j."""
-    total = np.zeros(1 << n, dtype=np.int64)
-    for item in cost:
+    maxed with the stage at j. The scalar counts on every subset but the
+    empty one, and each item as many times as its multiplicity."""
+    total = np.full(1 << n, cost.scalar, dtype=np.int64)
+    total[0] = 0
+    for item, k in cost.items.items():
         if isinstance(item, MaxCost):
-            total += np.maximum.reduce([every_subset_costs(ch, n) for ch in item.children])
+            total += k * np.maximum.reduce([every_subset_costs(ch, n) for ch in item.children])
             continue
         m = np.zeros(1, dtype=np.int64)
         for j in range(n):
-            m = np.concatenate((m, np.maximum(m, item[j])))
-        total += m
+            m = np.concatenate((m, np.maximum(m, item.g[j])))
+        total += k * m
     return total
 
 
@@ -319,7 +321,7 @@ def perm_effect_oracle(alg, perm: tuple[int, ...]) -> Effect:
         reach = np.zeros((1 << k, 1 << k), dtype=bool)
         for b, (y,) in rows.items():
             reach[int("0" + y, 2), int("0" + b, 2)] = True
-        return Effect(k, k, AssertValue(reach, ()))
+        return Effect(k, k, AssertValue(reach, Cost()))
     return alg.identity_effect(alg.obj_of((WireType.QUBIT,) * k))
 
 

@@ -17,8 +17,8 @@ from oracles import (
     width_cuts_oracle,
 )
 from pqc.algebras import (
-    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, Effect,
-    MaxCost, _decide, algebra, cost_eq, depth_bound, routing,
+    ALGEBRAS, TRIVIAL, AssertAlgebra, AssertValue, Cost, Effect,
+    MaxCost, _decide, _max, _stage, _sum, algebra, depth_bound, routing,
 )
 from pqc.circuits import (
     Circuit, Gate, Layer, Perm, compose, identity, symmetry, whisker_left,
@@ -442,8 +442,9 @@ def test_assert_branch_join_upper_bounds_both():
         e2 = random_table_effect(r, k, k)
         j = ASSERT.join(e1, e2)
         assert ASSERT.leq(e1, j) and ASSERT.leq(e2, j)
-        assert any(cost_eq(j.value.cost, c) for c in (
-            e1.value.cost, (MaxCost((e1.value.cost, e2.value.cost)),)))
+        c1, c2 = e1.value.cost, e2.value.cost
+        both = Cost(0, {MaxCost((c1, c2), max(c1.lo, c2.lo), max(c1.hi, c2.hi)): 1})
+        assert j.value.cost in (c1, both, Cost(max(c1.scalar, c2.scalar)))
 
 
 def leq_pairs(r: random.Random) -> list[tuple[Effect, Effect]]:
@@ -529,33 +530,47 @@ def test_assert_leq_rules_agree_with_every_subset():
     assert min(decided.values()) >= 20, decided
 
 
-def stage(n: int, costs: dict[int, int]) -> np.ndarray:
-    """A stage on n qubits: these costs at these states, 0 elsewhere."""
+def stage(n: int, costs: dict[int, int]) -> Cost:
+    """The cost of a stage on n qubits: these costs at these states, 0
+    elsewhere."""
     g = np.zeros(1 << n, dtype=np.int64)
     g[list(costs)] = list(costs.values())
-    g.flags.writeable = False
-    return g
+    return _stage(g)
 
 
-def costed(n: int, *items) -> Effect:
-    """The identity on n qubits with this cost."""
-    return Effect(n, n, AssertValue(np.eye(1 << n, dtype=bool), items))
+def costed(n: int, *items: Cost) -> Effect:
+    """The identity on n qubits with the sum of these costs."""
+    return Effect(n, n, AssertValue(np.eye(1 << n, dtype=bool), _sum((c, 1) for c in items)))
 
 
 def test_assert_leq_decides_by_rules_above_the_enumeration_cap():
     e = ASSERT.identity_effect(5)
     assert ASSERT.leq(e, e)  # equal costs
-    # each item under its own item of the right side, in order: a stage
-    # under a larger one, a join under the branch it sits in
+    # each item under its own item of the right side: a stage under a
+    # larger one, a join under the branch it sits in
     s, big = stage(5, {0: 1, 7: 2}), stage(5, {0: 1, 7: 3})
     t = stage(5, {1: 1})
     assert ASSERT.leq(costed(5, s, t), costed(5, big, stage(5, {3: 1}), t))
-    assert ASSERT.leq(costed(5, t), costed(5, MaxCost(((s,), (t,)))))
-    assert ASSERT.leq(costed(5, MaxCost(((s,), (stage(5, {7: 3}),)))), costed(5, big))
+    assert ASSERT.leq(costed(5, t), costed(5, _max((s, t))))
+    assert ASSERT.leq(costed(5, _max((s, stage(5, {7: 3})))), costed(5, big))
     # no stage of the right side covers two of the left: s + s is 4 at 7
     assert not ASSERT.leq(costed(5, s, s), costed(5, big))
     # at most 3 anywhere, at least 3 on every non-empty precondition
     assert ASSERT.leq(costed(5, s, t), costed(5, stage(5, dict.fromkeys(range(32), 3))))
+
+
+def test_assert_items_are_keyed_by_their_values():
+    # [0, 1] and [1, 0] have the same largest entry and the same sum, and
+    # are still two items: on {0} and on {1} the sum costs 1, where two
+    # copies of either would cost 0 on one and 2 on the other
+    a, b = stage(1, {1: 1}), stage(1, {0: 1})
+    both = _sum(((a, 1), (b, 1)))
+    assert len(both.items) == 2 and set(both.items.values()) == {1}
+    e = costed(1, a, b)
+    assert [e.value.apply(L)[1] for L in ({"0"}, {"1"}, {"0", "1"}, set())] == [1, 1, 2, 0]
+    # equal stages made apart are one item of multiplicity 2
+    twice = _sum(((a, 1), (stage(1, {1: 1}), 1)))
+    assert list(twice.items.values()) == [2] and twice == _sum(((a, 2),))
 
 
 def test_assert_leq_refutes_by_a_witness_above_the_enumeration_cap():
@@ -581,10 +596,10 @@ def test_assert_leq_enumerates_only_up_to_4_qubits():
 
 
 def test_assert_relations_must_be_total():
-    # a fold appends a constant stage as it is, which is sound only when
-    # every input state reaches some output state
+    # a cost's scalar reads the same before any step, which is sound only
+    # when every input state reaches some output state
     with pytest.raises(EffectError, match="total"):
-        AssertValue(np.array([[True, False], [False, False]]), ())
+        AssertValue(np.array([[True, False], [False, False]]), Cost())
     gate = Gate("void", (Q,), (Q,))
     with pytest.raises(EffectError, match="total"):
         ASSERT.gate_effect(GateDef(gate, rows={"0": (frozenset({"0"}), 1),

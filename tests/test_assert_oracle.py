@@ -15,9 +15,11 @@ import itertools
 import numpy as np
 import pytest
 
-from generators import ASSERT_POOL, Q, random_program, random_steps, rng
-from oracles import StringAssertAlgebra, compose_eff, string_eval_cost, then_eff
-from pqc.algebras import ALGEBRAS, _ASSERT_MAX_QUBITS, Effect
+from generators import ASSERT_POOL, Q, boxed_doubling, random_program, random_steps, rng
+from oracles import (
+    StringAssertAlgebra, ThenEffFolding, compose_eff, string_eval_cost, then_eff,
+)
+from pqc.algebras import ALGEBRAS, _ASSERT_MAX_QUBITS, Cost, Effect, MaxCost
 from pqc.circuits import Circuit, Gate
 from pqc.effects import infer_program_effect
 from pqc.errors import PqcError
@@ -77,6 +79,54 @@ def test_inferred_programs_match_the_string_algebra():
             assert_same(new, old, show_program(prog))
         else:
             assert new == old, show_program(prog)
+
+
+def test_programs_with_joins_nested_boxes_and_repeated_calls_match_the_references():
+    # calls repeat a function's cost, so equal items add up; ifz joins make
+    # MaxCost items, which a later call reads back through a new relation.
+    # The fold's costs against one then_eff per binder and against the
+    # string algebra, on random preconditions (the empty one included)
+    r = rng("assert-normal-form")
+    seen = {"nested": 0, "repeat": 0, "ifz": 0}
+    for i in range(120):
+        prog = random_program(r, assert_safe=True, max_inputs=4,
+                              steps=r.randint(1, 8), calls=True)
+        text = show_program(prog)
+        seen["nested"] += "apply(d, " in text
+        seen["repeat"] += "force" in text
+        seen["ifz"] += "ifz" in text
+        effects = [outcome(lambda alg: infer_program_effect(prog, alg, registry)[1], alg)
+                   for alg in (ASSERT, ThenEffFolding(ASSERT), STRINGS)]
+        new, ref, old = effects
+        if not isinstance(new, Effect):
+            assert new == ref == old, text
+            continue
+        assert new.value == ref.value, text
+        states = bitstrings(new.dom)
+        for _ in range(8):
+            pre = frozenset(r.sample(states, r.randint(0, len(states))))
+            assert new.value.apply(pre) == old.value.apply(pre), (text, pre)
+    assert min(seen.values()) >= 30, seen
+
+
+def entries(cost: Cost) -> int:
+    """The distinct items of a cost, those under its joins included."""
+    return sum(1 + (sum(map(entries, x.children)) if isinstance(x, MaxCost) else 0)
+               for x in cost.items)
+
+
+@pytest.mark.parametrize("gate", ["H", "Z"])
+def test_boxed_doubling_carries_a_cost_of_constant_size(gate):
+    # 2^16 gates: H adds 1 to the scalar each time, Z one more copy of its
+    # stage; neither makes a new entry
+    prog = parse_program(boxed_doubling(16, gate))
+    _, e = infer_program_effect(prog, ASSERT, registry)
+    cost = e.value.cost
+    assert entries(cost) == (gate == "Z")
+    assert (cost.scalar, sorted(cost.items.values())) == (
+        (2**16, []) if gate == "H" else (0, [2**16]))
+    assert e.value.apply({"1"})[1] == 2**16
+    assert e.value.apply({"0"})[1] == (2**16 if gate == "H" else 0)
 
 
 def random_table(r) -> GateDef:

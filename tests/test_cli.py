@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from generators import perfbench_workloads, random_ast_program, rng
+from generators import boxed_doubling, perfbench_workloads, random_ast_program, rng
 from pqc import cli
-from pqc.algebras import ALGEBRAS, AssertValue, Effect
+from pqc.algebras import ALGEBRAS, AssertValue, Cost, Effect
 from pqc.circuits import WireType, deserialize
 from pqc.cli import main
 from pqc.effects import infer_program_effect, verify_dynamic
@@ -340,6 +340,21 @@ def test_depth_refuses_paths_of_2_to_the_53(capsys, tmp_path):
     path.write_text(doubling(52, "apply(@X, q)"))
     code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "depth")
     assert code == 0 and json.loads(out)["depth_bound"] == 2**52 + 1
+
+
+def test_assert_refuses_costs_of_2_to_the_63(capsys, tmp_path):
+    # boxed doubling: H's cost adds up in one scalar, 2^k at k levels,
+    # which an int64 counts only up to k = 62
+    path = tmp_path / "boxed.pqc"
+    path.write_text(boxed_doubling(62))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "assert",
+                           "--precondition", "0")
+    assert code == 0 and json.loads(out)["cost"] == 2**62
+    path.write_text(boxed_doubling(63))
+    code, out, err = run_cli(capsys, "analyze", str(path), "--metric", "assert",
+                             "--precondition", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2^63" in err
 
 
 def test_analyze_assert_defaults_to_all_states(capsys):
@@ -675,7 +690,7 @@ def test_rows_are_json_dumps_of_value_json(monkeypatch, block):
     for dom in range(7):
         for cod in range(7):
             for kind in REACH_KINDS:
-                v = AssertValue(random_reach(g, dom, cod, kind), ())
+                v = AssertValue(random_reach(g, dom, cod, kind), Cost())
                 text = json.dumps(rows_data(v), indent=2)
                 for outer in ("", "  ", "    "):  # "    ": where the CLI prints rows
                     pieces = list(cli._rows(v, outer))
@@ -715,7 +730,7 @@ def test_cli_prints_rows_of_random_relations(capsys, monkeypatch, tmp_path):
                 (tmp_path / "u.pqc").write_text(
                     f"inputs {', '.join(n + ': Qubit' for n in names)};\n"
                     f'gates "u.pqcg";\napply(@U, {arg})\n')
-                want = rows_data(AssertValue(reach, ()))
+                want = rows_data(AssertValue(reach, Cost()))
                 for cmd, key in (("analyze", "value"), ("check", "value"),
                                  ("verify", "static"), ("verify", "dynamic")):
                     code, out, err = run_cli(capsys, cmd, str(tmp_path / "u.pqc"),

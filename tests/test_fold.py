@@ -372,13 +372,13 @@ def test_assert_abstract_matches_the_then_eff_fold_and_the_strings():
 
 
 def test_a_relation_that_is_not_total_is_refused_under_python_O():
-    # the fold's constant stages rely on totality, so the check must not be
+    # a cost's scalar relies on totality, so the check must not be
     # an assert statement, which -O strips
     code = ("import numpy as np\n"
-            "from pqc.algebras import AssertValue\n"
+            "from pqc.algebras import AssertValue, Cost\n"
             "from pqc.errors import EffectError\n"
             "try:\n"
-            "    AssertValue(np.zeros((2, 2), dtype=bool), ())\n"
+            "    AssertValue(np.zeros((2, 2), dtype=bool), Cost())\n"
             "except EffectError:\n"
             "    print('refused')\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
