@@ -727,7 +727,10 @@ class AssertValue:
         two states, done in order (None if it does not).
         """
         if self._plan is None:
-            sources = [np.flatnonzero(row).tolist() for row in self.reach]
+            ys, cols = np.nonzero(self.reach)  # row by row: split at each row's end
+            ends = np.searchsorted(ys, np.arange(1, len(self.reach) + 1)).tolist()
+            cols = cols.tolist()
+            sources = [cols[i:j] for i, j in zip([0] + ends, ends)]
             take = [xs[0] for xs in sources if len(xs) == 1]
             swaps = None
             if len(take) == len(sources) == len(set(take)):

@@ -13,12 +13,14 @@ Labels name the open output wires of a circuit under construction. Wire
 bundles (nested pairs of labels) and label contexts connect the positional
 world of circuits with the name-based world of programs. Labels are minted
 from a supply (``label_supply``) that belongs to one run: an evaluation
-numbers its wires from its own supply, and a boxed circuit's interface
-labels are local to the box, so there is no process-global label counter.
+numbers its wires from its own supply, so there is no process-global label
+counter. A boxed circuit holds no labels: its interfaces are bundles of
+body positions.
 
 Bundles and bundle shapes are plain nested tuples:
 
-* a bundle is ``()`` (empty), a ``Label``, or a pair ``(bundle, bundle)``;
+* a bundle is ``()`` (empty), a ``Label``, or a pair ``(bundle, bundle)``
+  (a boxed circuit's bundles have positions where labels would be);
 * a shape is ``()``, a ``WireType``, or a pair ``(shape, shape)``.
 """
 
@@ -184,9 +186,6 @@ class LabelContext:
             return self._index[label]  # type: ignore[attr-defined]
         except KeyError:
             raise LabelNotFound(f"label {label} not in context {self}") from None
-
-    def type_of(self, label: Label) -> WireType:
-        return self.entries[self.position(label)][1]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -422,41 +421,26 @@ def equivalent(c: Circuit, d: Circuit) -> bool:
 
 @dataclass(frozen=True)
 class BoxedCircuit:
-    """A circuit packaged with named, bundle-shaped interfaces.
+    """A circuit packaged with bundle-shaped interfaces over its positions.
 
-    ``in_ctx``/``out_ctx`` name the body's dom/cod positions in positional
-    order; ``inputs``/``outputs`` are bundles over exactly those labels (the
-    bundle may list them in any order — the port order is given by the
-    contexts).
-
-    The interfaces are validated once, here, and the input ports are read
-    off once for ``CircuitBuilder.append``: ``ports[k]`` is the body dom
-    position of the k-th label of the flattened input bundle, and
-    ``port_types[k]`` its wire type.
+    ``inputs`` is a bundle over the body's dom positions ``0, 1, ...`` in
+    order, nested in any way, so the k-th wire attached to the box feeds
+    body input k. ``outputs`` is a bundle over the body's cod positions,
+    each once, in any order. The interfaces are checked once, here.
     """
 
     inputs: Bundle
-    in_ctx: LabelContext
     body: Circuit
-    out_ctx: LabelContext
     outputs: Bundle
-    ports: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    port_types: Obj = field(init=False, compare=False, repr=False)
     _placed: dict | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.in_ctx.obj != self.body.dom:
-            raise ObjectMismatch("boxed input context does not match body dom")
-        if self.out_ctx.obj != self.body.cod:
-            raise ObjectMismatch("boxed output context does not match body cod")
-        port_labels = flatten_bundle(self.inputs)
-        if sorted(port_labels) != sorted(self.in_ctx.labels):
-            raise WireTypeMismatch("input bundle must enumerate the input ports")
-        if sorted(flatten_bundle(self.outputs)) != sorted(self.out_ctx.labels):
-            raise WireTypeMismatch("output bundle must enumerate the output ports")
-        ports = tuple(map(self.in_ctx.position, port_labels))
-        object.__setattr__(self, "ports", ports)
-        object.__setattr__(self, "port_types", tuple(self.body.dom[j] for j in ports))
+        if flatten_bundle(self.inputs) != list(range(len(self.body.dom))):
+            raise WireTypeMismatch(
+                "input bundle must list the body's input positions in order")
+        if sorted(flatten_bundle(self.outputs)) != list(range(len(self.body.cod))):
+            raise WireTypeMismatch(
+                "output bundle must list each of the body's output positions once")
         layers_only = all(type(s) is Layer for s in self.body.steps)
         object.__setattr__(self, "_placed", {} if layers_only else None)
 
@@ -481,23 +465,18 @@ class BoxedCircuit:
 
 
 def box_circuit(body: Circuit) -> BoxedCircuit:
-    """Package a circuit with fresh straight-through interfaces.
-
-    Each bundle is a right-nested pair spine: the inputs over the body's
-    dom, the outputs over its cod. The interface labels are local to the
-    box: ``#0, #1, ...`` over the inputs, then the outputs.
-    """
-    supply = label_supply()
-    in_ctx, in_bundle = freshlabels(spine(body.dom), supply)
-    out_ctx, out_bundle = freshlabels(spine(body.cod), supply)
-    return BoxedCircuit(in_bundle, in_ctx, body, out_ctx, out_bundle)
+    """Package a circuit with straight-through interfaces: each bundle is a
+    right-nested pair spine over the body's positions, the inputs over its
+    dom and the outputs over its cod."""
+    return BoxedCircuit(spine(range(len(body.dom))), body, spine(range(len(body.cod))))
 
 
-def spine(o: Obj) -> Shape:
-    """Right-nested bundle shape over an object: w0 ⊗ (w1 ⊗ (...))."""
-    s = o[-1] if o else ()
-    for t in reversed(o[:-1]):
-        s = (t, s)
+def spine(xs) -> Union[Shape, Bundle]:
+    """Right-nested pairs over a sequence: x0 ⊗ (x1 ⊗ (...)); a shape over
+    an object, a bundle over positions."""
+    s = xs[-1] if xs else ()
+    for x in reversed(xs[:-1]):
+        s = (x, s)
     return s
 
 
@@ -506,17 +485,17 @@ class CircuitBuilder:
 
     The builder holds the step list and the open outputs as a label context
     (an entry list plus a label -> position map). ``append`` checks the
-    attach bundle against the boxed circuit's ports and adds the body's
-    steps, placed by index arithmetic: a body was validated when it was
-    boxed, so its steps are not re-derived one by one. ``circuit()`` and
-    ``context()`` package the result; ``circuit()`` derives the cod once, in
-    ``Circuit``, and checks it against the open outputs. Output labels come
-    from ``supply``, which by default continues after the largest label of
-    the starting context. ``private`` starts a box's builder on the same
-    supply, and ``boxed`` packages what that builder built. Where each wire
-    sits is known only here: a repeated call ``locate``s its argument by
-    positions, ``mark``s its start, ``record``s its appends, and is
-    ``replay``ed at the same positions.
+    attach bundle against the body's dom and adds the body's steps, placed
+    by index arithmetic: a body was validated when it was boxed, so its
+    steps are not re-derived one by one. ``circuit()`` and ``context()``
+    package the result; ``circuit()`` derives the cod once, in ``Circuit``,
+    and checks it against the open outputs. Output labels come from
+    ``supply``, which by default continues after the largest label of the
+    starting context. ``private`` starts a box's builder on the same supply,
+    and ``boxed`` packages what that builder built, its labels turned into
+    positions. Where each wire sits is known only here: a repeated call
+    ``locate``s its argument by positions, ``mark``s its start, ``record``s
+    its appends, and is ``replay``ed at the same positions.
     """
 
     def __init__(self, start: Circuit, ctx: LabelContext,
@@ -553,20 +532,20 @@ class CircuitBuilder:
     def append(self, attach: Bundle, boxed: BoxedCircuit) -> Bundle:
         """Attach a boxed circuit to named wires among the open outputs.
 
-        The attach bundle pairs up with ``boxed.inputs`` position-for-position
-        (flattened). Attached wires are gathered by a recorded Perm so they
-        feed the body in its port order, the body is whiskered into place at
-        the smallest attached position (at the right end when the bundle is
-        empty), and — when the body preserves wire count — a restore Perm
-        scatters the outputs back over the original attached positions so
-        that passthrough wires keep their exact positions. Identity perms are
-        never emitted, nor built.
+        The k-th wire of the attach bundle (flattened) feeds body input k.
+        Attached wires are gathered by a recorded Perm into that order, the
+        body is whiskered into place at the smallest attached position (at
+        the right end when the bundle is empty), and — when the body
+        preserves wire count — a restore Perm scatters the outputs back over
+        the original attached positions so that passthrough wires keep their
+        exact positions. Identity perms are never emitted, nor built.
 
-        Returns the output bundle, over fresh labels. ``dom`` is unchanged.
+        Returns ``boxed.outputs`` over fresh labels, body output j getting
+        the j-th. ``dom`` is unchanged.
         """
         attach_labels = [attach] if type(attach) is Label else flatten_bundle(attach)
-        ports = boxed.ports
-        m = len(ports)
+        body = boxed.body
+        m = len(body.dom)
         if len(attach_labels) != m:
             raise WireTypeMismatch(
                 f"bundle of {len(attach_labels)} wires applied to circuit "
@@ -581,26 +560,25 @@ class CircuitBuilder:
             if i is None:
                 raise LabelNotFound(f"label {a} not in context {self.context()}")
             positions.append(i)
-        for a, i, want in zip(attach_labels, positions, boxed.port_types):
+        for a, i, want in zip(attach_labels, positions, body.dom):
             got = entries[i][1]
             if want != got:
                 raise WireTypeMismatch(f"wire {a} is {got}, circuit expects {want}")
 
         q = min(positions) if m else n
         steps = self.steps
-        # gather: attached wire i goes to block slot q + (port position of
-        # its partner label); passthrough wires fill the remaining slots in
-        # order. It is the identity exactly when every i is already there,
-        # as one wire always is.
-        if m > 1 and any(i != q + j for i, j in zip(positions, ports)):
+        # gather: the k-th attached wire goes to block slot q + k;
+        # passthrough wires fill the remaining slots in order. It is the
+        # identity exactly when the attached wires are already there, in
+        # order, as one wire always is.
+        if m > 1 and positions != list(range(q, q + m)):
             dest: list[int | None] = [None] * n
-            for i, j in zip(positions, ports):
-                dest[i] = q + j
+            for k, i in enumerate(positions):
+                dest[i] = q + k
             free = itertools.chain(range(q), range(q + m, n))
             steps.append(Perm(tuple(next(free) if d is None else d for d in dest)))
         steps.extend(boxed.placed(q, n - q - m))
-        out_entries = boxed.out_ctx.entries
-        keep_slots = len(out_entries) == m and m > 0
+        keep_slots = len(body.cod) == m and m > 0
         if keep_slots:
             # restore: block output j (now at q + j) goes to the j-th smallest
             # attached position, passthrough wires back to their own. It is
@@ -614,7 +592,7 @@ class CircuitBuilder:
                 steps.append(Perm((*range(q), *slots, *rest)))
         self._circuit = self._ctx = None
 
-        fresh = [(next(self.supply), t) for _, t in out_entries]
+        fresh = [(next(self.supply), t) for t in body.cod]
         if keep_slots:
             for a in attach_labels:
                 del pos[a]
@@ -634,22 +612,26 @@ class CircuitBuilder:
             for i in range(q, len(entries)):
                 pos[entries[i][0]] = i
         outputs = boxed.outputs
-        if type(outputs) is Label:  # then out_ctx has that one entry
+        if type(outputs) is not tuple:  # then it is the body's one output
             return fresh[0][0]
-        mapping = {old: new for (old, _), (new, _) in zip(out_entries, fresh)}
-        return map_bundle(outputs, mapping.__getitem__)
+        return map_bundle(outputs, [l for l, _ in fresh].__getitem__)
 
     def private(self, shape: Shape) -> tuple[CircuitBuilder, Bundle]:
         """A builder for a ``box`` run inside this one, on new wires of
         ``shape`` from this builder's supply, and the bundle naming them."""
+        start = self.supply.n
         in_ctx, bundle = freshlabels(shape, self.supply)
         inner = CircuitBuilder(identity(in_ctx.obj), in_ctx, self.supply)
-        inner.inputs = bundle, in_ctx
+        inner.inputs = map_bundle(bundle, lambda l: l - start)  # minted in order
         return inner, bundle
 
     def boxed(self, outputs: Bundle) -> BoxedCircuit:
-        """What a ``private`` builder built, boxed with ``outputs``."""
-        return BoxedCircuit(*self.inputs, self.circuit(), self.context(), outputs)
+        """What a ``private`` builder built, boxed with ``outputs``: each
+        label becomes its position (a wire that is not open becomes -1, which
+        ``BoxedCircuit`` refuses)."""
+        pos = self.pos
+        return BoxedCircuit(self.inputs, self.circuit(),
+                            map_bundle(outputs, lambda l: pos.get(l, -1)))
 
     def locate(self, arg) -> tuple | None:
         """The width, and ``arg`` with each wire as 2 * its position, plus 1

@@ -24,12 +24,12 @@ The machine is call-by-value and never substitutes into the program:
 * Each configuration's circuit grows in one ``CircuitBuilder`` (the
   program's, plus one per ``box``). Its labels come from the run's supply.
   Validation happens in two places, once each: a ``BoxedCircuit`` checks
-  its body and interfaces and reads off its ports when it is made, and the
-  builder derives and checks the whole circuit's cod when it packages the
-  circuit (at the end of the run, or of a ``box``). In between, ``apply``
-  only checks its argument against the cached ports and places the body's
-  steps by index arithmetic; a gate literal's layer is placed once per
-  offset and shared.
+  its interfaces, bundles of its body's positions, when it is made, and
+  the builder derives and checks the whole circuit's cod when it packages
+  the circuit (at the end of the run, or of a ``box``). In between,
+  ``apply`` only checks its argument against the body's input types and
+  places the body's steps by index arithmetic; a gate literal's layer is
+  placed once per offset and shared.
 * Every rule firing costs one unit of fuel.
 * A closed function runs once per placement. A closure that reaches no
   wire but its argument's adds the same steps, labels and fuel whenever it

@@ -74,8 +74,8 @@ class Registry:
     def boxed(self, name: str) -> BoxedCircuit:
         """The one-layer boxed-circuit literal for ``@name``, built on first use.
 
-        Its interface labels are local to the box, so the one literal serves
-        every application of the gate, in every run.
+        Its interfaces are the body's positions, not labels, so the one
+        literal serves every application of the gate, in every run.
         """
         boxed = self._boxed.get(name)
         if boxed is None:

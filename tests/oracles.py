@@ -556,8 +556,7 @@ class RightFoldChecker(EffectChecker):
             used = self._merge(vu, bu, f"dest ({b.left}, {b.right})")
             g2 = sorted(self._linear(bu))
             eff = compose_eff(alg, self._reorder(g2 + vo), be)
-        self._check_endpoints(m, eff, self._blocks_obj(sorted(self._linear(used))),
-                              wires, ty)
+        self._check_endpoints(m, eff, sorted(self._linear(used)), wires, ty)
         return ty, wires, used, eff
 
 
@@ -569,8 +568,8 @@ class ValidatingBuilder:
     """``CircuitBuilder`` with an ``append`` that re-derives every step.
 
     Same interface and the same circuits, contexts, bundles and errors as
-    ``pqc.circuits.CircuitBuilder``, computed without the boxed circuit's
-    cached ports: each port is looked up in ``in_ctx`` by label, the gather
+    ``pqc.circuits.CircuitBuilder``, computed without its shortcuts: each
+    attached wire's body position is read off the input bundle, the gather
     and restore permutations are built and validated and then dropped when
     they are identities, and the running cod is derived step by step.
     """
@@ -592,11 +591,11 @@ class ValidatingBuilder:
 
     def append(self, attach: Bundle, boxed: BoxedCircuit) -> Bundle:
         attach_labels = flatten_bundle(attach)
-        port_labels = flatten_bundle(boxed.inputs)
-        if len(attach_labels) != len(port_labels):
+        ports = flatten_bundle(boxed.inputs)
+        if len(attach_labels) != len(ports):
             raise WireTypeMismatch(
                 f"bundle of {len(attach_labels)} wires applied to circuit "
-                f"expecting {len(port_labels)}")
+                f"expecting {len(ports)}")
         if len(set(attach_labels)) != len(attach_labels):
             raise WireTypeMismatch(f"duplicate label in bundle {show_bundle(attach)}")
 
@@ -606,9 +605,8 @@ class ValidatingBuilder:
             if a not in self.pos:
                 raise LabelNotFound(f"label {a} not in context {self.context()}")
             positions.append(self.pos[a])
-        ports = [boxed.in_ctx.position(p) for p in port_labels]
         for a, i, j in zip(attach_labels, positions, ports):
-            want, got = boxed.in_ctx.entries[j][1], entries[i][1]
+            want, got = boxed.body.dom[j], entries[i][1]
             if want != got:
                 raise WireTypeMismatch(f"wire {a} is {got}, circuit expects {want}")
 
@@ -644,7 +642,7 @@ class ValidatingBuilder:
         self.cod = cod
         self.steps.extend(steps)
 
-        fresh = [(next(self.supply), t) for _, t in boxed.out_ctx.entries]
+        fresh = [(next(self.supply), t) for t in boxed.body.cod]
         if keep_slots:
             for a in attach_labels:
                 del self.pos[a]
@@ -656,10 +654,7 @@ class ValidatingBuilder:
             passthrough = [e for e in entries if e[0] not in gone]
             self.entries = passthrough[:q] + fresh + passthrough[q:]
             self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
-        mapping = {
-            old: new for (old, _), (new, _) in zip(boxed.out_ctx.entries, fresh)
-        }
-        return map_bundle(boxed.outputs, mapping.__getitem__)
+        return map_bundle(boxed.outputs, lambda j: fresh[j][0])
 
 
 # --------------------------------------------------------------------------

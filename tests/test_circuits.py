@@ -138,19 +138,49 @@ def test_label_context_rejects_duplicates():
 
 
 def test_box_circuit_spine_interface():
-    body = Circuit((Q, Q), (Layer(((CNOT, 0),)),))
+    body = Circuit((Q, Q, B), (Layer(((CNOT, 0),)),))
     boxed = box_circuit(body)
     assert boxed.body is body
-    assert boxed.in_ctx.obj == (Q, Q)
-    assert flatten_bundle(boxed.inputs) == list(boxed.in_ctx.labels)
+    # right-nested spines over the body's positions, not labels
+    assert boxed.inputs == boxed.outputs == (0, (1, 2))
+    assert (registry.boxed("H").inputs, registry.boxed("H").outputs) == (0, 0)
+    assert (registry.boxed("init").inputs, registry.boxed("init").outputs) == ((), 0)
 
 
 def test_boxed_circuit_validates_interfaces():
-    body = Circuit((Q,), (Layer(((H, 0),)),))
-    good = box_circuit(body)
-    with pytest.raises(ObjectMismatch):
-        BoxedCircuit(good.inputs, good.in_ctx,
-                     Circuit((Q, Q)), good.out_ctx, good.outputs)
+    body = Circuit((Q, Q), (Layer(((CNOT, 0),)),))
+    # inputs in order, nested in any way; outputs in any order
+    assert BoxedCircuit(((0, 1), ()), body, (1, 0)).outputs == (1, 0)
+    good = box_circuit(Circuit((Q,), (Layer(((H, 0),)),)))
+    with pytest.raises(WireTypeMismatch):  # the interfaces of another body
+        BoxedCircuit(good.inputs, body, good.outputs)
+
+
+@pytest.mark.parametrize("inputs, outputs", [
+    ((1, 0), (0, 1)),
+    ((0, 1), (0, ())),
+    ((0, 1), (0, 0)),
+    ((0, (1, 2)), (0, 1)),
+    ((0, 1), (1, 2)),
+], ids=["inputs-out-of-order", "output-missing", "output-repeated",
+        "input-past-the-body", "output-past-the-body"])
+def test_boxed_circuit_refuses_bad_positions(inputs, outputs):
+    body = Circuit((Q, Q), (Layer(((CNOT, 0),)),))
+    with pytest.raises(WireTypeMismatch):
+        BoxedCircuit(inputs, body, outputs)
+
+
+def test_boxed_turns_a_private_builders_labels_into_positions():
+    outer = CircuitBuilder(identity(()), LabelContext())
+    inner, (a, (b, c)) = outer.private((Q, (B, Q)))
+    x, y = inner.append((c, a), registry.boxed("CNOT"))  # x lands on 0, y on 2
+    boxed = inner.boxed((b, (y, x)))
+    assert (boxed.inputs, boxed.outputs) == ((0, (1, 2)), (1, (2, 0)))
+    assert boxed.body == inner.circuit()
+    with pytest.raises(WireTypeMismatch):
+        inner.boxed((b, x))       # y is left open
+    with pytest.raises(WireTypeMismatch):
+        inner.boxed((b, (y, a)))  # a is not open
 
 
 def builder_on(o):
@@ -222,17 +252,17 @@ def random_nesting(r, labels):
 
 def random_boxed(r) -> BoxedCircuit:
     """A gate literal, or a random multi-step body over qubit and bit wires
-    boxed with its ports listed in a shuffled, randomly nested order."""
+    boxed with its inputs randomly nested and its outputs listed in a
+    shuffled, randomly nested order."""
     if r.random() < 0.5:
         return registry.boxed(r.choice(GENERAL_POOL))
     dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(0, 4)))
     steps, _ = random_steps(r, dom, 6, max_width=6)
     boxed = box_circuit(Circuit(dom, steps))
-    ins, outs = flatten_bundle(boxed.inputs), flatten_bundle(boxed.outputs)
-    r.shuffle(ins)
+    outs = flatten_bundle(boxed.outputs)
     r.shuffle(outs)
-    return BoxedCircuit(random_nesting(r, ins), boxed.in_ctx, boxed.body,
-                        boxed.out_ctx, random_nesting(r, outs))
+    return BoxedCircuit(random_nesting(r, flatten_bundle(boxed.inputs)), boxed.body,
+                        random_nesting(r, outs))
 
 
 def random_attach(r, entries, want):
@@ -270,16 +300,16 @@ def test_append_matches_validating_builder_on_random_attachments():
         literal = False  # the last append placed a gate literal
         for _ in range(r.randint(1, 10)):
             entries = new.context().entries
-            if literal and len(boxed.out_ctx) == len(boxed.ports) and r.random() < 0.5:
+            if literal and len(boxed.body.cod) == len(boxed.body.dom) and r.random() < 0.5:
                 # the same gate literal again on the same wires (renamed by
                 # the last application), so at the same offsets
                 labels = flatten_bundle(got)
                 repeats += 1
             else:
                 boxed = random_boxed(r)
-                while len(boxed.ports) > len(entries) and r.random() < 0.8:
+                while len(boxed.body.dom) > len(entries) and r.random() < 0.8:
                     boxed = random_boxed(r)
-                labels = random_attach(r, entries, boxed.port_types)
+                labels = random_attach(r, entries, boxed.body.dom)
             literal = any(boxed is b for b in literals)
             fault = r.random()
             if fault < 0.04:
@@ -342,8 +372,8 @@ def random_keeping_box(r) -> BoxedCircuit:
     dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(1, 3)))
     steps, _ = random_steps(r, dom, 4, pool=KEEPS_WIDTH)
     boxed = box_circuit(Circuit(dom, steps))
-    return BoxedCircuit(random_nesting(r, flatten_bundle(boxed.inputs)[::-1]),
-                        boxed.in_ctx, boxed.body, boxed.out_ctx, boxed.outputs)
+    return BoxedCircuit(random_nesting(r, flatten_bundle(boxed.inputs)), boxed.body,
+                        random_nesting(r, flatten_bundle(boxed.outputs)[::-1]))
 
 
 def test_record_replays_on_a_builder_alike():
@@ -367,9 +397,9 @@ def test_record_replays_on_a_builder_alike():
             pools = {t: [l for l in live if types[l] == t] for t in (Q, B)}
             for pool in pools.values():
                 r.shuffle(pool)
-            if any(boxed.port_types.count(t) > len(pools[t]) for t in (Q, B)):
+            if any(boxed.body.dom.count(t) > len(pools[t]) for t in (Q, B)):
                 continue
-            attach = [pools[t].pop() for t in boxed.port_types]
+            attach = [pools[t].pop() for t in boxed.body.dom]
             out = first.append(random_nesting(r, attach), boxed)
             live = [l for l in live if l not in attach] + flatten_bundle(out)
             replayed.add(next((g for g in KEEPS_WIDTH if registry.boxed(g) is boxed),

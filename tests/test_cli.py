@@ -454,6 +454,39 @@ def test_verify_demo_programs(capsys, metric):
         assert doc["dominated"] is True
 
 
+SWAPPING_BOX = r"""inputs a: Qubit, b: Qubit, c: Qubit;
+let s = box[Qubit * Qubit] lift \x: Qubit * Qubit.
+  dest (p, q) = x in
+  let p = apply(@H, p) in
+  let r = apply(@CNOT, (p, q)) in
+  dest (p, q) = r in
+  let q = apply(@X, q) in
+  return (q, p) in
+let r = apply(s, (c, a)) in
+dest (c, a) = r in
+return (a, b, c)
+"""
+
+
+def test_box_returning_its_wires_swapped_verifies_exactly(capsys, tmp_path):
+    # the box's outputs are its body's in reverse, and it is applied at the
+    # non-adjacent wires c and a: each metric's static effect is the
+    # dynamic one, and run prints what it always has
+    path = tmp_path / "swap.pqc"
+    path.write_text(SWAPPING_BOX)
+    for metric in ALGEBRAS:
+        code, out, _ = run_cli(capsys, "verify", str(path), "--metric", metric)
+        doc = json.loads(out)
+        assert code == 0 and doc["dominated"] is True, metric
+        assert doc["static"] == doc["dynamic"], metric
+    assert run_cli(capsys, "run", str(path)) == (0, (
+        "Qubit -x--------[CNOT]--[X]--x---\n"
+        "Qubit -x---------------------x---\n"
+        "Qubit -x---[H]--[CNOT]-----------\n"
+        "outputs: #9:Qubit, #1:Qubit, #10:Qubit\n"
+        "value:   (#9, #1, #10)\n"), "")
+
+
 @pytest.mark.parametrize("src, got", [
     ("inputs;\nreturn \\x: Qubit. return x\n", "\\x:Qubit. return x"),
     ("inputs q: Qubit;\nreturn (3, q)\n", "3"),

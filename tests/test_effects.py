@@ -5,11 +5,10 @@ from pqc.algebras import (
     ALGEBRAS, Effect, GateCountAlgebra, WidthAlgebra, algebra,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
-from pqc.circuits import (
-    BoxedCircuit, Circuit, Label, LabelContext, Layer, Perm, WireType,
-    flatten_bundle,
+from pqc.circuits import BoxedCircuit, Circuit, Layer, Perm, WireType
+from pqc.errors import (
+    EffectError, EndpointMismatch, LinearityViolation, WireTypeMismatch,
 )
-from pqc.errors import EffectError, EndpointMismatch, LinearityViolation
 from pqc.evaluator import evaluate_program
 from pqc.gates import default_registry
 from pqc.syntax import (
@@ -208,15 +207,15 @@ def test_boxed_circuit_effect_flows_through_apply():
 
 
 def test_boxed_value_has_the_type_of_its_box():
-    # the evaluator's boxed circuit lists its outputs (#4, #3) against the
-    # bundle (#3, #4): the checker routes them back into the bundle's order
+    # the evaluator's boxed circuit lists its outputs (1, 0), the body's
+    # second output first: the checker routes them into the bundle's order
     src = (r"inputs; let c = box[Qubit * Qubit] lift \x: Qubit * Qubit."
            r"   dest (a, b) = x in let p = apply(@CNOT, (b, a)) in"
            r"   dest (c, d) = p in let c = apply(@H, c) in return (d, c) in"
            r" return c")
     _, _, boxed = evaluate_program(program(src), registry)
     assert type(boxed) is BoxedCircuit  # a box evaluates to its circuit
-    assert [lbl for lbl, _ in boxed.out_ctx] != list(flatten_bundle(boxed.outputs))
+    assert (boxed.inputs, boxed.outputs) == ((0, 1), (1, 0))
     for name in sorted(ALGEBRAS):
         alg = algebra(name)
         ct, _, _ = EffectChecker(alg, registry).infer_value(boxed)
@@ -225,15 +224,15 @@ def test_boxed_value_has_the_type_of_its_box():
 
 
 def test_boxed_value_routes_a_permuted_input_bundle():
-    # the bundle lists the inputs (#1, #0): its first wire feeds body input 1
+    # a box's input bundle lists the body's positions in order, so the
+    # bundle (1, 0) is refused; its routing is a Perm at the body's start
     q = WireType.QUBIT
     h, cnot = registry.gate("H"), registry.gate("CNOT")
     body = (Layer(((h, 0),)), Layer(((cnot, 0),)))
-    boxed = BoxedCircuit(
-        (Label(1), Label(0)), LabelContext(((Label(0), q), (Label(1), q))),
-        Circuit((q, q), body),
-        LabelContext(((Label(2), q), (Label(3), q))), (Label(2), Label(3)))
+    with pytest.raises(WireTypeMismatch):
+        BoxedCircuit((1, 0), Circuit((q, q), body), (0, 1))
     swapped = Circuit((q, q), (Perm((1, 0)),) + body)
+    boxed = BoxedCircuit((0, 1), swapped, (0, 1))
     for name in sorted(ALGEBRAS):
         alg = algebra(name)
         ct, _, _ = EffectChecker(alg, registry).infer_value(boxed)
