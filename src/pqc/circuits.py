@@ -334,16 +334,37 @@ def pad_perm(p: tuple[int, ...], left: int, right: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Circuit:
-    """A step sequence with a fixed input object; cod is derived."""
+    """A step sequence with a fixed input object; cod is derived.
+
+    Steps and objects are immutable, so the cod is derived (and checked)
+    once for each distinct pair of step object and input object, by
+    ``Layer.cod`` or ``Perm.cod``. Replayed calls and gate literals placed
+    at one offset share their step objects, and a step that keeps its
+    input's wire types keeps its input object, so a circuit built from them
+    costs a lookup per step.
+    """
 
     dom: Obj
     steps: tuple[Step, ...] = ()
     cod: Obj = field(init=False, compare=False)
 
     def __post_init__(self):
+        # seen[id(input)][id(step)] is the step's output on that input. Keyed
+        # by id: self.steps holds every step, and every object is self.dom
+        # or a value in seen, so no id is reused during the loop
         cur = self.dom
+        row: dict[int, Obj] = {}
+        seen = {id(cur): row}
         for step in self.steps:
-            cur = step.cod(cur)
+            nxt = row.get(id(step))
+            if nxt is None:
+                nxt = step.cod(cur)
+                if nxt == cur:
+                    nxt = cur
+                row[id(step)] = nxt
+            if nxt is not cur:
+                cur = nxt
+                row = seen.setdefault(id(cur), {})
         object.__setattr__(self, "cod", cur)
 
     def __str__(self) -> str:
@@ -488,14 +509,15 @@ class CircuitBuilder:
     attach bundle against the body's dom and adds the body's steps, placed
     by index arithmetic: a body was validated when it was boxed, so its
     steps are not re-derived one by one. ``circuit()`` and ``context()``
-    package the result; ``circuit()`` derives the cod once, in ``Circuit``,
-    and checks it against the open outputs. Output labels come from
-    ``supply``, which by default continues after the largest label of the
-    starting context. ``private`` starts a box's builder on the same supply,
-    and ``boxed`` packages what that builder built, its labels turned into
-    positions. Where each wire sits is known only here: a repeated call
-    ``locate``s its argument by positions, ``mark``s its start, ``record``s
-    its appends, and is ``replay``ed at the same positions.
+    package the result; ``circuit()`` derives the cod in ``Circuit``, once
+    per distinct step and input object, and checks it against the open
+    outputs. Output labels come from ``supply``, which by default continues
+    after the largest label of the starting context. ``private`` starts a
+    box's builder on the same supply, and ``boxed`` packages what that
+    builder built, its labels turned into positions. Where each wire sits
+    is known only here: a repeated call ``locate``s its argument by
+    positions, ``mark``s its start, ``record``s its appends, and is
+    ``replay``ed at the same positions.
     """
 
     def __init__(self, start: Circuit, ctx: LabelContext,
@@ -652,7 +674,7 @@ class CircuitBuilder:
         argument position, and ``result`` with a new label as 2 * its offset
         and an old one as 2 * its position + 1. It redoes the call only if the
         appends attached no wire but the located argument's and wires they
-        created, as a closed closure's do."""
+        created, as a lifted closure's do in a program that type-checked."""
         (_, arg), lo, start, resized = mark
         pos, entries = self.pos, self.entries
         codes = None if self.resized != resized else map_bundle(

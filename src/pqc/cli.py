@@ -250,7 +250,8 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     prog, registry = _load(args.file, args.gates)
     check_program(prog, registry)
-    circuit, out_ctx, value = evaluate_program(prog, registry, fuel=args.fuel)
+    circuit, out_ctx, value = evaluate_program(prog, registry, fuel=args.fuel,
+                                               checked=True)
     if args.emit_circuit is not None:
         with open(args.emit_circuit, "wb") as f:
             f.write(serialize(circuit))

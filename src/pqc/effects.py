@@ -77,11 +77,12 @@ def verify_dynamic(
 
     The program must return a bundle mentioning every wire it leaves open;
     the produced circuit's outputs are permuted into the bundle's order
-    before comparison so both sides agree on endpoints.
+    before comparison so both sides agree on endpoints. The inference is a
+    type check, so the run replays repeated calls (``checked``).
     """
     registry = registry or default_registry()
     ty, static = infer_program_effect(prog, alg, registry)
-    circuit, out_ctx, value = evaluate_program(prog, registry, fuel)
+    circuit, out_ctx, value = evaluate_program(prog, registry, fuel, checked=True)
     flat = flatten_bundle(value_to_bundle(value))
     if sorted(flat) != sorted(out_ctx.labels):
         raise LinearityViolation(

@@ -26,16 +26,19 @@ The machine is call-by-value and never substitutes into the program:
   Validation happens in two places, once each: a ``BoxedCircuit`` checks
   its interfaces, bundles of its body's positions, when it is made, and
   the builder derives and checks the whole circuit's cod when it packages
-  the circuit (at the end of the run, or of a ``box``). In between,
-  ``apply`` only checks its argument against the body's input types and
-  places the body's steps by index arithmetic; a gate literal's layer is
-  placed once per offset and shared.
+  the circuit (at the end of the run, or of a ``box``), once per distinct
+  step and input object (``Circuit``). In between, ``apply`` only checks
+  its argument against the body's input types and places the body's steps
+  by index arithmetic; a gate literal's layer is placed once per offset
+  and shared.
 * Every rule firing costs one unit of fuel.
-* A closed function runs once per placement. A closure that reaches no
-  wire but its argument's adds the same steps, labels and fuel whenever it
-  is applied at the same typed positions of a circuit of the same width.
-  So the builder records such a call, and replays it for a later call of
-  the same closure at the same positions if the closure is closed.
+* In a program that type-checked, a closure that is called again is a
+  lifted one, and reaches no wire but its argument's (``_Memo``). It adds
+  the same steps, labels and fuel whenever it is applied at the same typed
+  positions of a circuit of the same width. So the builder records such a
+  call, and replays it for a later call of the same closure at the same
+  positions. The caller says that the program checked (``checked=True``);
+  an unchecked run interprets every call.
 
 ``evaluate`` returns the result in its runtime form, which is its syntax
 unless it holds a closure. ``readback`` substitutes each closure's scope
@@ -46,7 +49,6 @@ or in an error message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import AbstractSet, Optional, Union
 
 from .circuits import (
@@ -225,86 +227,32 @@ def value_to_bundle(v) -> Bundle:
 
 
 # --------------------------------------------------------------------------
-# replaying closed calls
+# replaying calls
 # --------------------------------------------------------------------------
-
-# the parts of each node, other than lambdas and blocks, that are terms or
-# values (a tuple if many)
-_PARTS = {Ret: attrgetter("value"), App: attrgetter("fn", "arg"),
-          Ifz: attrgetter("cond", "then", "els"), Force: attrgetter("value"),
-          Box: attrgetter("value"), Apply: attrgetter("circ", "arg"),
-          Lift: attrgetter("term")}
-
-
-def _free(v: Union[Lam, Lift]) -> Optional[set]:
-    """The free variables of a lambda or lift; None if it holds a label.
-
-    One walk with no recursion: a name (a ``str`` on the stack) is bound
-    from where it is popped, and a list of names ends their scope.
-    """
-    free, bound, todo = set(), {}, [v]  # bound: how many binders hide a name
-    while todo:
-        x = todo.pop()
-        t = type(x)
-        if t is Var:
-            if not bound.get(x.name):
-                free.add(x.name)
-        elif t is Label:
-            return None
-        elif t is str:
-            bound[x] = bound.get(x, 0) + 1
-        elif t is list:
-            for name in x:
-                bound[name] -= 1
-        elif t is Lam:
-            todo += ([x.var], x.body, x.var)
-        elif t is Block:
-            todo += ([n for b in x.binders for n in _binds(b)], x.tail)
-            for b in reversed(x.binders):
-                todo += (*_binds(b), b.bound if type(b) is LetBinder else b.value)
-        elif t is tuple:
-            todo += x
-        elif t in _PARTS:
-            todo.append(_PARTS[t](x))
-    return free
-
-
-def _binds(b: Union[LetBinder, DestBinder]) -> tuple[str, ...]:
-    return (b.var,) if type(b) is LetBinder else (b.left, b.right)
-
 
 class _Memo:
     """The recorded calls of one evaluation, keyed by the closure (its
     ``Lam``'s id and its sealed ``Env``) and where the builder ``locate``s
-    the argument. A record is the builder's, with the fuel the call spent;
-    it is replayed only if its closure is ``closed``."""
+    the argument. A record is the builder's, with the fuel the call spent.
+
+    Only a run of a program that type-checked keeps a memo, and the typing
+    is what makes a replay sound. ``CircuitBuilder.record`` asks that a
+    call attach no wire but its argument's and those it creates.
+    A key repeats only when the same ``Lam`` is evaluated again in the same
+    ``Env``. A function type is linear, so one closure is applied once. An
+    application runs its body in a new scope, and a binder in a sealed scope
+    opens a child scope, so a closure made in a body or after a ``let`` is
+    new each time. What is left is ``force`` of a ``lift``, which runs its
+    term in the one scope the lift was written in.
+    The ``!`` rule types ``lift M`` only under a context with no linear
+    variables, and labels are linear. So the lifted closure, and everything
+    its scope holds (numbers, unit, boxed circuits and other lifts), reaches
+    no wire. An unchecked run has no such guarantee and interprets every
+    call.
+    """
 
     def __init__(self):
         self.records: dict = {}
-        self.known: dict = {}  # whether each closure is closed
-        self.free: dict = {}  # _free of each lambda and lift, by id
-
-    def closed(self, fn: Closure) -> bool:
-        """Whether no label is in ``fn``'s term or held by a free variable,
-        through tuples and the closures there."""
-        seen, todo = set(), [fn]
-        while todo:
-            v = todo.pop()
-            if type(v) is Label:
-                return False
-            if type(v) is tuple:
-                todo += v
-            elif type(v) is Closure and (id(v.value), v.env) not in seen:
-                seen.add((id(v.value), v.env))
-                x = v.value  # lift return (\y. M) has the free variables of \y. M
-                if type(x) is Lift and type(x.term) is Ret and type(x.term.value) is Lam:
-                    x = x.term.value
-                if id(x) not in self.free:
-                    self.free[id(x)] = _free(x)
-                if self.free[id(x)] is None:
-                    return False
-                todo += [w for w in map(v.env.lookup, self.free[id(x)]) if w is not None]
-        return True
 
     def enter(self, fn: Closure, arg, builder: CircuitBuilder,
               fuel: Optional[int], stack: list):
@@ -314,16 +262,13 @@ class _Memo:
         where = builder.locate(arg)
         if where is None:
             return None
-        closure = (id(fn.value), fn.env)
-        key = (*closure, *where)
+        key = (id(fn.value), fn.env, *where)
         rec = self.records.get(key)
         if rec is None:
             stack.append([key, builder.mark(where), fuel])
             return None
         record, cost = rec
-        if closure not in self.known:
-            self.known[closure] = self.closed(fn)
-        if not self.known[closure] or fuel is not None and fuel < cost:
+        if fuel is not None and fuel < cost:
             return None  # short of fuel, the body runs out at the same rule
         return builder.replay(record), cost
 
@@ -349,12 +294,13 @@ _BINDS_IN_SCOPE = (Block, Ifz)
 
 
 def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
-         fuel: Optional[int]):
-    """Run ``m`` to a runtime value, extending ``builder``'s circuit."""
+         fuel: Optional[int], checked: bool):
+    """Run ``m`` to a runtime value, extending ``builder``'s circuit; replay
+    repeated calls if the program type-checked (``checked``, ``_Memo``)."""
     # (var, rest, next binder, env) for a let; the builder to resume after a
     # box; a list for a call being recorded (_Memo.enter)
     stack: list = []
-    memo = _Memo()
+    memo = _Memo() if checked else None
     i = 0  # the binder to run next while m is a block; 0 otherwise
     while True:
         if fuel is not None:
@@ -412,7 +358,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             arg = env.lookup(x.name) if type(x) is Var else None
             if arg is None:
                 arg = _value(x, env)
-            hit = memo.enter(fn, arg, builder, fuel, stack)
+            hit = memo and memo.enter(fn, arg, builder, fuel, stack)
             if hit is None:
                 lam = fn.value
                 env = Env({lam.var: arg}, fn.env)
@@ -468,14 +414,20 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
 
 
 def evaluate(cfg: Configuration, registry: Optional[Registry] = None,
-             fuel: Optional[int] = None) -> tuple[Circuit, LabelContext, object]:
+             fuel: Optional[int] = None, *, checked: bool = False,
+             ) -> tuple[Circuit, LabelContext, object]:
     """Run a configuration to a runtime value; returns (circuit, outputs,
     value). New labels are numbered after the largest label among the
-    configuration's outputs."""
+    configuration's outputs.
+
+    ``checked`` says that the configuration type-checked (``check_program``
+    or ``check_configuration`` accepted it). Only then are repeated calls
+    replayed (``_Memo``); an unchecked run interprets every call.
+    """
     builder = CircuitBuilder(cfg.circuit, cfg.out_ctx)
     closed = Env()  # the configuration's values are closed
     env = Env({x: _value(v, closed) for x, v in cfg.env.items()})
-    v = _run(builder, env, cfg.term, registry or default_registry(), fuel)
+    v = _run(builder, env, cfg.term, registry or default_registry(), fuel, checked)
     return builder.circuit(), builder.context(), v
 
 
@@ -494,7 +446,8 @@ def initial_configuration(prog: Program) -> tuple[Configuration, LabelContext]:
 
 
 def evaluate_program(prog: Program, registry: Optional[Registry] = None,
-                     fuel: Optional[int] = None,
+                     fuel: Optional[int] = None, *, checked: bool = False,
                      ) -> tuple[Circuit, LabelContext, object]:
+    """``evaluate`` from a program's initial configuration."""
     cfg, _ = initial_configuration(prog)
-    return evaluate(cfg, registry, fuel)
+    return evaluate(cfg, registry, fuel, checked=checked)

@@ -139,13 +139,21 @@ def wires_of(ty: Type) -> Obj:
 
 
 def bundle_type(bundle, o: Obj) -> Type:
-    """The shape type of a bundle of positions in the object ``o``."""
-    if bundle == ():
-        return BundleUnitT()
-    if type(bundle) is not tuple:
-        return _TYPE_OF_WIRE[o[bundle]]
-    left, right = bundle
-    return TensorT(bundle_type(left, o), bundle_type(right, o))
+    """The shape type of a bundle of positions in the object ``o``, read in
+    a loop: a pair's parts are typed in turn, then None joins them."""
+    todo, done = [bundle], []
+    while todo:
+        b = todo.pop()
+        if b is None:
+            right = done.pop()
+            done.append(TensorT(done.pop(), right))
+        elif type(b) is not tuple:
+            done.append(_TYPE_OF_WIRE[o[b]])
+        elif b:
+            todo += (None, b[1], b[0])
+        else:
+            done.append(BundleUnitT())
+    return done[0]
 
 
 def tensor_of(parts: list[Type]) -> Type:
@@ -327,6 +335,8 @@ class EffectChecker:
         return {i for i in used if i < base}
 
     def _blocks_obj(self, indices: Sequence[int]) -> Obj:
+        if len(indices) == 1:
+            return self.ctx[indices[0]].wires
         return tuple(w for i in indices for w in self.ctx[i].wires)
 
     def _check_endpoints(self, m: Term, eff: Effect, consumed: Sequence[int],
@@ -477,8 +487,11 @@ class EffectChecker:
                 if not isinstance(vt, TensorT):
                     raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
                 consume(u, order, None, 2)
-                self._bind(b.left, vt.left)
-                self._bind(b.right, vt.right)
+                # the value's wires are its entries', in order: the right
+                # half gets those the left half does not take
+                left = wires_of(vt.left)
+                self._bind(b.left, vt.left, left)
+                self._bind(b.right, vt.right, self._blocks_obj(order)[len(left):])
         ty, wires, u, order, e = self._leaf(tail)
         consume(u, order, e, 0)
 

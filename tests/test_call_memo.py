@@ -1,12 +1,17 @@
-"""The evaluator's replay of closed calls changes nothing a run shows.
+"""The evaluator's replay of repeated calls changes nothing a run shows.
 
 Each program runs twice: as is, and with the memo's store (``_Memo.leave``)
 made a no-op, so that every call is interpreted. The two runs must build the
 same steps and open the same labels with the same types, return the same
 value, or raise the same error with the same message. The programs are
-chosen so that a key without the positions, the width or the wire types, a
-record without the types it leaves, or a memo that replays a closure which
-reaches a wire other than its argument's, gives a different run.
+chosen so that a key without the positions, the width or the wire types, or
+a record without the types it leaves, gives a different run.
+
+Replay is allowed by the type check, not decided at run time: a program
+that checked is run with ``checked=True``, and only such a run replays. The
+``UNCHECKED`` programs are rejected by the checker. They run without the
+keyword, as a library caller who skipped the checker would run them, and
+must raise the error a direct run raises, with no replay involved.
 """
 
 import pytest
@@ -14,6 +19,7 @@ import pytest
 from generators import random_program, rng
 from pqc import evaluator
 from pqc.circuits import CircuitBuilder, Layer
+from pqc.cli import main
 from pqc.errors import FuelExhausted, PqcError
 from pqc.evaluator import evaluate_program, readback
 from pqc.gates import default_registry
@@ -23,17 +29,18 @@ from pqc.typecheck import check_program
 registry = default_registry()
 
 
-def outcome(prog, fuel=None):
-    """What a run shows: its circuit, open outputs and value, or its error."""
+def outcome(prog, fuel=None, **kw):
+    """What a run shows: its circuit, open outputs and value, or its error.
+    ``kw`` goes to ``evaluate_program``."""
     try:
-        c, ctx, v = evaluate_program(prog, registry, fuel)
+        c, ctx, v = evaluate_program(prog, registry, fuel, **kw)
     except PqcError as e:
         return "error", type(e).__name__, str(e)
     return "ok", c.dom, c.steps, ctx.entries, show_value(readback(v))
 
 
-def replays(monkeypatch, prog, fuel=None) -> int:
-    """How many calls a run replays."""
+def counting_replays(monkeypatch, run) -> int:
+    """How many calls ``run()`` replays."""
     seen = []
     replay = CircuitBuilder.replay
 
@@ -42,15 +49,20 @@ def replays(monkeypatch, prog, fuel=None) -> int:
         return replay(self, *args)
     with monkeypatch.context() as m:
         m.setattr(CircuitBuilder, "replay", spy)
-        outcome(prog, fuel)
+        run()
     return len(seen)
 
 
-def same_with_memo_off(monkeypatch, prog, fuel=None):
-    on = outcome(prog, fuel)
+def replays(monkeypatch, prog, fuel=None, **kw) -> int:
+    """How many calls a run replays."""
+    return counting_replays(monkeypatch, lambda: outcome(prog, fuel, **kw))
+
+
+def same_with_memo_off(monkeypatch, prog, fuel=None, **kw):
+    on = outcome(prog, fuel, **kw)
     with monkeypatch.context() as m:
         m.setattr(evaluator._Memo, "leave", lambda self, *args: None)
-        off = outcome(prog, fuel)
+        off = outcome(prog, fuel, **kw)
     assert on == off
     return on
 
@@ -143,8 +155,8 @@ TYPED = {
         return (b, c)""",
 }
 
-# Programs the checker rejects, run without it: the memo must not replay
-# what a direct run would refuse.
+# Programs the checker rejects, run without it: a direct run raises, and an
+# unchecked run replays nothing.
 UNCHECKED = {
     # a bit where the record saw a qubit
     "meas-of-a-bit": """
@@ -187,15 +199,37 @@ UNCHECKED = {
 def test_replay_builds_what_the_calls_build(monkeypatch, name):
     prog = parse_program(TYPED[name])
     check_program(prog, registry)
-    got = same_with_memo_off(monkeypatch, prog)
+    got = same_with_memo_off(monkeypatch, prog, checked=True)
     assert got[0] == "ok", got
-    assert replays(monkeypatch, prog) > 0
+    assert replays(monkeypatch, prog, checked=True) > 0
+
+
+@pytest.mark.parametrize("name", sorted(TYPED))
+def test_an_unchecked_run_replays_nothing(monkeypatch, name):
+    prog = parse_program(TYPED[name])
+    assert outcome(prog) == outcome(prog, checked=True)
+    assert counting_replays(
+        monkeypatch, lambda: evaluate_program(prog, registry)) == 0
 
 
 @pytest.mark.parametrize("name", sorted(UNCHECKED))
 def test_no_replay_where_a_call_would_fail(monkeypatch, name):
-    got = same_with_memo_off(monkeypatch, parse_program(UNCHECKED[name]))
+    prog = parse_program(UNCHECKED[name])
+    with pytest.raises(PqcError):
+        check_program(prog, registry)
+    got = same_with_memo_off(monkeypatch, prog)
     assert got[0] == "error", got  # the second call raises
+    assert replays(monkeypatch, prog) == 0
+
+
+@pytest.mark.parametrize("cmd", [["run"], ["run", "--json"],
+                                 ["verify", "--metric", "gates"]])
+def test_the_cli_replays_what_it_checked(monkeypatch, capsys, tmp_path, cmd):
+    path = tmp_path / "doubling.pqc"
+    path.write_text(doubling(6))
+    argv, codes = [cmd[0], str(path), *cmd[1:]], []
+    assert counting_replays(monkeypatch, lambda: codes.append(main(argv))) > 0
+    assert codes == [0]
 
 
 def test_a_call_that_moves_other_wires_is_not_replayed(monkeypatch):
@@ -209,23 +243,28 @@ def test_a_call_that_moves_other_wires_is_not_replayed(monkeypatch):
         let h = force f in let b = h b in
         return (a, b, c)""")
     check_program(prog, registry)
-    assert same_with_memo_off(monkeypatch, prog)[0] == "ok"
-    assert replays(monkeypatch, prog) == 0
+    assert same_with_memo_off(monkeypatch, prog, checked=True)[0] == "ok"
+    assert replays(monkeypatch, prog, checked=True) == 0
 
 
 def test_random_programs_run_alike(monkeypatch):
     r = rng("call-memo")
+    replayed = 0
     for i in range(120):
-        same_with_memo_off(monkeypatch, random_program(r, ascribed=i % 2 == 0))
+        prog = random_program(r, ascribed=i % 2 == 0, calls=i % 3 == 0)
+        check_program(prog, registry)
+        same_with_memo_off(monkeypatch, prog, checked=True)
+        replayed += replays(monkeypatch, prog, checked=True)
+    assert replayed > 0
 
 
-def minimal_fuel(prog) -> int:
+def minimal_fuel(prog, **kw) -> int:
     lo, hi = 0, 1
-    while outcome(prog, hi)[0] == "error":
+    while outcome(prog, hi, **kw)[0] == "error":
         lo, hi = hi, 2 * hi
     while hi - lo > 1:  # the run fails with lo and succeeds with hi
         mid = (lo + hi) // 2
-        if outcome(prog, mid)[0] == "error":
+        if outcome(prog, mid, **kw)[0] == "error":
             lo = mid
         else:
             hi = mid
@@ -234,15 +273,17 @@ def minimal_fuel(prog) -> int:
 
 def test_replay_charges_the_fuel_of_the_call(monkeypatch):
     prog = parse_program(doubling(6))
-    fuel = minimal_fuel(prog)
+    fuel = minimal_fuel(prog, checked=True)
+    assert minimal_fuel(prog) == fuel
     with monkeypatch.context() as m:
         m.setattr(evaluator._Memo, "leave", lambda self, *args: None)
-        assert minimal_fuel(prog) == fuel
-    assert replays(monkeypatch, prog, fuel) > 0
-    same_with_memo_off(monkeypatch, prog, fuel)
+        assert minimal_fuel(prog, checked=True) == fuel
+    assert replays(monkeypatch, prog, fuel, checked=True) > 0
+    same_with_memo_off(monkeypatch, prog, fuel, checked=True)
     with pytest.raises(FuelExhausted):
-        evaluate_program(prog, registry, fuel - 1)
-    assert same_with_memo_off(monkeypatch, prog, fuel - 1)[1] == "FuelExhausted"
+        evaluate_program(prog, registry, fuel - 1, checked=True)
+    got = same_with_memo_off(monkeypatch, prog, fuel - 1, checked=True)
+    assert got[1] == "FuelExhausted"
 
 
 def test_doubling_interprets_one_body_per_level(monkeypatch):
@@ -259,10 +300,11 @@ def test_doubling_interprets_one_body_per_level(monkeypatch):
             return hit
         with monkeypatch.context() as m:
             m.setattr(evaluator._Memo, "enter", spy)
-            c, _, _ = evaluate_program(parse_program(doubling(levels)), registry)
+            c, _, _ = evaluate_program(parse_program(doubling(levels)), registry,
+                                       checked=True)
         assert sum(type(s) is Layer for s in c.steps) == 2 ** levels
         return sum(runs), len(runs) - sum(runs), replays(
-            monkeypatch, parse_program(doubling(levels)))
+            monkeypatch, parse_program(doubling(levels)), checked=True)
 
     run8, hit8, replayed8 = counts(8)
     run12, hit12, replayed12 = counts(12)

@@ -67,6 +67,35 @@ def test_circuit_cod_is_derived():
     assert c.cod == (B,)
 
 
+def test_a_repeated_step_is_derived_once_per_input_object(monkeypatch):
+    calls = []
+    cod = Layer.cod
+
+    def spy(self, dom):
+        calls.append(dom)
+        return cod(self, dom)
+    monkeypatch.setattr(Layer, "cod", spy)
+    h = Layer(((H, 0),))
+    c = Circuit((Q, Q), (h,) * 1000)
+    assert c.cod == (Q, Q) and len(calls) <= 3
+    # one meas object on both wires in turn: its input differs each time, so
+    # each placement is derived, and the second finds a bit and raises
+    calls.clear()
+    meas, swap = Layer(((MEAS, 0),)), Perm((1, 0))
+    assert Circuit((Q, Q), (meas, swap, meas)).cod == (B, B)
+    assert calls == [(Q, Q), (Q, B)]
+    with pytest.raises(ObjectMismatch, match="found"):
+        Circuit((Q,), (meas, meas))
+
+
+def test_a_repeated_step_that_finds_a_bit_is_refused_when_read():
+    doc = serialize(Circuit((Q,), (Layer(((MEAS, 0),)),)))
+    meas = b'{"layer": [{"gate": "meas", "at": 0}]}, '
+    twice = doc.replace(b'"steps": [', b'"steps": [' + meas)
+    with pytest.raises(ParseError, match="ill-typed"):
+        deserialize(twice, registry)
+
+
 def test_compose_requires_matching_endpoints():
     with pytest.raises(ObjectMismatch):
         compose(identity((Q,)), identity((Q, Q)))

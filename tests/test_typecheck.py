@@ -6,7 +6,10 @@ import pytest
 from generators import rng, random_program
 from oracles import RightFoldChecker
 from pqc.algebras import ALGEBRAS, TRIVIAL, algebra, depth_bound
-from pqc.circuits import WireType, freshlabels, identity, label_supply
+from pqc.circuits import (
+    Circuit, Layer, WireType, box_circuit, freshlabels, identity, label_supply,
+    qubits,
+)
 from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.errors import (
     BoxCapturesWires, LinearityViolation, MisplacedTerm, NotACircuit,
@@ -257,6 +260,18 @@ def test_deep_let_chain_checks_and_infers():
     assert eff.value == 10_000
     _, eff = infer_program_effect(prog, algebra("depth"), registry)
     assert depth_bound(eff) == 10_000
+
+
+def test_a_5000_wire_boxed_spine_infers():
+    # a boxed circuit's interfaces are typed in a loop, not one frame a pair
+    n = 5000
+    h = registry.gate("H")
+    boxed = box_circuit(Circuit(qubits(n), (Layer(tuple((h, i) for i in range(n))),)))
+    for alg in (TRIVIAL, algebra("gates")):
+        ty, used, order = EffectChecker(alg, registry).infer_value(boxed)
+        assert wires_of(ty.dom) == wires_of(ty.cod) == qubits(n)
+        assert used == set() and order == []
+    assert ty.eff.value == n
 
 
 def test_box_needs_matching_shape():
