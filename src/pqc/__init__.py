@@ -65,12 +65,7 @@ from .errors import (
     PqcError,
     TypecheckError,
 )
-from .evaluator import (
-    Configuration,
-    evaluate,
-    evaluate_program,
-    initial_configuration,
-)
+from .evaluator import evaluate_program
 from .gates import (
     GateDef,
     Registry,

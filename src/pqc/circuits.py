@@ -504,15 +504,16 @@ def spine(xs) -> Union[Shape, Bundle]:
 class CircuitBuilder:
     """A circuit under construction, extended in place by ``append``.
 
-    The builder holds the step list and the open outputs as a label context
-    (an entry list plus a label -> position map). ``append`` checks the
+    It starts as the identity on the wires of ``ctx``, its open outputs. The
+    builder holds the step list and the open outputs as a label context (an
+    entry list plus a label -> position map). ``append`` checks the
     attach bundle against the body's dom and adds the body's steps, placed
     by index arithmetic: a body was validated when it was boxed, so its
     steps are not re-derived one by one. ``circuit()`` and ``context()``
     package the result; ``circuit()`` derives the cod in ``Circuit``, once
     per distinct step and input object, and checks it against the open
     outputs. Output labels come from ``supply``, which by default continues
-    after the largest label of the starting context. ``private`` starts a
+    after the largest label of ``ctx``. ``private`` starts a
     box's builder on the same supply, and ``boxed`` packages what that
     builder built, its labels turned into positions. Where each wire sits
     is known only here: a repeated call ``locate``s its argument by
@@ -520,19 +521,15 @@ class CircuitBuilder:
     ``replay``ed at the same positions.
     """
 
-    def __init__(self, start: Circuit, ctx: LabelContext,
-                 supply: LabelSupply | None = None):
-        if start.cod != ctx.obj:
-            raise ObjectMismatch(
-                f"circuit ends in {start.cod}, open outputs are {ctx.obj}")
-        self.dom = start.dom
-        self.steps: list[Step] = list(start.steps)
+    def __init__(self, ctx: LabelContext, supply: LabelSupply | None = None):
+        self.dom = ctx.obj
+        self.steps: list[Step] = []
         self.entries = list(ctx.entries)
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
         self.supply = supply if supply is not None else label_supply(
             max(self.pos, default=-1) + 1)
         self.resized = 0  # appends that may have moved wires, for record
-        self._circuit: Circuit | None = start
+        self._circuit: Circuit | None = identity(self.dom)
         self._ctx: LabelContext | None = ctx
 
     def circuit(self) -> Circuit:
@@ -643,7 +640,7 @@ class CircuitBuilder:
         ``shape`` from this builder's supply, and the bundle naming them."""
         start = self.supply.n
         in_ctx, bundle = freshlabels(shape, self.supply)
-        inner = CircuitBuilder(identity(in_ctx.obj), in_ctx, self.supply)
+        inner = CircuitBuilder(in_ctx, self.supply)
         inner.inputs = map_bundle(bundle, lambda l: l - start)  # minted in order
         return inner, bundle
 
@@ -790,7 +787,7 @@ def deserialize(raw: bytes | str, registry) -> Circuit:
 # drawing
 # --------------------------------------------------------------------------
 
-def draw(c: Circuit, in_ctx: LabelContext | None = None) -> str:
+def draw(c: Circuit) -> str:
     """Plain-text rendering: one row per wire, one column per step.
 
     Wires keep their row for their whole lifetime; gate names are printed on
@@ -845,10 +842,7 @@ def draw(c: Circuit, in_ctx: LabelContext | None = None) -> str:
         max([2] + [len(w["segs"][ci]) for w in wires if ci in w["segs"]]) + 2
         for ci in range(ncols)
     ]
-    if in_ctx is not None:
-        prefix = {i: f"{l}:{t} " for i, (l, t) in enumerate(in_ctx.entries)}
-    else:
-        prefix = {i: f"{t} " for i, t in enumerate(c.dom)}
+    prefix = {i: f"{t} " for i, t in enumerate(c.dom)}
     margin = max((len(p) for p in prefix.values()), default=0)
 
     lines = []

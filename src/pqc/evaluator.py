@@ -1,13 +1,16 @@
 """Evaluation of programs into circuits, by an environment machine.
 
-A machine state is a configuration: the circuit built so far, the label
-context naming its open outputs, and the term still to run, with an
-environment giving the term's free variables their values. Evaluation only
-ever extends the circuit — ``apply`` appends a boxed circuit at the wires
-named by its argument bundle, and ``box`` runs its function in a fresh
-private configuration and captures the result as a value. This is the
-configuration semantics of Proto-Quipper-M (Rios & Selinger, QPL 2017), in
-which ``append`` is the only way a circuit grows.
+``evaluate_program`` is the one entry point. A run starts from the
+program's input wires, labelled ``#0, #1, ...`` in order: the circuit is
+the identity on them, and the term is the program's. A machine state is a
+configuration: the circuit built so far, the label context naming its open
+outputs, and the term still to run, with an environment giving the term's
+free variables their values. Evaluation only ever extends the circuit —
+``apply`` appends a boxed circuit at the wires named by its argument
+bundle, and ``box`` runs its function in a fresh private configuration and
+captures the result as a value. This is the configuration semantics of
+Proto-Quipper-M (Rios & Selinger, QPL 2017), in which ``append`` is the
+only way a circuit grows.
 
 The machine is call-by-value and never substitutes into the program:
 
@@ -40,20 +43,19 @@ The machine is call-by-value and never substitutes into the program:
   positions. The caller says that the program checked (``checked=True``);
   an unchecked run interprets every call.
 
-``evaluate`` returns the result in its runtime form, which is its syntax
-unless it holds a closure. ``readback`` substitutes each closure's scope
-into it, only where a value is printed (``show_runtime``): by ``pqc run``
-or in an error message.
+``evaluate_program`` returns the result in its runtime form, which is its
+syntax unless it holds a closure. ``readback`` substitutes each closure's
+scope into it, only where a value is printed (``show_runtime``): by ``pqc
+run`` or in an error message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import AbstractSet, Optional, Union
 
 from .circuits import (
     BoxedCircuit, Bundle, Circuit, CircuitBuilder, Label, LabelContext,
-    flatten_bundle, identity, label_supply,
+    flatten_bundle, label_supply,
 )
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
@@ -62,15 +64,6 @@ from .syntax import (
     Lift, NatVal, Program, Ret, Term, Value, Var, show_value,
 )
 from .typecheck import input_wires, shape_of
-
-
-@dataclass
-class Configuration:
-    circuit: Circuit
-    out_ctx: LabelContext
-    term: Term
-    env: dict[str, Value] = field(default_factory=dict)
-    """Values of the term's free variables (a program's inputs)."""
 
 
 # --------------------------------------------------------------------------
@@ -413,41 +406,22 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
         env.vars[var] = v
 
 
-def evaluate(cfg: Configuration, registry: Optional[Registry] = None,
-             fuel: Optional[int] = None, *, checked: bool = False,
-             ) -> tuple[Circuit, LabelContext, object]:
-    """Run a configuration to a runtime value; returns (circuit, outputs,
-    value). New labels are numbered after the largest label among the
-    configuration's outputs.
-
-    ``checked`` says that the configuration type-checked (``check_program``
-    or ``check_configuration`` accepted it). Only then are repeated calls
-    replayed (``_Memo``); an unchecked run interprets every call.
-    """
-    builder = CircuitBuilder(cfg.circuit, cfg.out_ctx)
-    closed = Env()  # the configuration's values are closed
-    env = Env({x: _value(v, closed) for x, v in cfg.env.items()})
-    v = _run(builder, env, cfg.term, registry or default_registry(), fuel, checked)
-    return builder.circuit(), builder.context(), v
-
-
-def initial_configuration(prog: Program) -> tuple[Configuration, LabelContext]:
-    """Input labels ``#0, #1, ...`` for a program; returns (configuration,
-    input ctx)."""
-    supply = label_supply()
-    entries = []
-    env: dict[str, Label] = {}
-    for (name, _), wire in zip(prog.inputs, input_wires(prog)):
-        label = next(supply)
-        entries.append((label, wire))
-        env.setdefault(name, label)  # the first of two equal names wins
-    in_ctx = LabelContext(tuple(entries))
-    return Configuration(identity(in_ctx.obj), in_ctx, prog.term, env), in_ctx
-
-
 def evaluate_program(prog: Program, registry: Optional[Registry] = None,
                      fuel: Optional[int] = None, *, checked: bool = False,
                      ) -> tuple[Circuit, LabelContext, object]:
-    """``evaluate`` from a program's initial configuration."""
-    cfg, _ = initial_configuration(prog)
-    return evaluate(cfg, registry, fuel, checked=checked)
+    """Run a program to a runtime value; returns (circuit, outputs, value).
+    The inputs are labelled ``#0, #1, ...`` in order, and new labels are
+    numbered after them.
+
+    ``checked`` says that the program type-checked (``check_program``
+    accepted it). Only then are repeated calls replayed (``_Memo``); an
+    unchecked run interprets every call.
+    """
+    supply = label_supply()
+    in_ctx = LabelContext(tuple((next(supply), wire) for wire in input_wires(prog)))
+    env = Env()
+    for (name, _), label in zip(prog.inputs, in_ctx.labels):
+        env.vars.setdefault(name, label)  # the first of two equal names wins
+    builder = CircuitBuilder(in_ctx, supply)
+    v = _run(builder, env, prog.term, registry or default_registry(), fuel, checked)
+    return builder.circuit(), builder.context(), v

@@ -354,23 +354,67 @@ class EffectChecker:
     # ---- stored effects ---------------------------------------------------
 
     def _check_promise(self, actual: Type, expected: Type, what: str) -> None:
-        """Enforce scalar ascriptions the expected type makes about functions."""
+        """Enforce the promises the expected type makes about stored effects:
+        a function's or circuit's scalar ascription, and that a thunk of a
+        type holding no wires, when it stores no effect, emits no gates
+        (``force`` and ``box`` charge it as the identity). They hold through
+        tensors, thunks and function results, and the other way round for
+        function parameters."""
+        alg = self.alg
         match (actual, expected):
             case (TensorT(al, ar), TensorT(bl, br)):
                 self._check_promise(al, bl, what)
                 self._check_promise(ar, br, what)
-            case (BangT(ai, _), BangT(bi, _)):
+            case (BangT(ai, ae), BangT(bi, be)):
+                if (be is None and ae is not None and not wires_of(bi)
+                        and not alg.leq(ae, alg.identity_effect(alg.obj_of(())))):
+                    raise EffectError(
+                        f"{what} is a thunk of type {show_type(expected)}, which "
+                        f"must emit no gates, but it does")
                 self._check_promise(ai, bi, what)
-            case ((ArrowT(), ArrowT()) | (CircT(), CircT())) if expected.bound is not None:
+            case (ArrowT(), ArrowT()) | (CircT(), CircT()):
+                if type(actual) is ArrowT:
+                    self._check_promise(actual.cod, expected.cod, f"the result of {what}")
+                    self._check_promise(expected.dom, actual.dom, f"the parameter of {what}")
+                if expected.bound is None:
+                    return
                 if actual.eff is None:
                     raise EffectError(
                         f"cannot establish the promised bound {expected.bound} "
                         f"for {what}")
-                reached = self.alg.bound_of(actual.eff)
+                reached = alg.bound_of(actual.eff)
                 if reached > expected.bound:
                     raise EffectError(
                         f"{what} must stay under {expected.bound} "
                         f"but reaches {reached}")
+
+    def _join_stored(self, a: Type, b: Type) -> Type:
+        """Two ``ifz`` branches' types, equal but for their stored effects,
+        as one type storing the join of each pair: through tensor parts,
+        thunks and function results. None where either stores none, but a
+        thunk of a type holding no wires that stores none stands for the
+        identity (``_check_promise``)."""
+        alg = self.alg
+
+        def join(e1, e2, missing=None):
+            if e1 is None and e2 is None:
+                return None
+            e1, e2 = (missing if e1 is None else e1), (missing if e2 is None else e2)
+            return None if e1 is None or e2 is None else alg.join(e1, e2)
+
+        match a:
+            case TensorT():
+                return TensorT(self._join_stored(a.left, b.left),
+                               self._join_stored(a.right, b.right))
+            case BangT():
+                unit = None if wires_of(a.inner) else alg.identity_effect(alg.obj_of(()))
+                return BangT(self._join_stored(a.inner, b.inner), join(a.eff, b.eff, unit))
+            case ArrowT():
+                return ArrowT(a.dom, self._join_stored(a.cod, b.cod), a.captured,
+                              a.bound, join(a.eff, b.eff))
+            case CircT():
+                return CircT(a.dom, a.cod, a.bound, join(a.eff, b.eff))
+        return a
 
     def _stored_effect(self, ty: ArrowT | CircT) -> Effect:
         """The effect a function or circuit type stores for its body."""
@@ -609,9 +653,10 @@ class EffectChecker:
                         f"ifz condition must be Nat, got {show_type(ct)}")
                 ty, wires, tu, te = self._infer(then)
                 et, _, eu, ee = self._infer(els)
-                if ty != et:
+                if ty != et:  # so their bounds agree too
                     raise ShapeMismatch(
                         f"ifz branches disagree: {show_type(ty)} vs {show_type(et)}")
+                ty = self._join_stored(ty, et)
                 if self._linear(tu) != self._linear(eu):
                     raise LinearityViolation(
                         "ifz branches must consume the same wires")

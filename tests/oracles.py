@@ -574,10 +574,9 @@ class ValidatingBuilder:
     they are identities, and the running cod is derived step by step.
     """
 
-    def __init__(self, start: Circuit, ctx: LabelContext, supply=None):
-        self.dom = start.dom
-        self.cod = start.cod
-        self.steps: list[Step] = list(start.steps)
+    def __init__(self, ctx: LabelContext, supply=None):
+        self.dom = self.cod = ctx.obj
+        self.steps: list[Step] = []
         self.entries = list(ctx.entries)
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
         self.supply = supply if supply is not None else label_supply(

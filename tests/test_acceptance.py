@@ -19,10 +19,10 @@ from oracles import depth_paths_oracle, width_cuts_oracle
 from test_algebras import bitstrings, check_functor_laws, random_table_effect
 from pqc.algebras import ALGEBRAS, algebra, depth_bound
 from pqc.circuits import (
-    Circuit, Layer, WireType, equivalent,
+    Circuit, Label, LabelContext, Layer, WireType, equivalent,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
-from pqc.evaluator import evaluate, initial_configuration, readback
+from pqc.evaluator import evaluate_program, readback
 from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import (
     Apply, App, Block, Box, Lift, LetBinder, Program, QubitT, Ret, TensorT, Var,
@@ -198,8 +198,9 @@ def test_type_preservation_on_random_programs():
     checked = 0
     for prog in general + assert_safe:
         ty1 = check_program(prog, registry)
-        cfg, in_ctx = initial_configuration(prog)
-        circuit, out_ctx, value = evaluate(cfg, registry)
+        circuit, out_ctx, value = evaluate_program(prog, registry)
+        # the inputs are labelled #0, #1, ... in order
+        in_ctx = LabelContext(tuple((Label(i), w) for i, w in enumerate(circuit.dom)))
         ty2, leftover = check_configuration(
             in_ctx, circuit, Ret(readback(value)), out_ctx, registry)
         assert same_type(ty1, ty2), show_program(prog)
@@ -240,8 +241,8 @@ def test_boxing_coherent_with_direct_application():
         direct = Program(inputs, None, App(lam, arg))
         check_program(boxed, registry)
         check_program(direct, registry)
-        c1, _, _ = evaluate(initial_configuration(boxed)[0], registry)
-        c2, _, _ = evaluate(initial_configuration(direct)[0], registry)
+        c1, _, _ = evaluate_program(boxed, registry)
+        c2, _, _ = evaluate_program(direct, registry)
         assert equivalent(c1, c2), show_program(boxed)
         checked += 1
     verdict("boxing coherent with direct application", checked == 50,

@@ -200,7 +200,7 @@ def test_boxed_circuit_refuses_bad_positions(inputs, outputs):
 
 
 def test_boxed_turns_a_private_builders_labels_into_positions():
-    outer = CircuitBuilder(identity(()), LabelContext())
+    outer = CircuitBuilder(LabelContext())
     inner, (a, (b, c)) = outer.private((Q, (B, Q)))
     x, y = inner.append((c, a), registry.boxed("CNOT"))  # x lands on 0, y on 2
     boxed = inner.boxed((b, (y, x)))
@@ -215,7 +215,7 @@ def test_boxed_turns_a_private_builders_labels_into_positions():
 def builder_on(o):
     """A builder over ``o`` with fresh input labels; returns (builder, ctx)."""
     ctx, _ = freshlabels(spine(o), label_supply())
-    return CircuitBuilder(identity(o), ctx), ctx
+    return CircuitBuilder(ctx), ctx
 
 
 def test_append_attach_single_wire():
@@ -260,9 +260,7 @@ def test_append_type_mismatch_and_unknown_label():
 
 def test_builder_checks_its_circuit_against_the_open_outputs():
     ctx, _ = freshlabels(spine((Q, Q)), label_supply())
-    with pytest.raises(ObjectMismatch, match="open outputs"):
-        CircuitBuilder(identity((Q, B)), ctx)
-    b = CircuitBuilder(identity((Q, Q)), ctx)
+    b = CircuitBuilder(ctx)
     b.steps.append(Layer(((MEAS, 1),)))  # a step the open outputs do not know of
     b.append(ctx.labels[0], registry.boxed("H"))
     with pytest.raises(ObjectMismatch, match="open outputs"):
@@ -325,7 +323,7 @@ def test_append_matches_validating_builder_on_random_attachments():
     for _ in range(150):
         dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(0, 6)))
         ctx, _ = freshlabels(spine(dom), label_supply(r.randint(0, 3)))
-        new, old = CircuitBuilder(identity(dom), ctx), ValidatingBuilder(identity(dom), ctx)
+        new, old = CircuitBuilder(ctx), ValidatingBuilder(ctx)
         literal = False  # the last append placed a gate literal
         for _ in range(r.randint(1, 10)):
             entries = new.context().entries
@@ -385,7 +383,7 @@ def test_bundle_walks_at_5000_wires():
         f"(#{i}, " for i in range(n - 1)) + f"#{n - 1}" + ")" * (n - 1)
     assert value_to_bundle(bundle) is bundle
     boxed = box_circuit(Circuit(qubits(n), (Layer(tuple((H, i) for i in range(n))),)))
-    b = CircuitBuilder(identity(qubits(n)), ctx)
+    b = CircuitBuilder(ctx)
     out = b.append(bundle, boxed)
     assert flatten_bundle(out) == b.context().labels == list(range(n, 2 * n))
 
@@ -415,7 +413,7 @@ def test_record_replays_on_a_builder_alike():
     for _ in range(150):
         dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(1, 6)))
         ctx, _ = freshlabels(spine(dom), label_supply(r.randint(0, 3)))
-        first, second = CircuitBuilder(identity(dom), ctx), CircuitBuilder(identity(dom), ctx)
+        first, second = CircuitBuilder(ctx), CircuitBuilder(ctx)
         live = r.sample(ctx.labels, r.randint(1, len(dom)))
         arg = random_nesting(r, live)
         assert first.locate(arg) == second.locate(arg) is not None
@@ -448,11 +446,11 @@ def test_record_refuses_a_changed_width_or_a_closed_wire():
     a, b = ctx.labels
     for boxed, attach in ((registry.boxed("init"), ()),
                           (registry.boxed("discard"), a)):
-        builder = CircuitBuilder(identity((Q, Q)), ctx)
+        builder = CircuitBuilder(ctx)
         mark = builder.mark(builder.locate(a))
         out = builder.append(attach, boxed)
         assert builder.record(mark, out if out != () else b) is None
-    builder = CircuitBuilder(identity((Q, Q)), ctx)
+    builder = CircuitBuilder(ctx)
     mark = builder.mark(builder.locate(a))
     c = builder.append(a, registry.boxed("H"))
     assert builder.record(mark, (c, b)) is not None

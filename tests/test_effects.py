@@ -15,7 +15,7 @@ from pqc.syntax import (
     ArrowT, BangT, CircT, QubitT, TensorT, UnitT, parse_program,
     parse_term, parse_type,
 )
-from pqc.typecheck import EffectChecker, synthesize_bounds
+from pqc.typecheck import EffectChecker, check_program, synthesize_bounds
 
 registry = default_registry()
 gates = algebra("gates")
@@ -116,6 +116,108 @@ def test_ifz_join_dominates_for_every_algebra():
     for name in sorted(ALGEBRAS):
         report = verify_dynamic(program(src), algebra(name), registry)
         assert report.dominated, name
+
+
+_LIGHT = r"\x: Qubit. return x"
+_HEAVY = r"\x: Qubit. let x = apply(@H, x) in let x = apply(@H, x) in return x"
+
+# Branches returning values that store an effect: the type of an ifz must
+# store the join of its branches' effects, at every place one is stored.
+IFZ_STORED = {
+    "function": ("let f = ifz {c} then return ({a}) else return ({b}) in f q",
+                 _LIGHT, _HEAVY),
+    "forced-lift": ("let t = ifz {c} then return (lift return ({a}))"
+                    " else return (lift return ({b})) in let f = force t in f q",
+                    _LIGHT, _HEAVY),
+    "lift-effect": ("let t = ifz {c} then return (lift {a}) else return (lift {b}) in"
+                    " let r = force t in return (q, r)",
+                    "apply(@init, *)",
+                    "let r = apply(@init, *) in let r = apply(@H, r) in apply(@H, r)"),
+    "applied-box": ("let k = ifz {c} then box[Qubit] lift {a}"
+                    " else box[Qubit] lift {b} in apply(k, q)", _LIGHT, _HEAVY),
+    "pair": ("let p = ifz {c} then return (0, {a}) else return (0, {b}) in"
+             " dest (n, f) = p in f q", _LIGHT, _HEAVY),
+    "function-result": (r"let g = ifz {c} then return (\n: Nat. return ({a}))"
+                        r" else return (\n: Nat. return ({b})) in let f = g 0 in f q",
+                        _LIGHT, _HEAVY),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(IFZ_STORED))
+def test_ifz_joins_the_effects_its_branches_store(shape):
+    template, light, heavy = IFZ_STORED[shape]
+
+    def prog(c, a, b):
+        return program("inputs q: Qubit; " + template.format(c=c, a=a, b=b))
+
+    for name in sorted(ALGEBRAS):
+        alg = algebra(name)
+        _, worse = infer_program_effect(prog(0, heavy, heavy), alg, registry)
+        for c in (0, 1):
+            for a, b in ((light, heavy), (heavy, light)):
+                report = verify_dynamic(prog(c, a, b), alg, registry)
+                assert report.dominated, (name, c)
+                assert alg.value_json(report.static_effect) == alg.value_json(worse)
+
+
+def test_ifz_counts_a_thunk_parameter_as_the_identity():
+    # s stores no effect: it is a !Nat thunk, so it emits no gates
+    src = (r"inputs q: Qubit;"
+           r" let f = return (\s: !Nat."
+           r" let g = ifz 1 then return s else return (lift let r = apply(@init, *) in"
+           r" let u = apply(@discard, r) in return 0) in"
+           r" let n = force g in return q) in"
+           r" f (lift return 0)")
+    for name in sorted(set(ALGEBRAS) - {"assert"}):  # discard has no assertion rows
+        report = verify_dynamic(program(src), algebra(name), registry)
+        assert report.dominated, name
+    assert gates.value_json(verify_dynamic(program(src), gates, registry).static_effect) == 2
+
+
+_EMITS = "let r = apply(@init, *) in let u = apply(@discard, r) in"
+
+# A thunk emitting gates, passed where a thunk of a type holding no wires
+# that stores no effect is expected: force and box charge that as the
+# identity, so the application must refuse it.
+THUNKS_BREAKING_A_PROMISE = {
+    "forced": (r"inputs q: Qubit;"
+               r" let t = return (lift {e} return 0) in"
+               r" let f = return (\s: !Nat. let n = force s in return q) in f t"),
+    "boxed": (r"inputs q: Qubit;"
+              r" let t = return (lift {e} return (\x: Qubit. return x)) in"
+              r" let f = return (\s: !(Qubit -o[I; 1] Qubit)."
+              r" let c = box[Qubit] s in apply(c, q)) in f t"),
+    "function-result": (r"inputs q: Qubit;"
+                        r" let use = return (\f: Nat -o[I; 0] !Nat."
+                        r" let t = f 0 in let n = force t in return q) in"
+                        r" use (\x: Nat. return (lift {e} return 0))"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(THUNKS_BREAKING_A_PROMISE))
+def test_thunk_emitting_gates_for_a_wireless_bang_parameter_is_rejected(shape):
+    template = THUNKS_BREAKING_A_PROMISE[shape]
+    src = template.format(e=_EMITS)
+    check_program(program(src), registry)  # well typed
+    for name in sorted(set(ALGEBRAS) - {"assert"}):  # discard has no assertion rows
+        with pytest.raises(EffectError, match="must emit no gates"):
+            infer_program_effect(program(src), algebra(name), registry)
+    # a thunk that emits nothing keeps the promise
+    for name in sorted(ALGEBRAS):
+        report = verify_dynamic(program(template.format(e="")), algebra(name), registry)
+        assert report.dominated, name
+
+
+def test_function_argument_keeps_its_parameters_promise():
+    # h's callers may pass f any function under 2, but k assumes one under 0
+    src = (r"inputs q: Qubit;"
+           r" let k = return (\g: Nat -o[I; 0] Nat. let n = g 0 in return q) in"
+           r" let h = return (\f: (Nat -o[I; 2] Nat) -o[Qubit; 0] Qubit."
+           r" f (\x: Nat. let r = apply(@init, *) in let u = apply(@discard, r) in"
+           r" return 0)) in h k")
+    check_program(program(src), registry)
+    with pytest.raises(EffectError, match="the parameter of the argument must stay under 0"):
+        infer_program_effect(program(src), gates, registry)
 
 
 # --------------------------------------------------------------------------

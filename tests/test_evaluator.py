@@ -8,8 +8,8 @@ from pqc.cli import _load
 from pqc.circuits import Circuit, Label, Layer, WireType, flatten_bundle
 from pqc.errors import FuelExhausted, Stuck, WireTypeMismatch
 from pqc.evaluator import (
-    Closure, Env, evaluate, evaluate_program, initial_configuration, readback,
-    subst_term, subst_value, value_to_bundle,
+    Closure, Env, evaluate_program, readback, subst_term, subst_value,
+    value_to_bundle,
 )
 from pqc.gates import default_registry
 from pqc.syntax import (
@@ -112,14 +112,15 @@ def test_bell_program_builds_expected_circuit():
 
 def test_inputs_become_wires_in_declaration_order():
     prog = parse_program("inputs a: Qubit, b: Bit; return (b, a)")
-    cfg, in_ctx = initial_configuration(prog)
-    assert in_ctx.obj == (Q, B)
-    assert cfg.circuit.dom == (Q, B)
-    assert cfg.circuit.steps == ()
-    c, ctx, v = evaluate(cfg, registry)
-    la, lb = in_ctx.labels
+    c, ctx, v = evaluate_program(prog, registry)
+    assert c.dom == ctx.obj == (Q, B)
+    assert c.steps == ()  # no gates ran, outputs are the inputs
+    la, lb = ctx.labels
+    assert (la, lb) == (Label(0), Label(1))
     assert value_to_bundle(v) == (lb, la)
-    assert ctx is in_ctx  # no gates ran, outputs are the inputs
+    # of two inputs with one name, the first is the one bound
+    _, ctx, v = evaluate_program(parse_program("inputs a: Qubit, a: Bit; return a"))
+    assert ctx.obj == (Q, B) and v == Label(0)
 
 
 def test_gate_changing_wire_type():
@@ -285,11 +286,8 @@ def test_stuck_shapes():
         Apply(NatVal(1), ()),
     ]
     for term in bad:
-        cfg, _ = initial_configuration(
-            parse_program("inputs; return *"))
-        cfg.term = term
         with pytest.raises(Stuck):
-            evaluate(cfg, registry)
+            evaluate_program(Program((), None, term), registry)
 
 
 _WIRE, _PAIR = Var("a"), (Var("a"), Var("b"))
@@ -339,11 +337,10 @@ _BOXED = "let c = box[Qubit] lift \\x: Qubit. apply(@H, x) in "
         "apply-to-unit-component", "force-unit", "app-unit", "force-boxed",
         "ifz-boxed", "dest-boxed", "app-boxed", "apply-to-boxed"])
 def test_stuck_text_on_wire_values(term, message):
-    # the configurations are built directly: the checker rejects every one
-    cfg, _ = initial_configuration(parse_program("inputs a: Qubit, b: Qubit; return *"))
-    cfg.term = term
+    # the programs are built directly: the checker rejects every one
+    inputs = parse_program("inputs a: Qubit, b: Qubit; return *").inputs
     with pytest.raises((Stuck, WireTypeMismatch)) as err:
-        evaluate(cfg, registry)
+        evaluate_program(Program(inputs, None, term), registry)
     assert str(err.value) == message
 
 
