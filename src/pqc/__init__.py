@@ -28,7 +28,6 @@ from .circuits import (
     CircuitBuilder,
     Gate,
     Label,
-    LabelContext,
     Layer,
     Obj,
     Perm,
@@ -41,7 +40,6 @@ from .circuits import (
     draw,
     equivalent,
     flatten_bundle,
-    freshlabels,
     identity,
     label_supply,
     obj,
@@ -88,7 +86,7 @@ from .syntax import (
     show_value,
 )
 from .tropical import NEG_INF, TropicalMatrix
-from .typecheck import EffectChecker, check_configuration, check_program, sharp
+from .typecheck import EffectChecker, check_program, sharp
 
 __version__ = "0.1.0"
 

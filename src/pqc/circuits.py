@@ -10,12 +10,12 @@ analyses built on top. The only identifications made by ``canonicalize`` are
 fusing adjacent permutations and dropping identity permutations.
 
 Labels name the open output wires of a circuit under construction. Wire
-bundles (nested pairs of labels) and label contexts connect the positional
-world of circuits with the name-based world of programs. Labels are minted
-from a supply (``label_supply``) that belongs to one run: an evaluation
-numbers its wires from its own supply, so there is no process-global label
-counter. A boxed circuit holds no labels: its interfaces are bundles of
-body positions.
+bundles (nested pairs of labels) connect the name-based world of programs
+with the positional world of circuits, and only ``CircuitBuilder`` knows
+where each label sits. Labels are minted from a supply (``label_supply``)
+that belongs to one run: an evaluation numbers its wires from its own
+supply, so there is no process-global label counter. A boxed circuit holds
+no labels: its interfaces are bundles of body positions.
 
 Bundles and bundle shapes are plain nested tuples:
 
@@ -30,7 +30,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import (
     LabelNotFound,
@@ -159,57 +159,6 @@ def show_bundle(b: Bundle) -> str:
         else:
             out.append(str(x))
     return "".join(out)
-
-
-@dataclass(frozen=True)
-class LabelContext:
-    """An ordered list of distinctly-labelled, typed wires."""
-
-    entries: tuple[tuple[Label, WireType], ...] = ()
-
-    def __post_init__(self):
-        index = {l: i for i, (l, _) in enumerate(self.entries)}
-        if len(index) != len(self.entries):
-            raise WireTypeMismatch(f"duplicate labels in context {self}")
-        object.__setattr__(self, "_index", index)
-
-    @property
-    def labels(self) -> list[Label]:
-        return [l for l, _ in self.entries]
-
-    @property
-    def obj(self) -> Obj:
-        return tuple(t for _, t in self.entries)
-
-    def position(self, label: Label) -> int:
-        try:
-            return self._index[label]  # type: ignore[attr-defined]
-        except KeyError:
-            raise LabelNotFound(f"label {label} not in context {self}") from None
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[Label, WireType]]:
-        return iter(self.entries)
-
-    def __str__(self) -> str:
-        return ", ".join(f"{l}:{t}" for l, t in self.entries) or "(empty)"
-
-
-def freshlabels(shape: Shape, supply: LabelSupply) -> tuple[LabelContext, Bundle]:
-    """Mint labels from ``supply`` for every wire position of a bundle shape.
-
-    Returns the label context (in left-to-right shape order) and the bundle
-    of the same shape holding the new labels.
-    """
-    entries: list[tuple[Label, WireType]] = []
-
-    def mint(t: WireType) -> Label:
-        entries.append((next(supply), t))
-        return entries[-1][0]
-    bundle = map_bundle(shape, mint)
-    return LabelContext(tuple(entries)), bundle
 
 
 # --------------------------------------------------------------------------
@@ -504,49 +453,51 @@ def spine(xs) -> Union[Shape, Bundle]:
 class CircuitBuilder:
     """A circuit under construction, extended in place by ``append``.
 
-    It starts as the identity on the wires of ``ctx``, its open outputs. The
-    builder holds the step list and the open outputs as a label context (an
+    It starts as the identity on new wires of ``shape``: it mints one label
+    per wire from ``supply``, the run's, and names them in the bundle
+    ``inputs``. The builder holds the step list and the open outputs (an
     entry list plus a label -> position map). ``append`` checks the
     attach bundle against the body's dom and adds the body's steps, placed
     by index arithmetic: a body was validated when it was boxed, so its
-    steps are not re-derived one by one. ``circuit()`` and ``context()``
-    package the result; ``circuit()`` derives the cod in ``Circuit``, once
-    per distinct step and input object, and checks it against the open
-    outputs. Output labels come from ``supply``, which by default continues
-    after the largest label of ``ctx``. ``private`` starts a
-    box's builder on the same supply, and ``boxed`` packages what that
-    builder built, its labels turned into positions. Where each wire sits
-    is known only here: a repeated call ``locate``s its argument by
-    positions, ``mark``s its start, ``record``s its appends, and is
-    ``replay``ed at the same positions.
+    steps are not re-derived one by one. ``circuit()`` packages the result,
+    deriving the cod in ``Circuit``, once per distinct step and input
+    object, and checking it against the open outputs; ``outputs()`` lists
+    the open outputs. ``private`` starts a box's builder on the same
+    supply, and ``boxed`` packages what that builder built, its labels
+    turned into positions. Where each wire sits is known only here: a
+    repeated call ``locate``s its argument by positions, ``mark``s its
+    start, ``record``s its appends, and is ``replay``ed at the same
+    positions.
     """
 
-    def __init__(self, ctx: LabelContext, supply: LabelSupply | None = None):
-        self.dom = ctx.obj
-        self.steps: list[Step] = []
-        self.entries = list(ctx.entries)
+    def __init__(self, shape: Shape, supply: LabelSupply):
+        self.supply = supply
+        self.start = supply.n  # the first input's label
+        self.entries: list[tuple[Label, WireType]] = []
+
+        def mint(t: WireType) -> Label:
+            self.entries.append((next(supply), t))
+            return self.entries[-1][0]
+        self.inputs = map_bundle(shape, mint)
+        self.dom = tuple(t for _, t in self.entries)
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
-        self.supply = supply if supply is not None else label_supply(
-            max(self.pos, default=-1) + 1)
+        self.steps: list[Step] = []
         self.resized = 0  # appends that may have moved wires, for record
         self._circuit: Circuit | None = identity(self.dom)
-        self._ctx: LabelContext | None = ctx
 
     def circuit(self) -> Circuit:
         if self._circuit is None:
             c = Circuit(self.dom, tuple(self.steps))
-            outs = self.context().obj
+            outs = tuple(t for _, t in self.entries)
             if c.cod != outs:
                 raise ObjectMismatch(
                     f"built circuit ends in {c.cod}, open outputs are {outs}")
             self._circuit = c
         return self._circuit
 
-    def context(self) -> LabelContext:
-        """The open outputs, in wire order."""
-        if self._ctx is None:
-            self._ctx = LabelContext(tuple(self.entries))
-        return self._ctx
+    def outputs(self) -> tuple[tuple[Label, WireType], ...]:
+        """The open outputs, in wire order, with their types."""
+        return tuple(self.entries)
 
     def append(self, attach: Bundle, boxed: BoxedCircuit) -> Bundle:
         """Attach a boxed circuit to named wires among the open outputs.
@@ -577,7 +528,7 @@ class CircuitBuilder:
         for a in attach_labels:
             i = pos.get(a)
             if i is None:
-                raise LabelNotFound(f"label {a} not in context {self.context()}")
+                raise LabelNotFound(f"label {a} is not an open output")
             positions.append(i)
         for a, i, want in zip(attach_labels, positions, body.dom):
             got = entries[i][1]
@@ -609,7 +560,7 @@ class CircuitBuilder:
                 attached = set(positions)
                 rest = [i for i in range(q, n) if i not in attached]
                 steps.append(Perm((*range(q), *slots, *rest)))
-        self._circuit = self._ctx = None
+        self._circuit = None
 
         fresh = [(next(self.supply), t) for t in body.cod]
         if keep_slots:
@@ -635,21 +586,19 @@ class CircuitBuilder:
             return fresh[0][0]
         return map_bundle(outputs, [l for l, _ in fresh].__getitem__)
 
-    def private(self, shape: Shape) -> tuple[CircuitBuilder, Bundle]:
+    def private(self, shape: Shape) -> CircuitBuilder:
         """A builder for a ``box`` run inside this one, on new wires of
-        ``shape`` from this builder's supply, and the bundle naming them."""
-        start = self.supply.n
-        in_ctx, bundle = freshlabels(shape, self.supply)
-        inner = CircuitBuilder(in_ctx, self.supply)
-        inner.inputs = map_bundle(bundle, lambda l: l - start)  # minted in order
-        return inner, bundle
+        ``shape`` from this builder's supply."""
+        return CircuitBuilder(shape, self.supply)
 
     def boxed(self, outputs: Bundle) -> BoxedCircuit:
         """What a ``private`` builder built, boxed with ``outputs``: each
-        label becomes its position (a wire that is not open becomes -1, which
-        ``BoxedCircuit`` refuses)."""
-        pos = self.pos
-        return BoxedCircuit(self.inputs, self.circuit(),
+        label becomes its position. Its inputs were minted in order from
+        ``start``; a wire in ``outputs`` that is not open becomes -1, which
+        ``BoxedCircuit`` refuses."""
+        pos, start = self.pos, self.start
+        return BoxedCircuit(map_bundle(self.inputs, lambda l: l - start),
+                            self.circuit(),
                             map_bundle(outputs, lambda l: pos.get(l, -1)))
 
     def locate(self, arg) -> tuple | None:
@@ -698,7 +647,7 @@ class CircuitBuilder:
             del pos[entries[i][0]]
             entries[i] = (Label(base + k), t)
             pos[entries[i][0]] = i
-        self._circuit = self._ctx = None
+        self._circuit = None
         return v
 
 

@@ -250,7 +250,7 @@ def cmd_check(args) -> int:
 def cmd_run(args) -> int:
     prog, registry = _load(args.file, args.gates)
     check_program(prog, registry)
-    circuit, out_ctx, value = evaluate_program(prog, registry, fuel=args.fuel,
+    circuit, outputs, value = evaluate_program(prog, registry, fuel=args.fuel,
                                                checked=True)
     if args.emit_circuit is not None:
         with open(args.emit_circuit, "wb") as f:
@@ -259,11 +259,11 @@ def cmd_run(args) -> int:
     if args.json:
         _print({
             "circuit": circuit_doc(circuit),
-            "outputs": [[str(l), str(t)] for l, t in out_ctx],
+            "outputs": [[str(l), str(t)] for l, t in outputs],
             "value": value,
         })
     else:
-        outs = ", ".join(f"{l}:{t}" for l, t in out_ctx)
+        outs = ", ".join(f"{l}:{t}" for l, t in outputs)
         _write([draw(circuit), f"\noutputs: {outs}\nvalue:   {value}\n"])
     return 0
 

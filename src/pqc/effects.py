@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .algebras import CircuitAlgebra, Effect
-from .circuits import Circuit, LabelContext, flatten_bundle
+from .circuits import Circuit, Label, WireType, flatten_bundle
 from .errors import LinearityViolation
 from .evaluator import evaluate_program, value_to_bundle
 from .gates import Registry, default_registry
@@ -51,7 +51,7 @@ class VerifyReport:
     dynamic_effect: Effect
     dominated: bool
     circuit: Circuit
-    out_ctx: LabelContext
+    outputs: tuple[tuple[Label, WireType], ...]
     value: object  # the result bundle, whose runtime form is its syntax
 
     def to_json(self, alg: CircuitAlgebra,
@@ -82,12 +82,13 @@ def verify_dynamic(
     """
     registry = registry or default_registry()
     ty, static = infer_program_effect(prog, alg, registry)
-    circuit, out_ctx, value = evaluate_program(prog, registry, fuel, checked=True)
+    circuit, outputs, value = evaluate_program(prog, registry, fuel, checked=True)
     flat = flatten_bundle(value_to_bundle(value))
-    if sorted(flat) != sorted(out_ctx.labels):
+    at = {l: i for i, (l, _) in enumerate(outputs)}
+    if sorted(flat) != sorted(at):
         raise LinearityViolation(
             "program result does not mention every open wire; cannot align "
             "endpoints for verification")
-    dynamic = alg.abstract(circuit, registry, list(map(out_ctx.position, flat)))
+    dynamic = alg.abstract(circuit, registry, [at[l] for l in flat])
     return VerifyReport(alg.name, static, dynamic, alg.leq(dynamic, static),
-                        circuit, out_ctx, value)
+                        circuit, outputs, value)

@@ -2,15 +2,15 @@
 
 ``evaluate_program`` is the one entry point. A run starts from the
 program's input wires, labelled ``#0, #1, ...`` in order: the circuit is
-the identity on them, and the term is the program's. A machine state is a
-configuration: the circuit built so far, the label context naming its open
-outputs, and the term still to run, with an environment giving the term's
-free variables their values. Evaluation only ever extends the circuit —
-``apply`` appends a boxed circuit at the wires named by its argument
-bundle, and ``box`` runs its function in a fresh private configuration and
-captures the result as a value. This is the configuration semantics of
-Proto-Quipper-M (Rios & Selinger, QPL 2017), in which ``append`` is the
-only way a circuit grows.
+the identity on them, and the term is the program's. A machine state is
+the circuit built so far, whose builder names its open outputs, and the
+term still to run, with an environment giving the term's free variables
+their values. Evaluation only ever extends the circuit — ``apply``
+appends a boxed circuit at the wires named by its argument bundle, and
+``box`` runs its function on a fresh private builder and captures the
+result as a value. This is the configuration semantics of Proto-Quipper-M
+(Rios & Selinger, QPL 2017), in which ``append`` is the only way a circuit
+grows.
 
 The machine is call-by-value and never substitutes into the program:
 
@@ -24,8 +24,9 @@ The machine is call-by-value and never substitutes into the program:
   packages.
 * A block's binders, application and ``force`` run in one loop over an
   explicit continuation stack, so deep programs use no Python recursion.
-* Each configuration's circuit grows in one ``CircuitBuilder`` (the
-  program's, plus one per ``box``). Its labels come from the run's supply.
+* Each circuit grows in one ``CircuitBuilder`` (the program's, plus one
+  per ``box``), which mints its input labels and every later one from the
+  run's supply.
   Validation happens in two places, once each: a ``BoxedCircuit`` checks
   its interfaces, bundles of its body's positions, when it is made, and
   the builder derives and checks the whole circuit's cod when it packages
@@ -54,8 +55,8 @@ from __future__ import annotations
 from typing import AbstractSet, Optional, Union
 
 from .circuits import (
-    BoxedCircuit, Bundle, Circuit, CircuitBuilder, Label, LabelContext,
-    flatten_bundle, label_supply,
+    BoxedCircuit, Bundle, Circuit, CircuitBuilder, Label, WireType,
+    flatten_bundle, label_supply, spine,
 )
 from .errors import FuelExhausted, Stuck
 from .gates import Registry, default_registry
@@ -380,8 +381,8 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             if type(v) is not Closure or type(v.value) is not Lift:
                 raise Stuck(f"box needs a lifted function, got {show_runtime(v)}")
             stack.append(builder)
-            builder, bundle = builder.private(shape_of(m.shape))
-            env = Env({_BOX_ARG: bundle}, v.env)
+            builder = builder.private(shape_of(m.shape))
+            env = Env({_BOX_ARG: builder.inputs}, v.env)
             m = Block((LetBinder(_BOX_FN, v.value.term),), _BOX_CALL)
             continue
         else:
@@ -408,20 +409,19 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
 
 def evaluate_program(prog: Program, registry: Optional[Registry] = None,
                      fuel: Optional[int] = None, *, checked: bool = False,
-                     ) -> tuple[Circuit, LabelContext, object]:
-    """Run a program to a runtime value; returns (circuit, outputs, value).
-    The inputs are labelled ``#0, #1, ...`` in order, and new labels are
-    numbered after them.
+                     ) -> tuple[Circuit, tuple[tuple[Label, WireType], ...], object]:
+    """Run a program to a runtime value; returns (circuit, outputs, value),
+    where ``outputs`` pairs each open output's label with its type, in wire
+    order. The inputs are labelled ``#0, #1, ...`` in order, and new labels
+    are numbered after them.
 
     ``checked`` says that the program type-checked (``check_program``
     accepted it). Only then are repeated calls replayed (``_Memo``); an
     unchecked run interprets every call.
     """
-    supply = label_supply()
-    in_ctx = LabelContext(tuple((next(supply), wire) for wire in input_wires(prog)))
+    builder = CircuitBuilder(spine(input_wires(prog)), label_supply())
     env = Env()
-    for (name, _), label in zip(prog.inputs, in_ctx.labels):
+    for (name, _), label in zip(prog.inputs, flatten_bundle(builder.inputs)):
         env.vars.setdefault(name, label)  # the first of two equal names wins
-    builder = CircuitBuilder(in_ctx, supply)
     v = _run(builder, env, prog.term, registry or default_registry(), fuel, checked)
-    return builder.circuit(), builder.context(), v
+    return builder.circuit(), builder.outputs(), v

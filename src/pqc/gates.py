@@ -12,11 +12,13 @@ be extended from a *gate-spec file*, a small line-based format::
       assert "01" -> {"10"} cost 2
       assert "10" -> {"11"} cost 2
 
-Each ``gate`` block declares a signature (``I`` denotes the empty wire list)
-and optional properties: ``count`` (gate-count weight, default 1), ``depth``
-(depth weight, default 1), both natural numbers, and ``assert`` rows mapping
-one input basis string to a postset and a cost. Redeclaring a known name
-overrides it, so a file can also re-weight builtin gates.
+Each ``gate`` block declares a name that a program can write after ``@`` (a
+letter or ``_``, then letters, digits or ``_``), a signature (``I`` denotes
+the empty wire list) and optional properties: ``count`` (gate-count weight,
+default 1), ``depth`` (depth weight, default 1), both natural numbers, and
+``assert`` rows mapping one input basis string, each at most once, to a
+postset and a cost. Redeclaring a known name overrides it, so a file can
+also re-weight builtin gates.
 
 The builtin unitaries declare their assertion rows as spec gates do. A row
 at ``b`` has postset = support of U|b⟩ and cost 0 exactly when U maps |b⟩ to
@@ -120,7 +122,8 @@ def default_registry() -> Registry:
 # gate-spec files
 # --------------------------------------------------------------------------
 
-_GATE_RE = re.compile(r"^gate\s+(\w+)\s*:\s*(.*?)\s*->\s*(.*)$")
+_GATE_RE = re.compile(r"^gate\s+([^\s:]+)\s*:\s*(.*?)\s*->\s*(.*)$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # what a program's @name reads
 _WEIGHT_RE = re.compile(r"^(count|depth)\s+(.*)$")
 _ASSERT_RE = re.compile(
     r'^assert\s+"([01]*)"\s*->\s*\{([^}]*)\}\s*cost\s+(\d+)$', re.ASCII)
@@ -161,6 +164,10 @@ def parse_gate_spec(text: str) -> dict[str, GateDef]:
         if m:
             flush()
             name, dom_s, cod_s = m.groups()
+            if not _NAME_RE.fullmatch(name):
+                raise ParseError(
+                    f"bad gate name {name!r}: a name is a letter or _, then "
+                    f"letters, digits or _", lineno)
             sig = Gate(name, _parse_sig(dom_s, lineno), _parse_sig(cod_s, lineno))
             defs[name] = GateDef(sig)
             current = name
@@ -183,6 +190,9 @@ def parse_gate_spec(text: str) -> dict[str, GateDef]:
                 raise ParseError(
                     f"assert row input {b!r} has {len(b)} bits, gate has {n_in} inputs",
                     lineno)
+            if b in rows:
+                raise ParseError(
+                    f"second assert row for input {b!r} of gate {current}", lineno)
             if not postset_s.strip():
                 raise ParseError(
                     f"assert row {b!r} has an empty postset: every input state "

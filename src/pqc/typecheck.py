@@ -36,14 +36,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .algebras import TRIVIAL, CircuitAlgebra, Effect
-from .circuits import (
-    BoxedCircuit, Circuit, Label, LabelContext, Obj, Shape, WireType,
-    flatten_bundle,
-)
+from .circuits import BoxedCircuit, Label, Obj, Shape, WireType, flatten_bundle
 from .errors import (
     BoxCapturesWires, EffectError, EndpointMismatch, LinearityViolation,
-    MisplacedTerm, NotACircuit, NotAFunction, NotAParameter, ObjectMismatch,
-    ShapeMismatch, UnboundName,
+    MisplacedTerm, NotACircuit, NotAFunction, NotAParameter, ShapeMismatch,
+    UnboundName,
 )
 from .gates import Registry, default_registry
 from .syntax import (
@@ -196,7 +193,9 @@ def synthesize_bounds(alg: CircuitAlgebra, ty: Type) -> Type:
     body stays under n; that is all we know about it, so its stored effect
     becomes the algebra's coarsest effect with that bound. Without a bound
     ``from_bound`` answers None (nothing is known) except in ``TRIVIAL``,
-    which fills in every arrow, circuit and thunk.
+    which fills in every arrow, circuit and thunk. A thunk of a type that
+    holds no wires is promised to emit no gates: it stores the identity on
+    no wires.
     """
     match ty:
         case ArrowT(dom, cod, captured, bound, eff):
@@ -214,7 +213,9 @@ def synthesize_bounds(alg: CircuitAlgebra, ty: Type) -> Type:
                            synthesize_bounds(alg, right))
         case BangT(inner, eff):
             if eff is None:
-                eff = alg.from_bound((), wires_of(inner), None)
+                wires = wires_of(inner)
+                eff = (alg.from_bound((), wires, None) if wires
+                       else alg.identity_effect(alg.obj_of(())))
             return BangT(synthesize_bounds(alg, inner), eff)
         case _:
             return ty
@@ -355,19 +356,18 @@ class EffectChecker:
 
     def _check_promise(self, actual: Type, expected: Type, what: str) -> None:
         """Enforce the promises the expected type makes about stored effects:
-        a function's or circuit's scalar ascription, and that a thunk of a
-        type holding no wires, when it stores no effect, emits no gates
-        (``force`` and ``box`` charge it as the identity). They hold through
-        tensors, thunks and function results, and the other way round for
-        function parameters."""
+        a function's or circuit's scalar ascription, and a thunk's stored
+        effect, which for a type holding no wires is the identity
+        (``synthesize_bounds``), so such a thunk emits no gates. They hold
+        through tensors, thunks and function results, and the other way round
+        for function parameters."""
         alg = self.alg
         match (actual, expected):
             case (TensorT(al, ar), TensorT(bl, br)):
                 self._check_promise(al, bl, what)
                 self._check_promise(ar, br, what)
             case (BangT(ai, ae), BangT(bi, be)):
-                if (be is None and ae is not None and not wires_of(bi)
-                        and not alg.leq(ae, alg.identity_effect(alg.obj_of(())))):
+                if be is not None and not alg.leq(ae, be):
                     raise EffectError(
                         f"{what} is a thunk of type {show_type(expected)}, which "
                         f"must emit no gates, but it does")
@@ -391,15 +391,10 @@ class EffectChecker:
     def _join_stored(self, a: Type, b: Type) -> Type:
         """Two ``ifz`` branches' types, equal but for their stored effects,
         as one type storing the join of each pair: through tensor parts,
-        thunks and function results. None where either stores none, but a
-        thunk of a type holding no wires that stores none stands for the
-        identity (``_check_promise``)."""
+        thunks and function results; None where either stores none."""
         alg = self.alg
 
-        def join(e1, e2, missing=None):
-            if e1 is None and e2 is None:
-                return None
-            e1, e2 = (missing if e1 is None else e1), (missing if e2 is None else e2)
+        def join(e1, e2):
             return None if e1 is None or e2 is None else alg.join(e1, e2)
 
         match a:
@@ -407,8 +402,7 @@ class EffectChecker:
                 return TensorT(self._join_stored(a.left, b.left),
                                self._join_stored(a.right, b.right))
             case BangT():
-                unit = None if wires_of(a.inner) else alg.identity_effect(alg.obj_of(()))
-                return BangT(self._join_stored(a.inner, b.inner), join(a.eff, b.eff, unit))
+                return BangT(self._join_stored(a.inner, b.inner), join(a.eff, b.eff))
             case ArrowT():
                 return ArrowT(a.dom, self._join_stored(a.cod, b.cod), a.captured,
                               a.bound, join(a.eff, b.eff))
@@ -639,11 +633,8 @@ class EffectChecker:
                     raise ShapeMismatch(f"force needs a !-type, got {show_type(vt)}")
                 ty = vt.inner
                 wires = wires_of(ty)
-                if vt.eff is not None:
-                    eff = vt.eff
-                elif not wires:
-                    eff = alg.identity_effect(alg.obj_of(()))
-                else:
+                eff = vt.eff
+                if eff is None:
                     raise EffectError(
                         f"no effect information when forcing {show_type(vt)}")
             case Ifz(cond, then, els):
@@ -687,8 +678,8 @@ class EffectChecker:
                 unit = alg.identity_effect(alg.obj_of(()))
                 fold = alg.fold(wires_of(arrow.dom))
                 handles = fold.wires
-                if vt.eff is not None:  # the lift's effect: no wires in or out
-                    fold.place(None if handles is None else [], vt.eff)
+                # the lift's effect: no wires in or out
+                fold.place(None if handles is None else [], vt.eff)
                 circ_eff = fold.freeze(fold.place(handles, fn_eff))
                 ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
                 wires = ()
@@ -720,37 +711,3 @@ def check_program(prog: Program, registry: Optional[Registry] = None) -> Type:
     """Type a whole program; every input wire must be consumed."""
     input_wires(prog)
     return EffectChecker(TRIVIAL, registry).check_closed(prog.inputs, prog.term)[0]
-
-
-def check_configuration(
-    in_ctx: LabelContext,
-    circuit: Circuit,
-    m: Term,
-    out_ctx: Optional[LabelContext] = None,
-    registry: Optional[Registry] = None,
-) -> tuple[Type, LabelContext]:
-    """Type a machine configuration (circuit under construction + term).
-
-    The term's free labels must name outputs of the circuit, given by
-    ``out_ctx`` (defaults to ``in_ctx`` for a circuit with no steps yet).
-    Returns the term's type and the passthrough context of outputs the term
-    leaves untouched.
-    """
-    if in_ctx.obj != circuit.dom:
-        raise ObjectMismatch(
-            f"input context types {in_ctx.obj} but circuit wants {circuit.dom}")
-    if out_ctx is None:
-        if circuit.steps:
-            raise ObjectMismatch(
-                "out_ctx is required once the circuit has steps")
-        out_ctx = in_ctx
-    if out_ctx.obj != circuit.cod:
-        raise ObjectMismatch(
-            f"output context types {out_ctx.obj} but circuit produces {circuit.cod}")
-    checker = EffectChecker(TRIVIAL, registry)
-    for label, wt in out_ctx:
-        checker.push(label, _TYPE_OF_WIRE[wt])
-    ty, used, _ = checker.infer_term(m)
-    leftover = [out_ctx.entries[i] for i in range(len(out_ctx.entries))
-                if i not in used]
-    return ty, LabelContext(tuple(leftover))

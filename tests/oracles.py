@@ -47,8 +47,8 @@ from pqc.algebras import (
     _require_qubits, _subsets, routing,
 )
 from pqc.circuits import (
-    BoxedCircuit, Bundle, Circuit, LabelContext, Layer, Perm, Step,
-    WireType, flatten_bundle, label_supply, map_bundle, pad_perm, show_bundle,
+    BoxedCircuit, Bundle, Circuit, Layer, Perm, Step,
+    WireType, flatten_bundle, map_bundle, pad_perm, show_bundle,
 )
 from pqc.errors import (
     EffectError, EffectObjectMismatch, LabelNotFound, ShapeMismatch,
@@ -567,26 +567,27 @@ class RightFoldChecker(EffectChecker):
 class ValidatingBuilder:
     """``CircuitBuilder`` with an ``append`` that re-derives every step.
 
-    Same interface and the same circuits, contexts, bundles and errors as
+    Same interface and the same circuits, outputs, bundles and errors as
     ``pqc.circuits.CircuitBuilder``, computed without its shortcuts: each
     attached wire's body position is read off the input bundle, the gather
     and restore permutations are built and validated and then dropped when
     they are identities, and the running cod is derived step by step.
     """
 
-    def __init__(self, ctx: LabelContext, supply=None):
-        self.dom = self.cod = ctx.obj
+    def __init__(self, shape, supply):
+        self.supply = supply
+        self.dom = self.cod = tuple(flatten_bundle(shape))
+        self.entries = [(next(supply), t) for t in self.dom]
+        labels = iter([l for l, _ in self.entries])
+        self.inputs = map_bundle(shape, lambda t: next(labels))
         self.steps: list[Step] = []
-        self.entries = list(ctx.entries)
         self.pos = {l: i for i, (l, _) in enumerate(self.entries)}
-        self.supply = supply if supply is not None else label_supply(
-            max(self.pos, default=-1) + 1)
 
     def circuit(self) -> Circuit:
         return Circuit(self.dom, tuple(self.steps))
 
-    def context(self) -> LabelContext:
-        return LabelContext(tuple(self.entries))
+    def outputs(self) -> tuple:
+        return tuple(self.entries)
 
     def append(self, attach: Bundle, boxed: BoxedCircuit) -> Bundle:
         attach_labels = flatten_bundle(attach)
@@ -602,7 +603,7 @@ class ValidatingBuilder:
         positions = []
         for a in attach_labels:
             if a not in self.pos:
-                raise LabelNotFound(f"label {a} not in context {self.context()}")
+                raise LabelNotFound(f"label {a} is not an open output")
             positions.append(self.pos[a])
         for a, i, j in zip(attach_labels, positions, ports):
             want, got = boxed.body.dom[j], entries[i][1]

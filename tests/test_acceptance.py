@@ -17,25 +17,24 @@ from generators import (
 )
 from oracles import depth_paths_oracle, width_cuts_oracle
 from test_algebras import bitstrings, check_functor_laws, random_table_effect
-from pqc.algebras import ALGEBRAS, algebra, depth_bound
-from pqc.circuits import (
-    Circuit, Label, LabelContext, Layer, WireType, equivalent,
-)
+from pqc.algebras import ALGEBRAS, TRIVIAL, algebra, depth_bound
+from pqc.circuits import Circuit, Layer, WireType, equivalent
 from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.evaluator import evaluate_program, readback
 from pqc.gates import default_registry, load_gate_spec
 from pqc.syntax import (
-    Apply, App, Block, Box, Lift, LetBinder, Program, QubitT, Ret, TensorT, Var,
-    parse_program, show_program,
+    Apply, App, BitT, Block, Box, Lift, LetBinder, Program, QubitT, Ret, TensorT,
+    Var, parse_program, show_program,
 )
 from pqc.tropical import NEG_INF
-from pqc.typecheck import check_configuration, check_program, same_type
+from pqc.typecheck import EffectChecker, check_program, same_type
 
 registry = default_registry()
 DEMOS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                      os.pardir, "demos")
 
 Q = WireType.QUBIT
+WIRE_TYPES = {WireType.QUBIT: QubitT(), WireType.BIT: BitT()}
 H = registry.gate("H")
 X = registry.gate("X")
 CNOT = registry.gate("CNOT")
@@ -198,13 +197,11 @@ def test_type_preservation_on_random_programs():
     checked = 0
     for prog in general + assert_safe:
         ty1 = check_program(prog, registry)
-        circuit, out_ctx, value = evaluate_program(prog, registry)
-        # the inputs are labelled #0, #1, ... in order
-        in_ctx = LabelContext(tuple((Label(i), w) for i, w in enumerate(circuit.dom)))
-        ty2, leftover = check_configuration(
-            in_ctx, circuit, Ret(readback(value)), out_ctx, registry)
+        _, outputs, value = evaluate_program(prog, registry)
+        # the result is typed over the open outputs, and must consume each
+        ctx = [(label, WIRE_TYPES[wire]) for label, wire in outputs]
+        ty2, _ = EffectChecker(TRIVIAL, registry).check_closed(ctx, Ret(readback(value)))
         assert same_type(ty1, ty2), show_program(prog)
-        assert leftover.entries == ()
         checked += 1
     verdict("type preservation on random programs", checked == 200,
             f"{checked}/200 programs re-typed at the same type after running")

@@ -33,10 +33,10 @@ def outcome(prog, fuel=None, **kw):
     """What a run shows: its circuit, open outputs and value, or its error.
     ``kw`` goes to ``evaluate_program``."""
     try:
-        c, ctx, v = evaluate_program(prog, registry, fuel, **kw)
+        c, outputs, v = evaluate_program(prog, registry, fuel, **kw)
     except PqcError as e:
         return "error", type(e).__name__, str(e)
-    return "ok", c.dom, c.steps, ctx.entries, show_value(readback(v))
+    return "ok", c.dom, c.steps, outputs, show_value(readback(v))
 
 
 def counting_replays(monkeypatch, run) -> int:

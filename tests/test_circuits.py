@@ -3,11 +3,10 @@ import pytest
 from generators import GENERAL_POOL, Q, B, rng, random_circuit, random_steps
 from oracles import ValidatingBuilder
 from pqc.circuits import (
-    BoxedCircuit, Circuit, CircuitBuilder, Gate, Label, LabelContext, Layer,
-    Perm, WireType, box_circuit, canonicalize, compose, deserialize, draw,
-    equivalent, flatten_bundle, freshlabels, identity, label_supply, pad_perm,
-    perm_then, qubits, serialize, show_bundle, spine, symmetry, whisker_left,
-    whisker_right,
+    BoxedCircuit, Circuit, CircuitBuilder, Gate, Label, Layer, Perm, WireType,
+    box_circuit, canonicalize, compose, deserialize, draw, equivalent,
+    flatten_bundle, identity, label_supply, pad_perm, perm_then, qubits,
+    serialize, show_bundle, spine, symmetry, whisker_left, whisker_right,
 )
 from pqc.errors import (
     CircuitError, LabelNotFound, ObjectMismatch, ParseError, WireTypeMismatch,
@@ -137,13 +136,15 @@ def test_symmetry_self_inverse_up_to_canonicalization():
     assert equivalent(compose(s, back), identity((Q, Q, Q)))
 
 
-def test_freshlabels_and_context():
-    ctx, bundle = freshlabels(((Q, B), Q), label_supply())
-    assert ctx.obj == (Q, B, Q)
-    assert flatten_bundle(bundle) == list(ctx.labels)
-    assert ctx.position(ctx.labels[2]) == 2
+def test_builder_mints_its_inputs():
+    supply = label_supply(4)
+    b = CircuitBuilder(((Q, B), Q), supply)
+    assert b.inputs == ((Label(4), Label(5)), Label(6))
+    assert b.outputs() == ((Label(4), Q), (Label(5), B), (Label(6), Q))
+    assert b.circuit() == identity((Q, B, Q))
+    assert next(supply) == Label(7)
     with pytest.raises(LabelNotFound):
-        ctx.position(Label(999))
+        b.append(Label(999), registry.boxed("H"))
 
 
 def test_label_order_hash_and_text():
@@ -158,12 +159,6 @@ def test_label_order_hash_and_text():
     assert Label(3) != NatVal(3)
     assert parse_value("#3") == Label(3) and type(parse_value("#3")) is Label
     assert show_value(Label(3)) == "#3"
-
-
-def test_label_context_rejects_duplicates():
-    l = Label(7)
-    with pytest.raises(CircuitError):
-        LabelContext(((l, Q), (l, Q)))
 
 
 def test_box_circuit_spine_interface():
@@ -200,8 +195,9 @@ def test_boxed_circuit_refuses_bad_positions(inputs, outputs):
 
 
 def test_boxed_turns_a_private_builders_labels_into_positions():
-    outer = CircuitBuilder(LabelContext())
-    inner, (a, (b, c)) = outer.private((Q, (B, Q)))
+    outer = CircuitBuilder((), label_supply())
+    inner = outer.private((Q, (B, Q)))
+    a, (b, c) = inner.inputs
     x, y = inner.append((c, a), registry.boxed("CNOT"))  # x lands on 0, y on 2
     boxed = inner.boxed((b, (y, x)))
     assert (boxed.inputs, boxed.outputs) == ((0, (1, 2)), (1, (2, 0)))
@@ -213,56 +209,59 @@ def test_boxed_turns_a_private_builders_labels_into_positions():
 
 
 def builder_on(o):
-    """A builder over ``o`` with fresh input labels; returns (builder, ctx)."""
-    ctx, _ = freshlabels(spine(o), label_supply())
-    return CircuitBuilder(ctx), ctx
+    """A builder over ``o`` on a new supply; returns (builder, input labels)."""
+    b = CircuitBuilder(spine(o), label_supply())
+    return b, flatten_bundle(b.inputs)
+
+
+def labels_of(outputs):
+    return [l for l, _ in outputs]
 
 
 def test_append_attach_single_wire():
-    b, ctx = builder_on((Q,))
-    out_bundle = b.append(ctx.labels[0], registry.boxed("H"))
-    c, out_ctx = b.circuit(), b.context()
+    b, ins = builder_on((Q,))
+    out_bundle = b.append(ins[0], registry.boxed("H"))
+    c, outputs = b.circuit(), b.outputs()
     assert c.steps == (Layer(((H, 0),)),)
-    assert out_ctx.obj == (Q,)
-    assert flatten_bundle(out_bundle) == list(out_ctx.labels)
-    assert out_ctx.labels[0] != ctx.labels[0]  # outputs are renamed fresh
+    assert [t for _, t in outputs] == [Q]
+    assert flatten_bundle(out_bundle) == labels_of(outputs)
+    assert outputs[0][0] != ins[0]  # outputs are renamed fresh
 
 
 def test_append_untouched_wire_passes_through():
-    b, ctx = builder_on((Q, Q))
-    keep = ctx.labels[0]
-    b.append(ctx.labels[1], registry.boxed("H"))
-    c, out_ctx = b.circuit(), b.context()
+    b, ins = builder_on((Q, Q))
+    keep = ins[0]
+    b.append(ins[1], registry.boxed("H"))
+    c, outputs = b.circuit(), b.outputs()
     assert c.cod == (Q, Q)
-    assert keep in out_ctx.labels
+    assert keep in labels_of(outputs)
     assert canonicalize(c).steps == (Layer(((H, 1),)),)
 
 
 def test_append_gathers_scattered_wires():
     # attach (wire2, wire0) to CNOT: wires must be routed together, the
     # CNOT placed, and the bystander wire restored.
-    b, ctx = builder_on((Q, Q, Q))
-    b.append((ctx.labels[2], ctx.labels[0]), registry.boxed("CNOT"))
-    c, out_ctx = b.circuit(), b.context()
+    b, ins = builder_on((Q, Q, Q))
+    b.append((ins[2], ins[0]), registry.boxed("CNOT"))
+    c, outputs = b.circuit(), b.outputs()
     assert c.cod == (Q, Q, Q)
-    assert ctx.labels[1] in out_ctx.labels
+    assert ins[1] in labels_of(outputs)
     assert sum(1 for s in c.steps if isinstance(s, Layer)) == 1
 
 
 def test_append_type_mismatch_and_unknown_label():
-    b, ctx = builder_on((B,))
+    b, ins = builder_on((B,))
     with pytest.raises(WireTypeMismatch):
-        b.append(ctx.labels[0], registry.boxed("H"))
+        b.append(ins[0], registry.boxed("H"))
     b2, _ = builder_on((Q,))
     with pytest.raises(LabelNotFound):
         b2.append(Label(424242), registry.boxed("H"))
 
 
 def test_builder_checks_its_circuit_against_the_open_outputs():
-    ctx, _ = freshlabels(spine((Q, Q)), label_supply())
-    b = CircuitBuilder(ctx)
+    b, ins = builder_on((Q, Q))
     b.steps.append(Layer(((MEAS, 1),)))  # a step the open outputs do not know of
-    b.append(ctx.labels[0], registry.boxed("H"))
+    b.append(ins[0], registry.boxed("H"))
     with pytest.raises(ObjectMismatch, match="open outputs"):
         b.circuit()
 
@@ -322,11 +321,13 @@ def test_append_matches_validating_builder_on_random_attachments():
     repeats = 0
     for _ in range(150):
         dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(0, 6)))
-        ctx, _ = freshlabels(spine(dom), label_supply(r.randint(0, 3)))
-        new, old = CircuitBuilder(ctx), ValidatingBuilder(ctx)
+        start = r.randint(0, 3)
+        new = CircuitBuilder(spine(dom), label_supply(start))
+        old = ValidatingBuilder(spine(dom), label_supply(start))
+        assert new.inputs == old.inputs
         literal = False  # the last append placed a gate literal
         for _ in range(r.randint(1, 10)):
-            entries = new.context().entries
+            entries = new.outputs()
             if literal and len(boxed.body.cod) == len(boxed.body.dom) and r.random() < 0.5:
                 # the same gate literal again on the same wires (renamed by
                 # the last application), so at the same offsets
@@ -362,7 +363,7 @@ def test_append_matches_validating_builder_on_random_attachments():
                     for step in new.steps[before:]:
                         if isinstance(step, Layer):
                             assert placed.setdefault(step.placements, step) is step
-            assert new.context() == old.context()
+            assert new.outputs() == old.outputs()
             assert new.circuit().steps == old.circuit().steps
             assert serialize(new.circuit()) == serialize(old.circuit())
     assert appended > 300 and repeats > 50
@@ -377,15 +378,15 @@ def test_bundle_walks_at_5000_wires():
     n = 5000
     shape = spine(qubits(n))
     assert flatten_bundle(shape) == list(qubits(n))
-    ctx, bundle = freshlabels(shape, label_supply())
-    assert ctx.labels == flatten_bundle(bundle) == list(range(n))
+    b = CircuitBuilder(shape, label_supply())
+    bundle = b.inputs
+    assert labels_of(b.outputs()) == flatten_bundle(bundle) == list(range(n))
     assert show_bundle(bundle) == "".join(
         f"(#{i}, " for i in range(n - 1)) + f"#{n - 1}" + ")" * (n - 1)
     assert value_to_bundle(bundle) is bundle
     boxed = box_circuit(Circuit(qubits(n), (Layer(tuple((H, i) for i in range(n))),)))
-    b = CircuitBuilder(ctx)
     out = b.append(bundle, boxed)
-    assert flatten_bundle(out) == b.context().labels == list(range(n, 2 * n))
+    assert flatten_bundle(out) == labels_of(b.outputs()) == list(range(n, 2 * n))
 
 
 KEEPS_WIDTH = ("H", "X", "Z", "CNOT", "meas")
@@ -412,15 +413,15 @@ def test_record_replays_on_a_builder_alike():
     replayed = set()
     for _ in range(150):
         dom = tuple(r.choice((Q, Q, B)) for _ in range(r.randint(1, 6)))
-        ctx, _ = freshlabels(spine(dom), label_supply(r.randint(0, 3)))
-        first, second = CircuitBuilder(ctx), CircuitBuilder(ctx)
-        live = r.sample(ctx.labels, r.randint(1, len(dom)))
+        start = r.randint(0, 3)
+        first, second = (CircuitBuilder(spine(dom), label_supply(start)) for _ in range(2))
+        live = r.sample(flatten_bundle(first.inputs), r.randint(1, len(dom)))
         arg = random_nesting(r, live)
         assert first.locate(arg) == second.locate(arg) is not None
         mark = first.mark(first.locate(arg))
         for _ in range(r.randint(0, 8)):
             boxed = random_keeping_box(r)
-            types = dict(first.context().entries)
+            types = dict(first.outputs())
             pools = {t: [l for l in live if types[l] == t] for t in (Q, B)}
             for pool in pools.values():
                 r.shuffle(pool)
@@ -436,21 +437,20 @@ def test_record_replays_on_a_builder_alike():
         assert record is not None
         assert second.replay(record) == result
         assert second.steps == first.steps
-        assert second.context() == first.context()
+        assert second.outputs() == first.outputs()
         assert next(second.supply) == next(first.supply)
     assert replayed >= {*KEEPS_WIDTH, "box"}
 
 
 def test_record_refuses_a_changed_width_or_a_closed_wire():
-    ctx, _ = freshlabels(spine((Q, Q)), label_supply())
-    a, b = ctx.labels
+    a, b = CircuitBuilder((Q, Q), label_supply()).inputs
     for boxed, attach in ((registry.boxed("init"), ()),
                           (registry.boxed("discard"), a)):
-        builder = CircuitBuilder(ctx)
+        builder = CircuitBuilder((Q, Q), label_supply())
         mark = builder.mark(builder.locate(a))
         out = builder.append(attach, boxed)
         assert builder.record(mark, out if out != () else b) is None
-    builder = CircuitBuilder(ctx)
+    builder = CircuitBuilder((Q, Q), label_supply())
     mark = builder.mark(builder.locate(a))
     c = builder.append(a, registry.boxed("H"))
     assert builder.record(mark, (c, b)) is not None

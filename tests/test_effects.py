@@ -2,7 +2,7 @@ import pytest
 
 from generators import rng, random_program
 from pqc.algebras import (
-    ALGEBRAS, Effect, GateCountAlgebra, WidthAlgebra, algebra,
+    ALGEBRAS, TRIVIAL, Effect, GateCountAlgebra, WidthAlgebra, algebra,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.circuits import BoxedCircuit, Circuit, Layer, Perm, WireType
@@ -56,6 +56,19 @@ def test_synthesize_bounds_recurses_and_skips_unbounded():
 
     plain = parse_type("Qubit -o[1] Qubit")
     assert synthesize_bounds(gates, plain).eff is None
+
+
+@pytest.mark.parametrize("name", ["trivial", *sorted(ALGEBRAS)])
+def test_synthesize_bounds_stores_the_identity_for_a_wire_free_thunk(name):
+    # a thunk of a type holding no wires may emit no gates; one holding
+    # wires is unknown without a bound, except in TRIVIAL
+    alg = TRIVIAL if name == "trivial" else ALGEBRAS[name]
+    unit = alg.identity_effect(alg.obj_of(()))
+    for src in ("!Nat", "!(Qubit -o[I] Qubit)"):
+        eff = synthesize_bounds(alg, parse_type(src)).eff
+        assert eff is not None and alg.leq(eff, unit) and alg.leq(unit, eff), src
+    eff = synthesize_bounds(alg, parse_type("!Qubit")).eff
+    assert (eff is not None) == (alg is TRIVIAL)
 
 
 # --------------------------------------------------------------------------

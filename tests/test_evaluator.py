@@ -5,7 +5,9 @@ import pytest
 
 from generators import perfbench_workloads, rng, random_program
 from pqc.cli import _load
-from pqc.circuits import Circuit, Label, Layer, WireType, flatten_bundle
+from pqc.circuits import (
+    BoxedCircuit, Circuit, CircuitBuilder, Label, Layer, WireType, flatten_bundle,
+)
 from pqc.errors import FuelExhausted, Stuck, WireTypeMismatch
 from pqc.evaluator import (
     Closure, Env, evaluate_program, readback, subst_term, subst_value,
@@ -97,7 +99,7 @@ def test_value_to_bundle_rejects_parameters():
 # --------------------------------------------------------------------------
 
 def test_bell_program_builds_expected_circuit():
-    c, ctx, v = run(
+    c, outputs, v = run(
         "inputs;"
         " let q = apply(@init, *) in"
         " let p = apply(@init, *) in"
@@ -107,24 +109,54 @@ def test_bell_program_builds_expected_circuit():
     assert c.dom == ()
     assert c.cod == (Q, Q)
     assert gate_sequence(c) == [("init", 0), ("init", 1), ("H", 0), ("CNOT", 0)]
-    assert flatten_bundle(value_to_bundle(v)) == list(ctx.labels)
+    assert flatten_bundle(value_to_bundle(v)) == [l for l, _ in outputs]
 
 
 def test_inputs_become_wires_in_declaration_order():
     prog = parse_program("inputs a: Qubit, b: Bit; return (b, a)")
-    c, ctx, v = evaluate_program(prog, registry)
-    assert c.dom == ctx.obj == (Q, B)
+    c, outputs, v = evaluate_program(prog, registry)
+    assert c.dom == tuple(t for _, t in outputs) == (Q, B)
     assert c.steps == ()  # no gates ran, outputs are the inputs
-    la, lb = ctx.labels
+    (la, _), (lb, _) = outputs
     assert (la, lb) == (Label(0), Label(1))
     assert value_to_bundle(v) == (lb, la)
     # of two inputs with one name, the first is the one bound
-    _, ctx, v = evaluate_program(parse_program("inputs a: Qubit, a: Bit; return a"))
-    assert ctx.obj == (Q, B) and v == Label(0)
+    _, outputs, v = evaluate_program(parse_program("inputs a: Qubit, a: Bit; return a"))
+    assert tuple(t for _, t in outputs) == (Q, B) and v == Label(0)
+
+
+def test_outputs_pair_open_labels_with_types_and_a_box_mints_after_the_run(monkeypatch):
+    """``evaluate_program``'s outputs are the open labels with the circuit's
+    output types, in wire order. A ``box`` mints its inputs right after the
+    labels the run has drawn so far, and its circuit reads them as body
+    positions ``0 ... n-1``."""
+    minted = []
+    private = CircuitBuilder.private
+
+    def spy(self, shape):
+        inner = private(self, shape)
+        minted.append(inner.inputs)
+        return inner
+    monkeypatch.setattr(CircuitBuilder, "private", spy)
+    c, outputs, v = run(
+        r"inputs q: Qubit, r: Bit;"
+        r" let q = apply(@H, q) in"
+        r" let c = box[Qubit * (Qubit * Qubit)] lift \p: Qubit * (Qubit * Qubit)."
+        r"   dest (x, yz) = p in dest (y, z) = yz in"
+        r"   let yz = apply(@CNOT, (y, z)) in return (x, yz) in"
+        r" let q = apply(@H, q) in"
+        r" return (c, (q, r))")
+    # #0 q and #1 r; H draws #2; the box's inputs are #3, #4, #5 and its
+    # CNOT draws #6, #7; the second H draws #8
+    assert minted == [(Label(3), (Label(4), Label(5)))]
+    assert outputs == tuple(zip([Label(8), Label(1)], c.cod)) == ((8, Q), (1, B))
+    boxed, wires = v
+    assert type(boxed) is BoxedCircuit and wires == (Label(8), Label(1))
+    assert boxed.inputs == (0, (1, 2)) and boxed.outputs == (0, (1, 2))
 
 
 def test_gate_changing_wire_type():
-    c, ctx, v = run("inputs q: Qubit; let b = apply(@meas, q) in return b")
+    c, outputs, v = run("inputs q: Qubit; let b = apply(@meas, q) in return b")
     assert c.cod == (B,)
     assert gate_sequence(c) == [("meas", 0)]
 
@@ -134,13 +166,13 @@ def test_gate_changing_wire_type():
 # --------------------------------------------------------------------------
 
 def test_box_runs_in_private_configuration():
-    c, ctx, v = run(
+    c, outputs, v = run(
         r"inputs;"
         r" let c = box[Qubit] lift \x: Qubit."
         r"   let x = apply(@H, x) in apply(@X, x) in"
         r" return *")
     assert c.steps == ()  # boxing leaves the outer circuit untouched
-    assert ctx.entries == ()
+    assert outputs == ()
 
 
 def test_boxed_circuit_value_has_the_function_body():
@@ -150,13 +182,13 @@ def test_boxed_circuit_value_has_the_function_body():
         r"   let x = apply(@H, x) in apply(@X, x) in"
         r" apply(c, q)")
     check_program(prog, registry)
-    c, ctx, v = evaluate_program(prog, registry)
+    c, outputs, v = evaluate_program(prog, registry)
     assert gate_sequence(c) == [("H", 0), ("X", 0)]
     assert c.dom == (Q,) and c.cod == (Q,)
 
 
 def test_apply_boxed_away_from_wire_zero():
-    c, ctx, v = run(
+    c, outputs, v = run(
         r"inputs a: Qubit, b: Qubit;"
         r" let c = box[Qubit] lift \x: Qubit. apply(@H, x) in"
         r" let b = apply(c, b) in"
@@ -166,14 +198,14 @@ def test_apply_boxed_away_from_wire_zero():
 
 def test_gate_literal_is_built_once_and_takes_no_run_labels():
     assert registry.boxed("H") is registry.boxed("H")
-    c, ctx, v = run("inputs q: Qubit; let q = apply(@H, q) in apply(@H, q)")
+    c, outputs, v = run("inputs q: Qubit; let q = apply(@H, q) in apply(@H, q)")
     h = registry.gate("H")
     assert c == Circuit((Q,), (Layer(((h, 0),)), Layer(((h, 0),))))
-    assert ctx.labels == [Label(2)]  # #0 the input, #1 and #2 the two outputs
+    assert outputs == ((Label(2), Q),)  # #0 the input, #1 and #2 the two outputs
 
 
 def test_boxed_value_reused_twice():
-    c, ctx, v = run(
+    c, outputs, v = run(
         r"inputs q: Qubit;"
         r" let c = box[Qubit] lift \x: Qubit. apply(@H, x) in"
         r" let q = apply(c, q) in"
@@ -183,7 +215,7 @@ def test_boxed_value_reused_twice():
 
 
 def test_box_of_pair_shape():
-    c, ctx, v = run(
+    c, outputs, v = run(
         r"inputs a: Qubit, b: Qubit;"
         r" let c = box[Qubit * Qubit] lift \p: Qubit * Qubit."
         r"   dest (x, y) = p in"
@@ -199,14 +231,14 @@ def test_box_of_pair_shape():
 def test_box_binds_no_name_a_program_can_write(name):
     # the lifted function's scope is the program's: a box's own bindings
     # must not shadow a variable it reads
-    c, ctx, v = run(
+    c, outputs, v = run(
         f"inputs q: Qubit;"
         f" let {name} = return 7 in"
         f" let c = box[Qubit] lift \\x: Qubit."
         f"   ifz {name} then return x else apply(@H, x) in"
         f" apply(c, q)")
     assert gate_sequence(c) == [("H", 0)]
-    assert show_value(readback(v)) == str(ctx.labels[0])
+    assert show_value(readback(v)) == str(outputs[0][0])
 
 
 # --------------------------------------------------------------------------
@@ -214,11 +246,11 @@ def test_box_binds_no_name_a_program_can_write(name):
 # --------------------------------------------------------------------------
 
 def test_nary_dest_captures_no_program_variable():
-    c, ctx, v = run(
+    c, outputs, v = run(
         "inputs a: Qubit, b: Qubit, c: Qubit, _yz: Qubit;"
         " dest (x, y, z) = (a, b, c) in"
         " return (x, y, z, _yz)")
-    l0, l1, l2, l3 = ctx.labels
+    l0, l1, l2, l3 = (l for l, _ in outputs)
     assert v == (l0, (l1, (l2, l3)))
 
 
@@ -226,9 +258,9 @@ def test_repeated_dest_name_binds_the_right_component():
     # as in the checker, which types x as the right component (Qubit)
     prog = parse_program("inputs q: Qubit; dest (x, x) = (3, q) in return x")
     assert check_program(prog, registry) == QubitT()
-    c, ctx, v = evaluate_program(prog, registry)
-    assert v == ctx.labels[0] and type(v) is Label
-    c, ctx, v = run("inputs; dest (x, x) = (3, *) in return x")
+    c, outputs, v = evaluate_program(prog, registry)
+    assert v == outputs[0][0] and type(v) is Label
+    c, outputs, v = run("inputs; dest (x, x) = (3, *) in return x")
     assert v == () and show_value(readback(v)) == "*"
 
 
@@ -237,17 +269,17 @@ def test_repeated_dest_name_binds_the_right_component():
 # --------------------------------------------------------------------------
 
 def test_ifz_picks_branches():
-    c, ctx, v = run(
+    c, outputs, v = run(
         "inputs q: Qubit; ifz 0 then apply(@H, q) else apply(@X, q)")
     assert gate_sequence(c) == [("H", 0)]
-    c, ctx, v = run(
+    c, outputs, v = run(
         "inputs q: Qubit; ifz 2 then apply(@H, q) else apply(@X, q)")
     assert gate_sequence(c) == [("X", 0)]
 
 
 def test_closures_see_the_scope_they_were_written_in():
     # f is written inside a nested let; rebinding x afterwards must not reach it
-    c, ctx, v = run(
+    c, outputs, v = run(
         "inputs q: Qubit;"
         " let x = return 0 in"
         " let f = let y = return 5 in return (lift return x) in"
@@ -258,7 +290,7 @@ def test_closures_see_the_scope_they_were_written_in():
 
 
 def test_force_lift_cancel():
-    c, ctx, v = run("inputs; let n = force lift return 4 in return n")
+    c, outputs, v = run("inputs; let n = force lift return 4 in return n")
     assert v == NatVal(4)
 
 
@@ -353,10 +385,10 @@ def test_random_programs_evaluate_cleanly():
     for _ in range(40):
         prog = random_program(r)
         check_program(prog, registry)
-        c, ctx, v = evaluate_program(prog, registry, fuel=10_000)
-        assert ctx.obj == c.cod
+        c, outputs, v = evaluate_program(prog, registry, fuel=10_000)
+        assert tuple(t for _, t in outputs) == c.cod
         assert sorted(flatten_bundle(value_to_bundle(v))) == \
-            sorted(ctx.labels)
+            sorted(l for l, _ in outputs)
 
 
 def _programs_to_print():
@@ -393,7 +425,7 @@ def test_printed_results_parse_back():
 def test_deep_let_chain_evaluates_without_recursion():
     h = LetBinder("x", Apply(GateRef("H"), Var("x")))
     t = Block((h,) * 20_000, Ret(Var("x")))
-    c, ctx, v = evaluate_program(Program((("x", QubitT()),), None, t), registry)
-    assert ctx.obj == c.cod == (Q,)
+    c, outputs, v = evaluate_program(Program((("x", QubitT()),), None, t), registry)
+    assert tuple(t for _, t in outputs) == c.cod == (Q,)
     assert len(c.steps) == 20_000
-    assert value_to_bundle(v) == ctx.labels[0]
+    assert value_to_bundle(v) == outputs[0][0]

@@ -110,6 +110,21 @@ def test_assert_cost_takes_ascii_digits_only():
         'gate g : Qubit -> Qubit\n  assert "0" -> {"0"} cost 3')["g"].rows["0"][1] == 3
 
 
+@pytest.mark.parametrize("name", ["2q", "é", "q-1"])
+def test_gate_spec_names_are_names_a_program_can_write(name):
+    # a program writes @name with an ASCII letter or _ first
+    with pytest.raises(ParseError, match=f"^2:.*bad gate name {re.escape(repr(name))}"):
+        parse_gate_spec(f"# a comment\ngate {name} : Qubit -> Qubit")
+    assert set(parse_gate_spec("gate _q2 : Qubit -> Qubit")) == {"_q2"}
+
+
+def test_gate_spec_refuses_a_second_assert_row_for_one_input():
+    spec = ('gate g : Qubit -> Qubit\n  assert "0" -> {"0"} cost 0\n'
+            '  assert "1" -> {"1"} cost 0\n  assert "0" -> {"1"} cost 1')
+    with pytest.raises(ParseError, match="^4:.*second assert row for input '0' of gate g$"):
+        parse_gate_spec(spec)
+
+
 @pytest.mark.parametrize("postset, fragment", [
     ("{}", "row '0' has an empty postset"),
     ("{ }", "row '0' has an empty postset"),

@@ -185,11 +185,11 @@ def test_demo_runs_match_pins(capsys, tmp_path, name):
 
 
 def check_run(prog, pin, where):
-    circuit, out_ctx, value = evaluate_program(prog, registry, pin["fuel"])
+    circuit, outputs, value = evaluate_program(prog, registry, pin["fuel"])
     assert sha256(serialize(circuit)) == pin["sha256"], where
     assert effect_pins(prog, circuit, registry) == {
         k: pin[k] for k in EFFECT_PINS}, where
-    got = canonical([[str(l), str(t)] for l, t in out_ctx], show_value(readback(value)))
+    got = canonical([[str(l), str(t)] for l, t in outputs], show_value(readback(value)))
     assert got == {"outputs": pin["outputs"], "value": pin["value"]}, where
     with pytest.raises(FuelExhausted):
         evaluate_program(prog, registry, pin["fuel"] - 1)

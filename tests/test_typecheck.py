@@ -7,13 +7,12 @@ from generators import rng, random_program
 from oracles import RightFoldChecker
 from pqc.algebras import ALGEBRAS, TRIVIAL, algebra, depth_bound
 from pqc.circuits import (
-    Circuit, Layer, WireType, box_circuit, freshlabels, identity, label_supply,
-    qubits,
+    Circuit, Label, Layer, WireType, box_circuit, qubits,
 )
 from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.errors import (
     BoxCapturesWires, LinearityViolation, MisplacedTerm, NotACircuit,
-    NotAFunction, NotAParameter, ObjectMismatch, ParseError, PqcError,
+    NotAFunction, NotAParameter, ParseError, PqcError,
     ShapeMismatch, TypecheckError, UnboundName,
 )
 from pqc.evaluator import evaluate_program
@@ -25,7 +24,7 @@ from pqc.syntax import (
     TensorT, UnitT, Var,
 )
 from pqc.typecheck import (
-    EffectChecker, check_configuration, check_program, is_parameter,
+    EffectChecker, check_program, is_parameter,
     same_type, sharp, wires_of,
 )
 
@@ -301,7 +300,7 @@ def test_ifz_needs_nat():
 
 
 # --------------------------------------------------------------------------
-# configurations
+# entry points and label terms
 # --------------------------------------------------------------------------
 
 GATES = ALGEBRAS["gates"]
@@ -322,26 +321,14 @@ def test_every_entry_point_rejects_inputs_that_are_not_single_wires(entry, ty):
         ENTRY_POINTS[entry](prog)
 
 
-def test_check_configuration_types_label_terms():
-    ctx, bundle = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()), label_supply())
-    l0, l1 = ctx.labels
-    ty, out = check_configuration(
-        ctx, identity(ctx.obj),
-        Ret((l1, l0)), ctx, registry)
+def test_check_closed_types_label_terms():
+    # a run's result, typed over its open outputs: each must be consumed
+    l0, l1 = Label(0), Label(1)
+    ctx = [(l0, QubitT()), (l1, QubitT())]
+    ty, _ = EffectChecker(TRIVIAL, registry).check_closed(ctx, Ret((l1, l0)))
     assert show_type(ty) == "Qubit * Qubit"
-    assert out.entries == ()  # term consumed every output
-
-    ty, out = check_configuration(
-        ctx, identity(ctx.obj), Ret(l0), ctx, registry)
-    assert show_type(ty) == "Qubit"
-    assert [lab for lab, _ in out] == [l1]  # untouched output is left over
-
-
-def test_check_configuration_rejects_wrong_contexts():
-    ctx, _ = freshlabels(((WireType.QUBIT, WireType.QUBIT), ()), label_supply())
-    with pytest.raises(ObjectMismatch):
-        check_configuration(ctx, identity((WireType.QUBIT,)),
-                            Ret(ctx.labels[0]), ctx, registry)
+    with pytest.raises(LinearityViolation, match="^unconsumed linear inputs: #1$"):
+        EffectChecker(TRIVIAL, registry).check_closed(ctx, Ret(l0))
 
 
 def test_random_programs_typecheck():
