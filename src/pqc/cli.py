@@ -225,7 +225,14 @@ def _infer(prog: Program, alg: CircuitAlgebra, registry: Registry):
         raise
 
 
+def _natural(option: str, n: Optional[int]) -> None:
+    """Refuse a negative count given for ``option``, before any work."""
+    if n is not None and n < 0:
+        raise PqcError(f"{option} needs a natural number, got {n}")
+
+
 def cmd_check(args) -> int:
+    _natural("--bound", args.bound)
     prog, registry = _load(args.file, args.gates)
     if args.metric is None:
         ty = check_program(prog, registry)
@@ -248,6 +255,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _natural("--fuel", args.fuel)
     prog, registry = _load(args.file, args.gates)
     check_program(prog, registry)
     circuit, outputs, value = evaluate_program(prog, registry, fuel=args.fuel,
@@ -299,6 +307,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _natural("--fuel", args.fuel)
     prog, registry = _load(args.file, args.gates)
     check_program(prog, registry)
     alg = ALGEBRAS[args.metric]

@@ -17,8 +17,8 @@ letter or ``_``, then letters, digits or ``_``), a signature (``I`` denotes
 the empty wire list) and optional properties: ``count`` (gate-count weight,
 default 1), ``depth`` (depth weight, default 1), both natural numbers, and
 ``assert`` rows mapping one input basis string, each at most once, to a
-postset and a cost. Redeclaring a known name overrides it, so a file can
-also re-weight builtin gates.
+postset and a cost. Redeclaring a builtin name overrides it, so a file can
+re-weight builtin gates; a file declares each name at most once.
 
 The builtin unitaries declare their assertion rows as spec gates do. A row
 at ``b`` has postset = support of U|b⟩ and cost 0 exactly when U maps |b⟩ to
@@ -168,6 +168,8 @@ def parse_gate_spec(text: str) -> dict[str, GateDef]:
                 raise ParseError(
                     f"bad gate name {name!r}: a name is a letter or _, then "
                     f"letters, digits or _", lineno)
+            if name in defs:
+                raise ParseError(f"second gate block for {name}", lineno)
             sig = Gate(name, _parse_sig(dom_s, lineno), _parse_sig(cod_s, lineno))
             defs[name] = GateDef(sig)
             current = name

@@ -50,6 +50,7 @@ from .syntax import (
 )
 
 CtxKey = Union[str, Label]
+TypeInfo = tuple[Type, Obj, bool]  # a type, its wires, whether it is linear
 
 
 # --------------------------------------------------------------------------
@@ -113,6 +114,7 @@ def shape_of(ty: Type) -> Shape:
 
 
 _NO_WIRES = (UnitT, NatT, BangT, CircT, BundleUnitT)
+_UNIT, _NAT = UnitT(), NatT()
 
 
 def wires_of(ty: Type) -> Obj:
@@ -170,6 +172,8 @@ def same_type(a: Type, b: Type) -> bool:
     part of the structure — they are promises about effects, compared in the
     effect layer, not shapes.
     """
+    if a is b or a == b:
+        return True
     match (a, b):
         case (UnitT() | BundleUnitT(), UnitT() | BundleUnitT()):
             return True
@@ -227,8 +231,8 @@ def synthesize_bounds(alg: CircuitAlgebra, ty: Type) -> Type:
 
 @dataclass(slots=True)
 class _Binder:
-    """A context entry; its wires and linearity are computed once, at push.
-    ``shadows`` is the entry its key named before it, if any."""
+    """A context entry, with its type's wires and linearity as ``_info``
+    gives them. ``shadows`` is the entry its key named before it, if any."""
 
     key: CtxKey
     ty: Type
@@ -248,11 +252,19 @@ class EffectChecker:
     Each context entry contributes a block of wires (``wires_of`` its type).
     The invariant, checked where each effect is made: the effect runs from
     the wires of the linear entries the term uses (in context order) to the
-    wires of its result type. ``used`` sets hold context indices, so
-    shadowed entries stay distinct. ``scope`` maps each key to its latest
-    entry, so a lookup costs the same however far the binding is; each
-    entry remembers the one it shadows, and dropping entries gives the
-    shadowed ones back their keys.
+    wires of its result type. ``used`` sets hold the context indices of
+    linear entries only, so shadowed entries stay distinct; an entry of a
+    parameter type may be used any number of times, and nothing records it.
+    ``scope`` maps each key to its latest entry, so a lookup costs the same
+    however far the binding is; each entry remembers the one it shadows,
+    and dropping entries gives the shadowed ones back their keys.
+
+    A type's wires and linearity are computed once per type object, by
+    ``_info``, and kept in a cache keyed by ``id`` that holds the type, so
+    that no id is reused. A binder stores them when it is pushed, and a
+    gate's circuit type is built once (``_gates``), so the types a block
+    meets again and again (a gate's result, the type of the binder a
+    ``Var`` names) are looked up, not walked.
 
     A block's binders and its tail are read in a loop, and their effect is
     folded left to right (``_fold``); any other term is read as a block of
@@ -267,19 +279,27 @@ class EffectChecker:
         self.ctx: list[_Binder] = []
         self.scope: dict[CtxKey, int] = {}  # key -> index of its latest entry
         self._gates: dict[str, CircT] = {}  # gate name -> its circuit type
+        self._types: dict[int, TypeInfo] = {}  # id(ty) -> _info(ty)
 
     # ---- context plumbing -------------------------------------------------
 
+    def _info(self, ty: Type) -> TypeInfo:
+        """``(ty, its wires, whether it is linear)``, computed once per type
+        object."""
+        info = self._types.get(id(ty))
+        if info is None:
+            info = self._types[id(ty)] = (ty, wires_of(ty), not is_parameter(ty))
+        return info
+
     def push(self, key: CtxKey, ty: Type) -> None:
         """Bind a name at an annotated (source) type."""
-        self._bind(key, synthesize_bounds(self.alg, ty))
+        self._bind(key, self._info(synthesize_bounds(self.alg, ty)))
 
-    def _bind(self, key: CtxKey, ty: Type, wires: Optional[Obj] = None) -> None:
-        """Bind a name at an inferred type, whose stored effects are in place;
-        ``wires`` are the type's, when the caller already has them."""
+    def _bind(self, key: CtxKey, info: TypeInfo) -> None:
+        """Bind a name at an inferred type, whose stored effects are in place,
+        given as ``_info`` gives it."""
         ctx, scope = self.ctx, self.scope
-        ctx.append(_Binder(key, ty, wires_of(ty) if wires is None else wires,
-                           not is_parameter(ty), scope.get(key)))
+        ctx.append(_Binder(key, *info, scope.get(key)))
         scope[key] = len(ctx) - 1
 
     def _truncate(self, base: int) -> None:
@@ -307,19 +327,8 @@ class EffectChecker:
                 f"unconsumed linear inputs: {', '.join(map(str, missing))}")
         return ty, eff
 
-    def _lookup(self, key: CtxKey) -> int:
-        i = self.scope.get(key)
-        if i is not None:
-            return i
-        raise UnboundName(
-            f"unbound {'label' if isinstance(key, Label) else 'variable'} {key}")
-
-    def _linear(self, used: set[int]) -> set[int]:
-        ctx = self.ctx
-        return {i for i in used if ctx[i].linear}
-
     def _merge(self, a: set[int], b: set[int], what: str) -> set[int]:
-        both = self._linear(a & b)
+        both = a & b
         if both:
             names = ", ".join(str(self.ctx[i].key) for i in sorted(both))
             raise LinearityViolation(f"{names} used more than once in {what}")
@@ -344,10 +353,11 @@ class EffectChecker:
                          cod: Obj, ty: Type) -> None:
         """The invariant: ``eff`` runs from the wires of the ``consumed``
         entries to the wires ``cod`` of its result type ``ty``. Only a
-        positional algebra's effects have endpoints to check."""
+        positional algebra's effects have endpoints to tell apart, so the
+        checker calls this only over one."""
         alg = self.alg
-        if alg.positional and (eff.dom != alg.obj_of(self._blocks_obj(consumed))
-                               or eff.cod != alg.obj_of(cod)):
+        if (eff.dom != alg.obj_of(self._blocks_obj(consumed))
+                or eff.cod != alg.obj_of(cod)):
             raise EndpointMismatch(
                 f"{alg.name} effect {eff.dom}→{eff.cod} of {type(m).__name__} "
                 f"does not run from its consumed wires to its result {show_type(ty)}")
@@ -433,60 +443,63 @@ class EffectChecker:
     # ---- values -----------------------------------------------------------
 
     def infer_value(self, v: Value) -> tuple[Type, set[int], list[int]]:
-        """Returns (type, used entries, linear entries in the value's wire order)."""
-        match v:
-            case Var(name):
-                i = self._lookup(name)
-                return self.ctx[i].ty, {i}, [i] if self.ctx[i].linear else []
-            case Label():
-                i = self._lookup(v)
-                return self.ctx[i].ty, {i}, [i]
-            case (left, right):
-                lt, lu, lo = self.infer_value(left)
-                rt, ru, ro = self.infer_value(right)
-                return TensorT(lt, rt), self._merge(lu, ru, "a pair"), lo + ro
-            case ():
-                return UnitT(), set(), []
-            case NatVal():
-                return NatT(), set(), []
-            case GateRef(name):
-                ct = self._gates.get(name)
-                if ct is None:
-                    gdef = self.registry.lookup(name)
-                    ct = self._gates[name] = CircT(
-                        tensor_of([_TYPE_OF_WIRE[w] for w in gdef.gate.dom]),
-                        tensor_of([_TYPE_OF_WIRE[w] for w in gdef.gate.cod]), None,
-                        self.alg.gate_effect(gdef))
-                return ct, set(), []
-            case BoxedCircuit():
-                return self._boxed_type(v), set(), []
-            case Lam(var, ty0, body):
-                self.push(var, ty0)
-                dom = self.ctx[-1].ty
-                bt, used, eff = self.infer_term(body)
-                used = self._pop(1, used, f"the body of \\{var}")
-                captured_ix = sorted(self._linear(used))
-                captured = tensor_of([sharp(self.ctx[i].ty) for i in captured_ix])
-                return ArrowT(dom, bt, captured, None, eff), used, captured_ix
-            case Lift(term):
-                ty, used, eff = self.infer_term(term)
-                lin = self._linear(used)
-                if lin:
-                    names = ", ".join(str(self.ctx[i].key) for i in sorted(lin))
-                    raise NotAParameter(
-                        f"lift body must be duplicable but uses {names}")
-                return BangT(ty, eff), used, []
+        """Returns (type, linear entries used, the same in the value's wire
+        order). The node kinds a block meets most come first."""
+        cls = type(v)
+        if cls is Var or cls is Label:
+            key = v.name if cls is Var else v
+            i = self.scope.get(key)
+            if i is None:
+                raise UnboundName(
+                    f"unbound {'variable' if cls is Var else 'label'} {key}")
+            b = self.ctx[i]
+            return (b.ty, {i}, [i]) if b.linear else (b.ty, set(), [])
+        if cls is tuple and len(v) == 2:
+            lt, lu, lo = self.infer_value(v[0])
+            rt, ru, ro = self.infer_value(v[1])
+            return TensorT(lt, rt), self._merge(lu, ru, "a pair"), lo + ro
+        if cls is GateRef:
+            ct = self._gates.get(v.name)
+            if ct is None:
+                gdef = self.registry.lookup(v.name)
+                ct = self._gates[v.name] = CircT(
+                    tensor_of([_TYPE_OF_WIRE[w] for w in gdef.gate.dom]),
+                    tensor_of([_TYPE_OF_WIRE[w] for w in gdef.gate.cod]), None,
+                    self.alg.gate_effect(gdef))
+            return ct, set(), []
+        if cls is Lam:
+            self.push(v.var, v.ty)
+            dom = self.ctx[-1].ty
+            bt, used, eff = self.infer_term(v.body)
+            used = self._pop(1, used, f"the body of \\{v.var}")
+            captured_ix = sorted(used)
+            captured = tensor_of([sharp(self.ctx[i].ty) for i in captured_ix])
+            return ArrowT(dom, bt, captured, None, eff), used, captured_ix
+        if cls is Lift:
+            ty, used, eff = self.infer_term(v.term)
+            if used:
+                names = ", ".join(str(self.ctx[i].key) for i in sorted(used))
+                raise NotAParameter(
+                    f"lift body must be duplicable but uses {names}")
+            return BangT(ty, eff), used, []
+        if cls is NatVal:
+            return _NAT, set(), []
+        if cls is tuple and not v:
+            return _UNIT, set(), []
+        if cls is BoxedCircuit:
+            return self._boxed_type(v), set(), []
         raise MisplacedTerm(f"not a value: {v!r}")
 
     # ---- terms ------------------------------------------------------------
 
     def infer_term(self, m: Term) -> tuple[Type, set[int], Effect]:
         """Type, used entries and effect of a term."""
-        ty, _, used, eff = self._infer(m)
+        (ty, _, _), used, eff = self._infer(m)
         return ty, used, eff
 
-    def _infer(self, m: Term) -> tuple[Type, Obj, set[int], Effect]:
-        """Type, its wires, used entries and effect of a term, by its block.
+    def _infer(self, m: Term) -> tuple[TypeInfo, set[int], Effect]:
+        """Type (as ``_info`` gives it), used entries and effect of a term,
+        by its block.
 
         Each binder and the tail is one step: the entries it consumes and
         the effect it places on their wires (none for ``dest`` and
@@ -500,14 +513,11 @@ class EffectChecker:
         # their wires), the effect or None, the first entry it binds and how
         # many; step k < len(binders) is binders[k]
         steps: list[tuple[list[int], Optional[Effect], int, int]] = []
-        used: set[int] = set()
         last: dict[int, int] = {}         # linear entry -> step that last consumed it
         again: dict[int, list[int]] = {}  # step -> its entries a later step consumes
 
-        def consume(u: set[int], order: list[int], e: Optional[Effect],
-                    count: int) -> None:
+        def consume(order: list[int], e: Optional[Effect], count: int) -> None:
             k = len(steps)
-            used.update(u)
             for i in order:
                 if i in last:
                     again.setdefault(last[i], []).append(i)
@@ -517,21 +527,18 @@ class EffectChecker:
         binders, tail = (m.binders, m.tail) if type(m) is Block else ((), m)
         for b in binders:
             if type(b) is LetBinder:
-                ty, wires, u, order, e = self._leaf(b.bound)
-                consume(u, order, e, 1)
-                self._bind(b.var, ty, wires)
+                info, order, e = self._leaf(b.bound)
+                consume(order, e, 1)
+                self._bind(b.var, info)
             else:
-                vt, u, order = self.infer_value(b.value)
+                vt, _, order = self.infer_value(b.value)
                 if not isinstance(vt, TensorT):
                     raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
-                consume(u, order, None, 2)
-                # the value's wires are its entries', in order: the right
-                # half gets those the left half does not take
-                left = wires_of(vt.left)
-                self._bind(b.left, vt.left, left)
-                self._bind(b.right, vt.right, self._blocks_obj(order)[len(left):])
-        ty, wires, u, order, e = self._leaf(tail)
-        consume(u, order, e, 0)
+                consume(order, None, 2)
+                self._bind(b.left, self._info(vt.left))
+                self._bind(b.right, self._info(vt.right))
+        info, order, e = self._leaf(tail)
+        consume(order, e, 0)
 
         for k in range(len(binders) - 1, -1, -1):
             _, _, first, count = steps[k]
@@ -548,8 +555,9 @@ class EffectChecker:
         outer = sorted(i for i in last if i < base)
         eff = self._fold(steps, outer)
         self._truncate(base)
-        self._check_endpoints(m, eff, outer, wires, ty)
-        return ty, wires, {i for i in used if i < base}, eff
+        if self.alg.positional:
+            self._check_endpoints(m, eff, outer, info[1], info[0])
+        return info, set(outer), eff
 
     def _fold(self, steps, outer: list[int]) -> Effect:
         """The effect of a block's steps, folded left to right.
@@ -588,108 +596,103 @@ class EffectChecker:
             deal(range(first, first + count), out)
         return fold.freeze(out)
 
-    def _leaf(self, m: Term) -> tuple[Type, Obj, set[int], list[int], Optional[Effect]]:
-        """A bound term or the tail of a block: its type and that type's wires,
-        the entries it uses, the linear ones in the order its effect takes
-        their wires, and the effect (None for a ``return``)."""
+    def _leaf(self, m: Term) -> tuple[TypeInfo, list[int], Optional[Effect]]:
+        """A bound term or the tail of a block: its type as ``_info`` gives
+        it, the linear entries it uses in the order its effect takes their
+        wires, and the effect (None for a ``return``). The node kinds a
+        block meets most come first."""
         alg = self.alg
-        order = None  # in the effect's wire order; by default, context order
-        match m:
-            case Ret(v):
-                ty, used, order = self.infer_value(v)
-                return ty, self._blocks_obj(order), used, order, None
-            case Apply(circ, arg):
-                ct, cu, _ = self.infer_value(circ)
-                if not isinstance(ct, CircT):
-                    raise NotACircuit(f"apply needs a circuit, got {show_type(ct)}")
-                eff = self._stored_effect(ct)
-                at, au, order = self.infer_value(arg)
-                if not same_type(at, ct.dom):
-                    raise ShapeMismatch(
-                        f"circuit expects {show_type(ct.dom)}, got {show_type(at)}")
-                ty = ct.cod
-                wires = wires_of(ty)
-                used = self._merge(cu, au, "apply")
-            case App(fn, arg):
-                ft, fu, fo = self.infer_value(fn)
-                if not isinstance(ft, ArrowT):
-                    raise NotAFunction(f"cannot apply a value of type {show_type(ft)}")
-                eff = self._stored_effect(ft)
-                at, au, ao = self.infer_value(arg)
-                if not same_type(at, ft.dom):
-                    raise ShapeMismatch(
-                        f"function expects {show_type(ft.dom)}, got {show_type(at)}")
-                self._check_promise(at, ft.dom, "the argument")
-                ty = ft.cod
-                wires = wires_of(ty)
-                used = self._merge(fu, au, "an application")
-                order = fo + ao
-            case Block():
-                ty, wires, used, eff = self._infer(m)
-                return ty, wires, used, sorted(self._linear(used)), eff
-            case Force(value):
-                vt, used, _ = self.infer_value(value)
-                if not isinstance(vt, BangT):
-                    raise ShapeMismatch(f"force needs a !-type, got {show_type(vt)}")
-                ty = vt.inner
-                wires = wires_of(ty)
-                eff = vt.eff
-                if eff is None:
-                    raise EffectError(
-                        f"no effect information when forcing {show_type(vt)}")
-            case Ifz(cond, then, els):
-                ct, cu, _ = self.infer_value(cond)
-                if not isinstance(ct, NatT):
-                    raise ShapeMismatch(
-                        f"ifz condition must be Nat, got {show_type(ct)}")
-                ty, wires, tu, te = self._infer(then)
-                et, _, eu, ee = self._infer(els)
-                if ty != et:  # so their bounds agree too
-                    raise ShapeMismatch(
-                        f"ifz branches disagree: {show_type(ty)} vs {show_type(et)}")
-                ty = self._join_stored(ty, et)
-                if self._linear(tu) != self._linear(eu):
-                    raise LinearityViolation(
-                        "ifz branches must consume the same wires")
-                used = cu | tu | eu
-                eff = alg.join(te, ee)
-            case Box(shape_ty, value):
-                if not is_shape_type(shape_ty):
-                    raise ShapeMismatch(
-                        f"box annotation must be a wire shape, got {show_type(shape_ty)}")
-                vt, used, _ = self.infer_value(value)
-                if not isinstance(vt, BangT) or not isinstance(vt.inner, ArrowT):
-                    raise NotAFunction(
-                        f"box needs a lifted function, got {show_type(vt)}")
-                arrow = vt.inner
-                if wires_of(arrow.captured):
-                    raise BoxCapturesWires(
-                        f"cannot box a function holding wires of shape "
-                        f"{show_type(arrow.captured)}")
-                if not same_type(arrow.dom, shape_ty):
-                    raise ShapeMismatch(
-                        f"box annotation {show_type(shape_ty)} does not match "
-                        f"function input {show_type(arrow.dom)}")
-                if not is_shape_type(arrow.cod):
-                    raise ShapeMismatch(
-                        f"boxed function must return a wire bundle, "
-                        f"got {show_type(arrow.cod)}")
-                fn_eff = self._stored_effect(arrow)
-                unit = alg.identity_effect(alg.obj_of(()))
-                fold = alg.fold(wires_of(arrow.dom))
-                handles = fold.wires
-                # the lift's effect: no wires in or out
-                fold.place(None if handles is None else [], vt.eff)
-                circ_eff = fold.freeze(fold.place(handles, fn_eff))
-                ty = CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff)
-                wires = ()
-                eff = unit
-            case _:
-                raise ShapeMismatch(f"not a term: {m!r}")
-        if order is None:
-            order = sorted(self._linear(used))
-        self._check_endpoints(m, eff, order, wires, ty)
-        return ty, wires, used, order, eff
+        cls = type(m)
+        if cls is Apply:
+            ct, _, _ = self.infer_value(m.circ)
+            if not isinstance(ct, CircT):
+                raise NotACircuit(f"apply needs a circuit, got {show_type(ct)}")
+            eff = self._stored_effect(ct)
+            # a circuit is a parameter: the argument's entries are all the
+            # apply uses
+            at, _, order = self.infer_value(m.arg)
+            if not same_type(at, ct.dom):
+                raise ShapeMismatch(
+                    f"circuit expects {show_type(ct.dom)}, got {show_type(at)}")
+            info = self._info(ct.cod)
+        elif cls is Ret:
+            ty, _, order = self.infer_value(m.value)
+            return self._info(ty), order, None
+        elif cls is App:
+            ft, fu, fo = self.infer_value(m.fn)
+            if not isinstance(ft, ArrowT):
+                raise NotAFunction(f"cannot apply a value of type {show_type(ft)}")
+            eff = self._stored_effect(ft)
+            at, au, ao = self.infer_value(m.arg)
+            if not same_type(at, ft.dom):
+                raise ShapeMismatch(
+                    f"function expects {show_type(ft.dom)}, got {show_type(at)}")
+            self._check_promise(at, ft.dom, "the argument")
+            self._merge(fu, au, "an application")
+            info = self._info(ft.cod)
+            order = fo + ao
+        elif cls is Block:
+            info, used, eff = self._infer(m)
+            return info, sorted(used), eff
+        elif cls is Force:
+            vt, _, order = self.infer_value(m.value)
+            if not isinstance(vt, BangT):
+                raise ShapeMismatch(f"force needs a !-type, got {show_type(vt)}")
+            info = self._info(vt.inner)
+            eff = vt.eff
+            if eff is None:
+                raise EffectError(
+                    f"no effect information when forcing {show_type(vt)}")
+        elif cls is Ifz:
+            ct, cu, _ = self.infer_value(m.cond)
+            if not isinstance(ct, NatT):
+                raise ShapeMismatch(
+                    f"ifz condition must be Nat, got {show_type(ct)}")
+            (ty, _, _), tu, te = self._infer(m.then)
+            (et, _, _), eu, ee = self._infer(m.els)
+            if ty != et:  # so their bounds agree too
+                raise ShapeMismatch(
+                    f"ifz branches disagree: {show_type(ty)} vs {show_type(et)}")
+            info = self._info(self._join_stored(ty, et))
+            if tu != eu:
+                raise LinearityViolation(
+                    "ifz branches must consume the same wires")
+            order = sorted(cu | tu)
+            eff = alg.join(te, ee)
+        elif cls is Box:
+            if not is_shape_type(m.shape):
+                raise ShapeMismatch(
+                    f"box annotation must be a wire shape, got {show_type(m.shape)}")
+            vt, _, order = self.infer_value(m.value)
+            if not isinstance(vt, BangT) or not isinstance(vt.inner, ArrowT):
+                raise NotAFunction(
+                    f"box needs a lifted function, got {show_type(vt)}")
+            arrow = vt.inner
+            if self._info(arrow.captured)[1]:
+                raise BoxCapturesWires(
+                    f"cannot box a function holding wires of shape "
+                    f"{show_type(arrow.captured)}")
+            if not same_type(arrow.dom, m.shape):
+                raise ShapeMismatch(
+                    f"box annotation {show_type(m.shape)} does not match "
+                    f"function input {show_type(arrow.dom)}")
+            if not is_shape_type(arrow.cod):
+                raise ShapeMismatch(
+                    f"boxed function must return a wire bundle, "
+                    f"got {show_type(arrow.cod)}")
+            fn_eff = self._stored_effect(arrow)
+            fold = alg.fold(self._info(arrow.dom)[1])
+            handles = fold.wires
+            # the lift's effect: no wires in or out
+            fold.place(None if handles is None else [], vt.eff)
+            circ_eff = fold.freeze(fold.place(handles, fn_eff))
+            info = self._info(CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff))
+            eff = alg.identity_effect(alg.obj_of(()))
+        else:
+            raise ShapeMismatch(f"not a term: {m!r}")
+        if alg.positional:
+            self._check_endpoints(m, eff, order, info[1], info[0])
+        return info, order, eff
 
 
 # --------------------------------------------------------------------------

@@ -535,13 +535,13 @@ class RightFoldChecker(EffectChecker):
         b = m.binders[0]
         rest = Block(m.binders[1:], m.tail) if len(m.binders) > 1 else m.tail
         if isinstance(b, LetBinder):
-            bt, bw, bu, be = self._infer(b.bound)
-            self._bind(b.var, bt, bw)
-            ty, wires, tu, te = self._infer(rest)
+            binfo, bu, be = self._infer(b.bound)
+            self._bind(b.var, binfo)
+            info, tu, te = self._infer(rest)
             tu = self._pop(1, tu, f"the body of let {b.var}")
             used = self._merge(bu, tu, f"let {b.var}")
-            g2 = sorted(self._linear(tu))
-            g1 = sorted(self._linear(bu))
+            g2 = sorted(tu)
+            g1 = sorted(bu)
             eff = compose_eff(
                 alg, then_eff(alg, self._reorder(g2 + g1), len(self._blocks_obj(g2)), be),
                 te)
@@ -549,15 +549,15 @@ class RightFoldChecker(EffectChecker):
             vt, vu, vo = self.infer_value(b.value)
             if not isinstance(vt, TensorT):
                 raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
-            self._bind(b.left, vt.left)
-            self._bind(b.right, vt.right)
-            ty, wires, bu, be = self._infer(rest)
+            self._bind(b.left, self._info(vt.left))
+            self._bind(b.right, self._info(vt.right))
+            info, bu, be = self._infer(rest)
             bu = self._pop(2, bu, f"the body of dest ({b.left}, {b.right})")
             used = self._merge(vu, bu, f"dest ({b.left}, {b.right})")
-            g2 = sorted(self._linear(bu))
+            g2 = sorted(bu)
             eff = compose_eff(alg, self._reorder(g2 + vo), be)
-        self._check_endpoints(m, eff, sorted(self._linear(used)), wires, ty)
-        return ty, wires, used, eff
+        self._check_endpoints(m, eff, sorted(used), info[1], info[0])
+        return info, used, eff
 
 
 # --------------------------------------------------------------------------

@@ -150,6 +150,11 @@ BAD_INPUTS = {
                  2, None, id="restrict-negative"),
     pytest.param(["analyze", "lnn.pqc", "--metric", "assert", "--restrict", "5"],
                  2, None, id="restrict-too-wide"),
+    pytest.param(["run", "bell.pqc", "--fuel", "-1"], 2, None, id="fuel-negative"),
+    pytest.param(["verify", "bell.pqc", "--metric", "gates", "--fuel", "-1"], 2,
+                 None, id="verify-fuel-negative"),
+    pytest.param(["check", "bell.pqc", "--metric", "depth", "--bound", "-1"], 2,
+                 None, id="bound-negative"),
     pytest.param(["check", "bell.pqc", "--metric", "gates", "--bound", "3"], 1,
                  None, id="bound-exceeded"),
     pytest.param(["verify", "bell.pqc", "--metric", "gates"], 1, fail_comparison,
@@ -253,6 +258,18 @@ def test_readme_library_block_runs_from_the_repo_root():
     done = subprocess.run([sys.executable, "-c", block], cwd=root, env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "(#3, #4)\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", demo("lnn.pqc"), "--fuel", "-1"],
+    ["verify", demo("lnn.pqc"), "--metric", "gates", "--fuel", "-1"],
+    ["check", demo("lnn.pqc"), "--metric", "depth", "--bound", "-1"],
+], ids=["run", "verify", "check"])
+def test_a_negative_count_is_refused_by_its_option_name(capsys, argv):
+    # not "evaluation fuel exhausted", nor a bound exceeded (exit 1)
+    option = argv[-2]
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: {option} needs a natural number, got -1\n")
 
 
 def test_run_fuel_exhaustion_exits_2(capsys):

@@ -125,6 +125,15 @@ def test_gate_spec_refuses_a_second_assert_row_for_one_input():
         parse_gate_spec(spec)
 
 
+def test_gate_spec_refuses_a_second_block_for_one_name():
+    # the second block used to replace the first, dropping its count
+    spec = 'gate g : Qubit -> Qubit\n  count 3\n# again\ngate g : Qubit -> Qubit\n'
+    with pytest.raises(ParseError, match="^4:.*second gate block for g$"):
+        parse_gate_spec(spec)
+    # a builtin name may still be declared, once
+    assert parse_gate_spec("gate H : Qubit -> Qubit\n  count 3")["H"].count == 3
+
+
 @pytest.mark.parametrize("postset, fragment", [
     ("{}", "row '0' has an empty postset"),
     ("{ }", "row '0' has an empty postset"),

@@ -11,9 +11,9 @@ from pqc.circuits import (
 )
 from pqc.effects import infer_program_effect, verify_dynamic
 from pqc.errors import (
-    BoxCapturesWires, LinearityViolation, MisplacedTerm, NotACircuit,
-    NotAFunction, NotAParameter, ParseError, PqcError,
-    ShapeMismatch, TypecheckError, UnboundName,
+    BoxCapturesWires, EffectError, LinearityViolation, MisplacedTerm,
+    NotACircuit, NotAFunction, NotAParameter, ParseError, PqcError,
+    ShapeMismatch, TypecheckError, UnboundName, UnknownGate,
 )
 from pqc.evaluator import evaluate_program
 from pqc.gates import default_registry
@@ -297,6 +297,139 @@ def test_ifz_needs_nat():
     fails("inputs q: Qubit; let r = ifz q then return 1 else return 2 in"
           " apply(@H, q)",
           ShapeMismatch)
+
+
+# --------------------------------------------------------------------------
+# every error the checker raises, class and text
+# --------------------------------------------------------------------------
+
+# name -> (program, outcome under TRIVIAL[, outcome under width if it
+# differs]); an outcome is the program's type, or its error's class and
+# text. One row per raise site of infer_value, _leaf, _infer, _pop, _merge,
+# _check_promise, _stored_effect and check_closed; a program is source
+# text, or a context and a term for what no source program reaches.
+ERRORS = {
+    "unbound-variable": ("inputs; return ghost",
+                         (UnboundName, "unbound variable ghost")),
+    "unbound-label": ("inputs; return #3", (UnboundName, "unbound label #3")),
+    "pair-reuse": ("inputs q: Qubit; return (q, q)",
+                   (LinearityViolation, "q used more than once in a pair")),
+    "unknown-gate": ("inputs q: Qubit; apply(@nope, q)",
+                     (UnknownGate, "unknown gate 'nope'")),
+    "lambda-drops": (r"inputs; return \x: Qubit. return *",
+                     (LinearityViolation,
+                      r"x is linear but never used in the body of \x")),
+    "lift-uses-a-wire": ("inputs q: Qubit; force (lift apply(@H, q))",
+                         (NotAParameter, "lift body must be duplicable but uses q")),
+    "not-a-value": (((), Ret(Ret(()))),
+                    (MisplacedTerm, "not a value: Ret(value=())")),
+    "apply-non-circuit": ("inputs q: Qubit; apply(q, q)",
+                          (NotACircuit, "apply needs a circuit, got Qubit")),
+    "apply-unbounded-circuit": (
+        r"inputs; return \c: Circ(Qubit, Qubit). return \x: Qubit. apply(c, x)",
+        "Circ(Qubit, Qubit) -o[I] Qubit -o[I] Qubit",
+        (EffectError, "no effect information for a circuit of type "
+                      "Circ(Qubit, Qubit); ascribe a bound: Circ[n](...)")),
+    "apply-wrong-argument": ("inputs b: Bit; apply(@H, b)",
+                             (ShapeMismatch, "circuit expects Qubit, got Bit")),
+    "app-non-function": ("inputs; 3 4",
+                         (NotAFunction, "cannot apply a value of type Nat")),
+    "app-unbounded-function": (
+        r"inputs q: Qubit; return \f: Qubit -o[I] Qubit. f q",
+        "(Qubit -o[I] Qubit) -o[Qubit] Qubit",
+        (EffectError, "no effect information for a function of type "
+                      "Qubit -o[I] Qubit; ascribe a bound: Qubit -o[I; n] ...")),
+    "app-wrong-argument": (r"inputs; (\x: Nat. return x) *",
+                           (ShapeMismatch, "function expects Nat, got 1")),
+    "app-reuse": (r"inputs q: Qubit; (\x: Qubit. apply(@CNOT, (q, x))) q",
+                  (LinearityViolation, "q used more than once in an application")),
+    "force-non-thunk": ("inputs; force 3",
+                        (ShapeMismatch, "force needs a !-type, got Nat")),
+    "force-unknown-effect": (r"inputs; return \t: !Qubit. force t",
+                             "!Qubit -o[I] Qubit",
+                             (EffectError, "no effect information when forcing !Qubit")),
+    "ifz-non-nat": ("inputs q: Qubit; let r = ifz q then return 1 else return 2"
+                    " in apply(@H, q)",
+                    (ShapeMismatch, "ifz condition must be Nat, got Qubit")),
+    "ifz-disagree": ("inputs q: Qubit; ifz 0 then apply(@meas, q) else apply(@H, q)",
+                     (ShapeMismatch, "ifz branches disagree: Bit vs Qubit")),
+    "ifz-consumes": ("inputs a: Qubit, b: Qubit; let u = ifz 0 then"
+                     " apply(@discard, a) else apply(@discard, b) in return (a, b)",
+                     (LinearityViolation, "ifz branches must consume the same wires")),
+    "box-not-a-shape": (r"inputs; box[Nat] lift \x: Nat. return x",
+                        (ShapeMismatch, "box annotation must be a wire shape, got Nat")),
+    "box-not-a-lift": ("inputs; box[Qubit] 3",
+                       (NotAFunction, "box needs a lifted function, got Nat")),
+    "box-captures-wires": (
+        ((("f", BangT(ArrowT(QubitT(), QubitT(), QubitT()))),),
+         Box(QubitT(), Var("f"))),
+        (BoxCapturesWires, "cannot box a function holding wires of shape Qubit")),
+    "box-dom-mismatch": (
+        r"inputs; let c = box[Qubit] lift \x: Qubit * Qubit. return x in return *",
+        (ShapeMismatch,
+         "box annotation Qubit does not match function input Qubit * Qubit")),
+    "box-returns-non-bundle": (
+        r"inputs; box[Qubit] lift \x: Qubit. let u = apply(@discard, x) in return 3",
+        (ShapeMismatch, "boxed function must return a wire bundle, got Nat")),
+    "box-unbounded-function": (
+        r"inputs; return \f: !(Qubit -o[I] Qubit). box[Qubit] f",
+        "!(Qubit -o[I] Qubit) -o[I] Circ(Qubit, Qubit)",
+        (EffectError, "no effect information for a function of type "
+                      "Qubit -o[I] Qubit; ascribe a bound: Qubit -o[I; n] ...")),
+    "not-a-term": (((), Var("x")), (ShapeMismatch, "not a term: Var(name='x')")),
+    "dest-non-tensor": ("inputs q: Qubit; dest (a, b) = q in return (a, b)",
+                        (ShapeMismatch, "dest needs a tensor, got Qubit")),
+    "let-drops": ("inputs q: Qubit; let r = apply(@meas, q) in return *",
+                  (LinearityViolation, "r is linear but never used in the body of let r")),
+    "dest-drops": ("inputs a: Qubit, b: Qubit; let p = apply(@CNOT, (a, b)) in"
+                   " dest (x, y) = p in return x",
+                   (LinearityViolation,
+                    "y is linear but never used in the body of dest (x, y)")),
+    "let-reuse": ("inputs q: Qubit; let r = apply(@H, q) in apply(@CNOT, (q, r))",
+                  (LinearityViolation, "q used more than once in let r")),
+    "dest-reuse": ("inputs a: Qubit, b: Qubit; dest (x, y) = (a, b) in"
+                   " let z = apply(@CNOT, (x, y)) in return (z, a)",
+                   (LinearityViolation, "a used more than once in dest (x, y)")),
+    "promise-thunk": (
+        r"inputs; (\t: !I. return *) (lift let q = apply(@init, *) in apply(@discard, q))",
+        "1",
+        (EffectError, "the argument is a thunk of type !I, which must emit no "
+                      "gates, but it does")),
+    "promise-unknown": (
+        r"inputs; return \g: Qubit -o[I] Qubit. (\h: Qubit -o[I; 3] Qubit. return h) g",
+        "(Qubit -o[I] Qubit) -o[I] Qubit -o[I; 3] Qubit",
+        (EffectError, "cannot establish the promised bound 3 for the argument")),
+    "promise-exceeded": (
+        r"inputs; (\h: Qubit -o[I; 1] Qubit. return h) (\x: Qubit."
+        r" let y = apply(@init, *) in let p = apply(@CNOT, (x, y)) in"
+        r" dest (a, b) = p in let u = apply(@discard, b) in return a)",
+        "Qubit -o[I; 1] Qubit",
+        (EffectError, "the argument must stay under 1 but reaches 2")),
+    "promise-parameter": (
+        r"inputs; (\f: (Qubit -o[I; 5] Qubit) -o[I] Qubit -o[I; 5] Qubit. return f)"
+        r" (\g: Qubit -o[I; 1] Qubit. return g)",
+        "(Qubit -o[I; 5] Qubit) -o[I] Qubit -o[I; 5] Qubit",
+        (EffectError, "the parameter of the argument must stay under 1 but reaches 5")),
+    "unconsumed-input": ("inputs q: Qubit; return *",
+                         (LinearityViolation, "unconsumed linear inputs: q")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERRORS))
+def test_checker_errors_keep_their_class_and_text(name):
+    program, *outcomes = ERRORS[name]
+    if type(program) is str:
+        prog = parse_program(program)
+        program = prog.inputs, prog.term
+    ctx, term = program
+    if len(outcomes) == 1:
+        outcomes *= 2
+    for alg, want in zip((TRIVIAL, algebra("width")), outcomes):
+        try:
+            got = show_type(EffectChecker(alg, registry).check_closed(ctx, term)[0])
+        except PqcError as e:
+            got = type(e), str(e)
+        assert got == want, alg.name
 
 
 # --------------------------------------------------------------------------
