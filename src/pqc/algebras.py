@@ -1,4 +1,4 @@
-"""Circuit algebras: compositional resource abstractions of circuits.
+"""Circuit algebras: resource abstractions of circuits that compose.
 
 An algebra assigns to every circuit object an *algebra object* and to every
 circuit a morphism between them (an ``Effect``), such that composition,
@@ -68,7 +68,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .circuits import Circuit, Layer, Obj, Perm, WireType
-from .errors import EffectError, EffectObjectMismatch, UnknownUnitary, UnsupportedWire
+from .errors import (EffectError, EffectObjectMismatch, EndpointMismatch, UnknownUnitary,
+                     UnsupportedWire)
 from .gates import GateDef, Registry
 from .tropical import NEG_INF, TropicalMatrix
 
@@ -105,10 +106,6 @@ class CircuitAlgebra:
     """
 
     name = "?"
-    # False when effects ignore wire positions (obj_of is constant and every
-    # permutation's effect is the identity): the checker then skips the
-    # wire bookkeeping behind endpoint checks and reorderings
-    positional = True
 
     # --- primitive structure, per algebra --------------------------------
     def obj_of(self, o: Obj):
@@ -158,8 +155,9 @@ class CircuitAlgebra:
         """A fold accumulator started on the wires ``dom``.
 
         ``wires`` holds handles of its wires (None in algebras that ignore
-        positions). ``place(taken, e)`` puts ``e`` on the wires of those
-        handles and returns handles for its outputs; ``freeze(order)`` ends
+        positions, whose effects have no endpoints). ``place(taken, e)`` puts
+        ``e`` on the wires of those handles, refusing other than ``e.dom`` of
+        them, and returns handles for its outputs; ``freeze(order)`` ends
         the fold with the outputs in that order.
         """
         raise NotImplementedError
@@ -171,7 +169,9 @@ class CircuitAlgebra:
         position, which a permutation only reorders. Gates that change the
         wire count (init, discard) shift the later placements of their layer.
         ``order`` lists the output positions in the order the image returns
-        them (None: as the circuit leaves them).
+        them (None: as the circuit leaves them). A gate effect with other
+        outputs than its gate's leaves a wire count that the next
+        permutation, or the circuit's end, refuses (``EndpointMismatch``).
         """
         fold = self.fold(c.dom)
         wires = fold.wires
@@ -179,6 +179,9 @@ class CircuitAlgebra:
             lambda name: self.gate_effect(registry.lookup(name)))
         for step in c.steps:
             if isinstance(step, Perm):
+                if len(wires) != len(step.perm):
+                    raise EndpointMismatch(f"{self.name} gate effects leave {len(wires)} "
+                                           f"wires where a permutation has {len(step.perm)}")
                 wires = [wires[i] for i in routing(step.perm)]
                 continue
             shift = 0
@@ -186,6 +189,9 @@ class CircuitAlgebra:
                 lo, d = at + shift, len(gate.dom)
                 wires[lo:lo + d] = fold.place(wires[lo:lo + d], gate_effect(gate.name))
                 shift += len(gate.cod) - d
+        if len(wires) != len(c.cod):
+            raise EndpointMismatch(f"{self.name} gate effects leave {len(wires)} "
+                                   f"wires where the circuit's end has {len(c.cod)}")
         return fold.freeze(wires if order is None else [wires[i] for i in order])
 
 
@@ -195,8 +201,6 @@ class CircuitAlgebra:
 
 class _ScalarAlgebra(CircuitAlgebra):
     """Common carrier: single object "*", morphisms ℕ, sequencing = +."""
-
-    positional = False
 
     def obj_of(self, o: Obj):
         return "*"
@@ -323,6 +327,8 @@ class WidthFold:
         self.wires = [None] * len(dom)
 
     def place(self, taken: list, e: Effect) -> list:
+        if len(taken) != e.dom:
+            raise EndpointMismatch(f"width effect {e.dom}→{e.cod} put on {len(taken)} wires")
         rest = self.live - e.dom
         self.peak, self.live = max(self.peak, rest + e.value), rest + e.cod
         return [None] * e.cod
@@ -490,6 +496,8 @@ class DepthFold:
     def place(self, taken: list[int], e: Effect) -> list[int]:
         t: DepthTriple = e.value
         d, c, n, rows, lag = e.dom, e.cod, self.n, self.rows, self.lag
+        if len(taken) != d:
+            raise EndpointMismatch(f"depth effect {d}→{c} put on {len(taken)} wires")
         if t.weight is not None and d == c == 1:
             lag[taken[0]] += t.weight
             self.unit.discard(taken[0])
@@ -866,6 +874,8 @@ class AssertFold:
     def place(self, taken: list, e: Effect) -> list:
         v: AssertValue = e.value
         d, c, n, k = e.dom, e.cod, self.reach.shape[1], len(self.axis)
+        if len(taken) != d:
+            raise EndpointMismatch(f"assert effect {d}→{c} put on {len(taken)} wires")
         axes = tuple(self.axis[h] for h in taken)
         cube = self.reach.reshape((2,) * k + (n,))
         sources, swaps = v.plan()
@@ -1082,7 +1092,7 @@ class AssertAlgebra(CircuitAlgebra):
         return e.value.cost.hi  # the cost on all input states
 
     def coarsest(self, dom, cod, n: int) -> Effect:
-        d, c = len(dom), len(cod)
+        d, c = self.obj_of(dom), self.obj_of(cod)
         _require_qubits(c)
         _require_qubits(d)
         return Effect(d, c, AssertValue(np.ones((1 << c, 1 << d), dtype=bool),

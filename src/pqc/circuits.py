@@ -11,7 +11,7 @@ fusing adjacent permutations and dropping identity permutations.
 
 Labels name the open output wires of a circuit under construction. Wire
 bundles (nested pairs of labels) connect the name-based world of programs
-with the positional world of circuits, and only ``CircuitBuilder`` knows
+with the position-based world of circuits, and only ``CircuitBuilder`` knows
 where each label sits. Labels are minted from a supply (``label_supply``)
 that belongs to one run: an evaluation numbers its wires from its own
 supply, so there is no process-global label counter. A boxed circuit holds

@@ -20,7 +20,7 @@ class ParseError(PqcError):
         self.line = line
         self.col = col
         if line is not None:
-            message = f"{line}:{col if col is not None else '?'}: {message}"
+            message = f"{line}: {message}" if col is None else f"{line}:{col}: {message}"
         super().__init__(message)
 
 

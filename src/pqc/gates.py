@@ -220,5 +220,8 @@ def parse_gate_spec(text: str) -> dict[str, GateDef]:
 
 
 def load_gate_spec(path: str) -> dict[str, GateDef]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gate_spec(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_gate_spec(fh.read())
+    except ParseError as e:  # the file, then the line
+        raise ParseError(f"{path}:{e}") from None

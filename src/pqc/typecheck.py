@@ -118,7 +118,7 @@ _UNIT, _NAT = UnitT(), NatT()
 
 
 def wires_of(ty: Type) -> Obj:
-    """The flat wire list behind a type, in positional order: ``sharp``
+    """The flat wire list behind a type, in wire order: ``sharp``
     flattened, in one pass."""
     out = []
     todo = [ty]
@@ -250,7 +250,7 @@ class EffectChecker:
     """Types terms and infers their effects in one algebra.
 
     Each context entry contributes a block of wires (``wires_of`` its type).
-    The invariant, checked where each effect is made: the effect runs from
+    The invariant, checked where each effect is placed: the effect runs from
     the wires of the linear entries the term uses (in context order) to the
     wires of its result type. ``used`` sets hold the context indices of
     linear entries only, so shadowed entries stay distinct; an entry of a
@@ -343,24 +343,6 @@ class EffectChecker:
                     f"{self.ctx[i].key} is linear but never used in {what}")
         self._truncate(base)
         return {i for i in used if i < base}
-
-    def _blocks_obj(self, indices: Sequence[int]) -> Obj:
-        if len(indices) == 1:
-            return self.ctx[indices[0]].wires
-        return tuple(w for i in indices for w in self.ctx[i].wires)
-
-    def _check_endpoints(self, m: Term, eff: Effect, consumed: Sequence[int],
-                         cod: Obj, ty: Type) -> None:
-        """The invariant: ``eff`` runs from the wires of the ``consumed``
-        entries to the wires ``cod`` of its result type ``ty``. Only a
-        positional algebra's effects have endpoints to tell apart, so the
-        checker calls this only over one."""
-        alg = self.alg
-        if (eff.dom != alg.obj_of(self._blocks_obj(consumed))
-                or eff.cod != alg.obj_of(cod)):
-            raise EndpointMismatch(
-                f"{alg.name} effect {eff.dom}→{eff.cod} of {type(m).__name__} "
-                f"does not run from its consumed wires to its result {show_type(ty)}")
 
     # ---- stored effects ---------------------------------------------------
 
@@ -511,37 +493,37 @@ class EffectChecker:
         base = len(ctx)
         # per step: linear entries consumed (in the order the effect takes
         # their wires), the effect or None, the first entry it binds and how
-        # many; step k < len(binders) is binders[k]
-        steps: list[tuple[list[int], Optional[Effect], int, int]] = []
+        # many, and its term; step k < len(binders) is binders[k]
+        steps: list[tuple[list[int], Optional[Effect], int, int, Term | Value]] = []
         last: dict[int, int] = {}         # linear entry -> step that last consumed it
         again: dict[int, list[int]] = {}  # step -> its entries a later step consumes
 
-        def consume(order: list[int], e: Optional[Effect], count: int) -> None:
+        def consume(order: list[int], e: Optional[Effect], count: int, m) -> None:
             k = len(steps)
             for i in order:
                 if i in last:
                     again.setdefault(last[i], []).append(i)
                 last[i] = k
-            steps.append((order, e, len(ctx), count))
+            steps.append((order, e, len(ctx), count, m))
 
         binders, tail = (m.binders, m.tail) if type(m) is Block else ((), m)
         for b in binders:
             if type(b) is LetBinder:
                 info, order, e = self._leaf(b.bound)
-                consume(order, e, 1)
+                consume(order, e, 1, b.bound)
                 self._bind(b.var, info)
             else:
                 vt, _, order = self.infer_value(b.value)
                 if not isinstance(vt, TensorT):
                     raise ShapeMismatch(f"dest needs a tensor, got {show_type(vt)}")
-                consume(order, None, 2)
+                consume(order, None, 2, b.value)
                 self._bind(b.left, self._info(vt.left))
                 self._bind(b.right, self._info(vt.right))
         info, order, e = self._leaf(tail)
-        consume(order, e, 0)
+        consume(order, e, 0, tail)
 
         for k in range(len(binders) - 1, -1, -1):
-            _, _, first, count = steps[k]
+            _, _, first, count, _ = steps[k]
             for i in range(first, first + count):
                 if ctx[i].linear and i not in last:
                     raise LinearityViolation(
@@ -553,13 +535,11 @@ class EffectChecker:
                     f"{names} used more than once in {_binder_text(binders[k])}")
 
         outer = sorted(i for i in last if i < base)
-        eff = self._fold(steps, outer)
+        eff = self._fold(steps, outer, len(info[1]))
         self._truncate(base)
-        if self.alg.positional:
-            self._check_endpoints(m, eff, outer, info[1], info[0])
         return info, set(outer), eff
 
-    def _fold(self, steps, outer: list[int]) -> Effect:
+    def _fold(self, steps, outer: list[int], cod: int) -> Effect:
         """The effect of a block's steps, folded left to right.
 
         The algebra's fold accumulator starts on the wires of ``outer``, the
@@ -570,30 +550,37 @@ class EffectChecker:
         its effect on its entries' handles and deals the handles it gets
         back to the entries it binds (a step without an effect passes its
         handles on). The fold freezes once, in the last step's output order.
+        A step whose outputs are not as many as the wires of the names it
+        binds (for the tail, the ``cod`` wires of the result) is refused.
         """
         ctx = self.ctx
-        fold = self.alg.fold(self._blocks_obj(outer))
+        fold = self.alg.fold(tuple(w for i in outer for w in ctx[i].wires))
         wires = fold.wires
         if wires is None:
-            for _, e, _, _ in steps:
+            for _, e, _, _, _ in steps:
                 if e is not None:
                     fold.place(None, e)
             return fold.freeze(None)
         live: dict[int, list] = {}
 
-        def deal(entries, handles: list) -> None:
+        def deal(entries, handles: list) -> int:
             at = 0
             for i in entries:
                 if ctx[i].linear:
                     live[i] = handles[at:at + len(ctx[i].wires)]
                     at += len(ctx[i].wires)
+            return at
 
         deal(outer, wires)
         out: list = []
-        for order, e, first, count in steps:
+        for order, e, first, count, m in steps:
             taken = [w for i in order for w in live.pop(i)]
             out = taken if e is None else fold.place(taken, e)
-            deal(range(first, first + count), out)
+            held = deal(range(first, first + count), out) if count else cod
+            if held != len(out):
+                what = "value" if e is None else f"effect {e.dom}→{e.cod}"
+                raise EndpointMismatch(f"{self.alg.name} {what} of {type(m).__name__} "
+                                       f"hands back {len(out)} wires, not {held}")
         return fold.freeze(out)
 
     def _leaf(self, m: Term) -> tuple[TypeInfo, list[int], Optional[Effect]]:
@@ -690,8 +677,6 @@ class EffectChecker:
             eff = alg.identity_effect(alg.obj_of(()))
         else:
             raise ShapeMismatch(f"not a term: {m!r}")
-        if alg.positional:
-            self._check_endpoints(m, eff, order, info[1], info[0])
         return info, order, eff
 
 

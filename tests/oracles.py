@@ -51,7 +51,7 @@ from pqc.circuits import (
     WireType, flatten_bundle, map_bundle, pad_perm, show_bundle,
 )
 from pqc.errors import (
-    EffectError, EffectObjectMismatch, LabelNotFound, ShapeMismatch,
+    EffectError, EffectObjectMismatch, EndpointMismatch, LabelNotFound, ShapeMismatch,
     WireTypeMismatch,
 )
 from pqc.gates import GateDef, Registry
@@ -339,6 +339,14 @@ def maxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, None] + b[None, :, :]).max(axis=1)
 
 
+def counts_wires(alg) -> bool:
+    """Whether the algebra's objects count wires (the scalar algebras' one
+    object is ``"*"``). Read off ``obj_of``, not ``fold``: ``ThenEffFold``
+    asks this, and it is the fold of ``ThenEffFolding`` and
+    ``StringAssertAlgebra``."""
+    return alg.obj_of(()) != "*"
+
+
 def _placement(alg, eff: Effect, at, e: Effect
                ) -> tuple[int, Optional[tuple[int, ...]], int]:
     """``then_eff``'s ``at``, for objects that count wires, as
@@ -372,7 +380,7 @@ def then_eff(alg, eff: Effect, at, e: Effect) -> Effect:
     in that order, the others follow in theirs, and ``e`` takes the
     first ``e.dom`` wires. Algebras that ignore positions ignore ``at``.
     """
-    if not alg.positional:  # the scalar algebras: sequencing adds
+    if not counts_wires(alg):  # the scalar algebras: sequencing adds
         return Effect("*", "*", eff.value + e.value)
     left, route, right = _placement(alg, eff, at, e)
     if isinstance(alg, WidthAlgebra):
@@ -442,7 +450,7 @@ class ThenEffFold:
         self.eff = alg.identity_effect(alg.obj_of(dom))
         self.cols = list(range(len(dom)))
         self.serial = len(dom)
-        self.wires = list(self.cols) if alg.positional else None
+        self.wires = list(self.cols) if counts_wires(alg) else None
 
     def _at(self, taken) -> tuple[int, ...]:
         return tuple(self.cols.index(w) for w in taken)
@@ -505,15 +513,32 @@ class RightFoldChecker(EffectChecker):
     (bound term's entries last) by a permutation effect, the bound term's
     effect is placed after the rest's wires, and the rest's effect is
     composed on. Linearity is checked as each binder's body returns,
-    innermost first. Every other
-    term goes through ``EffectChecker``, whose sub-terms come back here.
+    innermost first, and each composed effect's endpoints against the
+    wires of the entries it consumes and of its result type, by this
+    checker's own comparison (``_check_endpoints``), not the folds'. Every
+    other term goes through ``EffectChecker``, whose sub-terms come back
+    here.
     """
+
+    def _blocks_obj(self, indices: Sequence[int]):
+        return tuple(w for i in indices for w in self.ctx[i].wires)
+
+    def _check_endpoints(self, m: Term, eff: Effect, consumed: Sequence[int],
+                         cod, ty) -> None:
+        """``eff`` runs from the wires of the ``consumed`` entries to the
+        wires ``cod`` of its result type ``ty``."""
+        alg = self.alg
+        if (eff.dom != alg.obj_of(self._blocks_obj(consumed))
+                or eff.cod != alg.obj_of(cod)):
+            raise EndpointMismatch(
+                f"{alg.name} effect {eff.dom}→{eff.cod} of {type(m).__name__} "
+                f"does not run from its consumed wires to its result {show_type(ty)}")
 
     def _reorder(self, target: Sequence[int]) -> Effect:
         """Permutation effect from context order to the given entry order."""
         alg = self.alg
         unit = alg.identity_effect(alg.obj_of(()))
-        if not alg.positional:
+        if not counts_wires(alg):
             return unit
         ctx = self.ctx
         src = sorted(target)

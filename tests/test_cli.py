@@ -554,6 +554,29 @@ def test_extra_gates_flag(capsys, tmp_path):
     assert json.loads(out)["value"] == 3
 
 
+def test_gate_spec_errors_name_their_file_and_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dup.pqcg").write_text("gate g : Qubit -> Qubit\ngate g : Qubit -> Qubit\n")
+    (tmp_path / "h.pqc").write_text("inputs q: Qubit; apply(@H, q)")
+    code, out, err = run_cli(capsys, "analyze", "h.pqc", "--metric", "gates",
+                             "--gates", "dup.pqcg")
+    assert (code, out) == (2, "")
+    assert err == "error: dup.pqcg:2: second gate block for g\n"
+
+
+def test_assert_refuses_a_bit_wire_in_an_unused_ascription(capsys, tmp_path):
+    # the circuit type is never applied, but assert's coarsest effect for its
+    # Circ[1] ascription needs the Bit wire as an object
+    path = tmp_path / "bit.pqc"
+    path.write_text("inputs q: Qubit;\n"
+                    "let f = return (lift return (\\c: Circ[1](Qubit, Bit). return c)) in\n"
+                    "return q\n")
+    code, _, err = run_cli(capsys, "analyze", str(path), "--metric", "assert")
+    assert code == 2 and err == "error: assert algebra cannot track Bit wires\n"
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--metric", "gates")
+    assert code == 0 and json.loads(out)["value"] == 0
+
+
 # --------------------------------------------------------------------------
 # analyze runs the checker once
 # --------------------------------------------------------------------------

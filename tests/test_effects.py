@@ -299,6 +299,54 @@ def test_wrong_algebra_trips_the_endpoint_check():
                              BadWidth(), registry)
 
 
+def off_by_one(name: str, gate: str, dom: int, cod: int):
+    """The algebra ``name`` with ``dom`` more inputs and ``cod`` more outputs
+    on the effect of ``gate``, its payload unchanged."""
+    class Broken(type(algebra(name))):
+        def gate_effect(self, gdef):
+            e = super().gate_effect(gdef)
+            if gdef.name != gate:
+                return e
+            return Effect(e.dom + dom, e.cod + cod, e.value)
+    return Broken()
+
+
+# a gate effect with an output too many, then one with an input too few, in
+# programs that build a circuit on two wires; abstracting that circuit raises
+# the error given last. When a permutation follows the extra output, routing
+# would drop it and the image end on the circuit's wire count.
+BROKEN = {
+    "output": (("H", 0, 1),
+               "inputs q: Qubit, p: Qubit; let q = apply(@H, q) in return (q, p)",
+               "gate effects leave 3 wires where the circuit's end has 2"),
+    "output-routed": (("H", 0, 1),
+                      "inputs q: Qubit, p: Qubit; let q = apply(@H, q) in"
+                      " let r = apply(@CNOT, (p, q)) in return r",
+                      "gate effects leave 3 wires where a permutation has 2"),
+    "input": (("CNOT", -1, 0),
+              "inputs a: Qubit, b: Qubit; let p = apply(@CNOT, (a, b)) in return p",
+              "effect 1→2 put on 2 wires"),
+}
+
+
+@pytest.mark.parametrize("name", ["width", "depth", "assert"])
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_wrong_algebras_trip_the_checkers_folds(name, case):
+    (gate, dom, cod), src, _ = BROKEN[case]
+    with pytest.raises(EndpointMismatch, match=f"^{name} effect 1→2 "):
+        infer_program_effect(program(src), off_by_one(name, gate, dom, cod), registry)
+
+
+@pytest.mark.parametrize("name", ["width", "depth", "assert"])
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_wrong_algebras_trip_abstract(name, case):
+    (gate, dom, cod), src, error = BROKEN[case]
+    circuit, _, _ = evaluate_program(program(src), registry)
+    assert (len(circuit.dom), len(circuit.cod)) == (2, 2)
+    with pytest.raises(EndpointMismatch, match=f"^{name} {error}"):
+        off_by_one(name, gate, dom, cod).abstract(circuit, registry)
+
+
 def test_unconsumed_inputs_are_rejected():
     with pytest.raises(LinearityViolation, match="unconsumed"):
         EffectChecker(gates, registry).check_closed(
