@@ -42,7 +42,6 @@ from .circuits import (
     flatten_bundle,
     identity,
     label_supply,
-    obj,
     qubits,
     serialize,
     spine,

@@ -56,10 +56,6 @@ Obj = tuple[WireType, ...]
 """A circuit object: an ordered list of wire types."""
 
 
-def obj(*types: WireType) -> Obj:
-    return tuple(types)
-
-
 def qubits(n: int) -> Obj:
     return (WireType.QUBIT,) * n
 
@@ -218,17 +214,11 @@ class Layer:
         return tuple(out)
 
     def shifted(self, offset: int) -> "Layer":
-        """The same gates ``offset >= 0`` wires further down.
-
-        Shifting keeps the placements disjoint and in order, so the copy is
-        not re-validated.
-        """
+        """The same gates ``offset >= 0`` wires further down: a boxed body
+        places each of its layers once per position (``BoxedCircuit.placed``)."""
         if offset == 0:
             return self
-        out = object.__new__(Layer)
-        object.__setattr__(
-            out, "placements", tuple((g, at + offset) for g, at in self.placements))
-        return out
+        return Layer(tuple((g, at + offset) for g, at in self.placements))
 
     def __str__(self) -> str:
         return "[" + " ".join(f"{g.name}@{at}" for g, at in self.placements) + "]"
@@ -396,13 +386,15 @@ class BoxedCircuit:
     ``inputs`` is a bundle over the body's dom positions ``0, 1, ...`` in
     order, nested in any way, so the k-th wire attached to the box feeds
     body input k. ``outputs`` is a bundle over the body's cod positions,
-    each once, in any order. The interfaces are checked once, here.
+    each once, in any order. The interfaces are checked once, here, and
+    the body is placed once per position (``placed``).
     """
 
     inputs: Bundle
     body: Circuit
     outputs: Bundle
-    _placed: dict | None = field(init=False, compare=False, repr=False)
+    _placed: dict = field(init=False, compare=False, repr=False)
+    _by_width: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if flatten_bundle(self.inputs) != list(range(len(self.body.dom))):
@@ -411,23 +403,23 @@ class BoxedCircuit:
         if sorted(flatten_bundle(self.outputs)) != list(range(len(self.body.cod))):
             raise WireTypeMismatch(
                 "output bundle must list each of the body's output positions once")
-        layers_only = all(type(s) is Layer for s in self.body.steps)
-        object.__setattr__(self, "_placed", {} if layers_only else None)
+        object.__setattr__(self, "_placed", {})
+        object.__setattr__(self, "_by_width",
+                           any(type(s) is Perm for s in self.body.steps))
 
     def placed(self, left: int, right: int) -> tuple[Step, ...]:
-        """The body's steps with ``left`` wires above and ``right`` below.
+        """The body's steps with ``left`` wires above and ``right`` below,
+        built once per position and shared by every application there.
 
         A body of Layers alone (a gate literal, say) does not depend on
-        ``right``: its steps are placed once per offset, and every
-        application at that offset shares them. So every cached step is a
-        step of some built circuit.
+        ``right``, so its steps are kept per offset; a body holding a Perm
+        per offset and width. Every cached step is a step of some built
+        circuit.
         """
-        placed = self._placed
-        if placed is None:
-            return _whisker_steps(self.body.steps, left, right)
-        out = placed.get(left)
+        key = (left, right) if self._by_width else left
+        out = self._placed.get(key)
         if out is None:
-            out = placed[left] = _whisker_steps(self.body.steps, left, right)
+            out = self._placed[key] = _whisker_steps(self.body.steps, left, right)
         return out
 
     def __str__(self) -> str:
@@ -513,7 +505,7 @@ class CircuitBuilder:
         Returns ``boxed.outputs`` over fresh labels, body output j getting
         the j-th. ``dom`` is unchanged.
         """
-        attach_labels = [attach] if type(attach) is Label else flatten_bundle(attach)
+        attach_labels = flatten_bundle(attach)
         body = boxed.body
         m = len(body.dom)
         if len(attach_labels) != m:
@@ -581,10 +573,7 @@ class CircuitBuilder:
             entries += rest
             for i in range(q, len(entries)):
                 pos[entries[i][0]] = i
-        outputs = boxed.outputs
-        if type(outputs) is not tuple:  # then it is the body's one output
-            return fresh[0][0]
-        return map_bundle(outputs, [l for l, _ in fresh].__getitem__)
+        return map_bundle(boxed.outputs, [l for l, _ in fresh].__getitem__)
 
     def private(self, shape: Shape) -> CircuitBuilder:
         """A builder for a ``box`` run inside this one, on new wires of

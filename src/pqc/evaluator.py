@@ -33,8 +33,9 @@ The machine is call-by-value and never substitutes into the program:
   the circuit (at the end of the run, or of a ``box``), once per distinct
   step and input object (``Circuit``). In between, ``apply`` only checks
   its argument against the body's input types and places the body's steps
-  by index arithmetic; a gate literal's layer is placed once per offset
-  and shared.
+  by index arithmetic. Every boxed body, a gate literal's layer or a
+  ``box``'s circuit, is placed once per position and shared
+  (``BoxedCircuit.placed``).
 * Every rule firing costs one unit of fuel.
 * In a program that type-checked, a closure that is called again is a
   lifted one, and reaches no wire but its argument's (``_Memo``). It adds
@@ -321,17 +322,10 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                 env = env.bind(b.left, pair[0]).bind(b.right, pair[1])
                 m = rest
             continue
-        # a variable operand is one lookup; _value handles the rest (and an
-        # unbound variable, which stays a variable)
         if t is Ret:
-            x = m.value
-            v = env.lookup(x.name) if type(x) is Var else None
-            if v is None:
-                v = _value(x, env)
+            v = _value(m.value, env)
         elif t is Apply:
-            circ = m.circ
-            if type(circ) is not GateRef:
-                circ = _value(circ, env)
+            circ = _value(m.circ, env)
             if type(circ) is GateRef:
                 boxed = registry.boxed(circ.name)
             elif type(circ) is BoxedCircuit:
@@ -340,18 +334,12 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
                 raise Stuck(f"apply needs a circuit, got {show_runtime(circ)}")
             v = builder.append(value_to_bundle(_value(m.arg, env)), boxed)
         elif t is App:
-            x = m.fn
-            fn = env.lookup(x.name) if type(x) is Var else None
-            if fn is None:
-                fn = _value(x, env)
+            fn = _value(m.fn, env)
             if type(fn) is not Closure or type(fn.value) is not Lam:
                 if type(fn) is GateRef or type(fn) is BoxedCircuit:
                     raise Stuck(f"{show_runtime(fn)} is a circuit; run it with apply(...)")
                 raise Stuck(f"cannot apply non-function {show_runtime(fn)}")
-            x = m.arg
-            arg = env.lookup(x.name) if type(x) is Var else None
-            if arg is None:
-                arg = _value(x, env)
+            arg = _value(m.arg, env)
             hit = memo and memo.enter(fn, arg, builder, fuel, stack)
             if hit is None:
                 lam = fn.value
@@ -368,10 +356,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             m = m.then if cond.n == 0 else m.els
             continue
         elif t is Force:
-            x = m.value
-            v = env.lookup(x.name) if type(x) is Var else None
-            if v is None:
-                v = _value(x, env)
+            v = _value(m.value, env)
             if type(v) is not Closure or type(v.value) is not Lift:
                 raise Stuck(f"force needs a lifted term, got {show_runtime(v)}")
             env, m = v.env, v.value.term
@@ -402,9 +387,7 @@ def _run(builder: CircuitBuilder, env: Env, m: Term, registry: Registry,
             v = builder.boxed(value_to_bundle(v))
             builder = k
         var, m, i, env = k
-        if env.sealed:  # env.bind, inlined
-            env = Env(parent=env)
-        env.vars[var] = v
+        env = env.bind(var, v)
 
 
 def evaluate_program(prog: Program, registry: Optional[Registry] = None,

@@ -669,10 +669,8 @@ class EffectChecker:
                     f"got {show_type(arrow.cod)}")
             fn_eff = self._stored_effect(arrow)
             fold = alg.fold(self._info(arrow.dom)[1])
-            handles = fold.wires
-            # the lift's effect: no wires in or out
-            fold.place(None if handles is None else [], vt.eff)
-            circ_eff = fold.freeze(fold.place(handles, fn_eff))
+            fold.place([], vt.eff)  # the lift's effect: no wires in or out
+            circ_eff = fold.freeze(fold.place(fold.wires, fn_eff))
             info = self._info(CircT(arrow.dom, arrow.cod, arrow.bound, circ_eff))
             eff = alg.identity_effect(alg.obj_of(()))
         else:

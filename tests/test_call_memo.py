@@ -260,7 +260,8 @@ def test_random_programs_run_alike(monkeypatch):
 
 def minimal_fuel(prog, **kw) -> int:
     lo, hi = 0, 1
-    while outcome(prog, hi, **kw)[0] == "error":
+    while (got := outcome(prog, hi, **kw))[0] == "error":
+        assert got[1] == "FuelExhausted", got  # more fuel would not help
         lo, hi = hi, 2 * hi
     while hi - lo > 1:  # the run fails with lo and succeeds with hi
         mid = (lo + hi) // 2

@@ -249,6 +249,18 @@ def test_append_gathers_scattered_wires():
     assert sum(1 for s in c.steps if isinstance(s, Layer)) == 1
 
 
+def test_a_box_holding_a_perm_is_placed_per_offset_and_width():
+    # <1 0>; H@0 at offset 0 pads its Perm to the circuit's width, so the
+    # placement on 2 wires is not the one on 3, and each is built once
+    boxed = box_circuit(Circuit((Q, Q), (Perm((1, 0)), Layer(((H, 0),)))))
+    for width in (2, 3, 2, 3):
+        b, ins = builder_on((Q,) * width)
+        b.append((ins[0], ins[1]), boxed)
+        assert b.circuit() == whisker_right(boxed.body, (Q,) * (width - 2))
+    assert boxed.placed(0, 1) is boxed.placed(0, 1)
+    assert boxed.placed(0, 0) is not boxed.placed(0, 1)
+
+
 def test_append_type_mismatch_and_unknown_label():
     b, ins = builder_on((B,))
     with pytest.raises(WireTypeMismatch):

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from generators import perfbench_workloads, rng, random_program
+from pqc import circuits
 from pqc.cli import _load
 from pqc.circuits import (
-    BoxedCircuit, Circuit, CircuitBuilder, Label, Layer, WireType, flatten_bundle,
+    BoxedCircuit, Circuit, CircuitBuilder, Label, Layer, Perm, WireType,
+    flatten_bundle,
 )
 from pqc.errors import FuelExhausted, Stuck, WireTypeMismatch
 from pqc.evaluator import (
@@ -212,6 +214,28 @@ def test_boxed_value_reused_twice():
         r" let q = apply(c, q) in"
         r" return q")
     assert gate_sequence(c) == [("H", 0), ("H", 0)]
+
+
+def test_a_box_holding_a_perm_is_placed_once_per_position(monkeypatch):
+    # the body swaps its two wires, then applies CNOT: <1 0>; CNOT@0
+    calls = []
+    whisker = circuits._whisker_steps
+
+    def spy(steps, left, right):
+        calls.append(steps)
+        return whisker(steps, left, right)
+    monkeypatch.setattr(circuits, "_whisker_steps", spy)
+    c, outputs, v = run(
+        r"inputs a: Qubit, b: Qubit;"
+        r" let c = box[Qubit * Qubit] lift \p: Qubit * Qubit."
+        r"   dest (x, y) = p in let r = apply(@CNOT, (y, x)) in return r in"
+        r" let p = return (a, b) in"
+        + r" let p = apply(c, p) in" * 20 + r" return p")
+    # the box is whiskered once, not once per apply
+    assert sum(any(type(s) is Perm for s in steps) for steps in calls) == 1
+    perms = [s for s in c.steps if type(s) is Perm]
+    assert len(perms) == 20 and len({id(s) for s in perms}) == 1
+    assert gate_sequence(c) == [("CNOT", 0)] * 20
 
 
 def test_box_of_pair_shape():
